@@ -69,7 +69,6 @@ class ErrorReport:
     l2: float
     h1_broken: float
     nodal_max: float
-    cond: float | None = None
 
     def __post_init__(self):
         if self.l2 < 0 or self.h1_broken < 0 or self.nodal_max < 0:

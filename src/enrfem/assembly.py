@@ -21,6 +21,7 @@ from __future__ import annotations
 import bisect
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -152,12 +153,61 @@ def eval_coefficient(fn: Coefficient, xs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """Free-DOF linear system with the Dirichlet lift folded into the rhs."""
+    """Free-DOF linear system with the Dirichlet lift folded into the rhs.
 
-    matrix: np.ndarray
+    Free DOFs are ordered standard-first, so the free matrix is
+
+        A = [[S, B],
+             [C, E]]
+
+    with S the standard block, banded with bandwidth p = element degree,
+    and B, C, E the border of the m enrichment DOFs of the cut elements.
+    ``band`` holds S in LAPACK band storage, band[p + i - j, j] = S[i, j],
+    shape (2p + 1, n_std); ``border_cols`` is B (n_std x m) and
+    ``border_rows`` is [C E] (m x n_free).  Storage is O(n) for a fixed
+    number of cuts.
+    """
+
+    band: np.ndarray
+    border_cols: np.ndarray
+    border_rows: np.ndarray
     rhs: np.ndarray
     space: EnrichedSpace
     constrained_values: np.ndarray
+
+    @property
+    def n_std(self) -> int:
+        return self.band.shape[1]
+
+    @property
+    def bandwidth(self) -> int:
+        return self.band.shape[0] // 2
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense free matrix A, O(n^2): built on first access, for diagnostics."""
+        ns = self.n_std
+        dense = np.zeros((len(self.rhs), len(self.rhs)))
+        for row, i, j in _band_diagonals(self.bandwidth, ns):
+            dense[i, j] = self.band[row, j]
+        dense[:ns, ns:] = self.border_cols
+        dense[ns:] = self.border_rows
+        return dense
+
+
+def _band_diagonals(p: int, n: int):
+    """(band row, row indices, column indices) of each diagonal of an n x n band."""
+    for row in range(2 * p + 1):
+        offset = row - p  # i - j
+        j = np.arange(max(0, -offset), min(n, n - offset))
+        yield row, j + offset, j
+
+
+def _band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
+    out = np.zeros(len(x))
+    for row, i, j in _band_diagonals(band.shape[0] // 2, len(x)):
+        out[i] += band[row, j] * x[j]
+    return out
 
 
 def quadrature_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
@@ -232,9 +282,8 @@ def assemble_system(problem: ProblemSpec, space: EnrichedSpace, quad_npts: int =
         )
     ref_x, ref_w = quadrature_rule(quad_npts)
 
-    n = space.n_dofs
-    A = np.zeros((n, n))
-    b = np.zeros(n)
+    b = np.zeros(space.n_dofs)
+    blocks = []  # (dofs, local matrix) in assembly order
 
     for k in range(mesh.n_elements):
         for xl, xr, layer, side in _element_pieces(problem, mesh, k):
@@ -253,7 +302,7 @@ def assemble_system(problem: ProblemSpec, space: EnrichedSpace, quad_npts: int =
                 local += (ders * (wq * (-2.0) * conv)) @ vals.T
             if np.any(w_c != 0.0):
                 local += (vals * (wq * w_c)) @ vals.T
-            A[np.ix_(idx, idx)] += local
+            blocks.append((idx, local))
             b[idx] += (vals * (wq * f_c)).sum(axis=1)
 
     for hit in mesh.interface_hits:
@@ -264,53 +313,112 @@ def assemble_system(problem: ProblemSpec, space: EnrichedSpace, quad_npts: int =
         idx, v_left, _ = element_basis(space, hit.element, x, "left")
         _, v_right, _ = element_basis(space, hit.element, x, "right")
         jump = v_right[:, 0] - v_left[:, 0]
-        A[np.ix_(idx, idx)] += np.outer(jump, jump) / spec.lam
+        blocks.append((idx, np.outer(jump, jump) / spec.lam))
 
-    free = space.free_index >= 0
+    band, border_cols, border_rows, lift = _scatter(space, blocks)
     constrained_values = np.array(
         [
             (problem.bc_left if dof == 0 else problem.bc_right).value
             for dof in space.constrained
         ]
     )
-    rhs = b[free]
+    rhs = b[space.free_index >= 0]
     if len(space.constrained):
-        rhs = rhs - A[np.ix_(free, ~free)] @ constrained_values
+        rhs = rhs - lift @ constrained_values
     return AssembledSystem(
-        matrix=A[np.ix_(free, free)],
+        band=band,
+        border_cols=border_cols,
+        border_rows=border_rows,
         rhs=rhs,
         space=space,
         constrained_values=constrained_values,
     )
 
 
+def _scatter(space: EnrichedSpace, blocks):
+    """Sum element blocks of the full-DOF matrix into the free system's pieces.
+
+    Returns band, border_cols and border_rows as laid out in
+    AssembledSystem, and ``lift``, the free rows of the constrained
+    columns.  np.add.at adds the (row, col, value) triplets in the order
+    given, so every entry is summed in assembly order.
+    """
+    rows = np.concatenate([np.repeat(idx, len(idx)) for idx, _ in blocks])
+    cols = np.concatenate([np.tile(idx, len(idx)) for idx, _ in blocks])
+    vals = np.concatenate([local.ravel() for _, local in blocks])
+    fi, fj = space.free_index[rows], space.free_index[cols]
+
+    p = space.degree
+    ns = space.n_std - len(space.constrained)
+    m = space.n_free - ns
+    band = np.zeros((2 * p + 1, ns))
+    border_cols = np.zeros((ns, m))
+    border_rows = np.zeros((m, space.n_free))
+    lift = np.zeros((space.n_free, len(space.constrained)))
+
+    std_row = (fi >= 0) & (fi < ns)
+    sel = std_row & (fj >= 0) & (fj < ns)
+    np.add.at(band, (p + fi[sel] - fj[sel], fj[sel]), vals[sel])
+    sel = std_row & (fj >= ns)
+    np.add.at(border_cols, (fi[sel], fj[sel] - ns), vals[sel])
+    sel = (fi >= ns) & (fj >= 0)
+    np.add.at(border_rows, (fi[sel] - ns, fj[sel]), vals[sel])
+    sel = (fi >= 0) & (fj < 0)
+    np.add.at(lift, (fi[sel], np.searchsorted(space.constrained, cols[sel])), vals[sel])
+    return band, border_cols, border_rows, lift
+
+
 def solve_system(system: AssembledSystem) -> np.ndarray:
-    """Direct LU solve with partial pivoting and a residual check."""
-    A, b = system.matrix, system.rhs
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.all(np.isfinite(A)):
+    """Block elimination: banded LU of S, then the enrichment Schur complement.
+
+    With A = [[S, B], [C, E]] as in AssembledSystem: solve S [z W] = [b_s B]
+    by banded LU with partial pivoting, factor the m x m Schur complement
+    E - C W by dense LU, solve it for the enrichment DOFs
+    x_e = (E - C W)^-1 (b_e - C z), and back-substitute x_s = z - W x_e.
+    Raises on non-finite entries, on a pivot of either factorization below
+    SINGULAR_PIVOT_RTOL * max|A|, and on a residual above
+    SOLVER_RESIDUAL_RTOL * (||A||_F ||x|| + ||b||).
+    """
+    band, cols, rows, b = system.band, system.border_cols, system.border_rows, system.rhs
+    p, ns = system.bandwidth, system.n_std
+    parts = (band, cols, rows)
+    if not all(np.all(np.isfinite(part)) for part in parts):
         raise ValueError("matrix has non-finite entries")
-    scale = np.max(np.abs(A)) if A.size else 0.0
+    scale = max((np.max(np.abs(part)) for part in parts if part.size), default=0.0)
+    pivot_floor = SINGULAR_PIVOT_RTOL * max(scale, np.finfo(float).tiny)
+
+    factor_storage = np.zeros((3 * p + 1, ns), order="F")  # p extra rows for pivoting fill
+    factor_storage[p:] = band
+    lu, piv, _ = scipy.linalg.lapack.dgbtrf(factor_storage, p, p, overwrite_ab=1)
+    _check_pivots(np.abs(lu[2 * p]), pivot_floor, first_dof=0)  # row 2p holds U's diagonal
+    solved, _ = scipy.linalg.lapack.dgbtrs(lu, p, p, np.column_stack([b[:ns], cols]), piv)
+    z, w = solved[:, 0], solved[:, 1:]
+
+    c, e = rows[:, :ns], rows[:, ns:]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    bad = np.flatnonzero(pivots < SINGULAR_PIVOT_RTOL * max(scale, np.finfo(float).tiny))
-    if bad.size:
-        raise np.linalg.LinAlgError(
-            f"numerically singular system: zero pivot at free DOF {int(bad[0])}"
-        )
-    x = scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
-    residual = np.linalg.norm(A @ x - b)
-    bound = SOLVER_RESIDUAL_RTOL * (
-        np.linalg.norm(A, "fro") * np.linalg.norm(x) + np.linalg.norm(b)
-    )
+        schur = scipy.linalg.lu_factor(e - c @ w, check_finite=False)
+    _check_pivots(np.abs(np.diag(schur[0])), pivot_floor, first_dof=ns)
+    x_e = scipy.linalg.lu_solve(schur, b[ns:] - c @ z, check_finite=False)
+    x = np.concatenate([z - w @ x_e, x_e])
+
+    ax = np.concatenate([_band_matvec(band, x[:ns]) + cols @ x_e, rows @ x])
+    residual = np.linalg.norm(ax - b)
+    frobenius = np.sqrt(sum(np.sum(part * part) for part in parts))
+    bound = SOLVER_RESIDUAL_RTOL * (frobenius * np.linalg.norm(x) + np.linalg.norm(b))
     if residual > bound:
         raise ArithmeticError(
             f"solver residual {residual:.3e} exceeds tolerance {bound:.3e}"
         )
     return x
+
+
+def _check_pivots(pivots: np.ndarray, floor: float, first_dof: int) -> None:
+    bad = np.flatnonzero(pivots < floor)
+    if bad.size:
+        raise np.linalg.LinAlgError(
+            f"numerically singular system: zero pivot at free DOF {first_dof + int(bad[0])}"
+        )
 
 
 def condition_number(matrix: np.ndarray) -> float:

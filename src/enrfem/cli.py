@@ -183,7 +183,7 @@ def load_problem_file(path) -> ProblemSpec:
         raise ProblemFileError(f"{path}: {exc}") from exc
 
 
-def _resolve_problem(problem) -> tuple[ProblemSpec, str, int | None]:
+def _resolve_problem(problem) -> tuple[ProblemSpec, str, int]:
     """(spec, label, default degree) from a catalog id or a file path."""
     text = str(problem)
     if text.isdigit():
@@ -192,7 +192,7 @@ def _resolve_problem(problem) -> tuple[ProblemSpec, str, int | None]:
         except ValueError as exc:
             raise ProblemFileError(str(exc)) from exc
         return entry.problem, text, entry.degree
-    return load_problem_file(text), text, None
+    return load_problem_file(text), text, 1
 
 
 def _elements_for(h0: Fraction, a: float, b: float) -> int:
@@ -204,7 +204,7 @@ def _elements_for(h0: Fraction, a: float, b: float) -> int:
 
 def run_convergence(
     problem,
-    degree: int,
+    degree: int | None,
     h0,
     levels: int,
     with_cond: bool = False,
@@ -213,14 +213,18 @@ def run_convergence(
     """Solve on meshes h0, h0/2, ... and tabulate errors and orders.
 
     ``problem`` is a catalog id (1..6) or a problem-file path; the problem
-    must carry an exact solution.  All meshes are validated up front so an
-    interface-node collision is reported with its level before any solve.
+    must carry an exact solution.  ``degree`` None takes the catalog
+    entry's degree, or 1 for a problem file.  All meshes are validated up
+    front so an interface-node collision is reported with its level before
+    any solve.
     """
-    if degree not in (1, 2):
+    if degree not in (None, 1, 2):
         raise ValueError("degree must be 1 or 2")
     if levels < 1:
         raise ValueError("need at least one refinement level")
-    spec, label, _ = _resolve_problem(problem)
+    spec, label, default_degree = _resolve_problem(problem)
+    if degree is None:
+        degree = default_degree
     if spec.exact is None:
         raise ValueError(
             "convergence study requires an exact solution "
@@ -347,14 +351,9 @@ def main(argv=None) -> int:
         print(f"enrfem: error: {exc}", file=sys.stderr)
         return 1
 
-    degree = args.degree
-    if degree is None:
-        text = str(args.problem)
-        degree = catalog_problem(int(text)).degree if text.isdigit() and 1 <= int(text) <= 6 else 1
-
     try:
         table = run_convergence(
-            args.problem, degree, h0, args.levels,
+            args.problem, args.degree, h0, args.levels,
             with_cond=args.cond, quad_npts=args.quad,
         )
         text = emit_report(table, args.format)

@@ -1,7 +1,9 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.polynomial import Polynomial
 
 from _helpers import constant_coefficient_vector, constant_patch_problem, solve_benchmark
@@ -229,16 +231,81 @@ def test_solve_hand_example():
     assert solve_system(system) == pytest.approx([1.0, 1.0], rel=1e-14)
 
 
+def test_solve_hand_example_through_the_schur_complement():
+    system = _fake_system(np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([3.0, 3.0]), n_std=1)
+    assert solve_system(system) == pytest.approx([1.0, 1.0], rel=1e-14)
+
+
 def test_solve_zero_matrix_rejected():
     system = _fake_system(np.zeros((3, 3)), np.ones(3))
     with pytest.raises(np.linalg.LinAlgError, match="singular"):
         solve_system(system)
 
 
-def _fake_system(matrix, rhs):
+def test_solve_zero_schur_pivot_rejected():
+    """S = [2] is regular, but the Schur complement 0.5 - 1 * 1/2 vanishes."""
+    system = _fake_system(np.array([[2.0, 1.0], [1.0, 0.5]]), np.ones(2), n_std=1)
+    with pytest.raises(np.linalg.LinAlgError, match="singular.*free DOF 1"):
+        solve_system(system)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("pid", [1, 2, 3, 4, 5, 6])
+def test_solve_matches_dense_solve(pid, n):
+    _, _, space, system, coeffs = solve_benchmark(pid, n)
+    assert system.border_rows.shape[0] == (space.degree + 1) * len(space.enrichments)
+    reference = scipy.linalg.solve(system.matrix, system.rhs)
+    assert np.max(np.abs(coeffs - reference)) <= 1e-10 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_solve_without_interface(degree):
+    """No cut element: the border is empty and the band alone is solved."""
+    problem = _poisson_problem()
+    mesh = build_mesh(0.0, 1.0, 8)
+    space = space_for_problem(problem, mesh, degree)
+    system = assemble_system(problem, space, 6)
+    assert system.border_cols.shape == (space.n_free, 0)
+    coeffs = solve_system(system)
+    # -u'' = 1 with u(0) = u(1) = 0: the nodal values are exact, u = x(1 - x)/2
+    nodes = space.std_nodes[1:-1]
+    assert coeffs == pytest.approx(0.5 * nodes * (1.0 - nodes), abs=1e-14)
+
+
+def test_assemble_and_solve_stay_linear_in_memory():
+    """P1 at n = 2048: the dense free matrix alone would take 33.6 MB."""
+    entry = catalog_problem(2)
+    mesh = build_mesh(0.0, 1.0, 2048, [s.alpha for s in entry.problem.interfaces])
+    space = space_for_problem(entry.problem, mesh, entry.degree)
+    tracemalloc.start()
+    try:
+        system = assemble_system(entry.problem, space, 6)
+        solve_system(system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert "matrix" not in vars(system)  # the dense view was never built
+
+
+def _fake_system(matrix, rhs, n_std=None):
+    """System whose first n_std DOFs are the standard block (as a full band)."""
     from enrfem.assembly import AssembledSystem
 
-    return AssembledSystem(matrix=matrix, rhs=rhs, space=None, constrained_values=np.zeros(0))
+    n_std = len(rhs) if n_std is None else n_std
+    p = max(n_std - 1, 0)
+    band = np.zeros((2 * p + 1, n_std))
+    for i in range(n_std):
+        for j in range(n_std):
+            band[p + i - j, j] = matrix[i, j]
+    return AssembledSystem(
+        band=band,
+        border_cols=matrix[:n_std, n_std:],
+        border_rows=matrix[n_std:],
+        rhs=rhs,
+        space=None,
+        constrained_values=np.zeros(0),
+    )
 
 
 # --------------------------------------------------------- condition numbers

@@ -214,6 +214,18 @@ def test_degree2_benchmark_defaults(tmp_path):
     assert doc["metadata"]["degree"] == 2
 
 
+def test_default_degree_builds_the_catalog_entry_once(tmp_path, monkeypatch, capsys):
+    import enrfem.cli as cli
+
+    calls = []
+    original = cli.catalog_problem
+    monkeypatch.setattr(cli, "catalog_problem", lambda pid: calls.append(pid) or original(pid))
+    assert main(["--problem", "5", "--levels", "1"]) == 0
+    assert calls == [5]
+    assert run_convergence(5, None, "1/8", 1).metadata["degree"] == 2
+    assert run_convergence(str(_problem1_file(tmp_path)), None, "1/8", 1).metadata["degree"] == 1
+
+
 def test_exactly_reproduced_solution_emits_blank_orders(tmp_path):
     # the zero solution is in the space: all errors are exactly zero and
     # order columns stay empty rather than failing
