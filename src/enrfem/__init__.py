@@ -7,6 +7,7 @@ spaces are enriched with a compactly supported, piecewise-linear
 function per interface whose slopes encode the jump parameter.
 """
 
+from ._version import __version__
 from .mesh import Mesh1D, build_mesh, locate_element, mesh_from_nodes
 from .enrichment import (
     EnrichmentFunction,
@@ -14,7 +15,7 @@ from .enrichment import (
     eval_enrichment,
     gamma_from_lambda,
 )
-from .femspace import EnrichedSpace, build_space, eval_basis, eval_function
+from .femspace import EnrichedSpace, build_space, eval_basis, eval_function, quadrature_rule
 from .assembly import (
     AssembledSystem,
     BoundaryCondition,
@@ -22,9 +23,7 @@ from .assembly import (
     ProblemSpec,
     assemble_system,
     condition_number,
-    enrichments_for_problem,
     min_real_eigenvalue,
-    quadrature_rule,
     solve_system,
     space_for_problem,
 )
@@ -38,5 +37,3 @@ from .analysis import (
 )
 from .bench import BenchmarkProblem, catalog_problem, manufactured_rhs
 from .cli import ConvergenceTable, emit_report, run_convergence
-
-__version__ = "0.1.0"

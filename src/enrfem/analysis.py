@@ -17,8 +17,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .assembly import ProblemSpec, eval_coefficient, quadrature_rule
-from .femspace import EnrichedSpace, element_basis, full_coefficients
+from .assembly import ProblemSpec, eval_coefficient
+from .femspace import EnrichedSpace, element_basis, full_coefficients, quadrature_pieces
 
 _CONTRAST_SAMPLES = 101
 
@@ -79,24 +79,24 @@ def interpolate_enriched(exact: ExactSolution, space: EnrichedSpace) -> np.ndarr
     """Free-DOF coefficients of the enriched interpolant of ``exact``.
 
     Defined for degree-1 spaces only.  Standard DOFs receive nodal values
-    of the owning branch; the two enrichment DOFs of interface j receive
+    of the owning branch; the two enrichment DOFs of cut j receive
     (d2 - d1)(x_k) + delta and (d2 - d1)(x_{k+1}) + delta, where d1, d2
-    are the extended branch derivatives and delta kills the solution jump.
+    are the extended derivatives of branches j and j + 1 and delta kills
+    the solution jump.  Raises unless ``exact`` breaks at the space's cuts.
     """
     if space.degree != 1:
         raise ValueError("the interpolation operator is defined for degree 1 only")
+    _check_breakpoints(exact, space)
 
     full = np.zeros(space.n_dofs)
     for i, x in enumerate(space.std_nodes):
-        value, _ = exact.branches[exact.branch_of(float(x))]
-        full[i] = float(value(float(x)))
+        full[i] = exact.value(float(x))
 
-    for pos, psi in enumerate(space.enrichments):
-        j = exact.branch_of(psi.alpha)  # left branch index at alpha
+    for j, psi in enumerate(space.enrichments):
         _, d_left = exact.branches[j]
         _, d_right = exact.branches[j + 1]
         delta = -exact.jump(j) / (psi.alpha - psi.x_right)
-        base = space.n_std + 2 * pos
+        base = space.n_std + 2 * j
         full[base] = float(d_right(psi.x_left)) - float(d_left(psi.x_left)) + delta
         full[base + 1] = float(d_right(psi.x_right)) - float(d_left(psi.x_right)) + delta
 
@@ -104,14 +104,14 @@ def interpolate_enriched(exact: ExactSolution, space: EnrichedSpace) -> np.ndarr
     return full[free]
 
 
-def _piece_branches(exact: ExactSolution, space: EnrichedSpace, k: int):
-    """(xl, xr, branch, side) sub-intervals of element k for error integration."""
-    xl, xr = space.mesh.element_bounds(k)
-    psi = space.enrichment_on(k)
-    if psi is not None:
-        j = exact.branch_of(psi.alpha)
-        return [(xl, psi.alpha, j, "left"), (psi.alpha, xr, j + 1, "right")]
-    return [(xl, xr, exact.branch_of(0.5 * (xl + xr)), "left")]
+def _check_breakpoints(exact: ExactSolution, space: EnrichedSpace) -> None:
+    """Branch j of ``exact`` must own layer j of the space: same interface points."""
+    cuts = tuple(psi.alpha for psi in space.enrichments)
+    if exact.breakpoints != cuts:
+        raise ValueError(
+            f"exact solution breakpoints {exact.breakpoints} are not the space's "
+            f"interface points {cuts}"
+        )
 
 
 def compute_errors(
@@ -121,32 +121,30 @@ def compute_errors(
     quad_npts: int = 12,
     constrained_values=None,
 ) -> ErrorReport:
-    """L2 / broken-H1 / nodal errors of the discrete function vs ``exact``."""
+    """L2 / broken-H1 / nodal errors of the discrete function vs ``exact``.
+
+    Branch j of ``exact`` is integrated over layer j of the space; raises
+    unless ``exact`` breaks at the space's cuts.
+    """
+    _check_breakpoints(exact, space)
     full = full_coefficients(space, coeffs, constrained_values)
-    ref_x, ref_w = quadrature_rule(quad_npts)
 
     l2_sq = 0.0
     h1_sq = 0.0
-    for k in range(space.mesh.n_elements):
-        for xl, xr, branch, side in _piece_branches(exact, space, k):
-            half = 0.5 * (xr - xl)
-            xs = xl + half * (ref_x + 1.0)
-            wq = half * ref_w
-            idx, vals, ders = element_basis(space, k, xs, side)
-            uh = full[idx] @ vals
-            duh = full[idx] @ ders
-            value, deriv = exact.branches[branch]
-            e = eval_coefficient(value, xs) - uh
-            de = eval_coefficient(deriv, xs) - duh
-            l2_sq += float(wq @ (e * e))
-            h1_sq += float(wq @ (de * de))
+    for _, layer, xs, wq, idx, vals, ders in quadrature_pieces(space, quad_npts):
+        uh = full[idx] @ vals
+        duh = full[idx] @ ders
+        value, deriv = exact.branches[layer]
+        e = eval_coefficient(value, xs) - uh
+        de = eval_coefficient(deriv, xs) - duh
+        l2_sq += float(wq @ (e * e))
+        h1_sq += float(wq @ (de * de))
 
     nodal = 0.0
     for i in range(1, space.mesh.n_elements):
         x = float(space.mesh.nodes[i])
-        value, _ = exact.branches[exact.branch_of(x)]
         idx, vals, _ = element_basis(space, i - 1, np.array([x]), "left")
-        nodal = max(nodal, abs(float(value(x)) - float(full[idx] @ vals[:, 0])))
+        nodal = max(nodal, abs(exact.value(x) - float(full[idx] @ vals[:, 0])))
 
     return ErrorReport(l2=np.sqrt(l2_sq), h1_broken=np.sqrt(h1_sq), nodal_max=nodal)
 

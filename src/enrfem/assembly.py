@@ -18,7 +18,6 @@ sub-rules split at alpha.
 
 from __future__ import annotations
 
-import bisect
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -27,8 +26,8 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 import scipy.linalg
 
-from .enrichment import EnrichmentFunction, build_enrichment, gamma_from_lambda
-from .femspace import EnrichedSpace, build_space, element_basis
+from .enrichment import gamma_from_lambda
+from .femspace import EnrichedSpace, build_space, element_basis, quadrature_pieces
 from .mesh import Mesh1D
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -138,10 +137,6 @@ class ProblemSpec:
     def breakpoints(self) -> tuple[float, ...]:
         return tuple(spec.alpha for spec in self.interfaces)
 
-    def layer_of(self, x: float) -> int:
-        """Layer index owning x (left layer exactly at an interface)."""
-        return bisect.bisect_left(self.breakpoints, x)
-
 
 def eval_coefficient(fn: Coefficient, xs: np.ndarray) -> np.ndarray:
     """Evaluate a layer coefficient at points, broadcasting scalar results."""
@@ -210,51 +205,17 @@ def _band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def quadrature_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre points/weights on [-1, 1]; exact to degree 2*npts - 1."""
-    if not 1 <= npts <= 16:
-        raise ValueError("quadrature size must be between 1 and 16")
-    return np.polynomial.legendre.leggauss(npts)
-
-
-def _interface_index(problem: ProblemSpec, alpha: float) -> int:
-    """Position of an interface point in the problem's (sorted) list.
-
-    Mesh hits carry indices in the order interfaces were handed to the
-    mesh builder, which need not match the problem's sorted order, so the
-    lookup goes through the coordinate.
-    """
-    j = problem.layer_of(alpha)
-    if j >= len(problem.interfaces) or problem.interfaces[j].alpha != alpha:
-        raise ValueError(f"mesh interface at {alpha} is not one of the problem's")
-    return j
-
-
-def enrichments_for_problem(problem: ProblemSpec, mesh: Mesh1D) -> list[EnrichmentFunction]:
-    """One enrichment per interface hit, with gamma from the interface spec."""
-    out = []
-    for hit in mesh.interface_hits:
-        xl, xr = mesh.element_bounds(hit.element)
-        gamma = problem.interfaces[_interface_index(problem, hit.alpha)].gamma
-        out.append(build_enrichment(xl, xr, hit.alpha, gamma, element=hit.element))
-    return out
-
-
 def space_for_problem(problem: ProblemSpec, mesh: Mesh1D, degree: int) -> EnrichedSpace:
+    """The enriched space on ``mesh`` with the problem's gammas and boundary kinds."""
+    mesh_alphas = tuple(hit.alpha for hit in mesh.interface_hits)
+    if mesh_alphas != problem.breakpoints:
+        raise ValueError(
+            f"mesh interfaces {mesh_alphas} are not the problem's {problem.breakpoints}"
+        )
     return build_space(
-        mesh, degree, enrichments_for_problem(problem, mesh),
+        mesh, degree, [spec.gamma for spec in problem.interfaces],
         problem.bc_left.kind, problem.bc_right.kind,
     )
-
-
-def _element_pieces(problem: ProblemSpec, mesh: Mesh1D, k: int):
-    """(xl, xr, layer, side) sub-intervals of element k, split at an interface."""
-    xl, xr = mesh.element_bounds(k)
-    for hit in mesh.interface_hits:
-        if hit.element == k:
-            j = _interface_index(problem, hit.alpha)
-            return [(xl, hit.alpha, j, "left"), (hit.alpha, xr, j + 1, "right")]
-    return [(xl, xr, problem.layer_of(0.5 * (xl + xr)), "left")]
 
 
 def assemble_system(problem: ProblemSpec, space: EnrichedSpace, quad_npts: int = 6) -> AssembledSystem:
@@ -265,11 +226,7 @@ def assemble_system(problem: ProblemSpec, space: EnrichedSpace, quad_npts: int =
     Dirichlet lift.  Raises if the space's interfaces do not match the
     problem's, or if a Neumann end carries a nonzero flux value.
     """
-    mesh = space.mesh
-    hit_alphas = [hit.alpha for hit in mesh.interface_hits]
-    if len(hit_alphas) != len(problem.interfaces) or not np.allclose(
-        hit_alphas, [s.alpha for s in problem.interfaces], rtol=0, atol=0
-    ):
+    if tuple(psi.alpha for psi in space.enrichments) != problem.breakpoints:
         raise ValueError("space was not built from this problem's mesh and interfaces")
     for bc in (problem.bc_left, problem.bc_right):
         if bc.kind == "neumann" and bc.value != 0.0:
@@ -280,38 +237,29 @@ def assemble_system(problem: ProblemSpec, space: EnrichedSpace, quad_npts: int =
             f"degree {space.degree}; recommend at least {space.degree + 3}",
             stacklevel=2,
         )
-    ref_x, ref_w = quadrature_rule(quad_npts)
-
     b = np.zeros(space.n_dofs)
     blocks = []  # (dofs, local matrix) in assembly order
 
-    for k in range(mesh.n_elements):
-        for xl, xr, layer, side in _element_pieces(problem, mesh, k):
-            half = 0.5 * (xr - xl)
-            xs = xl + half * (ref_x + 1.0)
-            wq = half * ref_w
-            idx, vals, ders = element_basis(space, k, xs, side)
+    for _, layer, xs, wq, idx, vals, ders in quadrature_pieces(space, quad_npts):
+        d_c = eval_coefficient(problem.diffusivity[layer], xs)
+        conv = eval_coefficient(problem.conv_delta[layer], xs)
+        w_c = eval_coefficient(problem.reaction[layer], xs)
+        f_c = eval_coefficient(problem.source[layer], xs)
 
-            d_c = eval_coefficient(problem.diffusivity[layer], xs)
-            conv = eval_coefficient(problem.conv_delta[layer], xs)
-            w_c = eval_coefficient(problem.reaction[layer], xs)
-            f_c = eval_coefficient(problem.source[layer], xs)
+        local = (ders * (wq * d_c)) @ ders.T
+        if np.any(conv != 0.0):
+            local += (ders * (wq * (-2.0) * conv)) @ vals.T
+        if np.any(w_c != 0.0):
+            local += (vals * (wq * w_c)) @ vals.T
+        blocks.append((idx, local))
+        b[idx] += (vals * (wq * f_c)).sum(axis=1)
 
-            local = (ders * (wq * d_c)) @ ders.T
-            if np.any(conv != 0.0):
-                local += (ders * (wq * (-2.0) * conv)) @ vals.T
-            if np.any(w_c != 0.0):
-                local += (vals * (wq * w_c)) @ vals.T
-            blocks.append((idx, local))
-            b[idx] += (vals * (wq * f_c)).sum(axis=1)
-
-    for hit in mesh.interface_hits:
-        spec = problem.interfaces[_interface_index(problem, hit.alpha)]
+    for spec, psi in zip(problem.interfaces, space.enrichments):
         if spec.kind != "implicit":
             continue
-        x = np.array([hit.alpha])
-        idx, v_left, _ = element_basis(space, hit.element, x, "left")
-        _, v_right, _ = element_basis(space, hit.element, x, "right")
+        x = np.array([psi.alpha])
+        idx, v_left, _ = element_basis(space, psi.element, x, "left")
+        _, v_right, _ = element_basis(space, psi.element, x, "right")
         jump = v_right[:, 0] - v_left[:, 0]
         blocks.append((idx, np.outer(jump, jump) / spec.lam))
 

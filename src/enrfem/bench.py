@@ -29,13 +29,12 @@ from .assembly import BoundaryCondition, InterfaceSpec, ProblemSpec
 
 @dataclass(frozen=True)
 class BenchmarkProblem:
-    """Catalog entry: BVP, exact solution, element degree, reference table."""
+    """Catalog entry: BVP, exact solution, element degree."""
 
     pid: int
     problem: ProblemSpec
     exact: ExactSolution
     degree: int
-    table: int
 
 
 def _as_poly(c) -> Polynomial:
@@ -145,5 +144,4 @@ def catalog_problem(pid: int) -> BenchmarkProblem:
         problem=problem,
         exact=exact,
         degree=1 if pid <= 3 else 2,
-        table=pid,
     )

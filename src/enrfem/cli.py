@@ -84,6 +84,12 @@ def _parse_bc(spec, where: str) -> BoundaryCondition:
     return BoundaryCondition(kind, float(value))
 
 
+def _number(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ProblemFileError(f"field '{where}': expected a number")
+    return float(value)
+
+
 def load_problem_file(path) -> ProblemSpec:
     """Parse a JSON problem file into a ProblemSpec.
 
@@ -91,67 +97,83 @@ def load_problem_file(path) -> ProblemSpec:
     polynomial coefficient lists in ascending degree, f optionally the
     string "manufactured"; interfaces (list of {alpha, kind, lambda});
     bc {left, right}; optional exact (per-layer coefficient lists).
+    Every schema or value error is raised as ProblemFileError naming the
+    file.
     """
     text = Path(path).read_text()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ProblemFileError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    try:
+        return _parse_problem(doc)
+    except ValueError as exc:
+        raise ProblemFileError(f"{path}: {exc}") from exc
 
+
+def _parse_problem(doc) -> ProblemSpec:
+    if not isinstance(doc, dict):
+        raise ProblemFileError("expected a JSON object")
     for key in ("domain", "layers", "interfaces", "bc"):
         if key not in doc:
-            raise ProblemFileError(f"{path}: missing required field '{key}'")
+            raise ProblemFileError(f"missing required field '{key}'")
     try:
         a, b = (float(v) for v in doc["domain"])
     except (TypeError, ValueError) as exc:
-        raise ProblemFileError(f"{path}: field 'domain': expected [a, b]") from exc
+        raise ProblemFileError("field 'domain': expected [a, b]") from exc
 
-    layers = doc["layers"]
+    layers, specs, bc = doc["layers"], doc["interfaces"], doc["bc"]
     if not isinstance(layers, list) or not layers:
-        raise ProblemFileError(f"{path}: field 'layers': expected a non-empty list")
-    if len(doc["interfaces"]) != len(layers) - 1:
+        raise ProblemFileError("field 'layers': expected a non-empty list")
+    if not isinstance(specs, list):
+        raise ProblemFileError("field 'interfaces': expected a list")
+    if len(specs) != len(layers) - 1:
         raise ProblemFileError(
-            f"{path}: {len(layers)} layers require {len(layers) - 1} interfaces, "
-            f"got {len(doc['interfaces'])}"
+            f"{len(layers)} layers require {len(layers) - 1} interfaces, got {len(specs)}"
         )
+    if not isinstance(bc, dict):
+        raise ProblemFileError("field 'bc': expected {\"left\": ..., \"right\": ...}")
 
     diffusivity, conv, reaction, f_specs = [], [], [], []
     for i, layer in enumerate(layers):
+        if not isinstance(layer, dict):
+            raise ProblemFileError(f"layer {i}: expected an object")
         for key in ("D", "delta_conv", "w", "f"):
             if key not in layer:
-                raise ProblemFileError(f"{path}: layer {i}: missing field '{key}'")
+                raise ProblemFileError(f"layer {i}: missing field '{key}'")
         diffusivity.append(_coeff_list_to_poly(layer["D"], f"layers[{i}].D"))
         conv.append(_coeff_list_to_poly(layer["delta_conv"], f"layers[{i}].delta_conv"))
         reaction.append(_coeff_list_to_poly(layer["w"], f"layers[{i}].w"))
         f_specs.append(layer["f"])
 
-    exact = None
-    if doc.get("exact") is not None:
-        branches = doc["exact"]
-        if len(branches) != len(layers):
-            raise ProblemFileError(f"{path}: field 'exact': need one branch per layer")
-        polys = [_coeff_list_to_poly(c, f"exact[{i}]") for i, c in enumerate(branches)]
-        alphas = [float(spec["alpha"]) for spec in doc["interfaces"]]
-        exact = ExactSolution.from_polynomials(polys, alphas)
-
     interfaces = []
-    for i, spec in enumerate(doc["interfaces"]):
+    for i, spec in enumerate(specs):
         where = f"interfaces[{i}]"
-        if "alpha" not in spec or "kind" not in spec:
-            raise ProblemFileError(f"{path}: {where}: needs 'alpha' and 'kind'")
-        alpha = float(spec["alpha"])
+        if not isinstance(spec, dict) or "alpha" not in spec or "kind" not in spec:
+            raise ProblemFileError(f"{where}: needs 'alpha' and 'kind'")
+        alpha = _number(spec["alpha"], f"{where}.alpha")
         if spec["kind"] == "continuous":
             interfaces.append(InterfaceSpec.continuous(alpha))
         elif spec["kind"] == "implicit":
             if "lambda" not in spec:
-                raise ProblemFileError(f"{path}: {where}: implicit kind needs 'lambda'")
+                raise ProblemFileError(f"{where}: implicit kind needs 'lambda'")
+            lam = _number(spec["lambda"], f"{where}.lambda")
             d_minus = float(eval_coefficient(diffusivity[i], np.array(alpha)))
             d_plus = float(eval_coefficient(diffusivity[i + 1], np.array(alpha)))
-            interfaces.append(
-                InterfaceSpec.implicit(alpha, float(spec["lambda"]), d_minus, d_plus)
-            )
+            try:
+                interfaces.append(InterfaceSpec.implicit(alpha, lam, d_minus, d_plus))
+            except ValueError as exc:
+                raise ProblemFileError(f"{where}: {exc}") from exc
         else:
-            raise ProblemFileError(f"{path}: {where}: unknown kind '{spec['kind']}'")
+            raise ProblemFileError(f"{where}: unknown kind '{spec['kind']}'")
+
+    exact = None
+    if doc.get("exact") is not None:
+        branches = doc["exact"]
+        if not isinstance(branches, list) or len(branches) != len(layers):
+            raise ProblemFileError("field 'exact': need one branch per layer")
+        polys = [_coeff_list_to_poly(c, f"exact[{i}]") for i, c in enumerate(branches)]
+        exact = ExactSolution.from_polynomials(polys, [spec.alpha for spec in interfaces])
 
     source = []
     manufactured = None
@@ -159,7 +181,7 @@ def load_problem_file(path) -> ProblemSpec:
         if f_spec == "manufactured":
             if exact is None:
                 raise ProblemFileError(
-                    f"{path}: layers[{i}].f: \"manufactured\" requires 'exact' branches"
+                    f"layers[{i}].f: \"manufactured\" requires 'exact' branches"
                 )
             if manufactured is None:
                 manufactured = manufactured_rhs(exact, diffusivity, conv, reaction)
@@ -167,20 +189,17 @@ def load_problem_file(path) -> ProblemSpec:
         else:
             source.append(_coeff_list_to_poly(f_spec, f"layers[{i}].f"))
 
-    try:
-        return ProblemSpec(
-            domain=(a, b),
-            diffusivity=tuple(diffusivity),
-            conv_delta=tuple(conv),
-            reaction=tuple(reaction),
-            source=tuple(source),
-            interfaces=tuple(interfaces),
-            bc_left=_parse_bc(doc["bc"].get("left"), "bc.left"),
-            bc_right=_parse_bc(doc["bc"].get("right"), "bc.right"),
-            exact=exact,
-        )
-    except ValueError as exc:
-        raise ProblemFileError(f"{path}: {exc}") from exc
+    return ProblemSpec(
+        domain=(a, b),
+        diffusivity=tuple(diffusivity),
+        conv_delta=tuple(conv),
+        reaction=tuple(reaction),
+        source=tuple(source),
+        interfaces=tuple(interfaces),
+        bc_left=_parse_bc(bc.get("left"), "bc.left"),
+        bc_right=_parse_bc(bc.get("right"), "bc.right"),
+        exact=exact,
+    )
 
 
 def _resolve_problem(problem) -> tuple[ProblemSpec, str, int]:

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 # Relative tolerances for the two rejection guards below.
 GAMMA_BETA_RTOL = 1e-12       # |beta+ - beta-| too small: gamma undefined
 M2_DEGENERACY_RTOL = 1e-10    # |alpha - x_{k+1} - gamma| too small: m2 blows up
@@ -82,17 +84,18 @@ def build_enrichment(
     )
 
 
-def eval_enrichment(psi: EnrichmentFunction, x: float, side: str) -> tuple[float, float]:
-    """Value and derivative of psi at x; one-sided at x = alpha.
+def eval_enrichment(psi: EnrichmentFunction, xs, side: str) -> tuple[np.ndarray, np.ndarray]:
+    """Values and derivatives of psi at points xs; one-sided at x = alpha.
 
-    ``side`` ('left' or 'right') selects the limit when x equals alpha and
-    is ignored elsewhere.  Total function: returns (0, 0) outside the
+    ``side`` ('left' or 'right') selects the limit where a point equals
+    alpha and is ignored elsewhere.  Total function: (0, 0) outside the
     support, and exactly 0 at the element endpoints.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    if x < psi.x_left or x > psi.x_right:
-        return 0.0, 0.0
-    if x < psi.alpha or (x == psi.alpha and side == "left"):
-        return psi.m1 * (x - psi.x_left), psi.m1
-    return psi.m2 * (x - psi.x_right), psi.m2
+    xs = np.asarray(xs, dtype=float)
+    inside = (xs >= psi.x_left) & (xs <= psi.x_right)
+    on_left = xs <= psi.alpha if side == "left" else xs < psi.alpha
+    vals = np.where(on_left, psi.m1 * (xs - psi.x_left), psi.m2 * (xs - psi.x_right))
+    ders = np.where(on_left, psi.m1, psi.m2)
+    return np.where(inside, vals, 0.0), np.where(inside, ders, 0.0)

@@ -5,6 +5,11 @@ the interface enrichment and phi runs over the Lagrange nodal functions of
 the interface element (two hats for degree 1, the three quadratic nodal
 functions for degree 2).  DOFs are ordered standard-first, then one
 enrichment group per interface in position order.
+
+Each interface cuts exactly one element, and the space's enrichment list
+is the one table of cuts: cut j, in position order, is interface j, lies
+between layers j and j + 1, and owns the enrichment DOFs starting at
+n_std + (degree + 1) * j.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .enrichment import EnrichmentFunction
+from .enrichment import EnrichmentFunction, build_enrichment, eval_enrichment
 from .mesh import Mesh1D, locate_element
 
 BC_KINDS = ("dirichlet", "neumann")
@@ -23,16 +28,21 @@ BC_KINDS = ("dirichlet", "neumann")
 class EnrichedSpace:
     """Standard Lagrange DOFs plus enrichment DOFs per interface.
 
-    ``std_nodes`` holds the coordinates of the standard DOFs (element
-    endpoints, plus midpoints for degree 2).  ``constrained`` lists the
-    global indices of Dirichlet-constrained standard DOFs; all enrichment
-    DOFs are free.  ``free_index`` maps global DOF -> position in the
-    free-DOF vector (-1 if constrained).
+    ``enrichments`` is the cut table, one psi per cut in position order.
+    ``cut_of[k]`` is the cut on element k (-1 if uncut) and ``layer[k]``
+    the layer of element k's left end.  ``std_nodes`` holds the
+    coordinates of the standard DOFs (element endpoints, plus midpoints
+    for degree 2).  ``constrained`` lists the global indices of
+    Dirichlet-constrained standard DOFs; all enrichment DOFs are free.
+    ``free_index`` maps global DOF -> position in the free-DOF vector
+    (-1 if constrained).
     """
 
     mesh: Mesh1D
     degree: int
     enrichments: tuple[EnrichmentFunction, ...]
+    cut_of: np.ndarray
+    layer: np.ndarray
     std_nodes: np.ndarray
     constrained: tuple[int, ...]
     free_index: np.ndarray
@@ -50,18 +60,12 @@ class EnrichedSpace:
 
     def element_enriched_dofs(self, k: int) -> list[int]:
         """Global indices of the enrichment DOFs living on element k."""
+        j = int(self.cut_of[k])
+        if j < 0:
+            return []
         per = self.degree + 1
-        for pos, psi in enumerate(self.enrichments):
-            if psi.element == k:
-                base = self.n_std + per * pos
-                return list(range(base, base + per))
-        return []
-
-    def enrichment_on(self, k: int) -> EnrichmentFunction | None:
-        for psi in self.enrichments:
-            if psi.element == k:
-                return psi
-        return None
+        base = self.n_std + per * j
+        return list(range(base, base + per))
 
     def dof_table(self) -> list[dict]:
         """Ordered DOF descriptors: standard nodes first, then enrichment.
@@ -74,7 +78,7 @@ class EnrichedSpace:
             for i, x in enumerate(self.std_nodes)
         ]
         for pos, psi in enumerate(self.enrichments):
-            xl, xr = self.mesh.element_bounds(psi.element)
+            xl, xr = psi.x_left, psi.x_right
             attach = [xl, xr] if self.degree == 1 else [xl, 0.5 * (xl + xr), xr]
             table.extend(
                 {"kind": "enriched", "interface": pos, "attach": node, "constrained": False}
@@ -86,13 +90,14 @@ class EnrichedSpace:
 def build_space(
     mesh: Mesh1D,
     degree: int,
-    enrichments,
+    gammas,
     bc_left: str,
     bc_right: str,
 ) -> EnrichedSpace:
-    """Enumerate DOFs for the enriched space on ``mesh``.
+    """Enumerate DOFs and build the cut table for the enriched space on ``mesh``.
 
-    ``enrichments`` must carry exactly the mesh's interface elements.
+    ``gammas`` holds one jump parameter per mesh cut, in position order;
+    psi is built on each cut element of ``mesh.interface_hits``.
     Dirichlet ends constrain the boundary standard DOF; Neumann ends are
     natural (free).
     """
@@ -100,19 +105,21 @@ def build_space(
         raise ValueError("degree must be 1 or 2")
     if bc_left not in BC_KINDS or bc_right not in BC_KINDS:
         raise ValueError(f"boundary condition kinds must be one of {BC_KINDS}")
-
-    enrichments = tuple(sorted(enrichments, key=lambda p: p.alpha))
-    mesh_elems = sorted(mesh.interface_elements())
-    enr_elems = sorted(p.element for p in enrichments)
-    if enr_elems != mesh_elems:
+    gammas = tuple(gammas)
+    if len(gammas) != len(mesh.interface_hits):
         raise ValueError(
-            f"enrichment elements {enr_elems} do not match the mesh's "
-            f"interface elements {mesh_elems}"
+            f"{len(gammas)} gammas given for the mesh's {len(mesh.interface_hits)} "
+            "interface elements"
         )
-    for psi in enrichments:
-        xl, xr = mesh.element_bounds(psi.element)
-        if not (xl < psi.alpha < xr):
-            raise ValueError("enrichment breakpoint outside its element")
+
+    enrichments = tuple(
+        build_enrichment(*mesh.element_bounds(hit.element), hit.alpha, gamma, element=hit.element)
+        for hit, gamma in zip(mesh.interface_hits, gammas)
+    )
+    cut_elements = np.array([hit.element for hit in mesh.interface_hits], dtype=int)
+    layer = np.searchsorted(cut_elements, np.arange(mesh.n_elements))
+    cut_of = np.full(mesh.n_elements, -1, dtype=int)
+    cut_of[cut_elements] = layer[cut_elements]
 
     if degree == 1:
         std_nodes = np.array(mesh.nodes, dtype=float)
@@ -138,14 +145,16 @@ def build_space(
         mesh=mesh,
         degree=degree,
         enrichments=enrichments,
+        cut_of=cut_of,
+        layer=layer,
         std_nodes=std_nodes,
         constrained=tuple(constrained),
         free_index=free_index,
         n_dofs=n_dofs,
         n_free=int(mask.sum()),
     )
-    space.std_nodes.flags.writeable = False
-    space.free_index.flags.writeable = False
+    for table in (space.cut_of, space.layer, space.std_nodes, space.free_index):
+        table.flags.writeable = False
     return space
 
 
@@ -171,39 +180,24 @@ def _lagrange_local(degree: int, xl: float, xr: float, xs: np.ndarray):
     return vals, ders
 
 
-def _psi_arrays(psi: EnrichmentFunction, xs: np.ndarray, side: str):
-    """Vectorized psi values/derivatives; one-sided at alpha per ``side``."""
-    inside = (xs >= psi.x_left) & (xs <= psi.x_right)
-    if side == "left":
-        on_left = xs <= psi.alpha
-    else:
-        on_left = xs < psi.alpha
-    left = inside & on_left
-    right = inside & ~on_left
-    vals = np.zeros_like(xs)
-    ders = np.zeros_like(xs)
-    vals[left] = psi.m1 * (xs[left] - psi.x_left)
-    ders[left] = psi.m1
-    vals[right] = psi.m2 * (xs[right] - psi.x_right)
-    ders[right] = psi.m2
-    return vals, ders
-
-
 def element_basis(space: EnrichedSpace, k: int, xs: np.ndarray, side: str = "left"):
     """All DOFs supported on element k evaluated at points xs.
 
     Returns (dof_indices, values, derivatives) with values/derivatives of
     shape (n_local, len(xs)).  Enriched entries are products of the local
     Lagrange multiplier with psi, differentiated by the product rule.
+    ``side`` ('left' or 'right') selects psi's limit at alpha.
     """
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
     xs = np.asarray(xs, dtype=float)
     xl, xr = space.mesh.element_bounds(k)
     vals, ders = _lagrange_local(space.degree, xl, xr, xs)
     idx = list(space.element_std_dofs(k))
 
-    psi = space.enrichment_on(k)
-    if psi is not None:
-        pv, pd = _psi_arrays(psi, xs, side)
+    j = space.cut_of[k]
+    if j >= 0:
+        pv, pd = eval_enrichment(space.enrichments[j], xs, side)
         idx.extend(space.element_enriched_dofs(k))
         enr_vals = vals * pv
         enr_ders = ders * pv + vals * pd
@@ -212,10 +206,40 @@ def element_basis(space: EnrichedSpace, k: int, xs: np.ndarray, side: str = "lef
     return np.array(idx, dtype=int), vals, ders
 
 
+def quadrature_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre points/weights on [-1, 1]; exact to degree 2*npts - 1."""
+    if not 1 <= npts <= 16:
+        raise ValueError("quadrature size must be between 1 and 16")
+    return np.polynomial.legendre.leggauss(npts)
+
+
+def quadrature_pieces(space: EnrichedSpace, quad_npts: int):
+    """Every quadrature sub-interval of the mesh, cut elements split at alpha.
+
+    Yields (k, layer, xs, weights, dofs, values, derivatives) per piece in
+    element order, with the Gauss rule of ``quad_npts`` points mapped to
+    the piece and the basis of element k evaluated there (psi one-sided
+    towards the piece).  ``layer`` owns the piece.
+    """
+    ref_x, ref_w = quadrature_rule(quad_npts)
+    for k in range(space.mesh.n_elements):
+        xl, xr = space.mesh.element_bounds(k)
+        layer = int(space.layer[k])
+        j = space.cut_of[k]
+        if j < 0:
+            pieces = ((xl, xr, layer, "left"),)
+        else:
+            alpha = space.enrichments[j].alpha
+            pieces = ((xl, alpha, layer, "left"), (alpha, xr, layer + 1, "right"))
+        for a, b, piece_layer, side in pieces:
+            half = 0.5 * (b - a)
+            xs = a + half * (ref_x + 1.0)
+            dofs, vals, ders = element_basis(space, k, xs, side)
+            yield k, piece_layer, xs, half * ref_w, dofs, vals, ders
+
+
 def eval_basis(space: EnrichedSpace, x: float, side: str = "left"):
     """Entries (dof index, value, derivative) of all DOFs supported at x."""
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
     k = locate_element(space.mesh, x)
     idx, vals, ders = element_basis(space, k, np.array([x]), side)
     return [(int(i), float(v[0]), float(d[0])) for i, v, d in zip(idx, vals, ders)]

@@ -20,8 +20,7 @@ NODE_COINCIDENCE_RTOL = 1e-14
 class InterfaceHit:
     """Location of one interface point inside the mesh."""
 
-    interface: int  # index into the interface list the mesh was built from
-    element: int    # element k with x_k < alpha < x_{k+1}
+    element: int  # element k with x_k < alpha < x_{k+1}
     alpha: float
 
 
@@ -52,9 +51,6 @@ class Mesh1D:
     def element_bounds(self, k: int) -> tuple[float, float]:
         return float(self.nodes[k]), float(self.nodes[k + 1])
 
-    def interface_elements(self) -> tuple[int, ...]:
-        return tuple(hit.element for hit in self.interface_hits)
-
 
 def mesh_from_nodes(nodes, interfaces=()) -> Mesh1D:
     """Build a (possibly non-uniform) mesh from explicit node coordinates.
@@ -76,7 +72,7 @@ def mesh_from_nodes(nodes, interfaces=()) -> Mesh1D:
         raise ValueError("interface points must be pairwise distinct")
 
     hits = []
-    for i, alpha in enumerate(alphas):
+    for alpha in alphas:
         if not (a < alpha < b):
             raise ValueError(f"interface {alpha} not strictly inside ({a}, {b})")
         if np.min(np.abs(nodes - alpha)) <= tol:
@@ -85,7 +81,7 @@ def mesh_from_nodes(nodes, interfaces=()) -> Mesh1D:
                 "different number of elements so the interface falls inside one"
             )
         k = int(np.searchsorted(nodes, alpha) - 1)
-        hits.append(InterfaceHit(interface=i, element=k, alpha=alpha))
+        hits.append(InterfaceHit(element=k, alpha=alpha))
 
     by_element: dict[int, float] = {}
     for hit in hits:

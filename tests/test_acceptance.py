@@ -239,8 +239,8 @@ def test_criterion_07_enrichment_identity_suite():
         psi = build_enrichment(x_k, x_k + h, alpha, gamma)
         dj = psi.derivative_jump()
         assert abs(psi.jump() - gamma * dj) <= 1e-13 * (1 + abs(gamma)) * abs(dj)
-        assert eval_enrichment(psi, x_k, "left")[0] == 0.0
-        assert eval_enrichment(psi, x_k + h, "right")[0] == 0.0
+        assert eval_enrichment(psi, [x_k], "left")[0][0] == 0.0
+        assert eval_enrichment(psi, [x_k + h], "right")[0][0] == 0.0
         checked += 1
 
     for _ in range(50):
@@ -249,9 +249,9 @@ def test_criterion_07_enrichment_identity_suite():
         alpha = x_k + h * rng.uniform(0.05, 0.95)
         psi = build_enrichment(x_k, x_k + h, alpha, 0.0)
         assert abs(psi.derivative_jump() - 1.0) <= 1e-14
-        for x in np.linspace(x_k, x_k + h, 100):
-            side = "left" if x <= alpha else "right"
-            value, _ = eval_enrichment(psi, x, side)
+        xs = np.linspace(x_k, x_k + h, 100)
+        values, _ = eval_enrichment(psi, xs, "left")  # x == alpha takes the left limit
+        for x, value in zip(xs, values):
             expected = (
                 (x_k + h - alpha) * (x_k - x) / h
                 if x <= alpha

@@ -45,6 +45,18 @@ def test_interpolation_rejected_on_quadratic_space():
         interpolate_enriched(entry.exact, space)
 
 
+def test_exact_breakpoints_must_be_the_space_cuts():
+    """Branch j owns layer j only when the exact solution breaks at the cuts."""
+    _, space = _p1_space(1, 8)
+    line = Polynomial([0.4, -2.0])
+    for breakpoints in ([0.2], [1 / 9, 0.5], []):
+        exact = ExactSolution.from_polynomials([line] * (len(breakpoints) + 1), breakpoints)
+        with pytest.raises(ValueError, match="not the space's interface points"):
+            interpolate_enriched(exact, space)
+        with pytest.raises(ValueError, match="not the space's interface points"):
+            compute_errors(exact, space, np.zeros(space.n_free), 8, [0.0])
+
+
 def test_interpolation_jump_correction_value():
     """delta = -[u]/(alpha - x_{k+1}) = (1/196830)/(1/72) = 72/196830."""
     entry, space = _p1_space(1, 8)

@@ -15,11 +15,11 @@ from enrfem.assembly import (
     assemble_system,
     condition_number,
     min_real_eigenvalue,
-    quadrature_rule,
     solve_system,
     space_for_problem,
 )
 from enrfem.bench import catalog_problem
+from enrfem.femspace import quadrature_rule
 from enrfem.mesh import build_mesh
 
 

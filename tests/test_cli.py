@@ -167,6 +167,48 @@ def test_problem_file_schema_errors(tmp_path):
     with pytest.raises(ProblemFileError, match="needs 'lambda'"):
         load_problem_file(path)
 
+    path.write_text("5")
+    with pytest.raises(ProblemFileError, match="expected a JSON object"):
+        load_problem_file(path)
+
+
+def _implicit_interface(**fields):
+    return [{"alpha": 1 / 9, "kind": "implicit", "lambda": 1 / 243} | fields]
+
+
+def _layers_with_d(d_right):
+    return [
+        {"D": [1.0], "delta_conv": [0.0], "w": [0.0], "f": "manufactured"},
+        {"D": [d_right], "delta_conv": [0.0], "w": [0.0], "f": "manufactured"},
+    ]
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"interfaces": [{"kind": "continuous"}]}, "interfaces[0]: needs 'alpha' and 'kind'"),
+    ({"interfaces": 5}, "field 'interfaces': expected a list"),
+    ({"bc": [1]}, "field 'bc': expected"),
+    ({"layers": ["D delta_conv w f", _layers_with_d(1.35)[1]]}, "layer 0: expected an object"),
+    ({"interfaces": _implicit_interface(alpha="abc")}, "field 'interfaces[0].alpha': expected a number"),
+    ({"interfaces": _implicit_interface(**{"lambda": "q"})}, "field 'interfaces[0].lambda': expected a number"),
+    ({"interfaces": _implicit_interface(**{"lambda": -1})}, "interfaces[0]: implicit interface requires lam > 0"),
+    ({"layers": _layers_with_d(1.0)}, "interfaces[0]: diffusivity is continuous across the interface"),
+    ({"layers": _layers_with_d(-1.0)}, "interfaces[0]: diffusivity limits must be positive"),
+    ({"interfaces": [5]}, "interfaces[0]: needs 'alpha' and 'kind'"),
+    ({"exact": 5}, "field 'exact': need one branch per layer"),
+    ({"layers": [_layers_with_d(1.35)[0], {"D": "x", "delta_conv": [0.0], "w": [0.0], "f": [0.0]}]},
+     "field 'layers[1].D': expected a list of numbers"),
+], ids=[
+    "no-alpha", "interfaces-not-list", "bc-not-object", "layer-string", "alpha-string",
+    "lambda-string", "lambda-negative", "implicit-equal-d", "implicit-negative-d",
+    "interface-not-object", "exact-not-list", "coefficients-not-numbers",
+])
+def test_problem_file_type_and_value_errors_exit_1(tmp_path, capsys, overrides, message):
+    path = _problem1_file(tmp_path, **overrides)
+    assert main(["--problem", str(path), "--levels", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"enrfem: error: {path}: {message}")
+    assert "Traceback" not in err
+
 
 def test_main_success_and_output_file(tmp_path):
     out = tmp_path / "table.csv"

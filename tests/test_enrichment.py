@@ -4,6 +4,12 @@ import pytest
 from enrfem.enrichment import build_enrichment, eval_enrichment, gamma_from_lambda
 
 
+def _at(psi, x, side):
+    """(value, derivative) of psi at the single point x."""
+    vals, ders = eval_enrichment(psi, np.array([x]), side)
+    return float(vals[0]), float(ders[0])
+
+
 def test_gamma_benchmark_value():
     # -(1/243) * 1 * 1.35 / 0.35 = -1/63 ~= -1.587302e-2
     gamma = gamma_from_lambda(1 / 243, 1.0, 1.35)
@@ -29,8 +35,8 @@ def test_slopes_continuous_limit():
     psi = build_enrichment(0.0, 1.0, 0.5, 0.0)
     assert psi.m1 == pytest.approx(-0.5, abs=1e-15)
     assert psi.m2 == pytest.approx(0.5, abs=1e-15)
-    left = eval_enrichment(psi, 0.5, "left")
-    right = eval_enrichment(psi, 0.5, "right")
+    left = _at(psi, 0.5, "left")
+    right = _at(psi, 0.5, "right")
     assert left[0] == pytest.approx(right[0], abs=1e-15)  # no jump at gamma=0
 
 
@@ -53,9 +59,9 @@ def test_alpha_outside_element_rejected():
 
 def test_eval_one_sided_at_interface():
     psi = build_enrichment(0.0, 1.0, 0.5, 0.25)
-    assert eval_enrichment(psi, 0.5, "left") == pytest.approx((-0.25, -0.5), rel=1e-14)
-    assert eval_enrichment(psi, 0.5, "right") == pytest.approx((-1 / 12, 1 / 6), rel=1e-14)
-    jump = eval_enrichment(psi, 0.5, "right")[0] - eval_enrichment(psi, 0.5, "left")[0]
+    assert _at(psi, 0.5, "left") == pytest.approx((-0.25, -0.5), rel=1e-14)
+    assert _at(psi, 0.5, "right") == pytest.approx((-1 / 12, 1 / 6), rel=1e-14)
+    jump = _at(psi, 0.5, "right")[0] - _at(psi, 0.5, "left")[0]
     assert jump == pytest.approx(1 / 6, rel=1e-14)
     assert jump == pytest.approx(psi.gamma * psi.derivative_jump(), rel=1e-14)
 
@@ -63,20 +69,20 @@ def test_eval_one_sided_at_interface():
 def test_eval_invalid_side_rejected():
     psi = build_enrichment(0.0, 1.0, 0.5, 0.25)
     with pytest.raises(ValueError, match="side"):
-        eval_enrichment(psi, 0.5, "middle")
+        eval_enrichment(psi, np.array([0.5]), "middle")
 
 
 def test_vanishes_exactly_at_element_endpoints():
     for gamma in (0.0, 0.25, -0.3):
         psi = build_enrichment(0.2, 0.9, 0.47, gamma)
-        assert eval_enrichment(psi, 0.2, "left")[0] == 0.0
-        assert eval_enrichment(psi, 0.9, "right")[0] == 0.0
+        assert _at(psi, 0.2, "left")[0] == 0.0
+        assert _at(psi, 0.9, "right")[0] == 0.0
 
 
 def test_zero_outside_support():
     psi = build_enrichment(0.25, 0.5, 0.3, 0.1)
-    assert eval_enrichment(psi, 0.1, "left") == (0.0, 0.0)
-    assert eval_enrichment(psi, 0.75, "left") == (0.0, 0.0)
+    assert _at(psi, 0.1, "left") == (0.0, 0.0)
+    assert _at(psi, 0.75, "left") == (0.0, 0.0)
 
 
 def _random_configs(count, seed=1234):
@@ -102,8 +108,8 @@ def test_jump_identity_randomized():
         assert abs(psi.jump() - gamma * dj) <= 1e-13 * (1 + abs(gamma)) * abs(dj)
         assert abs(psi.m1) < 1
         assert np.isfinite(psi.m2)
-        assert eval_enrichment(psi, x_k, "left")[0] == 0.0
-        assert eval_enrichment(psi, x_k1, "right")[0] == 0.0
+        assert _at(psi, x_k, "left")[0] == 0.0
+        assert _at(psi, x_k1, "right")[0] == 0.0
 
 
 def test_gamma_zero_recovers_continuous_enrichment():
@@ -112,9 +118,9 @@ def test_gamma_zero_recovers_continuous_enrichment():
         psi = build_enrichment(x_k, x_k1, alpha, 0.0)
         h = x_k1 - x_k
         assert abs(psi.derivative_jump() - 1.0) <= 1e-14
-        for x in np.linspace(x_k, x_k1, 100):
-            side = "left" if x <= alpha else "right"
-            value, _ = eval_enrichment(psi, x, side)
+        xs = np.linspace(x_k, x_k1, 100)
+        values, _ = eval_enrichment(psi, xs, "left")  # x == alpha takes the left limit
+        for x, value in zip(xs, values):
             if x <= alpha:
                 expected = (x_k1 - alpha) * (x_k - x) / h
             else:

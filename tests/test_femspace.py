@@ -1,18 +1,47 @@
+import bisect
+
 import numpy as np
 import pytest
 
-from enrfem.enrichment import build_enrichment, gamma_from_lambda
+from enrfem.enrichment import gamma_from_lambda
 from enrfem.femspace import build_space, eval_basis, eval_function
-from enrfem.mesh import build_mesh
+from enrfem.mesh import build_mesh, mesh_from_nodes
 
 
 def _space(n=8, degree=1, interfaces=(1 / 9,), bc=("neumann", "dirichlet"), gamma=0.0):
     mesh = build_mesh(0.0, 1.0, n, list(interfaces))
-    enrichments = [
-        build_enrichment(*mesh.element_bounds(h.element), h.alpha, gamma, element=h.element)
-        for h in mesh.interface_hits
-    ]
-    return build_space(mesh, degree, enrichments, *bc)
+    return build_space(mesh, degree, [gamma] * len(mesh.interface_hits), *bc)
+
+
+def test_cut_table_matches_brute_force():
+    """cut_of, layer and the enrichment DOFs agree with their definitions."""
+    rng = np.random.default_rng(8)
+    for trial in range(40):
+        nodes = np.sort(rng.uniform(0.0, 1.0, rng.integers(3, 25)))
+        n_elements = len(nodes) - 1
+        n_cuts = min(trial % 4, n_elements)
+        cut_elements = rng.choice(n_elements, n_cuts, replace=False)
+        alphas = sorted(
+            nodes[k] + rng.uniform(0.05, 0.95) * (nodes[k + 1] - nodes[k]) for k in cut_elements
+        )
+        mesh = mesh_from_nodes(nodes, rng.permutation(alphas))
+        for degree in (1, 2):
+            space = build_space(mesh, degree, rng.uniform(-0.1, 0.1, n_cuts), "dirichlet", "neumann")
+            per = degree + 1
+            for k in range(n_elements):
+                xl, xr = nodes[k], nodes[k + 1]
+                inside = [j for j, alpha in enumerate(alphas) if xl < alpha < xr]
+                if inside:
+                    (j,) = inside
+                    assert space.cut_of[k] == j
+                    assert space.enrichments[j].element == k
+                    assert space.layer[k] == bisect.bisect_left(alphas, xl) == j
+                    base = space.n_std + per * j
+                    assert space.element_enriched_dofs(k) == list(range(base, base + per))
+                else:
+                    assert space.cut_of[k] == -1
+                    assert space.layer[k] == bisect.bisect_left(alphas, 0.5 * (xl + xr))
+                    assert space.element_enriched_dofs(k) == []
 
 
 def test_free_dof_counts():
@@ -150,12 +179,14 @@ def test_basis_derivatives_match_finite_differences():
 
 
 def test_enrichment_element_mismatch_rejected():
+    """psi is built on the mesh's own cut elements, so only the gamma count can be wrong."""
     mesh = build_mesh(0.0, 1.0, 8, [1 / 9])
-    stray = build_enrichment(3 / 8, 4 / 8, 0.4, 0.0, element=3)
-    with pytest.raises(ValueError, match="interface elements"):
-        build_space(mesh, 1, [stray], "neumann", "dirichlet")
-    with pytest.raises(ValueError, match="interface elements"):
+    with pytest.raises(ValueError, match="2 gammas given for the mesh's 1 interface elements"):
+        build_space(mesh, 1, [0.0, 0.0], "neumann", "dirichlet")
+    with pytest.raises(ValueError, match="0 gammas given for the mesh's 1 interface elements"):
         build_space(mesh, 1, [], "neumann", "dirichlet")
+    with pytest.raises(ValueError, match="1 gammas given for the mesh's 0 interface elements"):
+        build_space(build_mesh(0.0, 1.0, 8), 1, [0.0], "neumann", "dirichlet")
 
 
 def test_invalid_degree_and_bc_rejected():
@@ -164,6 +195,14 @@ def test_invalid_degree_and_bc_rejected():
         build_space(mesh, 3, [], "neumann", "dirichlet")
     with pytest.raises(ValueError, match="boundary condition"):
         build_space(mesh, 1, [], "robin", "dirichlet")
+
+
+def test_eval_function_rejects_unknown_side():
+    space = _space(gamma=-1 / 63)
+    coeffs = np.ones(space.n_free)
+    for x in (1 / 9, 0.5):  # on the cut element and off it
+        with pytest.raises(ValueError, match="side"):
+            eval_function(space, coeffs, x, "middle")
 
 
 def test_coefficient_length_mismatch_rejected():

@@ -20,7 +20,7 @@ def test_interface_on_node_rejected():
 
 def test_three_interfaces_located():
     mesh = build_mesh(0.0, 1.0, 8, [1 / 9, 1 / 3, 2 / 3])
-    assert mesh.interface_elements() == (0, 2, 5)
+    assert tuple(h.element for h in mesh.interface_hits) == (0, 2, 5)
 
 
 def test_two_interfaces_in_one_element_rejected():
@@ -64,7 +64,7 @@ def test_h_max_reconstructed_from_nodes():
     assert mesh.h_max == np.max(np.diff(mesh.nodes))
     irregular = mesh_from_nodes([0.0, 0.1, 0.35, 0.5, 1.0], [0.2])
     assert irregular.h_max == 0.5
-    assert irregular.interface_elements() == (1,)
+    assert tuple(h.element for h in irregular.interface_hits) == (1,)
 
 
 def test_locate_random_containment():
@@ -79,6 +79,4 @@ def test_permuted_interfaces_give_same_elements():
     a = build_mesh(0.0, 1.0, 8, [1 / 9, 1 / 3, 2 / 3])
     b = build_mesh(0.0, 1.0, 8, [2 / 3, 1 / 9, 1 / 3])
     assert [h.alpha for h in a.interface_hits] == [h.alpha for h in b.interface_hits]
-    assert a.interface_elements() == b.interface_elements()
-    # only the labels differ
-    assert sorted(h.interface for h in b.interface_hits) == [0, 1, 2]
+    assert [h.element for h in a.interface_hits] == [h.element for h in b.interface_hits]
