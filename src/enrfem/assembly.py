@@ -238,21 +238,25 @@ def assemble_system(problem: ProblemSpec, space: EnrichedSpace, quad_npts: int =
             stacklevel=2,
         )
     b = np.zeros(space.n_dofs)
-    blocks = []  # (dofs, local matrix) in assembly order
+    blocks = []  # (dofs (E, n_local), local matrices (E, n_local, n_local)) in assembly order
+    loads = []  # (dofs, local load vectors) in assembly order
 
-    for _, layer, xs, wq, idx, vals, ders in quadrature_pieces(space, quad_npts):
-        d_c = eval_coefficient(problem.diffusivity[layer], xs)
-        conv = eval_coefficient(problem.conv_delta[layer], xs)
-        w_c = eval_coefficient(problem.reaction[layer], xs)
-        f_c = eval_coefficient(problem.source[layer], xs)
-
-        local = (ders * (wq * d_c)) @ ders.T
+    for batch in quadrature_pieces(space, quad_npts):
+        xs, wq, vals, ders = batch.xs, batch.weights, batch.values, batch.derivatives
+        d_c, conv, w_c, f_c = (
+            eval_coefficient(coefficient[batch.layer], xs.ravel()).reshape(xs.shape)
+            for coefficient in (
+                problem.diffusivity, problem.conv_delta, problem.reaction, problem.source
+            )
+        )
+        vals_t = vals.transpose(0, 2, 1)
+        local = (ders * (wq * d_c)[:, None]) @ ders.transpose(0, 2, 1)
         if np.any(conv != 0.0):
-            local += (ders * (wq * (-2.0) * conv)) @ vals.T
+            local += (ders * (wq * (-2.0) * conv)[:, None]) @ vals_t
         if np.any(w_c != 0.0):
-            local += (vals * (wq * w_c)) @ vals.T
-        blocks.append((idx, local))
-        b[idx] += (vals * (wq * f_c)).sum(axis=1)
+            local += (vals * (wq * w_c)[:, None]) @ vals_t
+        blocks.append((batch.dofs, local))
+        loads.append((batch.dofs, (vals * (wq * f_c)[:, None]).sum(axis=2)))
 
     for spec, psi in zip(problem.interfaces, space.enrichments):
         if spec.kind != "implicit":
@@ -261,8 +265,13 @@ def assemble_system(problem: ProblemSpec, space: EnrichedSpace, quad_npts: int =
         idx, v_left, _ = element_basis(space, psi.element, x, "left")
         _, v_right, _ = element_basis(space, psi.element, x, "right")
         jump = v_right[:, 0] - v_left[:, 0]
-        blocks.append((idx, np.outer(jump, jump) / spec.lam))
+        blocks.append((idx[None], np.outer(jump, jump)[None] / spec.lam))
 
+    np.add.at(
+        b,
+        np.concatenate([dofs.ravel() for dofs, _ in loads]),
+        np.concatenate([load.ravel() for _, load in loads]),
+    )
     band, border_cols, border_rows, lift = _scatter(space, blocks)
     constrained_values = np.array(
         [
@@ -286,13 +295,15 @@ def assemble_system(problem: ProblemSpec, space: EnrichedSpace, quad_npts: int =
 def _scatter(space: EnrichedSpace, blocks):
     """Sum element blocks of the full-DOF matrix into the free system's pieces.
 
+    ``blocks`` holds (dofs, local) pairs of stacked element matrices, dofs
+    of shape (E, n_local) and local of shape (E, n_local, n_local).
     Returns band, border_cols and border_rows as laid out in
     AssembledSystem, and ``lift``, the free rows of the constrained
     columns.  np.add.at adds the (row, col, value) triplets in the order
     given, so every entry is summed in assembly order.
     """
-    rows = np.concatenate([np.repeat(idx, len(idx)) for idx, _ in blocks])
-    cols = np.concatenate([np.tile(idx, len(idx)) for idx, _ in blocks])
+    rows = np.concatenate([np.repeat(dofs, dofs.shape[1], axis=1).ravel() for dofs, _ in blocks])
+    cols = np.concatenate([np.tile(dofs, dofs.shape[1]).ravel() for dofs, _ in blocks])
     vals = np.concatenate([local.ravel() for _, local in blocks])
     fi, fj = space.free_index[rows], space.free_index[cols]
 

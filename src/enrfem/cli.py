@@ -64,10 +64,9 @@ class ConvergenceTable:
 
 
 def _coeff_list_to_poly(values, where: str) -> Polynomial:
-    try:
-        coeffs = [float(v) for v in values]
-    except (TypeError, ValueError) as exc:
-        raise ProblemFileError(f"field '{where}': expected a list of numbers") from exc
+    if not isinstance(values, list):
+        raise ProblemFileError(f"field '{where}': expected a list of numbers")
+    coeffs = [_number(v, f"{where}[{i}]") for i, v in enumerate(values)]
     if not coeffs:
         raise ProblemFileError(f"field '{where}': empty coefficient list")
     return Polynomial(coeffs)
@@ -81,7 +80,7 @@ def _parse_bc(spec, where: str) -> BoundaryCondition:
     kind, value = next(iter(spec.items()))
     if kind not in ("dirichlet", "neumann"):
         raise ProblemFileError(f"field '{where}': unknown kind '{kind}'")
-    return BoundaryCondition(kind, float(value))
+    return BoundaryCondition(kind, _number(value, f"{where}.{kind}"))
 
 
 def _number(value, where: str) -> float:
@@ -117,10 +116,10 @@ def _parse_problem(doc) -> ProblemSpec:
     for key in ("domain", "layers", "interfaces", "bc"):
         if key not in doc:
             raise ProblemFileError(f"missing required field '{key}'")
-    try:
-        a, b = (float(v) for v in doc["domain"])
-    except (TypeError, ValueError) as exc:
-        raise ProblemFileError("field 'domain': expected [a, b]") from exc
+    domain = doc["domain"]
+    if not isinstance(domain, list) or len(domain) != 2:
+        raise ProblemFileError("field 'domain': expected [a, b]")
+    a, b = (_number(v, f"domain[{i}]") for i, v in enumerate(domain))
 
     layers, specs, bc = doc["layers"], doc["interfaces"], doc["bc"]
     if not isinstance(layers, list) or not layers:

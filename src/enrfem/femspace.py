@@ -15,6 +15,8 @@ n_std + (degree + 1) * j.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,11 +30,10 @@ BC_KINDS = ("dirichlet", "neumann")
 class EnrichedSpace:
     """Standard Lagrange DOFs plus enrichment DOFs per interface.
 
-    ``enrichments`` is the cut table, one psi per cut in position order.
-    ``cut_of[k]`` is the cut on element k (-1 if uncut) and ``layer[k]``
-    the layer of element k's left end.  ``std_nodes`` holds the
-    coordinates of the standard DOFs (element endpoints, plus midpoints
-    for degree 2).  ``constrained`` lists the global indices of
+    ``enrichments`` is the cut table, one psi per cut in position order,
+    and ``cut_of[k]`` the cut on element k (-1 if uncut).  ``std_nodes``
+    holds the coordinates of the standard DOFs (element endpoints, plus
+    midpoints for degree 2).  ``constrained`` lists the global indices of
     Dirichlet-constrained standard DOFs; all enrichment DOFs are free.
     ``free_index`` maps global DOF -> position in the free-DOF vector
     (-1 if constrained).
@@ -42,7 +43,6 @@ class EnrichedSpace:
     degree: int
     enrichments: tuple[EnrichmentFunction, ...]
     cut_of: np.ndarray
-    layer: np.ndarray
     std_nodes: np.ndarray
     constrained: tuple[int, ...]
     free_index: np.ndarray
@@ -54,9 +54,7 @@ class EnrichedSpace:
         return len(self.std_nodes)
 
     def element_std_dofs(self, k: int) -> list[int]:
-        if self.degree == 1:
-            return [k, k + 1]
-        return [2 * k, 2 * k + 1, 2 * k + 2]
+        return list(range(self.degree * k, self.degree * (k + 1) + 1))
 
     def element_enriched_dofs(self, k: int) -> list[int]:
         """Global indices of the enrichment DOFs living on element k."""
@@ -117,9 +115,8 @@ def build_space(
         for hit, gamma in zip(mesh.interface_hits, gammas)
     )
     cut_elements = np.array([hit.element for hit in mesh.interface_hits], dtype=int)
-    layer = np.searchsorted(cut_elements, np.arange(mesh.n_elements))
     cut_of = np.full(mesh.n_elements, -1, dtype=int)
-    cut_of[cut_elements] = layer[cut_elements]
+    cut_of[cut_elements] = np.arange(len(cut_elements))
 
     if degree == 1:
         std_nodes = np.array(mesh.nodes, dtype=float)
@@ -146,24 +143,29 @@ def build_space(
         degree=degree,
         enrichments=enrichments,
         cut_of=cut_of,
-        layer=layer,
         std_nodes=std_nodes,
         constrained=tuple(constrained),
         free_index=free_index,
         n_dofs=n_dofs,
         n_free=int(mask.sum()),
     )
-    for table in (space.cut_of, space.layer, space.std_nodes, space.free_index):
+    for table in (space.cut_of, space.std_nodes, space.free_index):
         table.flags.writeable = False
     return space
 
 
-def _lagrange_local(degree: int, xl: float, xr: float, xs: np.ndarray):
-    """Local Lagrange basis values/derivatives at points xs in [xl, xr]."""
+def _lagrange_local(degree: int, xl: np.ndarray, xr: np.ndarray, xs: np.ndarray):
+    """Lagrange basis of the E elements [xl, xr] at points xs of shape (E, q).
+
+    Returns values and derivatives of shape (E, n_local, q).
+    """
+    xl, xr = xl[:, None], xr[:, None]
     h = xr - xl
     if degree == 1:
-        vals = np.stack([(xr - xs) / h, (xs - xl) / h])
-        ders = np.stack([np.full_like(xs, -1.0 / h), np.full_like(xs, 1.0 / h)])
+        vals = np.stack([(xr - xs) / h, (xs - xl) / h], axis=1)
+        ders = np.stack(
+            [np.broadcast_to(-1.0 / h, xs.shape), np.broadcast_to(1.0 / h, xs.shape)], axis=1
+        )
     else:
         xm = 0.5 * (xl + xr)
         h2 = h * h
@@ -171,13 +173,25 @@ def _lagrange_local(degree: int, xl: float, xr: float, xs: np.ndarray):
             2.0 * (xs - xm) * (xs - xr) / h2,
             -4.0 * (xs - xl) * (xs - xr) / h2,
             2.0 * (xs - xl) * (xs - xm) / h2,
-        ])
+        ], axis=1)
         ders = np.stack([
             2.0 * (2.0 * xs - xm - xr) / h2,
             -4.0 * (2.0 * xs - xl - xr) / h2,
             2.0 * (2.0 * xs - xl - xm) / h2,
-        ])
+        ], axis=1)
     return vals, ders
+
+
+def standard_basis(space: EnrichedSpace, ks: np.ndarray, xs: np.ndarray):
+    """The standard DOFs of elements ks evaluated at points xs of shape (E, q).
+
+    Returns (dofs, values, derivatives) of shapes (E, degree + 1) and
+    (E, degree + 1, q); enrichment DOFs are left out.
+    """
+    p = space.degree
+    nodes = space.mesh.nodes
+    vals, ders = _lagrange_local(p, nodes[ks], nodes[ks + 1], xs)
+    return p * ks[:, None] + np.arange(p + 1), vals, ders
 
 
 def element_basis(space: EnrichedSpace, k: int, xs: np.ndarray, side: str = "left"):
@@ -191,51 +205,88 @@ def element_basis(space: EnrichedSpace, k: int, xs: np.ndarray, side: str = "lef
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     xs = np.asarray(xs, dtype=float)
-    xl, xr = space.mesh.element_bounds(k)
-    vals, ders = _lagrange_local(space.degree, xl, xr, xs)
-    idx = list(space.element_std_dofs(k))
+    idx, vals, ders = standard_basis(space, np.array([k]), xs[None])
+    idx, vals, ders = idx[0], vals[0], ders[0]
 
     j = space.cut_of[k]
     if j >= 0:
         pv, pd = eval_enrichment(space.enrichments[j], xs, side)
-        idx.extend(space.element_enriched_dofs(k))
+        idx = np.concatenate([idx, space.element_enriched_dofs(k)])
         enr_vals = vals * pv
         enr_ders = ders * pv + vals * pd
         vals = np.vstack([vals, enr_vals])
         ders = np.vstack([ders, enr_ders])
-    return np.array(idx, dtype=int), vals, ders
+    return idx, vals, ders
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(npts: int) -> tuple[np.ndarray, np.ndarray]:
+    points, weights = np.polynomial.legendre.leggauss(npts)
+    points.flags.writeable = False
+    weights.flags.writeable = False
+    return points, weights
 
 
 def quadrature_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre points/weights on [-1, 1]; exact to degree 2*npts - 1."""
+    """Gauss-Legendre points/weights on [-1, 1]; exact to degree 2*npts - 1.
+
+    The arrays are computed once per size and are read-only.
+    """
     if not 1 <= npts <= 16:
         raise ValueError("quadrature size must be between 1 and 16")
-    return np.polynomial.legendre.leggauss(npts)
+    return _gauss_legendre(npts)
+
+
+class QuadratureBatch(NamedTuple):
+    """Gauss sub-intervals of E consecutive elements in one layer, as stacked arrays.
+
+    ``xs`` and ``weights`` (E, q) are the mapped Gauss rule, ``dofs``
+    (E, n_local) the DOFs supported on each element, and
+    ``values``/``derivatives`` (E, n_local, q) their basis functions at
+    ``xs``.  ``layer`` owns every piece of the batch.
+    """
+
+    layer: int
+    xs: np.ndarray
+    weights: np.ndarray
+    dofs: np.ndarray
+    values: np.ndarray
+    derivatives: np.ndarray
 
 
 def quadrature_pieces(space: EnrichedSpace, quad_npts: int):
-    """Every quadrature sub-interval of the mesh, cut elements split at alpha.
+    """Every quadrature sub-interval of the mesh, in batches in element order.
 
-    Yields (k, layer, xs, weights, dofs, values, derivatives) per piece in
-    element order, with the Gauss rule of ``quad_npts`` points mapped to
-    the piece and the basis of element k evaluated there (psi one-sided
-    towards the piece).  ``layer`` owns the piece.
+    Each run of uncut elements between two cuts is one batch of standard
+    Lagrange elements.  A cut element is split at alpha into two batches
+    of one piece each: the left piece owned by layer j, the right by
+    layer j + 1, with psi one-sided towards the piece.  The Gauss rule of
+    ``quad_npts`` points is mapped to every piece.
     """
     ref_x, ref_w = quadrature_rule(quad_npts)
-    for k in range(space.mesh.n_elements):
-        xl, xr = space.mesh.element_bounds(k)
-        layer = int(space.layer[k])
-        j = space.cut_of[k]
-        if j < 0:
-            pieces = ((xl, xr, layer, "left"),)
-        else:
-            alpha = space.enrichments[j].alpha
-            pieces = ((xl, alpha, layer, "left"), (alpha, xr, layer + 1, "right"))
-        for a, b, piece_layer, side in pieces:
-            half = 0.5 * (b - a)
-            xs = a + half * (ref_x + 1.0)
-            dofs, vals, ders = element_basis(space, k, xs, side)
-            yield k, piece_layer, xs, half * ref_w, dofs, vals, ders
+
+    def mapped_rule(a: np.ndarray, b: np.ndarray):
+        half = 0.5 * (b - a)[:, None]
+        return a[:, None] + half * (ref_x + 1.0), half * ref_w
+
+    def uncut_run(start: int, stop: int, layer: int):
+        if start < stop:
+            ks = np.arange(start, stop)
+            nodes = space.mesh.nodes
+            xs, wq = mapped_rule(nodes[start:stop], nodes[start + 1:stop + 1])
+            yield QuadratureBatch(layer, xs, wq, *standard_basis(space, ks, xs))
+
+    start = 0
+    for j, psi in enumerate(space.enrichments):
+        k = psi.element
+        yield from uncut_run(start, k, j)
+        pieces = ((psi.x_left, psi.alpha, j, "left"), (psi.alpha, psi.x_right, j + 1, "right"))
+        for a, b, layer, side in pieces:
+            xs, wq = mapped_rule(np.array([a]), np.array([b]))
+            dofs, vals, ders = element_basis(space, k, xs[0], side)
+            yield QuadratureBatch(layer, xs, wq, dofs[None], vals[None], ders[None])
+        start = k + 1
+    yield from uncut_run(start, space.mesh.n_elements, len(space.enrichments))
 
 
 def eval_basis(space: EnrichedSpace, x: float, side: str = "left"):

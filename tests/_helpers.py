@@ -1,18 +1,21 @@
 """Shared builders for the test suite."""
 
+import bisect
 import dataclasses
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from enrfem.analysis import ExactSolution
+from enrfem.analysis import ErrorReport, ExactSolution
 from enrfem.assembly import (
     BoundaryCondition,
     assemble_system,
+    eval_coefficient,
     solve_system,
     space_for_problem,
 )
 from enrfem.bench import catalog_problem
+from enrfem.femspace import element_basis, full_coefficients, quadrature_rule
 from enrfem.mesh import build_mesh
 
 
@@ -64,3 +67,95 @@ def constant_coefficient_vector(space, c):
     full = np.zeros(space.n_dofs)
     full[: space.n_std] = c
     return full[space.free_index >= 0]
+
+
+# ------------------------------------------------ per-element reference oracle
+#
+# The program integrates runs of uncut elements in stacked batches.  The
+# functions below integrate one element piece at a time, with the same
+# floating-point operations in the same order, so the batched results must
+# equal theirs bit for bit.
+
+def reference_pieces(space, quad_npts):
+    """(layer, xs, weights, dofs, values, derivatives) per piece, element by element."""
+    ref_x, ref_w = quadrature_rule(quad_npts)
+    alphas = [psi.alpha for psi in space.enrichments]
+    for k in range(space.mesh.n_elements):
+        xl, xr = space.mesh.element_bounds(k)
+        layer = bisect.bisect_left(alphas, xl)
+        j = space.cut_of[k]
+        if j < 0:
+            pieces = ((xl, xr, layer, "left"),)
+        else:
+            alpha = space.enrichments[j].alpha
+            pieces = ((xl, alpha, layer, "left"), (alpha, xr, layer + 1, "right"))
+        for a, b, piece_layer, side in pieces:
+            half = 0.5 * (b - a)
+            xs = a + half * (ref_x + 1.0)
+            dofs, vals, ders = element_basis(space, k, xs, side)
+            yield piece_layer, xs, half * ref_w, dofs, vals, ders
+
+
+def reference_assembly(problem, space, quad_npts):
+    """(band, border_cols, border_rows, rhs) from a dense per-element assembly."""
+    a_full = np.zeros((space.n_dofs, space.n_dofs))
+    b_full = np.zeros(space.n_dofs)
+    for layer, xs, wq, dofs, vals, ders in reference_pieces(space, quad_npts):
+        d_c = eval_coefficient(problem.diffusivity[layer], xs)
+        conv = eval_coefficient(problem.conv_delta[layer], xs)
+        w_c = eval_coefficient(problem.reaction[layer], xs)
+        f_c = eval_coefficient(problem.source[layer], xs)
+        local = (ders * (wq * d_c)) @ ders.T
+        if np.any(conv != 0.0):
+            local += (ders * (wq * (-2.0) * conv)) @ vals.T
+        if np.any(w_c != 0.0):
+            local += (vals * (wq * w_c)) @ vals.T
+        a_full[np.ix_(dofs, dofs)] += local
+        b_full[dofs] += (vals * (wq * f_c)).sum(axis=1)
+    for spec, psi in zip(problem.interfaces, space.enrichments):
+        if spec.kind == "implicit":
+            x = np.array([psi.alpha])
+            dofs, v_left, _ = element_basis(space, psi.element, x, "left")
+            _, v_right, _ = element_basis(space, psi.element, x, "right")
+            jump = v_right[:, 0] - v_left[:, 0]
+            a_full[np.ix_(dofs, dofs)] += np.outer(jump, jump) / spec.lam
+
+    free = np.flatnonzero(space.free_index >= 0)
+    constrained = list(space.constrained)
+    matrix = a_full[np.ix_(free, free)]
+    rhs = b_full[free]
+    if constrained:
+        values = np.array([
+            (problem.bc_left if dof == 0 else problem.bc_right).value for dof in constrained
+        ])
+        rhs = rhs - a_full[np.ix_(free, constrained)] @ values
+
+    p = space.degree
+    ns = space.n_std - len(constrained)
+    band = np.zeros((2 * p + 1, ns))
+    for i in range(ns):
+        for j in range(ns):
+            if abs(i - j) <= p:
+                band[p + i - j, j] = matrix[i, j]
+            else:
+                assert matrix[i, j] == 0.0, "standard block wider than its band"
+    return band, matrix[:ns, ns:], matrix[ns:], rhs
+
+
+def reference_errors(exact, space, coeffs, quad_npts, constrained_values=None):
+    """ErrorReport summed piece by piece, with the nodal error node by node."""
+    full = full_coefficients(space, coeffs, constrained_values)
+    l2_sq = 0.0
+    h1_sq = 0.0
+    for layer, xs, wq, dofs, vals, ders in reference_pieces(space, quad_npts):
+        value, deriv = exact.branches[layer]
+        e = eval_coefficient(value, xs) - full[dofs] @ vals
+        de = eval_coefficient(deriv, xs) - full[dofs] @ ders
+        l2_sq += float(wq @ (e * e))
+        h1_sq += float(wq @ (de * de))
+    nodal = 0.0
+    for i in range(1, space.mesh.n_elements):
+        x = float(space.mesh.nodes[i])
+        dofs, vals, _ = element_basis(space, i - 1, np.array([x]), "left")
+        nodal = max(nodal, abs(exact.value(x) - float(full[dofs] @ vals[:, 0])))
+    return ErrorReport(l2=np.sqrt(l2_sq), h1_broken=np.sqrt(h1_sq), nodal_max=nodal)

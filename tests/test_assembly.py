@@ -6,7 +6,13 @@ import pytest
 import scipy.linalg
 from numpy.polynomial import Polynomial
 
-from _helpers import constant_coefficient_vector, constant_patch_problem, solve_benchmark
+from _helpers import (
+    constant_coefficient_vector,
+    constant_patch_problem,
+    reference_assembly,
+    reference_errors,
+    solve_benchmark,
+)
 from enrfem.analysis import compute_errors
 from enrfem.assembly import (
     BoundaryCondition,
@@ -64,6 +70,13 @@ def test_quadrature_range_rejected():
     for npts in (0, 17, -3):
         with pytest.raises(ValueError, match="between 1 and 16"):
             quadrature_rule(npts)
+
+
+def test_quadrature_rule_is_computed_once_and_read_only():
+    xs, ws = quadrature_rule(6)
+    again = quadrature_rule(6)
+    assert again[0] is xs and again[1] is ws
+    assert not xs.flags.writeable and not ws.flags.writeable
 
 
 # ------------------------------------------------------------------ assembly
@@ -272,15 +285,34 @@ def test_solve_without_interface(degree):
     assert coeffs == pytest.approx(0.5 * nodes * (1.0 - nodes), abs=1e-14)
 
 
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("pid", [1, 2, 3, 4, 5, 6])
+def test_batched_quadrature_matches_per_element_reference(pid, n):
+    """Batched assembly and errors equal a per-element integration bit for bit."""
+    entry, _, space, system, coeffs = solve_benchmark(pid, n)
+    for got, want in zip(
+        (system.band, system.border_cols, system.border_rows, system.rhs),
+        reference_assembly(entry.problem, space, 6),
+    ):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    report = compute_errors(entry.exact, space, coeffs, 12, system.constrained_values)
+    reference = reference_errors(entry.exact, space, coeffs, 12, system.constrained_values)
+    for name in ("l2", "h1_broken", "nodal_max"):
+        got, want = np.float64(getattr(report, name)), np.float64(getattr(reference, name))
+        assert got.tobytes() == want.tobytes(), name
+
+
 def test_assemble_and_solve_stay_linear_in_memory():
-    """P1 at n = 2048: the dense free matrix alone would take 33.6 MB."""
+    """P1 at n = 2048, errors included: the dense free matrix alone would take 33.6 MB."""
     entry = catalog_problem(2)
     mesh = build_mesh(0.0, 1.0, 2048, [s.alpha for s in entry.problem.interfaces])
     space = space_for_problem(entry.problem, mesh, entry.degree)
     tracemalloc.start()
     try:
         system = assemble_system(entry.problem, space, 6)
-        solve_system(system)
+        coeffs = solve_system(system)
+        compute_errors(entry.exact, space, coeffs, 12, system.constrained_values)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -197,10 +197,17 @@ def _layers_with_d(d_right):
     ({"exact": 5}, "field 'exact': need one branch per layer"),
     ({"layers": [_layers_with_d(1.35)[0], {"D": "x", "delta_conv": [0.0], "w": [0.0], "f": [0.0]}]},
      "field 'layers[1].D': expected a list of numbers"),
+    ({"domain": ["0", True]}, "field 'domain[0]': expected a number"),
+    ({"layers": [{"D": [True], "delta_conv": [0.0], "w": [0.0], "f": "manufactured"},
+                 _layers_with_d(1.35)[1]]},
+     "field 'layers[0].D[0]': expected a number"),
+    ({"bc": {"left": {"neumann": 0.0}, "right": {"dirichlet": False}}},
+     "field 'bc.right.dirichlet': expected a number"),
 ], ids=[
     "no-alpha", "interfaces-not-list", "bc-not-object", "layer-string", "alpha-string",
     "lambda-string", "lambda-negative", "implicit-equal-d", "implicit-negative-d",
     "interface-not-object", "exact-not-list", "coefficients-not-numbers",
+    "domain-not-numbers", "coefficient-boolean", "bc-value-boolean",
 ])
 def test_problem_file_type_and_value_errors_exit_1(tmp_path, capsys, overrides, message):
     path = _problem1_file(tmp_path, **overrides)

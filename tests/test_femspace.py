@@ -1,10 +1,8 @@
-import bisect
-
 import numpy as np
 import pytest
 
 from enrfem.enrichment import gamma_from_lambda
-from enrfem.femspace import build_space, eval_basis, eval_function
+from enrfem.femspace import build_space, eval_basis, eval_function, quadrature_pieces
 from enrfem.mesh import build_mesh, mesh_from_nodes
 
 
@@ -13,8 +11,8 @@ def _space(n=8, degree=1, interfaces=(1 / 9,), bc=("neumann", "dirichlet"), gamm
     return build_space(mesh, degree, [gamma] * len(mesh.interface_hits), *bc)
 
 
-def test_cut_table_matches_brute_force():
-    """cut_of, layer and the enrichment DOFs agree with their definitions."""
+def _seeded_cut_spaces():
+    """(nodes, alphas, space) on 40 seeded non-uniform meshes with 0-3 cuts, degrees 1 and 2."""
     rng = np.random.default_rng(8)
     for trial in range(40):
         nodes = np.sort(rng.uniform(0.0, 1.0, rng.integers(3, 25)))
@@ -27,21 +25,67 @@ def test_cut_table_matches_brute_force():
         mesh = mesh_from_nodes(nodes, rng.permutation(alphas))
         for degree in (1, 2):
             space = build_space(mesh, degree, rng.uniform(-0.1, 0.1, n_cuts), "dirichlet", "neumann")
-            per = degree + 1
-            for k in range(n_elements):
-                xl, xr = nodes[k], nodes[k + 1]
-                inside = [j for j, alpha in enumerate(alphas) if xl < alpha < xr]
-                if inside:
-                    (j,) = inside
-                    assert space.cut_of[k] == j
-                    assert space.enrichments[j].element == k
-                    assert space.layer[k] == bisect.bisect_left(alphas, xl) == j
-                    base = space.n_std + per * j
-                    assert space.element_enriched_dofs(k) == list(range(base, base + per))
-                else:
-                    assert space.cut_of[k] == -1
-                    assert space.layer[k] == bisect.bisect_left(alphas, 0.5 * (xl + xr))
-                    assert space.element_enriched_dofs(k) == []
+            yield nodes, alphas, space
+
+
+def test_cut_table_matches_brute_force():
+    """cut_of and the enrichment DOFs agree with their definitions."""
+    for nodes, alphas, space in _seeded_cut_spaces():
+        n_elements = len(nodes) - 1
+        per = space.degree + 1
+        for k in range(n_elements):
+            xl, xr = nodes[k], nodes[k + 1]
+            inside = [j for j, alpha in enumerate(alphas) if xl < alpha < xr]
+            if inside:
+                (j,) = inside
+                assert space.cut_of[k] == j
+                assert space.enrichments[j].element == k
+                base = space.n_std + per * j
+                assert space.element_enriched_dofs(k) == list(range(base, base + per))
+            else:
+                assert space.cut_of[k] == -1
+                assert space.element_enriched_dofs(k) == []
+
+
+def test_quadrature_batches_cover_the_mesh():
+    """The pieces tile the domain in element order, breaking at every node and alpha.
+
+    The weights of each element sum to its length, each piece carries the
+    layer it lies in and the DOFs of its element, every run of uncut
+    elements is one batch, and each piece of a cut element is a batch.
+    """
+    adjacent_cuts = 0
+    for nodes, alphas, space in _seeded_cut_spaces():
+        batches = list(quadrature_pieces(space, 4))
+        xs = np.concatenate([batch.xs for batch in batches])
+        lengths = np.concatenate([batch.weights.sum(axis=1) for batch in batches])
+        mids = xs.mean(axis=1)  # a symmetric rule: the points' mean is the piece's midpoint
+        breaks = np.sort(np.concatenate([nodes, alphas]))
+        assert mids - lengths / 2 == pytest.approx(breaks[:-1], abs=1e-14)
+        assert mids + lengths / 2 == pytest.approx(breaks[1:], abs=1e-14)
+        assert (xs > breaks[:-1, None]).all() and (xs < breaks[1:, None]).all()
+
+        elements = np.searchsorted(nodes, mids, side="right") - 1
+        per_element = np.zeros(len(nodes) - 1)
+        np.add.at(per_element, elements, lengths)
+        assert per_element == pytest.approx(np.diff(nodes), rel=1e-13)
+        layers = [batch.layer for batch in batches for _ in batch.xs]
+        assert layers == np.searchsorted(alphas, mids).tolist()
+        dofs = [row for batch in batches for row in batch.dofs.tolist()]
+        assert dofs == [
+            space.element_std_dofs(k) + space.element_enriched_dofs(k) for k in elements
+        ]
+
+        cuts = [psi.element for psi in space.enrichments]
+        uncut_runs = np.count_nonzero(np.diff([-1, *cuts, len(nodes) - 1]) > 1)
+        assert len(batches) == uncut_runs + 2 * len(cuts)
+        for batch in batches:
+            e, n_local = batch.dofs.shape
+            assert e == 1 or n_local == space.degree + 1
+            assert batch.xs.shape == batch.weights.shape == (e, 4)
+            assert batch.values.shape == batch.derivatives.shape == (e, n_local, 4)
+        adjacent_cuts += int(np.any(np.diff(cuts) == 1))
+    assert adjacent_cuts > 0
 
 
 def test_free_dof_counts():
