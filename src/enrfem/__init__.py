@@ -23,7 +23,6 @@ from .assembly import (
     ProblemSpec,
     assemble_system,
     condition_number,
-    min_real_eigenvalue,
     solve_system,
     space_for_problem,
 )

@@ -106,9 +106,8 @@ def interpolate_enriched(exact: ExactSolution, space: EnrichedSpace) -> np.ndarr
         _, d_left = exact.branches[j]
         _, d_right = exact.branches[j + 1]
         delta = -exact.jump(j) / (psi.alpha - psi.x_right)
-        base = space.n_std + 2 * j
-        full[base] = float(d_right(psi.x_left)) - float(d_left(psi.x_left)) + delta
-        full[base + 1] = float(d_right(psi.x_right)) - float(d_left(psi.x_right)) + delta
+        for dof, x in zip(space.element_enriched_dofs(psi.element), (psi.x_left, psi.x_right)):
+            full[dof] = float(d_right(x)) - float(d_left(x)) + delta
 
     free = space.free_index >= 0
     return full[free]

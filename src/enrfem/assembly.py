@@ -40,7 +40,7 @@ _COEFF_SAMPLES = 33
 
 @dataclass(frozen=True)
 class BoundaryCondition:
-    """Dirichlet(value) or Neumann(flux value; only zero flux is assembled)."""
+    """Dirichlet(value) or Neumann(flux value; only zero flux is implemented)."""
 
     kind: str
     value: float = 0.0
@@ -48,6 +48,8 @@ class BoundaryCondition:
     def __post_init__(self):
         if self.kind not in ("dirichlet", "neumann"):
             raise ValueError("boundary condition kind must be 'dirichlet' or 'neumann'")
+        if self.kind == "neumann" and self.value != 0.0:
+            raise ValueError("nonzero Neumann flux is not implemented")
 
     @staticmethod
     def dirichlet(value: float) -> "BoundaryCondition":
@@ -62,20 +64,19 @@ class BoundaryCondition:
 class InterfaceSpec:
     """One interface point: continuous, or implicit with jump coefficient lam.
 
-    ``gamma`` is the derived Robin parameter of the enrichment: zero for a
-    continuous interface, -lam*D-*D+/(D+ - D-) for an implicit one.
+    The enrichment's Robin parameter depends on the diffusivities beside
+    the interface as well, so it is derived by ``ProblemSpec.gammas``.
     """
 
     alpha: float
     kind: str
     lam: float = 0.0
-    gamma: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("continuous", "implicit"):
             raise ValueError("interface kind must be 'continuous' or 'implicit'")
-        if self.kind == "continuous" and (self.lam != 0.0 or self.gamma != 0.0):
-            raise ValueError("continuous interface requires lam = gamma = 0")
+        if self.kind == "continuous" and self.lam != 0.0:
+            raise ValueError("continuous interface requires lam = 0")
         if self.kind == "implicit" and not self.lam > 0:
             raise ValueError("implicit interface requires lam > 0 (coercivity)")
 
@@ -84,9 +85,8 @@ class InterfaceSpec:
         return InterfaceSpec(alpha=float(alpha), kind="continuous")
 
     @staticmethod
-    def implicit(alpha: float, lam: float, d_minus: float, d_plus: float) -> "InterfaceSpec":
-        gamma = gamma_from_lambda(lam, d_minus, d_plus)
-        return InterfaceSpec(alpha=float(alpha), kind="implicit", lam=float(lam), gamma=gamma)
+    def implicit(alpha: float, lam: float) -> "InterfaceSpec":
+        return InterfaceSpec(alpha=float(alpha), kind="implicit", lam=float(lam))
 
 
 Coefficient = Callable[[np.ndarray], np.ndarray]
@@ -125,6 +125,7 @@ class ProblemSpec:
         for name in ("diffusivity", "conv_delta", "reaction", "source"):
             if len(getattr(self, name)) != n_layers:
                 raise ValueError(f"{name} needs one entry per layer ({n_layers})")
+        self.gammas  # an implicit interface needs D- != D+, both positive
         breaks = [a] + alphas + [b]
         for i in range(n_layers):
             xs = np.linspace(breaks[i], breaks[i + 1], _COEFF_SAMPLES + 2)[1:-1]
@@ -136,6 +137,29 @@ class ProblemSpec:
     @property
     def breakpoints(self) -> tuple[float, ...]:
         return tuple(spec.alpha for spec in self.interfaces)
+
+    @cached_property
+    def gammas(self) -> tuple[float, ...]:
+        """Robin parameter of each interface's enrichment, in position order.
+
+        Zero at a continuous interface; at an implicit one
+        -lam*D-*D+/(D+ - D-) with D- and D+ the diffusivities of the two
+        adjacent layers evaluated at alpha.
+        """
+        out = []
+        for j, spec in enumerate(self.interfaces):
+            if spec.kind == "continuous":
+                out.append(0.0)
+                continue
+            alpha = np.array(spec.alpha)
+            d_minus, d_plus = (
+                float(eval_coefficient(d, alpha)) for d in self.diffusivity[j:j + 2]
+            )
+            try:
+                out.append(gamma_from_lambda(spec.lam, d_minus, d_plus))
+            except ValueError as exc:
+                raise ValueError(f"interfaces[{j}]: {exc}") from exc
+        return tuple(out)
 
 
 def eval_coefficient(fn: Coefficient, xs: np.ndarray) -> np.ndarray:
@@ -212,10 +236,7 @@ def space_for_problem(problem: ProblemSpec, mesh: Mesh1D, degree: int) -> Enrich
         raise ValueError(
             f"mesh interfaces {mesh_alphas} are not the problem's {problem.breakpoints}"
         )
-    return build_space(
-        mesh, degree, [spec.gamma for spec in problem.interfaces],
-        problem.bc_left.kind, problem.bc_right.kind,
-    )
+    return build_space(mesh, degree, problem.gammas, problem.bc_left.kind, problem.bc_right.kind)
 
 
 def assemble_system(problem: ProblemSpec, space: EnrichedSpace, quad_npts: int = 6) -> AssembledSystem:
@@ -224,13 +245,10 @@ def assemble_system(problem: ProblemSpec, space: EnrichedSpace, quad_npts: int =
     A_ij = int (D u_j' - 2 delta u_j) u_i' + int w u_j u_i
            + sum_implicit [u_j][u_i]/lam,  b_i = int f u_i, followed by the
     Dirichlet lift.  Raises if the space's interfaces do not match the
-    problem's, or if a Neumann end carries a nonzero flux value.
+    problem's.
     """
     if tuple(psi.alpha for psi in space.enrichments) != problem.breakpoints:
         raise ValueError("space was not built from this problem's mesh and interfaces")
-    for bc in (problem.bc_left, problem.bc_right):
-        if bc.kind == "neumann" and bc.value != 0.0:
-            raise ValueError("nonzero Neumann flux is not implemented")
     if quad_npts < space.degree + 3:
         warnings.warn(
             f"quadrature with {quad_npts} points may be too coarse for "
@@ -389,8 +407,3 @@ def condition_number(matrix: np.ndarray) -> float:
     if sigma[-1] == 0.0:
         return float("inf")
     return float(sigma[0] / sigma[-1])
-
-
-def min_real_eigenvalue(matrix: np.ndarray) -> float:
-    """Smallest real part over the spectrum (coercivity diagnostic)."""
-    return float(np.min(np.linalg.eigvals(matrix).real))

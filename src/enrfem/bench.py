@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
 from numpy.polynomial import Polynomial
 
 from .analysis import ExactSolution
@@ -29,11 +28,9 @@ from .assembly import BoundaryCondition, InterfaceSpec, ProblemSpec
 
 @dataclass(frozen=True)
 class BenchmarkProblem:
-    """Catalog entry: BVP, exact solution, element degree."""
+    """Catalog entry: BVP (with its exact solution) and element degree."""
 
-    pid: int
     problem: ProblemSpec
-    exact: ExactSolution
     degree: int
 
 
@@ -89,13 +86,13 @@ def _exact_branches(n: int = 4) -> dict[str, Polynomial]:
     }
 
 
-def _build_problem(base: int) -> tuple[ProblemSpec, ExactSolution]:
+def _build_problem(base: int) -> ProblemSpec:
     c = _wall_constants()
     u = _exact_branches(c["n"])
     alpha0, alpha1, alpha2 = 1.0 / 9.0, 1.0 / 3.0, 2.0 / 3.0
 
     if base == 1:
-        interfaces = (InterfaceSpec.implicit(alpha0, c["lam"], c["d0"], c["d1"]),)
+        interfaces = (InterfaceSpec.implicit(alpha0, c["lam"]),)
         diffusivity = (c["d0"], c["d1"])
         conv = (0.0, c["delta1"])
         reaction = (0.0, 0.0)
@@ -108,7 +105,7 @@ def _build_problem(base: int) -> tuple[ProblemSpec, ExactSolution]:
         branches = (u["u1"], u["u2"], u["u3"])
     else:
         interfaces = (
-            InterfaceSpec.implicit(alpha0, c["lam"], c["d0"], c["d1"]),
+            InterfaceSpec.implicit(alpha0, c["lam"]),
             InterfaceSpec.continuous(alpha1),
             InterfaceSpec.continuous(alpha2),
         )
@@ -119,7 +116,7 @@ def _build_problem(base: int) -> tuple[ProblemSpec, ExactSolution]:
 
     exact = ExactSolution.from_polynomials(branches, [spec.alpha for spec in interfaces])
     source = manufactured_rhs(exact, diffusivity, conv, reaction)
-    problem = ProblemSpec(
+    return ProblemSpec(
         domain=(0.0, 1.0),
         diffusivity=tuple(_as_poly(d) for d in diffusivity),
         conv_delta=tuple(_as_poly(d) for d in conv),
@@ -130,7 +127,6 @@ def _build_problem(base: int) -> tuple[ProblemSpec, ExactSolution]:
         bc_right=BoundaryCondition.dirichlet(float(branches[-1](1.0))),
         exact=exact,
     )
-    return problem, exact
 
 
 def catalog_problem(pid: int) -> BenchmarkProblem:
@@ -138,10 +134,4 @@ def catalog_problem(pid: int) -> BenchmarkProblem:
     if pid not in (1, 2, 3, 4, 5, 6):
         raise ValueError(f"unknown benchmark problem id {pid}; valid ids are 1..6")
     base = (pid - 1) % 3 + 1
-    problem, exact = _build_problem(base)
-    return BenchmarkProblem(
-        pid=pid,
-        problem=problem,
-        exact=exact,
-        degree=1 if pid <= 3 else 2,
-    )
+    return BenchmarkProblem(problem=_build_problem(base), degree=1 if pid <= 3 else 2)

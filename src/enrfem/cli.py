@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,38 +30,39 @@ from .assembly import (
     ProblemSpec,
     assemble_system,
     condition_number,
-    eval_coefficient,
     solve_system,
     space_for_problem,
 )
 from .bench import catalog_problem, manufactured_rhs
+from .femspace import MAX_QUAD_NPTS
 from .mesh import build_mesh
 
 REPORT_FORMATS = ("csv", "markdown", "json")
+_HEADER = ["h", "l2", "h1_broken", "nodal", "cond", "order_l2", "order_h1", "order_nodal"]
+_ORDER_OF = {"l2": "order_l2", "h1_broken": "order_h1", "nodal": "order_nodal"}
 ERROR_QUAD_NPTS = 12  # error norms need a finer rule than assembly
 _NUM = "{:.5e}"       # 6 significant digits
 
 
 class ProblemFileError(ValueError):
-    """Problem-file syntax or schema violation (usage error, exit 1)."""
+    """Usage error (exit 1): a bad problem file, or a study the input cannot set up."""
 
 
 @dataclass
 class ConvergenceTable:
-    """Per-refinement errors, condition numbers, and observed orders."""
+    """Per-refinement rows of errors, condition numbers and observed orders.
+
+    Each row holds one value per report column (``_HEADER``); ``cond`` and the
+    orders are None where they were not computed or are undefined.
+    """
 
     rows: list[dict] = field(default_factory=list)
-    orders: dict[str, list[float]] = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         hs = [row["h"] for row in self.rows]
         if any(x <= y for x, y in zip(hs, hs[1:])):
             raise ValueError("mesh sizes must be strictly decreasing")
-        for col in self.orders.values():
-            # empty means orders were undefined (an error column hit zero)
-            if len(col) not in (0, max(len(self.rows) - 1, 0)):
-                raise ValueError("order columns must have one fewer entry than rows")
 
 
 def _coeff_list_to_poly(values, where: str) -> Polynomial:
@@ -86,6 +88,8 @@ def _parse_bc(spec, where: str) -> BoundaryCondition:
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProblemFileError(f"field '{where}': expected a number")
+    if not math.isfinite(value):
+        raise ProblemFileError(f"field '{where}': expected a finite number")
     return float(value)
 
 
@@ -96,10 +100,15 @@ def load_problem_file(path) -> ProblemSpec:
     polynomial coefficient lists in ascending degree, f optionally the
     string "manufactured"; interfaces (list of {alpha, kind, lambda});
     bc {left, right}; optional exact (per-layer coefficient lists).
-    Every schema or value error is raised as ProblemFileError naming the
-    file.
+    Every read, schema or value error is raised as ProblemFileError naming
+    the file.
     """
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ProblemFileError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ProblemFileError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -157,10 +166,8 @@ def _parse_problem(doc) -> ProblemSpec:
             if "lambda" not in spec:
                 raise ProblemFileError(f"{where}: implicit kind needs 'lambda'")
             lam = _number(spec["lambda"], f"{where}.lambda")
-            d_minus = float(eval_coefficient(diffusivity[i], np.array(alpha)))
-            d_plus = float(eval_coefficient(diffusivity[i + 1], np.array(alpha)))
             try:
-                interfaces.append(InterfaceSpec.implicit(alpha, lam, d_minus, d_plus))
+                interfaces.append(InterfaceSpec.implicit(alpha, lam))
             except ValueError as exc:
                 raise ProblemFileError(f"{where}: {exc}") from exc
         else:
@@ -214,9 +221,11 @@ def _resolve_problem(problem) -> tuple[ProblemSpec, str, int]:
 
 
 def _elements_for(h0: Fraction, a: float, b: float) -> int:
-    n = (b - a) / float(h0)
+    n = (b - a) / float(h0) if h0 > 0 else 0.0
     if abs(n - round(n)) > 1e-9 * max(n, 1.0) or round(n) < 2:
-        raise ValueError(f"h0={h0} does not tile the domain ({a}, {b}) into >= 2 elements")
+        raise ProblemFileError(
+            f"h0={h0} does not tile the domain ({a}, {b}) into >= 2 elements"
+        )
     return int(round(n))
 
 
@@ -244,7 +253,7 @@ def run_convergence(
     if degree is None:
         degree = default_degree
     if spec.exact is None:
-        raise ValueError(
+        raise ProblemFileError(
             "convergence study requires an exact solution "
             "(catalog problem or problem file with 'exact')"
         )
@@ -277,13 +286,14 @@ def run_convergence(
         })
 
     hs = [row["h"] for row in rows]
-    orders = {}
-    for key in ("l2", "h1_broken", "nodal"):
+    for key, name in _ORDER_OF.items():
         errs = [row[key] for row in rows]
-        orders[key] = observed_orders(hs, errs) if len(rows) > 1 and min(errs) > 0 else []
+        # an exactly reproduced solution has zero errors and no orders
+        col = observed_orders(hs, errs) if len(rows) > 1 and min(errs) > 0 else []
+        for i, row in enumerate(rows):
+            row[name] = col[i - 1] if i > 0 and col else None
     return ConvergenceTable(
         rows=rows,
-        orders=orders,
         metadata={
             "problem": label,
             "degree": degree,
@@ -295,19 +305,8 @@ def run_convergence(
     )
 
 
-def _row_cells(table: ConvergenceTable, i: int) -> list[str]:
-    row = table.rows[i]
-    cells = [_NUM.format(row["h"])]
-    for key in ("l2", "h1_broken", "nodal"):
-        cells.append(_NUM.format(row[key]))
-    cells.append("" if row["cond"] is None else _NUM.format(row["cond"]))
-    for key in ("l2", "h1_broken", "nodal"):
-        col = table.orders.get(key, [])
-        cells.append(_NUM.format(col[i - 1]) if i > 0 and col else "")
-    return cells
-
-
-_HEADER = ["h", "l2", "h1_broken", "nodal", "cond", "order_l2", "order_h1", "order_nodal"]
+def _row_cells(row: dict) -> list[str]:
+    return ["" if row[key] is None else _NUM.format(row[key]) for key in _HEADER]
 
 
 def emit_report(table: ConvergenceTable, fmt: str) -> str:
@@ -316,26 +315,17 @@ def emit_report(table: ConvergenceTable, fmt: str) -> str:
         raise ValueError("cannot emit an empty table")
     if fmt == "csv":
         lines = [",".join(_HEADER)]
-        lines += [",".join(_row_cells(table, i)) for i in range(len(table.rows))]
+        lines += [",".join(_row_cells(row)) for row in table.rows]
         return "\n".join(lines) + "\n"
     if fmt == "markdown":
         width = 12
         def fmt_row(cells):
             return "| " + " | ".join(c.ljust(width) for c in cells) + " |"
         lines = [fmt_row(_HEADER), fmt_row(["-" * width] * len(_HEADER))]
-        lines += [fmt_row(_row_cells(table, i)) for i in range(len(table.rows))]
+        lines += [fmt_row(_row_cells(row)) for row in table.rows]
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        rows = []
-        for i, row in enumerate(table.rows):
-            entry = {
-                "h": row["h"], "l2": row["l2"], "h1_broken": row["h1_broken"],
-                "nodal": row["nodal"], "cond": row["cond"],
-            }
-            for key, name in (("l2", "order_l2"), ("h1_broken", "order_h1"), ("nodal", "order_nodal")):
-                col = table.orders.get(key, [])
-                entry[name] = col[i - 1] if i > 0 and col else None
-            rows.append(entry)
+        rows = [{key: row[key] for key in _HEADER} for row in table.rows]
         return json.dumps({"metadata": table.metadata, "rows": rows}, indent=2) + "\n"
     raise ValueError(f"unknown format '{fmt}'; valid formats: {', '.join(REPORT_FORMATS)}")
 
@@ -364,6 +354,10 @@ def main(argv=None) -> int:
 
     try:
         args = parser.parse_args(argv)
+        if args.levels < 1:
+            parser.error("argument --levels: must be at least 1")
+        if not 1 <= args.quad <= MAX_QUAD_NPTS:
+            parser.error(f"argument --quad: must be between 1 and {MAX_QUAD_NPTS}")
         h0 = Fraction(args.h0)
     except (ProblemFileError, ValueError, ZeroDivisionError) as exc:
         print(f"enrfem: error: {exc}", file=sys.stderr)
@@ -384,8 +378,12 @@ def main(argv=None) -> int:
 
     if args.out == "stdout":
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         Path(args.out).write_text(text)
+    except OSError as exc:
+        print(f"enrfem: error: {args.out}: cannot write: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     return 0
 
 

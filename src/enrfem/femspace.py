@@ -24,6 +24,7 @@ from .enrichment import EnrichmentFunction, build_enrichment, eval_enrichment
 from .mesh import Mesh1D, locate_element
 
 BC_KINDS = ("dirichlet", "neumann")
+MAX_QUAD_NPTS = 16
 
 
 @dataclass(frozen=True)
@@ -64,25 +65,6 @@ class EnrichedSpace:
         per = self.degree + 1
         base = self.n_std + per * j
         return list(range(base, base + per))
-
-    def dof_table(self) -> list[dict]:
-        """Ordered DOF descriptors: standard nodes first, then enrichment.
-
-        Standard entries carry the node coordinate and constrained flag;
-        enriched entries the interface position and their attachment node.
-        """
-        table = [
-            {"kind": "standard", "node": float(x), "constrained": i in self.constrained}
-            for i, x in enumerate(self.std_nodes)
-        ]
-        for pos, psi in enumerate(self.enrichments):
-            xl, xr = psi.x_left, psi.x_right
-            attach = [xl, xr] if self.degree == 1 else [xl, 0.5 * (xl + xr), xr]
-            table.extend(
-                {"kind": "enriched", "interface": pos, "attach": node, "constrained": False}
-                for node in attach
-            )
-        return table
 
 
 def build_space(
@@ -232,8 +214,8 @@ def quadrature_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
 
     The arrays are computed once per size and are read-only.
     """
-    if not 1 <= npts <= 16:
-        raise ValueError("quadrature size must be between 1 and 16")
+    if not 1 <= npts <= MAX_QUAD_NPTS:
+        raise ValueError(f"quadrature size must be between 1 and {MAX_QUAD_NPTS}")
     return _gauss_legendre(npts)
 
 

@@ -34,7 +34,6 @@ class Mesh1D:
 
     nodes: np.ndarray
     interface_hits: tuple[InterfaceHit, ...]
-    h_max: float
 
     @property
     def a(self) -> float:
@@ -93,11 +92,7 @@ def mesh_from_nodes(nodes, interfaces=()) -> Mesh1D:
         by_element[hit.element] = hit.alpha
 
     hits.sort(key=lambda h: h.alpha)
-    mesh = Mesh1D(
-        nodes=nodes,
-        interface_hits=tuple(hits),
-        h_max=float(np.max(np.diff(nodes))),
-    )
+    mesh = Mesh1D(nodes=nodes, interface_hits=tuple(hits))
     mesh.nodes.flags.writeable = False
     return mesh
 

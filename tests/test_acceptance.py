@@ -46,7 +46,7 @@ def studies():
     data = {}
     for pid in (1, 2, 3, 4, 5, 6):
         entry = catalog_problem(pid)
-        problem, exact, degree = entry.problem, entry.exact, entry.degree
+        problem, exact, degree = entry.problem, entry.problem.exact, entry.degree
         alphas = [s.alpha for s in problem.interfaces]
         rows = []
         start = time.perf_counter()

@@ -14,7 +14,7 @@ from enrfem.analysis import (
     interpolate_enriched,
     observed_orders,
 )
-from enrfem.assembly import space_for_problem
+from enrfem.assembly import InterfaceSpec, space_for_problem
 from enrfem.bench import catalog_problem
 from enrfem.femspace import build_space
 from enrfem.mesh import build_mesh
@@ -42,7 +42,7 @@ def test_interpolation_reproduces_global_linear():
 def test_interpolation_rejected_on_quadratic_space():
     entry, space = _p1_space(1, 8, degree=2)
     with pytest.raises(ValueError, match="degree 1"):
-        interpolate_enriched(entry.exact, space)
+        interpolate_enriched(entry.problem.exact, space)
 
 
 def test_exact_breakpoints_must_be_the_space_cuts():
@@ -60,7 +60,7 @@ def test_exact_breakpoints_must_be_the_space_cuts():
 def test_interpolation_jump_correction_value():
     """delta = -[u]/(alpha - x_{k+1}) = (1/196830)/(1/72) = 72/196830."""
     entry, space = _p1_space(1, 8)
-    coeffs = interpolate_enriched(entry.exact, space)
+    coeffs = interpolate_enriched(entry.problem.exact, space)
     delta = 72.0 / 196830.0
     assert delta == pytest.approx(3.658e-4, rel=1e-3)
 
@@ -79,8 +79,8 @@ def test_interpolation_error_halves_in_h1():
     errors = []
     for n in (64, 128):
         _, space = _p1_space(1, n)
-        coeffs = interpolate_enriched(entry.exact, space)
-        report = compute_errors(entry.exact, space, coeffs, 12, [1 / 3])
+        coeffs = interpolate_enriched(entry.problem.exact, space)
+        report = compute_errors(entry.problem.exact, space, coeffs, 12, [1 / 3])
         errors.append(report.h1_broken)
     assert errors[0] / errors[1] == pytest.approx(2.0, abs=0.2)
 
@@ -110,15 +110,15 @@ def test_error_norms_of_linear_difference():
 
 def test_problem1_level_two_errors():
     entry, _, space, system, coeffs = solve_benchmark(1, 16)
-    report = compute_errors(entry.exact, space, coeffs, 12, system.constrained_values)
+    report = compute_errors(entry.problem.exact, space, coeffs, 12, system.constrained_values)
     assert report.l2 == pytest.approx(3.40683e-04, rel=0.05)
     assert report.h1_broken == pytest.approx(3.24574e-02, rel=0.05)
 
 
 def test_error_quadrature_stability():
     entry, _, space, system, coeffs = solve_benchmark(2, 16)
-    r8 = compute_errors(entry.exact, space, coeffs, 8, system.constrained_values)
-    r12 = compute_errors(entry.exact, space, coeffs, 12, system.constrained_values)
+    r8 = compute_errors(entry.problem.exact, space, coeffs, 8, system.constrained_values)
+    r12 = compute_errors(entry.problem.exact, space, coeffs, 12, system.constrained_values)
     assert r8.l2 == pytest.approx(r12.l2, rel=1e-10)
     assert r8.h1_broken == pytest.approx(r12.h1_broken, rel=1e-10)
 
@@ -130,9 +130,9 @@ def test_error_report_rejects_negative_entries():
 
 def test_cea_bound_single_level():
     entry, _, space, system, coeffs = solve_benchmark(1, 32)
-    fem = compute_errors(entry.exact, space, coeffs, 12, system.constrained_values)
+    fem = compute_errors(entry.problem.exact, space, coeffs, 12, system.constrained_values)
     interp = compute_errors(
-        entry.exact, space, interpolate_enriched(entry.exact, space), 12,
+        entry.problem.exact, space, interpolate_enriched(entry.problem.exact, space), 12,
         system.constrained_values,
     )
     rho = coefficient_contrast(entry.problem)
@@ -170,7 +170,7 @@ def test_contrast_uniform_coefficient():
     uniform = dataclasses.replace(
         problem,
         diffusivity=(Polynomial([1.0]), Polynomial([1.0])),
-        interfaces=problem.interfaces,
+        interfaces=(InterfaceSpec.continuous(problem.interfaces[0].alpha),),
     )
     assert coefficient_contrast(uniform) == pytest.approx(1.0, abs=1e-15)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,6 @@ from enrfem.assembly import (
     ProblemSpec,
     assemble_system,
     condition_number,
-    min_real_eigenvalue,
     solve_system,
     space_for_problem,
 )
@@ -110,7 +110,7 @@ def test_constant_patch_residual(pid):
 
 def test_problem1_coarse_l2_error():
     entry, _, space, system, coeffs = solve_benchmark(1, 8)
-    report = compute_errors(entry.exact, space, coeffs, 12, system.constrained_values)
+    report = compute_errors(entry.problem.exact, space, coeffs, 12, system.constrained_values)
     assert report.l2 == pytest.approx(1.43943e-03, rel=0.10)
 
 
@@ -185,11 +185,11 @@ def test_coarse_quadrature_warns():
 
 
 def test_nonzero_neumann_rejected():
-    problem = dataclasses.replace(_poisson_problem(), bc_left=BoundaryCondition.neumann(1.0))
-    mesh = build_mesh(0.0, 1.0, 8)
-    space = space_for_problem(problem, mesh, 1)
-    with pytest.raises(ValueError, match="Neumann"):
-        assemble_system(problem, space, 6)
+    with pytest.raises(ValueError, match="nonzero Neumann flux"):
+        BoundaryCondition.neumann(1.0)
+    with pytest.raises(ValueError, match="nonzero Neumann flux"):
+        BoundaryCondition("neumann", -0.5)
+    assert BoundaryCondition.neumann(0.0).value == 0.0
 
 
 def test_space_problem_mismatch_rejected():
@@ -198,12 +198,6 @@ def test_space_problem_mismatch_rejected():
     space = space_for_problem(entry.problem, mesh, 1)
     with pytest.raises(ValueError, match="mesh and interfaces"):
         assemble_system(_poisson_problem(), space, 6)
-
-
-def test_min_real_eigenvalue_reported():
-    _, _, _, system, _ = solve_benchmark(1, 16)
-    value = min_real_eigenvalue(system.matrix)
-    assert np.isfinite(value)
 
 
 def test_permuted_mesh_interfaces_assemble_identically():
@@ -296,8 +290,8 @@ def test_batched_quadrature_matches_per_element_reference(pid, n):
     ):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-    report = compute_errors(entry.exact, space, coeffs, 12, system.constrained_values)
-    reference = reference_errors(entry.exact, space, coeffs, 12, system.constrained_values)
+    report = compute_errors(entry.problem.exact, space, coeffs, 12, system.constrained_values)
+    reference = reference_errors(entry.problem.exact, space, coeffs, 12, system.constrained_values)
     for name in ("l2", "h1_broken", "nodal_max"):
         got, want = np.float64(getattr(report, name)), np.float64(getattr(reference, name))
         assert got.tobytes() == want.tobytes(), name
@@ -312,7 +306,7 @@ def test_assemble_and_solve_stay_linear_in_memory():
     try:
         system = assemble_system(entry.problem, space, 6)
         coeffs = solve_system(system)
-        compute_errors(entry.exact, space, coeffs, 12, system.constrained_values)
+        compute_errors(entry.problem.exact, space, coeffs, 12, system.constrained_values)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -381,5 +375,37 @@ def test_problem_validation():
         )
     with pytest.raises(ValueError, match="lam > 0"):
         InterfaceSpec(alpha=0.5, kind="implicit", lam=0.0)
-    with pytest.raises(ValueError, match="lam = gamma = 0"):
+    with pytest.raises(ValueError, match="lam = 0"):
         InterfaceSpec(alpha=0.5, kind="continuous", lam=1.0)
+
+
+def test_gammas_derived_from_the_problems_diffusivities():
+    """A bare implicit interface takes gamma from D at alpha: the catalog's system, bit for bit."""
+    entry = catalog_problem(1)
+    rebuilt = dataclasses.replace(
+        entry.problem, interfaces=(InterfaceSpec(alpha=1 / 9, kind="implicit", lam=1 / 243),)
+    )
+    assert rebuilt.gammas == entry.problem.gammas
+    assert rebuilt.gammas[0] == pytest.approx(-1 / 63, rel=1e-12)
+    mesh = build_mesh(0.0, 1.0, 16, [1 / 9])
+    systems = [assemble_system(p, space_for_problem(p, mesh, 1)) for p in (entry.problem, rebuilt)]
+    for name in ("band", "border_cols", "border_rows", "rhs"):
+        assert getattr(systems[0], name).tobytes() == getattr(systems[1], name).tobytes()
+    assert _poisson_problem().gammas == ()
+    assert catalog_problem(2).problem.gammas == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("d_plus, message", [
+    (1.0, "interfaces[0]: diffusivity is continuous across the interface"),
+    (-1.0, "interfaces[0]: diffusivity limits must be positive"),
+])
+def test_implicit_interface_needs_distinct_positive_diffusivities(d_plus, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ProblemSpec(
+            domain=(0.0, 1.0),
+            diffusivity=(_const(1.0), _const(d_plus)),
+            conv_delta=(_const(0.0),) * 2,
+            reaction=(_const(0.0),) * 2,
+            source=(_const(0.0),) * 2,
+            interfaces=(InterfaceSpec.implicit(0.5, 0.1),),
+        )

@@ -16,7 +16,7 @@ def test_wall_constants_problem1():
     assert d1 == pytest.approx(1.35, rel=1e-14)
     assert delta1 == pytest.approx(12.15, rel=1e-14)
     assert entry.problem.interfaces[0].lam == pytest.approx(1 / 243, rel=1e-14)
-    assert entry.problem.interfaces[0].gamma == pytest.approx(-1 / 63, rel=1e-12)
+    assert entry.problem.gammas[0] == pytest.approx(-1 / 63, rel=1e-12)
     assert entry.problem.bc_right.value == pytest.approx(1 / 3, rel=1e-15)
 
 
@@ -56,7 +56,7 @@ def test_quadratic_problems_share_specs():
 
 
 def test_exact_continuity_at_continuous_interfaces():
-    exact = catalog_problem(2).exact
+    exact = catalog_problem(2).problem.exact
     (v1, _), (v2, _), (v3, _) = exact.branches
     assert abs(float(v1(1 / 3)) - float(v2(1 / 3))) <= 1e-15
     assert float(v1(1 / 3)) == pytest.approx(1 / 243, rel=1e-14)
@@ -67,7 +67,7 @@ def test_exact_continuity_at_continuous_interfaces():
 def test_implicit_jump_identity():
     """[u] = 1/19683 - 1/21870 = 1/196830 = lam * D0 * u'(alpha-)."""
     entry = catalog_problem(1)
-    (v0, d0), (v1, _) = entry.exact.branches
+    (v0, d0), (v1, _) = entry.problem.exact.branches
     alpha = 1 / 9
     jump = float(v1(alpha)) - float(v0(alpha))
     assert jump == pytest.approx(1 / 19683 - 1 / 21870, rel=1e-14)
@@ -79,7 +79,7 @@ def test_implicit_jump_identity():
 @pytest.mark.parametrize("pid", [1, 2, 3])
 def test_flux_continuity_at_interfaces(pid):
     entry = catalog_problem(pid)
-    problem, exact = entry.problem, entry.exact
+    problem, exact = entry.problem, entry.problem.exact
     for j, spec in enumerate(problem.interfaces):
         vl, dl = exact.branches[j]
         vr, dr = exact.branches[j + 1]
@@ -119,7 +119,7 @@ def test_manufactured_requires_polynomials():
 def test_source_satisfies_strong_equation(pid):
     """f agrees with (-D u' + 2 delta u)' + w u at 50 points per layer."""
     entry = catalog_problem(pid)
-    problem, exact = entry.problem, entry.exact
+    problem, exact = entry.problem, entry.problem.exact
     breaks = [0.0] + list(problem.breakpoints) + [1.0]
     for i, (value, deriv) in enumerate(exact.branches):
         xs = np.linspace(breaks[i], breaks[i + 1], 52)[1:-1]
@@ -136,7 +136,7 @@ def test_source_satisfies_strong_equation(pid):
 def test_source_against_finite_difference_oracle(pid):
     """Second-order central differences of the strong operator confirm f."""
     entry = catalog_problem(pid)
-    problem, exact = entry.problem, entry.exact
+    problem, exact = entry.problem, entry.problem.exact
     eps = 1e-4
     breaks = [0.0] + list(problem.breakpoints) + [1.0]
     for i, (value, _) in enumerate(exact.branches):

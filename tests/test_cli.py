@@ -1,6 +1,9 @@
 import json
+import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,7 @@ from enrfem.cli import (
 )
 
 CSV_HEADER = "h,l2,h1_broken,nodal,cond,order_l2,order_h1,order_nodal"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _problem1_file(tmp_path, **overrides):
@@ -37,8 +41,8 @@ def test_run_convergence_table_shape():
     table = run_convergence(1, 1, "1/8", 2, with_cond=True)
     assert len(table.rows) == 2
     assert table.rows[0]["h"] == 1 / 8 and table.rows[1]["h"] == 1 / 16
-    for key in ("l2", "h1_broken", "nodal"):
-        assert len(table.orders[key]) == 1
+    for name in ("order_l2", "order_h1", "order_nodal"):
+        assert table.rows[0][name] is None and table.rows[1][name] is not None
     assert table.rows[0]["cond"] > 1
     assert table.metadata["degree"] == 1
     assert table.metadata["problem"] == "1"
@@ -52,7 +56,7 @@ def test_interface_node_collision_names_level():
 def test_quadratic_elements_on_linear_benchmark():
     """Degree 2 on the continuous-solution benchmark trends to third order."""
     table = run_convergence(2, 2, "1/8", 4)
-    assert table.orders["l2"][-1] == pytest.approx(3.0, abs=0.25)
+    assert table.rows[-1]["order_l2"] == pytest.approx(3.0, abs=0.25)
 
 
 def test_exact_solution_required():
@@ -87,8 +91,8 @@ def test_json_round_trip_is_bit_exact():
     for i, row in enumerate(table.rows):
         for key in ("h", "l2", "h1_broken", "nodal", "cond"):
             assert doc["rows"][i][key] == row[key]
-    for i, order in enumerate(table.orders["l2"]):
-        assert doc["rows"][i + 1]["order_l2"] == order
+    for i, row in enumerate(table.rows):
+        assert doc["rows"][i]["order_l2"] == row["order_l2"]
     assert doc["metadata"]["version"] == table.metadata["version"]
 
 
@@ -110,6 +114,18 @@ def test_unknown_format_rejected():
 def test_empty_table_rejected():
     with pytest.raises(ValueError, match="empty"):
         emit_report(ConvergenceTable(), "csv")
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("p1-levels3-cond", ["--problem", "1", "--levels", "3", "--cond"]),
+    ("p4-levels2", ["--problem", "4", "--levels", "2"]),
+])
+@pytest.mark.parametrize("fmt, ext", [("csv", "csv"), ("markdown", "md"), ("json", "json")])
+def test_report_bytes_match_golden(capsys, name, argv, fmt, ext):
+    """Reports are byte-identical to the committed ones (json without its timestamp)."""
+    assert main(argv + ["--format", fmt]) == 0
+    text = re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', capsys.readouterr().out)
+    assert text == (GOLDEN / f"{name}.{ext}").read_text()
 
 
 def test_reports_are_deterministic():
@@ -203,11 +219,21 @@ def _layers_with_d(d_right):
      "field 'layers[0].D[0]': expected a number"),
     ({"bc": {"left": {"neumann": 0.0}, "right": {"dirichlet": False}}},
      "field 'bc.right.dirichlet': expected a number"),
+    ({"bc": {"left": {"neumann": 0.0}, "right": {"dirichlet": math.nan}}},
+     "field 'bc.right.dirichlet': expected a finite number"),
+    ({"layers": [{"D": [math.inf], "delta_conv": [0.0], "w": [0.0], "f": "manufactured"},
+                 _layers_with_d(1.35)[1]]},
+     "field 'layers[0].D[0]': expected a finite number"),
+    ({"interfaces": _implicit_interface(**{"lambda": math.inf})},
+     "field 'interfaces[0].lambda': expected a finite number"),
+    ({"bc": {"left": {"neumann": 2.0}, "right": {"dirichlet": 1 / 3}}},
+     "nonzero Neumann flux is not implemented"),
 ], ids=[
     "no-alpha", "interfaces-not-list", "bc-not-object", "layer-string", "alpha-string",
     "lambda-string", "lambda-negative", "implicit-equal-d", "implicit-negative-d",
     "interface-not-object", "exact-not-list", "coefficients-not-numbers",
-    "domain-not-numbers", "coefficient-boolean", "bc-value-boolean",
+    "domain-not-numbers", "coefficient-boolean", "bc-value-boolean", "bc-value-nan",
+    "coefficient-infinite", "lambda-infinite", "neumann-nonzero",
 ])
 def test_problem_file_type_and_value_errors_exit_1(tmp_path, capsys, overrides, message):
     path = _problem1_file(tmp_path, **overrides)
@@ -228,6 +254,60 @@ def test_main_usage_errors(capsys):
     assert main(["--problem", "1", "--h0", "not-a-number"]) == 1
     assert main(["--problem", "9", "--levels", "1"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--levels", "0"], "argument --levels: must be at least 1"),
+    (["--levels", "-1"], "argument --levels: must be at least 1"),
+    (["--quad", "0"], "argument --quad: must be between 1 and 16"),
+    (["--quad", "17"], "argument --quad: must be between 1 and 16"),
+    (["--h0", "2/7"], "h0=2/7 does not tile the domain"),
+    (["--h0", "0"], "h0=0 does not tile the domain"),
+    (["--h0=-1/8"], "h0=-1/8 does not tile the domain"),
+])
+def test_out_of_range_arguments_exit_1(capsys, argv, message):
+    assert main(["--problem", "1", "--levels", "1"] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"enrfem: error: {message}")
+    assert "Traceback" not in err
+
+
+def test_problem_file_without_exact_exits_1(tmp_path, capsys):
+    path = _problem1_file(tmp_path, exact=None)
+    doc = json.loads(path.read_text())
+    doc["layers"][0]["f"], doc["layers"][1]["f"] = [0.0, -0.2], [0.0, 0.0, -5.4, 32.4]
+    path.write_text(json.dumps(doc))
+    assert main(["--problem", str(path), "--levels", "1"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "enrfem: error: convergence study requires an exact solution"
+    )
+
+
+def test_unreadable_problem_file_exits_1(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["--problem", str(missing), "--levels", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"enrfem: error: {missing}: cannot read: No such file or directory\n"
+
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"domain": "\xe9"}')
+    assert main(["--problem", str(latin1), "--levels", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"enrfem: error: {latin1}: not UTF-8 text: 'utf-8' codec")
+    assert "Traceback" not in err
+
+
+def test_unwritable_output_exits_1(tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "table.csv"
+    assert main(["--problem", "1", "--levels", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"enrfem: error: {out}: cannot write: No such file or directory\n"
+    assert not out.exists()
+
+
+def test_interface_on_a_node_is_a_numerical_failure(capsys):
+    assert main(["--problem", "1", "--h0", "1/9", "--levels", "1"]) == 2
+    assert capsys.readouterr().err.startswith("enrfem: numerical failure: level 0 (n=9)")
 
 
 def test_main_numerical_failure(tmp_path):
@@ -289,7 +369,7 @@ def test_exactly_reproduced_solution_emits_blank_orders(tmp_path):
         exact=[[0.0], [0.0]],
     )
     table = run_convergence(str(path), 1, "1/8", 2)
-    assert table.orders["l2"] == []
+    assert all(row["order_l2"] is None for row in table.rows)
     text = emit_report(table, "csv")
     assert len(text.strip().split("\n")) == 3
 
@@ -323,8 +403,8 @@ def _variable_coefficient_file(tmp_path):
 
 def test_variable_coefficients_converge_second_order(tmp_path):
     table = run_convergence(str(_variable_coefficient_file(tmp_path)), 1, "1/8", 4)
-    assert table.orders["l2"][-1] == pytest.approx(2.0, abs=0.15)
-    assert table.orders["h1_broken"][-1] == pytest.approx(1.0, abs=0.15)
+    assert table.rows[-1]["order_l2"] == pytest.approx(2.0, abs=0.15)
+    assert table.rows[-1]["order_h1"] == pytest.approx(1.0, abs=0.15)
 
 
 def test_variable_coefficients_exact_in_quadratic_space(tmp_path):

@@ -104,17 +104,6 @@ def test_dof_ordering_standard_then_enrichment():
     assert space.element_enriched_dofs(2) == [11, 12]
 
 
-def test_dof_table_descriptors():
-    space = _space(degree=1, interfaces=(1 / 9,), bc=("neumann", "dirichlet"))
-    table = space.dof_table()
-    assert len(table) == space.n_dofs
-    assert [row["kind"] for row in table] == ["standard"] * 9 + ["enriched"] * 2
-    assert [row["constrained"] for row in table].count(True) == 1
-    assert table[8]["constrained"] and table[8]["node"] == 1.0
-    assert table[9]["attach"] == 0.0 and table[10]["attach"] == 1 / 8
-    assert table[9]["interface"] == 0
-
-
 def test_partition_of_unity():
     rng = np.random.default_rng(3)
     for degree in (1, 2):

@@ -7,7 +7,6 @@ from enrfem.mesh import build_mesh, locate_element, mesh_from_nodes
 def test_single_interface_element_located():
     mesh = build_mesh(0.0, 1.0, 8, [1 / 9])
     assert mesh.n_elements == 8
-    assert mesh.h_max == 1 / 8
     hit = mesh.interface_hits[0]
     assert hit.element == 0
     assert mesh.nodes[hit.element] < hit.alpha < mesh.nodes[hit.element + 1]
@@ -59,11 +58,8 @@ def test_locate_element_conventions():
         locate_element(mesh, -0.1)
 
 
-def test_h_max_reconstructed_from_nodes():
-    mesh = build_mesh(-2.0, 3.0, 13, [0.17])
-    assert mesh.h_max == np.max(np.diff(mesh.nodes))
+def test_interface_located_on_irregular_mesh():
     irregular = mesh_from_nodes([0.0, 0.1, 0.35, 0.5, 1.0], [0.2])
-    assert irregular.h_max == 0.5
     assert tuple(h.element for h in irregular.interface_hits) == (1,)
 
 
