@@ -15,10 +15,16 @@ from .enrichment import (
     eval_enrichment,
     gamma_from_lambda,
 )
-from .femspace import EnrichedSpace, build_space, eval_basis, eval_function, quadrature_rule
+from .femspace import (
+    BoundaryCondition,
+    EnrichedSpace,
+    build_space,
+    eval_basis,
+    eval_function,
+    quadrature_rule,
+)
 from .assembly import (
     AssembledSystem,
-    BoundaryCondition,
     InterfaceSpec,
     ProblemSpec,
     assemble_system,
@@ -35,4 +41,3 @@ from .analysis import (
     observed_orders,
 )
 from .bench import BenchmarkProblem, catalog_problem, manufactured_rhs
-from .cli import ConvergenceTable, emit_report, run_convergence

@@ -20,6 +20,7 @@ import numpy as np
 from .assembly import ProblemSpec, eval_coefficient
 from .femspace import EnrichedSpace, full_coefficients, quadrature_pieces, standard_basis
 
+ERROR_QUAD_NPTS = 12  # error norms need a finer rule than assembly
 _CONTRAST_SAMPLES = 101
 
 
@@ -127,16 +128,16 @@ def compute_errors(
     exact: ExactSolution,
     space: EnrichedSpace,
     coeffs,
-    quad_npts: int = 12,
-    constrained_values=None,
+    quad_npts: int = ERROR_QUAD_NPTS,
 ) -> ErrorReport:
     """L2 / broken-H1 / nodal errors of the discrete function vs ``exact``.
 
-    Branch j of ``exact`` is integrated over layer j of the space; raises
-    unless ``exact`` breaks at the space's cuts.
+    ``coeffs`` are the free DOFs; the constrained ones take the space's
+    Dirichlet values.  Branch j of ``exact`` is integrated over layer j of
+    the space; raises unless ``exact`` breaks at the space's cuts.
     """
     _check_breakpoints(exact, space)
-    full = full_coefficients(space, coeffs, constrained_values)
+    full = full_coefficients(space, coeffs)
 
     l2_terms, h1_terms = [], []  # per piece, in element order
     for batch in quadrature_pieces(space, quad_npts):

@@ -27,7 +27,13 @@ import numpy as np
 import scipy.linalg
 
 from .enrichment import gamma_from_lambda
-from .femspace import EnrichedSpace, build_space, element_basis, quadrature_pieces
+from .femspace import (
+    BoundaryCondition,
+    EnrichedSpace,
+    build_space,
+    element_basis,
+    quadrature_pieces,
+)
 from .mesh import Mesh1D
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -36,28 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover
 SOLVER_RESIDUAL_RTOL = 1e-10
 SINGULAR_PIVOT_RTOL = 1e-14
 _COEFF_SAMPLES = 33
-
-
-@dataclass(frozen=True)
-class BoundaryCondition:
-    """Dirichlet(value) or Neumann(flux value; only zero flux is implemented)."""
-
-    kind: str
-    value: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("dirichlet", "neumann"):
-            raise ValueError("boundary condition kind must be 'dirichlet' or 'neumann'")
-        if self.kind == "neumann" and self.value != 0.0:
-            raise ValueError("nonzero Neumann flux is not implemented")
-
-    @staticmethod
-    def dirichlet(value: float) -> "BoundaryCondition":
-        return BoundaryCondition("dirichlet", float(value))
-
-    @staticmethod
-    def neumann(value: float = 0.0) -> "BoundaryCondition":
-        return BoundaryCondition("neumann", float(value))
 
 
 @dataclass(frozen=True)
@@ -192,7 +176,6 @@ class AssembledSystem:
     border_rows: np.ndarray
     rhs: np.ndarray
     space: EnrichedSpace
-    constrained_values: np.ndarray
 
     @property
     def n_std(self) -> int:
@@ -230,13 +213,13 @@ def _band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def space_for_problem(problem: ProblemSpec, mesh: Mesh1D, degree: int) -> EnrichedSpace:
-    """The enriched space on ``mesh`` with the problem's gammas and boundary kinds."""
+    """The enriched space on ``mesh`` with the problem's gammas and boundary conditions."""
     mesh_alphas = tuple(hit.alpha for hit in mesh.interface_hits)
     if mesh_alphas != problem.breakpoints:
         raise ValueError(
             f"mesh interfaces {mesh_alphas} are not the problem's {problem.breakpoints}"
         )
-    return build_space(mesh, degree, problem.gammas, problem.bc_left.kind, problem.bc_right.kind)
+    return build_space(mesh, degree, problem.gammas, problem.bc_left, problem.bc_right)
 
 
 def assemble_system(problem: ProblemSpec, space: EnrichedSpace, quad_npts: int = 6) -> AssembledSystem:
@@ -244,8 +227,8 @@ def assemble_system(problem: ProblemSpec, space: EnrichedSpace, quad_npts: int =
 
     A_ij = int (D u_j' - 2 delta u_j) u_i' + int w u_j u_i
            + sum_implicit [u_j][u_i]/lam,  b_i = int f u_i, followed by the
-    Dirichlet lift.  Raises if the space's interfaces do not match the
-    problem's.
+    lift of the space's Dirichlet values.  Raises if the space's
+    interfaces do not match the problem's.
     """
     if tuple(psi.alpha for psi in space.enrichments) != problem.breakpoints:
         raise ValueError("space was not built from this problem's mesh and interfaces")
@@ -291,22 +274,13 @@ def assemble_system(problem: ProblemSpec, space: EnrichedSpace, quad_npts: int =
         np.concatenate([load.ravel() for _, load in loads]),
     )
     band, border_cols, border_rows, lift = _scatter(space, blocks)
-    constrained_values = np.array(
-        [
-            (problem.bc_left if dof == 0 else problem.bc_right).value
-            for dof in space.constrained
-        ]
-    )
-    rhs = b[space.free_index >= 0]
-    if len(space.constrained):
-        rhs = rhs - lift @ constrained_values
+    rhs = b[space.free_index >= 0] - lift @ space.dirichlet_values
     return AssembledSystem(
         band=band,
         border_cols=border_cols,
         border_rows=border_rows,
         rhs=rhs,
         space=space,
-        constrained_values=constrained_values,
     )
 
 

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from numpy.polynomial import Polynomial
 
 from .analysis import ExactSolution
-from .assembly import BoundaryCondition, InterfaceSpec, ProblemSpec
+from .assembly import InterfaceSpec, ProblemSpec
+from .femspace import BoundaryCondition
 
 
 @dataclass(frozen=True)

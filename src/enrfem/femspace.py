@@ -23,8 +23,29 @@ import numpy as np
 from .enrichment import EnrichmentFunction, build_enrichment, eval_enrichment
 from .mesh import Mesh1D, locate_element
 
-BC_KINDS = ("dirichlet", "neumann")
 MAX_QUAD_NPTS = 16
+
+
+@dataclass(frozen=True)
+class BoundaryCondition:
+    """Dirichlet(value) or Neumann(flux value; only zero flux is implemented)."""
+
+    kind: str
+    value: float = 0.0
+
+    def __post_init__(self):
+        if self.kind not in ("dirichlet", "neumann"):
+            raise ValueError("boundary condition kind must be 'dirichlet' or 'neumann'")
+        if self.kind == "neumann" and self.value != 0.0:
+            raise ValueError("nonzero Neumann flux is not implemented")
+
+    @staticmethod
+    def dirichlet(value: float) -> "BoundaryCondition":
+        return BoundaryCondition("dirichlet", float(value))
+
+    @staticmethod
+    def neumann(value: float = 0.0) -> "BoundaryCondition":
+        return BoundaryCondition("neumann", float(value))
 
 
 @dataclass(frozen=True)
@@ -35,7 +56,8 @@ class EnrichedSpace:
     and ``cut_of[k]`` the cut on element k (-1 if uncut).  ``std_nodes``
     holds the coordinates of the standard DOFs (element endpoints, plus
     midpoints for degree 2).  ``constrained`` lists the global indices of
-    Dirichlet-constrained standard DOFs; all enrichment DOFs are free.
+    Dirichlet-constrained standard DOFs, and ``dirichlet_values`` (read-only)
+    the Dirichlet value each one takes; all enrichment DOFs are free.
     ``free_index`` maps global DOF -> position in the free-DOF vector
     (-1 if constrained).
     """
@@ -46,6 +68,7 @@ class EnrichedSpace:
     cut_of: np.ndarray
     std_nodes: np.ndarray
     constrained: tuple[int, ...]
+    dirichlet_values: np.ndarray
     free_index: np.ndarray
     n_dofs: int
     n_free: int
@@ -71,20 +94,18 @@ def build_space(
     mesh: Mesh1D,
     degree: int,
     gammas,
-    bc_left: str,
-    bc_right: str,
+    bc_left: BoundaryCondition,
+    bc_right: BoundaryCondition,
 ) -> EnrichedSpace:
     """Enumerate DOFs and build the cut table for the enriched space on ``mesh``.
 
     ``gammas`` holds one jump parameter per mesh cut, in position order;
     psi is built on each cut element of ``mesh.interface_hits``.
-    Dirichlet ends constrain the boundary standard DOF; Neumann ends are
-    natural (free).
+    A Dirichlet end fixes the boundary standard DOF to its value; a
+    Neumann end is natural (free).
     """
     if degree not in (1, 2):
         raise ValueError("degree must be 1 or 2")
-    if bc_left not in BC_KINDS or bc_right not in BC_KINDS:
-        raise ValueError(f"boundary condition kinds must be one of {BC_KINDS}")
     gammas = tuple(gammas)
     if len(gammas) != len(mesh.interface_hits):
         raise ValueError(
@@ -108,11 +129,9 @@ def build_space(
         std_nodes[0::2] = mesh.nodes
         std_nodes[1::2] = mids
 
-    constrained = []
-    if bc_left == "dirichlet":
-        constrained.append(0)
-    if bc_right == "dirichlet":
-        constrained.append(len(std_nodes) - 1)
+    ends = ((0, bc_left), (len(std_nodes) - 1, bc_right))
+    constrained = [dof for dof, bc in ends if bc.kind == "dirichlet"]
+    dirichlet_values = np.array([bc.value for _, bc in ends if bc.kind == "dirichlet"])
 
     n_dofs = len(std_nodes) + (degree + 1) * len(enrichments)
     free_index = np.full(n_dofs, -1, dtype=int)
@@ -127,11 +146,12 @@ def build_space(
         cut_of=cut_of,
         std_nodes=std_nodes,
         constrained=tuple(constrained),
+        dirichlet_values=dirichlet_values,
         free_index=free_index,
         n_dofs=n_dofs,
         n_free=int(mask.sum()),
     )
-    for table in (space.cut_of, space.std_nodes, space.free_index):
+    for table in (space.cut_of, space.std_nodes, space.dirichlet_values, space.free_index):
         table.flags.writeable = False
     return space
 
@@ -278,31 +298,22 @@ def eval_basis(space: EnrichedSpace, x: float, side: str = "left"):
     return [(int(i), float(v[0]), float(d[0])) for i, v, d in zip(idx, vals, ders)]
 
 
-def full_coefficients(space: EnrichedSpace, coeffs, constrained_values=None) -> np.ndarray:
-    """Expand a free-DOF vector to the full DOF table (Dirichlet lift)."""
+def full_coefficients(space: EnrichedSpace, coeffs) -> np.ndarray:
+    """Expand a free-DOF vector to the full DOF table with the space's Dirichlet values."""
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (space.n_free,):
         raise ValueError(f"expected {space.n_free} free coefficients, got {coeffs.shape}")
-    if constrained_values is None:
-        constrained_values = np.zeros(len(space.constrained))
-    constrained_values = np.asarray(constrained_values, dtype=float)
-    if constrained_values.shape != (len(space.constrained),):
-        raise ValueError(
-            f"expected {len(space.constrained)} constrained values, "
-            f"got {constrained_values.shape}"
-        )
     full = np.empty(space.n_dofs)
     full[space.free_index >= 0] = coeffs[space.free_index[space.free_index >= 0]]
-    for i, dof in enumerate(space.constrained):
-        full[dof] = constrained_values[i]
+    full[list(space.constrained)] = space.dirichlet_values
     return full
 
 
 def eval_function(
-    space: EnrichedSpace, coeffs, x: float, side: str = "left", constrained_values=None
+    space: EnrichedSpace, coeffs, x: float, side: str = "left"
 ) -> tuple[float, float]:
     """Value and derivative at x of the function with the given free DOFs."""
-    full = full_coefficients(space, coeffs, constrained_values)
+    full = full_coefficients(space, coeffs)
     k = locate_element(space.mesh, x)
     idx, vals, ders = element_basis(space, k, np.array([x]), side)
     c = full[idx]

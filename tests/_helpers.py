@@ -142,9 +142,9 @@ def reference_assembly(problem, space, quad_npts):
     return band, matrix[:ns, ns:], matrix[ns:], rhs
 
 
-def reference_errors(exact, space, coeffs, quad_npts, constrained_values=None):
+def reference_errors(exact, space, coeffs, quad_npts):
     """ErrorReport summed piece by piece, with the nodal error node by node."""
-    full = full_coefficients(space, coeffs, constrained_values)
+    full = full_coefficients(space, coeffs)
     l2_sq = 0.0
     h1_sq = 0.0
     for layer, xs, wq, dofs, vals, ders in reference_pieces(space, quad_npts):

@@ -56,7 +56,7 @@ def studies():
             space = space_for_problem(problem, mesh, degree)
             system = assemble_system(problem, space, 6)
             coeffs = solve_system(system)
-            report = compute_errors(exact, space, coeffs, 12, system.constrained_values)
+            report = compute_errors(exact, space, coeffs, 12)
             row = {
                 "h": 1.0 / n,
                 "l2": report.l2,
@@ -70,7 +70,7 @@ def studies():
             }
             if degree == 1:
                 interp = interpolate_enriched(exact, space)
-                irep = compute_errors(exact, space, interp, 12, system.constrained_values)
+                irep = compute_errors(exact, space, interp, 12)
                 row["interp_l2"] = irep.l2
                 row["interp_h1"] = irep.h1_broken
             rows.append(row)
@@ -272,7 +272,7 @@ def test_criterion_08_patch_test(pid):
         space = space_for_problem(problem, mesh, degree)
         system = assemble_system(problem, space, 6)
         coeffs = solve_system(system)
-        report = compute_errors(exact, space, coeffs, 12, system.constrained_values)
+        report = compute_errors(exact, space, coeffs, 12)
         worst = max(worst, report.l2, report.h1_broken, report.nodal_max)
         expected = constant_coefficient_vector(space, c)
         assert coeffs == pytest.approx(expected, abs=1e-11)

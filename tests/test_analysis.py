@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -16,7 +17,8 @@ from enrfem.analysis import (
 )
 from enrfem.assembly import InterfaceSpec, space_for_problem
 from enrfem.bench import catalog_problem
-from enrfem.femspace import build_space
+from enrfem.cli import run_convergence
+from enrfem.femspace import BoundaryCondition, build_space
 from enrfem.mesh import build_mesh
 
 
@@ -26,14 +28,23 @@ def _p1_space(pid, n, degree=1):
     return entry, space_for_problem(entry.problem, mesh, degree)
 
 
+def _space_with_right_value(pid, n, value):
+    """The catalog problem's P1 space with Dirichlet value ``value`` at the right end."""
+    problem = dataclasses.replace(
+        catalog_problem(pid).problem, bc_right=BoundaryCondition.dirichlet(value)
+    )
+    mesh = build_mesh(0.0, 1.0, n, [s.alpha for s in problem.interfaces])
+    return space_for_problem(problem, mesh, 1)
+
+
 # -------------------------------------------------------------- interpolant
 
 def test_interpolation_reproduces_global_linear():
-    entry, space = _p1_space(1, 8)
     line = Polynomial([0.4, -2.0])
+    space = _space_with_right_value(1, 8, line(1.0))
     exact = ExactSolution.from_polynomials([line, line], [1 / 9])
     coeffs = interpolate_enriched(exact, space)
-    report = compute_errors(exact, space, coeffs, 8, [float(line(1.0))])
+    report = compute_errors(exact, space, coeffs, 8)
     assert report.l2 <= 1e-14
     assert report.h1_broken <= 1e-13
     assert report.nodal_max <= 1e-14
@@ -54,7 +65,7 @@ def test_exact_breakpoints_must_be_the_space_cuts():
         with pytest.raises(ValueError, match="not the space's interface points"):
             interpolate_enriched(exact, space)
         with pytest.raises(ValueError, match="not the space's interface points"):
-            compute_errors(exact, space, np.zeros(space.n_free), 8, [0.0])
+            compute_errors(exact, space, np.zeros(space.n_free), 8)
 
 
 def test_interpolation_jump_correction_value():
@@ -80,7 +91,7 @@ def test_interpolation_error_halves_in_h1():
     for n in (64, 128):
         _, space = _p1_space(1, n)
         coeffs = interpolate_enriched(entry.problem.exact, space)
-        report = compute_errors(entry.problem.exact, space, coeffs, 12, [1 / 3])
+        report = compute_errors(entry.problem.exact, space, coeffs, 12)
         errors.append(report.h1_broken)
     assert errors[0] / errors[1] == pytest.approx(2.0, abs=0.2)
 
@@ -88,18 +99,18 @@ def test_interpolation_error_halves_in_h1():
 # ------------------------------------------------------------------- errors
 
 def test_errors_vanish_for_space_member():
-    entry, space = _p1_space(1, 8)
     line = Polynomial([0.25, 0.5])
+    space = _space_with_right_value(1, 8, line(1.0))
     exact = ExactSolution.from_polynomials([line, line], [1 / 9])
     coeffs = interpolate_enriched(exact, space)
-    report = compute_errors(exact, space, coeffs, 10, [float(line(1.0))])
+    report = compute_errors(exact, space, coeffs, 10)
     assert max(report.l2, report.h1_broken, report.nodal_max) <= 1e-12
 
 
 def test_error_norms_of_linear_difference():
     """u_h = x against exact 0 gives ||x|| = 1/sqrt(3) and |x|_1 = 1."""
     mesh = build_mesh(0.0, 1.0, 8)
-    space = build_space(mesh, 1, [], "neumann", "neumann")
+    space = build_space(mesh, 1, [], BoundaryCondition.neumann(), BoundaryCondition.neumann())
     coeffs = np.array(space.std_nodes, dtype=float)
     exact = ExactSolution.from_polynomials([Polynomial([0.0])], [])
     report = compute_errors(exact, space, coeffs, 6)
@@ -110,15 +121,26 @@ def test_error_norms_of_linear_difference():
 
 def test_problem1_level_two_errors():
     entry, _, space, system, coeffs = solve_benchmark(1, 16)
-    report = compute_errors(entry.problem.exact, space, coeffs, 12, system.constrained_values)
+    report = compute_errors(entry.problem.exact, space, coeffs, 12)
     assert report.l2 == pytest.approx(3.40683e-04, rel=0.05)
     assert report.h1_broken == pytest.approx(3.24574e-02, rel=0.05)
 
 
+def test_errors_take_the_dirichlet_value_from_the_space():
+    """With no boundary argument, the errors are the study's: u(1) = 1/3 comes from the space."""
+    entry, _, space, _, coeffs = solve_benchmark(1, 64)
+    report = compute_errors(entry.problem.exact, space, coeffs)
+    row = run_convergence(1, None, "1/8", 4).rows[3]
+    assert row["h"] == 1 / 64
+    for name, key in (("l2", "l2"), ("h1_broken", "h1_broken"), ("nodal_max", "nodal")):
+        got, want = np.float64(getattr(report, name)), np.float64(row[key])
+        assert got.tobytes() == want.tobytes(), name
+
+
 def test_error_quadrature_stability():
     entry, _, space, system, coeffs = solve_benchmark(2, 16)
-    r8 = compute_errors(entry.problem.exact, space, coeffs, 8, system.constrained_values)
-    r12 = compute_errors(entry.problem.exact, space, coeffs, 12, system.constrained_values)
+    r8 = compute_errors(entry.problem.exact, space, coeffs, 8)
+    r12 = compute_errors(entry.problem.exact, space, coeffs, 12)
     assert r8.l2 == pytest.approx(r12.l2, rel=1e-10)
     assert r8.h1_broken == pytest.approx(r12.h1_broken, rel=1e-10)
 
@@ -130,10 +152,9 @@ def test_error_report_rejects_negative_entries():
 
 def test_cea_bound_single_level():
     entry, _, space, system, coeffs = solve_benchmark(1, 32)
-    fem = compute_errors(entry.problem.exact, space, coeffs, 12, system.constrained_values)
+    fem = compute_errors(entry.problem.exact, space, coeffs, 12)
     interp = compute_errors(
-        entry.problem.exact, space, interpolate_enriched(entry.problem.exact, space), 12,
-        system.constrained_values,
+        entry.problem.exact, space, interpolate_enriched(entry.problem.exact, space), 12
     )
     rho = coefficient_contrast(entry.problem)
     assert fem.h1_broken <= 10 * rho * interp.h1_broken

@@ -110,7 +110,7 @@ def test_constant_patch_residual(pid):
 
 def test_problem1_coarse_l2_error():
     entry, _, space, system, coeffs = solve_benchmark(1, 8)
-    report = compute_errors(entry.problem.exact, space, coeffs, 12, system.constrained_values)
+    report = compute_errors(entry.problem.exact, space, coeffs, 12)
     assert report.l2 == pytest.approx(1.43943e-03, rel=0.10)
 
 
@@ -290,8 +290,8 @@ def test_batched_quadrature_matches_per_element_reference(pid, n):
     ):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-    report = compute_errors(entry.problem.exact, space, coeffs, 12, system.constrained_values)
-    reference = reference_errors(entry.problem.exact, space, coeffs, 12, system.constrained_values)
+    report = compute_errors(entry.problem.exact, space, coeffs, 12)
+    reference = reference_errors(entry.problem.exact, space, coeffs, 12)
     for name in ("l2", "h1_broken", "nodal_max"):
         got, want = np.float64(getattr(report, name)), np.float64(getattr(reference, name))
         assert got.tobytes() == want.tobytes(), name
@@ -306,7 +306,7 @@ def test_assemble_and_solve_stay_linear_in_memory():
     try:
         system = assemble_system(entry.problem, space, 6)
         coeffs = solve_system(system)
-        compute_errors(entry.problem.exact, space, coeffs, 12, system.constrained_values)
+        compute_errors(entry.problem.exact, space, coeffs, 12)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -330,7 +330,6 @@ def _fake_system(matrix, rhs, n_std=None):
         border_rows=matrix[n_std:],
         rhs=rhs,
         space=None,
-        constrained_values=np.zeros(0),
     )
 
 

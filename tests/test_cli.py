@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import enrfem
 from enrfem.cli import (
     ConvergenceTable,
     ProblemFileError,
@@ -327,12 +329,16 @@ def test_main_numerical_failure(tmp_path):
 
 
 def test_console_entry_point():
+    """The module form runs from a checkout and prints nothing on stderr."""
+    package_root = str(Path(enrfem.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "enrfem.cli", "--problem", "1", "--levels", "2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith(CSV_HEADER)
+    assert proc.stderr == ""
 
 
 def test_degree2_benchmark_defaults(tmp_path):

@@ -2,11 +2,22 @@ import numpy as np
 import pytest
 
 from enrfem.enrichment import gamma_from_lambda
-from enrfem.femspace import build_space, eval_basis, eval_function, quadrature_pieces
+from enrfem.femspace import (
+    BoundaryCondition,
+    build_space,
+    eval_basis,
+    eval_function,
+    full_coefficients,
+    quadrature_pieces,
+)
 from enrfem.mesh import build_mesh, mesh_from_nodes
 
 
-def _space(n=8, degree=1, interfaces=(1 / 9,), bc=("neumann", "dirichlet"), gamma=0.0):
+NEUMANN = BoundaryCondition.neumann()
+DIRICHLET = BoundaryCondition.dirichlet(0.0)
+
+
+def _space(n=8, degree=1, interfaces=(1 / 9,), bc=(NEUMANN, DIRICHLET), gamma=0.0):
     mesh = build_mesh(0.0, 1.0, n, list(interfaces))
     return build_space(mesh, degree, [gamma] * len(mesh.interface_hits), *bc)
 
@@ -24,7 +35,7 @@ def _seeded_cut_spaces():
         )
         mesh = mesh_from_nodes(nodes, rng.permutation(alphas))
         for degree in (1, 2):
-            space = build_space(mesh, degree, rng.uniform(-0.1, 0.1, n_cuts), "dirichlet", "neumann")
+            space = build_space(mesh, degree, rng.uniform(-0.1, 0.1, n_cuts), DIRICHLET, NEUMANN)
             yield nodes, alphas, space
 
 
@@ -89,11 +100,30 @@ def test_quadrature_batches_cover_the_mesh():
 
 
 def test_free_dof_counts():
-    assert _space(bc=("dirichlet", "dirichlet")).n_free == 7 + 2
-    assert _space(bc=("neumann", "dirichlet")).n_free == 8 + 2
+    assert _space(bc=(DIRICHLET, DIRICHLET)).n_free == 7 + 2
+    assert _space(bc=(NEUMANN, DIRICHLET)).n_free == 8 + 2
     # degree 2 enriches with the three quadratic nodal functions per interface
     space = _space(degree=2, interfaces=(1 / 9, 1 / 3, 2 / 3))
     assert space.n_free == 16 + 9
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_dirichlet_values_live_in_the_space(degree):
+    """Each Dirichlet end fixes its boundary DOF to its value; Neumann ends fix nothing."""
+    left, right = BoundaryCondition.dirichlet(0.25), BoundaryCondition.dirichlet(-1.5)
+    cases = (
+        ((left, NEUMANN), [0.25, 1.0]),
+        ((NEUMANN, right), [1.0, -1.5]),
+        ((left, right), [0.25, -1.5]),
+        ((NEUMANN, NEUMANN), [1.0, 1.0]),
+    )
+    for bc, ends in cases:
+        space = _space(degree=degree, bc=bc)
+        full = full_coefficients(space, np.ones(space.n_free))  # free DOFs all 1
+        assert [full[0], full[space.n_std - 1]] == ends
+        assert np.count_nonzero(full != 1.0) == len(space.constrained)
+        with pytest.raises(ValueError, match="read-only"):
+            space.dirichlet_values[...] = 0.0
 
 
 def test_dof_ordering_standard_then_enrichment():
@@ -138,7 +168,7 @@ def test_polynomial_reproduction():
     rng = np.random.default_rng(11)
     for degree, poly in ((1, np.polynomial.Polynomial([0.3, -1.7])),
                          (2, np.polynomial.Polynomial([0.3, -1.7, 2.2]))):
-        space = _space(degree=degree, bc=("neumann", "neumann"), gamma=-0.02)
+        space = _space(degree=degree, bc=(NEUMANN, NEUMANN), gamma=-0.02)
         coeffs = poly(space.std_nodes)  # all standard DOFs free, enrichment absent
         coeffs = np.concatenate([coeffs, np.zeros(space.n_dofs - space.n_std)])
         for x in rng.uniform(0.0, 1.0, 50):
@@ -215,19 +245,19 @@ def test_enrichment_element_mismatch_rejected():
     """psi is built on the mesh's own cut elements, so only the gamma count can be wrong."""
     mesh = build_mesh(0.0, 1.0, 8, [1 / 9])
     with pytest.raises(ValueError, match="2 gammas given for the mesh's 1 interface elements"):
-        build_space(mesh, 1, [0.0, 0.0], "neumann", "dirichlet")
+        build_space(mesh, 1, [0.0, 0.0], NEUMANN, DIRICHLET)
     with pytest.raises(ValueError, match="0 gammas given for the mesh's 1 interface elements"):
-        build_space(mesh, 1, [], "neumann", "dirichlet")
+        build_space(mesh, 1, [], NEUMANN, DIRICHLET)
     with pytest.raises(ValueError, match="1 gammas given for the mesh's 0 interface elements"):
-        build_space(build_mesh(0.0, 1.0, 8), 1, [0.0], "neumann", "dirichlet")
+        build_space(build_mesh(0.0, 1.0, 8), 1, [0.0], NEUMANN, DIRICHLET)
 
 
 def test_invalid_degree_and_bc_rejected():
     mesh = build_mesh(0.0, 1.0, 8)
     with pytest.raises(ValueError, match="degree"):
-        build_space(mesh, 3, [], "neumann", "dirichlet")
+        build_space(mesh, 3, [], NEUMANN, DIRICHLET)
     with pytest.raises(ValueError, match="boundary condition"):
-        build_space(mesh, 1, [], "robin", "dirichlet")
+        build_space(mesh, 1, [], BoundaryCondition("robin"), DIRICHLET)
 
 
 def test_eval_function_rejects_unknown_side():
@@ -242,5 +272,3 @@ def test_coefficient_length_mismatch_rejected():
     space = _space()
     with pytest.raises(ValueError, match="free coefficients"):
         eval_function(space, np.zeros(space.n_free + 1), 0.5)
-    with pytest.raises(ValueError, match="constrained"):
-        eval_function(space, np.zeros(space.n_free), 0.5, "left", np.zeros(5))
