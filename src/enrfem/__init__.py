@@ -34,10 +34,10 @@ from .assembly import (
 )
 from .analysis import (
     ErrorReport,
-    ExactSolution,
     coefficient_contrast,
     compute_errors,
     interpolate_enriched,
     observed_orders,
+    polynomial_branches,
 )
 from .bench import BenchmarkProblem, catalog_problem, manufactured_rhs

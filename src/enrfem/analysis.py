@@ -11,7 +11,6 @@ delta = -[u]_alpha / (alpha - x_{k+1}).
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -24,54 +23,13 @@ ERROR_QUAD_NPTS = 12  # error norms need a finer rule than assembly
 _CONTRAST_SAMPLES = 101
 
 
-@dataclass(frozen=True)
-class ExactSolution:
-    """Piecewise exact solution with globally evaluable branch extensions.
+def polynomial_branches(polys: Sequence) -> tuple[tuple[Callable, Callable], ...]:
+    """One (value, derivative) pair per layer from numpy Polynomials.
 
-    ``branches[i]`` is a (value, derivative) pair of callables owning the
-    i-th layer; each must be evaluable on the whole domain (polynomial
-    branches act as their own extensions).
+    Derivatives are taken symbolically; a polynomial branch is its own
+    extension, so it can be evaluated on the whole domain.
     """
-
-    branches: tuple[tuple[Callable, Callable], ...]
-    breakpoints: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.branches) != len(self.breakpoints) + 1:
-            raise ValueError("need one branch per layer (breakpoints + 1)")
-        if any(x >= y for x, y in zip(self.breakpoints, self.breakpoints[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
-
-    @staticmethod
-    def from_polynomials(polys: Sequence, breakpoints) -> "ExactSolution":
-        """Branches from numpy Polynomials (derivatives taken symbolically)."""
-        branches = tuple((p, p.deriv()) for p in polys)
-        return ExactSolution(branches=branches, breakpoints=tuple(float(x) for x in breakpoints))
-
-    def branch_of(self, x: float) -> int:
-        """Index of the branch owning x (left branch exactly at a breakpoint)."""
-        return bisect.bisect_left(self.breakpoints, x)
-
-    def value(self, x: float) -> float:
-        v, _ = self.branches[self.branch_of(x)]
-        return float(v(x))
-
-    def values(self, xs) -> np.ndarray:
-        """``value`` at every point of xs, one vectorized call per branch."""
-        xs = np.asarray(xs, dtype=float)
-        owner = np.searchsorted(self.breakpoints, xs, side="left")
-        out = np.empty_like(xs)
-        for i, (v, _) in enumerate(self.branches):
-            on = owner == i
-            if on.any():
-                out[on] = eval_coefficient(v, xs[on])
-        return out
-
-    def jump(self, interface: int) -> float:
-        alpha = self.breakpoints[interface]
-        vl, _ = self.branches[interface]
-        vr, _ = self.branches[interface + 1]
-        return float(vr(alpha)) - float(vl(alpha))
+    return tuple((p, p.deriv()) for p in polys)
 
 
 @dataclass(frozen=True)
@@ -87,26 +45,27 @@ class ErrorReport:
             raise ValueError("error measures must be nonnegative")
 
 
-def interpolate_enriched(exact: ExactSolution, space: EnrichedSpace) -> np.ndarray:
+def interpolate_enriched(
+    exact: Sequence[tuple[Callable, Callable]], space: EnrichedSpace
+) -> np.ndarray:
     """Free-DOF coefficients of the enriched interpolant of ``exact``.
 
     Defined for degree-1 spaces only.  Standard DOFs receive nodal values
     of the owning branch; the two enrichment DOFs of cut j receive
     (d2 - d1)(x_k) + delta and (d2 - d1)(x_{k+1}) + delta, where d1, d2
     are the extended derivatives of branches j and j + 1 and delta kills
-    the solution jump.  Raises unless ``exact`` breaks at the space's cuts.
+    the solution jump.  Raises unless ``exact`` has one branch per layer.
     """
     if space.degree != 1:
         raise ValueError("the interpolation operator is defined for degree 1 only")
-    _check_breakpoints(exact, space)
 
     full = np.zeros(space.n_dofs)
-    full[: space.n_std] = exact.values(space.std_nodes)
+    full[: space.n_std] = _branch_values(exact, space, space.std_nodes)
 
     for j, psi in enumerate(space.enrichments):
-        _, d_left = exact.branches[j]
-        _, d_right = exact.branches[j + 1]
-        delta = -exact.jump(j) / (psi.alpha - psi.x_right)
+        (v_left, d_left), (v_right, d_right) = exact[j], exact[j + 1]
+        jump = float(v_right(psi.alpha)) - float(v_left(psi.alpha))
+        delta = -jump / (psi.alpha - psi.x_right)
         for dof, x in zip(space.element_enriched_dofs(psi.element), (psi.x_left, psi.x_right)):
             full[dof] = float(d_right(x)) - float(d_left(x)) + delta
 
@@ -114,18 +73,27 @@ def interpolate_enriched(exact: ExactSolution, space: EnrichedSpace) -> np.ndarr
     return full[free]
 
 
-def _check_breakpoints(exact: ExactSolution, space: EnrichedSpace) -> None:
-    """Branch j of ``exact`` must own layer j of the space: same interface points."""
-    cuts = tuple(psi.alpha for psi in space.enrichments)
-    if exact.breakpoints != cuts:
-        raise ValueError(
-            f"exact solution breakpoints {exact.breakpoints} are not the space's "
-            f"interface points {cuts}"
-        )
+def _branch_values(exact, space: EnrichedSpace, xs) -> np.ndarray:
+    """Value at each x of the branch owning it, one vectorized call per branch.
+
+    Branch j owns layer j of the space; a point exactly at a cut belongs to
+    the layer on its left.  Raises unless ``exact`` has one branch per layer.
+    """
+    n_layers = len(space.enrichments) + 1
+    if len(exact) != n_layers:
+        raise ValueError(f"{len(exact)} exact branches for the space's {n_layers} layers")
+    xs = np.asarray(xs, dtype=float)
+    owner = np.searchsorted([psi.alpha for psi in space.enrichments], xs, side="left")
+    out = np.empty_like(xs)
+    for j, (value, _) in enumerate(exact):
+        on = owner == j
+        if on.any():
+            out[on] = eval_coefficient(value, xs[on])
+    return out
 
 
 def compute_errors(
-    exact: ExactSolution,
+    exact: Sequence[tuple[Callable, Callable]],
     space: EnrichedSpace,
     coeffs,
     quad_npts: int = ERROR_QUAD_NPTS,
@@ -133,10 +101,12 @@ def compute_errors(
     """L2 / broken-H1 / nodal errors of the discrete function vs ``exact``.
 
     ``coeffs`` are the free DOFs; the constrained ones take the space's
-    Dirichlet values.  Branch j of ``exact`` is integrated over layer j of
-    the space; raises unless ``exact`` breaks at the space's cuts.
+    Dirichlet values.  Branch j of ``exact``, a (value, derivative) pair,
+    is integrated over layer j of the space; raises unless ``exact`` has
+    one branch per layer.
     """
-    _check_breakpoints(exact, space)
+    nodes = space.mesh.nodes[1:-1]
+    u_nodes = _branch_values(exact, space, nodes)
     full = full_coefficients(space, coeffs)
 
     l2_terms, h1_terms = [], []  # per piece, in element order
@@ -144,7 +114,7 @@ def compute_errors(
         coef = full[batch.dofs][:, None]
         uh = (coef @ batch.values)[:, 0]
         duh = (coef @ batch.derivatives)[:, 0]
-        value, deriv = exact.branches[batch.layer]
+        value, deriv = exact[batch.layer]
         xs = batch.xs.ravel()
         e = eval_coefficient(value, xs).reshape(uh.shape) - uh
         de = eval_coefficient(deriv, xs).reshape(duh.shape) - duh
@@ -158,10 +128,9 @@ def compute_errors(
 
     # psi vanishes at element endpoints, so a node's value is the standard
     # part of the element to its left
-    nodes = space.mesh.nodes[1:-1]
     dofs, vals, _ = standard_basis(space, np.arange(len(nodes)), nodes[:, None])
     uh = (full[dofs][:, None] @ vals)[:, 0, 0]
-    nodal = float(np.max(np.abs(exact.values(nodes) - uh), initial=0.0))
+    nodal = float(np.max(np.abs(u_nodes - uh), initial=0.0))
 
     return ErrorReport(l2=np.sqrt(l2_sq), h1_broken=np.sqrt(h1_sq), nodal_max=nodal)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -35,9 +35,6 @@ from .femspace import (
     quadrature_pieces,
 )
 from .mesh import Mesh1D
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .analysis import ExactSolution
 
 SOLVER_RESIDUAL_RTOL = 1e-10
 SINGULAR_PIVOT_RTOL = 1e-14
@@ -83,7 +80,8 @@ class ProblemSpec:
     Layers are the subintervals between consecutive interfaces (and the
     domain endpoints); every coefficient tuple has one evaluable entry per
     layer (numpy Polynomials, constants via ``lambda x: c``, or any
-    array-aware callable).
+    array-aware callable).  ``exact``, when known, is one (value,
+    derivative) pair per layer, each evaluable on the whole domain.
     """
 
     domain: tuple[float, float]
@@ -94,7 +92,7 @@ class ProblemSpec:
     interfaces: tuple[InterfaceSpec, ...] = ()
     bc_left: BoundaryCondition = field(default_factory=lambda: BoundaryCondition.neumann())
     bc_right: BoundaryCondition = field(default_factory=lambda: BoundaryCondition.dirichlet(0.0))
-    exact: "ExactSolution | None" = None
+    exact: tuple[tuple[Coefficient, Coefficient], ...] | None = None
 
     def __post_init__(self):
         a, b = self.domain
@@ -106,8 +104,9 @@ class ProblemSpec:
         if any(x >= y for x, y in zip(alphas, alphas[1:])):
             raise ValueError("interfaces must be strictly increasing")
         n_layers = len(alphas) + 1
-        for name in ("diffusivity", "conv_delta", "reaction", "source"):
-            if len(getattr(self, name)) != n_layers:
+        for name in ("diffusivity", "conv_delta", "reaction", "source", "exact"):
+            entries = getattr(self, name)
+            if entries is not None and len(entries) != n_layers:
                 raise ValueError(f"{name} needs one entry per layer ({n_layers})")
         self.gammas  # an implicit interface needs D- != D+, both positive
         breaks = [a] + alphas + [b]
@@ -346,11 +345,12 @@ def solve_system(system: AssembledSystem) -> np.ndarray:
     z, w = solved[:, 0], solved[:, 1:]
 
     c, e = rows[:, :ns], rows[:, ns:]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        schur = scipy.linalg.lu_factor(e - c @ w, check_finite=False)
-    _check_pivots(np.abs(np.diag(schur[0])), pivot_floor, first_dof=ns)
-    x_e = scipy.linalg.lu_solve(schur, b[ns:] - c @ z, check_finite=False)
+    x_e = np.zeros(len(e))
+    if len(e):  # LAPACK rejects an empty matrix
+        # dgetrf reports a zero pivot through its info flag, never as a warning
+        schur, schur_piv, _ = scipy.linalg.lapack.dgetrf(e - c @ w)
+        _check_pivots(np.abs(np.diag(schur)), pivot_floor, first_dof=ns)
+        x_e, _ = scipy.linalg.lapack.dgetrs(schur, schur_piv, b[ns:] - c @ z)
     x = np.concatenate([z - w @ x_e, x_e])
 
     ax = np.concatenate([_band_matvec(band, x[:ns]) + cols @ x_e, rows @ x])

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from numpy.polynomial import Polynomial
 
-from .analysis import ExactSolution
+from .analysis import polynomial_branches
 from .assembly import InterfaceSpec, ProblemSpec
 from .femspace import BoundaryCondition
 
@@ -39,14 +39,15 @@ def _as_poly(c) -> Polynomial:
     return c if isinstance(c, Polynomial) else Polynomial([float(c)])
 
 
-def manufactured_rhs(exact: ExactSolution, diffusivity, conv_delta, reaction) -> list[Polynomial]:
+def manufactured_rhs(exact, diffusivity, conv_delta, reaction) -> list[Polynomial]:
     """Per-layer source f = (-D u' + 2 delta u)' + w u by polynomial arithmetic.
 
-    For constant D and delta this is -D u'' + 2 delta u' + w u.  Branch
-    value callables must be numpy Polynomials (no numerical differentiation).
+    For constant D and delta this is -D u'' + 2 delta u' + w u.  ``exact``
+    holds one (value, derivative) pair per layer; the value callables must
+    be numpy Polynomials (no numerical differentiation).
     """
     out = []
-    for i, (value, _) in enumerate(exact.branches):
+    for i, (value, _) in enumerate(exact):
         if not isinstance(value, Polynomial):
             raise ValueError(
                 f"branch {i} is not a polynomial; manufactured sources need "
@@ -115,7 +116,7 @@ def _build_problem(base: int) -> ProblemSpec:
         reaction = (0.0, 10.0, 1.0, 0.1)
         branches = (u["u0"], u["u1"], u["u2"], u["u3"])
 
-    exact = ExactSolution.from_polynomials(branches, [spec.alpha for spec in interfaces])
+    exact = polynomial_branches(branches)
     source = manufactured_rhs(exact, diffusivity, conv, reaction)
     return ProblemSpec(
         domain=(0.0, 1.0),

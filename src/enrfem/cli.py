@@ -23,7 +23,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from ._version import __version__
-from .analysis import ERROR_QUAD_NPTS, ExactSolution, compute_errors, observed_orders
+from .analysis import ERROR_QUAD_NPTS, compute_errors, observed_orders, polynomial_branches
 from .assembly import (
     InterfaceSpec,
     ProblemSpec,
@@ -177,7 +177,7 @@ def _parse_problem(doc) -> ProblemSpec:
         if not isinstance(branches, list) or len(branches) != len(layers):
             raise ProblemFileError("field 'exact': need one branch per layer")
         polys = [_coeff_list_to_poly(c, f"exact[{i}]") for i, c in enumerate(branches)]
-        exact = ExactSolution.from_polynomials(polys, [spec.alpha for spec in interfaces])
+        exact = polynomial_branches(polys)
 
     source = []
     manufactured = None

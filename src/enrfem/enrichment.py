@@ -40,14 +40,6 @@ class EnrichmentFunction:
     m1: float
     m2: float
 
-    def jump(self) -> float:
-        """[psi] at alpha (right limit minus left limit)."""
-        return self.m2 * (self.alpha - self.x_right) - self.m1 * (self.alpha - self.x_left)
-
-    def derivative_jump(self) -> float:
-        """[psi'] at alpha."""
-        return self.m2 - self.m1
-
 
 def gamma_from_lambda(lam: float, beta_minus: float, beta_plus: float) -> float:
     """Jump parameter gamma = -lam * beta- * beta+ / (beta+ - beta-).

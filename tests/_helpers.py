@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from enrfem.analysis import ErrorReport, ExactSolution
+from enrfem.analysis import ErrorReport, polynomial_branches
 from enrfem.assembly import (
     BoundaryCondition,
     assemble_system,
@@ -15,6 +15,7 @@ from enrfem.assembly import (
     space_for_problem,
 )
 from enrfem.bench import catalog_problem
+from enrfem.enrichment import eval_enrichment
 from enrfem.femspace import element_basis, full_coefficients, quadrature_rule
 from enrfem.mesh import build_mesh
 
@@ -42,9 +43,7 @@ def constant_patch_problem(pid, c=0.7):
     n_layers = len(problem.diffusivity)
     zero = Polynomial([0.0])
     const = Polynomial([float(c)])
-    exact = ExactSolution.from_polynomials(
-        [const] * n_layers, [s.alpha for s in problem.interfaces]
-    )
+    exact = polynomial_branches([const] * n_layers)
 
     def with_value(bc):
         if bc.kind == "dirichlet":
@@ -60,6 +59,14 @@ def constant_patch_problem(pid, c=0.7):
         exact=exact,
     )
     return patched, exact
+
+
+def psi_jumps(psi):
+    """([psi], [psi']) at alpha: right minus left limits from eval_enrichment."""
+    at = np.array([psi.alpha])
+    v_left, d_left = eval_enrichment(psi, at, "left")
+    v_right, d_right = eval_enrichment(psi, at, "right")
+    return float(v_right[0] - v_left[0]), float(d_right[0] - d_left[0])
 
 
 def constant_coefficient_vector(space, c):
@@ -148,14 +155,16 @@ def reference_errors(exact, space, coeffs, quad_npts):
     l2_sq = 0.0
     h1_sq = 0.0
     for layer, xs, wq, dofs, vals, ders in reference_pieces(space, quad_npts):
-        value, deriv = exact.branches[layer]
+        value, deriv = exact[layer]
         e = eval_coefficient(value, xs) - full[dofs] @ vals
         de = eval_coefficient(deriv, xs) - full[dofs] @ ders
         l2_sq += float(wq @ (e * e))
         h1_sq += float(wq @ (de * de))
+    alphas = [psi.alpha for psi in space.enrichments]
     nodal = 0.0
     for i in range(1, space.mesh.n_elements):
         x = float(space.mesh.nodes[i])
+        value, _ = exact[bisect.bisect_left(alphas, x)]  # the left branch at a cut
         dofs, vals, _ = element_basis(space, i - 1, np.array([x]), "left")
-        nodal = max(nodal, abs(exact.value(x) - float(full[dofs] @ vals[:, 0])))
+        nodal = max(nodal, abs(float(value(x)) - float(full[dofs] @ vals[:, 0])))
     return ErrorReport(l2=np.sqrt(l2_sq), h1_broken=np.sqrt(h1_sq), nodal_max=nodal)

@@ -9,11 +9,11 @@ from numpy.polynomial import Polynomial
 from _helpers import solve_benchmark
 from enrfem.analysis import (
     ErrorReport,
-    ExactSolution,
     coefficient_contrast,
     compute_errors,
     interpolate_enriched,
     observed_orders,
+    polynomial_branches,
 )
 from enrfem.assembly import InterfaceSpec, space_for_problem
 from enrfem.bench import catalog_problem
@@ -42,7 +42,7 @@ def _space_with_right_value(pid, n, value):
 def test_interpolation_reproduces_global_linear():
     line = Polynomial([0.4, -2.0])
     space = _space_with_right_value(1, 8, line(1.0))
-    exact = ExactSolution.from_polynomials([line, line], [1 / 9])
+    exact = polynomial_branches([line, line])
     coeffs = interpolate_enriched(exact, space)
     report = compute_errors(exact, space, coeffs, 8)
     assert report.l2 <= 1e-14
@@ -56,15 +56,16 @@ def test_interpolation_rejected_on_quadratic_space():
         interpolate_enriched(entry.problem.exact, space)
 
 
-def test_exact_breakpoints_must_be_the_space_cuts():
-    """Branch j owns layer j only when the exact solution breaks at the cuts."""
+def test_exact_branch_count_must_be_the_space_layers():
+    """Branch j owns layer j, so there is one branch per layer of the space."""
     _, space = _p1_space(1, 8)
     line = Polynomial([0.4, -2.0])
-    for breakpoints in ([0.2], [1 / 9, 0.5], []):
-        exact = ExactSolution.from_polynomials([line] * (len(breakpoints) + 1), breakpoints)
-        with pytest.raises(ValueError, match="not the space's interface points"):
+    for count in (1, 3):
+        exact = polynomial_branches([line] * count)
+        message = f"{count} exact branches for the space's 2 layers"
+        with pytest.raises(ValueError, match=message):
             interpolate_enriched(exact, space)
-        with pytest.raises(ValueError, match="not the space's interface points"):
+        with pytest.raises(ValueError, match=message):
             compute_errors(exact, space, np.zeros(space.n_free), 8)
 
 
@@ -101,7 +102,7 @@ def test_interpolation_error_halves_in_h1():
 def test_errors_vanish_for_space_member():
     line = Polynomial([0.25, 0.5])
     space = _space_with_right_value(1, 8, line(1.0))
-    exact = ExactSolution.from_polynomials([line, line], [1 / 9])
+    exact = polynomial_branches([line, line])
     coeffs = interpolate_enriched(exact, space)
     report = compute_errors(exact, space, coeffs, 10)
     assert max(report.l2, report.h1_broken, report.nodal_max) <= 1e-12
@@ -112,7 +113,7 @@ def test_error_norms_of_linear_difference():
     mesh = build_mesh(0.0, 1.0, 8)
     space = build_space(mesh, 1, [], BoundaryCondition.neumann(), BoundaryCondition.neumann())
     coeffs = np.array(space.std_nodes, dtype=float)
-    exact = ExactSolution.from_polynomials([Polynomial([0.0])], [])
+    exact = polynomial_branches([Polynomial([0.0])])
     report = compute_errors(exact, space, coeffs, 6)
     assert report.l2 == pytest.approx(1 / math.sqrt(3), rel=1e-14)
     assert report.h1_broken == pytest.approx(1.0, rel=1e-14)
@@ -214,18 +215,9 @@ def test_contrast_rejects_nonpositive():
 # ------------------------------------------------------------ exact solution
 
 def test_exact_solution_validation():
-    with pytest.raises(ValueError, match="one branch per layer"):
-        ExactSolution.from_polynomials([Polynomial([1.0])], [0.5])
-    with pytest.raises(ValueError, match="strictly increasing"):
-        ExactSolution.from_polynomials([Polynomial([1.0])] * 3, [0.5, 0.25])
-
-
-def test_exact_solution_branch_ownership():
-    exact = ExactSolution.from_polynomials(
-        [Polynomial([1.0]), Polynomial([2.0]), Polynomial([3.0])], [0.3, 0.6]
-    )
-    assert exact.branch_of(0.1) == 0
-    assert exact.branch_of(0.45) == 1
-    assert exact.branch_of(0.9) == 2
-    assert exact.value(0.9) == 3.0
-    assert exact.jump(0) == 1.0
+    """The problem owns its exact solution: one branch per layer, or it is rejected."""
+    problem = catalog_problem(1).problem  # two layers
+    for count in (1, 3):
+        exact = polynomial_branches([Polynomial([1.0])] * count)
+        with pytest.raises(ValueError, match=r"exact needs one entry per layer \(2\)"):
+            dataclasses.replace(problem, exact=exact)

@@ -10,6 +10,7 @@ from numpy.polynomial import Polynomial
 from _helpers import (
     constant_coefficient_vector,
     constant_patch_problem,
+    psi_jumps,
     reference_assembly,
     reference_errors,
     solve_benchmark,
@@ -152,7 +153,7 @@ def test_jump_term_touches_only_enrichment_block():
 
     psi = space.enrichments[0]
     hats = np.array([1 / 9, 8 / 9])  # hat values at alpha on the first element
-    expected = np.outer(hats, hats) * psi.jump() ** 2 / problem.interfaces[0].lam
+    expected = np.outer(hats, hats) * psi_jumps(psi)[0] ** 2 / problem.interfaces[0].lam
     assert diff[np.ix_(enr, enr)] == pytest.approx(expected, rel=1e-12)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
-from enrfem.analysis import ExactSolution
+from enrfem.analysis import polynomial_branches
 from enrfem.bench import catalog_problem, manufactured_rhs
 
 
@@ -57,7 +57,7 @@ def test_quadratic_problems_share_specs():
 
 def test_exact_continuity_at_continuous_interfaces():
     exact = catalog_problem(2).problem.exact
-    (v1, _), (v2, _), (v3, _) = exact.branches
+    (v1, _), (v2, _), (v3, _) = exact
     assert abs(float(v1(1 / 3)) - float(v2(1 / 3))) <= 1e-15
     assert float(v1(1 / 3)) == pytest.approx(1 / 243, rel=1e-14)
     assert abs(float(v2(2 / 3)) - float(v3(2 / 3))) <= 1e-15
@@ -67,7 +67,7 @@ def test_exact_continuity_at_continuous_interfaces():
 def test_implicit_jump_identity():
     """[u] = 1/19683 - 1/21870 = 1/196830 = lam * D0 * u'(alpha-)."""
     entry = catalog_problem(1)
-    (v0, d0), (v1, _) = entry.problem.exact.branches
+    (v0, d0), (v1, _) = entry.problem.exact
     alpha = 1 / 9
     jump = float(v1(alpha)) - float(v0(alpha))
     assert jump == pytest.approx(1 / 19683 - 1 / 21870, rel=1e-14)
@@ -81,8 +81,8 @@ def test_flux_continuity_at_interfaces(pid):
     entry = catalog_problem(pid)
     problem, exact = entry.problem, entry.problem.exact
     for j, spec in enumerate(problem.interfaces):
-        vl, dl = exact.branches[j]
-        vr, dr = exact.branches[j + 1]
+        vl, dl = exact[j]
+        vr, dr = exact[j + 1]
         a = spec.alpha
         flux_left = -float(problem.diffusivity[j](a)) * float(dl(a)) \
             + 2 * float(problem.conv_delta[j](a)) * float(vl(a))
@@ -103,14 +103,14 @@ def test_manufactured_source_examples():
 
 
 def test_manufactured_constant_solution():
-    const = ExactSolution.from_polynomials([Polynomial([2.5])], [])
+    const = polynomial_branches([Polynomial([2.5])])
     (f,) = manufactured_rhs(const, [Polynomial([3.0])], [Polynomial([1.7])], [Polynomial([4.0])])
     xs = np.linspace(0.0, 1.0, 7)
     assert np.allclose(f(xs), 4.0 * 2.5, atol=1e-14)
 
 
 def test_manufactured_requires_polynomials():
-    exact = ExactSolution(branches=((np.cos, np.sin),), breakpoints=())
+    exact = ((np.cos, np.sin),)
     with pytest.raises(ValueError, match="not a polynomial"):
         manufactured_rhs(exact, [Polynomial([1.0])], [Polynomial([0.0])], [Polynomial([0.0])])
 
@@ -121,7 +121,7 @@ def test_source_satisfies_strong_equation(pid):
     entry = catalog_problem(pid)
     problem, exact = entry.problem, entry.problem.exact
     breaks = [0.0] + list(problem.breakpoints) + [1.0]
-    for i, (value, deriv) in enumerate(exact.branches):
+    for i, (value, deriv) in enumerate(exact):
         xs = np.linspace(breaks[i], breaks[i + 1], 52)[1:-1]
         d = problem.diffusivity[i](xs)
         delta = problem.conv_delta[i](xs)
@@ -139,7 +139,7 @@ def test_source_against_finite_difference_oracle(pid):
     problem, exact = entry.problem, entry.problem.exact
     eps = 1e-4
     breaks = [0.0] + list(problem.breakpoints) + [1.0]
-    for i, (value, _) in enumerate(exact.branches):
+    for i, (value, _) in enumerate(exact):
         lo, hi = breaks[i], breaks[i + 1]
         xs = np.linspace(lo + 10 * eps, hi - 10 * eps, 23)
         d = problem.diffusivity[i](xs)

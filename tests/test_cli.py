@@ -328,17 +328,30 @@ def test_main_numerical_failure(tmp_path):
     assert code == 2
 
 
-def test_console_entry_point():
-    """The module form runs from a checkout and prints nothing on stderr."""
+def _run_module(*args):
+    """``python -m enrfem.cli *args`` in a fresh interpreter, importing this checkout."""
     package_root = str(Path(enrfem.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "enrfem.cli", "--problem", "1", "--levels", "2"],
+    return subprocess.run(
+        [sys.executable, "-m", "enrfem.cli", *args],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath},
     )
+
+
+def test_console_entry_point():
+    """The module form runs from a checkout and prints nothing on stderr."""
+    proc = _run_module("--problem", "1", "--levels", "2")
     assert proc.returncode == 0
     assert proc.stdout.startswith(CSV_HEADER)
     assert proc.stderr == ""
+
+
+def test_coarse_quadrature_warns_once_per_study():
+    """Python shows a warning once per location; no solve may reset that registry."""
+    proc = _run_module("--problem", "4", "--levels", "3", "--quad", "4")
+    assert proc.returncode == 0
+    assert proc.stderr.count("UserWarning") == 1
+    assert "may be too coarse" in proc.stderr
 
 
 def test_degree2_benchmark_defaults(tmp_path):
