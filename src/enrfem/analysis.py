@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .assembly import ProblemSpec, eval_coefficient
+from .assembly import ProblemSpec
 from .femspace import EnrichedSpace, full_coefficients, quadrature_pieces, standard_basis
 
 ERROR_QUAD_NPTS = 12  # error norms need a finer rule than assembly
@@ -88,7 +88,7 @@ def _branch_values(exact, space: EnrichedSpace, xs) -> np.ndarray:
     for j, (value, _) in enumerate(exact):
         on = owner == j
         if on.any():
-            out[on] = eval_coefficient(value, xs[on])
+            out[on] = value(xs[on])
     return out
 
 
@@ -115,9 +115,8 @@ def compute_errors(
         uh = (coef @ batch.values)[:, 0]
         duh = (coef @ batch.derivatives)[:, 0]
         value, deriv = exact[batch.layer]
-        xs = batch.xs.ravel()
-        e = eval_coefficient(value, xs).reshape(uh.shape) - uh
-        de = eval_coefficient(deriv, xs).reshape(duh.shape) - duh
+        e = value(batch.xs) - uh
+        de = deriv(batch.xs) - duh
         wq = batch.weights[:, None]
         l2_terms.append((wq @ (e * e)[..., None])[:, 0, 0])
         h1_terms.append((wq @ (de * de)[..., None])[:, 0, 0])
@@ -159,7 +158,7 @@ def coefficient_contrast(problem: ProblemSpec) -> float:
     lo = np.inf
     for i, d in enumerate(problem.diffusivity):
         xs = np.linspace(breaks[i], breaks[i + 1], _CONTRAST_SAMPLES)
-        vals = eval_coefficient(d, xs)
+        vals = d(xs)
         hi = max(hi, float(np.max(vals)))
         lo = min(lo, float(np.min(vals)))
     if lo <= 0:

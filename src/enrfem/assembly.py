@@ -7,13 +7,15 @@ The strong form on each layer is
 integrated by parts layer-wise against broken test functions q:
 
     int (D u' - 2 delta u) q' + int w u q
-        + sum_{implicit interfaces} [u][q] / lambda  =  int f q,
+        + sum_{implicit interfaces} ([u] / lambda - 2 delta- u-(alpha)) [q]
+        =  int f q,
 
 with a natural zero-flux condition at a Neumann end and a Dirichlet lift
-at a Dirichlet end.  The jump term comes from the implicit interface
-condition [u] = lambda * (D u')(alpha-), whose left-hand flux equals
--[u]/lambda there.  Interface elements are integrated as two Gauss
-sub-rules split at alpha.
+at a Dirichlet end.  The interface term is -F(alpha)[q] for the flux
+F = -D u' + 2 delta u: at an implicit interface [u] = lambda * (D u')(alpha-)
+gives F(alpha-) = -[u]/lambda + 2 delta- u-(alpha); at a continuous
+interface every member of the space is continuous, so the term vanishes.
+Interface elements are integrated as two Gauss sub-rules split at alpha.
 """
 
 from __future__ import annotations
@@ -43,31 +45,19 @@ _COEFF_SAMPLES = 33
 
 @dataclass(frozen=True)
 class InterfaceSpec:
-    """One interface point: continuous, or implicit with jump coefficient lam.
+    """One interface point: continuous for lam = 0, implicit for lam > 0.
 
-    The enrichment's Robin parameter depends on the diffusivities beside
-    the interface as well, so it is derived by ``ProblemSpec.gammas``.
+    An implicit interface has [u] = lam * (D u')(alpha-).  The
+    enrichment's Robin parameter depends on the diffusivities beside the
+    interface as well, so it is derived by ``ProblemSpec.gammas``.
     """
 
     alpha: float
-    kind: str
     lam: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("continuous", "implicit"):
-            raise ValueError("interface kind must be 'continuous' or 'implicit'")
-        if self.kind == "continuous" and self.lam != 0.0:
-            raise ValueError("continuous interface requires lam = 0")
-        if self.kind == "implicit" and not self.lam > 0:
-            raise ValueError("implicit interface requires lam > 0 (coercivity)")
-
-    @staticmethod
-    def continuous(alpha: float) -> "InterfaceSpec":
-        return InterfaceSpec(alpha=float(alpha), kind="continuous")
-
-    @staticmethod
-    def implicit(alpha: float, lam: float) -> "InterfaceSpec":
-        return InterfaceSpec(alpha=float(alpha), kind="implicit", lam=float(lam))
+        if not (np.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"interface lam must be finite and >= 0, got {self.lam}")
 
 
 Coefficient = Callable[[np.ndarray], np.ndarray]
@@ -112,9 +102,9 @@ class ProblemSpec:
         breaks = [a] + alphas + [b]
         for i in range(n_layers):
             xs = np.linspace(breaks[i], breaks[i + 1], _COEFF_SAMPLES + 2)[1:-1]
-            if np.min(eval_coefficient(self.diffusivity[i], xs)) <= 0:
+            if np.min(self.diffusivity[i](xs)) <= 0:
                 raise ValueError(f"diffusivity must be positive on layer {i}")
-            if np.min(eval_coefficient(self.reaction[i], xs)) < 0:
+            if np.min(self.reaction[i](xs)) < 0:
                 raise ValueError(f"reaction coefficient must be nonnegative on layer {i}")
 
     @property
@@ -131,26 +121,15 @@ class ProblemSpec:
         """
         out = []
         for j, spec in enumerate(self.interfaces):
-            if spec.kind == "continuous":
+            if spec.lam == 0:
                 out.append(0.0)
                 continue
-            alpha = np.array(spec.alpha)
-            d_minus, d_plus = (
-                float(eval_coefficient(d, alpha)) for d in self.diffusivity[j:j + 2]
-            )
+            d_minus, d_plus = (float(d(spec.alpha)) for d in self.diffusivity[j:j + 2])
             try:
                 out.append(gamma_from_lambda(spec.lam, d_minus, d_plus))
             except ValueError as exc:
                 raise ValueError(f"interfaces[{j}]: {exc}") from exc
         return tuple(out)
-
-
-def eval_coefficient(fn: Coefficient, xs: np.ndarray) -> np.ndarray:
-    """Evaluate a layer coefficient at points, broadcasting scalar results."""
-    out = np.asarray(fn(xs), dtype=float)
-    if out.shape != np.shape(xs):
-        out = np.broadcast_to(out, np.shape(xs)).copy()
-    return out
 
 
 @dataclass(frozen=True)
@@ -225,9 +204,9 @@ def assemble_system(problem: ProblemSpec, space: EnrichedSpace, quad_npts: int =
     """Assemble the free-DOF matrix and load vector on ``space``.
 
     A_ij = int (D u_j' - 2 delta u_j) u_i' + int w u_j u_i
-           + sum_implicit [u_j][u_i]/lam,  b_i = int f u_i, followed by the
-    lift of the space's Dirichlet values.  Raises if the space's
-    interfaces do not match the problem's.
+           + sum_implicit ([u_j]/lam - 2 delta- u_j(alpha-)) [u_i],
+    b_i = int f u_i, followed by the lift of the space's Dirichlet values.
+    Raises if the space's interfaces do not match the problem's.
     """
     if tuple(psi.alpha for psi in space.enrichments) != problem.breakpoints:
         raise ValueError("space was not built from this problem's mesh and interfaces")
@@ -244,7 +223,7 @@ def assemble_system(problem: ProblemSpec, space: EnrichedSpace, quad_npts: int =
     for batch in quadrature_pieces(space, quad_npts):
         xs, wq, vals, ders = batch.xs, batch.weights, batch.values, batch.derivatives
         d_c, conv, w_c, f_c = (
-            eval_coefficient(coefficient[batch.layer], xs.ravel()).reshape(xs.shape)
+            coefficient[batch.layer](xs)
             for coefficient in (
                 problem.diffusivity, problem.conv_delta, problem.reaction, problem.source
             )
@@ -258,14 +237,17 @@ def assemble_system(problem: ProblemSpec, space: EnrichedSpace, quad_npts: int =
         blocks.append((batch.dofs, local))
         loads.append((batch.dofs, (vals * (wq * f_c)[:, None]).sum(axis=2)))
 
-    for spec, psi in zip(problem.interfaces, space.enrichments):
-        if spec.kind != "implicit":
+    for j, (spec, psi) in enumerate(zip(problem.interfaces, space.enrichments)):
+        if spec.lam == 0:
             continue
         x = np.array([psi.alpha])
         idx, v_left, _ = element_basis(space, psi.element, x, "left")
         _, v_right, _ = element_basis(space, psi.element, x, "right")
         jump = v_right[:, 0] - v_left[:, 0]
         blocks.append((idx[None], np.outer(jump, jump)[None] / spec.lam))
+        delta_minus = problem.conv_delta[j](psi.alpha)
+        if delta_minus != 0.0:
+            blocks.append((idx[None], (-2.0 * delta_minus * np.outer(jump, v_left[:, 0]))[None]))
 
     np.add.at(
         b,

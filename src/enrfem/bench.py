@@ -94,22 +94,22 @@ def _build_problem(base: int) -> ProblemSpec:
     alpha0, alpha1, alpha2 = 1.0 / 9.0, 1.0 / 3.0, 2.0 / 3.0
 
     if base == 1:
-        interfaces = (InterfaceSpec.implicit(alpha0, c["lam"]),)
+        interfaces = (InterfaceSpec(alpha0, c["lam"]),)
         diffusivity = (c["d0"], c["d1"])
         conv = (0.0, c["delta1"])
         reaction = (0.0, 0.0)
         branches = (u["u0"], u["u1"])
     elif base == 2:
-        interfaces = (InterfaceSpec.continuous(alpha1), InterfaceSpec.continuous(alpha2))
+        interfaces = (InterfaceSpec(alpha1), InterfaceSpec(alpha2))
         diffusivity = (c["d1"], c["d2"], c["d3"])
         conv = (c["delta1"], c["delta2"], c["delta3"])
         reaction = (10.0, 1.0, 0.1)
         branches = (u["u1"], u["u2"], u["u3"])
     else:
         interfaces = (
-            InterfaceSpec.implicit(alpha0, c["lam"]),
-            InterfaceSpec.continuous(alpha1),
-            InterfaceSpec.continuous(alpha2),
+            InterfaceSpec(alpha0, c["lam"]),
+            InterfaceSpec(alpha1),
+            InterfaceSpec(alpha2),
         )
         diffusivity = (c["d0"], c["d1"], c["d2"], c["d3"])
         conv = (0.0, c["delta1"], c["delta2"], c["delta3"])

@@ -159,15 +159,14 @@ def _parse_problem(doc) -> ProblemSpec:
             raise ProblemFileError(f"{where}: needs 'alpha' and 'kind'")
         alpha = _number(spec["alpha"], f"{where}.alpha")
         if spec["kind"] == "continuous":
-            interfaces.append(InterfaceSpec.continuous(alpha))
+            interfaces.append(InterfaceSpec(alpha))
         elif spec["kind"] == "implicit":
             if "lambda" not in spec:
                 raise ProblemFileError(f"{where}: implicit kind needs 'lambda'")
             lam = _number(spec["lambda"], f"{where}.lambda")
-            try:
-                interfaces.append(InterfaceSpec.implicit(alpha, lam))
-            except ValueError as exc:
-                raise ProblemFileError(f"{where}: {exc}") from exc
+            if not lam > 0:
+                raise ProblemFileError(f"{where}: implicit interface requires lam > 0 (coercivity)")
+            interfaces.append(InterfaceSpec(alpha, lam))
         else:
             raise ProblemFileError(f"{where}: unknown kind '{spec['kind']}'")
 

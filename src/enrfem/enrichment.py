@@ -36,7 +36,6 @@ class EnrichmentFunction:
     x_left: float    # x_k
     x_right: float   # x_{k+1}
     alpha: float
-    gamma: float
     m1: float
     m2: float
 
@@ -72,7 +71,7 @@ def build_enrichment(
     m2 = (alpha - x_k - gamma) * (alpha - x_k1) / (h * denom)
     return EnrichmentFunction(
         element=element, x_left=x_k, x_right=x_k1,
-        alpha=alpha, gamma=gamma, m1=m1, m2=m2,
+        alpha=alpha, m1=m1, m2=m2,
     )
 
 

@@ -77,9 +77,6 @@ class EnrichedSpace:
     def n_std(self) -> int:
         return len(self.std_nodes)
 
-    def element_std_dofs(self, k: int) -> list[int]:
-        return list(range(self.degree * k, self.degree * (k + 1) + 1))
-
     def element_enriched_dofs(self, k: int) -> list[int]:
         """Global indices of the enrichment DOFs living on element k."""
         j = int(self.cut_of[k])
@@ -222,13 +219,6 @@ def element_basis(space: EnrichedSpace, k: int, xs: np.ndarray, side: str = "lef
 
 
 @lru_cache(maxsize=None)
-def _gauss_legendre(npts: int) -> tuple[np.ndarray, np.ndarray]:
-    points, weights = np.polynomial.legendre.leggauss(npts)
-    points.flags.writeable = False
-    weights.flags.writeable = False
-    return points, weights
-
-
 def quadrature_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre points/weights on [-1, 1]; exact to degree 2*npts - 1.
 
@@ -236,7 +226,10 @@ def quadrature_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if not 1 <= npts <= MAX_QUAD_NPTS:
         raise ValueError(f"quadrature size must be between 1 and {MAX_QUAD_NPTS}")
-    return _gauss_legendre(npts)
+    points, weights = np.polynomial.legendre.leggauss(npts)
+    points.flags.writeable = False
+    weights.flags.writeable = False
+    return points, weights
 
 
 class QuadratureBatch(NamedTuple):

@@ -10,7 +10,6 @@ from enrfem.analysis import ErrorReport, polynomial_branches
 from enrfem.assembly import (
     BoundaryCondition,
     assemble_system,
-    eval_coefficient,
     solve_system,
     space_for_problem,
 )
@@ -108,10 +107,10 @@ def reference_assembly(problem, space, quad_npts):
     a_full = np.zeros((space.n_dofs, space.n_dofs))
     b_full = np.zeros(space.n_dofs)
     for layer, xs, wq, dofs, vals, ders in reference_pieces(space, quad_npts):
-        d_c = eval_coefficient(problem.diffusivity[layer], xs)
-        conv = eval_coefficient(problem.conv_delta[layer], xs)
-        w_c = eval_coefficient(problem.reaction[layer], xs)
-        f_c = eval_coefficient(problem.source[layer], xs)
+        d_c = problem.diffusivity[layer](xs)
+        conv = problem.conv_delta[layer](xs)
+        w_c = problem.reaction[layer](xs)
+        f_c = problem.source[layer](xs)
         local = (ders * (wq * d_c)) @ ders.T
         if np.any(conv != 0.0):
             local += (ders * (wq * (-2.0) * conv)) @ vals.T
@@ -119,13 +118,17 @@ def reference_assembly(problem, space, quad_npts):
             local += (vals * (wq * w_c)) @ vals.T
         a_full[np.ix_(dofs, dofs)] += local
         b_full[dofs] += (vals * (wq * f_c)).sum(axis=1)
-    for spec, psi in zip(problem.interfaces, space.enrichments):
-        if spec.kind == "implicit":
+    for j, (spec, psi) in enumerate(zip(problem.interfaces, space.enrichments)):
+        if spec.lam > 0:
             x = np.array([psi.alpha])
             dofs, v_left, _ = element_basis(space, psi.element, x, "left")
             _, v_right, _ = element_basis(space, psi.element, x, "right")
             jump = v_right[:, 0] - v_left[:, 0]
             a_full[np.ix_(dofs, dofs)] += np.outer(jump, jump) / spec.lam
+            # -F(alpha-)[q] with F(alpha-) = -[u]/lam + 2 delta- u-(alpha)
+            delta_minus = problem.conv_delta[j](psi.alpha)
+            if delta_minus != 0.0:
+                a_full[np.ix_(dofs, dofs)] += -2.0 * delta_minus * np.outer(jump, v_left[:, 0])
 
     free = np.flatnonzero(space.free_index >= 0)
     constrained = list(space.constrained)
@@ -156,8 +159,8 @@ def reference_errors(exact, space, coeffs, quad_npts):
     h1_sq = 0.0
     for layer, xs, wq, dofs, vals, ders in reference_pieces(space, quad_npts):
         value, deriv = exact[layer]
-        e = eval_coefficient(value, xs) - full[dofs] @ vals
-        de = eval_coefficient(deriv, xs) - full[dofs] @ ders
+        e = value(xs) - full[dofs] @ vals
+        de = deriv(xs) - full[dofs] @ ders
         l2_sq += float(wq @ (e * e))
         h1_sq += float(wq @ (de * de))
     alphas = [psi.alpha for psi in space.enrichments]

@@ -192,7 +192,7 @@ def test_contrast_uniform_coefficient():
     uniform = dataclasses.replace(
         problem,
         diffusivity=(Polynomial([1.0]), Polynomial([1.0])),
-        interfaces=(InterfaceSpec.continuous(problem.interfaces[0].alpha),),
+        interfaces=(InterfaceSpec(problem.interfaces[0].alpha),),
     )
     assert coefficient_contrast(uniform) == pytest.approx(1.0, abs=1e-15)
 

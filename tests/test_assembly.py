@@ -141,7 +141,7 @@ def test_jump_term_touches_only_enrichment_block():
     space = space_for_problem(problem, mesh, 1)
     with_jump = assemble_system(problem, space, 6).matrix
     no_jump_problem = dataclasses.replace(
-        problem, interfaces=(InterfaceSpec.continuous(problem.interfaces[0].alpha),)
+        problem, interfaces=(InterfaceSpec(problem.interfaces[0].alpha),)
     )
     without_jump = assemble_system(no_jump_problem, space, 6).matrix
 
@@ -280,22 +280,62 @@ def test_solve_without_interface(degree):
     assert coeffs == pytest.approx(0.5 * nodes * (1.0 - nodes), abs=1e-14)
 
 
+def _left_convection_problem1():
+    """Problem 1 with delta = 3 left of its implicit interface (delta- != 0)."""
+    problem = catalog_problem(1).problem
+    return dataclasses.replace(problem, conv_delta=(_const(3.0),) + problem.conv_delta[1:])
+
+
 @pytest.mark.parametrize("n", [8, 16])
-@pytest.mark.parametrize("pid", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("pid", [1, 2, 3, 4, 5, 6, "1-left-convection"])
 def test_batched_quadrature_matches_per_element_reference(pid, n):
     """Batched assembly and errors equal a per-element integration bit for bit."""
-    entry, _, space, system, coeffs = solve_benchmark(pid, n)
+    if pid == "1-left-convection":
+        problem = _left_convection_problem1()
+        mesh = build_mesh(0.0, 1.0, n, problem.breakpoints)
+        space = space_for_problem(problem, mesh, 1)
+        system = assemble_system(problem, space, 6)
+        coeffs = solve_system(system)
+    else:
+        entry, _, space, system, coeffs = solve_benchmark(pid, n)
+        problem = entry.problem
     for got, want in zip(
         (system.band, system.border_cols, system.border_rows, system.rhs),
-        reference_assembly(entry.problem, space, 6),
+        reference_assembly(problem, space, 6),
     ):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-    report = compute_errors(entry.problem.exact, space, coeffs, 12)
-    reference = reference_errors(entry.problem.exact, space, coeffs, 12)
+    report = compute_errors(problem.exact, space, coeffs, 12)
+    reference = reference_errors(problem.exact, space, coeffs, 12)
     for name in ("l2", "h1_broken", "nodal_max"):
         got, want = np.float64(getattr(report, name)), np.float64(getattr(reference, name))
         assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("pid", [1, 2, 3, 4, 5, 6])
+def test_constant_callables_match_polynomials(pid):
+    """D, delta and w as scalar-returning lambdas give the Polynomials' bits."""
+    entry, mesh, space, system, coeffs = solve_benchmark(pid, 64)
+
+    def constants(polys):
+        assert all(len(p.coef) == 1 for p in polys)
+        return tuple((lambda x, c=float(p.coef[0]): c) for p in polys)
+
+    problem = dataclasses.replace(
+        entry.problem,
+        diffusivity=constants(entry.problem.diffusivity),
+        conv_delta=constants(entry.problem.conv_delta),
+        reaction=constants(entry.problem.reaction),
+    )
+    space_c = space_for_problem(problem, mesh, entry.degree)
+    system_c = assemble_system(problem, space_c, 6)
+    coeffs_c = solve_system(system_c)
+    for name in ("band", "border_cols", "border_rows", "rhs"):
+        assert getattr(system_c, name).tobytes() == getattr(system, name).tobytes(), name
+    assert coeffs_c.tobytes() == coeffs.tobytes()
+    report = compute_errors(problem.exact, space, coeffs, 12)
+    report_c = compute_errors(problem.exact, space_c, coeffs_c, 12)
+    assert report_c == report
 
 
 def test_assemble_and_solve_stay_linear_in_memory():
@@ -371,19 +411,18 @@ def test_problem_validation():
             conv_delta=(_const(0),) * 3,
             reaction=(_const(0),) * 3,
             source=(_const(0),) * 3,
-            interfaces=(InterfaceSpec.continuous(0.5), InterfaceSpec.continuous(0.25)),
+            interfaces=(InterfaceSpec(0.5), InterfaceSpec(0.25)),
         )
-    with pytest.raises(ValueError, match="lam > 0"):
-        InterfaceSpec(alpha=0.5, kind="implicit", lam=0.0)
-    with pytest.raises(ValueError, match="lam = 0"):
-        InterfaceSpec(alpha=0.5, kind="continuous", lam=1.0)
+    for lam in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+            InterfaceSpec(alpha=0.5, lam=lam)
 
 
 def test_gammas_derived_from_the_problems_diffusivities():
     """A bare implicit interface takes gamma from D at alpha: the catalog's system, bit for bit."""
     entry = catalog_problem(1)
     rebuilt = dataclasses.replace(
-        entry.problem, interfaces=(InterfaceSpec(alpha=1 / 9, kind="implicit", lam=1 / 243),)
+        entry.problem, interfaces=(InterfaceSpec(alpha=1 / 9, lam=1 / 243),)
     )
     assert rebuilt.gammas == entry.problem.gammas
     assert rebuilt.gammas[0] == pytest.approx(-1 / 63, rel=1e-12)
@@ -407,5 +446,5 @@ def test_implicit_interface_needs_distinct_positive_diffusivities(d_plus, messag
             conv_delta=(_const(0.0),) * 2,
             reaction=(_const(0.0),) * 2,
             source=(_const(0.0),) * 2,
-            interfaces=(InterfaceSpec.implicit(0.5, 0.1),),
+            interfaces=(InterfaceSpec(0.5, 0.1),),
         )

@@ -32,7 +32,7 @@ def test_wall_constants_problem2():
 def test_problem3_unions_the_layers():
     entry = catalog_problem(3)
     assert [s.alpha for s in entry.problem.interfaces] == pytest.approx([1 / 9, 1 / 3, 2 / 3])
-    assert [s.kind for s in entry.problem.interfaces] == ["implicit", "continuous", "continuous"]
+    assert [s.lam for s in entry.problem.interfaces] == pytest.approx([1 / 243, 0, 0], rel=1e-14)
     assert [float(w(0.9)) for w in entry.problem.reaction] == pytest.approx([0, 10, 1, 0.1])
 
 

@@ -433,6 +433,30 @@ def test_variable_coefficients_exact_in_quadratic_space(tmp_path):
         assert row["h1_broken"] <= 1e-11
 
 
+def test_convection_left_of_implicit_interface_converges(tmp_path):
+    """delta- != 0 at an implicit interface: the weak form carries -2 delta- u-(alpha)[q].
+
+    u- = 1/4 + x^3/30; u+ is the quadratic with [u] = lam (D u')(alpha-),
+    the flux -D u' + 2 delta u continuous at alpha, and u+'' = 1.
+    """
+    alpha, lam, d_minus, d_plus, delta = 1 / 9, 1 / 243, 1.0, 1.35, 3.0
+    value, slope = 0.25 + alpha**3 / 30, alpha**2 / 10
+    v_plus = value + lam * d_minus * slope
+    s = (d_minus * slope - 2 * delta * value + 2 * delta * v_plus) / d_plus
+    right = [v_plus - s * alpha + alpha**2 / 2, s - alpha, 0.5]
+    layer = {"delta_conv": [delta], "w": [0.0], "f": "manufactured"}
+    path = _problem1_file(
+        tmp_path,
+        layers=[dict(layer, D=[d_minus]), dict(layer, D=[d_plus])],
+        bc={"left": {"dirichlet": 0.25}, "right": {"dirichlet": sum(right)}},
+        exact=[[0.25, 0, 0, 1 / 30], right],
+    )
+    table = run_convergence(str(path), 1, "1/8", 5)
+    assert table.rows[-1]["h"] == 1 / 128
+    assert table.rows[-1]["order_l2"] == pytest.approx(2.0, abs=0.15)
+    assert table.rows[-1]["order_h1"] == pytest.approx(1.0, abs=0.15)
+
+
 def test_levels_solve_identically_under_threads():
     """Concurrent refinement levels match the serial results bit-for-bit."""
     from concurrent.futures import ThreadPoolExecutor

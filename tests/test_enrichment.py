@@ -64,7 +64,7 @@ def test_eval_one_sided_at_interface():
     assert _at(psi, 0.5, "right") == pytest.approx((-1 / 12, 1 / 6), rel=1e-14)
     jump = _at(psi, 0.5, "right")[0] - _at(psi, 0.5, "left")[0]
     assert jump == pytest.approx(1 / 6, rel=1e-14)
-    assert jump == pytest.approx(psi.gamma * psi_jumps(psi)[1], rel=1e-14)
+    assert jump == pytest.approx(0.25 * psi_jumps(psi)[1], rel=1e-14)
 
 
 def test_eval_invalid_side_rejected():

@@ -85,7 +85,8 @@ def test_quadrature_batches_cover_the_mesh():
         assert layers == np.searchsorted(alphas, mids).tolist()
         dofs = [row for batch in batches for row in batch.dofs.tolist()]
         assert dofs == [
-            space.element_std_dofs(k) + space.element_enriched_dofs(k) for k in elements
+            [*range(space.degree * k, space.degree * (k + 1) + 1), *space.element_enriched_dofs(k)]
+            for k in elements
         ]
 
         cuts = [psi.element for psi in space.enrichments]
@@ -217,7 +218,7 @@ def test_member_jump_is_enrichment_combination():
         right, _ = eval_function(space, coeffs, psi.alpha, "right")
         mult = {i: v for i, v, _ in eval_basis(space, psi.alpha, "left") if i < space.n_std}
         enr_dofs = space.element_enriched_dofs(psi.element)
-        std_dofs = space.element_std_dofs(psi.element)
+        std_dofs = range(degree * psi.element, degree * (psi.element + 1) + 1)
         q_alpha = sum(
             coeffs[space.free_index[dof]] * mult[std]
             for std, dof in zip(std_dofs, enr_dofs)
