@@ -70,7 +70,9 @@ def interpolate_enriched(
             full[dof] = float(d_right(x)) - float(d_left(x)) + delta
 
     free = space.free_index >= 0
-    return full[free]
+    coeffs = np.empty(space.n_free)
+    coeffs[space.free_index[free]] = full[free]
+    return coeffs
 
 
 def _branch_values(exact, space: EnrichedSpace, xs) -> np.ndarray:

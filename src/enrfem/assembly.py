@@ -27,6 +27,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .enrichment import gamma_from_lambda
 from .femspace import (
@@ -136,28 +137,16 @@ class ProblemSpec:
 class AssembledSystem:
     """Free-DOF linear system with the Dirichlet lift folded into the rhs.
 
-    Free DOFs are ordered standard-first, so the free matrix is
-
-        A = [[S, B],
-             [C, E]]
-
-    with S the standard block, banded with bandwidth p = element degree,
-    and B, C, E the border of the m enrichment DOFs of the cut elements.
-    ``band`` holds S in LAPACK band storage, band[p + i - j, j] = S[i, j],
-    shape (2p + 1, n_std); ``border_cols`` is B (n_std x m) and
-    ``border_rows`` is [C E] (m x n_free).  Storage is O(n) for a fixed
-    number of cuts.
+    Free DOFs run in mesh order (``EnrichedSpace.free_index``), so the
+    free matrix A is one band.  ``band`` holds it in LAPACK band storage,
+    band[q + i - j, j] = A[i, j], shape (2q + 1, n_free); the half-width q
+    is the element degree p without cuts and 2p + 1 with them.  Storage is
+    O(n).
     """
 
     band: np.ndarray
-    border_cols: np.ndarray
-    border_rows: np.ndarray
     rhs: np.ndarray
     space: EnrichedSpace
-
-    @property
-    def n_std(self) -> int:
-        return self.band.shape[1]
 
     @property
     def bandwidth(self) -> int:
@@ -166,28 +155,18 @@ class AssembledSystem:
     @cached_property
     def matrix(self) -> np.ndarray:
         """The dense free matrix A, O(n^2): built on first access, for diagnostics."""
-        ns = self.n_std
         dense = np.zeros((len(self.rhs), len(self.rhs)))
-        for row, i, j in _band_diagonals(self.bandwidth, ns):
+        for row, i, j in _band_diagonals(self.bandwidth, len(self.rhs)):
             dense[i, j] = self.band[row, j]
-        dense[:ns, ns:] = self.border_cols
-        dense[ns:] = self.border_rows
         return dense
 
 
-def _band_diagonals(p: int, n: int):
+def _band_diagonals(q: int, n: int):
     """(band row, row indices, column indices) of each diagonal of an n x n band."""
-    for row in range(2 * p + 1):
-        offset = row - p  # i - j
+    for row in range(2 * q + 1):
+        offset = row - q  # i - j
         j = np.arange(max(0, -offset), min(n, n - offset))
         yield row, j + offset, j
-
-
-def _band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(x))
-    for row, i, j in _band_diagonals(band.shape[0] // 2, len(x)):
-        out[i] += band[row, j] * x[j]
-    return out
 
 
 def space_for_problem(problem: ProblemSpec, mesh: Mesh1D, degree: int) -> EnrichedSpace:
@@ -216,7 +195,6 @@ def assemble_system(problem: ProblemSpec, space: EnrichedSpace, quad_npts: int =
             f"degree {space.degree}; recommend at least {space.degree + 3}",
             stacklevel=2,
         )
-    b = np.zeros(space.n_dofs)
     blocks = []  # (dofs (E, n_local), local matrices (E, n_local, n_local)) in assembly order
     loads = []  # (dofs, local load vectors) in assembly order
 
@@ -249,109 +227,89 @@ def assemble_system(problem: ProblemSpec, space: EnrichedSpace, quad_npts: int =
         if delta_minus != 0.0:
             blocks.append((idx[None], (-2.0 * delta_minus * np.outer(jump, v_left[:, 0]))[None]))
 
-    np.add.at(
-        b,
-        np.concatenate([dofs.ravel() for dofs, _ in loads]),
-        np.concatenate([load.ravel() for _, load in loads]),
-    )
-    band, border_cols, border_rows, lift = _scatter(space, blocks)
-    rhs = b[space.free_index >= 0] - lift @ space.dirichlet_values
-    return AssembledSystem(
-        band=band,
-        border_cols=border_cols,
-        border_rows=border_rows,
-        rhs=rhs,
-        space=space,
-    )
+    fi = space.free_index[np.concatenate([dofs.ravel() for dofs, _ in loads])]
+    f_local = np.concatenate([load.ravel() for _, load in loads])
+    rhs = np.zeros(space.n_free)
+    np.add.at(rhs, fi[fi >= 0], f_local[fi >= 0])
+    band, lift = _scatter(space, blocks)
+    rhs -= lift @ space.dirichlet_values
+    return AssembledSystem(band=band, rhs=rhs, space=space)
 
 
 def _scatter(space: EnrichedSpace, blocks):
-    """Sum element blocks of the full-DOF matrix into the free system's pieces.
+    """Sum element blocks of the full-DOF matrix into the free band and the lift.
 
     ``blocks`` holds (dofs, local) pairs of stacked element matrices, dofs
     of shape (E, n_local) and local of shape (E, n_local, n_local).
-    Returns band, border_cols and border_rows as laid out in
-    AssembledSystem, and ``lift``, the free rows of the constrained
-    columns.  np.add.at adds the (row, col, value) triplets in the order
-    given, so every entry is summed in assembly order.
+    Returns ``band`` as laid out in AssembledSystem, its half-width the
+    widest free (row, column) distance among the entries, and ``lift``,
+    the free rows of the constrained columns.  np.add.at adds the (row,
+    col, value) triplets in the order given, so every entry is summed in
+    assembly order.
     """
     rows = np.concatenate([np.repeat(dofs, dofs.shape[1], axis=1).ravel() for dofs, _ in blocks])
     cols = np.concatenate([np.tile(dofs, dofs.shape[1]).ravel() for dofs, _ in blocks])
     vals = np.concatenate([local.ravel() for _, local in blocks])
     fi, fj = space.free_index[rows], space.free_index[cols]
 
-    p = space.degree
-    ns = space.n_std - len(space.constrained)
-    m = space.n_free - ns
-    band = np.zeros((2 * p + 1, ns))
-    border_cols = np.zeros((ns, m))
-    border_rows = np.zeros((m, space.n_free))
+    free = (fi >= 0) & (fj >= 0)
+    fi_f, fj_f = fi[free], fj[free]
+    q = int(np.abs(fi_f - fj_f).max(initial=0))
+    band = np.zeros((2 * q + 1, space.n_free))
+    np.add.at(band, (q + fi_f - fj_f, fj_f), vals[free])
     lift = np.zeros((space.n_free, len(space.constrained)))
-
-    std_row = (fi >= 0) & (fi < ns)
-    sel = std_row & (fj >= 0) & (fj < ns)
-    np.add.at(band, (p + fi[sel] - fj[sel], fj[sel]), vals[sel])
-    sel = std_row & (fj >= ns)
-    np.add.at(border_cols, (fi[sel], fj[sel] - ns), vals[sel])
-    sel = (fi >= ns) & (fj >= 0)
-    np.add.at(border_rows, (fi[sel] - ns, fj[sel]), vals[sel])
     sel = (fi >= 0) & (fj < 0)
     np.add.at(lift, (fi[sel], np.searchsorted(space.constrained, cols[sel])), vals[sel])
-    return band, border_cols, border_rows, lift
+    return band, lift
 
 
 def solve_system(system: AssembledSystem) -> np.ndarray:
-    """Block elimination: banded LU of S, then the enrichment Schur complement.
+    """One banded LU of the Jacobi-scaled free matrix.
 
-    With A = [[S, B], [C, E]] as in AssembledSystem: solve S [z W] = [b_s B]
-    by banded LU with partial pivoting, factor the m x m Schur complement
-    E - C W by dense LU, solve it for the enrichment DOFs
-    x_e = (E - C W)^-1 (b_e - C z), and back-substitute x_s = z - W x_e.
-    Raises on non-finite entries, on a pivot of either factorization below
-    SINGULAR_PIVOT_RTOL * max|A|, and on a residual above
-    SOLVER_RESIDUAL_RTOL * (||A||_F ||x|| + ||b||).
+    With s_i = 1/sqrt|A_ii| (1 where A_ii = 0), factor S = diag(s) A diag(s)
+    by banded LU with partial pivoting (dgbtrf), solve S y = s b (dgbtrs)
+    and return x = s y.  Raises on non-finite entries, on a pivot of S
+    below SINGULAR_PIVOT_RTOL * max|S|, and on a residual of the unscaled
+    system above SOLVER_RESIDUAL_RTOL * (||A||_F ||x|| + ||b||).
     """
-    band, cols, rows, b = system.band, system.border_cols, system.border_rows, system.rhs
-    p, ns = system.bandwidth, system.n_std
-    parts = (band, cols, rows)
-    if not all(np.all(np.isfinite(part)) for part in parts):
+    band, b, q = system.band, system.rhs, system.bandwidth
+    if not np.all(np.isfinite(band)):
         raise ValueError("matrix has non-finite entries")
-    scale = max((np.max(np.abs(part)) for part in parts if part.size), default=0.0)
-    pivot_floor = SINGULAR_PIVOT_RTOL * max(scale, np.finfo(float).tiny)
+    # The enrichment DOFs scale with psi, so a cut near a node or a deep
+    # mesh gives them diagonal entries many orders below the standard ones.
+    # Unscaled, the one mesh-order LU lost four digits on a P2 file with
+    # D = 14.1 | 0.0356 | 15.4 at n = 48 (relative forward error 1.05e-7,
+    # against 2.2e-11 scaled), and a pivot floor relative to max|A| took
+    # those small pivots for singular ones.
+    diagonal = np.abs(band[q])
+    s = np.ones(len(b))
+    np.divide(1.0, np.sqrt(diagonal), out=s, where=diagonal > 0)
+    # row q + i - j of column j holds A[i, j]: gather s_i along each band row
+    s_rows = sliding_window_view(np.pad(s, q, constant_values=1.0), len(b))
+    scaled = band * s_rows * s
+    pivot_floor = SINGULAR_PIVOT_RTOL * np.max(np.abs(scaled), initial=np.finfo(float).tiny)
 
-    factor_storage = np.zeros((3 * p + 1, ns), order="F")  # p extra rows for pivoting fill
-    factor_storage[p:] = band
-    lu, piv, _ = scipy.linalg.lapack.dgbtrf(factor_storage, p, p, overwrite_ab=1)
-    _check_pivots(np.abs(lu[2 * p]), pivot_floor, first_dof=0)  # row 2p holds U's diagonal
-    solved, _ = scipy.linalg.lapack.dgbtrs(lu, p, p, np.column_stack([b[:ns], cols]), piv)
-    z, w = solved[:, 0], solved[:, 1:]
+    factor_storage = np.zeros((3 * q + 1, len(b)), order="F")  # q extra rows for pivoting fill
+    factor_storage[q:] = scaled
+    lu, piv, _ = scipy.linalg.lapack.dgbtrf(factor_storage, q, q, overwrite_ab=1)
+    bad = np.flatnonzero(np.abs(lu[2 * q]) < pivot_floor)  # row 2q holds U's diagonal
+    if bad.size:
+        raise np.linalg.LinAlgError(
+            f"numerically singular system: zero pivot at free DOF {int(bad[0])}"
+        )
+    y, _ = scipy.linalg.lapack.dgbtrs(lu, q, q, s * b, piv)
+    x = s * y
 
-    c, e = rows[:, :ns], rows[:, ns:]
-    x_e = np.zeros(len(e))
-    if len(e):  # LAPACK rejects an empty matrix
-        # dgetrf reports a zero pivot through its info flag, never as a warning
-        schur, schur_piv, _ = scipy.linalg.lapack.dgetrf(e - c @ w)
-        _check_pivots(np.abs(np.diag(schur)), pivot_floor, first_dof=ns)
-        x_e, _ = scipy.linalg.lapack.dgetrs(schur, schur_piv, b[ns:] - c @ z)
-    x = np.concatenate([z - w @ x_e, x_e])
-
-    ax = np.concatenate([_band_matvec(band, x[:ns]) + cols @ x_e, rows @ x])
+    ax = np.zeros(len(b))
+    for row, i, j in _band_diagonals(q, len(b)):
+        ax[i] += band[row, j] * x[j]
     residual = np.linalg.norm(ax - b)
-    frobenius = np.sqrt(sum(np.sum(part * part) for part in parts))
-    bound = SOLVER_RESIDUAL_RTOL * (frobenius * np.linalg.norm(x) + np.linalg.norm(b))
+    bound = SOLVER_RESIDUAL_RTOL * (np.linalg.norm(band) * np.linalg.norm(x) + np.linalg.norm(b))
     if residual > bound:
         raise ArithmeticError(
             f"solver residual {residual:.3e} exceeds tolerance {bound:.3e}"
         )
     return x
-
-
-def _check_pivots(pivots: np.ndarray, floor: float, first_dof: int) -> None:
-    bad = np.flatnonzero(pivots < floor)
-    if bad.size:
-        raise np.linalg.LinAlgError(
-            f"numerically singular system: zero pivot at free DOF {first_dof + int(bad[0])}"
-        )
 
 
 def condition_number(matrix: np.ndarray) -> float:

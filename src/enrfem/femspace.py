@@ -3,8 +3,11 @@
 The space is span{standard Lagrange basis} + span{phi * psi} where psi is
 the interface enrichment and phi runs over the Lagrange nodal functions of
 the interface element (two hats for degree 1, the three quadratic nodal
-functions for degree 2).  DOFs are ordered standard-first, then one
-enrichment group per interface in position order.
+functions for degree 2).  Global DOFs are ordered standard-first, then
+one enrichment group per interface in position order.  Free DOFs are
+numbered in mesh order instead: each cut's enrichment group follows the
+left node of its element, so every element's DOFs lie within 2p + 1
+free positions of each other and the free matrix is one band.
 
 Each interface cuts exactly one element, and the space's enrichment list
 is the one table of cuts: cut j, in position order, is interface j, lies
@@ -59,7 +62,8 @@ class EnrichedSpace:
     Dirichlet-constrained standard DOFs, and ``dirichlet_values`` (read-only)
     the Dirichlet value each one takes; all enrichment DOFs are free.
     ``free_index`` maps global DOF -> position in the free-DOF vector
-    (-1 if constrained).
+    (-1 if constrained); free positions run in mesh order, a cut's
+    enrichment DOFs right after the left node of its element.
     """
 
     mesh: Mesh1D
@@ -130,11 +134,16 @@ def build_space(
     constrained = [dof for dof, bc in ends if bc.kind == "dirichlet"]
     dirichlet_values = np.array([bc.value for _, bc in ends if bc.kind == "dirichlet"])
 
-    n_dofs = len(std_nodes) + (degree + 1) * len(enrichments)
+    n_std = len(std_nodes)
+    n_dofs = n_std + (degree + 1) * len(enrichments)
+    mesh_order = np.insert(
+        np.arange(n_std),
+        np.repeat(degree * cut_elements + 1, degree + 1),
+        np.arange(n_std, n_dofs),
+    )
+    free_dofs = mesh_order[~np.isin(mesh_order, constrained)]
     free_index = np.full(n_dofs, -1, dtype=int)
-    mask = np.ones(n_dofs, dtype=bool)
-    mask[constrained] = False
-    free_index[mask] = np.arange(int(mask.sum()))
+    free_index[free_dofs] = np.arange(len(free_dofs))
 
     space = EnrichedSpace(
         mesh=mesh,
@@ -146,7 +155,7 @@ def build_space(
         dirichlet_values=dirichlet_values,
         free_index=free_index,
         n_dofs=n_dofs,
-        n_free=int(mask.sum()),
+        n_free=len(free_dofs),
     )
     for table in (space.cut_of, space.std_nodes, space.dirichlet_values, space.free_index):
         table.flags.writeable = False

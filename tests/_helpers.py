@@ -4,6 +4,7 @@ import bisect
 import dataclasses
 
 import numpy as np
+import scipy.linalg
 from numpy.polynomial import Polynomial
 
 from enrfem.analysis import ErrorReport, polynomial_branches
@@ -70,9 +71,27 @@ def psi_jumps(psi):
 
 def constant_coefficient_vector(space, c):
     """Free-DOF vector representing the constant c (enrichment DOFs zero)."""
-    full = np.zeros(space.n_dofs)
-    full[: space.n_std] = c
-    return full[space.free_index >= 0]
+    coeffs = np.zeros(space.n_free)
+    std = space.free_index[: space.n_std]
+    coeffs[std[std >= 0]] = c
+    return coeffs
+
+
+def refined_solve(system, steps=5):
+    """The free system solved by a dense LU and `steps` rounds of refinement.
+
+    Each residual is taken in np.longdouble, so the result is accurate to
+    about cond(A) times the extended precision's epsilon: a reference for
+    the forward error of `solve_system`.
+    """
+    matrix = system.matrix
+    lu = scipy.linalg.lu_factor(matrix)
+    x = scipy.linalg.lu_solve(lu, system.rhs)
+    wide = matrix.astype(np.longdouble)
+    for _ in range(steps):
+        residual = system.rhs.astype(np.longdouble) - wide @ x.astype(np.longdouble)
+        x = x + scipy.linalg.lu_solve(lu, residual.astype(float))
+    return x
 
 
 # ------------------------------------------------ per-element reference oracle
@@ -103,7 +122,11 @@ def reference_pieces(space, quad_npts):
 
 
 def reference_assembly(problem, space, quad_npts):
-    """(band, border_cols, border_rows, rhs) from a dense per-element assembly."""
+    """(band, rhs) in free order from a dense per-element assembly.
+
+    The half-width is 2p + 1 with cuts and p without, as documented for
+    AssembledSystem, and every entry outside it must vanish.
+    """
     a_full = np.zeros((space.n_dofs, space.n_dofs))
     b_full = np.zeros(space.n_dofs)
     for layer, xs, wq, dofs, vals, ders in reference_pieces(space, quad_npts):
@@ -130,7 +153,8 @@ def reference_assembly(problem, space, quad_npts):
             if delta_minus != 0.0:
                 a_full[np.ix_(dofs, dofs)] += -2.0 * delta_minus * np.outer(jump, v_left[:, 0])
 
-    free = np.flatnonzero(space.free_index >= 0)
+    free = np.empty(space.n_free, dtype=int)  # global DOF at each free position
+    free[space.free_index[space.free_index >= 0]] = np.flatnonzero(space.free_index >= 0)
     constrained = list(space.constrained)
     matrix = a_full[np.ix_(free, free)]
     rhs = b_full[free]
@@ -140,16 +164,15 @@ def reference_assembly(problem, space, quad_npts):
         ])
         rhs = rhs - a_full[np.ix_(free, constrained)] @ values
 
-    p = space.degree
-    ns = space.n_std - len(constrained)
-    band = np.zeros((2 * p + 1, ns))
-    for i in range(ns):
-        for j in range(ns):
-            if abs(i - j) <= p:
-                band[p + i - j, j] = matrix[i, j]
+    q = 2 * space.degree + 1 if space.enrichments else space.degree
+    band = np.zeros((2 * q + 1, space.n_free))
+    for i in range(space.n_free):
+        for j in range(space.n_free):
+            if abs(i - j) <= q:
+                band[q + i - j, j] = matrix[i, j]
             else:
-                assert matrix[i, j] == 0.0, "standard block wider than its band"
-    return band, matrix[:ns, ns:], matrix[ns:], rhs
+                assert matrix[i, j] == 0.0, "free matrix wider than its band"
+    return band, rhs
 
 
 def reference_errors(exact, space, coeffs, quad_npts):

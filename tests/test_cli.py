@@ -328,6 +328,28 @@ def test_main_numerical_failure(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("degree", ["1", "2"])
+@pytest.mark.parametrize("interface", [
+    {"alpha": 0.3, "kind": "continuous"},
+    {"alpha": 0.3, "kind": "implicit", "lambda": 0.1},
+])
+def test_singular_system_is_a_numerical_failure(tmp_path, capsys, degree, interface):
+    """Neumann at both ends with w = 0: constants span the kernel, so no pivot survives."""
+    doc_path = _problem1_file(
+        tmp_path,
+        layers=[
+            {"D": [1.0], "delta_conv": [0.0], "w": [0.0], "f": "manufactured"},
+            {"D": [2.0], "delta_conv": [0.0], "w": [0.0], "f": "manufactured"},
+        ],
+        interfaces=[interface],
+        bc={"left": {"neumann": 0.0}, "right": {"neumann": 0.0}},
+        exact=[[1.0], [1.0]],
+    )
+    code = main(["--problem", str(doc_path), "--degree", degree, "--levels", "2"])
+    assert code == 2
+    assert "zero pivot" in capsys.readouterr().err
+
+
 def _run_module(*args):
     """``python -m enrfem.cli *args`` in a fresh interpreter, importing this checkout."""
     package_root = str(Path(enrfem.__file__).resolve().parents[1])

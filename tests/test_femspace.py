@@ -171,8 +171,8 @@ def test_polynomial_reproduction():
     for degree, poly in ((1, np.polynomial.Polynomial([0.3, -1.7])),
                          (2, np.polynomial.Polynomial([0.3, -1.7, 2.2]))):
         space = _space(degree=degree, bc=(NEUMANN, NEUMANN), gamma=-0.02)
-        coeffs = poly(space.std_nodes)  # all standard DOFs free, enrichment absent
-        coeffs = np.concatenate([coeffs, np.zeros(space.n_dofs - space.n_std)])
+        coeffs = np.zeros(space.n_free)  # all DOFs free, enrichment absent
+        coeffs[space.free_index[: space.n_std]] = poly(space.std_nodes)
         for x in rng.uniform(0.0, 1.0, 50):
             value, deriv = eval_function(space, coeffs, float(x))
             assert value == pytest.approx(float(poly(x)), abs=1e-14)
