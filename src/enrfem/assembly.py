@@ -154,7 +154,10 @@ class AssembledSystem:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The dense free matrix A, O(n^2): built on first access, for diagnostics."""
+        """The dense free matrix A, O(n^2), built on first access.
+
+        Only tests and the benchmark read it; the program works on ``band``.
+        """
         dense = np.zeros((len(self.rhs), len(self.rhs)))
         for row, i, j in _band_diagonals(self.bandwidth, len(self.rhs)):
             dense[i, j] = self.band[row, j]
@@ -263,6 +266,35 @@ def _scatter(space: EnrichedSpace, blocks):
     return band, lift
 
 
+def _scaled_lu(band: np.ndarray):
+    """Banded LU of the Jacobi-scaled free matrix, for solves with A and A^T.
+
+    With s_i = 1/sqrt|A_ii| (1 where A_ii = 0), factors S = diag(s) A diag(s)
+    by banded LU with partial pivoting (dgbtrf), so that
+    A^-1 = diag(s) S^-1 diag(s).  Returns (s, lu, piv, max|S|); row 2q of
+    ``lu`` holds U's diagonal.  Raises on non-finite entries.
+    """
+    if not np.all(np.isfinite(band)):
+        raise ValueError("matrix has non-finite entries")
+    q, n = band.shape[0] // 2, band.shape[1]
+    # The enrichment DOFs scale with psi, so a cut near a node or a deep
+    # mesh gives them diagonal entries many orders below the standard ones.
+    # Unscaled, the one mesh-order LU lost four digits on a P2 file with
+    # D = 14.1 | 0.0356 | 15.4 at n = 48 (relative forward error 1.05e-7,
+    # against 2.2e-11 scaled), and a pivot floor relative to max|A| took
+    # those small pivots for singular ones.
+    diagonal = np.abs(band[q])
+    s = np.ones(n)
+    np.divide(1.0, np.sqrt(diagonal), out=s, where=diagonal > 0)
+    # row q + i - j of column j holds A[i, j]: gather s_i along each band row
+    s_rows = sliding_window_view(np.pad(s, q, constant_values=1.0), n)
+    factor_storage = np.zeros((3 * q + 1, n), order="F")  # q extra rows for pivoting fill
+    factor_storage[q:] = band * s_rows * s
+    largest = np.max(np.abs(factor_storage), initial=np.finfo(float).tiny)
+    lu, piv, _ = scipy.linalg.lapack.dgbtrf(factor_storage, q, q, overwrite_ab=1)
+    return s, lu, piv, largest
+
+
 def solve_system(system: AssembledSystem) -> np.ndarray:
     """One banded LU of the Jacobi-scaled free matrix.
 
@@ -273,26 +305,8 @@ def solve_system(system: AssembledSystem) -> np.ndarray:
     system above SOLVER_RESIDUAL_RTOL * (||A||_F ||x|| + ||b||).
     """
     band, b, q = system.band, system.rhs, system.bandwidth
-    if not np.all(np.isfinite(band)):
-        raise ValueError("matrix has non-finite entries")
-    # The enrichment DOFs scale with psi, so a cut near a node or a deep
-    # mesh gives them diagonal entries many orders below the standard ones.
-    # Unscaled, the one mesh-order LU lost four digits on a P2 file with
-    # D = 14.1 | 0.0356 | 15.4 at n = 48 (relative forward error 1.05e-7,
-    # against 2.2e-11 scaled), and a pivot floor relative to max|A| took
-    # those small pivots for singular ones.
-    diagonal = np.abs(band[q])
-    s = np.ones(len(b))
-    np.divide(1.0, np.sqrt(diagonal), out=s, where=diagonal > 0)
-    # row q + i - j of column j holds A[i, j]: gather s_i along each band row
-    s_rows = sliding_window_view(np.pad(s, q, constant_values=1.0), len(b))
-    scaled = band * s_rows * s
-    pivot_floor = SINGULAR_PIVOT_RTOL * np.max(np.abs(scaled), initial=np.finfo(float).tiny)
-
-    factor_storage = np.zeros((3 * q + 1, len(b)), order="F")  # q extra rows for pivoting fill
-    factor_storage[q:] = scaled
-    lu, piv, _ = scipy.linalg.lapack.dgbtrf(factor_storage, q, q, overwrite_ab=1)
-    bad = np.flatnonzero(np.abs(lu[2 * q]) < pivot_floor)  # row 2q holds U's diagonal
+    s, lu, piv, largest = _scaled_lu(band)
+    bad = np.flatnonzero(np.abs(lu[2 * q]) < SINGULAR_PIVOT_RTOL * largest)
     if bad.size:
         raise np.linalg.LinAlgError(
             f"numerically singular system: zero pivot at free DOF {int(bad[0])}"
@@ -312,12 +326,67 @@ def solve_system(system: AssembledSystem) -> np.ndarray:
     return x
 
 
-def condition_number(matrix: np.ndarray) -> float:
-    """2-norm condition number from the full singular spectrum."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("matrix must be square")
-    sigma = np.linalg.svd(matrix, compute_uv=False)
-    if sigma[-1] == 0.0:
+def condition_number(system: AssembledSystem) -> float:
+    """2-norm condition number sigma_max / sigma_min of the free matrix, from its band.
+
+    sigma_max^2 is the largest eigenvalue of A^T A (``_gram_norm``).
+    sigma_min^-2 is the largest eigenvalue of A^-1 A^-T, found by Lanczos
+    (ARPACK's eigsh) with every product taken through the Jacobi-scaled
+    banded LU of ``solve_system``.  Time and memory are O(n) for a fixed
+    bandwidth; the dense matrix is never built.  Returns inf when A is
+    exactly singular (a zero pivot).
+    """
+    from scipy.sparse.linalg import LinearOperator, eigsh  # imported by --cond only
+
+    band, q = system.band, system.bandwidth
+    n = band.shape[1]
+    s, lu, piv, _ = _scaled_lu(band)
+    if np.any(lu[2 * q] == 0.0):
         return float("inf")
-    return float(sigma[0] / sigma[-1])
+    if n == 1:
+        return 1.0
+
+    def inverse_gram(v):
+        # A^-1 A^-T v = s S^-1 (s^2 S^-T (s v))
+        w, _ = scipy.linalg.lapack.dgbtrs(lu, q, q, s * np.ravel(v), piv, trans=1)
+        w, _ = scipy.linalg.lapack.dgbtrs(lu, q, q, s * s * w, piv)
+        return s * w
+
+    operator = LinearOperator((n, n), matvec=inverse_gram, dtype=float)
+    # a fixed start vector keeps the last digits, and so the reports, reproducible
+    start = np.random.default_rng(0).standard_normal(n)
+    (inverse_sigma_min_sq,) = eigsh(operator, k=1, v0=start, return_eigenvectors=False)
+    return float(np.sqrt(_gram_norm(band) * inverse_sigma_min_sq))
+
+
+def _gram_norm(band: np.ndarray) -> float:
+    """Largest eigenvalue of A^T A (sigma_max^2) by bisection on banded Cholesky.
+
+    A^T A is a symmetric band of half-width 2q, formed in O(n q^2).  Its
+    largest eigenvalue lies between its largest diagonal entry and its
+    largest absolute row sum, and sigma I - A^T A has a Cholesky factor
+    (dpbtrf) exactly when sigma lies above it.  Bisection runs until the
+    bracket is two adjacent floats, so the value is exact to a few ulps.
+    """
+    q, n = band.shape[0] // 2, band.shape[1]
+    kd = min(2 * q, n - 1)
+    # upper band storage: gram[kd - d, j] = (A^T A)[j - d, j]
+    #   = sum_k A[k, j - d] A[k, j], with A[k, i] = band[q + k - i, i]
+    gram = np.zeros((kd + 1, n), order="F")  # so that -gram goes to dpbtrf uncopied
+    row_sums = np.zeros(n)
+    for d in range(kd + 1):
+        for r in range(d, 2 * q + 1):
+            gram[kd - d, d:] += band[r, : n - d] * band[r - d, d:]
+        row_sums[: n - d] += np.abs(gram[kd - d, d:])
+        if d:
+            row_sums[d:] += np.abs(gram[kd - d, d:])
+    low, high = float(np.max(gram[kd])), float(np.max(row_sums))
+    while low < (mid := 0.5 * (low + high)) < high:
+        shifted = -gram
+        shifted[kd] += mid
+        _, info = scipy.linalg.lapack.dpbtrf(shifted, overwrite_ab=1)
+        if info == 0:
+            high = mid
+        else:
+            low = mid
+    return high

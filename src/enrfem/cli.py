@@ -277,7 +277,7 @@ def run_convergence(
             "l2": report.l2,
             "h1_broken": report.h1_broken,
             "nodal": report.nodal_max,
-            "cond": condition_number(system.matrix) if with_cond else None,
+            "cond": condition_number(system) if with_cond else None,
         })
 
     hs = [row["h"] for row in rows]

@@ -66,7 +66,7 @@ def studies():
                     np.linalg.norm(system.matrix @ coeffs - system.rhs)
                     / np.linalg.norm(system.rhs)
                 ),
-                "cond": condition_number(system.matrix) if pid <= 3 else None,
+                "cond": condition_number(system) if pid <= 3 else None,
             }
             if degree == 1:
                 interp = interpolate_enriched(exact, space)

@@ -11,9 +11,11 @@ from numpy.polynomial import Polynomial
 from _helpers import (
     constant_coefficient_vector,
     constant_patch_problem,
+    dense_condition_number,
     psi_jumps,
     reference_assembly,
     reference_errors,
+    refined_condition_number,
     refined_solve,
     solve_benchmark,
 )
@@ -392,7 +394,9 @@ def test_constant_callables_match_polynomials(pid):
 
 
 def test_assemble_and_solve_stay_linear_in_memory():
-    """P1 at n = 2048, errors included: the dense free matrix alone would take 33.6 MB."""
+    """P1 at n = 2048 with errors and --cond: the dense free matrix alone would take 33.6 MB."""
+    import scipy.sparse.linalg  # noqa: F401  (measure condition_number, not the import it makes)
+
     entry = catalog_problem(2)
     mesh = build_mesh(0.0, 1.0, 2048, [s.alpha for s in entry.problem.interfaces])
     space = space_for_problem(entry.problem, mesh, entry.degree)
@@ -401,6 +405,7 @@ def test_assemble_and_solve_stay_linear_in_memory():
         system = assemble_system(entry.problem, space, 6)
         coeffs = solve_system(system)
         compute_errors(entry.problem.exact, space, coeffs, 12)
+        condition_number(system)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -423,21 +428,66 @@ def _fake_system(matrix, rhs):
 # --------------------------------------------------------- condition numbers
 
 def test_condition_number_identity():
-    assert condition_number(np.eye(4)) == pytest.approx(1.0, rel=1e-14)
+    assert condition_number(_fake_system(np.eye(4), np.ones(4))) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_condition_number_diagonal():
-    assert condition_number(np.diag([1.0, 100.0])) == pytest.approx(100.0, rel=1e-12)
+    system = _fake_system(np.diag([1.0, 100.0]), np.ones(2))
+    assert condition_number(system) == pytest.approx(100.0, rel=1e-12)
 
 
 def test_condition_number_singular_is_infinite():
-    assert condition_number(np.zeros((2, 2))) == float("inf")
+    assert condition_number(_fake_system(np.zeros((2, 2)), np.ones(2))) == float("inf")
 
 
 def test_condition_number_problem2_magnitude():
     _, _, _, system, _ = solve_benchmark(2, 8)
-    cond = condition_number(system.matrix)
+    cond = condition_number(system)
     assert 1.27626e4 / 10 <= cond <= 1.27626e4 * 10
+
+
+@pytest.mark.parametrize("n", [8, 64, 512])
+@pytest.mark.parametrize("pid", [1, 2, 3, 4, 5, 6])
+def test_condition_number_matches_the_dense_svd(pid, n):
+    """Within 10 eps kappa: the dense SVD's sigma_min is itself only good to about eps kappa."""
+    _, _, _, system, _ = solve_benchmark(pid, n)
+    cond = condition_number(system)
+    reference = dense_condition_number(system.matrix)
+    assert abs(cond - reference) <= 10 * np.finfo(float).eps * reference**2
+
+
+def test_condition_number_beats_the_dense_svd_on_problem4():
+    """p4 at n = 512 (kappa 5.8e9): the dense SVD is off by 7e-7, the band by 1e-14."""
+    _, _, _, system, _ = solve_benchmark(4, 512)
+    reference = refined_condition_number(system.matrix)
+    assert condition_number(system) == pytest.approx(reference, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_condition_number_of_one_and_two_free_dofs(n):
+    """Poisson with Dirichlet ends on n = 2 and 3 elements: 1 and 2 free DOFs."""
+    problem = _poisson_problem()
+    system = assemble_system(problem, space_for_problem(problem, build_mesh(0.0, 1.0, n, []), 1))
+    assert len(system.rhs) == n - 1
+    cond = condition_number(system)
+    assert cond == pytest.approx(dense_condition_number(system.matrix), rel=1e-14)
+
+
+def test_condition_number_of_a_nonsymmetric_band():
+    """Convection makes A nonsymmetric: sigma_min needs both A^-1 and A^-T."""
+    rng = np.random.default_rng(7)
+    matrix = np.diag(rng.uniform(1.0, 2.0, 12)) + np.diag(rng.uniform(-3.0, 3.0, 11), 1)
+    matrix += np.diag(rng.uniform(-1.0, 1.0, 10), -2)
+    cond = condition_number(_fake_system(matrix, np.ones(12)))
+    assert cond == pytest.approx(dense_condition_number(matrix), rel=1e-12)
+
+
+def test_condition_number_on_a_deep_p2_mesh():
+    """p6 at n = 16,384 (32,777 free DOFs) gives a finite kappa without the dense view."""
+    _, _, _, system, _ = solve_benchmark(6, 16384)
+    cond = condition_number(system)
+    assert np.isfinite(cond) and cond > 1.0
+    assert "matrix" not in vars(system)
 
 
 # ----------------------------------------------------------- problem checks

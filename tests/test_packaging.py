@@ -1,4 +1,6 @@
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,3 +19,14 @@ def test_version_is_written_once():
     module, name = doc["tool"]["setuptools"]["dynamic"]["version"]["attr"].rsplit(".", 1)
     version = getattr(importlib.import_module(module), name)
     assert isinstance(version, str) and version == enrfem.__version__
+
+
+def test_import_leaves_scipy_sparse_out():
+    """Only --cond imports scipy.sparse.linalg, so startup does not pay for it."""
+    src = str(Path(enrfem.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import enrfem, enrfem.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
