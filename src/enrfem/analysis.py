@@ -111,21 +111,22 @@ def compute_errors(
     u_nodes = _branch_values(exact, space, nodes)
     full = full_coefficients(space, coeffs)
 
-    l2_terms, h1_terms = [], []  # per piece, in element order
-    for batch in quadrature_pieces(space, quad_npts):
-        coef = full[batch.dofs][:, None]
-        uh = (coef @ batch.values)[:, 0]
-        duh = (coef @ batch.derivatives)[:, 0]
-        value, deriv = exact[batch.layer]
-        e = value(batch.xs) - uh
-        de = deriv(batch.xs) - duh
-        wq = batch.weights[:, None]
-        l2_terms.append((wq @ (e * e)[..., None])[:, 0, 0])
-        h1_terms.append((wq @ (de * de)[..., None])[:, 0, 0])
-    # np.cumsum adds the terms one after another in element order; np.sum
-    # would add them pairwise and move the last digits
-    l2_sq = np.cumsum(np.concatenate(l2_terms))[-1]
-    h1_sq = np.cumsum(np.concatenate(h1_terms))[-1]
+    quad = quadrature_pieces(space, quad_npts)
+    # e = u_h - u in place: its square has the bits of (u - u_h)^2
+    e, de = np.empty_like(quad.xs), np.empty_like(quad.xs)
+    for basis, pieces in ((quad.standard, slice(None)), (quad.cut, quad.cut_pieces)):
+        coef = full[basis.dofs][:, None]
+        e[pieces] = (coef @ basis.values)[:, 0]
+        de[pieces] = (coef @ basis.derivatives)[:, 0]
+    e -= quad.on_layers(value for value, _ in exact)
+    de -= quad.on_layers(deriv for _, deriv in exact)
+    e *= e
+    de *= de
+    wq = quad.weights[:, None]
+    # np.cumsum adds the pieces' terms one after another in element order;
+    # np.sum would add them pairwise and move the last digits
+    l2_sq = np.cumsum((wq @ e[..., None])[:, 0, 0])[-1]
+    h1_sq = np.cumsum((wq @ de[..., None])[:, 0, 0])[-1]
 
     # psi vanishes at element endpoints, so a node's value is the standard
     # part of the element to its left

@@ -33,6 +33,7 @@ from .enrichment import gamma_from_lambda
 from .femspace import (
     BoundaryCondition,
     EnrichedSpace,
+    Quadrature,
     build_space,
     element_basis,
     quadrature_pieces,
@@ -198,26 +199,8 @@ def assemble_system(problem: ProblemSpec, space: EnrichedSpace, quad_npts: int =
             f"degree {space.degree}; recommend at least {space.degree + 3}",
             stacklevel=2,
         )
-    blocks = []  # (dofs (E, n_local), local matrices (E, n_local, n_local)) in assembly order
-    loads = []  # (dofs, local load vectors) in assembly order
-
-    for batch in quadrature_pieces(space, quad_npts):
-        xs, wq, vals, ders = batch.xs, batch.weights, batch.values, batch.derivatives
-        d_c, conv, w_c, f_c = (
-            coefficient[batch.layer](xs)
-            for coefficient in (
-                problem.diffusivity, problem.conv_delta, problem.reaction, problem.source
-            )
-        )
-        vals_t = vals.transpose(0, 2, 1)
-        local = (ders * (wq * d_c)[:, None]) @ ders.transpose(0, 2, 1)
-        if np.any(conv != 0.0):
-            local += (ders * (wq * (-2.0) * conv)[:, None]) @ vals_t
-        if np.any(w_c != 0.0):
-            local += (vals * (wq * w_c)[:, None]) @ vals_t
-        blocks.append((batch.dofs, local))
-        loads.append((batch.dofs, (vals * (wq * f_c)[:, None]).sum(axis=2)))
-
+    runs = _piece_integrals(problem, quadrature_pieces(space, quad_npts))
+    blocks = [(dofs, local) for dofs, local, _ in runs]
     for j, (spec, psi) in enumerate(zip(problem.interfaces, space.enrichments)):
         if spec.lam == 0:
             continue
@@ -230,13 +213,40 @@ def assemble_system(problem: ProblemSpec, space: EnrichedSpace, quad_npts: int =
         if delta_minus != 0.0:
             blocks.append((idx[None], (-2.0 * delta_minus * np.outer(jump, v_left[:, 0]))[None]))
 
-    fi = space.free_index[np.concatenate([dofs.ravel() for dofs, _ in loads])]
-    f_local = np.concatenate([load.ravel() for _, load in loads])
+    fi = space.free_index[np.concatenate([dofs.ravel() for dofs, _, _ in runs])]
+    f_local = np.concatenate([load.ravel() for _, _, load in runs])
     rhs = np.zeros(space.n_free)
     np.add.at(rhs, fi[fi >= 0], f_local[fi >= 0])
     band, lift = _scatter(space, blocks)
     rhs -= lift @ space.dirichlet_values
     return AssembledSystem(band=band, rhs=rhs, space=space)
+
+
+def _piece_integrals(problem: ProblemSpec, quad: Quadrature):
+    """(dofs, local matrices, local loads) of all pieces, as runs in element order.
+
+    Each coefficient is called once per layer.  Keeping element order makes
+    every entry sum in the order of a per-element assembly.
+    """
+    d_c, conv, w_c, f_c = (
+        quad.on_layers(coefficient)
+        for coefficient in (problem.diffusivity, problem.conv_delta, problem.reaction, problem.source)
+    )
+    integrals = []
+    for basis, pieces in ((quad.standard, slice(None)), (quad.cut, quad.cut_pieces)):
+        wq, vals, ders = quad.weights[pieces], basis.values, basis.derivatives
+        vals_t = vals.transpose(0, 2, 1)
+        local = (ders * (wq * d_c[pieces])[:, None]) @ ders.transpose(0, 2, 1)
+        if np.any(conv != 0.0):
+            local += (ders * (wq * (-2.0) * conv[pieces])[:, None]) @ vals_t
+        if np.any(w_c != 0.0):
+            local += (vals * (wq * w_c[pieces])[:, None]) @ vals_t
+        integrals.append((basis.dofs, local, (vals * (wq * f_c[pieces])[:, None]).sum(axis=2)))
+    (standard, cut), runs, start = integrals, [], 0
+    for j, left in enumerate(quad.cut_pieces[::2].tolist()):
+        runs += [tuple(a[start:left] for a in standard), tuple(a[2 * j:2 * j + 2] for a in cut)]
+        start = left + 2
+    return runs + [tuple(a[start:] for a in standard)]
 
 
 def _scatter(space: EnrichedSpace, blocks):

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from numpy.polynomial import Polynomial
+from numpy.polynomial import polynomial as P
 
 from .analysis import polynomial_branches
 from .assembly import InterfaceSpec, ProblemSpec
@@ -44,20 +45,22 @@ def manufactured_rhs(exact, diffusivity, conv_delta, reaction) -> list[Polynomia
 
     For constant D and delta this is -D u'' + 2 delta u' + w u.  ``exact``
     holds one (value, derivative) pair per layer; the value callables must
-    be numpy Polynomials (no numerical differentiation).
+    be numpy Polynomials (no numerical differentiation), and every
+    Polynomial must be in powers of x (default domain and window).  The
+    arithmetic runs on coefficient arrays with the functions that
+    Polynomial's operators call, so the result has the operators' bits.
     """
     out = []
     for i, (value, _) in enumerate(exact):
-        if not isinstance(value, Polynomial):
+        polys = [value] + [_as_poly(c) for c in (diffusivity[i], conv_delta[i], reaction[i])]
+        if not isinstance(value, Polynomial) or any(p.mapparms() != (0, 1) for p in polys):
             raise ValueError(
-                f"branch {i} is not a polynomial; manufactured sources need "
+                f"layer {i} is not a polynomial in x; manufactured sources need "
                 "second derivatives"
             )
-        d = _as_poly(diffusivity[i])
-        delta = _as_poly(conv_delta[i])
-        w = _as_poly(reaction[i])
-        flux = -d * value.deriv() + 2.0 * delta * value
-        out.append(flux.deriv() + w * value)
+        u, d, delta, w = (p.coef for p in polys)
+        flux = P.polyadd(P.polymul(-d, P.polyder(u)), P.polymul(P.polymul(2.0, delta), u))
+        out.append(Polynomial(P.polyadd(P.polyder(flux), P.polymul(w, u))))
     return out
 
 

@@ -17,7 +17,7 @@ n_std + (degree + 1) * j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -241,56 +241,81 @@ def quadrature_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
     return points, weights
 
 
-class QuadratureBatch(NamedTuple):
-    """Gauss sub-intervals of E consecutive elements in one layer, as stacked arrays.
+class Basis(NamedTuple):
+    """DOFs (E, n_local) of E quadrature pieces and their basis functions (E, n_local, q)."""
 
-    ``xs`` and ``weights`` (E, q) are the mapped Gauss rule, ``dofs``
-    (E, n_local) the DOFs supported on each element, and
-    ``values``/``derivatives`` (E, n_local, q) their basis functions at
-    ``xs``.  ``layer`` owns every piece of the batch.
-    """
-
-    layer: int
-    xs: np.ndarray
-    weights: np.ndarray
     dofs: np.ndarray
     values: np.ndarray
     derivatives: np.ndarray
 
 
-def quadrature_pieces(space: EnrichedSpace, quad_npts: int):
-    """Every quadrature sub-interval of the mesh, in batches in element order.
+class Quadrature(NamedTuple):
+    """The P = n + c Gauss pieces of a mesh with c cuts, in element order.
 
-    Each run of uncut elements between two cuts is one batch of standard
-    Lagrange elements.  A cut element is split at alpha into two batches
-    of one piece each: the left piece owned by layer j, the right by
-    layer j + 1, with psi one-sided towards the piece.  The Gauss rule of
-    ``quad_npts`` points is mapped to every piece.
+    ``xs`` and ``weights`` (P, q) map the rule to each uncut element and to
+    both sides of each cut; ``layers[j]`` is the slice of pieces in layer j.
+    ``standard`` has the standard DOFs of every piece, ``cut`` all DOFs of
+    the pieces ``cut_pieces`` (each cut's left, then right piece, psi
+    one-sided towards it).  A cut piece's ``cut`` row supersedes its
+    ``standard`` one.
+    """
+
+    xs: np.ndarray
+    weights: np.ndarray
+    layers: tuple[slice, ...]
+    standard: Basis
+    cut: Basis
+    cut_pieces: np.ndarray
+
+    def on_layers(self, functions) -> np.ndarray:
+        """Layer j's function called once, on the points of layer j, for each j: (P, q)."""
+        out = np.empty_like(self.xs)
+        for function, pieces in zip(functions, self.layers):
+            out[pieces] = function(self.xs[pieces])
+        return out
+
+
+def quadrature_pieces(space: EnrichedSpace, quad_npts: int) -> Quadrature:
+    """The Gauss rule of ``quad_npts`` points mapped to every piece of the mesh.
+
+    The basis comes in two batches: the standard basis of all pieces, and
+    the cut pieces with their enrichment rows, psi evaluated by one
+    ``eval_enrichment`` call for the left pieces and one for the right.
     """
     ref_x, ref_w = quadrature_rule(quad_npts)
+    nodes, cuts = space.mesh.nodes, space.enrichments
+    cut_elements = np.array([psi.element for psi in cuts], dtype=int)
+    left_pieces = cut_elements + np.arange(len(cuts))
+    ends = np.insert(nodes, cut_elements + 1, [psi.alpha for psi in cuts])
+    half = 0.5 * (ends[1:] - ends[:-1])[:, None]
+    xs = ends[:-1, None] + half * (ref_x + 1.0)
+    elements = np.insert(np.arange(space.mesh.n_elements), cut_elements, cut_elements)
+    standard = Basis(*standard_basis(space, elements, xs))
 
-    def mapped_rule(a: np.ndarray, b: np.ndarray):
-        half = 0.5 * (b - a)[:, None]
-        return a[:, None] + half * (ref_x + 1.0), half * ref_w
-
-    def uncut_run(start: int, stop: int, layer: int):
-        if start < stop:
-            ks = np.arange(start, stop)
-            nodes = space.mesh.nodes
-            xs, wq = mapped_rule(nodes[start:stop], nodes[start + 1:stop + 1])
-            yield QuadratureBatch(layer, xs, wq, *standard_basis(space, ks, xs))
-
-    start = 0
-    for j, psi in enumerate(space.enrichments):
-        k = psi.element
-        yield from uncut_run(start, k, j)
-        pieces = ((psi.x_left, psi.alpha, j, "left"), (psi.alpha, psi.x_right, j + 1, "right"))
-        for a, b, layer, side in pieces:
-            xs, wq = mapped_rule(np.array([a]), np.array([b]))
-            dofs, vals, ders = element_basis(space, k, xs[0], side)
-            yield QuadratureBatch(layer, xs, wq, dofs[None], vals[None], ders[None])
-        start = k + 1
-    yield from uncut_run(start, space.mesh.n_elements, len(space.enrichments))
+    cut_pieces = np.stack([left_pieces, left_pieces + 1], axis=1).ravel()
+    # every cut's psi as one EnrichmentFunction of (c, 1) columns
+    stacked = EnrichmentFunction(*(
+        np.array([getattr(psi, field.name) for psi in cuts])[:, None]
+        for field in fields(EnrichmentFunction)
+    ))
+    left, right = (
+        eval_enrichment(stacked, xs[pieces], side)
+        for pieces, side in ((left_pieces, "left"), (left_pieces + 1, "right"))
+    )
+    psi_values, psi_derivatives = (  # row 2j: cut j's left piece, 2j + 1: its right
+        np.stack(pair, axis=1).reshape(-1, 1, quad_npts) for pair in zip(left, right)
+    )
+    vals, ders = standard.values[cut_pieces], standard.derivatives[cut_pieces]
+    per = space.degree + 1
+    enriched_dofs = np.repeat(space.n_std + per * np.arange(len(cuts)), 2)[:, None] + np.arange(per)
+    cut = Basis(
+        np.concatenate([standard.dofs[cut_pieces], enriched_dofs], axis=1),
+        np.concatenate([vals, vals * psi_values], axis=1),
+        np.concatenate([ders, ders * psi_values + vals * psi_derivatives], axis=1),
+    )
+    bounds = [0, *(left_pieces + 1).tolist(), len(elements)]
+    layers = tuple(slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
+    return Quadrature(xs, half * ref_w, layers, standard, cut, cut_pieces)
 
 
 def eval_basis(space: EnrichedSpace, x: float, side: str = "left"):

@@ -29,7 +29,7 @@ from enrfem.assembly import (
     solve_system,
     space_for_problem,
 )
-from enrfem.bench import catalog_problem
+from enrfem.bench import catalog_problem, manufactured_rhs
 from enrfem.cli import load_problem_file
 from enrfem.femspace import quadrature_rule
 from enrfem.mesh import build_mesh, mesh_from_nodes
@@ -341,6 +341,20 @@ def _left_convection_problem1():
     return dataclasses.replace(problem, conv_delta=(_const(3.0),) + problem.conv_delta[1:])
 
 
+def _assert_bits_match_reference(problem, space):
+    """Assembly, solve and errors on ``space`` equal the per-element oracle bit for bit."""
+    system = assemble_system(problem, space, 6)
+    for got, want in zip((system.band, system.rhs), reference_assembly(problem, space, 6)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    coeffs = solve_system(system)
+    report = compute_errors(problem.exact, space, coeffs, 12)
+    reference = reference_errors(problem.exact, space, coeffs, 12)
+    for name in ("l2", "h1_broken", "nodal_max"):
+        got, want = np.float64(getattr(report, name)), np.float64(getattr(reference, name))
+        assert got.tobytes() == want.tobytes(), name
+
+
 @pytest.mark.parametrize("n", [8, 16])
 @pytest.mark.parametrize("pid", [1, 2, 3, 4, 5, 6, "1-left-convection"])
 def test_batched_quadrature_matches_per_element_reference(pid, n):
@@ -349,22 +363,112 @@ def test_batched_quadrature_matches_per_element_reference(pid, n):
         problem = _left_convection_problem1()
         mesh = build_mesh(0.0, 1.0, n, problem.breakpoints)
         space = space_for_problem(problem, mesh, 1)
-        system = assemble_system(problem, space, 6)
-        coeffs = solve_system(system)
     else:
-        entry, _, space, system, coeffs = solve_benchmark(pid, n)
+        entry, _, space, _, _ = solve_benchmark(pid, n)
         problem = entry.problem
-    for got, want in zip(
-        (system.band, system.rhs),
-        reference_assembly(problem, space, 6),
-    ):
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-    report = compute_errors(problem.exact, space, coeffs, 12)
-    reference = reference_errors(problem.exact, space, coeffs, 12)
-    for name in ("l2", "h1_broken", "nodal_max"):
-        got, want = np.float64(getattr(report, name)), np.float64(getattr(reference, name))
-        assert got.tobytes() == want.tobytes(), name
+    _assert_bits_match_reference(problem, space)
+
+
+def _one_layer_problem():
+    """Problem 2's middle layer (D, delta, w, u = x^5) on its own, with no interface."""
+    catalog = catalog_problem(2).problem
+    layer = [(coefficient[1],) for coefficient in (
+        catalog.diffusivity, catalog.conv_delta, catalog.reaction, catalog.exact,
+    )]
+    d, delta, w, exact = layer
+    return ProblemSpec(
+        domain=(0.0, 1.0),
+        diffusivity=d, conv_delta=delta, reaction=w,
+        source=tuple(manufactured_rhs(exact, d, delta, w)),
+        bc_left=BoundaryCondition.neumann(),
+        bc_right=BoundaryCondition.dirichlet(1.0),
+        exact=exact,
+    )
+
+
+# Non-uniform meshes for the interfaces 1/9, 1/3 and 2/3 of problems 3 and 6,
+# with the elements they cut: the first, the last, and adjacent ones.
+EDGE_LAYOUTS = {
+    "first-adjacent-last": ([0.0, 0.2, 0.22, 0.25, 0.3, 0.5, 1.0], [0, 4, 5]),
+    "adjacent-first-last": ([0.0, 0.3, 0.4, 0.45, 0.52, 0.6, 1.0], [0, 1, 5]),
+    "three-adjacent": ([0.0, 0.05, 0.1, 0.3, 0.5, 0.7, 0.8, 0.95, 1.0], [2, 3, 4]),
+}
+
+
+def _edge_case(case, degree):
+    """(problem, space) of one edge layout, the interface-free problem, or the sweep fixture."""
+    if case in EDGE_LAYOUTS:
+        problem = catalog_problem(3).problem
+        mesh = mesh_from_nodes(EDGE_LAYOUTS[case][0], problem.breakpoints)
+    elif case == "no-interface":
+        problem = _one_layer_problem()
+        mesh = mesh_from_nodes(np.linspace(0.0, 1.0, 12) ** 1.5)
+    else:
+        problem = load_problem_file(FIXTURES / "sweep-117.json")
+        mesh = build_mesh(0.0, 1.0, int(case.split("-")[-1]), problem.breakpoints)
+    return problem, space_for_problem(problem, mesh, degree)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("case", [*EDGE_LAYOUTS, "no-interface", "sweep-117-24", "sweep-117-48"])
+def test_edge_layouts_match_per_element_reference(case, degree):
+    """Cuts in the first, the last and adjacent elements, no cut, and a P2 sweep file."""
+    problem, space = _edge_case(case, degree)
+    if case in EDGE_LAYOUTS:
+        assert [psi.element for psi in space.enrichments] == EDGE_LAYOUTS[case][1]
+    _assert_bits_match_reference(problem, space)
+
+
+class _Counted:
+    """A coefficient that records the shape of every argument it is called with."""
+
+    def __init__(self, function):
+        self.function = function
+        self.shapes = []
+
+    def __call__(self, x):
+        self.shapes.append(np.shape(x))
+        return self.function(x)
+
+
+@pytest.mark.parametrize("pid", [3, 6])
+def test_each_coefficient_is_called_once_per_layer(pid):
+    """D, delta, w, f and each exact branch see all of their layer's points in one call.
+
+    The interface term calls delta- once more at each implicit alpha, with
+    a scalar; compute_errors calls each value branch once more for the
+    interior nodes it owns.
+    """
+    entry = catalog_problem(pid)
+    names = ("diffusivity", "conv_delta", "reaction", "source")
+    problem = dataclasses.replace(
+        entry.problem,
+        **{name: tuple(map(_Counted, getattr(entry.problem, name))) for name in names},
+        exact=tuple((_Counted(v), _Counted(d)) for v, d in entry.problem.exact),
+    )
+    mesh = build_mesh(0.0, 1.0, 16, problem.breakpoints)
+    space = space_for_problem(problem, mesh, entry.degree)
+    for name in names:
+        for coefficient in getattr(problem, name):
+            coefficient.shapes.clear()  # drop the calls that check the problem
+    coeffs = solve_system(assemble_system(problem, space, 6))
+    n_pieces = mesh.n_elements + len(problem.interfaces)
+
+    implicit = [spec.lam > 0 for spec in problem.interfaces] + [False]
+    for name in names:
+        layers = getattr(problem, name)
+        for j, coefficient in enumerate(layers):
+            at_alpha = [shape for shape in coefficient.shapes if shape == ()]
+            assert len(at_alpha) == (name == "conv_delta" and implicit[j]), (name, j)
+        on_pieces = [shape for c in layers for shape in c.shapes if shape != ()]
+        assert len(on_pieces) == len(layers) and {q for _, q in on_pieces} == {6}, name
+        assert sum(pieces for pieces, _ in on_pieces) == n_pieces, name
+
+    compute_errors(problem.exact, space, coeffs, 12)
+    for value, deriv in problem.exact:
+        assert [len(shape) for shape in value.shapes] == [1, 2]  # the nodes, then the pieces
+        assert deriv.shapes == value.shapes[1:] and deriv.shapes[0][1] == 12
+    assert sum(deriv.shapes[0][0] for _, deriv in problem.exact) == n_pieces
 
 
 @pytest.mark.parametrize("pid", [1, 2, 3, 4, 5, 6])

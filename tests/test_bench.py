@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
 from enrfem.analysis import polynomial_branches
 from enrfem.bench import catalog_problem, manufactured_rhs
+from enrfem.cli import load_problem_file
 
 
 def _layer_value(problem, layer, x):
@@ -113,6 +116,30 @@ def test_manufactured_requires_polynomials():
     exact = ((np.cos, np.sin),)
     with pytest.raises(ValueError, match="not a polynomial"):
         manufactured_rhs(exact, [Polynomial([1.0])], [Polynomial([0.0])], [Polynomial([0.0])])
+    # a Polynomial on another domain is not in powers of x
+    shifted = polynomial_branches([Polynomial([0.0, 1.0], domain=[0.0, 1.0])])
+    with pytest.raises(ValueError, match="not a polynomial in x"):
+        manufactured_rhs(shifted, [Polynomial([1.0])], [Polynomial([0.0])], [Polynomial([0.0])])
+
+
+def _operator_source(value, d, delta, w):
+    """f = (-D u' + 2 delta u)' + w u with Polynomial's operators: the oracle."""
+    return (-d * value.deriv() + 2.0 * delta * value).deriv() + w * value
+
+
+@pytest.mark.parametrize("pid", [1, 2, 3, 4, 5, 6, "sweep-117"])
+def test_manufactured_rhs_has_the_operators_bits(pid):
+    """The coefficient-array arithmetic gives the coefficients of the operators, bit for bit."""
+    if pid == "sweep-117":
+        problem = load_problem_file(Path(__file__).parent / "fixtures" / "sweep-117.json")
+    else:
+        problem = catalog_problem(pid).problem
+    layers = (problem.diffusivity, problem.conv_delta, problem.reaction)
+    sources = manufactured_rhs(problem.exact, *layers)
+    for i, ((value, _), source) in enumerate(zip(problem.exact, sources)):
+        want = _operator_source(value, *(coefficient[i] for coefficient in layers))
+        assert source.coef.tobytes() == want.coef.tobytes(), i
+        assert source.coef.tobytes() == problem.source[i].coef.tobytes(), i
 
 
 @pytest.mark.parametrize("pid", [1, 2, 3])

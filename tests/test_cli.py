@@ -121,10 +121,18 @@ def test_empty_table_rejected():
 @pytest.mark.parametrize("name, argv", [
     ("p1-levels3-cond", ["--problem", "1", "--levels", "3", "--cond"]),
     ("p4-levels2", ["--problem", "4", "--levels", "2"]),
+    ("sweep-117-p2-levels4", [
+        "--problem", "fixtures/sweep-117.json", "--degree", "2", "--h0", "1/8", "--levels", "4",
+    ]),
 ])
 @pytest.mark.parametrize("fmt, ext", [("csv", "csv"), ("markdown", "md"), ("json", "json")])
-def test_report_bytes_match_golden(capsys, name, argv, fmt, ext):
-    """Reports are byte-identical to the committed ones (json without its timestamp)."""
+def test_report_bytes_match_golden(capsys, monkeypatch, name, argv, fmt, ext):
+    """Reports are byte-identical to the committed ones (json without its timestamp).
+
+    The problem-file case runs from the tests directory, so that the path
+    in its json metadata is the same in every checkout.
+    """
+    monkeypatch.chdir(Path(__file__).parent)
     assert main(argv + ["--format", fmt]) == 0
     text = re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', capsys.readouterr().out)
     assert text == (GOLDEN / f"{name}.{ext}").read_text()

@@ -4,8 +4,10 @@ import pytest
 from _helpers import psi_jumps
 from enrfem.enrichment import gamma_from_lambda
 from enrfem.femspace import (
+    Basis,
     BoundaryCondition,
     build_space,
+    element_basis,
     eval_basis,
     eval_function,
     full_coefficients,
@@ -62,15 +64,16 @@ def test_cut_table_matches_brute_force():
 def test_quadrature_batches_cover_the_mesh():
     """The pieces tile the domain in element order, breaking at every node and alpha.
 
-    The weights of each element sum to its length, each piece carries the
-    layer it lies in and the DOFs of its element, every run of uncut
-    elements is one batch, and each piece of a cut element is a batch.
+    The weights of each element sum to its length, each piece lies in the
+    layer whose slice holds it and carries the DOFs of its element, and
+    the basis comes in at most two batches: the standard DOFs of every
+    piece, and all DOFs of the cut pieces, equal to ``element_basis`` on
+    the piece's side of alpha.
     """
     adjacent_cuts = 0
     for nodes, alphas, space in _seeded_cut_spaces():
-        batches = list(quadrature_pieces(space, 4))
-        xs = np.concatenate([batch.xs for batch in batches])
-        lengths = np.concatenate([batch.weights.sum(axis=1) for batch in batches])
+        quad = quadrature_pieces(space, 4)
+        xs, lengths = quad.xs, quad.weights.sum(axis=1)
         mids = xs.mean(axis=1)  # a symmetric rule: the points' mean is the piece's midpoint
         breaks = np.sort(np.concatenate([nodes, alphas]))
         assert mids - lengths / 2 == pytest.approx(breaks[:-1], abs=1e-14)
@@ -81,22 +84,25 @@ def test_quadrature_batches_cover_the_mesh():
         per_element = np.zeros(len(nodes) - 1)
         np.add.at(per_element, elements, lengths)
         assert per_element == pytest.approx(np.diff(nodes), rel=1e-13)
-        layers = [batch.layer for batch in batches for _ in batch.xs]
-        assert layers == np.searchsorted(alphas, mids).tolist()
-        dofs = [row for batch in batches for row in batch.dofs.tolist()]
-        assert dofs == [
-            [*range(space.degree * k, space.degree * (k + 1) + 1), *space.element_enriched_dofs(k)]
-            for k in elements
-        ]
+        bounds = [0] + [pieces.stop for pieces in quad.layers]
+        assert [(pieces.start, pieces.stop) for pieces in quad.layers] == list(zip(bounds, bounds[1:]))
+        assert bounds[-1] == len(xs) and len(quad.layers) == len(alphas) + 1
+        layers = np.repeat(np.arange(len(quad.layers)), np.diff(bounds))
+        assert layers.tolist() == np.searchsorted(alphas, mids).tolist()
 
+        p = space.degree
+        assert sum(isinstance(field, Basis) for field in quad) == 2
+        assert quad.standard.dofs.tolist() == [list(range(p * k, p * (k + 1) + 1)) for k in elements]
+        assert quad.standard.values.shape == quad.standard.derivatives.shape == (len(xs), p + 1, 4)
         cuts = [psi.element for psi in space.enrichments]
-        uncut_runs = np.count_nonzero(np.diff([-1, *cuts, len(nodes) - 1]) > 1)
-        assert len(batches) == uncut_runs + 2 * len(cuts)
-        for batch in batches:
-            e, n_local = batch.dofs.shape
-            assert e == 1 or n_local == space.degree + 1
-            assert batch.xs.shape == batch.weights.shape == (e, 4)
-            assert batch.values.shape == batch.derivatives.shape == (e, n_local, 4)
+        assert elements[quad.cut_pieces].tolist() == np.repeat(cuts, 2).tolist()
+        assert quad.cut.values.shape == quad.cut.derivatives.shape == (2 * len(cuts), 2 * p + 2, 4)
+        for row, piece in enumerate(quad.cut_pieces):
+            side = ("left", "right")[row % 2]
+            dofs, vals, ders = element_basis(space, elements[piece], xs[piece], side)
+            assert quad.cut.dofs[row].tolist() == dofs.tolist()
+            assert quad.cut.values[row].tobytes() == vals.tobytes()
+            assert quad.cut.derivatives[row].tobytes() == ders.tobytes()
         adjacent_cuts += int(np.any(np.diff(cuts) == 1))
     assert adjacent_cuts > 0
 
