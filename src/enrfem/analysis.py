@@ -50,17 +50,18 @@ def interpolate_enriched(
 ) -> np.ndarray:
     """Free-DOF coefficients of the enriched interpolant of ``exact``.
 
-    Defined for degree-1 spaces only.  Standard DOFs receive nodal values
-    of the owning branch; the two enrichment DOFs of cut j receive
-    (d2 - d1)(x_k) + delta and (d2 - d1)(x_{k+1}) + delta, where d1, d2
-    are the extended derivatives of branches j and j + 1 and delta kills
-    the solution jump.  Raises unless ``exact`` has one branch per layer.
+    Defined for degree-1 spaces only, whose standard DOFs sit at the mesh
+    nodes.  Standard DOFs receive nodal values of the owning branch; the
+    two enrichment DOFs of cut j receive (d2 - d1)(x_k) + delta and
+    (d2 - d1)(x_{k+1}) + delta, where d1, d2 are the extended derivatives
+    of branches j and j + 1 and delta kills the solution jump.  Raises
+    unless ``exact`` has one branch per layer.
     """
     if space.degree != 1:
         raise ValueError("the interpolation operator is defined for degree 1 only")
 
     full = np.zeros(space.n_dofs)
-    full[: space.n_std] = _branch_values(exact, space, space.std_nodes)
+    full[: space.n_std] = _branch_values(exact, space, space.mesh.nodes)
 
     for j, psi in enumerate(space.enrichments):
         (v_left, d_left), (v_right, d_right) = exact[j], exact[j + 1]

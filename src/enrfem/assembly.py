@@ -140,9 +140,11 @@ class AssembledSystem:
 
     Free DOFs run in mesh order (``EnrichedSpace.free_index``), so the
     free matrix A is one band.  ``band`` holds it in LAPACK band storage,
-    band[q + i - j, j] = A[i, j], shape (2q + 1, n_free); the half-width q
-    is the element degree p without cuts and 2p + 1 with them.  Storage is
-    O(n).
+    band[q + i - j, j] = A[i, j], shape (2q + 1, n_free).  The half-width
+    q is a rule of the layout, not a measurement: 2p + 1 for a space with
+    cuts and p for one without, p the element degree.  Where a Dirichlet
+    end sits beside the only cut, the outermost diagonals are zero.
+    Storage is O(n).
     """
 
     band: np.ndarray
@@ -254,9 +256,8 @@ def _scatter(space: EnrichedSpace, blocks):
 
     ``blocks`` holds (dofs, local) pairs of stacked element matrices, dofs
     of shape (E, n_local) and local of shape (E, n_local, n_local).
-    Returns ``band`` as laid out in AssembledSystem, its half-width the
-    widest free (row, column) distance among the entries, and ``lift``,
-    the free rows of the constrained columns.  np.add.at adds the (row,
+    Returns ``band`` as laid out in AssembledSystem and ``lift``, the
+    free rows of the constrained columns.  np.add.at adds the (row,
     col, value) triplets in the order given, so every entry is summed in
     assembly order.
     """
@@ -267,7 +268,7 @@ def _scatter(space: EnrichedSpace, blocks):
 
     free = (fi >= 0) & (fj >= 0)
     fi_f, fj_f = fi[free], fj[free]
-    q = int(np.abs(fi_f - fj_f).max(initial=0))
+    q = 2 * space.degree + 1 if space.enrichments else space.degree
     band = np.zeros((2 * q + 1, space.n_free))
     np.add.at(band, (q + fi_f - fj_f, fj_f), vals[free])
     lift = np.zeros((space.n_free, len(space.constrained)))

@@ -159,6 +159,8 @@ def _parse_problem(doc) -> ProblemSpec:
             raise ProblemFileError(f"{where}: needs 'alpha' and 'kind'")
         alpha = _number(spec["alpha"], f"{where}.alpha")
         if spec["kind"] == "continuous":
+            if "lambda" in spec:
+                raise ProblemFileError(f"{where}: 'lambda' belongs to implicit interfaces only")
             interfaces.append(InterfaceSpec(alpha))
         elif spec["kind"] == "implicit":
             if "lambda" not in spec:
@@ -238,12 +240,10 @@ def run_convergence(
 
     ``problem`` is a catalog id (1..6) or a problem-file path; the problem
     must carry an exact solution.  ``degree`` None takes the catalog
-    entry's degree, or 1 for a problem file.  All meshes are validated up
-    front so an interface-node collision is reported with its level before
-    any solve.
+    entry's degree, or 1 for a problem file; ``build_space`` rejects any
+    other than 1 or 2.  All meshes are validated up front so an
+    interface-node collision is reported with its level before any solve.
     """
-    if degree not in (None, 1, 2):
-        raise ValueError("degree must be 1 or 2")
     if levels < 1:
         raise ValueError("need at least one refinement level")
     spec, label, default_degree = _resolve_problem(problem)

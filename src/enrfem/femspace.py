@@ -56,11 +56,12 @@ class EnrichedSpace:
     """Standard Lagrange DOFs plus enrichment DOFs per interface.
 
     ``enrichments`` is the cut table, one psi per cut in position order,
-    and ``cut_of[k]`` the cut on element k (-1 if uncut).  ``std_nodes``
-    holds the coordinates of the standard DOFs (element endpoints, plus
-    midpoints for degree 2).  ``constrained`` lists the global indices of
-    Dirichlet-constrained standard DOFs, and ``dirichlet_values`` (read-only)
-    the Dirichlet value each one takes; all enrichment DOFs are free.
+    and ``cut_of[k]`` the cut on element k (-1 if uncut).  The n_std =
+    degree * n_elements + 1 standard DOFs run left to right, element k's
+    at degree * k + (0 .. degree).  ``constrained`` lists the global
+    indices of Dirichlet-constrained standard DOFs, and
+    ``dirichlet_values`` (read-only) the Dirichlet value each one takes;
+    all enrichment DOFs are free.
     ``free_index`` maps global DOF -> position in the free-DOF vector
     (-1 if constrained); free positions run in mesh order, a cut's
     enrichment DOFs right after the left node of its element.
@@ -70,7 +71,6 @@ class EnrichedSpace:
     degree: int
     enrichments: tuple[EnrichmentFunction, ...]
     cut_of: np.ndarray
-    std_nodes: np.ndarray
     constrained: tuple[int, ...]
     dirichlet_values: np.ndarray
     free_index: np.ndarray
@@ -79,7 +79,7 @@ class EnrichedSpace:
 
     @property
     def n_std(self) -> int:
-        return len(self.std_nodes)
+        return self.degree * self.mesh.n_elements + 1
 
     def element_enriched_dofs(self, k: int) -> list[int]:
         """Global indices of the enrichment DOFs living on element k."""
@@ -122,19 +122,11 @@ def build_space(
     cut_of = np.full(mesh.n_elements, -1, dtype=int)
     cut_of[cut_elements] = np.arange(len(cut_elements))
 
-    if degree == 1:
-        std_nodes = np.array(mesh.nodes, dtype=float)
-    else:
-        mids = 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])
-        std_nodes = np.empty(2 * mesh.n_elements + 1)
-        std_nodes[0::2] = mesh.nodes
-        std_nodes[1::2] = mids
-
-    ends = ((0, bc_left), (len(std_nodes) - 1, bc_right))
+    n_std = degree * mesh.n_elements + 1
+    ends = ((0, bc_left), (n_std - 1, bc_right))
     constrained = [dof for dof, bc in ends if bc.kind == "dirichlet"]
     dirichlet_values = np.array([bc.value for _, bc in ends if bc.kind == "dirichlet"])
 
-    n_std = len(std_nodes)
     n_dofs = n_std + (degree + 1) * len(enrichments)
     mesh_order = np.insert(
         np.arange(n_std),
@@ -150,14 +142,13 @@ def build_space(
         degree=degree,
         enrichments=enrichments,
         cut_of=cut_of,
-        std_nodes=std_nodes,
         constrained=tuple(constrained),
         dirichlet_values=dirichlet_values,
         free_index=free_index,
         n_dofs=n_dofs,
         n_free=len(free_dofs),
     )
-    for table in (space.cut_of, space.std_nodes, space.dirichlet_values, space.free_index):
+    for table in (space.cut_of, space.dirichlet_values, space.free_index):
         table.flags.writeable = False
     return space
 

@@ -112,7 +112,7 @@ def test_error_norms_of_linear_difference():
     """u_h = x against exact 0 gives ||x|| = 1/sqrt(3) and |x|_1 = 1."""
     mesh = build_mesh(0.0, 1.0, 8)
     space = build_space(mesh, 1, [], BoundaryCondition.neumann(), BoundaryCondition.neumann())
-    coeffs = np.array(space.std_nodes, dtype=float)
+    coeffs = np.array(space.mesh.nodes, dtype=float)
     exact = polynomial_branches([Polynomial([0.0])])
     report = compute_errors(exact, space, coeffs, 6)
     assert report.l2 == pytest.approx(1 / math.sqrt(3), rel=1e-14)

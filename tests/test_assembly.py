@@ -276,7 +276,7 @@ def test_solve_without_interface(degree):
     assert system.band.shape == (2 * degree + 1, space.n_free)
     coeffs = solve_system(system)
     # -u'' = 1 with u(0) = u(1) = 0: the nodal values are exact, u = x(1 - x)/2
-    nodes = space.std_nodes[1:-1]
+    nodes = np.linspace(0.0, 1.0, space.n_std)[1:-1]
     assert coeffs == pytest.approx(0.5 * nodes * (1.0 - nodes), abs=1e-14)
 
 
@@ -342,7 +342,10 @@ def _left_convection_problem1():
 
 
 def _assert_bits_match_reference(problem, space):
-    """Assembly, solve and errors on ``space`` equal the per-element oracle bit for bit."""
+    """Assembly, solve and errors on ``space`` equal the per-element oracle bit for bit.
+
+    Returns the assembled system.
+    """
     system = assemble_system(problem, space, 6)
     for got, want in zip((system.band, system.rhs), reference_assembly(problem, space, 6)):
         assert got.shape == want.shape
@@ -353,6 +356,7 @@ def _assert_bits_match_reference(problem, space):
     for name in ("l2", "h1_broken", "nodal_max"):
         got, want = np.float64(getattr(report, name)), np.float64(getattr(reference, name))
         assert got.tobytes() == want.tobytes(), name
+    return system
 
 
 @pytest.mark.parametrize("n", [8, 16])
@@ -394,12 +398,25 @@ EDGE_LAYOUTS = {
     "three-adjacent": ([0.0, 0.05, 0.1, 0.3, 0.5, 0.7, 0.8, 0.95, 1.0], [2, 3, 4]),
 }
 
+# Problem 1's one interface 1/9 cut in the element beside a Dirichlet end,
+# where no free entry lies 2p + 1 positions off the diagonal: the last
+# element, by problem 1's Dirichlet right end, and element 0 with a
+# Dirichlet left end (the exact branch x^3/30 is 0 at x = 0).
+DIRICHLET_BESIDE_CUT = {
+    "cut-by-right-dirichlet": ([0.0, 0.05, 0.1, 1.0], [2], BoundaryCondition.neumann()),
+    "cut-by-left-dirichlet": ([0.0, 0.2, 0.6, 1.0], [0], BoundaryCondition.dirichlet(0.0)),
+}
+
 
 def _edge_case(case, degree):
     """(problem, space) of one edge layout, the interface-free problem, or the sweep fixture."""
     if case in EDGE_LAYOUTS:
         problem = catalog_problem(3).problem
         mesh = mesh_from_nodes(EDGE_LAYOUTS[case][0], problem.breakpoints)
+    elif case in DIRICHLET_BESIDE_CUT:
+        nodes, _, bc_left = DIRICHLET_BESIDE_CUT[case]
+        problem = dataclasses.replace(catalog_problem(1).problem, bc_left=bc_left)
+        mesh = mesh_from_nodes(nodes, problem.breakpoints)
     elif case == "no-interface":
         problem = _one_layer_problem()
         mesh = mesh_from_nodes(np.linspace(0.0, 1.0, 12) ** 1.5)
@@ -410,13 +427,21 @@ def _edge_case(case, degree):
 
 
 @pytest.mark.parametrize("degree", [1, 2])
-@pytest.mark.parametrize("case", [*EDGE_LAYOUTS, "no-interface", "sweep-117-24", "sweep-117-48"])
+@pytest.mark.parametrize("case", [
+    *EDGE_LAYOUTS, *DIRICHLET_BESIDE_CUT, "no-interface", "sweep-117-24", "sweep-117-48",
+])
 def test_edge_layouts_match_per_element_reference(case, degree):
-    """Cuts in the first, the last and adjacent elements, no cut, and a P2 sweep file."""
+    """Cuts in the first, the last, adjacent and Dirichlet-end elements, no cut, a P2 sweep file.
+
+    Every space with a cut has the band half-width 2p + 1.
+    """
     problem, space = _edge_case(case, degree)
-    if case in EDGE_LAYOUTS:
-        assert [psi.element for psi in space.enrichments] == EDGE_LAYOUTS[case][1]
-    _assert_bits_match_reference(problem, space)
+    layouts = EDGE_LAYOUTS | DIRICHLET_BESIDE_CUT
+    if case in layouts:
+        assert [psi.element for psi in space.enrichments] == layouts[case][1]
+    system = _assert_bits_match_reference(problem, space)
+    if space.enrichments:
+        assert system.bandwidth == 2 * degree + 1
 
 
 class _Counted:

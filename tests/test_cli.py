@@ -50,6 +50,11 @@ def test_run_convergence_table_shape():
     assert table.metadata["problem"] == "1"
 
 
+def test_degree_is_checked_by_the_space():
+    with pytest.raises(ValueError, match="degree must be 1 or 2"):
+        run_convergence(1, 3, "1/8", 2)
+
+
 def test_interface_node_collision_names_level():
     with pytest.raises(ValueError, match="level 0"):
         run_convergence(1, 1, "1/9", 1)
@@ -238,12 +243,14 @@ def _layers_with_d(d_right):
      "field 'interfaces[0].lambda': expected a finite number"),
     ({"bc": {"left": {"neumann": 2.0}, "right": {"dirichlet": 1 / 3}}},
      "nonzero Neumann flux is not implemented"),
+    ({"interfaces": [{"alpha": 1 / 9, "kind": "continuous", "lambda": 0.5}]},
+     "interfaces[0]: 'lambda' belongs to implicit interfaces only"),
 ], ids=[
     "no-alpha", "interfaces-not-list", "bc-not-object", "layer-string", "alpha-string",
     "lambda-string", "lambda-negative", "implicit-equal-d", "implicit-negative-d",
     "interface-not-object", "exact-not-list", "coefficients-not-numbers",
     "domain-not-numbers", "coefficient-boolean", "bc-value-boolean", "bc-value-nan",
-    "coefficient-infinite", "lambda-infinite", "neumann-nonzero",
+    "coefficient-infinite", "lambda-infinite", "neumann-nonzero", "lambda-on-continuous",
 ])
 def test_problem_file_type_and_value_errors_exit_1(tmp_path, capsys, overrides, message):
     path = _problem1_file(tmp_path, **overrides)

@@ -30,3 +30,14 @@ def test_import_leaves_scipy_sparse_out():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_import_enrfem_alone_leaves_the_cli_out():
+    """``import enrfem`` loads neither enrfem.cli nor any scipy.sparse module."""
+    src = str(Path(enrfem.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import enrfem; "
+        "print(sorted(m for m in sys.modules if m == 'enrfem.cli' or m.startswith('scipy.sparse')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
