@@ -19,7 +19,6 @@ from .femspace import (
     BoundaryCondition,
     EnrichedSpace,
     build_space,
-    eval_basis,
     eval_function,
     quadrature_rule,
 )
@@ -36,7 +35,6 @@ from .analysis import (
     ErrorReport,
     coefficient_contrast,
     compute_errors,
-    interpolate_enriched,
     observed_orders,
     polynomial_branches,
 )

@@ -1,12 +1,9 @@
-"""Error measurement and the optimal-order interpolation oracle.
+"""Error measurement, observed orders and coefficient contrast.
 
 Errors are measured branch-wise: the L2 and broken-H1 norms integrate
 each element (split at interfaces) against the exact branch owning that
 sub-interval, and the nodal error is the maximum over interior mesh
-nodes.  The interpolation operator assigns exact nodal values to the
-standard DOFs and, per interface, enrichment coefficients built from the
-extended branch derivative difference plus a jump correction
-delta = -[u]_alpha / (alpha - x_{k+1}).
+nodes.
 """
 
 from __future__ import annotations
@@ -41,58 +38,8 @@ class ErrorReport:
     nodal_max: float
 
     def __post_init__(self):
-        if self.l2 < 0 or self.h1_broken < 0 or self.nodal_max < 0:
-            raise ValueError("error measures must be nonnegative")
-
-
-def interpolate_enriched(
-    exact: Sequence[tuple[Callable, Callable]], space: EnrichedSpace
-) -> np.ndarray:
-    """Free-DOF coefficients of the enriched interpolant of ``exact``.
-
-    Defined for degree-1 spaces only, whose standard DOFs sit at the mesh
-    nodes.  Standard DOFs receive nodal values of the owning branch; the
-    two enrichment DOFs of cut j receive (d2 - d1)(x_k) + delta and
-    (d2 - d1)(x_{k+1}) + delta, where d1, d2 are the extended derivatives
-    of branches j and j + 1 and delta kills the solution jump.  Raises
-    unless ``exact`` has one branch per layer.
-    """
-    if space.degree != 1:
-        raise ValueError("the interpolation operator is defined for degree 1 only")
-
-    full = np.zeros(space.n_dofs)
-    full[: space.n_std] = _branch_values(exact, space, space.mesh.nodes)
-
-    for j, psi in enumerate(space.enrichments):
-        (v_left, d_left), (v_right, d_right) = exact[j], exact[j + 1]
-        jump = float(v_right(psi.alpha)) - float(v_left(psi.alpha))
-        delta = -jump / (psi.alpha - psi.x_right)
-        for dof, x in zip(space.element_enriched_dofs(psi.element), (psi.x_left, psi.x_right)):
-            full[dof] = float(d_right(x)) - float(d_left(x)) + delta
-
-    free = space.free_index >= 0
-    coeffs = np.empty(space.n_free)
-    coeffs[space.free_index[free]] = full[free]
-    return coeffs
-
-
-def _branch_values(exact, space: EnrichedSpace, xs) -> np.ndarray:
-    """Value at each x of the branch owning it, one vectorized call per branch.
-
-    Branch j owns layer j of the space; a point exactly at a cut belongs to
-    the layer on its left.  Raises unless ``exact`` has one branch per layer.
-    """
-    n_layers = len(space.enrichments) + 1
-    if len(exact) != n_layers:
-        raise ValueError(f"{len(exact)} exact branches for the space's {n_layers} layers")
-    xs = np.asarray(xs, dtype=float)
-    owner = np.searchsorted([psi.alpha for psi in space.enrichments], xs, side="left")
-    out = np.empty_like(xs)
-    for j, (value, _) in enumerate(exact):
-        on = owner == j
-        if on.any():
-            out[on] = value(xs[on])
-    return out
+        if not all(0 <= e < np.inf for e in (self.l2, self.h1_broken, self.nodal_max)):
+            raise ValueError("error measures must be finite and nonnegative")
 
 
 def compute_errors(
@@ -108,8 +55,16 @@ def compute_errors(
     is integrated over layer j of the space; raises unless ``exact`` has
     one branch per layer.
     """
+    n_layers = len(space.enrichments) + 1
+    if len(exact) != n_layers:
+        raise ValueError(f"{len(exact)} exact branches for the space's {n_layers} layers")
     nodes = space.mesh.nodes[1:-1]
-    u_nodes = _branch_values(exact, space, nodes)
+    # layer j's interior nodes run from the node after cut j - 1 to the left node of cut j
+    bounds = [0, *(psi.element for psi in space.enrichments), len(nodes)]
+    u_nodes = np.empty_like(nodes)
+    for (value, _), lo, hi in zip(exact, bounds, bounds[1:]):
+        if hi > lo:
+            u_nodes[lo:hi] = value(nodes[lo:hi])
     full = full_coefficients(space, coeffs)
 
     quad = quadrature_pieces(space, quad_npts)

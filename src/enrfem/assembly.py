@@ -311,11 +311,14 @@ def solve_system(system: AssembledSystem) -> np.ndarray:
 
     With s_i = 1/sqrt|A_ii| (1 where A_ii = 0), factor S = diag(s) A diag(s)
     by banded LU with partial pivoting (dgbtrf), solve S y = s b (dgbtrs)
-    and return x = s y.  Raises on non-finite entries, on a pivot of S
-    below SINGULAR_PIVOT_RTOL * max|S|, and on a residual of the unscaled
-    system above SOLVER_RESIDUAL_RTOL * (||A||_F ||x|| + ||b||).
+    and return x = s y.  Raises on non-finite entries of A or b, on a
+    pivot of S below SINGULAR_PIVOT_RTOL * max|S|, and unless the residual
+    of the unscaled system is at most SOLVER_RESIDUAL_RTOL * (||A||_F ||x||
+    + ||b||).
     """
     band, b, q = system.band, system.rhs, system.bandwidth
+    if not np.all(np.isfinite(b)):
+        raise ValueError("load vector has non-finite entries")
     s, lu, piv, largest = _scaled_lu(band)
     bad = np.flatnonzero(np.abs(lu[2 * q]) < SINGULAR_PIVOT_RTOL * largest)
     if bad.size:
@@ -330,7 +333,7 @@ def solve_system(system: AssembledSystem) -> np.ndarray:
         ax[i] += band[row, j] * x[j]
     residual = np.linalg.norm(ax - b)
     bound = SOLVER_RESIDUAL_RTOL * (np.linalg.norm(band) * np.linalg.norm(x) + np.linalg.norm(b))
-    if residual > bound:
+    if not residual <= bound:
         raise ArithmeticError(
             f"solver residual {residual:.3e} exceeds tolerance {bound:.3e}"
         )

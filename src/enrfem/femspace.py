@@ -11,8 +11,8 @@ free positions of each other and the free matrix is one band.
 
 Each interface cuts exactly one element, and the space's enrichment list
 is the one table of cuts: cut j, in position order, is interface j, lies
-between layers j and j + 1, and owns the enrichment DOFs starting at
-n_std + (degree + 1) * j.
+between layers j and j + 1, and owns the degree + 1 enrichment DOFs that
+``_with_enrichment`` numbers.
 """
 
 from __future__ import annotations
@@ -80,15 +80,6 @@ class EnrichedSpace:
     @property
     def n_std(self) -> int:
         return self.degree * self.mesh.n_elements + 1
-
-    def element_enriched_dofs(self, k: int) -> list[int]:
-        """Global indices of the enrichment DOFs living on element k."""
-        j = int(self.cut_of[k])
-        if j < 0:
-            return []
-        per = self.degree + 1
-        base = self.n_std + per * j
-        return list(range(base, base + per))
 
 
 def build_space(
@@ -197,25 +188,19 @@ def element_basis(space: EnrichedSpace, k: int, xs: np.ndarray, side: str = "lef
     """All DOFs supported on element k evaluated at points xs.
 
     Returns (dof_indices, values, derivatives) with values/derivatives of
-    shape (n_local, len(xs)).  Enriched entries are products of the local
-    Lagrange multiplier with psi, differentiated by the product rule.
-    ``side`` ('left' or 'right') selects psi's limit at alpha.
+    shape (n_local, len(xs)); a cut element's rows come from
+    ``_with_enrichment``.  ``side`` ('left' or 'right') selects psi's
+    limit at alpha.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     xs = np.asarray(xs, dtype=float)
-    idx, vals, ders = standard_basis(space, np.array([k]), xs[None])
-    idx, vals, ders = idx[0], vals[0], ders[0]
-
+    rows = Basis(*standard_basis(space, np.array([k]), xs[None]))
     j = space.cut_of[k]
     if j >= 0:
-        pv, pd = eval_enrichment(space.enrichments[j], xs, side)
-        idx = np.concatenate([idx, space.element_enriched_dofs(k)])
-        enr_vals = vals * pv
-        enr_ders = ders * pv + vals * pd
-        vals = np.vstack([vals, enr_vals])
-        ders = np.vstack([ders, enr_ders])
-    return idx, vals, ders
+        psi = eval_enrichment(space.enrichments[j], xs, side)
+        rows = _with_enrichment(space, np.array([j]), rows, *(a[None, None] for a in psi))
+    return tuple(a[0] for a in rows)
 
 
 @lru_cache(maxsize=None)
@@ -238,6 +223,22 @@ class Basis(NamedTuple):
     dofs: np.ndarray
     values: np.ndarray
     derivatives: np.ndarray
+
+
+def _with_enrichment(space: EnrichedSpace, cuts, rows: Basis, psi_values, psi_derivatives):
+    """The full rows of E pieces on the elements of ``cuts`` (E,), from their standard rows.
+
+    psi's values and derivatives on the pieces are (E, 1, q).  Each
+    standard function times psi, differentiated by the product rule, is
+    appended; the i-th on cut j has DOF n_std + (degree + 1) * j + i.
+    """
+    per = space.degree + 1
+    vals, ders = rows.values, rows.derivatives
+    return Basis(
+        np.concatenate([rows.dofs, (space.n_std + per * cuts)[:, None] + np.arange(per)], axis=1),
+        np.concatenate([vals, vals * psi_values], axis=1),
+        np.concatenate([ders, ders * psi_values + vals * psi_derivatives], axis=1),
+    )
 
 
 class Quadrature(NamedTuple):
@@ -270,7 +271,7 @@ def quadrature_pieces(space: EnrichedSpace, quad_npts: int) -> Quadrature:
     """The Gauss rule of ``quad_npts`` points mapped to every piece of the mesh.
 
     The basis comes in two batches: the standard basis of all pieces, and
-    the cut pieces with their enrichment rows, psi evaluated by one
+    the cut pieces' rows from ``_with_enrichment``, psi evaluated by one
     ``eval_enrichment`` call for the left pieces and one for the right.
     """
     ref_x, ref_w = quadrature_rule(quad_npts)
@@ -293,27 +294,14 @@ def quadrature_pieces(space: EnrichedSpace, quad_npts: int) -> Quadrature:
         eval_enrichment(stacked, xs[pieces], side)
         for pieces, side in ((left_pieces, "left"), (left_pieces + 1, "right"))
     )
-    psi_values, psi_derivatives = (  # row 2j: cut j's left piece, 2j + 1: its right
+    psi = (  # row 2j: cut j's left piece, 2j + 1: its right
         np.stack(pair, axis=1).reshape(-1, 1, quad_npts) for pair in zip(left, right)
     )
-    vals, ders = standard.values[cut_pieces], standard.derivatives[cut_pieces]
-    per = space.degree + 1
-    enriched_dofs = np.repeat(space.n_std + per * np.arange(len(cuts)), 2)[:, None] + np.arange(per)
-    cut = Basis(
-        np.concatenate([standard.dofs[cut_pieces], enriched_dofs], axis=1),
-        np.concatenate([vals, vals * psi_values], axis=1),
-        np.concatenate([ders, ders * psi_values + vals * psi_derivatives], axis=1),
-    )
+    cut_rows = Basis(*(a[cut_pieces] for a in standard))
+    cut = _with_enrichment(space, np.repeat(np.arange(len(cuts)), 2), cut_rows, *psi)
     bounds = [0, *(left_pieces + 1).tolist(), len(elements)]
     layers = tuple(slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
     return Quadrature(xs, half * ref_w, layers, standard, cut, cut_pieces)
-
-
-def eval_basis(space: EnrichedSpace, x: float, side: str = "left"):
-    """Entries (dof index, value, derivative) of all DOFs supported at x."""
-    k = locate_element(space.mesh, x)
-    idx, vals, ders = element_basis(space, k, np.array([x]), side)
-    return [(int(i), float(v[0]), float(d[0])) for i, v, d in zip(idx, vals, ders)]
 
 
 def full_coefficients(space: EnrichedSpace, coeffs) -> np.ndarray:

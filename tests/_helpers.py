@@ -16,7 +16,7 @@ from enrfem.assembly import (
 )
 from enrfem.bench import catalog_problem
 from enrfem.enrichment import eval_enrichment
-from enrfem.femspace import element_basis, full_coefficients, quadrature_rule
+from enrfem.femspace import full_coefficients, quadrature_rule, standard_basis
 from enrfem.mesh import build_mesh
 
 
@@ -67,6 +67,40 @@ def psi_jumps(psi):
     v_left, d_left = eval_enrichment(psi, at, "left")
     v_right, d_right = eval_enrichment(psi, at, "right")
     return float(v_right[0] - v_left[0]), float(d_right[0] - d_left[0])
+
+
+def interpolate_enriched(exact, space):
+    """Free-DOF coefficients of the P1 enriched interpolant of ``exact``: an oracle.
+
+    Standard DOFs receive the nodal values of the branch owning each node
+    (the left one at a cut).  The two enrichment DOFs of cut j, n_std + 2j
+    and n_std + 2j + 1, receive (d2 - d1)(x_k) + delta and
+    (d2 - d1)(x_{k+1}) + delta, where d1, d2 are the extended derivatives
+    of branches j and j + 1 and delta = -[u]_alpha / (alpha - x_{k+1})
+    kills the solution jump.  Raises unless the space has degree 1 and
+    ``exact`` one branch per layer.
+    """
+    if space.degree != 1:
+        raise ValueError("the interpolation operator is defined for degree 1 only")
+    n_layers = len(space.enrichments) + 1
+    if len(exact) != n_layers:
+        raise ValueError(f"{len(exact)} exact branches for the space's {n_layers} layers")
+    alphas = [psi.alpha for psi in space.enrichments]
+    full = np.zeros(space.n_dofs)
+    for i, x in enumerate(space.mesh.nodes):
+        value, _ = exact[bisect.bisect_left(alphas, x)]
+        full[i] = value(x)
+    for j, psi in enumerate(space.enrichments):
+        (v_left, d_left), (v_right, d_right) = exact[j], exact[j + 1]
+        jump = float(v_right(psi.alpha)) - float(v_left(psi.alpha))
+        delta = -jump / (psi.alpha - psi.x_right)
+        for dof, x in zip((space.n_std + 2 * j, space.n_std + 2 * j + 1), (psi.x_left, psi.x_right)):
+            full[dof] = float(d_right(x)) - float(d_left(x)) + delta
+
+    free = space.free_index >= 0
+    coeffs = np.empty(space.n_free)
+    coeffs[space.free_index[free]] = full[free]
+    return coeffs
 
 
 def constant_coefficient_vector(space, c):
@@ -127,10 +161,30 @@ def refined_condition_number(matrix, iterations=8, steps=5):
 
 # ------------------------------------------------ per-element reference oracle
 #
-# The program integrates runs of uncut elements in stacked batches.  The
+# The program integrates all pieces of a level in stacked batches.  The
 # functions below integrate one element piece at a time, with the same
 # floating-point operations in the same order, so the batched results must
 # equal theirs bit for bit.
+
+def reference_basis(space, k, xs, side):
+    """(dofs, values, derivatives) of all DOFs on element k at points xs, written out.
+
+    The standard rows come from ``standard_basis``.  On the element of cut
+    j, the enrichment rows follow: each standard function times psi, its
+    derivative by the product rule, with DOFs n_std + (p + 1) j + (0 .. p).
+    """
+    dofs, vals, ders = (a[0] for a in standard_basis(space, np.array([k]), xs[None]))
+    j = space.cut_of[k]
+    if j >= 0:
+        per = space.degree + 1
+        psi_values, psi_derivatives = eval_enrichment(space.enrichments[j], xs, side)
+        dofs = np.concatenate([dofs, space.n_std + per * j + np.arange(per)])
+        vals, ders = (
+            np.vstack([vals, vals * psi_values]),
+            np.vstack([ders, ders * psi_values + vals * psi_derivatives]),
+        )
+    return dofs, vals, ders
+
 
 def reference_pieces(space, quad_npts):
     """(layer, xs, weights, dofs, values, derivatives) per piece, element by element."""
@@ -148,7 +202,7 @@ def reference_pieces(space, quad_npts):
         for a, b, piece_layer, side in pieces:
             half = 0.5 * (b - a)
             xs = a + half * (ref_x + 1.0)
-            dofs, vals, ders = element_basis(space, k, xs, side)
+            dofs, vals, ders = reference_basis(space, k, xs, side)
             yield piece_layer, xs, half * ref_w, dofs, vals, ders
 
 
@@ -175,8 +229,8 @@ def reference_assembly(problem, space, quad_npts):
     for j, (spec, psi) in enumerate(zip(problem.interfaces, space.enrichments)):
         if spec.lam > 0:
             x = np.array([psi.alpha])
-            dofs, v_left, _ = element_basis(space, psi.element, x, "left")
-            _, v_right, _ = element_basis(space, psi.element, x, "right")
+            dofs, v_left, _ = reference_basis(space, psi.element, x, "left")
+            _, v_right, _ = reference_basis(space, psi.element, x, "right")
             jump = v_right[:, 0] - v_left[:, 0]
             a_full[np.ix_(dofs, dofs)] += np.outer(jump, jump) / spec.lam
             # -F(alpha-)[q] with F(alpha-) = -[u]/lam + 2 delta- u-(alpha)
@@ -222,6 +276,6 @@ def reference_errors(exact, space, coeffs, quad_npts):
     for i in range(1, space.mesh.n_elements):
         x = float(space.mesh.nodes[i])
         value, _ = exact[bisect.bisect_left(alphas, x)]  # the left branch at a cut
-        dofs, vals, _ = element_basis(space, i - 1, np.array([x]), "left")
+        dofs, vals, _ = reference_basis(space, i - 1, np.array([x]), "left")
         nodal = max(nodal, abs(float(value(x)) - float(full[dofs] @ vals[:, 0])))
     return ErrorReport(l2=np.sqrt(l2_sq), h1_broken=np.sqrt(h1_sq), nodal_max=nodal)

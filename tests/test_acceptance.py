@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 import _tables
-from _helpers import constant_coefficient_vector, constant_patch_problem, psi_jumps
-from enrfem.analysis import (
-    coefficient_contrast,
-    compute_errors,
+from _helpers import (
+    constant_coefficient_vector,
+    constant_patch_problem,
     interpolate_enriched,
-    observed_orders,
+    psi_jumps,
 )
+from enrfem.analysis import coefficient_contrast, compute_errors, observed_orders
 from enrfem.assembly import (
     assemble_system,
     condition_number,

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
-from _helpers import solve_benchmark
+from _helpers import interpolate_enriched, solve_benchmark
 from enrfem.analysis import (
     ErrorReport,
     coefficient_contrast,
     compute_errors,
-    interpolate_enriched,
     observed_orders,
     polynomial_branches,
 )
@@ -149,6 +148,12 @@ def test_error_quadrature_stability():
 def test_error_report_rejects_negative_entries():
     with pytest.raises(ValueError, match="nonnegative"):
         ErrorReport(l2=-1.0, h1_broken=0.0, nodal_max=0.0)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_error_report_rejects_non_finite_entries(value):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        ErrorReport(l2=0.0, h1_broken=value, nodal_max=0.0)
 
 
 def test_cea_bound_single_level():

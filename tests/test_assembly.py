@@ -153,7 +153,7 @@ def test_jump_term_touches_only_enrichment_block():
     without_jump = assemble_system(no_jump_problem, space, 6).matrix
 
     diff = with_jump - without_jump
-    enr = [space.free_index[d] for d in space.element_enriched_dofs(0)]
+    enr = [space.free_index[d] for d in (space.n_std, space.n_std + 1)]  # cut 0's, P1
     mask = np.zeros_like(diff, dtype=bool)
     mask[np.ix_(enr, enr)] = True
     assert np.all(diff[~mask] == 0.0)
@@ -247,6 +247,24 @@ def test_solve_hand_example():
 def test_solve_zero_matrix_rejected():
     system = _fake_system(np.zeros((3, 3)), np.ones(3))
     with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        solve_system(system)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_solve_rejects_a_non_finite_load(value):
+    system = _fake_system(np.eye(2), np.array([1.0, value]))
+    with pytest.raises(ValueError, match="load vector has non-finite entries"):
+        solve_system(system)
+
+
+@pytest.mark.parametrize("matrix, rhs", [
+    ([[1e308, 1e308], [1e308, 0.5e308]], [0.0, 1e308]),  # A x overflows to inf - inf
+    ([[1e-300, 0.0], [0.0, 1.0]], [1e300, 1.0]),  # the scaled load overflows
+])
+def test_solve_rejects_a_nan_residual(matrix, rhs):
+    """A residual that is NaN fails the check; ``residual > bound`` let it pass."""
+    system = _fake_system(np.array(matrix), np.array(rhs))
+    with np.errstate(all="ignore"), pytest.raises(ArithmeticError, match="solver residual nan"):
         solve_system(system)
 
 

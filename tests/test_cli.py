@@ -365,6 +365,22 @@ def test_singular_system_is_a_numerical_failure(tmp_path, capsys, degree, interf
     assert "zero pivot" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides", [
+    {"bc": {"left": {"neumann": 0.0}, "right": {"dirichlet": 1e308}}},
+    {
+        "bc": {"left": {"neumann": 0.0}, "right": {"dirichlet": 1 / 3 + 1e200}},
+        "exact": [[1e200, 0, 0, 1 / 30], [1e200, 0, 0, 0, 1 / 3]],
+    },
+], ids=["dirichlet-1e308", "constant-1e200"])
+def test_overflow_is_a_numerical_failure(tmp_path, capsys, overrides):
+    """Valid files whose numbers overflow exit 2 with one line, and no inf or nan row."""
+    path = _problem1_file(tmp_path, **overrides)
+    assert main(["--problem", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("enrfem: numerical failure: ") and err.count("\n") == 1
+
+
 def _run_module(*args):
     """``python -m enrfem.cli *args`` in a fresh interpreter, importing this checkout."""
     package_root = str(Path(enrfem.__file__).resolve().parents[1])

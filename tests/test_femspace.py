@@ -1,19 +1,18 @@
 import numpy as np
 import pytest
 
-from _helpers import psi_jumps
+from _helpers import psi_jumps, reference_basis
 from enrfem.enrichment import gamma_from_lambda
 from enrfem.femspace import (
     Basis,
     BoundaryCondition,
     build_space,
     element_basis,
-    eval_basis,
     eval_function,
     full_coefficients,
     quadrature_pieces,
 )
-from enrfem.mesh import build_mesh, mesh_from_nodes
+from enrfem.mesh import build_mesh, locate_element, mesh_from_nodes
 
 
 NEUMANN = BoundaryCondition.neumann()
@@ -23,6 +22,12 @@ DIRICHLET = BoundaryCondition.dirichlet(0.0)
 def _space(n=8, degree=1, interfaces=(1 / 9,), bc=(NEUMANN, DIRICHLET), gamma=0.0):
     mesh = build_mesh(0.0, 1.0, n, list(interfaces))
     return build_space(mesh, degree, [gamma] * len(mesh.interface_hits), *bc)
+
+
+def _basis_at(space, x, side="left"):
+    """(dof, value, derivative) of every DOF supported at x, from ``element_basis``."""
+    dofs, vals, ders = element_basis(space, locate_element(space.mesh, x), np.array([x]), side)
+    return [(int(i), float(v[0]), float(d[0])) for i, v, d in zip(dofs, vals, ders)]
 
 
 def _seeded_cut_spaces():
@@ -43,22 +48,26 @@ def _seeded_cut_spaces():
 
 
 def test_cut_table_matches_brute_force():
-    """cut_of and the enrichment DOFs agree with their definitions."""
+    """cut_of and each element's enrichment DOFs agree with their definitions.
+
+    Cut j's enrichment DOFs are n_std + (degree + 1) * j + (0 .. degree).
+    """
     for nodes, alphas, space in _seeded_cut_spaces():
         n_elements = len(nodes) - 1
         per = space.degree + 1
         for k in range(n_elements):
             xl, xr = nodes[k], nodes[k + 1]
             inside = [j for j, alpha in enumerate(alphas) if xl < alpha < xr]
+            enriched = element_basis(space, k, np.array([0.5 * (xl + xr)]))[0][per:].tolist()
             if inside:
                 (j,) = inside
                 assert space.cut_of[k] == j
                 assert space.enrichments[j].element == k
                 base = space.n_std + per * j
-                assert space.element_enriched_dofs(k) == list(range(base, base + per))
+                assert enriched == list(range(base, base + per))
             else:
                 assert space.cut_of[k] == -1
-                assert space.element_enriched_dofs(k) == []
+                assert enriched == []
 
 
 def test_quadrature_batches_cover_the_mesh():
@@ -67,8 +76,9 @@ def test_quadrature_batches_cover_the_mesh():
     The weights of each element sum to its length, each piece lies in the
     layer whose slice holds it and carries the DOFs of its element, and
     the basis comes in at most two batches: the standard DOFs of every
-    piece, and all DOFs of the cut pieces, equal to ``element_basis`` on
-    the piece's side of alpha.
+    piece, and all DOFs of the cut pieces.  The cut rows, and
+    ``element_basis`` on each cut piece, equal the test's own
+    ``reference_basis`` on the piece's side of alpha.
     """
     adjacent_cuts = 0
     for nodes, alphas, space in _seeded_cut_spaces():
@@ -99,10 +109,12 @@ def test_quadrature_batches_cover_the_mesh():
         assert quad.cut.values.shape == quad.cut.derivatives.shape == (2 * len(cuts), 2 * p + 2, 4)
         for row, piece in enumerate(quad.cut_pieces):
             side = ("left", "right")[row % 2]
-            dofs, vals, ders = element_basis(space, elements[piece], xs[piece], side)
-            assert quad.cut.dofs[row].tolist() == dofs.tolist()
-            assert quad.cut.values[row].tobytes() == vals.tobytes()
-            assert quad.cut.derivatives[row].tobytes() == ders.tobytes()
+            dofs, vals, ders = reference_basis(space, elements[piece], xs[piece], side)
+            batch = (quad.cut.dofs[row], quad.cut.values[row], quad.cut.derivatives[row])
+            for rows in (batch, element_basis(space, elements[piece], xs[piece], side)):
+                assert rows[0].tolist() == dofs.tolist()
+                assert rows[1].tobytes() == vals.tobytes()
+                assert rows[2].tobytes() == ders.tobytes()
         adjacent_cuts += int(np.any(np.diff(cuts) == 1))
     assert adjacent_cuts > 0
 
@@ -138,8 +150,9 @@ def test_dof_ordering_standard_then_enrichment():
     space = _space(degree=1, interfaces=(1 / 3, 1 / 9))
     assert space.n_std == 9
     assert [psi.alpha for psi in space.enrichments] == [1 / 9, 1 / 3]
-    assert space.element_enriched_dofs(0) == [9, 10]   # interface 1/9 group first
-    assert space.element_enriched_dofs(2) == [11, 12]
+    for k, enriched in ((0, [9, 10]), (2, [11, 12])):  # interface 1/9 group first
+        midpoint = np.array([np.mean(space.mesh.element_bounds(k))])
+        assert element_basis(space, k, midpoint)[0][2:].tolist() == enriched
 
 
 def test_partition_of_unity():
@@ -147,7 +160,7 @@ def test_partition_of_unity():
     for degree in (1, 2):
         space = _space(degree=degree, gamma=-0.01)
         for x in rng.uniform(0.0, 1.0, 40):
-            entries = [v for i, v, _ in eval_basis(space, x) if i < space.n_std]
+            entries = [v for i, v, _ in _basis_at(space, x) if i < space.n_std]
             assert abs(sum(entries) - 1.0) <= 1e-14
 
 
@@ -155,7 +168,7 @@ def test_standard_lagrange_delta_property():
     for degree in (1, 2):
         space = _space(degree=degree)
         for j, xj in enumerate(np.linspace(0.0, 1.0, space.n_std)):
-            entries = {i: v for i, v, _ in eval_basis(space, float(xj))}
+            entries = {i: v for i, v, _ in _basis_at(space, float(xj))}
             for i, v in entries.items():
                 if i < space.n_std:
                     assert v == pytest.approx(1.0 if i == j else 0.0, abs=1e-13)
@@ -167,7 +180,7 @@ def test_enriched_dof_vanishes_at_element_endpoints():
     xl, xr = space.mesh.element_bounds(k)
     for x in (xl, xr):
         side = "right" if x == xl else "left"
-        for i, v, _ in eval_basis(space, x, side):
+        for i, v, _ in _basis_at(space, x, side):
             if i >= space.n_std:
                 assert v == 0.0
 
@@ -222,8 +235,8 @@ def test_member_jump_is_enrichment_combination():
         coeffs = rng.standard_normal(space.n_free)
         left, _ = eval_function(space, coeffs, psi.alpha, "left")
         right, _ = eval_function(space, coeffs, psi.alpha, "right")
-        mult = {i: v for i, v, _ in eval_basis(space, psi.alpha, "left") if i < space.n_std}
-        enr_dofs = space.element_enriched_dofs(psi.element)
+        mult = {i: v for i, v, _ in _basis_at(space, psi.alpha, "left") if i < space.n_std}
+        enr_dofs = range(space.n_std, space.n_std + degree + 1)  # cut 0's
         std_dofs = range(degree * psi.element, degree * (psi.element + 1) + 1)
         q_alpha = sum(
             coeffs[space.free_index[dof]] * mult[std]
@@ -243,9 +256,9 @@ def test_basis_derivatives_match_finite_differences():
                 continue
             if abs(x - 1 / 9) < 10 * step:
                 continue
-            plus = {i: v for i, v, _ in eval_basis(space, x + step)}
-            minus = {i: v for i, v, _ in eval_basis(space, x - step)}
-            for i, _, d in eval_basis(space, x):
+            plus = {i: v for i, v, _ in _basis_at(space, x + step)}
+            minus = {i: v for i, v, _ in _basis_at(space, x - step)}
+            for i, _, d in _basis_at(space, x):
                 fd = (plus[i] - minus[i]) / (2 * step)
                 assert d == pytest.approx(fd, rel=1e-6, abs=1e-6)
 

@@ -1,4 +1,6 @@
 import importlib
+import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +10,7 @@ import pytest
 import enrfem
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = PYPROJECT.parent / "README.md"
 
 
 def test_version_is_written_once():
@@ -41,3 +44,14 @@ def test_import_enrfem_alone_leaves_the_cli_out():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_readme_library_example_runs():
+    """The one python block under README's "## Library" prints three positive finite errors."""
+    section = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    (example,) = re.findall(r"```python\n(.*?)```", section, flags=re.S)
+    src = str(Path(enrfem.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r})\n" + example
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    values = [float(word) for word in out.stdout.split()]
+    assert len(values) == 3 and all(0 < v < math.inf for v in values), out.stdout
