@@ -9,18 +9,19 @@ nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
-from .assembly import ProblemSpec
+from .assembly import ProblemSpec, _as_polynomial, _coefficient_table, _layer_values
 from .femspace import EnrichedSpace, full_coefficients, quadrature_pieces, standard_basis
 
 ERROR_QUAD_NPTS = 12  # error norms need a finer rule than assembly
 _CONTRAST_SAMPLES = 101
 
 
-def polynomial_branches(polys: Sequence) -> tuple[tuple[Callable, Callable], ...]:
+def polynomial_branches(polys: Sequence) -> tuple[tuple[Polynomial, Polynomial], ...]:
     """One (value, derivative) pair per layer from numpy Polynomials.
 
     Derivatives are taken symbolically; a polynomial branch is its own
@@ -43,7 +44,7 @@ class ErrorReport:
 
 
 def compute_errors(
-    exact: Sequence[tuple[Callable, Callable]],
+    exact: Sequence[tuple[Polynomial, Polynomial]],
     space: EnrichedSpace,
     coeffs,
     quad_npts: int = ERROR_QUAD_NPTS,
@@ -51,20 +52,17 @@ def compute_errors(
     """L2 / broken-H1 / nodal errors of the discrete function vs ``exact``.
 
     ``coeffs`` are the free DOFs; the constrained ones take the space's
-    Dirichlet values.  Branch j of ``exact``, a (value, derivative) pair,
-    is integrated over layer j of the space; raises unless ``exact`` has
-    one branch per layer.
+    Dirichlet values.  Branch j of ``exact``, a (value, derivative) pair
+    of Polynomials in x, is integrated over layer j of the space; raises
+    unless ``exact`` has one branch per layer.
     """
     n_layers = len(space.enrichments) + 1
     if len(exact) != n_layers:
         raise ValueError(f"{len(exact)} exact branches for the space's {n_layers} layers")
-    nodes = space.mesh.nodes[1:-1]
-    # layer j's interior nodes run from the node after cut j - 1 to the left node of cut j
-    bounds = [0, *(psi.element for psi in space.enrichments), len(nodes)]
-    u_nodes = np.empty_like(nodes)
-    for (value, _), lo, hi in zip(exact, bounds, bounds[1:]):
-        if hi > lo:
-            u_nodes[lo:hi] = value(nodes[lo:hi])
+    values, derivatives = (
+        _coefficient_table([_as_polynomial(f, f"exact on layer {i}") for i, f in enumerate(fs)])
+        for fs in zip(*exact)
+    )
     full = full_coefficients(space, coeffs)
 
     quad = quadrature_pieces(space, quad_npts)
@@ -74,8 +72,8 @@ def compute_errors(
         coef = full[basis.dofs][:, None]
         e[pieces] = (coef @ basis.values)[:, 0]
         de[pieces] = (coef @ basis.derivatives)[:, 0]
-    e -= quad.on_layers(value for value, _ in exact)
-    de -= quad.on_layers(deriv for _, deriv in exact)
+    e -= _layer_values(values, quad.layer, quad.xs)
+    de -= _layer_values(derivatives, quad.layer, quad.xs)
     e *= e
     de *= de
     wq = quad.weights[:, None]
@@ -86,6 +84,8 @@ def compute_errors(
 
     # psi vanishes at element endpoints, so a node's value is the standard
     # part of the element to its left
+    nodes = space.mesh.nodes[1:-1]
+    u_nodes = _layer_values(values, space.layout.node_layer, nodes)
     dofs, vals, _ = standard_basis(space, np.arange(len(nodes)), nodes[:, None])
     uh = (full[dofs][:, None] @ vals)[:, 0, 0]
     nodal = float(np.max(np.abs(u_nodes - uh), initial=0.0))
@@ -112,14 +112,10 @@ def observed_orders(h_list, e_list) -> list[float]:
 def coefficient_contrast(problem: ProblemSpec) -> float:
     """sup(D) / inf(D) over the layers, sampled pointwise (diagnostic)."""
     a, b = problem.domain
-    breaks = [a] + list(problem.breakpoints) + [b]
-    hi = -np.inf
-    lo = np.inf
-    for i, d in enumerate(problem.diffusivity):
-        xs = np.linspace(breaks[i], breaks[i + 1], _CONTRAST_SAMPLES)
-        vals = d(xs)
-        hi = max(hi, float(np.max(vals)))
-        lo = min(lo, float(np.min(vals)))
-    if lo <= 0:
+    breaks = np.array([a, *problem.breakpoints, b])
+    xs = np.linspace(breaks[:-1], breaks[1:], _CONTRAST_SAMPLES, axis=1)
+    table = _coefficient_table(problem.diffusivity)
+    vals = _layer_values(table, np.arange(table.shape[1])[:, None], xs)
+    if np.min(vals) <= 0:
         raise ValueError("diffusivity must be positive to define the contrast")
-    return hi / lo
+    return float(np.max(vals)) / float(np.min(vals))

@@ -23,20 +23,22 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
 from numpy.lib.stride_tricks import sliding_window_view
+from numpy.polynomial import Polynomial
 
-from .enrichment import gamma_from_lambda
+from .enrichment import eval_enrichment, gamma_from_lambda
 from .femspace import (
+    Basis,
     BoundaryCondition,
     EnrichedSpace,
     Quadrature,
+    _with_enrichment,
     build_space,
-    element_basis,
     quadrature_pieces,
+    standard_basis,
 )
 from .mesh import Mesh1D
 
@@ -62,29 +64,68 @@ class InterfaceSpec:
             raise ValueError(f"interface lam must be finite and >= 0, got {self.lam}")
 
 
-Coefficient = Callable[[np.ndarray], np.ndarray]
+_COEFFICIENTS = ("diffusivity", "conv_delta", "reaction", "source")
+
+
+def _as_polynomial(value, where: str) -> Polynomial:
+    """``value`` as a numpy Polynomial in powers of x; a float becomes degree 0.
+
+    Raises for anything else, including a Polynomial whose domain and
+    window differ: ``_layer_values`` reads coefficients in x only.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return Polynomial([float(value)])
+    if not isinstance(value, Polynomial) or value.domain.tolist() != value.window.tolist():
+        raise ValueError(f"{where}: expected a float or a numpy Polynomial in x")
+    return value
+
+
+def _coefficient_table(polys) -> np.ndarray:
+    """(m, L) table of L Polynomials: row i holds each one's x^i coefficient, 0 above its degree."""
+    table = np.zeros((max(len(p.coef) for p in polys), len(polys)))
+    for column, p in zip(table.T, polys):
+        column[:len(p.coef)] = p.coef
+    return table
+
+
+def _layer_values(table: np.ndarray, layer: np.ndarray, x) -> np.ndarray:
+    """Each point's layer polynomial from ``table`` (``_coefficient_table``), at points x.
+
+    ``layer`` holds the points' layers and broadcasts against x, and so
+    does the result.  One Horner pass serves every layer: each step is
+    polyval's c + out * x, so the values have Polynomial.__call__'s bits,
+    up to the sign of an exact zero.  A constant table is only a gather.
+    """
+    if len(table) == 1:
+        return table[0][layer]
+    out = table[-1][layer] + x * 0
+    for coefficients in table[-2::-1]:
+        out *= x
+        out += coefficients[layer]
+    return out
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Full BVP description with per-layer coefficients.
+    """Full BVP description with per-layer polynomial coefficients.
 
     Layers are the subintervals between consecutive interfaces (and the
-    domain endpoints); every coefficient tuple has one evaluable entry per
-    layer (numpy Polynomials, constants via ``lambda x: c``, or any
-    array-aware callable).  ``exact``, when known, is one (value,
-    derivative) pair per layer, each evaluable on the whole domain.
+    domain endpoints); every coefficient tuple has one numpy Polynomial in
+    x per layer, a float given in its place becoming a degree-0 one.
+    ``exact``, when known, is one (value, derivative) pair of such
+    Polynomials per layer, each evaluable on the whole domain.  Anything
+    else, a Polynomial with a mapped domain included, is rejected.
     """
 
     domain: tuple[float, float]
-    diffusivity: tuple[Coefficient, ...]
-    conv_delta: tuple[Coefficient, ...]
-    reaction: tuple[Coefficient, ...]
-    source: tuple[Coefficient, ...]
+    diffusivity: tuple[Polynomial, ...]
+    conv_delta: tuple[Polynomial, ...]
+    reaction: tuple[Polynomial, ...]
+    source: tuple[Polynomial, ...]
     interfaces: tuple[InterfaceSpec, ...] = ()
     bc_left: BoundaryCondition = field(default_factory=lambda: BoundaryCondition.neumann())
     bc_right: BoundaryCondition = field(default_factory=lambda: BoundaryCondition.dirichlet(0.0))
-    exact: tuple[tuple[Coefficient, Coefficient], ...] | None = None
+    exact: tuple[tuple[Polynomial, Polynomial], ...] | None = None
 
     def __post_init__(self):
         a, b = self.domain
@@ -96,22 +137,42 @@ class ProblemSpec:
         if any(x >= y for x, y in zip(alphas, alphas[1:])):
             raise ValueError("interfaces must be strictly increasing")
         n_layers = len(alphas) + 1
-        for name in ("diffusivity", "conv_delta", "reaction", "source", "exact"):
+        for name in (*_COEFFICIENTS, "exact"):
             entries = getattr(self, name)
             if entries is not None and len(entries) != n_layers:
                 raise ValueError(f"{name} needs one entry per layer ({n_layers})")
+        for name in _COEFFICIENTS:
+            polys = tuple(
+                _as_polynomial(c, f"{name} on layer {i}") for i, c in enumerate(getattr(self, name))
+            )
+            object.__setattr__(self, name, polys)
+        if self.exact is not None:
+            object.__setattr__(self, "exact", tuple(
+                tuple(_as_polynomial(f, f"exact on layer {i}") for f in branch)
+                for i, branch in enumerate(self.exact)
+            ))
         self.gammas  # an implicit interface needs D- != D+, both positive
-        breaks = [a] + alphas + [b]
-        for i in range(n_layers):
-            xs = np.linspace(breaks[i], breaks[i + 1], _COEFF_SAMPLES + 2)[1:-1]
-            if np.min(self.diffusivity[i](xs)) <= 0:
-                raise ValueError(f"diffusivity must be positive on layer {i}")
-            if np.min(self.reaction[i](xs)) < 0:
-                raise ValueError(f"reaction coefficient must be nonnegative on layer {i}")
+        breaks = np.array([a, *alphas, b])
+        xs = np.linspace(breaks[:-1], breaks[1:], _COEFF_SAMPLES + 2, axis=1)[:, 1:-1]
+        layer = np.arange(n_layers)[:, None]
+        d_min, w_min = (
+            np.min(_layer_values(self.tables[name], layer, xs), axis=1)
+            for name in ("diffusivity", "reaction")
+        )
+        bad = np.flatnonzero((d_min <= 0) | (w_min < 0))
+        if bad.size and d_min[bad[0]] <= 0:
+            raise ValueError(f"diffusivity must be positive on layer {bad[0]}")
+        if bad.size:
+            raise ValueError(f"reaction coefficient must be nonnegative on layer {bad[0]}")
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
         return tuple(spec.alpha for spec in self.interfaces)
+
+    @cached_property
+    def tables(self) -> dict[str, np.ndarray]:
+        """Each coefficient's ``_coefficient_table``, by field name."""
+        return {name: _coefficient_table(getattr(self, name)) for name in _COEFFICIENTS}
 
     @cached_property
     def gammas(self) -> tuple[float, ...]:
@@ -121,14 +182,15 @@ class ProblemSpec:
         -lam*D-*D+/(D+ - D-) with D- and D+ the diffusivities of the two
         adjacent layers evaluated at alpha.
         """
-        out = []
-        for j, spec in enumerate(self.interfaces):
-            if spec.lam == 0:
-                out.append(0.0)
-                continue
-            d_minus, d_plus = (float(d(spec.alpha)) for d in self.diffusivity[j:j + 2])
+        implicit = np.array(
+            [j for j, spec in enumerate(self.interfaces) if spec.lam != 0], dtype=int
+        )
+        alphas = np.array([self.interfaces[j].alpha for j in implicit.tolist()])
+        sides = _layer_values(self.tables["diffusivity"], implicit + np.array([[0], [1]]), alphas)
+        out = [0.0] * len(self.interfaces)
+        for j, d_minus, d_plus in zip(implicit.tolist(), *sides.tolist()):
             try:
-                out.append(gamma_from_lambda(spec.lam, d_minus, d_plus))
+                out[j] = gamma_from_lambda(self.interfaces[j].lam, d_minus, d_plus)
             except ValueError as exc:
                 raise ValueError(f"interfaces[{j}]: {exc}") from exc
         return tuple(out)
@@ -163,16 +225,16 @@ class AssembledSystem:
         """
         dense = np.zeros((len(self.rhs), len(self.rhs)))
         for row, i, j in _band_diagonals(self.bandwidth, len(self.rhs)):
-            dense[i, j] = self.band[row, j]
+            np.fill_diagonal(dense[i, j], self.band[row, j])
         return dense
 
 
 def _band_diagonals(q: int, n: int):
-    """(band row, row indices, column indices) of each diagonal of an n x n band."""
+    """(band row, row slice, column slice) of each diagonal of an n x n band."""
     for row in range(2 * q + 1):
         offset = row - q  # i - j
-        j = np.arange(max(0, -offset), min(n, n - offset))
-        yield row, j + offset, j
+        lo, hi = max(0, -offset), min(n, n - offset)
+        yield row, slice(lo + offset, hi + offset), slice(lo, hi)
 
 
 def space_for_problem(problem: ProblemSpec, mesh: Mesh1D, degree: int) -> EnrichedSpace:
@@ -192,6 +254,11 @@ def assemble_system(problem: ProblemSpec, space: EnrichedSpace, quad_npts: int =
            + sum_implicit ([u_j]/lam - 2 delta- u_j(alpha-)) [u_i],
     b_i = int f u_i, followed by the lift of the space's Dirichlet values.
     Raises if the space's interfaces do not match the problem's.
+
+    The pieces' loads and element matrices go to ``np.add.at`` in element
+    order (``CutLayout.load_order`` and ``block_order``), then the
+    interface blocks: every entry is summed in the order of a per-element
+    assembly.
     """
     if tuple(psi.alpha for psi in space.enrichments) != problem.breakpoints:
         raise ValueError("space was not built from this problem's mesh and interfaces")
@@ -201,38 +268,35 @@ def assemble_system(problem: ProblemSpec, space: EnrichedSpace, quad_npts: int =
             f"degree {space.degree}; recommend at least {space.degree + 3}",
             stacklevel=2,
         )
-    runs = _piece_integrals(problem, quadrature_pieces(space, quad_npts))
-    blocks = [(dofs, local) for dofs, local, _ in runs]
-    for j, (spec, psi) in enumerate(zip(problem.interfaces, space.enrichments)):
-        if spec.lam == 0:
-            continue
-        x = np.array([psi.alpha])
-        idx, v_left, _ = element_basis(space, psi.element, x, "left")
-        _, v_right, _ = element_basis(space, psi.element, x, "right")
-        jump = v_right[:, 0] - v_left[:, 0]
-        blocks.append((idx[None], np.outer(jump, jump)[None] / spec.lam))
-        delta_minus = problem.conv_delta[j](psi.alpha)
-        if delta_minus != 0.0:
-            blocks.append((idx[None], (-2.0 * delta_minus * np.outer(jump, v_left[:, 0]))[None]))
-
-    fi = space.free_index[np.concatenate([dofs.ravel() for dofs, _, _ in runs])]
-    f_local = np.concatenate([load.ravel() for _, _, load in runs])
+    layout = space.layout
+    (std_dofs, std_local, std_load), (cut_dofs, cut_local, cut_load) = _piece_integrals(
+        problem, quadrature_pieces(space, quad_npts)
+    )
+    dofs = np.concatenate([std_dofs.ravel(), cut_dofs.ravel()])[layout.load_order]
+    f_local = np.concatenate([std_load.ravel(), cut_load.ravel()])[layout.load_order]
+    fi = space.free_index[dofs]
     rhs = np.zeros(space.n_free)
     np.add.at(rhs, fi[fi >= 0], f_local[fi >= 0])
-    band, lift = _scatter(space, blocks)
+
+    band, lift = _scatter(space, *(
+        np.concatenate([np.concatenate([s, c])[layout.block_order], i])
+        for s, c, i in zip(
+            _triplets(std_dofs, std_local),
+            _triplets(cut_dofs, cut_local),
+            _triplets(*_interface_blocks(problem, space)),
+        )
+    ))
     rhs -= lift @ space.dirichlet_values
     return AssembledSystem(band=band, rhs=rhs, space=space)
 
 
 def _piece_integrals(problem: ProblemSpec, quad: Quadrature):
-    """(dofs, local matrices, local loads) of all pieces, as runs in element order.
+    """(dofs, local matrices, local loads) of the standard batch, then of the cut batch.
 
-    Each coefficient is called once per layer.  Keeping element order makes
-    every entry sum in the order of a per-element assembly.
+    Each coefficient is evaluated once, on all of the level's points.
     """
     d_c, conv, w_c, f_c = (
-        quad.on_layers(coefficient)
-        for coefficient in (problem.diffusivity, problem.conv_delta, problem.reaction, problem.source)
+        _layer_values(problem.tables[name], quad.layer, quad.xs) for name in _COEFFICIENTS
     )
     integrals = []
     for basis, pieces in ((quad.standard, slice(None)), (quad.cut, quad.cut_pieces)):
@@ -244,28 +308,56 @@ def _piece_integrals(problem: ProblemSpec, quad: Quadrature):
         if np.any(w_c != 0.0):
             local += (vals * (wq * w_c[pieces])[:, None]) @ vals_t
         integrals.append((basis.dofs, local, (vals * (wq * f_c[pieces])[:, None]).sum(axis=2)))
-    (standard, cut), runs, start = integrals, [], 0
-    for j, left in enumerate(quad.cut_pieces[::2].tolist()):
-        runs += [tuple(a[start:left] for a in standard), tuple(a[2 * j:2 * j + 2] for a in cut)]
-        start = left + 2
-    return runs + [tuple(a[start:] for a in standard)]
+    return integrals
 
 
-def _scatter(space: EnrichedSpace, blocks):
-    """Sum element blocks of the full-DOF matrix into the free band and the lift.
+def _interface_blocks(problem: ProblemSpec, space: EnrichedSpace):
+    """(dofs, local) of the implicit interfaces' terms, in position order.
 
-    ``blocks`` holds (dofs, local) pairs of stacked element matrices, dofs
-    of shape (E, n_local) and local of shape (E, n_local, n_local).
-    Returns ``band`` as laid out in AssembledSystem and ``lift``, the
-    free rows of the constrained columns.  np.add.at adds the (row,
-    col, value) triplets in the order given, so every entry is summed in
-    assembly order.
+    Each implicit cut gives its jump block [u_j][u_i]/lam, then, where
+    delta-(alpha) != 0, its convection block -2 delta- u_j(alpha-) [u_i].
+    The rows of every cut at alpha come in one batch: each cut's left,
+    then right limit.
     """
-    rows = np.concatenate([np.repeat(dofs, dofs.shape[1], axis=1).ravel() for dofs, _ in blocks])
-    cols = np.concatenate([np.tile(dofs, dofs.shape[1]).ravel() for dofs, _ in blocks])
-    vals = np.concatenate([local.ravel() for _, local in blocks])
-    fi, fj = space.free_index[rows], space.free_index[cols]
+    layout = space.layout
+    alpha = layout.psi.alpha  # (c, 1)
+    rows = standard_basis(space, layout.elements[layout.cut_pieces], np.repeat(alpha, 2, axis=0))
+    left, right = (eval_enrichment(layout.psi, alpha, side) for side in ("left", "right"))
+    psi = (np.concatenate(pair, axis=1).reshape(-1, 1, 1) for pair in zip(left, right))
+    both = _with_enrichment(space, layout.piece_cuts, Basis(*rows), *psi)
+    implicit = np.array([spec.lam > 0 for spec in problem.interfaces], dtype=bool)
+    lam = np.array([spec.lam for spec in problem.interfaces])[implicit][:, None, None]
+    v_left, v_right = (both.values[side::2, :, 0][implicit] for side in (0, 1))
+    jump = v_right - v_left
+    delta_minus = _layer_values(
+        problem.tables["conv_delta"], np.flatnonzero(implicit), alpha[implicit, 0]
+    )
+    k = jump.shape[1]
+    blocks = np.empty((len(jump), 2, k, k))
+    np.divide(jump[:, :, None] * jump[:, None, :], lam, out=blocks[:, 0])
+    np.multiply((-2.0 * delta_minus)[:, None, None], jump[:, :, None] * v_left[:, None, :],
+                out=blocks[:, 1])
+    keep = np.ones((len(jump), 2), dtype=bool)
+    keep[:, 1] = delta_minus != 0.0
+    dofs = both.dofs[::2][implicit]
+    return np.repeat(dofs, 2, axis=0)[keep.ravel()], blocks.reshape(-1, k, k)[keep.ravel()]
 
+
+def _triplets(dofs, local):
+    """(rows, columns, values) of element matrices ``local`` (E, k, k) on ``dofs`` (E, k)."""
+    k = dofs.shape[1]
+    rows, cols = dofs[:, :, None].repeat(k, axis=2), dofs[:, None, :].repeat(k, axis=1)
+    return rows.ravel(), cols.ravel(), local.ravel()
+
+
+def _scatter(space: EnrichedSpace, rows, cols, vals):
+    """Sum (row, col, value) triplets of the full-DOF matrix into the free band and the lift.
+
+    Returns ``band`` as laid out in AssembledSystem and ``lift``, the
+    free rows of the constrained columns.  np.add.at adds the triplets in
+    the order given.
+    """
+    fi, fj = space.free_index[rows], space.free_index[cols]
     free = (fi >= 0) & (fj >= 0)
     fi_f, fj_f = fi[free], fj[free]
     q = 2 * space.degree + 1 if space.enrichments else space.degree
@@ -298,7 +390,9 @@ def _scaled_lu(band: np.ndarray):
     s = np.ones(n)
     np.divide(1.0, np.sqrt(diagonal), out=s, where=diagonal > 0)
     # row q + i - j of column j holds A[i, j]: gather s_i along each band row
-    s_rows = sliding_window_view(np.pad(s, q, constant_values=1.0), n)
+    padded = np.ones(n + 2 * q)
+    padded[q:q + n] = s
+    s_rows = sliding_window_view(padded, n)
     factor_storage = np.zeros((3 * q + 1, n), order="F")  # q extra rows for pivoting fill
     factor_storage[q:] = band * s_rows * s
     largest = np.max(np.abs(factor_storage), initial=np.finfo(float).tiny)

@@ -123,9 +123,9 @@ def _build_problem(base: int) -> ProblemSpec:
     source = manufactured_rhs(exact, diffusivity, conv, reaction)
     return ProblemSpec(
         domain=(0.0, 1.0),
-        diffusivity=tuple(_as_poly(d) for d in diffusivity),
-        conv_delta=tuple(_as_poly(d) for d in conv),
-        reaction=tuple(_as_poly(w) for w in reaction),
+        diffusivity=diffusivity,
+        conv_delta=conv,
+        reaction=reaction,
         source=tuple(source),
         interfaces=interfaces,
         bc_left=BoundaryCondition.neumann(0.0),

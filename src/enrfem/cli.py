@@ -229,6 +229,11 @@ def _elements_for(h0: Fraction, a: float, b: float) -> int:
     return int(round(n))
 
 
+def _at_level(level: int, n: int, exc: Exception) -> Exception:
+    """``exc`` again, its message prefixed with the level and its element count."""
+    return type(exc)(f"level {level} (n={n}): {exc}")
+
+
 def run_convergence(
     problem,
     degree: int | None,
@@ -244,6 +249,8 @@ def run_convergence(
     entry's degree, or 1 for a problem file; ``build_space`` rejects any
     other than 1 or 2.  All meshes are validated up front so an
     interface-node collision is reported with its level before any solve.
+    Every numerical failure (ValueError or ArithmeticError, LinAlgError
+    included) names its level: "level i (n=...): ...".
     """
     if levels < 1:
         raise ValueError("need at least one refinement level")
@@ -265,21 +272,24 @@ def run_convergence(
         try:
             meshes.append(build_mesh(a, b, n0 * 2**level, alphas))
         except ValueError as exc:
-            raise ValueError(f"level {level} (n={n0 * 2 ** level}): {exc}") from exc
+            raise _at_level(level, n0 * 2**level, exc) from exc
 
     rows = []
-    for mesh in meshes:
-        space = space_for_problem(spec, mesh, degree)
-        system = assemble_system(spec, space, quad_npts)
-        coeffs = solve_system(system)
-        report = compute_errors(spec.exact, space, coeffs, ERROR_QUAD_NPTS)
-        rows.append({
-            "h": (b - a) / mesh.n_elements,
-            "l2": report.l2,
-            "h1_broken": report.h1_broken,
-            "nodal": report.nodal_max,
-            "cond": condition_number(system) if with_cond else None,
-        })
+    for level, mesh in enumerate(meshes):
+        try:
+            space = space_for_problem(spec, mesh, degree)
+            system = assemble_system(spec, space, quad_npts)
+            coeffs = solve_system(system)
+            report = compute_errors(spec.exact, space, coeffs, ERROR_QUAD_NPTS)
+            rows.append({
+                "h": (b - a) / mesh.n_elements,
+                "l2": report.l2,
+                "h1_broken": report.h1_broken,
+                "nodal": report.nodal_max,
+                "cond": condition_number(system) if with_cond else None,
+            })
+        except (ValueError, ArithmeticError) as exc:
+            raise _at_level(level, mesh.n_elements, exc) from exc
 
     hs = [row["h"] for row in rows]
     for key, name in _ORDER_OF.items():

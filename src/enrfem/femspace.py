@@ -18,7 +18,7 @@ between layers j and j + 1, and owns the degree + 1 enrichment DOFs that
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -65,6 +65,7 @@ class EnrichedSpace:
     ``free_index`` maps global DOF -> position in the free-DOF vector
     (-1 if constrained); free positions run in mesh order, a cut's
     enrichment DOFs right after the left node of its element.
+    ``layout``, the geometry of the quadrature pieces, is built once.
     """
 
     mesh: Mesh1D
@@ -80,6 +81,11 @@ class EnrichedSpace:
     @property
     def n_std(self) -> int:
         return self.degree * self.mesh.n_elements + 1
+
+    @cached_property
+    def layout(self) -> "CutLayout":
+        """The quadrature pieces' geometry, built on first use and shared by every rule size."""
+        return _cut_layout(self)
 
 
 def build_space(
@@ -124,7 +130,9 @@ def build_space(
         np.repeat(degree * cut_elements + 1, degree + 1),
         np.arange(n_std, n_dofs),
     )
-    free_dofs = mesh_order[~np.isin(mesh_order, constrained)]
+    is_free = np.ones(n_dofs, dtype=bool)
+    is_free[constrained] = False
+    free_dofs = mesh_order[is_free[mesh_order]]
     free_index = np.full(n_dofs, -1, dtype=int)
     free_index[free_dofs] = np.arange(len(free_dofs))
 
@@ -151,24 +159,20 @@ def _lagrange_local(degree: int, xl: np.ndarray, xr: np.ndarray, xs: np.ndarray)
     """
     xl, xr = xl[:, None], xr[:, None]
     h = xr - xl
+    vals = np.empty((len(xs), degree + 1, xs.shape[1]))
+    ders = np.empty_like(vals)
     if degree == 1:
-        vals = np.stack([(xr - xs) / h, (xs - xl) / h], axis=1)
-        ders = np.stack(
-            [np.broadcast_to(-1.0 / h, xs.shape), np.broadcast_to(1.0 / h, xs.shape)], axis=1
-        )
+        vals[:, 0], vals[:, 1] = (xr - xs) / h, (xs - xl) / h
+        ders[:, 0], ders[:, 1] = -1.0 / h, 1.0 / h
     else:
         xm = 0.5 * (xl + xr)
         h2 = h * h
-        vals = np.stack([
-            2.0 * (xs - xm) * (xs - xr) / h2,
-            -4.0 * (xs - xl) * (xs - xr) / h2,
-            2.0 * (xs - xl) * (xs - xm) / h2,
-        ], axis=1)
-        ders = np.stack([
-            2.0 * (2.0 * xs - xm - xr) / h2,
-            -4.0 * (2.0 * xs - xl - xr) / h2,
-            2.0 * (2.0 * xs - xl - xm) / h2,
-        ], axis=1)
+        vals[:, 0] = 2.0 * (xs - xm) * (xs - xr) / h2
+        vals[:, 1] = -4.0 * (xs - xl) * (xs - xr) / h2
+        vals[:, 2] = 2.0 * (xs - xl) * (xs - xm) / h2
+        ders[:, 0] = 2.0 * (2.0 * xs - xm - xr) / h2
+        ders[:, 1] = -4.0 * (2.0 * xs - xl - xr) / h2
+        ders[:, 2] = 2.0 * (2.0 * xs - xl - xm) / h2
     return vals, ders
 
 
@@ -241,11 +245,80 @@ def _with_enrichment(space: EnrichedSpace, cuts, rows: Basis, psi_values, psi_de
     )
 
 
+class CutLayout(NamedTuple):
+    """The rule-independent geometry of a space's P = n + c quadrature pieces.
+
+    Pieces run in element order, one per uncut element and two per cut
+    element (split at alpha).  ``ends`` (P + 1,) are the nodes with every
+    alpha inserted and ``half`` (P, 1) the pieces' half-lengths;
+    ``elements`` (P,) and ``layer`` (P, 1) give each piece's element and
+    layer, and ``node_layer`` (n - 1,) each interior node's layer (the
+    left one at a cut).  ``cut_pieces`` (2c,) are each cut's left, then
+    right piece, ``piece_cuts`` their cuts, and ``psi`` every cut's psi as
+    one EnrichmentFunction of (c, 1) columns.  ``load_order`` and
+    ``block_order`` index the standard batch's entries followed by the cut
+    batch's, loads and local matrices respectively, and list them in the
+    order of a per-element assembly: piece by piece, a cut piece's entries
+    in place of its standard ones.
+    """
+
+    ends: np.ndarray
+    half: np.ndarray
+    elements: np.ndarray
+    layer: np.ndarray
+    node_layer: np.ndarray
+    cut_pieces: np.ndarray
+    piece_cuts: np.ndarray
+    psi: EnrichmentFunction
+    load_order: np.ndarray
+    block_order: np.ndarray
+
+
+def _cut_layout(space: EnrichedSpace) -> CutLayout:
+    names = [field.name for field in fields(EnrichmentFunction)]
+    columns = np.array([[getattr(psi, name) for name in names] for psi in space.enrichments])
+    psi = EnrichmentFunction(*columns.reshape(-1, len(names)).T[:, :, None])
+    n = space.mesh.n_elements
+    cut_elements = np.array([psi.element for psi in space.enrichments], dtype=int)
+    left_pieces = cut_elements + np.arange(len(cut_elements))
+    # each alpha lies inside its element, so sorting puts it between the element's nodes
+    ends = np.sort(np.concatenate([space.mesh.nodes, psi.alpha[:, 0]]))
+    elements = np.sort(np.concatenate([np.arange(n), cut_elements]))
+    cut_pieces = np.repeat(left_pieces, 2) + np.tile([0, 1], len(left_pieces))
+    per = space.degree + 1
+    layout = CutLayout(
+        ends=ends,
+        half=0.5 * (ends[1:] - ends[:-1])[:, None],
+        elements=elements,
+        layer=np.searchsorted(left_pieces + 1, np.arange(len(elements)), side="right")[:, None],
+        node_layer=np.searchsorted(cut_elements, np.arange(n - 1), side="right"),
+        cut_pieces=cut_pieces,
+        piece_cuts=np.repeat(np.arange(len(cut_elements)), 2),
+        psi=psi,
+        load_order=_element_order(len(elements), cut_pieces, per, 2 * per),
+        block_order=_element_order(len(elements), cut_pieces, per * per, 4 * per * per),
+    )
+    for table in layout:
+        if isinstance(table, np.ndarray):
+            table.flags.writeable = False
+    return layout
+
+
+def _element_order(n_pieces: int, cut_pieces: np.ndarray, per_standard: int, per_cut: int):
+    """Index into [P * per_standard standard entries, 2c * per_cut cut entries] in element order."""
+    start = np.arange(n_pieces) * per_standard
+    start[cut_pieces] = n_pieces * per_standard + np.arange(len(cut_pieces)) * per_cut
+    size = np.full(n_pieces, per_standard)
+    size[cut_pieces] = per_cut
+    stop = np.cumsum(size)
+    return np.repeat(start + size - stop, size) + np.arange(stop[-1])
+
+
 class Quadrature(NamedTuple):
     """The P = n + c Gauss pieces of a mesh with c cuts, in element order.
 
     ``xs`` and ``weights`` (P, q) map the rule to each uncut element and to
-    both sides of each cut; ``layers[j]`` is the slice of pieces in layer j.
+    both sides of each cut; ``layer`` (P, 1) is each piece's layer.
     ``standard`` has the standard DOFs of every piece, ``cut`` all DOFs of
     the pieces ``cut_pieces`` (each cut's left, then right piece, psi
     one-sided towards it).  A cut piece's ``cut`` row supersedes its
@@ -254,54 +327,34 @@ class Quadrature(NamedTuple):
 
     xs: np.ndarray
     weights: np.ndarray
-    layers: tuple[slice, ...]
+    layer: np.ndarray
     standard: Basis
     cut: Basis
     cut_pieces: np.ndarray
-
-    def on_layers(self, functions) -> np.ndarray:
-        """Layer j's function called once, on the points of layer j, for each j: (P, q)."""
-        out = np.empty_like(self.xs)
-        for function, pieces in zip(functions, self.layers):
-            out[pieces] = function(self.xs[pieces])
-        return out
 
 
 def quadrature_pieces(space: EnrichedSpace, quad_npts: int) -> Quadrature:
     """The Gauss rule of ``quad_npts`` points mapped to every piece of the mesh.
 
-    The basis comes in two batches: the standard basis of all pieces, and
-    the cut pieces' rows from ``_with_enrichment``, psi evaluated by one
-    ``eval_enrichment`` call for the left pieces and one for the right.
+    The pieces come from ``space.layout``.  The basis comes in two
+    batches: the standard basis of all pieces, and the cut pieces' rows
+    from ``_with_enrichment``, psi evaluated by one ``eval_enrichment``
+    call for the left pieces and one for the right.
     """
     ref_x, ref_w = quadrature_rule(quad_npts)
-    nodes, cuts = space.mesh.nodes, space.enrichments
-    cut_elements = np.array([psi.element for psi in cuts], dtype=int)
-    left_pieces = cut_elements + np.arange(len(cuts))
-    ends = np.insert(nodes, cut_elements + 1, [psi.alpha for psi in cuts])
-    half = 0.5 * (ends[1:] - ends[:-1])[:, None]
-    xs = ends[:-1, None] + half * (ref_x + 1.0)
-    elements = np.insert(np.arange(space.mesh.n_elements), cut_elements, cut_elements)
-    standard = Basis(*standard_basis(space, elements, xs))
-
-    cut_pieces = np.stack([left_pieces, left_pieces + 1], axis=1).ravel()
-    # every cut's psi as one EnrichmentFunction of (c, 1) columns
-    stacked = EnrichmentFunction(*(
-        np.array([getattr(psi, field.name) for psi in cuts])[:, None]
-        for field in fields(EnrichmentFunction)
-    ))
+    layout = space.layout
+    xs = layout.ends[:-1, None] + layout.half * (ref_x + 1.0)
+    standard = Basis(*standard_basis(space, layout.elements, xs))
     left, right = (
-        eval_enrichment(stacked, xs[pieces], side)
-        for pieces, side in ((left_pieces, "left"), (left_pieces + 1, "right"))
+        eval_enrichment(layout.psi, xs[pieces], side)
+        for pieces, side in ((layout.cut_pieces[::2], "left"), (layout.cut_pieces[1::2], "right"))
     )
     psi = (  # row 2j: cut j's left piece, 2j + 1: its right
-        np.stack(pair, axis=1).reshape(-1, 1, quad_npts) for pair in zip(left, right)
+        np.concatenate(pair, axis=1).reshape(-1, 1, quad_npts) for pair in zip(left, right)
     )
-    cut_rows = Basis(*(a[cut_pieces] for a in standard))
-    cut = _with_enrichment(space, np.repeat(np.arange(len(cuts)), 2), cut_rows, *psi)
-    bounds = [0, *(left_pieces + 1).tolist(), len(elements)]
-    layers = tuple(slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
-    return Quadrature(xs, half * ref_w, layers, standard, cut, cut_pieces)
+    cut_rows = Basis(*(a[layout.cut_pieces] for a in standard))
+    cut = _with_enrichment(space, layout.piece_cuts, cut_rows, *psi)
+    return Quadrature(xs, layout.half * ref_w, layout.layer, standard, cut, layout.cut_pieces)
 
 
 def full_coefficients(space: EnrichedSpace, coeffs) -> np.ndarray:

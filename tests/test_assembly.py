@@ -1,11 +1,14 @@
 import dataclasses
 import re
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
 from _helpers import (
@@ -19,11 +22,16 @@ from _helpers import (
     refined_solve,
     solve_benchmark,
 )
+from enrfem import analysis as analysis_module
+from enrfem import assembly as assembly_module
+from enrfem import femspace as femspace_module
 from enrfem.analysis import compute_errors
 from enrfem.assembly import (
     BoundaryCondition,
     InterfaceSpec,
     ProblemSpec,
+    _coefficient_table,
+    _layer_values,
     assemble_system,
     condition_number,
     solve_system,
@@ -462,82 +470,134 @@ def test_edge_layouts_match_per_element_reference(case, degree):
         assert system.bandwidth == 2 * degree + 1
 
 
-class _Counted:
-    """A coefficient that records the shape of every argument it is called with."""
-
-    def __init__(self, function):
-        self.function = function
-        self.shapes = []
-
-    def __call__(self, x):
-        self.shapes.append(np.shape(x))
-        return self.function(x)
+# the functions a level's cost is counted in, by the modules that call them
+_COUNTED = {
+    "_layer_values": (assembly_module, analysis_module),
+    "eval_enrichment": (femspace_module, assembly_module),
+    "standard_basis": (femspace_module, assembly_module, analysis_module),
+    "element_basis": (femspace_module,),
+}
 
 
-@pytest.mark.parametrize("pid", [3, 6])
-def test_each_coefficient_is_called_once_per_layer(pid):
-    """D, delta, w, f and each exact branch see all of their layer's points in one call.
+def _count_calls(monkeypatch):
+    """Wrap the counted functions where they are called; returns the counter they add to."""
+    counts = Counter()
+    for name, modules in _COUNTED.items():
+        function = getattr(femspace_module, name, None) or getattr(assembly_module, name)
 
-    The interface term calls delta- once more at each implicit alpha, with
-    a scalar; compute_errors calls each value branch once more for the
-    interior nodes it owns.
+        def counted(*args, _name=name, _function=function, **kwargs):
+            counts[_name] += 1
+            return _function(*args, **kwargs)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_a_levels_calls_do_not_grow_with_its_cuts(monkeypatch, degree):
+    """Problems 1, 2 and 3 have 1, 2 and 3 cuts, and each level makes the same calls.
+
+    assemble_system evaluates D, delta, w and f once each on all of the
+    level's points and delta- once at every implicit alpha (5 evaluator
+    calls); compute_errors evaluates the exact values and derivatives on
+    the points and the values on the interior nodes (3).  psi and the
+    standard basis are evaluated in batches, and assemble_system makes no
+    element_basis call.
     """
-    entry = catalog_problem(pid)
-    names = ("diffusivity", "conv_delta", "reaction", "source")
-    problem = dataclasses.replace(
-        entry.problem,
-        **{name: tuple(map(_Counted, getattr(entry.problem, name))) for name in names},
-        exact=tuple((_Counted(v), _Counted(d)) for v, d in entry.problem.exact),
-    )
-    mesh = build_mesh(0.0, 1.0, 16, problem.breakpoints)
-    space = space_for_problem(problem, mesh, entry.degree)
-    for name in names:
-        for coefficient in getattr(problem, name):
-            coefficient.shapes.clear()  # drop the calls that check the problem
-    coeffs = solve_system(assemble_system(problem, space, 6))
-    n_pieces = mesh.n_elements + len(problem.interfaces)
-
-    implicit = [spec.lam > 0 for spec in problem.interfaces] + [False]
-    for name in names:
-        layers = getattr(problem, name)
-        for j, coefficient in enumerate(layers):
-            at_alpha = [shape for shape in coefficient.shapes if shape == ()]
-            assert len(at_alpha) == (name == "conv_delta" and implicit[j]), (name, j)
-        on_pieces = [shape for c in layers for shape in c.shapes if shape != ()]
-        assert len(on_pieces) == len(layers) and {q for _, q in on_pieces} == {6}, name
-        assert sum(pieces for pieces, _ in on_pieces) == n_pieces, name
-
-    compute_errors(problem.exact, space, coeffs, 12)
-    for value, deriv in problem.exact:
-        assert [len(shape) for shape in value.shapes] == [1, 2]  # the nodes, then the pieces
-        assert deriv.shapes == value.shapes[1:] and deriv.shapes[0][1] == 12
-    assert sum(deriv.shapes[0][0] for _, deriv in problem.exact) == n_pieces
+    counts = _count_calls(monkeypatch)
+    per_problem = []
+    for pid in (1, 2, 3):
+        problem = catalog_problem(pid).problem
+        space = space_for_problem(problem, build_mesh(0.0, 1.0, 16, problem.breakpoints), degree)
+        counts.clear()
+        system = assemble_system(problem, space, 6)
+        assembled = dict(counts)
+        coeffs = solve_system(system)
+        counts.clear()
+        compute_errors(problem.exact, space, coeffs, 12)
+        per_problem.append((len(space.enrichments), assembled, dict(counts)))
+    assert [cuts for cuts, _, _ in per_problem] == [1, 2, 3]
+    for _, assembled, errors in per_problem:
+        assert assembled == {"_layer_values": 5, "eval_enrichment": 4, "standard_basis": 2}
+        assert errors == {"_layer_values": 3, "eval_enrichment": 2, "standard_basis": 2}
 
 
 @pytest.mark.parametrize("pid", [1, 2, 3, 4, 5, 6])
 def test_constant_callables_match_polynomials(pid):
-    """D, delta and w as scalar-returning lambdas give the Polynomials' bits."""
+    """Constant D, delta and w given as floats become degree-0 Polynomials, with the same bits.
+
+    A coefficient is no longer a callable: ProblemSpec promotes a float to
+    Polynomial([c]) and rejects anything else.  The band, rhs, solution and
+    errors equal those of the same problem with Polynomial([c]) given
+    explicitly, and those of the catalog.
+    """
     entry, mesh, space, system, coeffs = solve_benchmark(pid, 64)
-
-    def constants(polys):
-        assert all(len(p.coef) == 1 for p in polys)
-        return tuple((lambda x, c=float(p.coef[0]): c) for p in polys)
-
-    problem = dataclasses.replace(
-        entry.problem,
-        diffusivity=constants(entry.problem.diffusivity),
-        conv_delta=constants(entry.problem.conv_delta),
-        reaction=constants(entry.problem.reaction),
+    names = ("diffusivity", "conv_delta", "reaction")
+    constants = {name: [float(p.coef[0]) for p in getattr(entry.problem, name)] for name in names}
+    assert all(len(p.coef) == 1 for name in names for p in getattr(entry.problem, name))
+    as_floats = dataclasses.replace(entry.problem, **{k: tuple(v) for k, v in constants.items()})
+    as_polys = dataclasses.replace(
+        entry.problem, **{k: tuple(Polynomial([c]) for c in v) for k, v in constants.items()}
     )
-    space_c = space_for_problem(problem, mesh, entry.degree)
-    system_c = assemble_system(problem, space_c, 6)
-    coeffs_c = solve_system(system_c)
-    for name in ("band", "rhs"):
-        assert getattr(system_c, name).tobytes() == getattr(system, name).tobytes(), name
-    assert coeffs_c.tobytes() == coeffs.tobytes()
-    report = compute_errors(problem.exact, space, coeffs, 12)
-    report_c = compute_errors(problem.exact, space_c, coeffs_c, 12)
-    assert report_c == report
+    for name in names:
+        for got, want in zip(getattr(as_floats, name), getattr(as_polys, name)):
+            assert isinstance(got, Polynomial) and got.coef.tobytes() == want.coef.tobytes()
+    for problem in (as_floats, as_polys):
+        space_c = space_for_problem(problem, mesh, entry.degree)
+        system_c = assemble_system(problem, space_c, 6)
+        coeffs_c = solve_system(system_c)
+        for name in ("band", "rhs"):
+            assert getattr(system_c, name).tobytes() == getattr(system, name).tobytes(), name
+        assert coeffs_c.tobytes() == coeffs.tobytes()
+        report = compute_errors(problem.exact, space, coeffs, 12)
+        assert compute_errors(problem.exact, space_c, coeffs_c, 12) == report
+
+
+@pytest.mark.parametrize("name, value", [
+    ("diffusivity", lambda x: 1.35 + 0.0 * x),
+    ("reaction", Polynomial([0.0, 1.0], domain=[0.0, 1.0])),
+    ("source", Polynomial([1.0], window=[0.0, 1.0])),
+    ("conv_delta", "0.5"),
+    ("exact", (Polynomial([0.0, 1.0], domain=[0.0, 2.0]), Polynomial([1.0]))),
+])
+def test_problem_rejects_what_is_not_a_polynomial_in_x(name, value):
+    """A callable, a mapped Polynomial or a string on layer 1 is rejected, naming field and layer."""
+    problem = catalog_problem(1).problem
+    entries = list(getattr(problem, name))
+    entries[1] = value
+    message = rf"^{name} on layer 1: expected a float or a numpy Polynomial in x$"
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(problem, **{name: tuple(entries)})
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    layers=st.lists(st.lists(_FINITE, min_size=1, max_size=9), min_size=1, max_size=5),
+    points=st.lists(_FINITE, min_size=1, max_size=12),
+)
+@example(layers=[[-0.0], [2.5], [0.0]], points=[-1.0, -0.0, 0.0, 3.0])
+@example(layers=[[0.0, 1.0], [-0.0, 2.0, 0.0]], points=[-0.0, 0.0, -2.0])
+def test_layer_values_have_polyval_bits(layers, points):
+    """One Horner pass over a zero-padded table of degrees 0-8 equals Polynomial.__call__.
+
+    Bit for bit on every layer and finite point, with one allowed
+    difference: the sign of an exact zero.  Polynomial.__call__ maps x to
+    0.0 + 1.0 * x first, which turns -0.0 into 0.0, and a constant table is
+    a gather, without polyval's c + x * 0.
+    """
+    polys = [Polynomial(c) for c in layers]
+    x = np.array(points)
+    with np.errstate(all="ignore"):  # both sides overflow alike on large inputs
+        got = _layer_values(_coefficient_table(polys), np.arange(len(polys))[:, None], x)
+        wants = [p(x) for p in polys]
+    got = np.broadcast_to(got, (len(polys), len(x)))
+    for values, want, p in zip(got, wants, polys):
+        same_bits = values.view(np.int64) == want.view(np.int64)
+        assert np.all(same_bits | ((values == 0.0) & (want == 0.0))), (p.coef, x)
 
 
 def test_assemble_and_solve_stay_linear_in_memory():

@@ -327,7 +327,7 @@ def test_interface_on_a_node_is_a_numerical_failure(capsys):
     assert capsys.readouterr().err.startswith("enrfem: numerical failure: level 0 (n=9)")
 
 
-def test_main_numerical_failure(tmp_path):
+def test_main_numerical_failure(tmp_path, capsys):
     # lambda tuned so alpha - x_{k+1} - gamma vanishes on the first mesh:
     # gamma = -2*lambda with D = (1, 2); alpha=0.11, h0=1/5 -> gamma = -0.09
     doc_path = _problem1_file(
@@ -341,6 +341,10 @@ def test_main_numerical_failure(tmp_path):
     )
     code = main(["--problem", str(doc_path), "--h0", "1/5", "--levels", "1"])
     assert code == 2
+    assert capsys.readouterr().err == (
+        "enrfem: numerical failure: level 0 (n=5): "
+        "degenerate enrichment denominator; change mesh size\n"
+    )
 
 
 @pytest.mark.parametrize("degree", ["1", "2"])
@@ -362,7 +366,9 @@ def test_singular_system_is_a_numerical_failure(tmp_path, capsys, degree, interf
     )
     code = main(["--problem", str(doc_path), "--degree", degree, "--levels", "2"])
     assert code == 2
-    assert "zero pivot" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("enrfem: numerical failure: level 0 (n=8): ")
+    assert "zero pivot" in err
 
 
 @pytest.mark.parametrize("overrides", [
@@ -378,7 +384,7 @@ def test_overflow_is_a_numerical_failure(tmp_path, capsys, overrides):
     assert main(["--problem", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("enrfem: numerical failure: ") and err.count("\n") == 1
+    assert err.startswith("enrfem: numerical failure: level 0 (n=8): ") and err.count("\n") == 1
 
 
 def _run_module(*args):

@@ -73,8 +73,9 @@ def test_cut_table_matches_brute_force():
 def test_quadrature_batches_cover_the_mesh():
     """The pieces tile the domain in element order, breaking at every node and alpha.
 
-    The weights of each element sum to its length, each piece lies in the
-    layer whose slice holds it and carries the DOFs of its element, and
+    The weights of each element sum to its length, each piece and each
+    interior node carries the layer it lies in, each piece the DOFs of its
+    element, and
     the basis comes in at most two batches: the standard DOFs of every
     piece, and all DOFs of the cut pieces.  The cut rows, and
     ``element_basis`` on each cut piece, equal the test's own
@@ -94,11 +95,10 @@ def test_quadrature_batches_cover_the_mesh():
         per_element = np.zeros(len(nodes) - 1)
         np.add.at(per_element, elements, lengths)
         assert per_element == pytest.approx(np.diff(nodes), rel=1e-13)
-        bounds = [0] + [pieces.stop for pieces in quad.layers]
-        assert [(pieces.start, pieces.stop) for pieces in quad.layers] == list(zip(bounds, bounds[1:]))
-        assert bounds[-1] == len(xs) and len(quad.layers) == len(alphas) + 1
-        layers = np.repeat(np.arange(len(quad.layers)), np.diff(bounds))
-        assert layers.tolist() == np.searchsorted(alphas, mids).tolist()
+        assert quad.layer.shape == (len(xs), 1)
+        assert quad.layer[:, 0].tolist() == np.searchsorted(alphas, mids).tolist()
+        interior = nodes[1:-1]
+        assert space.layout.node_layer.tolist() == np.searchsorted(alphas, interior).tolist()
 
         p = space.degree
         assert sum(isinstance(field, Basis) for field in quad) == 2

@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import math
 import re
 import subprocess
@@ -11,6 +12,7 @@ import enrfem
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 README = PYPROJECT.parent / "README.md"
+SPANS = PYPROJECT.parent / "perfbench" / "spans.py"
 
 
 def test_version_is_written_once():
@@ -55,3 +57,33 @@ def test_readme_library_example_runs():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     values = [float(word) for word in out.stdout.split()]
     assert len(values) == 3 and all(0 < v < math.inf for v in values), out.stdout
+
+
+def _benchmark_spans():
+    """perfbench/spans.py, loaded from its file (it imports only the standard library)."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmark_trace_finds_what_it_wraps():
+    """Each function the benchmark's tracer wraps is in enrfem.cli, and is called per level.
+
+    The tracer reads ``WRAPPED`` by name; a study of 3 levels makes 3
+    spans each of assemble_system, solve_system and compute_errors.
+    """
+    import enrfem.cli as cli
+
+    spans = _benchmark_spans()
+    for attr in spans.WRAPPED.values():
+        assert callable(getattr(cli, attr)), attr
+    tracer = spans.Tracer()
+    tracer.install(cli)
+    try:
+        cli.run_convergence(3, None, "1/8", 3)
+    finally:
+        tracer.uninstall(cli)
+    names = [span["name"] for span in tracer.spans]
+    for name in ("assembly.assemble_system", "assembly.solve_system", "analysis.compute_errors"):
+        assert names.count(name) == 3, name
