@@ -14,11 +14,14 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .assembly import ProblemSpec, _as_polynomial, _coefficient_table, _layer_values
-from .femspace import EnrichedSpace, full_coefficients, quadrature_pieces, standard_basis
-
-ERROR_QUAD_NPTS = 12  # error norms need a finer rule than assembly
-_CONTRAST_SAMPLES = 101
+from .assembly import ProblemSpec, _as_polynomial, _coefficient_table, _layer_ranges, _layer_values
+from .femspace import (
+    EnrichedSpace,
+    exact_rule_size,
+    full_coefficients,
+    quadrature_pieces,
+    standard_basis,
+)
 
 
 def polynomial_branches(polys: Sequence) -> tuple[tuple[Polynomial, Polynomial], ...]:
@@ -43,29 +46,35 @@ class ErrorReport:
             raise ValueError("error measures must be finite and nonnegative")
 
 
+def error_rule_size(exact: Sequence[tuple[Polynomial, Polynomial]], degree: int) -> int:
+    """``exact_rule_size`` of (u - u_h)^2, u_h of degree ``degree`` + 1 on a cut piece."""
+    return exact_rule_size(
+        (f"exact on layer {i}", len(u.coef) - 1, 2 * max(len(u.coef) - 1, degree + 1))
+        for i, (u, _) in enumerate(exact)
+    )
+
+
 def compute_errors(
     exact: Sequence[tuple[Polynomial, Polynomial]],
     space: EnrichedSpace,
     coeffs,
-    quad_npts: int = ERROR_QUAD_NPTS,
 ) -> ErrorReport:
     """L2 / broken-H1 / nodal errors of the discrete function vs ``exact``.
 
     ``coeffs`` are the free DOFs; the constrained ones take the space's
     Dirichlet values.  Branch j of ``exact``, a (value, derivative) pair
-    of Polynomials in x, is integrated over layer j of the space; raises
-    unless ``exact`` has one branch per layer.
+    of Polynomials in x, is integrated over layer j of the space by
+    ``error_rule_size``'s Gauss rule; raises unless ``exact`` has one
+    branch per layer.
     """
     n_layers = len(space.enrichments) + 1
     if len(exact) != n_layers:
         raise ValueError(f"{len(exact)} exact branches for the space's {n_layers} layers")
-    values, derivatives = (
-        _coefficient_table([_as_polynomial(f, f"exact on layer {i}") for i, f in enumerate(fs)])
-        for fs in zip(*exact)
-    )
+    exact = [[_as_polynomial(f, f"exact on layer {i}") for f in fs] for i, fs in enumerate(exact)]
+    values, derivatives = (_coefficient_table(fs) for fs in zip(*exact))
     full = full_coefficients(space, coeffs)
 
-    quad = quadrature_pieces(space, quad_npts)
+    quad = quadrature_pieces(space, error_rule_size(exact, space.degree))
     # e = u_h - u in place: its square has the bits of (u - u_h)^2
     e, de = np.empty_like(quad.xs), np.empty_like(quad.xs)
     for basis, pieces in ((quad.standard, slice(None)), (quad.cut, quad.cut_pieces)):
@@ -110,12 +119,9 @@ def observed_orders(h_list, e_list) -> list[float]:
 
 
 def coefficient_contrast(problem: ProblemSpec) -> float:
-    """sup(D) / inf(D) over the layers, sampled pointwise (diagnostic)."""
+    """max(D) / min(D) over the layers (diagnostic)."""
     a, b = problem.domain
-    breaks = np.array([a, *problem.breakpoints, b])
-    xs = np.linspace(breaks[:-1], breaks[1:], _CONTRAST_SAMPLES, axis=1)
-    table = _coefficient_table(problem.diffusivity)
-    vals = _layer_values(table, np.arange(table.shape[1])[:, None], xs)
-    if np.min(vals) <= 0:
+    d_min, d_max = _layer_ranges(problem.diffusivity, np.array([a, *problem.breakpoints, b]))
+    if np.min(d_min) <= 0:
         raise ValueError("diffusivity must be positive to define the contrast")
-    return float(np.max(vals)) / float(np.min(vals))
+    return float(np.max(d_max)) / float(np.min(d_min))

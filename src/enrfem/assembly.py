@@ -20,7 +20,6 @@ Interface elements are integrated as two Gauss sub-rules split at alpha.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -28,6 +27,7 @@ import numpy as np
 import scipy.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import Polynomial
+from numpy.polynomial import polynomial as P
 
 from .enrichment import eval_enrichment, gamma_from_lambda
 from .femspace import (
@@ -37,6 +37,7 @@ from .femspace import (
     Quadrature,
     _with_enrichment,
     build_space,
+    exact_rule_size,
     quadrature_pieces,
     standard_basis,
 )
@@ -44,7 +45,6 @@ from .mesh import Mesh1D
 
 SOLVER_RESIDUAL_RTOL = 1e-10
 SINGULAR_PIVOT_RTOL = 1e-14
-_COEFF_SAMPLES = 33
 
 
 @dataclass(frozen=True)
@@ -105,6 +105,24 @@ def _layer_values(table: np.ndarray, layer: np.ndarray, x) -> np.ndarray:
     return out
 
 
+def _layer_ranges(polys, breaks) -> tuple[np.ndarray, np.ndarray]:
+    """Each layer's min and max of its Polynomial in ``polys``, on [breaks[i], breaks[i + 1]].
+
+    Both lie at an end of the layer or at a real root of the derivative
+    inside it.  Every root's real part, clipped to the layer, is a point
+    of the layer, so the other roots add only values taken there.
+    """
+    table = _coefficient_table(polys)
+    xs = np.repeat(breaks[:-1, None], len(table) + 1, axis=1).astype(float)  # deg - 1 roots fit
+    xs[:, 1] = breaks[1:]
+    for row, p in zip(xs, polys):
+        if len(p.coef) > 2:
+            roots = P.polyroots(P.polyder(p.coef)).real
+            row[2:len(roots) + 2] = np.clip(roots, row[0], row[1])
+    values = _layer_values(table, np.arange(len(polys))[:, None], xs)
+    return np.min(values, axis=1), np.max(values, axis=1)
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Full BVP description with per-layer polynomial coefficients.
@@ -153,11 +171,8 @@ class ProblemSpec:
             ))
         self.gammas  # an implicit interface needs D- != D+, both positive
         breaks = np.array([a, *alphas, b])
-        xs = np.linspace(breaks[:-1], breaks[1:], _COEFF_SAMPLES + 2, axis=1)[:, 1:-1]
-        layer = np.arange(n_layers)[:, None]
         d_min, w_min = (
-            np.min(_layer_values(self.tables[name], layer, xs), axis=1)
-            for name in ("diffusivity", "reaction")
+            _layer_ranges(getattr(self, name), breaks)[0] for name in ("diffusivity", "reaction")
         )
         bad = np.flatnonzero((d_min <= 0) | (w_min < 0))
         if bad.size and d_min[bad[0]] <= 0:
@@ -247,13 +262,24 @@ def space_for_problem(problem: ProblemSpec, mesh: Mesh1D, degree: int) -> Enrich
     return build_space(mesh, degree, problem.gammas, problem.bc_left, problem.bc_right)
 
 
-def assemble_system(problem: ProblemSpec, space: EnrichedSpace, quad_npts: int = 6) -> AssembledSystem:
+def assembly_rule_size(problem: ProblemSpec, degree: int) -> int:
+    """``exact_rule_size`` of D u'v', delta u v', w u v and f v; cut, u and v have degree p + 1."""
+    p = degree
+    return exact_rule_size(
+        (f"{name} on layer {i}", len(c.coef) - 1, len(c.coef) - 1 + extra)
+        for name, extra in zip(_COEFFICIENTS, (2 * p, 2 * p + 1, 2 * p + 2, p + 1))
+        for i, c in enumerate(getattr(problem, name))
+    )
+
+
+def assemble_system(problem: ProblemSpec, space: EnrichedSpace) -> AssembledSystem:
     """Assemble the free-DOF matrix and load vector on ``space``.
 
     A_ij = int (D u_j' - 2 delta u_j) u_i' + int w u_j u_i
            + sum_implicit ([u_j]/lam - 2 delta- u_j(alpha-)) [u_i],
     b_i = int f u_i, followed by the lift of the space's Dirichlet values.
-    Raises if the space's interfaces do not match the problem's.
+    The Gauss rule is ``assembly_rule_size``'s.  Raises if the space's
+    interfaces do not match the problem's.
 
     The pieces' loads and element matrices go to ``np.add.at`` in element
     order (``CutLayout.load_order`` and ``block_order``), then the
@@ -262,15 +288,9 @@ def assemble_system(problem: ProblemSpec, space: EnrichedSpace, quad_npts: int =
     """
     if tuple(psi.alpha for psi in space.enrichments) != problem.breakpoints:
         raise ValueError("space was not built from this problem's mesh and interfaces")
-    if quad_npts < space.degree + 3:
-        warnings.warn(
-            f"quadrature with {quad_npts} points may be too coarse for "
-            f"degree {space.degree}; recommend at least {space.degree + 3}",
-            stacklevel=2,
-        )
     layout = space.layout
     (std_dofs, std_local, std_load), (cut_dofs, cut_local, cut_load) = _piece_integrals(
-        problem, quadrature_pieces(space, quad_npts)
+        problem, quadrature_pieces(space, assembly_rule_size(problem, space.degree))
     )
     dofs = np.concatenate([std_dofs.ravel(), cut_dofs.ravel()])[layout.load_order]
     f_local = np.concatenate([std_load.ravel(), cut_load.ravel()])[layout.load_order]

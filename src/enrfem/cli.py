@@ -24,17 +24,18 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from ._version import __version__
-from .analysis import ERROR_QUAD_NPTS, compute_errors, observed_orders, polynomial_branches
+from .analysis import compute_errors, error_rule_size, observed_orders, polynomial_branches
 from .assembly import (
     InterfaceSpec,
     ProblemSpec,
     assemble_system,
+    assembly_rule_size,
     condition_number,
     solve_system,
     space_for_problem,
 )
 from .bench import catalog_problem, manufactured_rhs
-from .femspace import BoundaryCondition, MAX_QUAD_NPTS
+from .femspace import BoundaryCondition
 from .mesh import build_mesh
 
 REPORT_FORMATS = ("csv", "markdown", "json")
@@ -240,15 +241,15 @@ def run_convergence(
     h0,
     levels: int,
     with_cond: bool = False,
-    quad_npts: int = 6,
 ) -> ConvergenceTable:
     """Solve on meshes h0, h0/2, ... and tabulate errors and orders.
 
     ``problem`` is a catalog id (1..6) or a problem-file path; the problem
     must carry an exact solution.  ``degree`` None takes the catalog
     entry's degree, or 1 for a problem file; ``build_space`` rejects any
-    other than 1 or 2.  All meshes are validated up front so an
-    interface-node collision is reported with its level before any solve.
+    other than 1 or 2.  Data whose degrees need a larger Gauss rule than
+    there is, and every mesh, are checked up front: an interface-node
+    collision is reported with its level before any solve.
     Every numerical failure (ValueError or ArithmeticError, LinAlgError
     included) names its level: "level i (n=...): ...".
     """
@@ -262,6 +263,11 @@ def run_convergence(
             "convergence study requires an exact solution "
             "(catalog problem or problem file with 'exact')"
         )
+    try:
+        assembly_rule_size(spec, degree)
+        error_rule_size(spec.exact, degree)
+    except ValueError as exc:
+        raise ProblemFileError(str(exc)) from exc
     h0 = Fraction(str(h0)) if not isinstance(h0, Fraction) else h0
     a, b = spec.domain
     n0 = _elements_for(h0, a, b)
@@ -278,9 +284,9 @@ def run_convergence(
     for level, mesh in enumerate(meshes):
         try:
             space = space_for_problem(spec, mesh, degree)
-            system = assemble_system(spec, space, quad_npts)
+            system = assemble_system(spec, space)
             coeffs = solve_system(system)
-            report = compute_errors(spec.exact, space, coeffs, ERROR_QUAD_NPTS)
+            report = compute_errors(spec.exact, space, coeffs)
             rows.append({
                 "h": (b - a) / mesh.n_elements,
                 "l2": report.l2,
@@ -303,8 +309,6 @@ def run_convergence(
         metadata={
             "problem": label,
             "degree": degree,
-            "quad_npts": quad_npts,
-            "error_quad_npts": ERROR_QUAD_NPTS,
             "version": __version__,
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         },
@@ -354,7 +358,6 @@ def main(argv=None) -> int:
     parser.add_argument("--h0", default="1/8", help="coarsest mesh size, e.g. 1/8")
     parser.add_argument("--levels", type=int, default=7, help="number of refinements")
     parser.add_argument("--cond", action="store_true", help="report condition numbers")
-    parser.add_argument("--quad", type=int, default=6, help="Gauss points per sub-interval")
     parser.add_argument("--format", choices=REPORT_FORMATS, default="csv")
     parser.add_argument("--out", default="stdout", help="output path or 'stdout'")
 
@@ -362,8 +365,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.levels < 1:
             parser.error("argument --levels: must be at least 1")
-        if not 1 <= args.quad <= MAX_QUAD_NPTS:
-            parser.error(f"argument --quad: must be between 1 and {MAX_QUAD_NPTS}")
         h0 = Fraction(args.h0)
     except (ProblemFileError, ValueError, ZeroDivisionError) as exc:
         print(f"enrfem: error: {exc}", file=sys.stderr)
@@ -376,10 +377,7 @@ def main(argv=None) -> int:
             warnings.filterwarnings(
                 "ignore", "(overflow|invalid value|divide by zero) encountered", RuntimeWarning
             )
-            table = run_convergence(
-                args.problem, args.degree, h0, args.levels,
-                with_cond=args.cond, quad_npts=args.quad,
-            )
+            table = run_convergence(args.problem, args.degree, h0, args.levels, with_cond=args.cond)
             text = emit_report(table, args.format)
     except ProblemFileError as exc:
         print(f"enrfem: error: {exc}", file=sys.stderr)

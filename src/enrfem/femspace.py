@@ -221,6 +221,18 @@ def quadrature_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
     return points, weights
 
 
+def exact_rule_size(integrands) -> int:
+    """Fewest ``quadrature_rule`` points exact for each (data, its degree, integrand degree).
+
+    Raises, naming the data and its degree, where MAX_QUAD_NPTS points are too few.
+    """
+    data, data_degree, degree = max(integrands, key=lambda integrand: integrand[2])
+    if degree // 2 + 1 > MAX_QUAD_NPTS:
+        raise ValueError(f"{data} has degree {data_degree}: integrating it exactly needs "
+                         f"{degree // 2 + 1} Gauss points, more than the {MAX_QUAD_NPTS} available")
+    return degree // 2 + 1
+
+
 class Basis(NamedTuple):
     """DOFs (E, n_local) of E quadrature pieces and their basis functions (E, n_local, q)."""
 
@@ -333,15 +345,15 @@ class Quadrature(NamedTuple):
     cut_pieces: np.ndarray
 
 
-def quadrature_pieces(space: EnrichedSpace, quad_npts: int) -> Quadrature:
-    """The Gauss rule of ``quad_npts`` points mapped to every piece of the mesh.
+def quadrature_pieces(space: EnrichedSpace, q: int) -> Quadrature:
+    """The Gauss rule of ``q`` points mapped to every piece of the mesh.
 
     The pieces come from ``space.layout``.  The basis comes in two
     batches: the standard basis of all pieces, and the cut pieces' rows
     from ``_with_enrichment``, psi evaluated by one ``eval_enrichment``
     call for the left pieces and one for the right.
     """
-    ref_x, ref_w = quadrature_rule(quad_npts)
+    ref_x, ref_w = quadrature_rule(q)
     layout = space.layout
     xs = layout.ends[:-1, None] + layout.half * (ref_x + 1.0)
     standard = Basis(*standard_basis(space, layout.elements, xs))
@@ -350,7 +362,7 @@ def quadrature_pieces(space: EnrichedSpace, quad_npts: int) -> Quadrature:
         for pieces, side in ((layout.cut_pieces[::2], "left"), (layout.cut_pieces[1::2], "right"))
     )
     psi = (  # row 2j: cut j's left piece, 2j + 1: its right
-        np.concatenate(pair, axis=1).reshape(-1, 1, quad_npts) for pair in zip(left, right)
+        np.concatenate(pair, axis=1).reshape(-1, 1, q) for pair in zip(left, right)
     )
     cut_rows = Basis(*(a[layout.cut_pieces] for a in standard))
     cut = _with_enrichment(space, layout.piece_cuts, cut_rows, *psi)

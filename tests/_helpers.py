@@ -2,6 +2,7 @@
 
 import bisect
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -15,19 +16,22 @@ from enrfem.assembly import (
     space_for_problem,
 )
 from enrfem.bench import catalog_problem
+from enrfem.cli import load_problem_file
 from enrfem.enrichment import eval_enrichment
 from enrfem.femspace import full_coefficients, quadrature_rule, standard_basis
 from enrfem.mesh import build_mesh
 
+FIXTURES = Path(__file__).parent / "fixtures"
 
-def solve_benchmark(pid, n, degree=None, quad_npts=6):
+
+def solve_benchmark(pid, n, degree=None):
     """Mesh, space, assembled system, and solved coefficients for one run."""
     entry = catalog_problem(pid)
     degree = entry.degree if degree is None else degree
     a, b = entry.problem.domain
     mesh = build_mesh(a, b, n, [s.alpha for s in entry.problem.interfaces])
     space = space_for_problem(entry.problem, mesh, degree)
-    system = assemble_system(entry.problem, space, quad_npts)
+    system = assemble_system(entry.problem, space)
     coeffs = solve_system(system)
     return entry, mesh, space, system, coeffs
 
@@ -59,6 +63,16 @@ def constant_patch_problem(pid, c=0.7):
         exact=exact,
     )
     return patched, exact
+
+
+def derived_rule_cases():
+    """(problem, space) of every catalog problem at n = 8 and 16, and of sweep-117.json at P2."""
+    cases = [(entry.problem, entry.degree) for entry in map(catalog_problem, range(1, 7))]
+    cases.append((load_problem_file(FIXTURES / "sweep-117.json"), 2))
+    for n in (8, 16):
+        for problem, degree in cases:
+            mesh = build_mesh(*problem.domain, n, problem.breakpoints)
+            yield problem, space_for_problem(problem, mesh, degree)
 
 
 def psi_jumps(psi):
@@ -186,9 +200,9 @@ def reference_basis(space, k, xs, side):
     return dofs, vals, ders
 
 
-def reference_pieces(space, quad_npts):
+def reference_pieces(space, q):
     """(layer, xs, weights, dofs, values, derivatives) per piece, element by element."""
-    ref_x, ref_w = quadrature_rule(quad_npts)
+    ref_x, ref_w = quadrature_rule(q)
     alphas = [psi.alpha for psi in space.enrichments]
     for k in range(space.mesh.n_elements):
         xl, xr = space.mesh.element_bounds(k)
@@ -206,15 +220,15 @@ def reference_pieces(space, quad_npts):
             yield piece_layer, xs, half * ref_w, dofs, vals, ders
 
 
-def reference_assembly(problem, space, quad_npts):
-    """(band, rhs) in free order from a dense per-element assembly.
+def reference_assembly(problem, space, q):
+    """(band, rhs) in free order from a dense per-element assembly with a q-point rule.
 
     The half-width is 2p + 1 with cuts and p without, as documented for
     AssembledSystem, and every entry outside it must vanish.
     """
     a_full = np.zeros((space.n_dofs, space.n_dofs))
     b_full = np.zeros(space.n_dofs)
-    for layer, xs, wq, dofs, vals, ders in reference_pieces(space, quad_npts):
+    for layer, xs, wq, dofs, vals, ders in reference_pieces(space, q):
         d_c = problem.diffusivity[layer](xs)
         conv = problem.conv_delta[layer](xs)
         w_c = problem.reaction[layer](xs)
@@ -260,12 +274,12 @@ def reference_assembly(problem, space, quad_npts):
     return band, rhs
 
 
-def reference_errors(exact, space, coeffs, quad_npts):
-    """ErrorReport summed piece by piece, with the nodal error node by node."""
+def reference_errors(exact, space, coeffs, q):
+    """ErrorReport summed piece by piece with a q-point rule, with the nodal error node by node."""
     full = full_coefficients(space, coeffs)
     l2_sq = 0.0
     h1_sq = 0.0
-    for layer, xs, wq, dofs, vals, ders in reference_pieces(space, quad_npts):
+    for layer, xs, wq, dofs, vals, ders in reference_pieces(space, q):
         value, deriv = exact[layer]
         e = value(xs) - full[dofs] @ vals
         de = deriv(xs) - full[dofs] @ ders

@@ -17,6 +17,7 @@ from _helpers import (
     constant_patch_problem,
     interpolate_enriched,
     psi_jumps,
+    reference_assembly,
 )
 from enrfem.analysis import coefficient_contrast, compute_errors, observed_orders
 from enrfem.assembly import (
@@ -54,9 +55,9 @@ def studies():
             n = 8 * 2**level
             mesh = build_mesh(0.0, 1.0, n, alphas)
             space = space_for_problem(problem, mesh, degree)
-            system = assemble_system(problem, space, 6)
+            system = assemble_system(problem, space)
             coeffs = solve_system(system)
-            report = compute_errors(exact, space, coeffs, 12)
+            report = compute_errors(exact, space, coeffs)
             row = {
                 "h": 1.0 / n,
                 "l2": report.l2,
@@ -70,7 +71,7 @@ def studies():
             }
             if degree == 1:
                 interp = interpolate_enriched(exact, space)
-                irep = compute_errors(exact, space, interp, 12)
+                irep = compute_errors(exact, space, interp)
                 row["interp_l2"] = irep.l2
                 row["interp_h1"] = irep.h1_broken
             rows.append(row)
@@ -270,9 +271,9 @@ def test_criterion_08_patch_test(pid):
     for n in (8, 16):
         mesh = build_mesh(0.0, 1.0, n, [s.alpha for s in problem.interfaces])
         space = space_for_problem(problem, mesh, degree)
-        system = assemble_system(problem, space, 6)
+        system = assemble_system(problem, space)
         coeffs = solve_system(system)
-        report = compute_errors(exact, space, coeffs, 12)
+        report = compute_errors(exact, space, coeffs)
         worst = max(worst, report.l2, report.h1_broken, report.nodal_max)
         expected = constant_coefficient_vector(space, c)
         assert coeffs == pytest.approx(expected, abs=1e-11)
@@ -314,13 +315,14 @@ def test_criterion_10_assembly_invariants(studies):
         entry = catalog_problem(pid)
         mesh = build_mesh(0.0, 1.0, 16, [s.alpha for s in problem.interfaces])
         space = space_for_problem(problem, mesh, 1)
-        A = assemble_system(problem, space, 6).matrix
+        A = assemble_system(problem, space).matrix
         symmetric_ok &= bool(np.max(np.abs(A - A.T)) <= 1e-12 * np.max(np.abs(A)))
 
         space = space_for_problem(entry.problem, mesh, 1)
-        coarse = assemble_system(entry.problem, space, 6).matrix
-        fine = assemble_system(entry.problem, space, 10).matrix
-        quad_ok &= bool(np.max(np.abs(coarse - fine)) <= 1e-12 * np.max(np.abs(fine)))
+        band = assemble_system(entry.problem, space).band
+        for q in (10, 12, 16):
+            fine, _ = reference_assembly(entry.problem, space, q)
+            quad_ok &= bool(np.max(np.abs(band - fine)) <= 1e-12 * np.max(np.abs(fine)))
 
     ok = residual_ok and symmetric_ok and quad_ok
     _report(10, ok, f"worst solver residual {worst_residual:.2e}, "

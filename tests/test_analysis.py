@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
-from _helpers import interpolate_enriched, solve_benchmark
+from _helpers import derived_rule_cases, interpolate_enriched, reference_errors, solve_benchmark
 from enrfem.analysis import (
     ErrorReport,
     coefficient_contrast,
@@ -14,7 +14,7 @@ from enrfem.analysis import (
     observed_orders,
     polynomial_branches,
 )
-from enrfem.assembly import InterfaceSpec, space_for_problem
+from enrfem.assembly import InterfaceSpec, assemble_system, solve_system, space_for_problem
 from enrfem.bench import catalog_problem
 from enrfem.cli import run_convergence
 from enrfem.femspace import BoundaryCondition, build_space
@@ -43,7 +43,7 @@ def test_interpolation_reproduces_global_linear():
     space = _space_with_right_value(1, 8, line(1.0))
     exact = polynomial_branches([line, line])
     coeffs = interpolate_enriched(exact, space)
-    report = compute_errors(exact, space, coeffs, 8)
+    report = compute_errors(exact, space, coeffs)
     assert report.l2 <= 1e-14
     assert report.h1_broken <= 1e-13
     assert report.nodal_max <= 1e-14
@@ -65,7 +65,7 @@ def test_exact_branch_count_must_be_the_space_layers():
         with pytest.raises(ValueError, match=message):
             interpolate_enriched(exact, space)
         with pytest.raises(ValueError, match=message):
-            compute_errors(exact, space, np.zeros(space.n_free), 8)
+            compute_errors(exact, space, np.zeros(space.n_free))
 
 
 def test_interpolation_jump_correction_value():
@@ -91,7 +91,7 @@ def test_interpolation_error_halves_in_h1():
     for n in (64, 128):
         _, space = _p1_space(1, n)
         coeffs = interpolate_enriched(entry.problem.exact, space)
-        report = compute_errors(entry.problem.exact, space, coeffs, 12)
+        report = compute_errors(entry.problem.exact, space, coeffs)
         errors.append(report.h1_broken)
     assert errors[0] / errors[1] == pytest.approx(2.0, abs=0.2)
 
@@ -103,7 +103,7 @@ def test_errors_vanish_for_space_member():
     space = _space_with_right_value(1, 8, line(1.0))
     exact = polynomial_branches([line, line])
     coeffs = interpolate_enriched(exact, space)
-    report = compute_errors(exact, space, coeffs, 10)
+    report = compute_errors(exact, space, coeffs)
     assert max(report.l2, report.h1_broken, report.nodal_max) <= 1e-12
 
 
@@ -113,7 +113,7 @@ def test_error_norms_of_linear_difference():
     space = build_space(mesh, 1, [], BoundaryCondition.neumann(), BoundaryCondition.neumann())
     coeffs = np.array(space.mesh.nodes, dtype=float)
     exact = polynomial_branches([Polynomial([0.0])])
-    report = compute_errors(exact, space, coeffs, 6)
+    report = compute_errors(exact, space, coeffs)
     assert report.l2 == pytest.approx(1 / math.sqrt(3), rel=1e-14)
     assert report.h1_broken == pytest.approx(1.0, rel=1e-14)
     assert report.nodal_max == pytest.approx(7 / 8, rel=1e-14)
@@ -121,7 +121,7 @@ def test_error_norms_of_linear_difference():
 
 def test_problem1_level_two_errors():
     entry, _, space, system, coeffs = solve_benchmark(1, 16)
-    report = compute_errors(entry.problem.exact, space, coeffs, 12)
+    report = compute_errors(entry.problem.exact, space, coeffs)
     assert report.l2 == pytest.approx(3.40683e-04, rel=0.05)
     assert report.h1_broken == pytest.approx(3.24574e-02, rel=0.05)
 
@@ -138,11 +138,14 @@ def test_errors_take_the_dirichlet_value_from_the_space():
 
 
 def test_error_quadrature_stability():
-    entry, _, space, system, coeffs = solve_benchmark(2, 16)
-    r8 = compute_errors(entry.problem.exact, space, coeffs, 8)
-    r12 = compute_errors(entry.problem.exact, space, coeffs, 12)
-    assert r8.l2 == pytest.approx(r12.l2, rel=1e-10)
-    assert r8.h1_broken == pytest.approx(r12.h1_broken, rel=1e-10)
+    """The derived rule is exact: the errors agree with the oracle at 10, 12 and 16 points."""
+    for problem, space in derived_rule_cases():
+        coeffs = solve_system(assemble_system(problem, space))
+        report = compute_errors(problem.exact, space, coeffs)
+        for q in (10, 12, 16):
+            fine = reference_errors(problem.exact, space, coeffs, q)
+            assert report.l2 == pytest.approx(fine.l2, rel=1e-10)
+            assert report.h1_broken == pytest.approx(fine.h1_broken, rel=1e-10)
 
 
 def test_error_report_rejects_negative_entries():
@@ -158,9 +161,9 @@ def test_error_report_rejects_non_finite_entries(value):
 
 def test_cea_bound_single_level():
     entry, _, space, system, coeffs = solve_benchmark(1, 32)
-    fem = compute_errors(entry.problem.exact, space, coeffs, 12)
+    fem = compute_errors(entry.problem.exact, space, coeffs)
     interp = compute_errors(
-        entry.problem.exact, space, interpolate_enriched(entry.problem.exact, space), 12
+        entry.problem.exact, space, interpolate_enriched(entry.problem.exact, space)
     )
     rho = coefficient_contrast(entry.problem)
     assert fem.h1_broken <= 10 * rho * interp.h1_broken
@@ -208,13 +211,12 @@ def test_contrast_benchmarks():
 
 
 def test_contrast_rejects_nonpositive():
-    fake = SimpleNamespace(
-        domain=(0.0, 1.0),
-        breakpoints=(),
-        diffusivity=(Polynomial([0.5, -1.0]),),  # negative on part of the layer
-    )
-    with pytest.raises(ValueError, match="positive"):
-        coefficient_contrast(fake)
+    """Negative on part of the layer: past x = 1/2, and within 1e-3 of 35/68 only."""
+    dip = Polynomial([(35 / 68) ** 2 - 1e-6, -2 * 35 / 68, 1.0])
+    for diffusivity in (Polynomial([0.5, -1.0]), dip):
+        fake = SimpleNamespace(domain=(0.0, 1.0), breakpoints=(), diffusivity=(diffusivity,))
+        with pytest.raises(ValueError, match="positive"):
+            coefficient_contrast(fake)
 
 
 # ------------------------------------------------------------ exact solution

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
 from _helpers import (
+    FIXTURES,
     constant_coefficient_vector,
     constant_patch_problem,
     dense_condition_number,
+    derived_rule_cases,
     psi_jumps,
     reference_assembly,
     reference_errors,
@@ -25,7 +27,7 @@ from _helpers import (
 from enrfem import analysis as analysis_module
 from enrfem import assembly as assembly_module
 from enrfem import femspace as femspace_module
-from enrfem.analysis import compute_errors
+from enrfem.analysis import compute_errors, error_rule_size
 from enrfem.assembly import (
     BoundaryCondition,
     InterfaceSpec,
@@ -33,6 +35,7 @@ from enrfem.assembly import (
     _coefficient_table,
     _layer_values,
     assemble_system,
+    assembly_rule_size,
     condition_number,
     solve_system,
     space_for_problem,
@@ -41,8 +44,6 @@ from enrfem.bench import catalog_problem, manufactured_rhs
 from enrfem.cli import load_problem_file
 from enrfem.femspace import quadrature_rule
 from enrfem.mesh import build_mesh, mesh_from_nodes
-
-FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _const(c):
@@ -88,6 +89,36 @@ def test_quadrature_range_rejected():
             quadrature_rule(npts)
 
 
+@pytest.mark.parametrize("degree, power", [(1, 7), (2, 8)])
+def test_derived_rule_is_the_smallest_exact_one(degree, power):
+    """A source x^m sets the top integrand degree m + p + 1, odd here, so q = (m + p + 2) / 2.
+
+    On uncut elements f v has degree m + p: q points integrate it exactly
+    and q - 1 points, exact to degree m + p - 1, do not.
+    """
+    problem = ProblemSpec(
+        domain=(0.0, 1.0),
+        diffusivity=(1.0,), conv_delta=(0.0,), reaction=(0.0,),
+        source=(Polynomial([0.0] * power + [1.0]),),
+    )
+    space = space_for_problem(problem, build_mesh(0.0, 1.0, 2), degree)
+    q = assembly_rule_size(problem, degree)
+    assert q == (power + degree + 2) // 2
+    moments = np.zeros(space.n_dofs)  # int x^m v over each element, v its Lagrange functions
+    for k, (xl, xr) in enumerate(map(space.mesh.element_bounds, range(2))):
+        nodes = np.linspace(xl, xr, degree + 1)
+        for j, node in enumerate(nodes):
+            others = np.delete(nodes, j)
+            v = Polynomial.fromroots(others) / np.prod(node - others)
+            integral = (problem.source[0] * v).integ()
+            moments[degree * k + j] += integral(xr) - integral(xl)
+    exact = moments[space.free_index >= 0]
+    scale = np.max(np.abs(exact))
+    assert np.max(np.abs(assemble_system(problem, space).rhs - exact)) <= 1e-14 * scale
+    _, coarser = reference_assembly(problem, space, q - 1)
+    assert np.max(np.abs(coarser - exact)) > 1e-10 * scale
+
+
 def test_quadrature_rule_is_computed_once_and_read_only():
     xs, ws = quadrature_rule(6)
     again = quadrature_rule(6)
@@ -97,11 +128,28 @@ def test_quadrature_rule_is_computed_once_and_read_only():
 
 # ------------------------------------------------------------------ assembly
 
+# (x - 35/68)^2 - 1e-6 dips below zero only within 1e-3 of 35/68, between
+# any two of 33 evenly spaced samples of (0, 1)
+_DIP = Polynomial([(35 / 68) ** 2 - 1e-6, -2 * 35 / 68, 1.0])
+
+
+@pytest.mark.parametrize("name, message", [
+    ("diffusivity", "diffusivity must be positive on layer 0"),
+    ("reaction", "reaction coefficient must be nonnegative on layer 0"),
+])
+def test_coefficient_bounds_hold_between_samples(name, message):
+    """The minimum is taken at the root of the derivative, not from samples."""
+    for domain in ((0.0, 1.0), (0, 1)):  # an integer domain must not round the root
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            dataclasses.replace(_poisson_problem(), domain=domain, **{name: (_DIP,)})
+    dataclasses.replace(_poisson_problem(), **{name: (_DIP + 2e-6,)})  # minimum 1e-6
+
+
 def test_p1_laplacian_stencil():
     problem = _poisson_problem()
     mesh = build_mesh(0.0, 1.0, 8)
     space = space_for_problem(problem, mesh, 1)
-    system = assemble_system(problem, space, 6)
+    system = assemble_system(problem, space)
     h = 1 / 8
     row = system.matrix[3]
     assert row[2] == pytest.approx(-1 / h, rel=1e-14)
@@ -118,7 +166,7 @@ def test_constant_patch_residual(pid):
     degree = catalog_problem(pid).degree
     mesh = build_mesh(0.0, 1.0, 8, [s.alpha for s in problem.interfaces])
     space = space_for_problem(problem, mesh, degree)
-    system = assemble_system(problem, space, 6)
+    system = assemble_system(problem, space)
     coeffs = constant_coefficient_vector(space, c)
     residual = system.matrix @ coeffs - system.rhs
     assert np.max(np.abs(residual)) <= 1e-12 * max(1.0, np.max(np.abs(system.rhs)))
@@ -126,7 +174,7 @@ def test_constant_patch_residual(pid):
 
 def test_problem1_coarse_l2_error():
     entry, _, space, system, coeffs = solve_benchmark(1, 8)
-    report = compute_errors(entry.problem.exact, space, coeffs, 12)
+    report = compute_errors(entry.problem.exact, space, coeffs)
     assert report.l2 == pytest.approx(1.43943e-03, rel=0.10)
 
 
@@ -135,7 +183,7 @@ def test_symmetry_without_convection():
         problem, _ = constant_patch_problem(pid)
         mesh = build_mesh(0.0, 1.0, 16, [s.alpha for s in problem.interfaces])
         space = space_for_problem(problem, mesh, 1)
-        A = assemble_system(problem, space, 6).matrix
+        A = assemble_system(problem, space).matrix
         assert np.max(np.abs(A - A.T)) <= 1e-12 * np.max(np.abs(A))
 
 
@@ -144,7 +192,7 @@ def test_coercivity_witness_without_convection():
         problem, _ = constant_patch_problem(pid)
         mesh = build_mesh(0.0, 1.0, 16, [s.alpha for s in problem.interfaces])
         space = space_for_problem(problem, mesh, 1)
-        A = assemble_system(problem, space, 6).matrix
+        A = assemble_system(problem, space).matrix
         assert np.min(np.linalg.eigvalsh(0.5 * (A + A.T))) > 0
 
 
@@ -154,11 +202,11 @@ def test_jump_term_touches_only_enrichment_block():
     problem = entry.problem
     mesh = build_mesh(0.0, 1.0, 8, [s.alpha for s in problem.interfaces])
     space = space_for_problem(problem, mesh, 1)
-    with_jump = assemble_system(problem, space, 6).matrix
+    with_jump = assemble_system(problem, space).matrix
     no_jump_problem = dataclasses.replace(
         problem, interfaces=(InterfaceSpec(problem.interfaces[0].alpha),)
     )
-    without_jump = assemble_system(no_jump_problem, space, 6).matrix
+    without_jump = assemble_system(no_jump_problem, space).matrix
 
     diff = with_jump - without_jump
     enr = [space.free_index[d] for d in (space.n_std, space.n_std + 1)]  # cut 0's, P1
@@ -173,16 +221,13 @@ def test_jump_term_touches_only_enrichment_block():
 
 
 def test_quadrature_refinement_stability():
-    """Benchmark integrands are polynomial: 6 and 10 point rules agree."""
-    for pid in (1, 2, 3):
-        entry = catalog_problem(pid)
-        mesh = build_mesh(0.0, 1.0, 16, [s.alpha for s in entry.problem.interfaces])
-        space = space_for_problem(entry.problem, mesh, entry.degree)
-        coarse = assemble_system(entry.problem, space, 6)
-        fine = assemble_system(entry.problem, space, 10)
-        scale = np.max(np.abs(fine.matrix))
-        assert np.max(np.abs(coarse.matrix - fine.matrix)) <= 1e-12 * scale
-        assert np.max(np.abs(coarse.rhs - fine.rhs)) <= 1e-12 * max(1.0, np.max(np.abs(fine.rhs)))
+    """The derived rule is exact: band and rhs agree with the oracle at 10, 12 and 16 points."""
+    for problem, space in derived_rule_cases():
+        system = assemble_system(problem, space)
+        for q in (10, 12, 16):
+            band, rhs = reference_assembly(problem, space, q)
+            assert np.max(np.abs(system.band - band)) <= 1e-12 * np.max(np.abs(band))
+            assert np.max(np.abs(system.rhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
 
 
 def test_galerkin_residual_small():
@@ -190,14 +235,6 @@ def test_galerkin_residual_small():
         _, _, _, system, coeffs = solve_benchmark(pid, 32)
         rel = np.linalg.norm(system.matrix @ coeffs - system.rhs) / np.linalg.norm(system.rhs)
         assert rel <= 1e-10
-
-
-def test_coarse_quadrature_warns():
-    problem = _poisson_problem()
-    mesh = build_mesh(0.0, 1.0, 8)
-    space = space_for_problem(problem, mesh, 1)
-    with pytest.warns(UserWarning, match="too coarse"):
-        assemble_system(problem, space, 3)
 
 
 def test_nonzero_neumann_rejected():
@@ -213,7 +250,7 @@ def test_space_problem_mismatch_rejected():
     mesh = build_mesh(0.0, 1.0, 8, [s.alpha for s in entry.problem.interfaces])
     space = space_for_problem(entry.problem, mesh, 1)
     with pytest.raises(ValueError, match="mesh and interfaces"):
-        assemble_system(_poisson_problem(), space, 6)
+        assemble_system(_poisson_problem(), space)
 
 
 def test_permuted_mesh_interfaces_assemble_identically():
@@ -222,8 +259,8 @@ def test_permuted_mesh_interfaces_assemble_identically():
     alphas = [s.alpha for s in entry.problem.interfaces]
     mesh_fwd = build_mesh(0.0, 1.0, 16, alphas)
     mesh_perm = build_mesh(0.0, 1.0, 16, alphas[::-1])
-    a_fwd = assemble_system(entry.problem, space_for_problem(entry.problem, mesh_fwd, 1), 6)
-    a_perm = assemble_system(entry.problem, space_for_problem(entry.problem, mesh_perm, 1), 6)
+    a_fwd = assemble_system(entry.problem, space_for_problem(entry.problem, mesh_fwd, 1))
+    a_perm = assemble_system(entry.problem, space_for_problem(entry.problem, mesh_perm, 1))
     assert np.array_equal(a_fwd.matrix, a_perm.matrix)
     assert np.array_equal(a_fwd.rhs, a_perm.rhs)
 
@@ -235,7 +272,7 @@ def test_constant_reproduced_on_nonuniform_mesh():
     nodes = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.2, 1.0, 10)]))
     mesh = mesh_from_nodes(nodes, [s.alpha for s in problem.interfaces])
     space = space_for_problem(problem, mesh, 1)
-    coeffs = solve_system(assemble_system(problem, space, 6))
+    coeffs = solve_system(assemble_system(problem, space))
     assert coeffs == pytest.approx(constant_coefficient_vector(space, c), abs=1e-11)
 
 
@@ -298,7 +335,7 @@ def test_solve_without_interface(degree):
     problem = _poisson_problem()
     mesh = build_mesh(0.0, 1.0, 8)
     space = space_for_problem(problem, mesh, degree)
-    system = assemble_system(problem, space, 6)
+    system = assemble_system(problem, space)
     assert system.band.shape == (2 * degree + 1, space.n_free)
     coeffs = solve_system(system)
     # -u'' = 1 with u(0) = u(1) = 0: the nodal values are exact, u = x(1 - x)/2
@@ -325,8 +362,8 @@ def test_cut_near_a_node_solves(pid):
             nodes[node] = alpha + sign * 10.0**-k / n
             space = space_for_problem(problem, mesh_from_nodes(nodes, problem.breakpoints),
                                       entry.degree)
-            coeffs = solve_system(assemble_system(problem, space, 6))
-            reports[k] = compute_errors(problem.exact, space, coeffs, 12)
+            coeffs = solve_system(assemble_system(problem, space))
+            reports[k] = compute_errors(problem.exact, space, coeffs)
         for k in range(2, 13):
             assert reports[k].l2 == pytest.approx(reports[2].l2, rel=5e-3), (node, k)
             assert reports[k].h1_broken == pytest.approx(reports[2].h1_broken, rel=5e-3), (node, k)
@@ -335,14 +372,14 @@ def test_cut_near_a_node_solves(pid):
 def test_deep_p2_mesh_solves():
     """Problem 6 at n = 32,768: its enrichment pivots once fell below the floor."""
     entry, _, space, _, coeffs = solve_benchmark(6, 32768)
-    report = compute_errors(entry.problem.exact, space, coeffs, 12)
+    report = compute_errors(entry.problem.exact, space, coeffs)
     assert report.l2 <= 1e-8
     assert report.h1_broken <= 1e-7
 
 
 def _forward_error(problem, degree, n):
     space = space_for_problem(problem, build_mesh(*problem.domain, n, problem.breakpoints), degree)
-    system = assemble_system(problem, space, 6)
+    system = assemble_system(problem, space)
     reference = refined_solve(system)
     return np.linalg.norm(solve_system(system) - reference) / np.linalg.norm(reference)
 
@@ -370,15 +407,18 @@ def _left_convection_problem1():
 def _assert_bits_match_reference(problem, space):
     """Assembly, solve and errors on ``space`` equal the per-element oracle bit for bit.
 
-    Returns the assembled system.
+    The oracle integrates with the rule sizes the program derives.  Returns
+    the assembled system.
     """
-    system = assemble_system(problem, space, 6)
-    for got, want in zip((system.band, system.rhs), reference_assembly(problem, space, 6)):
+    system = assemble_system(problem, space)
+    q = assembly_rule_size(problem, space.degree)
+    for got, want in zip((system.band, system.rhs), reference_assembly(problem, space, q)):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
     coeffs = solve_system(system)
-    report = compute_errors(problem.exact, space, coeffs, 12)
-    reference = reference_errors(problem.exact, space, coeffs, 12)
+    report = compute_errors(problem.exact, space, coeffs)
+    q = error_rule_size(problem.exact, space.degree)
+    reference = reference_errors(problem.exact, space, coeffs, q)
     for name in ("l2", "h1_broken", "nodal_max"):
         got, want = np.float64(getattr(report, name)), np.float64(getattr(reference, name))
         assert got.tobytes() == want.tobytes(), name
@@ -511,11 +551,11 @@ def test_a_levels_calls_do_not_grow_with_its_cuts(monkeypatch, degree):
         problem = catalog_problem(pid).problem
         space = space_for_problem(problem, build_mesh(0.0, 1.0, 16, problem.breakpoints), degree)
         counts.clear()
-        system = assemble_system(problem, space, 6)
+        system = assemble_system(problem, space)
         assembled = dict(counts)
         coeffs = solve_system(system)
         counts.clear()
-        compute_errors(problem.exact, space, coeffs, 12)
+        compute_errors(problem.exact, space, coeffs)
         per_problem.append((len(space.enrichments), assembled, dict(counts)))
     assert [cuts for cuts, _, _ in per_problem] == [1, 2, 3]
     for _, assembled, errors in per_problem:
@@ -545,13 +585,13 @@ def test_constant_callables_match_polynomials(pid):
             assert isinstance(got, Polynomial) and got.coef.tobytes() == want.coef.tobytes()
     for problem in (as_floats, as_polys):
         space_c = space_for_problem(problem, mesh, entry.degree)
-        system_c = assemble_system(problem, space_c, 6)
+        system_c = assemble_system(problem, space_c)
         coeffs_c = solve_system(system_c)
         for name in ("band", "rhs"):
             assert getattr(system_c, name).tobytes() == getattr(system, name).tobytes(), name
         assert coeffs_c.tobytes() == coeffs.tobytes()
-        report = compute_errors(problem.exact, space, coeffs, 12)
-        assert compute_errors(problem.exact, space_c, coeffs_c, 12) == report
+        report = compute_errors(problem.exact, space, coeffs)
+        assert compute_errors(problem.exact, space_c, coeffs_c) == report
 
 
 @pytest.mark.parametrize("name, value", [
@@ -609,9 +649,9 @@ def test_assemble_and_solve_stay_linear_in_memory():
     space = space_for_problem(entry.problem, mesh, entry.degree)
     tracemalloc.start()
     try:
-        system = assemble_system(entry.problem, space, 6)
+        system = assemble_system(entry.problem, space)
         coeffs = solve_system(system)
-        compute_errors(entry.problem.exact, space, coeffs, 12)
+        compute_errors(entry.problem.exact, space, coeffs)
         condition_number(system)
         _, peak = tracemalloc.get_traced_memory()
     finally:

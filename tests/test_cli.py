@@ -214,6 +214,10 @@ def _layers_with_d(d_right):
     ]
 
 
+# (x - 35/68)^2 - 1e-6: below zero only within 1e-3 of 35/68
+_DIP = [(35 / 68) ** 2 - 1e-6, -2 * 35 / 68, 1.0]
+
+
 @pytest.mark.parametrize("overrides, message", [
     ({"interfaces": [{"kind": "continuous"}]}, "interfaces[0]: needs 'alpha' and 'kind'"),
     ({"interfaces": 5}, "field 'interfaces': expected a list"),
@@ -245,12 +249,17 @@ def _layers_with_d(d_right):
      "nonzero Neumann flux is not implemented"),
     ({"interfaces": [{"alpha": 1 / 9, "kind": "continuous", "lambda": 0.5}]},
      "interfaces[0]: 'lambda' belongs to implicit interfaces only"),
+    ({"layers": [_layers_with_d(1.0)[0], _layers_with_d(1.35)[1] | {"D": _DIP}]},
+     "diffusivity must be positive on layer 1"),
+    ({"layers": [_layers_with_d(1.0)[0], _layers_with_d(1.35)[1] | {"w": _DIP}]},
+     "reaction coefficient must be nonnegative on layer 1"),
 ], ids=[
     "no-alpha", "interfaces-not-list", "bc-not-object", "layer-string", "alpha-string",
     "lambda-string", "lambda-negative", "implicit-equal-d", "implicit-negative-d",
     "interface-not-object", "exact-not-list", "coefficients-not-numbers",
     "domain-not-numbers", "coefficient-boolean", "bc-value-boolean", "bc-value-nan",
     "coefficient-infinite", "lambda-infinite", "neumann-nonzero", "lambda-on-continuous",
+    "diffusivity-dips-below-zero", "reaction-dips-below-zero",
 ])
 def test_problem_file_type_and_value_errors_exit_1(tmp_path, capsys, overrides, message):
     path = _problem1_file(tmp_path, **overrides)
@@ -276,8 +285,8 @@ def test_main_usage_errors(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["--levels", "0"], "argument --levels: must be at least 1"),
     (["--levels", "-1"], "argument --levels: must be at least 1"),
-    (["--quad", "0"], "argument --quad: must be between 1 and 16"),
-    (["--quad", "17"], "argument --quad: must be between 1 and 16"),
+    (["--quad", "6"], "unrecognized arguments: --quad 6"),
+    (["--degree", "3"], "argument --degree: invalid choice: 3"),
     (["--h0", "2/7"], "h0=2/7 does not tile the domain"),
     (["--h0", "0"], "h0=0 does not tile the domain"),
     (["--h0=-1/8"], "h0=-1/8 does not tile the domain"),
@@ -287,6 +296,20 @@ def test_out_of_range_arguments_exit_1(capsys, argv, message):
     err = capsys.readouterr().err
     assert err.startswith(f"enrfem: error: {message}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"exact": [[0, 0, 0, 1 / 30], [0.0] * 16 + [1.0]]},
+     "exact on layer 1 has degree 16: integrating it exactly needs 17 Gauss points"),
+    ({"layers": [_layers_with_d(1.0)[0], _layers_with_d(1.35)[1] | {"f": [0.0] * 30 + [1.0]}]},
+     "source on layer 1 has degree 30: integrating it exactly needs 17 Gauss points"),
+], ids=["errors", "assembly"])
+def test_data_beyond_the_largest_rule_exits_1(tmp_path, capsys, monkeypatch, overrides, message):
+    """Degree 2 max(16, p + 1) = 32 and 30 + p + 1 = 32 need 17 points; the largest rule has 16."""
+    monkeypatch.setattr(enrfem.cli, "space_for_problem", lambda *args: pytest.fail("a level ran"))
+    path = _problem1_file(tmp_path, **overrides)
+    assert main(["--problem", str(path), "--levels", "1"]) == 1
+    assert capsys.readouterr().err == f"enrfem: error: {message}, more than the 16 available\n"
 
 
 def test_problem_file_without_exact_exits_1(tmp_path, capsys):
@@ -403,14 +426,6 @@ def test_console_entry_point():
     assert proc.returncode == 0
     assert proc.stdout.startswith(CSV_HEADER)
     assert proc.stderr == ""
-
-
-def test_coarse_quadrature_warns_once_per_study():
-    """Python shows a warning once per location; no solve may reset that registry."""
-    proc = _run_module("--problem", "4", "--levels", "3", "--quad", "4")
-    assert proc.returncode == 0
-    assert proc.stderr.count("UserWarning") == 1
-    assert "may be too coarse" in proc.stderr
 
 
 def test_degree2_benchmark_defaults(tmp_path):
