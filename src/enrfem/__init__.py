@@ -8,7 +8,7 @@ function per interface whose slopes encode the jump parameter.
 """
 
 from ._version import __version__
-from .mesh import Mesh1D, build_mesh, locate_element, mesh_from_nodes
+from .mesh import Mesh1D, build_mesh, locate_element, mesh_from_nodes, stack_meshes
 from .enrichment import (
     EnrichmentFunction,
     build_enrichment,

@@ -14,7 +14,14 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .assembly import ProblemSpec, _as_polynomial, _coefficient_table, _layer_ranges, _layer_values
+from .assembly import (
+    ProblemSpec,
+    _as_polynomial,
+    _coefficient_table,
+    _derivative,
+    _layer_ranges,
+    _layer_values,
+)
 from .femspace import (
     EnrichedSpace,
     exact_rule_size,
@@ -22,15 +29,23 @@ from .femspace import (
     quadrature_pieces,
     standard_basis,
 )
+from .mesh import LevelError
 
 
 def polynomial_branches(polys: Sequence) -> tuple[tuple[Polynomial, Polynomial], ...]:
     """One (value, derivative) pair per layer from numpy Polynomials.
 
-    Derivatives are taken symbolically; a polynomial branch is its own
-    extension, so it can be evaluated on the whole domain.
+    Derivatives are taken symbolically, as ``Polynomial.deriv`` takes
+    them; for a Polynomial on the default domain and window, whose
+    derivative needs no mapping, by ``_derivative`` on its coefficients,
+    with the same bits.  A polynomial branch is its own extension, so it
+    can be evaluated on the whole domain.
     """
-    return tuple((p, p.deriv()) for p in polys)
+    return tuple(
+        (p, Polynomial(_derivative(p.coef), symbol=p.symbol)
+            if p.domain.tolist() == p.window.tolist() == [-1.0, 1.0] else p.deriv())
+        for p in polys
+    )
 
 
 @dataclass(frozen=True)
@@ -58,18 +73,20 @@ def compute_errors(
     exact: Sequence[tuple[Polynomial, Polynomial]],
     space: EnrichedSpace,
     coeffs,
-) -> ErrorReport:
-    """L2 / broken-H1 / nodal errors of the discrete function vs ``exact``.
+) -> list[ErrorReport]:
+    """L2 / broken-H1 / nodal errors of the discrete function vs ``exact``, one report per level.
 
     ``coeffs`` are the free DOFs; the constrained ones take the space's
     Dirichlet values.  Branch j of ``exact``, a (value, derivative) pair
-    of Polynomials in x, is integrated over layer j of the space by
+    of Polynomials in x, is integrated over layer j of each level by
     ``error_rule_size``'s Gauss rule; raises unless ``exact`` has one
-    branch per layer.
+    branch per layer, and raises LevelError for the first level whose
+    errors are not finite.
     """
-    n_layers = len(space.enrichments) + 1
-    if len(exact) != n_layers:
-        raise ValueError(f"{len(exact)} exact branches for the space's {n_layers} layers")
+    layout = space.layout
+    cuts = np.diff(layout.cut_starts)  # each level's
+    if np.any(cuts != len(exact) - 1):
+        raise ValueError(f"{len(exact)} exact branches for the space's {cuts.max() + 1} layers")
     exact = [[_as_polynomial(f, f"exact on layer {i}") for f in fs] for i, fs in enumerate(exact)]
     values, derivatives = (_coefficient_table(fs) for fs in zip(*exact))
     full = full_coefficients(space, coeffs)
@@ -86,20 +103,32 @@ def compute_errors(
     e *= e
     de *= de
     wq = quad.weights[:, None]
-    # np.cumsum adds the pieces' terms one after another in element order;
-    # np.sum would add them pairwise and move the last digits
-    l2_sq = np.cumsum((wq @ e[..., None])[:, 0, 0])[-1]
-    h1_sq = np.cumsum((wq @ de[..., None])[:, 0, 0])[-1]
+    l2_terms = (wq @ e[..., None])[:, 0, 0]
+    h1_terms = (wq @ de[..., None])[:, 0, 0]
 
     # psi vanishes at element endpoints, so a node's value is the standard
     # part of the element to its left
-    nodes = space.mesh.nodes[1:-1]
-    u_nodes = _layer_values(values, space.layout.node_layer, nodes)
-    dofs, vals, _ = standard_basis(space, np.arange(len(nodes)), nodes[:, None])
-    uh = (full[dofs][:, None] @ vals)[:, 0, 0]
-    nodal = float(np.max(np.abs(u_nodes - uh), initial=0.0))
+    mesh, elements = space.mesh, layout.node_elements
+    nodes = mesh.nodes[elements + mesh.element_level[elements] + 1]
+    u_nodes = _layer_values(values, layout.node_layer, nodes)
+    dofs, vals, _ = standard_basis(space, elements, nodes[:, None])
+    node_errors = np.abs(u_nodes - (full[dofs][:, None] @ vals)[:, 0, 0])
 
-    return ErrorReport(l2=np.sqrt(l2_sq), h1_broken=np.sqrt(h1_sq), nodal_max=nodal)
+    reports = []
+    pieces = (mesh.starts + layout.cut_starts).tolist()
+    interior = (mesh.starts - np.arange(mesh.n_levels + 1)).tolist()
+    for level in range(mesh.n_levels):
+        # np.cumsum adds a level's terms one after another in element order;
+        # np.sum would add them pairwise and move the last digits
+        l2_sq, h1_sq = (np.cumsum(terms[pieces[level]:pieces[level + 1]])[-1]
+                        for terms in (l2_terms, h1_terms))
+        nodal = np.max(node_errors[interior[level]:interior[level + 1]], initial=0.0)
+        try:
+            reports.append(ErrorReport(l2=np.sqrt(l2_sq), h1_broken=np.sqrt(h1_sq),
+                                       nodal_max=float(nodal)))
+        except ValueError as exc:
+            raise LevelError(str(exc), level) from exc
+    return reports
 
 
 def observed_orders(h_list, e_list) -> list[float]:

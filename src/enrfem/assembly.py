@@ -80,6 +80,39 @@ def _as_polynomial(value, where: str) -> Polynomial:
     return value
 
 
+# Arithmetic on coefficient arrays in powers of x, with the bits of
+# numpy.polynomial.polynomial's polymul, polyadd and polyder but without
+# their argument checks and type promotion (as_series, common_type), which
+# cost most of each call.
+
+def _trimmed(c: np.ndarray) -> np.ndarray:
+    """``c`` less its trailing zeros, keeping one coefficient, as numpy.polynomial trims."""
+    n = len(c)
+    while n > 1 and c[n - 1] == 0:
+        n -= 1
+    return c[:n]
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """polymul(a, b): the trimmed convolution of the trimmed factors."""
+    return _trimmed(np.convolve(_trimmed(a), _trimmed(b)))
+
+
+def _sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """polyadd(a, b): the shorter trimmed term added into a copy of the longer, trimmed."""
+    a, b = _trimmed(a), _trimmed(b)
+    if len(a) < len(b):
+        a, b = b, a
+    out = a.copy()
+    out[:len(b)] += b
+    return _trimmed(out)
+
+
+def _derivative(c: np.ndarray) -> np.ndarray:
+    """polyder(c): j * c[j] for j >= 1, untrimmed, and c[0] * 0 for a constant."""
+    return np.arange(1, len(c)) * c[1:] if len(c) > 1 else c[:1] * 0
+
+
 def _coefficient_table(polys) -> np.ndarray:
     """(m, L) table of L Polynomials: row i holds each one's x^i coefficient, 0 above its degree."""
     table = np.zeros((max(len(p.coef) for p in polys), len(polys)))
@@ -117,7 +150,7 @@ def _layer_ranges(polys, breaks) -> tuple[np.ndarray, np.ndarray]:
     xs[:, 1] = breaks[1:]
     for row, p in zip(xs, polys):
         if len(p.coef) > 2:
-            roots = P.polyroots(P.polyder(p.coef)).real
+            roots = P.polyroots(_derivative(p.coef)).real
             row[2:len(roots) + 2] = np.clip(roots, row[0], row[1])
     values = _layer_values(table, np.arange(len(polys))[:, None], xs)
     return np.min(values, axis=1), np.max(values, axis=1)
@@ -212,21 +245,15 @@ class ProblemSpec:
 
 
 @dataclass(frozen=True)
-class AssembledSystem:
-    """Free-DOF linear system with the Dirichlet lift folded into the rhs.
+class BandSystem:
+    """A linear system A x = rhs whose matrix A is one band.
 
-    Free DOFs run in mesh order (``EnrichedSpace.free_index``), so the
-    free matrix A is one band.  ``band`` holds it in LAPACK band storage,
-    band[q + i - j, j] = A[i, j], shape (2q + 1, n_free).  The half-width
-    q is a rule of the layout, not a measurement: 2p + 1 for a space with
-    cuts and p for one without, p the element degree.  Where a Dirichlet
-    end sits beside the only cut, the outermost diagonals are zero.
-    Storage is O(n).
+    ``band`` holds A in LAPACK band storage, band[q + i - j, j] = A[i, j],
+    shape (2q + 1, n).  Storage is O(n).
     """
 
     band: np.ndarray
     rhs: np.ndarray
-    space: EnrichedSpace
 
     @property
     def bandwidth(self) -> int:
@@ -244,6 +271,34 @@ class AssembledSystem:
         return dense
 
 
+@dataclass(frozen=True)
+class AssembledSystem(BandSystem):
+    """Free-DOF linear system with the Dirichlet lift folded into the rhs.
+
+    Free DOFs run in mesh order (``EnrichedSpace.free_index``), so the
+    free matrix A of each level is one band, and that of a stacked space
+    is block diagonal, its levels' bands side by side in ``band``.  The
+    half-width q is a rule of the layout, not a measurement: 2p + 1 for a
+    space with cuts and p for one without, p the element degree.  Where a
+    Dirichlet end sits beside the only cut, the outermost diagonals are
+    zero.
+    """
+
+    space: EnrichedSpace
+
+    def levels(self) -> list[BandSystem]:
+        """Each level's system: its columns of ``band`` and its rows of ``rhs``.
+
+        A system of one level is its own level, so that its dense
+        ``matrix`` is built once.  Outside its block, a level's columns of
+        the band hold zeros, as a band of its own does.
+        """
+        starts = self.space.free_starts.tolist()
+        if len(starts) == 2:
+            return [self]
+        return [BandSystem(self.band[:, i:j], self.rhs[i:j]) for i, j in zip(starts, starts[1:])]
+
+
 def _band_diagonals(q: int, n: int):
     """(band row, row slice, column slice) of each diagonal of an n x n band."""
     for row in range(2 * q + 1):
@@ -253,13 +308,17 @@ def _band_diagonals(q: int, n: int):
 
 
 def space_for_problem(problem: ProblemSpec, mesh: Mesh1D, degree: int) -> EnrichedSpace:
-    """The enriched space on ``mesh`` with the problem's gammas and boundary conditions."""
+    """The enriched space on ``mesh`` with the problem's gammas and boundary conditions.
+
+    Every level of ``mesh`` must carry the problem's interfaces.
+    """
     mesh_alphas = tuple(hit.alpha for hit in mesh.interface_hits)
-    if mesh_alphas != problem.breakpoints:
+    if mesh_alphas != problem.breakpoints * mesh.n_levels:
         raise ValueError(
             f"mesh interfaces {mesh_alphas} are not the problem's {problem.breakpoints}"
         )
-    return build_space(mesh, degree, problem.gammas, problem.bc_left, problem.bc_right)
+    return build_space(mesh, degree, problem.gammas * mesh.n_levels, problem.bc_left,
+                       problem.bc_right)
 
 
 def assembly_rule_size(problem: ProblemSpec, degree: int) -> int:
@@ -278,15 +337,16 @@ def assemble_system(problem: ProblemSpec, space: EnrichedSpace) -> AssembledSyst
     A_ij = int (D u_j' - 2 delta u_j) u_i' + int w u_j u_i
            + sum_implicit ([u_j]/lam - 2 delta- u_j(alpha-)) [u_i],
     b_i = int f u_i, followed by the lift of the space's Dirichlet values.
-    The Gauss rule is ``assembly_rule_size``'s.  Raises if the space's
-    interfaces do not match the problem's.
+    The Gauss rule is ``assembly_rule_size``'s.  Raises unless every level
+    of the space has the problem's interfaces.
 
     The pieces' loads and element matrices go to ``np.add.at`` in element
     order (``CutLayout.load_order`` and ``block_order``), then the
     interface blocks: every entry is summed in the order of a per-element
-    assembly.
+    assembly of its level.  Each level's lift is its own product, so its
+    rhs has the bits of a space of that level alone.
     """
-    if tuple(psi.alpha for psi in space.enrichments) != problem.breakpoints:
+    if tuple(psi.alpha for psi in space.enrichments) != problem.breakpoints * space.mesh.n_levels:
         raise ValueError("space was not built from this problem's mesh and interfaces")
     layout = space.layout
     (std_dofs, std_local, std_load), (cut_dofs, cut_local, cut_load) = _piece_integrals(
@@ -306,7 +366,10 @@ def assemble_system(problem: ProblemSpec, space: EnrichedSpace) -> AssembledSyst
             _triplets(*_interface_blocks(problem, space)),
         )
     ))
-    rhs -= lift @ space.dirichlet_values
+    values = space.dirichlet_values[:lift.shape[1]]  # every level's are the same
+    starts = space.free_starts.tolist()
+    for i, j in zip(starts, starts[1:]):
+        rhs[i:j] -= lift[i:j] @ values
     return AssembledSystem(band=band, rhs=rhs, space=space)
 
 
@@ -345,16 +408,18 @@ def _interface_blocks(problem: ProblemSpec, space: EnrichedSpace):
     left, right = (eval_enrichment(layout.psi, alpha, side) for side in ("left", "right"))
     psi = (np.concatenate(pair, axis=1).reshape(-1, 1, 1) for pair in zip(left, right))
     both = _with_enrichment(space, layout.piece_cuts, Basis(*rows), *psi)
-    implicit = np.array([spec.lam > 0 for spec in problem.interfaces], dtype=bool)
-    lam = np.array([spec.lam for spec in problem.interfaces])[implicit][:, None, None]
+    levels = space.mesh.n_levels  # each with the problem's interfaces, in order
+    interface = np.tile(np.arange(len(problem.interfaces)), levels)
+    lam = np.tile([spec.lam for spec in problem.interfaces], levels)
+    implicit = lam > 0
     v_left, v_right = (both.values[side::2, :, 0][implicit] for side in (0, 1))
     jump = v_right - v_left
     delta_minus = _layer_values(
-        problem.tables["conv_delta"], np.flatnonzero(implicit), alpha[implicit, 0]
+        problem.tables["conv_delta"], interface[implicit], alpha[implicit, 0]
     )
     k = jump.shape[1]
     blocks = np.empty((len(jump), 2, k, k))
-    np.divide(jump[:, :, None] * jump[:, None, :], lam, out=blocks[:, 0])
+    np.divide(jump[:, :, None] * jump[:, None, :], lam[implicit][:, None, None], out=blocks[:, 0])
     np.multiply((-2.0 * delta_minus)[:, None, None], jump[:, :, None] * v_left[:, None, :],
                 out=blocks[:, 1])
     keep = np.ones((len(jump), 2), dtype=bool)
@@ -374,8 +439,9 @@ def _scatter(space: EnrichedSpace, rows, cols, vals):
     """Sum (row, col, value) triplets of the full-DOF matrix into the free band and the lift.
 
     Returns ``band`` as laid out in AssembledSystem and ``lift``, the
-    free rows of the constrained columns.  np.add.at adds the triplets in
-    the order given.
+    free rows of the constrained columns, a level's columns side by side:
+    lift[i, k] holds the row's entry in its level's k-th constrained
+    column.  np.add.at adds the triplets in the order given.
     """
     fi, fj = space.free_index[rows], space.free_index[cols]
     free = (fi >= 0) & (fj >= 0)
@@ -383,9 +449,11 @@ def _scatter(space: EnrichedSpace, rows, cols, vals):
     q = 2 * space.degree + 1 if space.enrichments else space.degree
     band = np.zeros((2 * q + 1, space.n_free))
     np.add.at(band, (q + fi_f - fj_f, fj_f), vals[free])
-    lift = np.zeros((space.n_free, len(space.constrained)))
+    per_level = len(space.constrained) // space.mesh.n_levels
+    lift = np.zeros((space.n_free, per_level))
     sel = (fi >= 0) & (fj < 0)
-    np.add.at(lift, (fi[sel], np.searchsorted(space.constrained, cols[sel])), vals[sel])
+    column = np.searchsorted(space.constrained, cols[sel]) % max(per_level, 1)
+    np.add.at(lift, (fi[sel], column), vals[sel])
     return band, lift
 
 
@@ -420,7 +488,7 @@ def _scaled_lu(band: np.ndarray):
     return s, lu, piv, largest
 
 
-def solve_system(system: AssembledSystem) -> np.ndarray:
+def solve_system(system: BandSystem) -> np.ndarray:
     """One banded LU of the Jacobi-scaled free matrix.
 
     With s_i = 1/sqrt|A_ii| (1 where A_ii = 0), factor S = diag(s) A diag(s)
@@ -454,7 +522,7 @@ def solve_system(system: AssembledSystem) -> np.ndarray:
     return x
 
 
-def condition_number(system: AssembledSystem) -> float:
+def condition_number(system: BandSystem) -> float:
     """2-norm condition number sigma_max / sigma_min of the free matrix, from its band.
 
     sigma_max^2 is the largest eigenvalue of A^T A (``_gram_norm``).

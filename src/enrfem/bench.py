@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 from numpy.polynomial import Polynomial
-from numpy.polynomial import polynomial as P
 
 from .analysis import polynomial_branches
-from .assembly import InterfaceSpec, ProblemSpec
+from .assembly import InterfaceSpec, ProblemSpec, _derivative, _product, _sum
 from .femspace import BoundaryCondition
 
 
@@ -47,20 +47,23 @@ def manufactured_rhs(exact, diffusivity, conv_delta, reaction) -> list[Polynomia
     holds one (value, derivative) pair per layer; the value callables must
     be numpy Polynomials (no numerical differentiation), and every
     Polynomial must be in powers of x (default domain and window).  The
-    arithmetic runs on coefficient arrays with the functions that
-    Polynomial's operators call, so the result has the operators' bits.
+    arithmetic runs on coefficient arrays with the operations of the
+    functions that Polynomial's operators call (``assembly._product``,
+    ``_sum`` and ``_derivative``), so the result has the operators' bits.
     """
     out = []
     for i, (value, _) in enumerate(exact):
         polys = [value] + [_as_poly(c) for c in (diffusivity[i], conv_delta[i], reaction[i])]
-        if not isinstance(value, Polynomial) or any(p.mapparms() != (0, 1) for p in polys):
+        if not isinstance(value, Polynomial) or any(
+            p.domain.tolist() != p.window.tolist() for p in polys
+        ):
             raise ValueError(
                 f"layer {i} is not a polynomial in x; manufactured sources need "
                 "second derivatives"
             )
         u, d, delta, w = (p.coef for p in polys)
-        flux = P.polyadd(P.polymul(-d, P.polyder(u)), P.polymul(P.polymul(2.0, delta), u))
-        out.append(Polynomial(P.polyadd(P.polyder(flux), P.polymul(w, u))))
+        flux = _sum(_product(-d, _derivative(u)), _product(_product(np.array([2.0]), delta), u))
+        out.append(Polynomial(_sum(_derivative(flux), _product(w, u))))
     return out
 
 

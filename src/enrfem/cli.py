@@ -18,6 +18,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from .assembly import (
 )
 from .bench import catalog_problem, manufactured_rhs
 from .femspace import BoundaryCondition
-from .mesh import build_mesh
+from .mesh import LevelError, build_mesh, stack_meshes
 
 REPORT_FORMATS = ("csv", "markdown", "json")
 _HEADER = ["h", "l2", "h1_broken", "nodal", "cond", "order_l2", "order_h1", "order_nodal"]
@@ -235,6 +236,70 @@ def _at_level(level: int, n: int, exc: Exception) -> Exception:
     return type(exc)(f"level {level} (n={n}): {exc}")
 
 
+def _run_levels(spec: ProblemSpec, degree: int, first: int, meshes, with_cond: bool) -> list[dict]:
+    """The rows of levels first, first + 1, ... on ``meshes``, run as one stacked space.
+
+    Levels are independent, so the failure that running them one by one
+    would raise is the lowest failing level's at its first failing stage
+    (space, assembly, solve, errors, cond).  Each stage runs on the levels
+    below the lowest failure found so far, and the last one found is
+    raised.  A LevelError names its level; any other failure of a stage
+    that runs on the whole stack would fail every level, so it is the
+    first level's.
+    """
+    meshes = list(meshes)
+    failure = None
+
+    def fail(level, exc):  # leaves out the levels from ``level`` on
+        nonlocal failure
+        failure = _at_level(first + level, meshes[level].n_elements, exc)
+        failure.__cause__ = exc
+        del meshes[level:]
+        if not meshes:
+            raise failure
+
+    def level_of(exc):
+        return exc.level if isinstance(exc, LevelError) else 0
+
+    try:
+        space = space_for_problem(spec, stack_meshes(meshes), degree)
+    except (ValueError, ArithmeticError) as exc:
+        fail(level_of(exc), exc)
+        space = space_for_problem(spec, stack_meshes(meshes), degree)
+    try:
+        systems = assemble_system(spec, space).levels()
+    except (ValueError, ArithmeticError) as exc:
+        fail(0, exc)
+    coeffs = np.zeros(space.n_free)
+    starts = space.free_starts.tolist()
+    for level in range(len(meshes)):
+        try:
+            coeffs[starts[level]:starts[level + 1]] = solve_system(systems[level])
+        except (ValueError, ArithmeticError) as exc:
+            fail(level, exc)
+            break
+    try:
+        reports = compute_errors(spec.exact, space, coeffs)
+    except (ValueError, ArithmeticError) as exc:
+        if level_of(exc) < len(meshes):  # a level above a failure may fail on its zero coeffs
+            fail(level_of(exc), exc)
+    conds = [None] * len(meshes)
+    for level in range(len(meshes) if with_cond else 0):
+        try:
+            conds[level] = condition_number(systems[level])
+        except (ValueError, ArithmeticError) as exc:
+            fail(level, exc)
+            break
+    if failure is not None:
+        raise failure
+    a, b = spec.domain
+    return [
+        {"h": (b - a) / mesh.n_elements, "l2": report.l2, "h1_broken": report.h1_broken,
+         "nodal": report.nodal_max, "cond": cond}
+        for mesh, report, cond in zip(meshes, reports, conds)
+    ]
+
+
 def run_convergence(
     problem,
     degree: int | None,
@@ -280,22 +345,13 @@ def run_convergence(
         except ValueError as exc:
             raise _at_level(level, n0 * 2**level, exc) from exc
 
+    # Two stacks: the coarse levels, then the finest alone.  Under halving
+    # the coarse levels together have fewer elements than the finest, so
+    # a study's peak memory stays that of its finest level.
     rows = []
-    for level, mesh in enumerate(meshes):
-        try:
-            space = space_for_problem(spec, mesh, degree)
-            system = assemble_system(spec, space)
-            coeffs = solve_system(system)
-            report = compute_errors(spec.exact, space, coeffs)
-            rows.append({
-                "h": (b - a) / mesh.n_elements,
-                "l2": report.l2,
-                "h1_broken": report.h1_broken,
-                "nodal": report.nodal_max,
-                "cond": condition_number(system) if with_cond else None,
-            })
-        except (ValueError, ArithmeticError) as exc:
-            raise _at_level(level, mesh.n_elements, exc) from exc
+    for first, stack in ((0, meshes[:-1]), (levels - 1, meshes[-1:])):
+        if stack:
+            rows += _run_levels(spec, degree, first, stack, with_cond)
 
     hs = [row["h"] for row in rows]
     for key, name in _ORDER_OF.items():
@@ -346,7 +402,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ProblemFileError(message)
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> _ArgumentParser:
+    """The command line's parser, built on first use and kept for the process."""
     parser = _ArgumentParser(
         prog="enrfem",
         description="Convergence studies for enriched 1D interface finite elements.",
@@ -360,7 +418,11 @@ def main(argv=None) -> int:
     parser.add_argument("--cond", action="store_true", help="report condition numbers")
     parser.add_argument("--format", choices=REPORT_FORMATS, default="csv")
     parser.add_argument("--out", default="stdout", help="output path or 'stdout'")
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.levels < 1:

@@ -13,6 +13,13 @@ Each interface cuts exactly one element, and the space's enrichment list
 is the one table of cuts: cut j, in position order, is interface j, lies
 between layers j and j + 1, and owns the degree + 1 enrichment DOFs that
 ``_with_enrichment`` numbers.
+
+A space on a stacked mesh (``mesh.stack_meshes``) is the direct sum of
+one space per level, built as one: each level numbers its own standard
+DOFs after the levels before it, the cut table runs level by level, and
+each level's free DOFs follow those of the level before, so that the
+free matrix is block diagonal, one band per level.  A space on a mesh of
+one level is a stack of one.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .enrichment import EnrichmentFunction, build_enrichment, eval_enrichment
-from .mesh import Mesh1D, locate_element
+from .mesh import LevelError, Mesh1D, locate_element
 
 MAX_QUAD_NPTS = 16
 
@@ -55,17 +62,20 @@ class BoundaryCondition:
 class EnrichedSpace:
     """Standard Lagrange DOFs plus enrichment DOFs per interface.
 
-    ``enrichments`` is the cut table, one psi per cut in position order,
-    and ``cut_of[k]`` the cut on element k (-1 if uncut).  The n_std =
-    degree * n_elements + 1 standard DOFs run left to right, element k's
-    at degree * k + (0 .. degree).  ``constrained`` lists the global
-    indices of Dirichlet-constrained standard DOFs, and
+    ``enrichments`` is the cut table, one psi per cut in level, then
+    position order, and ``cut_of[k]`` the cut on element k (-1 if uncut).
+    The n_std = degree * n_elements + L standard DOFs of the L levels run
+    left to right, level after level: element k of level l has
+    degree * k + l + (0 .. degree).  ``constrained`` lists the global
+    indices of Dirichlet-constrained standard DOFs, level by level, and
     ``dirichlet_values`` (read-only) the Dirichlet value each one takes;
     all enrichment DOFs are free.
     ``free_index`` maps global DOF -> position in the free-DOF vector
     (-1 if constrained); free positions run in mesh order, a cut's
-    enrichment DOFs right after the left node of its element.
-    ``layout``, the geometry of the quadrature pieces, is built once.
+    enrichment DOFs right after the left node of its element, and
+    ``free_starts`` (L + 1,) holds each level's first free position, then
+    n_free.  ``layout``, the geometry of the quadrature pieces, is built
+    once.
     """
 
     mesh: Mesh1D
@@ -75,12 +85,13 @@ class EnrichedSpace:
     constrained: tuple[int, ...]
     dirichlet_values: np.ndarray
     free_index: np.ndarray
+    free_starts: np.ndarray
     n_dofs: int
     n_free: int
 
     @property
     def n_std(self) -> int:
-        return self.degree * self.mesh.n_elements + 1
+        return self.degree * self.mesh.n_elements + self.mesh.n_levels
 
     @cached_property
     def layout(self) -> "CutLayout":
@@ -97,10 +108,11 @@ def build_space(
 ) -> EnrichedSpace:
     """Enumerate DOFs and build the cut table for the enriched space on ``mesh``.
 
-    ``gammas`` holds one jump parameter per mesh cut, in position order;
-    psi is built on each cut element of ``mesh.interface_hits``.
-    A Dirichlet end fixes the boundary standard DOF to its value; a
-    Neumann end is natural (free).
+    ``gammas`` holds one jump parameter per mesh cut, in the order of
+    ``mesh.interface_hits``; psi is built on each cut element.  On every
+    level, a Dirichlet end fixes the boundary standard DOF to its value;
+    a Neumann end is natural (free).  Raises LevelError, naming the
+    level, where a cut's psi cannot be built.
     """
     if degree not in (1, 2):
         raise ValueError("degree must be 1 or 2")
@@ -111,23 +123,31 @@ def build_space(
             "interface elements"
         )
 
-    enrichments = tuple(
-        build_enrichment(*mesh.element_bounds(hit.element), hit.alpha, gamma, element=hit.element)
-        for hit, gamma in zip(mesh.interface_hits, gammas)
-    )
+    enrichments = []
+    for hit, gamma in zip(mesh.interface_hits, gammas):
+        try:
+            enrichments.append(build_enrichment(
+                *mesh.element_bounds(hit.element), hit.alpha, gamma, element=hit.element
+            ))
+        except ValueError as exc:
+            raise LevelError(str(exc), int(mesh.element_level[hit.element])) from exc
     cut_elements = np.array([hit.element for hit in mesh.interface_hits], dtype=int)
     cut_of = np.full(mesh.n_elements, -1, dtype=int)
     cut_of[cut_elements] = np.arange(len(cut_elements))
 
-    n_std = degree * mesh.n_elements + 1
-    ends = ((0, bc_left), (n_std - 1, bc_right))
-    constrained = [dof for dof, bc in ends if bc.kind == "dirichlet"]
-    dirichlet_values = np.array([bc.value for _, bc in ends if bc.kind == "dirichlet"])
+    levels = mesh.n_levels
+    first = degree * mesh.starts + np.arange(levels + 1)  # each level's first standard DOF
+    n_std = int(first[-1])
+    is_dirichlet = [bc.kind == "dirichlet" for bc in (bc_left, bc_right)]
+    constrained = np.stack([first[:-1], first[1:] - 1], axis=1)[:, is_dirichlet].ravel()
+    dirichlet_values = np.tile([bc.value for bc in (bc_left, bc_right) if bc.kind == "dirichlet"],
+                               levels).astype(float)
 
     n_dofs = n_std + (degree + 1) * len(enrichments)
+    cut_level = mesh.element_level[cut_elements]
     mesh_order = np.insert(
         np.arange(n_std),
-        np.repeat(degree * cut_elements + 1, degree + 1),
+        np.repeat(degree * cut_elements + cut_level + 1, degree + 1),
         np.arange(n_std, n_dofs),
     )
     is_free = np.ones(n_dofs, dtype=bool)
@@ -135,19 +155,22 @@ def build_space(
     free_dofs = mesh_order[is_free[mesh_order]]
     free_index = np.full(n_dofs, -1, dtype=int)
     free_index[free_dofs] = np.arange(len(free_dofs))
+    level_free = (np.diff(first) + (degree + 1) * np.bincount(cut_level, minlength=levels)
+                  - sum(is_dirichlet))
 
     space = EnrichedSpace(
         mesh=mesh,
         degree=degree,
-        enrichments=enrichments,
+        enrichments=tuple(enrichments),
         cut_of=cut_of,
-        constrained=tuple(constrained),
+        constrained=tuple(constrained.tolist()),
         dirichlet_values=dirichlet_values,
         free_index=free_index,
+        free_starts=np.concatenate([[0], np.cumsum(level_free)]),
         n_dofs=n_dofs,
         n_free=len(free_dofs),
     )
-    for table in (space.cut_of, space.dirichlet_values, space.free_index):
+    for table in (space.cut_of, space.dirichlet_values, space.free_index, space.free_starts):
         table.flags.writeable = False
     return space
 
@@ -184,8 +207,10 @@ def standard_basis(space: EnrichedSpace, ks: np.ndarray, xs: np.ndarray):
     """
     p = space.degree
     nodes = space.mesh.nodes
-    vals, ders = _lagrange_local(p, nodes[ks], nodes[ks + 1], xs)
-    return p * ks[:, None] + np.arange(p + 1), vals, ders
+    level = space.mesh.element_level[ks]
+    left = ks + level  # each element's left node
+    vals, ders = _lagrange_local(p, nodes[left], nodes[left + 1], xs)
+    return (p * ks + level)[:, None] + np.arange(p + 1), vals, ders
 
 
 def element_basis(space: EnrichedSpace, k: int, xs: np.ndarray, side: str = "left"):
@@ -261,11 +286,14 @@ class CutLayout(NamedTuple):
     """The rule-independent geometry of a space's P = n + c quadrature pieces.
 
     Pieces run in element order, one per uncut element and two per cut
-    element (split at alpha).  ``ends`` (P + 1,) are the nodes with every
-    alpha inserted and ``half`` (P, 1) the pieces' half-lengths;
-    ``elements`` (P,) and ``layer`` (P, 1) give each piece's element and
-    layer, and ``node_layer`` (n - 1,) each interior node's layer (the
-    left one at a cut).  ``cut_pieces`` (2c,) are each cut's left, then
+    element (split at alpha), so level l's pieces start at piece
+    starts[l] + cut_starts[l].  ``lower`` and ``half`` (P, 1) are the
+    pieces' left ends and half-lengths; ``elements`` (P,) and ``layer``
+    (P, 1) give each piece's element and its layer within its level.
+    ``node_elements`` (n - L,) is the element left of each interior node,
+    level by level, and ``node_layer`` each interior node's layer (the
+    left one at a cut).  ``cut_starts`` (L + 1,) holds each level's first
+    cut, then c.  ``cut_pieces`` (2c,) are each cut's left, then
     right piece, ``piece_cuts`` their cuts, and ``psi`` every cut's psi as
     one EnrichmentFunction of (c, 1) columns.  ``load_order`` and
     ``block_order`` index the standard batch's entries followed by the cut
@@ -274,11 +302,13 @@ class CutLayout(NamedTuple):
     in place of its standard ones.
     """
 
-    ends: np.ndarray
+    lower: np.ndarray
     half: np.ndarray
     elements: np.ndarray
     layer: np.ndarray
+    node_elements: np.ndarray
     node_layer: np.ndarray
+    cut_starts: np.ndarray
     cut_pieces: np.ndarray
     piece_cuts: np.ndarray
     psi: EnrichmentFunction
@@ -290,20 +320,30 @@ def _cut_layout(space: EnrichedSpace) -> CutLayout:
     names = [field.name for field in fields(EnrichmentFunction)]
     columns = np.array([[getattr(psi, name) for name in names] for psi in space.enrichments])
     psi = EnrichmentFunction(*columns.reshape(-1, len(names)).T[:, :, None])
-    n = space.mesh.n_elements
+    mesh = space.mesh
+    n, levels = mesh.n_elements, mesh.n_levels
     cut_elements = np.array([psi.element for psi in space.enrichments], dtype=int)
+    cut_starts = np.searchsorted(cut_elements, mesh.starts)
     left_pieces = cut_elements + np.arange(len(cut_elements))
-    # each alpha lies inside its element, so sorting puts it between the element's nodes
-    ends = np.sort(np.concatenate([space.mesh.nodes, psi.alpha[:, 0]]))
+    # each level's nodes with its alphas inserted, each after its element's left node;
+    # the pieces lie between consecutive ends, except where one level's ends meet the next's
+    ends = np.insert(mesh.nodes, cut_elements + mesh.element_level[cut_elements] + 1, psi.alpha[:, 0])
+    joins = (mesh.starts + cut_starts)[1:-1] + np.arange(levels - 1)
+    lower, upper = np.delete(ends[:-1], joins), np.delete(ends[1:], joins)
     elements = np.sort(np.concatenate([np.arange(n), cut_elements]))
+    layer = np.searchsorted(left_pieces + 1, np.arange(len(elements)), side="right")
+    node_elements = np.delete(np.arange(n), mesh.starts[1:] - 1)
+    node_layer = np.searchsorted(cut_elements, node_elements, side="right")
     cut_pieces = np.repeat(left_pieces, 2) + np.tile([0, 1], len(left_pieces))
     per = space.degree + 1
     layout = CutLayout(
-        ends=ends,
-        half=0.5 * (ends[1:] - ends[:-1])[:, None],
+        lower=lower[:, None],
+        half=0.5 * (upper - lower)[:, None],
         elements=elements,
-        layer=np.searchsorted(left_pieces + 1, np.arange(len(elements)), side="right")[:, None],
-        node_layer=np.searchsorted(cut_elements, np.arange(n - 1), side="right"),
+        layer=(layer - cut_starts[mesh.element_level[elements]])[:, None],
+        node_elements=node_elements,
+        node_layer=node_layer - cut_starts[mesh.element_level[node_elements]],
+        cut_starts=cut_starts,
         cut_pieces=cut_pieces,
         piece_cuts=np.repeat(np.arange(len(cut_elements)), 2),
         psi=psi,
@@ -355,7 +395,7 @@ def quadrature_pieces(space: EnrichedSpace, q: int) -> Quadrature:
     """
     ref_x, ref_w = quadrature_rule(q)
     layout = space.layout
-    xs = layout.ends[:-1, None] + layout.half * (ref_x + 1.0)
+    xs = layout.lower + layout.half * (ref_x + 1.0)
     standard = Basis(*standard_basis(space, layout.elements, xs))
     left, right = (
         eval_enrichment(layout.psi, xs[pieces], side)

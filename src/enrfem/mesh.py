@@ -1,13 +1,16 @@
 """1D partitions that are unfitted to interface points.
 
-The mesh is an ordinary partition a = x_0 < ... < x_n = b; interface
+A mesh is an ordinary partition a = x_0 < ... < x_n = b; interface
 points are required to fall strictly inside elements (never on a node),
-and each element may contain at most one interface.
+and each element may contain at most one interface.  ``stack_meshes``
+stacks the meshes of a convergence study's levels into one mesh, their
+disjoint union, so that each later layer handles them in one batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,16 +27,31 @@ class InterfaceHit:
     alpha: float
 
 
+class LevelError(ValueError):
+    """A failure of one level of a stacked mesh; ``level`` is its index in the stack."""
+
+    def __init__(self, message: str, level: int = 0):
+        super().__init__(message)
+        self.level = level
+
+
 @dataclass(frozen=True)
 class Mesh1D:
-    """Partition of [a, b] with located interface elements.
+    """Partitions of [a, b] with located interface elements, one per level.
 
-    ``nodes`` is strictly increasing; ``interface_hits`` is ordered by
-    position.  Instances are immutable and safe to share between workers.
+    A mesh of one level is a partition: ``nodes`` is strictly increasing.
+    A stack (``stack_meshes``) is the disjoint union of its levels'
+    partitions: ``nodes`` holds each level's nodes, level after level, and
+    the elements are numbered through the levels in order, so that
+    element k of level l lies between its nodes k + l and k + l + 1.
+    ``starts`` (L + 1,) holds each level's first element, then n_elements.
+    ``interface_hits`` is ordered by level, then by position.  Instances
+    are immutable and safe to share between workers.
     """
 
     nodes: np.ndarray
     interface_hits: tuple[InterfaceHit, ...]
+    starts: np.ndarray
 
     @property
     def a(self) -> float:
@@ -44,11 +62,21 @@ class Mesh1D:
         return float(self.nodes[-1])
 
     @property
+    def n_levels(self) -> int:
+        return len(self.starts) - 1
+
+    @property
     def n_elements(self) -> int:
-        return len(self.nodes) - 1
+        return int(self.starts[-1])
+
+    @cached_property
+    def element_level(self) -> np.ndarray:
+        """(n_elements,) the level of each element."""
+        return np.repeat(np.arange(self.n_levels), np.diff(self.starts))
 
     def element_bounds(self, k: int) -> tuple[float, float]:
-        return float(self.nodes[k]), float(self.nodes[k + 1])
+        node = k + int(self.element_level[k])
+        return float(self.nodes[node]), float(self.nodes[node + 1])
 
 
 def mesh_from_nodes(nodes, interfaces=()) -> Mesh1D:
@@ -92,7 +120,22 @@ def mesh_from_nodes(nodes, interfaces=()) -> Mesh1D:
         by_element[hit.element] = hit.alpha
 
     hits.sort(key=lambda h: h.alpha)
-    mesh = Mesh1D(nodes=nodes, interface_hits=tuple(hits))
+    mesh = Mesh1D(nodes=nodes, interface_hits=tuple(hits), starts=np.array([0, len(nodes) - 1]))
+    mesh.nodes.flags.writeable = False
+    return mesh
+
+
+def stack_meshes(meshes) -> Mesh1D:
+    """The disjoint union of ``meshes``, their levels in order, as one mesh."""
+    offsets = np.cumsum([0] + [mesh.n_elements for mesh in meshes]).tolist()
+    mesh = Mesh1D(
+        nodes=np.concatenate([mesh.nodes for mesh in meshes]),
+        interface_hits=tuple(
+            InterfaceHit(element=hit.element + offset, alpha=hit.alpha)
+            for mesh, offset in zip(meshes, offsets) for hit in mesh.interface_hits
+        ),
+        starts=np.concatenate([[0], *(mesh.starts[1:] + offset for mesh, offset in zip(meshes, offsets))]),
+    )
     mesh.nodes.flags.writeable = False
     return mesh
 
@@ -110,8 +153,11 @@ def locate_element(mesh: Mesh1D, x: float) -> int:
     """Index i of the element with x_i <= x <= x_{i+1}.
 
     At a shared node x_i the element [x_i, x_{i+1}] is returned (the node is
-    its left endpoint); at x_n the last element.
+    its left endpoint); at x_n the last element.  Raises for a stack of
+    several levels, where x lies in an element of each.
     """
+    if mesh.n_levels != 1:
+        raise ValueError("locate_element needs a mesh of one level")
     if x < mesh.a or x > mesh.b:
         raise ValueError(f"x={x} outside [{mesh.a}, {mesh.b}]")
     k = int(np.searchsorted(mesh.nodes, x, side="right")) - 1

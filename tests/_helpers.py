@@ -8,10 +8,11 @@ import numpy as np
 import scipy.linalg
 from numpy.polynomial import Polynomial
 
-from enrfem.analysis import ErrorReport, polynomial_branches
+from enrfem.analysis import ErrorReport, compute_errors, observed_orders, polynomial_branches
 from enrfem.assembly import (
     BoundaryCondition,
     assemble_system,
+    condition_number,
     solve_system,
     space_for_problem,
 )
@@ -34,6 +35,46 @@ def solve_benchmark(pid, n, degree=None):
     system = assemble_system(entry.problem, space)
     coeffs = solve_system(system)
     return entry, mesh, space, system, coeffs
+
+
+def per_level_rows(problem, degree, h0, levels, with_cond=False):
+    """``run_convergence``'s rows from a loop over the levels, one space each: an oracle.
+
+    Every mesh is built first; then each level runs space, assembly,
+    solve, errors and (with ``with_cond``) cond on its own mesh, and the
+    first failure is raised as "level i (n=...): ...".  The orders follow
+    as in ``run_convergence``.
+    """
+    a, b = problem.domain
+    n0 = round((b - a) / h0)
+    meshes = []
+    for level in range(levels):
+        try:
+            meshes.append(build_mesh(a, b, n0 * 2**level, problem.breakpoints))
+        except ValueError as exc:
+            raise type(exc)(f"level {level} (n={n0 * 2**level}): {exc}") from exc
+    rows = []
+    for level, mesh in enumerate(meshes):
+        try:
+            space = space_for_problem(problem, mesh, degree)
+            system = assemble_system(problem, space)
+            coeffs = solve_system(system)
+            (report,) = compute_errors(problem.exact, space, coeffs)
+            rows.append({
+                "h": (b - a) / mesh.n_elements,
+                "l2": report.l2,
+                "h1_broken": report.h1_broken,
+                "nodal": report.nodal_max,
+                "cond": condition_number(system) if with_cond else None,
+            })
+        except (ValueError, ArithmeticError) as exc:
+            raise type(exc)(f"level {level} (n={mesh.n_elements}): {exc}") from exc
+    for key, name in (("l2", "order_l2"), ("h1_broken", "order_h1"), ("nodal", "order_nodal")):
+        errs = [row[key] for row in rows]
+        col = observed_orders([row["h"] for row in rows], errs) if levels > 1 and min(errs) > 0 else []
+        for i, row in enumerate(rows):
+            row[name] = col[i - 1] if i > 0 and col else None
+    return rows
 
 
 def constant_patch_problem(pid, c=0.7):

@@ -43,7 +43,7 @@ def test_interpolation_reproduces_global_linear():
     space = _space_with_right_value(1, 8, line(1.0))
     exact = polynomial_branches([line, line])
     coeffs = interpolate_enriched(exact, space)
-    report = compute_errors(exact, space, coeffs)
+    (report,) = compute_errors(exact, space, coeffs)
     assert report.l2 <= 1e-14
     assert report.h1_broken <= 1e-13
     assert report.nodal_max <= 1e-14
@@ -91,7 +91,7 @@ def test_interpolation_error_halves_in_h1():
     for n in (64, 128):
         _, space = _p1_space(1, n)
         coeffs = interpolate_enriched(entry.problem.exact, space)
-        report = compute_errors(entry.problem.exact, space, coeffs)
+        (report,) = compute_errors(entry.problem.exact, space, coeffs)
         errors.append(report.h1_broken)
     assert errors[0] / errors[1] == pytest.approx(2.0, abs=0.2)
 
@@ -103,7 +103,7 @@ def test_errors_vanish_for_space_member():
     space = _space_with_right_value(1, 8, line(1.0))
     exact = polynomial_branches([line, line])
     coeffs = interpolate_enriched(exact, space)
-    report = compute_errors(exact, space, coeffs)
+    (report,) = compute_errors(exact, space, coeffs)
     assert max(report.l2, report.h1_broken, report.nodal_max) <= 1e-12
 
 
@@ -113,7 +113,7 @@ def test_error_norms_of_linear_difference():
     space = build_space(mesh, 1, [], BoundaryCondition.neumann(), BoundaryCondition.neumann())
     coeffs = np.array(space.mesh.nodes, dtype=float)
     exact = polynomial_branches([Polynomial([0.0])])
-    report = compute_errors(exact, space, coeffs)
+    (report,) = compute_errors(exact, space, coeffs)
     assert report.l2 == pytest.approx(1 / math.sqrt(3), rel=1e-14)
     assert report.h1_broken == pytest.approx(1.0, rel=1e-14)
     assert report.nodal_max == pytest.approx(7 / 8, rel=1e-14)
@@ -121,7 +121,7 @@ def test_error_norms_of_linear_difference():
 
 def test_problem1_level_two_errors():
     entry, _, space, system, coeffs = solve_benchmark(1, 16)
-    report = compute_errors(entry.problem.exact, space, coeffs)
+    (report,) = compute_errors(entry.problem.exact, space, coeffs)
     assert report.l2 == pytest.approx(3.40683e-04, rel=0.05)
     assert report.h1_broken == pytest.approx(3.24574e-02, rel=0.05)
 
@@ -129,7 +129,7 @@ def test_problem1_level_two_errors():
 def test_errors_take_the_dirichlet_value_from_the_space():
     """With no boundary argument, the errors are the study's: u(1) = 1/3 comes from the space."""
     entry, _, space, _, coeffs = solve_benchmark(1, 64)
-    report = compute_errors(entry.problem.exact, space, coeffs)
+    (report,) = compute_errors(entry.problem.exact, space, coeffs)
     row = run_convergence(1, None, "1/8", 4).rows[3]
     assert row["h"] == 1 / 64
     for name, key in (("l2", "l2"), ("h1_broken", "h1_broken"), ("nodal_max", "nodal")):
@@ -141,7 +141,7 @@ def test_error_quadrature_stability():
     """The derived rule is exact: the errors agree with the oracle at 10, 12 and 16 points."""
     for problem, space in derived_rule_cases():
         coeffs = solve_system(assemble_system(problem, space))
-        report = compute_errors(problem.exact, space, coeffs)
+        (report,) = compute_errors(problem.exact, space, coeffs)
         for q in (10, 12, 16):
             fine = reference_errors(problem.exact, space, coeffs, q)
             assert report.l2 == pytest.approx(fine.l2, rel=1e-10)
@@ -161,8 +161,8 @@ def test_error_report_rejects_non_finite_entries(value):
 
 def test_cea_bound_single_level():
     entry, _, space, system, coeffs = solve_benchmark(1, 32)
-    fem = compute_errors(entry.problem.exact, space, coeffs)
-    interp = compute_errors(
+    (fem,) = compute_errors(entry.problem.exact, space, coeffs)
+    (interp,) = compute_errors(
         entry.problem.exact, space, interpolate_enriched(entry.problem.exact, space)
     )
     rho = coefficient_contrast(entry.problem)

@@ -41,9 +41,9 @@ from enrfem.assembly import (
     space_for_problem,
 )
 from enrfem.bench import catalog_problem, manufactured_rhs
-from enrfem.cli import load_problem_file
+from enrfem.cli import load_problem_file, run_convergence
 from enrfem.femspace import quadrature_rule
-from enrfem.mesh import build_mesh, mesh_from_nodes
+from enrfem.mesh import build_mesh, mesh_from_nodes, stack_meshes
 
 
 def _const(c):
@@ -174,7 +174,7 @@ def test_constant_patch_residual(pid):
 
 def test_problem1_coarse_l2_error():
     entry, _, space, system, coeffs = solve_benchmark(1, 8)
-    report = compute_errors(entry.problem.exact, space, coeffs)
+    (report,) = compute_errors(entry.problem.exact, space, coeffs)
     assert report.l2 == pytest.approx(1.43943e-03, rel=0.10)
 
 
@@ -363,7 +363,7 @@ def test_cut_near_a_node_solves(pid):
             space = space_for_problem(problem, mesh_from_nodes(nodes, problem.breakpoints),
                                       entry.degree)
             coeffs = solve_system(assemble_system(problem, space))
-            reports[k] = compute_errors(problem.exact, space, coeffs)
+            (reports[k],) = compute_errors(problem.exact, space, coeffs)
         for k in range(2, 13):
             assert reports[k].l2 == pytest.approx(reports[2].l2, rel=5e-3), (node, k)
             assert reports[k].h1_broken == pytest.approx(reports[2].h1_broken, rel=5e-3), (node, k)
@@ -372,7 +372,7 @@ def test_cut_near_a_node_solves(pid):
 def test_deep_p2_mesh_solves():
     """Problem 6 at n = 32,768: its enrichment pivots once fell below the floor."""
     entry, _, space, _, coeffs = solve_benchmark(6, 32768)
-    report = compute_errors(entry.problem.exact, space, coeffs)
+    (report,) = compute_errors(entry.problem.exact, space, coeffs)
     assert report.l2 <= 1e-8
     assert report.h1_broken <= 1e-7
 
@@ -416,7 +416,7 @@ def _assert_bits_match_reference(problem, space):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
     coeffs = solve_system(system)
-    report = compute_errors(problem.exact, space, coeffs)
+    (report,) = compute_errors(problem.exact, space, coeffs)
     q = error_rule_size(problem.exact, space.degree)
     reference = reference_errors(problem.exact, space, coeffs, q)
     for name in ("l2", "h1_broken", "nodal_max"):
@@ -563,6 +563,55 @@ def test_a_levels_calls_do_not_grow_with_its_cuts(monkeypatch, degree):
         assert errors == {"_layer_values": 3, "eval_enrichment": 2, "standard_basis": 2}
 
 
+@pytest.mark.parametrize("degree", [1, 2])
+def test_a_studys_calls_do_not_grow_with_its_levels(monkeypatch, degree):
+    """A study runs two stacks, its coarse levels and its finest, whatever its number of levels.
+
+    Problem 3 at 3 and at 7 levels makes the same calls: loading it
+    evaluates D once at the implicit alpha (gammas) and D and w once each
+    for their bounds (3 evaluator calls), and each stack makes a level's
+    calls of test_a_levels_calls_do_not_grow_with_its_cuts.
+    """
+    counts = _count_calls(monkeypatch)
+    per_study = []
+    for levels in (3, 7):
+        counts.clear()
+        run_convergence(3, degree, "1/8", levels)
+        per_study.append(dict(counts))
+    assert per_study[0] == per_study[1]
+    assert per_study[0] == {
+        "_layer_values": 3 + 2 * (5 + 3), "eval_enrichment": 2 * (4 + 2), "standard_basis": 2 * (2 + 2)
+    }
+
+
+@pytest.mark.parametrize("case", ["p1", "p2", "p3", "p4", "p5", "p6", "sweep-117"])
+def test_a_stack_is_its_levels_side_by_side(case):
+    """A space on stacked meshes of n = 8, 16, 32 is the three one-mesh spaces, bit for bit.
+
+    Its band holds each level's band in that level's columns, its rhs
+    each level's rhs, and compute_errors gives each level's report.
+    """
+    if case == "sweep-117":
+        problem, degree = load_problem_file(FIXTURES / "sweep-117.json"), 2
+    else:
+        entry = catalog_problem(int(case[1:]))
+        problem, degree = entry.problem, entry.degree
+    meshes = [build_mesh(*problem.domain, n, problem.breakpoints) for n in (8, 16, 32)]
+    stack = space_for_problem(problem, stack_meshes(meshes), degree)
+    system = assemble_system(problem, stack)
+    levels = [assemble_system(problem, space_for_problem(problem, mesh, degree)) for mesh in meshes]
+    assert stack.mesh.n_elements == 56 and len(stack.enrichments) == 3 * len(problem.interfaces)
+    assert stack.n_free == sum(len(level.rhs) for level in levels)
+    assert system.band.tobytes() == np.hstack([level.band for level in levels]).tobytes()
+    assert system.rhs.tobytes() == np.concatenate([level.rhs for level in levels]).tobytes()
+    coeffs = [solve_system(level) for level in system.levels()]
+    for got, level in zip(coeffs, levels):
+        assert got.tobytes() == solve_system(level).tobytes()
+    assert compute_errors(problem.exact, stack, np.concatenate(coeffs)) == [
+        compute_errors(problem.exact, level.space, x)[0] for level, x in zip(levels, coeffs)
+    ]
+
+
 @pytest.mark.parametrize("pid", [1, 2, 3, 4, 5, 6])
 def test_constant_callables_match_polynomials(pid):
     """Constant D, delta and w given as floats become degree-0 Polynomials, with the same bits.
@@ -590,8 +639,8 @@ def test_constant_callables_match_polynomials(pid):
         for name in ("band", "rhs"):
             assert getattr(system_c, name).tobytes() == getattr(system, name).tobytes(), name
         assert coeffs_c.tobytes() == coeffs.tobytes()
-        report = compute_errors(problem.exact, space, coeffs)
-        assert compute_errors(problem.exact, space_c, coeffs_c) == report
+        (report,) = compute_errors(problem.exact, space, coeffs)
+        assert compute_errors(problem.exact, space_c, coeffs_c) == [report]
 
 
 @pytest.mark.parametrize("name, value", [

@@ -2,7 +2,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
+from numpy.polynomial import polynomial as P
 
 from enrfem.analysis import polynomial_branches
 from enrfem.bench import catalog_problem, manufactured_rhs
@@ -140,6 +143,64 @@ def test_manufactured_rhs_has_the_operators_bits(pid):
         want = _operator_source(value, *(coefficient[i] for coefficient in layers))
         assert source.coef.tobytes() == want.coef.tobytes(), i
         assert source.coef.tobytes() == problem.source[i].coef.tobytes(), i
+
+
+def _numpy_polynomial_source(value, d, delta, w):
+    """f = (-D u' + 2 delta u)' + w u by polymul, polyadd and polyder: the oracle."""
+    u, d, delta, w = (p.coef for p in (value, d, delta, w))
+    flux = P.polyadd(P.polymul(-d, P.polyder(u)), P.polymul(P.polymul(2.0, delta), u))
+    return Polynomial(P.polyadd(P.polyder(flux), P.polymul(w, u)))
+
+
+def _assert_numpy_polynomial_bits(exact, diffusivity, conv_delta, reaction):
+    """Each manufactured source and each branch's derivative has numpy.polynomial's bytes."""
+    sources = manufactured_rhs(exact, diffusivity, conv_delta, reaction)
+    for i, ((value, derivative), source) in enumerate(zip(exact, sources)):
+        want = _numpy_polynomial_source(value, diffusivity[i], conv_delta[i], reaction[i])
+        assert source.coef.tobytes() == want.coef.tobytes(), i
+        assert derivative == value.deriv(), i
+        assert derivative.coef.tobytes() == value.deriv().coef.tobytes(), i
+
+
+@pytest.mark.parametrize("pid", [1, 2, 3, "sweep-117"])
+def test_loading_has_numpy_polynomials_bits(pid):
+    """The catalog's and the fixture's sources and exact derivatives, as polymul/polyadd/polyder give them.
+
+    Problems 4-6 are problems 1-3 at degree 2.
+    """
+    if pid == "sweep-117":
+        problem = load_problem_file(Path(__file__).parent / "fixtures" / "sweep-117.json")
+    else:
+        problem = catalog_problem(pid).problem
+    _assert_numpy_polynomial_bits(
+        problem.exact, problem.diffusivity, problem.conv_delta, problem.reaction
+    )
+
+
+def _coefficients(max_degree):
+    """Coefficient lists of degree 0 to max_degree, with up to two trailing zeros."""
+    return st.tuples(
+        st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=max_degree + 1),
+        st.sampled_from([[], [0.0], [0.0, -0.0]]),
+    ).map(lambda parts: parts[0] + parts[1])
+
+
+_ZERO_OR = st.sampled_from([[0.0], [-0.0], [0.0, 0.0]])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    u=_coefficients(6),
+    d=_coefficients(2),
+    delta=st.one_of(_ZERO_OR, _coefficients(3)),
+    w=st.one_of(_ZERO_OR, _coefficients(3)),
+)
+@example(u=[5.0], d=[1.0], delta=[0.0], w=[0.0])
+@example(u=[-2.0, 0.0, 0.0], d=[1.0, 0.0], delta=[-0.0], w=[0.0, 0.0])
+def test_drawn_layers_have_numpy_polynomials_bits(u, d, delta, w):
+    """Any layer of degree 0-6, trailing zeros and zero delta or w included."""
+    exact = polynomial_branches([Polynomial(u)])
+    _assert_numpy_polynomial_bits(exact, *([Polynomial(c)] for c in (d, delta, w)))
 
 
 @pytest.mark.parametrize("pid", [1, 2, 3])

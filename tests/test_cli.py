@@ -4,11 +4,15 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from _helpers import FIXTURES, per_level_rows
 
 import enrfem
+from enrfem.bench import catalog_problem
 from enrfem.cli import (
     ConvergenceTable,
     ProblemFileError,
@@ -151,6 +155,25 @@ def test_reports_are_deterministic():
     da, db = (json.loads(emit_report(t, "json")) for t in (a, b))
     da["metadata"].pop("timestamp"), db["metadata"].pop("timestamp")
     assert da == db
+
+
+@pytest.mark.parametrize("problem, degree, h0, levels, with_cond", [
+    *((pid, None, "1/8", 7, pid <= 3) for pid in range(1, 7)),
+    *(("sweep-117", degree, h0, 4, False) for degree in (1, 2) for h0 in ("1/8", "1/12")),
+], ids=lambda value: str(value))
+def test_stacked_levels_equal_the_per_level_loop(problem, degree, h0, levels, with_cond):
+    """run_convergence's rows equal, with ==, those of one space per level (_helpers.per_level_rows).
+
+    The study runs its coarse levels as one stacked space and its finest
+    alone; every value of every row keeps its bits.
+    """
+    if problem == "sweep-117":
+        problem, spec = str(FIXTURES / "sweep-117.json"), load_problem_file(FIXTURES / "sweep-117.json")
+    else:
+        spec = catalog_problem(problem).problem
+    table = run_convergence(problem, degree, h0, levels, with_cond=with_cond)
+    degree = table.metadata["degree"]
+    assert table.rows == per_level_rows(spec, degree, Fraction(h0), levels, with_cond)
 
 
 def test_problem_file_matches_catalog(tmp_path):
@@ -370,13 +393,56 @@ def test_main_numerical_failure(tmp_path, capsys):
     )
 
 
+def _degenerate_file(tmp_path, alpha, lam, **overrides):
+    """D = 1 | 2, so gamma = -2 lam: psi's denominator alpha - x_{k+1} - gamma vanishes
+    on every level whose cut element ends at alpha + 2 lam."""
+    return _problem1_file(
+        tmp_path,
+        **{
+            "layers": [
+                {"D": [1.0], "delta_conv": [0.0], "w": [0.0], "f": [1.0]},
+                {"D": [2.0], "delta_conv": [0.0], "w": [0.0], "f": [1.0]},
+            ],
+            "interfaces": [{"alpha": alpha, "kind": "implicit", "lambda": lam}],
+            "exact": [[0.0, 1.0], [0.0, 1.0]],
+        } | overrides,
+    )
+
+
+@pytest.mark.parametrize("alpha, lam, levels, message", [
+    (0.07, 0.015, 4, "level 1 (n=10): degenerate enrichment denominator; change mesh size"),
+    (0.12, 0.015, 3, "level 2 (n=20): degenerate enrichment denominator; change mesh size"),
+], ids=["inside-the-coarse-stack", "finest-level-only"])
+def test_a_failing_level_is_the_per_level_loops(tmp_path, capsys, alpha, lam, levels, message):
+    """The exit code and stderr line are those of one space per level: the lowest failing level's.
+
+    With h0 = 1/5, alpha = 0.07 has its cut element end at 0.1 on levels
+    1 and 2, after level 0 has solved; alpha = 0.12 has it end at 0.15 on
+    level 2, the finest, alone.
+    """
+    path = _degenerate_file(tmp_path, alpha, lam)
+    with pytest.raises(ValueError) as oracle:
+        per_level_rows(load_problem_file(path), 1, Fraction(1, 5), levels)
+    assert str(oracle.value) == message
+    assert main(["--problem", str(path), "--h0", "1/5", "--levels", str(levels)]) == 2
+    assert capsys.readouterr().err == f"enrfem: numerical failure: {message}\n"
+
+
 @pytest.mark.parametrize("degree", ["1", "2"])
 @pytest.mark.parametrize("interface", [
     {"alpha": 0.3, "kind": "continuous"},
     {"alpha": 0.3, "kind": "implicit", "lambda": 0.1},
+    {"alpha": 0.05, "kind": "implicit", "lambda": 0.00625},
 ])
 def test_singular_system_is_a_numerical_failure(tmp_path, capsys, degree, interface):
-    """Neumann at both ends with w = 0: constants span the kernel, so no pivot survives."""
+    """Neumann at both ends with w = 0: constants span the kernel, so no pivot survives.
+
+    The third interface also makes psi's denominator vanish on level 1
+    (gamma = -2 lam = 0.05 - 1/16), in the same stack of coarse levels: a
+    later level that fails at an earlier stage does not hide the zero
+    pivot of level 0.  The whole stderr line is that of one space per
+    level.
+    """
     doc_path = _problem1_file(
         tmp_path,
         layers=[
@@ -387,11 +453,14 @@ def test_singular_system_is_a_numerical_failure(tmp_path, capsys, degree, interf
         bc={"left": {"neumann": 0.0}, "right": {"neumann": 0.0}},
         exact=[[1.0], [1.0]],
     )
-    code = main(["--problem", str(doc_path), "--degree", degree, "--levels", "2"])
+    code = main(["--problem", str(doc_path), "--degree", degree, "--levels", "3"])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("enrfem: numerical failure: level 0 (n=8): ")
     assert "zero pivot" in err
+    with pytest.raises(np.linalg.LinAlgError) as oracle:
+        per_level_rows(load_problem_file(doc_path), int(degree), Fraction(1, 8), 3)
+    assert err == f"enrfem: numerical failure: {oracle.value}\n"
 
 
 @pytest.mark.parametrize("overrides", [

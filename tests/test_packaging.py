@@ -68,10 +68,13 @@ def _benchmark_spans():
 
 
 def test_the_benchmark_trace_finds_what_it_wraps():
-    """Each function the benchmark's tracer wraps is in enrfem.cli, and is called per level.
+    """Each function the benchmark's tracer wraps is in enrfem.cli, and is called per stack or level.
 
-    The tracer reads ``WRAPPED`` by name; a study of 3 levels makes 3
-    spans each of assemble_system, solve_system and compute_errors.
+    The tracer reads ``WRAPPED`` by name; a study of 3 levels runs two
+    stacks (levels 0-1, then level 2), so it makes 2 spans each of
+    space_for_problem, assemble_system and compute_errors, and 3 of
+    solve_system, one per level.  The stacks' spans count every level's
+    elements, cuts and free DOFs once.
     """
     import enrfem.cli as cli
 
@@ -79,11 +82,19 @@ def test_the_benchmark_trace_finds_what_it_wraps():
     for attr in spans.WRAPPED.values():
         assert callable(getattr(cli, attr)), attr
     tracer = spans.Tracer()
+    tracer.study = "0"
     tracer.install(cli)
     try:
-        cli.run_convergence(3, None, "1/8", 3)
+        with tracer.span(spans.STUDY):
+            cli.run_convergence(3, None, "1/8", 3)
     finally:
         tracer.uninstall(cli)
     names = [span["name"] for span in tracer.spans]
-    for name in ("assembly.assemble_system", "assembly.solve_system", "analysis.compute_errors"):
-        assert names.count(name) == 3, name
+    for name in ("femspace.space_for_problem", "assembly.assemble_system",
+                 "analysis.compute_errors"):
+        assert names.count(name) == 2, name
+    assert names.count("assembly.solve_system") == 3
+    metrics = spans.layer_metrics(tracer.spans)
+    assert metrics["mesh.elements"] == 8 + 16 + 32
+    assert metrics["femspace.cut_elements"] == 3 * 3
+    assert metrics["assembly.free_dofs"] == sum(8 * 2**level + 3 * 2 for level in range(3))
