@@ -314,9 +314,11 @@ def run_convergence(
     entry's degree, or 1 for a problem file; ``build_space`` rejects any
     other than 1 or 2.  Data whose degrees need a larger Gauss rule than
     there is, and every mesh, are checked up front: an interface-node
-    collision is reported with its level before any solve.
-    Every numerical failure (ValueError or ArithmeticError, LinAlgError
-    included) names its level: "level i (n=...): ...".
+    collision is reported with its level before any solve.  The levels
+    then run as two stacks (``_run_levels``).  Every numerical failure
+    (ValueError or ArithmeticError, LinAlgError included) names its
+    level: "level i (n=...): ...", the one that running the levels one
+    by one would report.
     """
     if levels < 1:
         raise ValueError("need at least one refinement level")

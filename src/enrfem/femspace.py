@@ -136,18 +136,18 @@ def build_space(
     cut_of[cut_elements] = np.arange(len(cut_elements))
 
     levels = mesh.n_levels
-    first = degree * mesh.starts + np.arange(levels + 1)  # each level's first standard DOF
+    first = degree * mesh.starts + np.arange(levels + 1)  # each level's first standard DOF, then n_std
     n_std = int(first[-1])
-    is_dirichlet = [bc.kind == "dirichlet" for bc in (bc_left, bc_right)]
-    constrained = np.stack([first[:-1], first[1:] - 1], axis=1)[:, is_dirichlet].ravel()
-    dirichlet_values = np.tile([bc.value for bc in (bc_left, bc_right) if bc.kind == "dirichlet"],
-                               levels).astype(float)
+    ends = first.tolist()
+    constrained = [dof for level in range(levels)
+                   for dof, bc in ((ends[level], bc_left), (ends[level + 1] - 1, bc_right))
+                   if bc.kind == "dirichlet"]
+    values = [bc.value for bc in (bc_left, bc_right) if bc.kind == "dirichlet"]
 
     n_dofs = n_std + (degree + 1) * len(enrichments)
-    cut_level = mesh.element_level[cut_elements]
     mesh_order = np.insert(
         np.arange(n_std),
-        np.repeat(degree * cut_elements + cut_level + 1, degree + 1),
+        np.repeat(degree * cut_elements + mesh.element_level[cut_elements] + 1, degree + 1),
         np.arange(n_std, n_dofs),
     )
     is_free = np.ones(n_dofs, dtype=bool)
@@ -155,18 +155,18 @@ def build_space(
     free_dofs = mesh_order[is_free[mesh_order]]
     free_index = np.full(n_dofs, -1, dtype=int)
     free_index[free_dofs] = np.arange(len(free_dofs))
-    level_free = (np.diff(first) + (degree + 1) * np.bincount(cut_level, minlength=levels)
-                  - sum(is_dirichlet))
+    # a level's free DOFs start after the earlier levels' DOFs, less their constrained ones
+    cuts_before = np.searchsorted(cut_elements, mesh.starts)
 
     space = EnrichedSpace(
         mesh=mesh,
         degree=degree,
         enrichments=tuple(enrichments),
         cut_of=cut_of,
-        constrained=tuple(constrained.tolist()),
-        dirichlet_values=dirichlet_values,
+        constrained=tuple(constrained),
+        dirichlet_values=np.array(values * levels, dtype=float),
         free_index=free_index,
-        free_starts=np.concatenate([[0], np.cumsum(level_free)]),
+        free_starts=first + (degree + 1) * cuts_before - len(values) * np.arange(levels + 1),
         n_dofs=n_dofs,
         n_free=len(free_dofs),
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -127,14 +128,15 @@ def mesh_from_nodes(nodes, interfaces=()) -> Mesh1D:
 
 def stack_meshes(meshes) -> Mesh1D:
     """The disjoint union of ``meshes``, their levels in order, as one mesh."""
-    offsets = np.cumsum([0] + [mesh.n_elements for mesh in meshes]).tolist()
+    offsets = list(accumulate((mesh.n_elements for mesh in meshes), initial=0))
     mesh = Mesh1D(
         nodes=np.concatenate([mesh.nodes for mesh in meshes]),
         interface_hits=tuple(
             InterfaceHit(element=hit.element + offset, alpha=hit.alpha)
             for mesh, offset in zip(meshes, offsets) for hit in mesh.interface_hits
         ),
-        starts=np.concatenate([[0], *(mesh.starts[1:] + offset for mesh, offset in zip(meshes, offsets))]),
+        starts=np.array([start + offset for mesh, offset in zip(meshes, offsets)
+                         for start in mesh.starts[:-1].tolist()] + offsets[-1:]),
     )
     mesh.nodes.flags.writeable = False
     return mesh
