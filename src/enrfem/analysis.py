@@ -83,8 +83,7 @@ def compute_errors(
     branch per layer, and raises LevelError for the first level whose
     errors are not finite.
     """
-    layout = space.layout
-    cuts = np.diff(layout.cut_starts)  # each level's
+    cuts = np.diff(space.cut_starts)  # each level's
     if np.any(cuts != len(exact) - 1):
         raise ValueError(f"{len(exact)} exact branches for the space's {cuts.max() + 1} layers")
     exact = [[_as_polynomial(f, f"exact on layer {i}") for f in fs] for i, fs in enumerate(exact)]
@@ -108,14 +107,15 @@ def compute_errors(
 
     # psi vanishes at element endpoints, so a node's value is the standard
     # part of the element to its left
-    mesh, elements = space.mesh, layout.node_elements
+    mesh, layout = space.mesh, space.layout
+    elements = layout.node_elements
     nodes = mesh.nodes[elements + mesh.element_level[elements] + 1]
     u_nodes = _layer_values(values, layout.node_layer, nodes)
     dofs, vals, _ = standard_basis(space, elements, nodes[:, None])
     node_errors = np.abs(u_nodes - (full[dofs][:, None] @ vals)[:, 0, 0])
 
     reports = []
-    pieces = (mesh.starts + layout.cut_starts).tolist()
+    pieces = (mesh.starts + space.cut_starts).tolist()
     interior = (mesh.starts - np.arange(mesh.n_levels + 1)).tolist()
     for level in range(mesh.n_levels):
         # np.cumsum adds a level's terms one after another in element order;

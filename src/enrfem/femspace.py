@@ -63,7 +63,8 @@ class EnrichedSpace:
     """Standard Lagrange DOFs plus enrichment DOFs per interface.
 
     ``enrichments`` is the cut table, one psi per cut in level, then
-    position order, and ``cut_of[k]`` the cut on element k (-1 if uncut).
+    position order, ``cut_starts`` (L + 1,) each level's first cut, then
+    c, and ``cut_of[k]`` the cut on element k (-1 if uncut).
     The n_std = degree * n_elements + L standard DOFs of the L levels run
     left to right, level after level: element k of level l has
     degree * k + l + (0 .. degree).  ``constrained`` lists the global
@@ -81,6 +82,7 @@ class EnrichedSpace:
     mesh: Mesh1D
     degree: int
     enrichments: tuple[EnrichmentFunction, ...]
+    cut_starts: np.ndarray
     cut_of: np.ndarray
     constrained: tuple[int, ...]
     dirichlet_values: np.ndarray
@@ -138,11 +140,11 @@ def build_space(
     levels = mesh.n_levels
     first = degree * mesh.starts + np.arange(levels + 1)  # each level's first standard DOF, then n_std
     n_std = int(first[-1])
-    ends = first.tolist()
-    constrained = [dof for level in range(levels)
-                   for dof, bc in ((ends[level], bc_left), (ends[level + 1] - 1, bc_right))
-                   if bc.kind == "dirichlet"]
+    firsts = first.tolist()
+    constrained = [dof for i, j in zip(firsts, firsts[1:])
+                   for dof, bc in ((i, bc_left), (j - 1, bc_right)) if bc.kind == "dirichlet"]
     values = [bc.value for bc in (bc_left, bc_right) if bc.kind == "dirichlet"]
+    cut_starts = np.searchsorted(cut_elements, mesh.starts)
 
     n_dofs = n_std + (degree + 1) * len(enrichments)
     mesh_order = np.insert(
@@ -155,22 +157,23 @@ def build_space(
     free_dofs = mesh_order[is_free[mesh_order]]
     free_index = np.full(n_dofs, -1, dtype=int)
     free_index[free_dofs] = np.arange(len(free_dofs))
-    # a level's free DOFs start after the earlier levels' DOFs, less their constrained ones
-    cuts_before = np.searchsorted(cut_elements, mesh.starts)
 
     space = EnrichedSpace(
         mesh=mesh,
         degree=degree,
         enrichments=tuple(enrichments),
+        cut_starts=cut_starts,
         cut_of=cut_of,
         constrained=tuple(constrained),
         dirichlet_values=np.array(values * levels, dtype=float),
         free_index=free_index,
-        free_starts=first + (degree + 1) * cuts_before - len(values) * np.arange(levels + 1),
+        # a level's free DOFs follow the earlier levels' DOFs, less their constrained ones
+        free_starts=first + (degree + 1) * cut_starts - len(values) * np.arange(levels + 1),
         n_dofs=n_dofs,
         n_free=len(free_dofs),
     )
-    for table in (space.cut_of, space.dirichlet_values, space.free_index, space.free_starts):
+    for table in (space.cut_starts, space.cut_of, space.dirichlet_values, space.free_index,
+                  space.free_starts):
         table.flags.writeable = False
     return space
 
@@ -287,13 +290,12 @@ class CutLayout(NamedTuple):
 
     Pieces run in element order, one per uncut element and two per cut
     element (split at alpha), so level l's pieces start at piece
-    starts[l] + cut_starts[l].  ``lower`` and ``half`` (P, 1) are the
+    mesh.starts[l] + space.cut_starts[l].  ``lower`` and ``half`` (P, 1) are the
     pieces' left ends and half-lengths; ``elements`` (P,) and ``layer``
     (P, 1) give each piece's element and its layer within its level.
     ``node_elements`` (n - L,) is the element left of each interior node,
     level by level, and ``node_layer`` each interior node's layer (the
-    left one at a cut).  ``cut_starts`` (L + 1,) holds each level's first
-    cut, then c.  ``cut_pieces`` (2c,) are each cut's left, then
+    left one at a cut).  ``cut_pieces`` (2c,) are each cut's left, then
     right piece, ``piece_cuts`` their cuts, and ``psi`` every cut's psi as
     one EnrichmentFunction of (c, 1) columns.  ``load_order`` and
     ``block_order`` index the standard batch's entries followed by the cut
@@ -308,7 +310,6 @@ class CutLayout(NamedTuple):
     layer: np.ndarray
     node_elements: np.ndarray
     node_layer: np.ndarray
-    cut_starts: np.ndarray
     cut_pieces: np.ndarray
     piece_cuts: np.ndarray
     psi: EnrichmentFunction
@@ -323,7 +324,7 @@ def _cut_layout(space: EnrichedSpace) -> CutLayout:
     mesh = space.mesh
     n, levels = mesh.n_elements, mesh.n_levels
     cut_elements = np.array([psi.element for psi in space.enrichments], dtype=int)
-    cut_starts = np.searchsorted(cut_elements, mesh.starts)
+    cut_starts = space.cut_starts
     left_pieces = cut_elements + np.arange(len(cut_elements))
     # each level's nodes with its alphas inserted, each after its element's left node;
     # the pieces lie between consecutive ends, except where one level's ends meet the next's
@@ -343,7 +344,6 @@ def _cut_layout(space: EnrichedSpace) -> CutLayout:
         layer=(layer - cut_starts[mesh.element_level[elements]])[:, None],
         node_elements=node_elements,
         node_layer=node_layer - cut_starts[mesh.element_level[node_elements]],
-        cut_starts=cut_starts,
         cut_pieces=cut_pieces,
         piece_cuts=np.repeat(np.arange(len(cut_elements)), 2),
         psi=psi,
