@@ -216,7 +216,7 @@ def refined_condition_number(matrix, iterations=8, steps=5):
 
 # ------------------------------------------------ per-element reference oracle
 #
-# The program integrates all pieces of a level in stacked batches.  The
+# The program integrates all pieces of a space in stacked batches.  The
 # functions below integrate one element piece at a time, with the same
 # floating-point operations in the same order, so the batched results must
 # equal theirs bit for bit.
