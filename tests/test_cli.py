@@ -393,19 +393,17 @@ def test_main_numerical_failure(tmp_path, capsys):
     )
 
 
-def _degenerate_file(tmp_path, alpha, lam, **overrides):
+def _degenerate_file(tmp_path, alpha, lam):
     """D = 1 | 2, so gamma = -2 lam: psi's denominator alpha - x_{k+1} - gamma vanishes
     on every level whose cut element ends at alpha + 2 lam."""
     return _problem1_file(
         tmp_path,
-        **{
-            "layers": [
-                {"D": [1.0], "delta_conv": [0.0], "w": [0.0], "f": [1.0]},
-                {"D": [2.0], "delta_conv": [0.0], "w": [0.0], "f": [1.0]},
-            ],
-            "interfaces": [{"alpha": alpha, "kind": "implicit", "lambda": lam}],
-            "exact": [[0.0, 1.0], [0.0, 1.0]],
-        } | overrides,
+        layers=[
+            {"D": [1.0], "delta_conv": [0.0], "w": [0.0], "f": [1.0]},
+            {"D": [2.0], "delta_conv": [0.0], "w": [0.0], "f": [1.0]},
+        ],
+        interfaces=[{"alpha": alpha, "kind": "implicit", "lambda": lam}],
+        exact=[[0.0, 1.0], [0.0, 1.0]],
     )
 
 
