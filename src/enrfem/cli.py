@@ -37,7 +37,7 @@ from .assembly import (
 )
 from .bench import catalog_problem, manufactured_rhs
 from .femspace import BoundaryCondition
-from .mesh import LevelError, build_mesh, stack_meshes
+from .mesh import build_mesh, stack_meshes
 
 REPORT_FORMATS = ("csv", "markdown", "json")
 _HEADER = ["h", "l2", "h1_broken", "nodal", "cond", "order_l2", "order_h1", "order_nodal"]
@@ -239,59 +239,24 @@ def _at_level(level: int, n: int, exc: Exception) -> Exception:
 def _run_levels(spec: ProblemSpec, degree: int, first: int, meshes, with_cond: bool) -> list[dict]:
     """The rows of levels first, first + 1, ... on ``meshes``, run as one stacked space.
 
-    Levels are independent, so the failure that running them one by one
-    would raise is the lowest failing level's at its first failing stage
-    (space, assembly, solve, errors, cond).  Each stage runs on the levels
-    below the lowest failure found so far, and the last one found is
-    raised.  A LevelError names its level; any other failure of a stage
-    that runs on the whole stack would fail every level, so it is the
-    first level's.
+    The stack runs straight through: space, assembly, one solve per level,
+    errors, and cond with ``with_cond``.  If a stage fails, a stack of one
+    raises it as "level i (n=...): ..."; a larger stack runs again one
+    level at a time, in order, so the failure raised is the one that the
+    level-by-level loop raises: the lowest failing level's at its first
+    failing stage.
     """
-    meshes = list(meshes)
-    failure = None
-
-    def fail(level, exc):  # leaves out the levels from ``level`` on
-        nonlocal failure
-        failure = _at_level(first + level, meshes[level].n_elements, exc)
-        failure.__cause__ = exc
-        del meshes[level:]
-        if not meshes:
-            raise failure
-
-    def level_of(exc):
-        return exc.level if isinstance(exc, LevelError) else 0
-
     try:
         space = space_for_problem(spec, stack_meshes(meshes), degree)
-    except (ValueError, ArithmeticError) as exc:
-        fail(level_of(exc), exc)
-        space = space_for_problem(spec, stack_meshes(meshes), degree)
-    try:
         systems = assemble_system(spec, space).levels()
-    except (ValueError, ArithmeticError) as exc:
-        fail(0, exc)
-    coeffs = np.zeros(space.n_free)
-    starts = space.free_starts.tolist()
-    for level in range(len(meshes)):
-        try:
-            coeffs[starts[level]:starts[level + 1]] = solve_system(systems[level])
-        except (ValueError, ArithmeticError) as exc:
-            fail(level, exc)
-            break
-    try:
+        coeffs = np.concatenate([solve_system(system) for system in systems])
         reports = compute_errors(spec.exact, space, coeffs)
+        conds = [condition_number(system) if with_cond else None for system in systems]
     except (ValueError, ArithmeticError) as exc:
-        if level_of(exc) < len(meshes):  # a level above a failure may fail on its zero coeffs
-            fail(level_of(exc), exc)
-    conds = [None] * len(meshes)
-    for level in range(len(meshes) if with_cond else 0):
-        try:
-            conds[level] = condition_number(systems[level])
-        except (ValueError, ArithmeticError) as exc:
-            fail(level, exc)
-            break
-    if failure is not None:
-        raise failure
+        if len(meshes) == 1:
+            raise _at_level(first, meshes[0].n_elements, exc) from exc
+        return [row for level, mesh in enumerate(meshes)
+                for row in _run_levels(spec, degree, first + level, [mesh], with_cond)]
     a, b = spec.domain
     return [
         {"h": (b - a) / mesh.n_elements, "l2": report.l2, "h1_broken": report.h1_broken,
@@ -315,10 +280,10 @@ def run_convergence(
     other than 1 or 2.  Data whose degrees need a larger Gauss rule than
     there is, and every mesh, are checked up front: an interface-node
     collision is reported with its level before any solve.  The levels
-    then run as two stacks (``_run_levels``).  Every numerical failure
-    (ValueError or ArithmeticError, LinAlgError included) names its
-    level: "level i (n=...): ...", the one that running the levels one
-    by one would report.
+    then run as two stacks, the coarse levels and the finest alone
+    (``_run_levels``).  A numerical failure (ValueError or
+    ArithmeticError, LinAlgError included) is raised as "level i (n=...):
+    ...", the one that running the levels one by one would raise.
     """
     if levels < 1:
         raise ValueError("need at least one refinement level")
@@ -445,6 +410,9 @@ def main(argv=None) -> int:
             text = emit_report(table, args.format)
     except ProblemFileError as exc:
         print(f"enrfem: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # the input asks for more memory than the machine has
+        print(f"enrfem: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"enrfem: numerical failure: {exc}", file=sys.stderr)

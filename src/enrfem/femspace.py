@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .enrichment import EnrichmentFunction, build_enrichment, eval_enrichment
-from .mesh import LevelError, Mesh1D, locate_element
+from .mesh import Mesh1D, locate_element
 
 MAX_QUAD_NPTS = 16
 
@@ -113,8 +113,8 @@ def build_space(
     ``gammas`` holds one jump parameter per mesh cut, in the order of
     ``mesh.interface_hits``; psi is built on each cut element.  On every
     level, a Dirichlet end fixes the boundary standard DOF to its value;
-    a Neumann end is natural (free).  Raises LevelError, naming the
-    level, where a cut's psi cannot be built.
+    a Neumann end is natural (free).  Raises ValueError where a cut's psi
+    cannot be built.
     """
     if degree not in (1, 2):
         raise ValueError("degree must be 1 or 2")
@@ -125,14 +125,10 @@ def build_space(
             "interface elements"
         )
 
-    enrichments = []
-    for hit, gamma in zip(mesh.interface_hits, gammas):
-        try:
-            enrichments.append(build_enrichment(
-                *mesh.element_bounds(hit.element), hit.alpha, gamma, element=hit.element
-            ))
-        except ValueError as exc:
-            raise LevelError(str(exc), int(mesh.element_level[hit.element])) from exc
+    enrichments = [
+        build_enrichment(*mesh.element_bounds(hit.element), hit.alpha, gamma, element=hit.element)
+        for hit, gamma in zip(mesh.interface_hits, gammas)
+    ]
     cut_elements = np.array([hit.element for hit in mesh.interface_hits], dtype=int)
     cut_of = np.full(mesh.n_elements, -1, dtype=int)
     cut_of[cut_elements] = np.arange(len(cut_elements))

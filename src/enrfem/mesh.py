@@ -28,14 +28,6 @@ class InterfaceHit:
     alpha: float
 
 
-class LevelError(ValueError):
-    """A failure of one level of a stacked mesh; ``level`` is its index in the stack."""
-
-    def __init__(self, message: str, level: int = 0):
-        super().__init__(message)
-        self.level = level
-
-
 @dataclass(frozen=True)
 class Mesh1D:
     """Partitions of [a, b] with located interface elements, one per level.

@@ -368,6 +368,21 @@ def test_unwritable_output_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000001,)"),
+     "Unable to allocate 7.28 TiB for an array with shape (1000000000001,)"),
+    (MemoryError(), "out of memory"),
+], ids=["numpy-message", "no-message"])
+def test_a_mesh_beyond_memory_exits_1(capsys, monkeypatch, exc, line):
+    """A mesh that asks for more memory than the machine has (say --h0 1/1000000000000) is
+    a usage error: one line, no traceback.  The stand-in build_mesh allocates nothing."""
+    def build_mesh(*args):
+        raise exc
+    monkeypatch.setattr(enrfem.cli, "build_mesh", build_mesh)
+    assert main(["--problem", "1", "--h0", "1/1000000000000", "--levels", "1"]) == 1
+    assert capsys.readouterr().err == f"enrfem: error: {line}\n"
+
+
 def test_interface_on_a_node_is_a_numerical_failure(capsys):
     assert main(["--problem", "1", "--h0", "1/9", "--levels", "1"]) == 2
     assert capsys.readouterr().err.startswith("enrfem: numerical failure: level 0 (n=9)")
@@ -407,23 +422,37 @@ def _degenerate_file(tmp_path, alpha, lam):
     )
 
 
-@pytest.mark.parametrize("alpha, lam, levels, message", [
-    (0.07, 0.015, 4, "level 1 (n=10): degenerate enrichment denominator; change mesh size"),
-    (0.12, 0.015, 3, "level 2 (n=20): degenerate enrichment denominator; change mesh size"),
-], ids=["inside-the-coarse-stack", "finest-level-only"])
-def test_a_failing_level_is_the_per_level_loops(tmp_path, capsys, alpha, lam, levels, message):
+@pytest.mark.parametrize("alpha, lam, levels, message, stacks", [
+    (0.07, 0.015, 4, "level 1 (n=10): degenerate enrichment denominator; change mesh size",
+     [3, 1, 1]),
+    (0.12, 0.015, 3, "level 2 (n=20): degenerate enrichment denominator; change mesh size",
+     [2, 1]),
+    (0.11, 0.02, 4, "level 2 (n=20): degenerate enrichment denominator; change mesh size",
+     [3, 1, 1, 1]),
+], ids=["inside-the-coarse-stack", "finest-level-only", "top-of-the-coarse-stack"])
+def test_a_failing_level_is_the_per_level_loops(tmp_path, capsys, monkeypatch,
+                                                alpha, lam, levels, message, stacks):
     """The exit code and stderr line are those of one space per level: the lowest failing level's.
 
     With h0 = 1/5, alpha = 0.07 has its cut element end at 0.1 on levels
     1 and 2, after level 0 has solved; alpha = 0.12 has it end at 0.15 on
-    level 2, the finest, alone.
+    level 2, the finest, alone; alpha = 0.11 has it end at 0.15 on level
+    2, the top of the coarse stack, after levels 0 and 1 have solved.
+    ``stacks`` is the number of levels of each space built: a failing
+    stack runs again one level at a time up to its failing level, and
+    the finest level runs no more than once.
     """
     path = _degenerate_file(tmp_path, alpha, lam)
     with pytest.raises(ValueError) as oracle:
         per_level_rows(load_problem_file(path), 1, Fraction(1, 5), levels)
     assert str(oracle.value) == message
+    original, built = enrfem.cli.space_for_problem, []
+    monkeypatch.setattr(enrfem.cli, "space_for_problem",
+                        lambda spec, mesh, degree: built.append(mesh.n_levels)
+                        or original(spec, mesh, degree))
     assert main(["--problem", str(path), "--h0", "1/5", "--levels", str(levels)]) == 2
     assert capsys.readouterr().err == f"enrfem: numerical failure: {message}\n"
+    assert built == stacks
 
 
 @pytest.mark.parametrize("degree", ["1", "2"])
