@@ -1,6 +1,7 @@
-"""Benchmark catalog: a multi-layer porous-wall model of drug release.
+"""Benchmark catalog and the JSON problem-file format.
 
-Six problems on (0, 1).  A drug concentration is injected at an interface
+The catalog is a multi-layer porous-wall model of drug release: six
+problems on (0, 1).  A drug concentration is injected at an interface
 (where the solution jumps and the jump couples implicitly to the one-sided
 flux) and diffuses rightward through layers where it stays continuous;
 the flux -D u' + 2 delta u is continuous at every interface.
@@ -12,20 +13,29 @@ BVPs with enriched quadratics:
   2/5: two continuous interfaces at 1/3 and 2/3
   3/6: all three interfaces combined
 
-All coefficients derive from the wall-model parameter n = 4; source terms
-are manufactured from the exact solution branches, never transcribed.
+The BVPs ship as ``catalog/1.json`` to ``3.json``, read by
+``load_problem_file`` like any problem file.  Their coefficients derive
+from the wall-model parameter n = 4; source terms are manufactured from
+the exact solution branches, never transcribed.
 """
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
 from .analysis import polynomial_branches
-from .assembly import InterfaceSpec, ProblemSpec, _derivative, _product, _sum
+from .assembly import InterfaceSpec, ProblemSpec, _as_polynomial, _derivative, _product, _sum
 from .femspace import BoundaryCondition
+
+
+class ProblemFileError(ValueError):
+    """Usage error (exit 1): a bad problem file, or a study the input cannot set up."""
 
 
 @dataclass(frozen=True)
@@ -34,10 +44,6 @@ class BenchmarkProblem:
 
     problem: ProblemSpec
     degree: int
-
-
-def _as_poly(c) -> Polynomial:
-    return c if isinstance(c, Polynomial) else Polynomial([float(c)])
 
 
 def manufactured_rhs(exact, diffusivity, conv_delta, reaction) -> list[Polynomial]:
@@ -53,93 +59,171 @@ def manufactured_rhs(exact, diffusivity, conv_delta, reaction) -> list[Polynomia
     """
     out = []
     for i, (value, _) in enumerate(exact):
-        polys = [value] + [_as_poly(c) for c in (diffusivity[i], conv_delta[i], reaction[i])]
-        if not isinstance(value, Polynomial) or any(
-            p.domain.tolist() != p.window.tolist() for p in polys
-        ):
+        if not isinstance(value, Polynomial) or value.domain.tolist() != value.window.tolist():
             raise ValueError(
                 f"layer {i} is not a polynomial in x; manufactured sources need "
                 "second derivatives"
             )
-        u, d, delta, w = (p.coef for p in polys)
+        u = value.coef
+        d, delta, w = (
+            _as_polynomial(c[i], f"layer {i}").coef for c in (diffusivity, conv_delta, reaction)
+        )
         flux = _sum(_product(-d, _derivative(u)), _product(_product(np.array([2.0]), delta), u))
         out.append(Polynomial(_sum(_derivative(flux), _product(w, u))))
     return out
-
-
-def _wall_constants(n: int = 4) -> dict:
-    """Layer diffusivities, convection parameters, and the jump coefficient."""
-    d0 = 1.0
-    d1 = 18.0 * (n - 1) / (10.0 * n)
-    delta1 = 0.5 * (9.0 * n * d1 - 8.1 * (n - 1))
-    d2 = (6.0 * n * d1 - 2.0 * delta1) / (3.0 * (n + 1))
-    delta2 = 0.5 * (3.0 * (n + 1) * d2 - 3.0 * n * d1 + 2.0 * delta1)
-    d3 = (8.0 * delta2 - 3.0 * (n + 1) * d2) / (3.0 * (n + 5))
-    delta3 = 0.25 * (3.0 * (n - 1) * d3 - 3.0 * (n + 1) * d2 + 4.0 * delta2)
-    lam = 1.0 / (81.0 * (n - 1) * d0)
-    return {
-        "n": n, "d0": d0, "d1": d1, "d2": d2, "d3": d3,
-        "delta1": delta1, "delta2": delta2, "delta3": delta3, "lam": lam,
-    }
-
-
-def _exact_branches(n: int = 4) -> dict[str, Polynomial]:
-    """Concentration branches: x^(n-1)/30, x^n/3, x^(n+1), 3(1-x)x^(n+1)."""
-    x = Polynomial([0.0, 1.0])
-    return {
-        "u0": x ** (n - 1) / 30.0,
-        "u1": x ** n / 3.0,
-        "u2": x ** (n + 1),
-        "u3": 3.0 * (1.0 - x) * x ** (n + 1),
-    }
-
-
-def _build_problem(base: int) -> ProblemSpec:
-    c = _wall_constants()
-    u = _exact_branches(c["n"])
-    alpha0, alpha1, alpha2 = 1.0 / 9.0, 1.0 / 3.0, 2.0 / 3.0
-
-    if base == 1:
-        interfaces = (InterfaceSpec(alpha0, c["lam"]),)
-        diffusivity = (c["d0"], c["d1"])
-        conv = (0.0, c["delta1"])
-        reaction = (0.0, 0.0)
-        branches = (u["u0"], u["u1"])
-    elif base == 2:
-        interfaces = (InterfaceSpec(alpha1), InterfaceSpec(alpha2))
-        diffusivity = (c["d1"], c["d2"], c["d3"])
-        conv = (c["delta1"], c["delta2"], c["delta3"])
-        reaction = (10.0, 1.0, 0.1)
-        branches = (u["u1"], u["u2"], u["u3"])
-    else:
-        interfaces = (
-            InterfaceSpec(alpha0, c["lam"]),
-            InterfaceSpec(alpha1),
-            InterfaceSpec(alpha2),
-        )
-        diffusivity = (c["d0"], c["d1"], c["d2"], c["d3"])
-        conv = (0.0, c["delta1"], c["delta2"], c["delta3"])
-        reaction = (0.0, 10.0, 1.0, 0.1)
-        branches = (u["u0"], u["u1"], u["u2"], u["u3"])
-
-    exact = polynomial_branches(branches)
-    source = manufactured_rhs(exact, diffusivity, conv, reaction)
-    return ProblemSpec(
-        domain=(0.0, 1.0),
-        diffusivity=diffusivity,
-        conv_delta=conv,
-        reaction=reaction,
-        source=tuple(source),
-        interfaces=interfaces,
-        bc_left=BoundaryCondition.neumann(0.0),
-        bc_right=BoundaryCondition.dirichlet(float(branches[-1](1.0))),
-        exact=exact,
-    )
 
 
 def catalog_problem(pid: int) -> BenchmarkProblem:
     """Benchmark problem by id; 1-3 are degree 1, 4-6 the same BVPs at degree 2."""
     if pid not in (1, 2, 3, 4, 5, 6):
         raise ValueError(f"unknown benchmark problem id {pid}; valid ids are 1..6")
-    base = (pid - 1) % 3 + 1
-    return BenchmarkProblem(problem=_build_problem(base), degree=1 if pid <= 3 else 2)
+    path = Path(__file__).with_name("catalog") / f"{(pid - 1) % 3 + 1}.json"
+    return BenchmarkProblem(problem=load_problem_file(path), degree=1 if pid <= 3 else 2)
+
+
+def _coeff_list_to_poly(values, where: str) -> Polynomial:
+    if not isinstance(values, list):
+        raise ProblemFileError(f"field '{where}': expected a list of numbers")
+    coeffs = [_number(v, f"{where}[{i}]") for i, v in enumerate(values)]
+    if not coeffs:
+        raise ProblemFileError(f"field '{where}': empty coefficient list")
+    return Polynomial(coeffs)
+
+
+def _parse_bc(spec, where: str) -> BoundaryCondition:
+    if not isinstance(spec, dict) or len(spec) != 1:
+        raise ProblemFileError(
+            f"field '{where}': expected {{\"dirichlet\": value}} or {{\"neumann\": value}}"
+        )
+    kind, value = next(iter(spec.items()))
+    if kind not in ("dirichlet", "neumann"):
+        raise ProblemFileError(f"field '{where}': unknown kind '{kind}'")
+    return BoundaryCondition(kind, _number(value, f"{where}.{kind}"))
+
+
+def _number(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ProblemFileError(f"field '{where}': expected a number")
+    try:
+        number = float(value)
+    except OverflowError:  # a JSON integer beyond the largest float
+        number = math.inf
+    if not math.isfinite(number):
+        raise ProblemFileError(f"field '{where}': expected a finite number")
+    return number
+
+
+def load_problem_file(path) -> ProblemSpec:
+    """Parse a JSON problem file into a ProblemSpec.
+
+    Schema: domain [a, b]; layers (list of {D, delta_conv, w, f}) with
+    polynomial coefficient lists in ascending degree, f optionally the
+    string "manufactured"; interfaces (list of {alpha, kind, lambda});
+    bc {left, right}; optional exact (per-layer coefficient lists).
+    Every read, schema or value error is raised as ProblemFileError naming
+    the file.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ProblemFileError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ProblemFileError(f"{path}: not UTF-8 text: {exc}") from exc
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ProblemFileError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    try:
+        return _parse_problem(doc)
+    except ValueError as exc:
+        raise ProblemFileError(f"{path}: {exc}") from exc
+
+
+def _parse_problem(doc) -> ProblemSpec:
+    if not isinstance(doc, dict):
+        raise ProblemFileError("expected a JSON object")
+    for key in ("domain", "layers", "interfaces", "bc"):
+        if key not in doc:
+            raise ProblemFileError(f"missing required field '{key}'")
+    domain = doc["domain"]
+    if not isinstance(domain, list) or len(domain) != 2:
+        raise ProblemFileError("field 'domain': expected [a, b]")
+    a, b = (_number(v, f"domain[{i}]") for i, v in enumerate(domain))
+
+    layers, specs, bc = doc["layers"], doc["interfaces"], doc["bc"]
+    if not isinstance(layers, list) or not layers:
+        raise ProblemFileError("field 'layers': expected a non-empty list")
+    if not isinstance(specs, list):
+        raise ProblemFileError("field 'interfaces': expected a list")
+    if len(specs) != len(layers) - 1:
+        raise ProblemFileError(
+            f"{len(layers)} layers require {len(layers) - 1} interfaces, got {len(specs)}"
+        )
+    if not isinstance(bc, dict):
+        raise ProblemFileError("field 'bc': expected {\"left\": ..., \"right\": ...}")
+
+    diffusivity, conv, reaction, f_specs = [], [], [], []
+    for i, layer in enumerate(layers):
+        if not isinstance(layer, dict):
+            raise ProblemFileError(f"layer {i}: expected an object")
+        for key in ("D", "delta_conv", "w", "f"):
+            if key not in layer:
+                raise ProblemFileError(f"layer {i}: missing field '{key}'")
+        diffusivity.append(_coeff_list_to_poly(layer["D"], f"layers[{i}].D"))
+        conv.append(_coeff_list_to_poly(layer["delta_conv"], f"layers[{i}].delta_conv"))
+        reaction.append(_coeff_list_to_poly(layer["w"], f"layers[{i}].w"))
+        f_specs.append(layer["f"])
+
+    interfaces = []
+    for i, spec in enumerate(specs):
+        where = f"interfaces[{i}]"
+        if not isinstance(spec, dict) or "alpha" not in spec or "kind" not in spec:
+            raise ProblemFileError(f"{where}: needs 'alpha' and 'kind'")
+        alpha = _number(spec["alpha"], f"{where}.alpha")
+        if spec["kind"] == "continuous":
+            if "lambda" in spec:
+                raise ProblemFileError(f"{where}: 'lambda' belongs to implicit interfaces only")
+            interfaces.append(InterfaceSpec(alpha))
+        elif spec["kind"] == "implicit":
+            if "lambda" not in spec:
+                raise ProblemFileError(f"{where}: implicit kind needs 'lambda'")
+            lam = _number(spec["lambda"], f"{where}.lambda")
+            if not lam > 0:
+                raise ProblemFileError(f"{where}: implicit interface requires lam > 0 (coercivity)")
+            interfaces.append(InterfaceSpec(alpha, lam))
+        else:
+            raise ProblemFileError(f"{where}: unknown kind '{spec['kind']}'")
+
+    exact = None
+    if doc.get("exact") is not None:
+        branches = doc["exact"]
+        if not isinstance(branches, list) or len(branches) != len(layers):
+            raise ProblemFileError("field 'exact': need one branch per layer")
+        polys = [_coeff_list_to_poly(c, f"exact[{i}]") for i, c in enumerate(branches)]
+        exact = polynomial_branches(polys)
+
+    source = []
+    manufactured = None
+    for i, f_spec in enumerate(f_specs):
+        if f_spec == "manufactured":
+            if exact is None:
+                raise ProblemFileError(
+                    f"layers[{i}].f: \"manufactured\" requires 'exact' branches"
+                )
+            if manufactured is None:
+                manufactured = manufactured_rhs(exact, diffusivity, conv, reaction)
+            source.append(manufactured[i])
+        else:
+            source.append(_coeff_list_to_poly(f_spec, f"layers[{i}].f"))
+
+    return ProblemSpec(
+        domain=(a, b),
+        diffusivity=tuple(diffusivity),
+        conv_delta=tuple(conv),
+        reaction=tuple(reaction),
+        source=tuple(source),
+        interfaces=tuple(interfaces),
+        bc_left=_parse_bc(bc.get("left"), "bc.left"),
+        bc_right=_parse_bc(bc.get("right"), "bc.right"),
+        exact=exact,
+    )

@@ -22,12 +22,10 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from ._version import __version__
-from .analysis import compute_errors, error_rule_size, observed_orders, polynomial_branches
+from .analysis import compute_errors, error_rule_size, observed_orders
 from .assembly import (
-    InterfaceSpec,
     ProblemSpec,
     assemble_system,
     assembly_rule_size,
@@ -35,18 +33,13 @@ from .assembly import (
     solve_system,
     space_for_problem,
 )
-from .bench import catalog_problem, manufactured_rhs
-from .femspace import BoundaryCondition
+from .bench import ProblemFileError, catalog_problem, load_problem_file
 from .mesh import build_mesh, stack_meshes
 
 REPORT_FORMATS = ("csv", "markdown", "json")
 _HEADER = ["h", "l2", "h1_broken", "nodal", "cond", "order_l2", "order_h1", "order_nodal"]
 _ORDER_OF = {"l2": "order_l2", "h1_broken": "order_h1", "nodal": "order_nodal"}
 _NUM = "{:.5e}"       # 6 significant digits
-
-
-class ProblemFileError(ValueError):
-    """Usage error (exit 1): a bad problem file, or a study the input cannot set up."""
 
 
 @dataclass
@@ -66,150 +59,6 @@ class ConvergenceTable:
             raise ValueError("mesh sizes must be strictly decreasing")
 
 
-def _coeff_list_to_poly(values, where: str) -> Polynomial:
-    if not isinstance(values, list):
-        raise ProblemFileError(f"field '{where}': expected a list of numbers")
-    coeffs = [_number(v, f"{where}[{i}]") for i, v in enumerate(values)]
-    if not coeffs:
-        raise ProblemFileError(f"field '{where}': empty coefficient list")
-    return Polynomial(coeffs)
-
-
-def _parse_bc(spec, where: str) -> BoundaryCondition:
-    if not isinstance(spec, dict) or len(spec) != 1:
-        raise ProblemFileError(
-            f"field '{where}': expected {{\"dirichlet\": value}} or {{\"neumann\": value}}"
-        )
-    kind, value = next(iter(spec.items()))
-    if kind not in ("dirichlet", "neumann"):
-        raise ProblemFileError(f"field '{where}': unknown kind '{kind}'")
-    return BoundaryCondition(kind, _number(value, f"{where}.{kind}"))
-
-
-def _number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ProblemFileError(f"field '{where}': expected a number")
-    if not math.isfinite(value):
-        raise ProblemFileError(f"field '{where}': expected a finite number")
-    return float(value)
-
-
-def load_problem_file(path) -> ProblemSpec:
-    """Parse a JSON problem file into a ProblemSpec.
-
-    Schema: domain [a, b]; layers (list of {D, delta_conv, w, f}) with
-    polynomial coefficient lists in ascending degree, f optionally the
-    string "manufactured"; interfaces (list of {alpha, kind, lambda});
-    bc {left, right}; optional exact (per-layer coefficient lists).
-    Every read, schema or value error is raised as ProblemFileError naming
-    the file.
-    """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ProblemFileError(f"{path}: cannot read: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ProblemFileError(f"{path}: not UTF-8 text: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ProblemFileError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    try:
-        return _parse_problem(doc)
-    except ValueError as exc:
-        raise ProblemFileError(f"{path}: {exc}") from exc
-
-
-def _parse_problem(doc) -> ProblemSpec:
-    if not isinstance(doc, dict):
-        raise ProblemFileError("expected a JSON object")
-    for key in ("domain", "layers", "interfaces", "bc"):
-        if key not in doc:
-            raise ProblemFileError(f"missing required field '{key}'")
-    domain = doc["domain"]
-    if not isinstance(domain, list) or len(domain) != 2:
-        raise ProblemFileError("field 'domain': expected [a, b]")
-    a, b = (_number(v, f"domain[{i}]") for i, v in enumerate(domain))
-
-    layers, specs, bc = doc["layers"], doc["interfaces"], doc["bc"]
-    if not isinstance(layers, list) or not layers:
-        raise ProblemFileError("field 'layers': expected a non-empty list")
-    if not isinstance(specs, list):
-        raise ProblemFileError("field 'interfaces': expected a list")
-    if len(specs) != len(layers) - 1:
-        raise ProblemFileError(
-            f"{len(layers)} layers require {len(layers) - 1} interfaces, got {len(specs)}"
-        )
-    if not isinstance(bc, dict):
-        raise ProblemFileError("field 'bc': expected {\"left\": ..., \"right\": ...}")
-
-    diffusivity, conv, reaction, f_specs = [], [], [], []
-    for i, layer in enumerate(layers):
-        if not isinstance(layer, dict):
-            raise ProblemFileError(f"layer {i}: expected an object")
-        for key in ("D", "delta_conv", "w", "f"):
-            if key not in layer:
-                raise ProblemFileError(f"layer {i}: missing field '{key}'")
-        diffusivity.append(_coeff_list_to_poly(layer["D"], f"layers[{i}].D"))
-        conv.append(_coeff_list_to_poly(layer["delta_conv"], f"layers[{i}].delta_conv"))
-        reaction.append(_coeff_list_to_poly(layer["w"], f"layers[{i}].w"))
-        f_specs.append(layer["f"])
-
-    interfaces = []
-    for i, spec in enumerate(specs):
-        where = f"interfaces[{i}]"
-        if not isinstance(spec, dict) or "alpha" not in spec or "kind" not in spec:
-            raise ProblemFileError(f"{where}: needs 'alpha' and 'kind'")
-        alpha = _number(spec["alpha"], f"{where}.alpha")
-        if spec["kind"] == "continuous":
-            if "lambda" in spec:
-                raise ProblemFileError(f"{where}: 'lambda' belongs to implicit interfaces only")
-            interfaces.append(InterfaceSpec(alpha))
-        elif spec["kind"] == "implicit":
-            if "lambda" not in spec:
-                raise ProblemFileError(f"{where}: implicit kind needs 'lambda'")
-            lam = _number(spec["lambda"], f"{where}.lambda")
-            if not lam > 0:
-                raise ProblemFileError(f"{where}: implicit interface requires lam > 0 (coercivity)")
-            interfaces.append(InterfaceSpec(alpha, lam))
-        else:
-            raise ProblemFileError(f"{where}: unknown kind '{spec['kind']}'")
-
-    exact = None
-    if doc.get("exact") is not None:
-        branches = doc["exact"]
-        if not isinstance(branches, list) or len(branches) != len(layers):
-            raise ProblemFileError("field 'exact': need one branch per layer")
-        polys = [_coeff_list_to_poly(c, f"exact[{i}]") for i, c in enumerate(branches)]
-        exact = polynomial_branches(polys)
-
-    source = []
-    manufactured = None
-    for i, f_spec in enumerate(f_specs):
-        if f_spec == "manufactured":
-            if exact is None:
-                raise ProblemFileError(
-                    f"layers[{i}].f: \"manufactured\" requires 'exact' branches"
-                )
-            if manufactured is None:
-                manufactured = manufactured_rhs(exact, diffusivity, conv, reaction)
-            source.append(manufactured[i])
-        else:
-            source.append(_coeff_list_to_poly(f_spec, f"layers[{i}].f"))
-
-    return ProblemSpec(
-        domain=(a, b),
-        diffusivity=tuple(diffusivity),
-        conv_delta=tuple(conv),
-        reaction=tuple(reaction),
-        source=tuple(source),
-        interfaces=tuple(interfaces),
-        bc_left=_parse_bc(bc.get("left"), "bc.left"),
-        bc_right=_parse_bc(bc.get("right"), "bc.right"),
-        exact=exact,
-    )
-
-
 def _resolve_problem(problem) -> tuple[ProblemSpec, str, int]:
     """(spec, label, default degree) from a catalog id or a file path."""
     text = str(problem)
@@ -223,7 +72,16 @@ def _resolve_problem(problem) -> tuple[ProblemSpec, str, int]:
 
 
 def _elements_for(h0: Fraction, a: float, b: float) -> int:
-    n = (b - a) / float(h0) if h0 > 0 else 0.0
+    """The coarsest level's element count, (b - a) / h0, checked before any array exists."""
+    try:
+        width = float(h0)
+    except OverflowError:
+        width = math.inf
+    if h0 > 0 and not 0 < width < math.inf:
+        raise ProblemFileError(f"h0={h0} is outside the range of a float")
+    n = (b - a) / width if h0 > 0 else 0.0
+    if n + 1 > sys.maxsize // 8:  # numpy cannot index a float64 node array that long
+        raise ProblemFileError(f"h0={h0} gives {n:.3g} elements, more than an array can index")
     if abs(n - round(n)) > 1e-9 * max(n, 1.0) or round(n) < 2:
         raise ProblemFileError(
             f"h0={h0} does not tile the domain ({a}, {b}) into >= 2 elements"

@@ -8,8 +8,58 @@ from numpy.polynomial import Polynomial
 from numpy.polynomial import polynomial as P
 
 from enrfem.analysis import polynomial_branches
-from enrfem.bench import catalog_problem, manufactured_rhs
-from enrfem.cli import load_problem_file
+from enrfem.assembly import InterfaceSpec
+from enrfem.bench import catalog_problem, load_problem_file, manufactured_rhs
+from enrfem.femspace import BoundaryCondition
+
+
+def _wall_model(n=4):
+    """Problems 1-3 from the wall-model formulas: {pid: (interfaces, layers)}.
+
+    A layer is (D, delta, w, exact value).  The diffusivities and
+    convection parameters make the flux -D u' + 2 delta u continuous at
+    every interface for the branches x^(n-1)/30, x^n/3, x^(n+1) and
+    3(1 - x) x^(n+1), and lam couples the jump at 1/9 to the flux.
+    """
+    d0 = 1.0
+    d1 = 18.0 * (n - 1) / (10.0 * n)
+    delta1 = 0.5 * (9.0 * n * d1 - 8.1 * (n - 1))
+    d2 = (6.0 * n * d1 - 2.0 * delta1) / (3.0 * (n + 1))
+    delta2 = 0.5 * (3.0 * (n + 1) * d2 - 3.0 * n * d1 + 2.0 * delta1)
+    d3 = (8.0 * delta2 - 3.0 * (n + 1) * d2) / (3.0 * (n + 5))
+    delta3 = 0.25 * (3.0 * (n - 1) * d3 - 3.0 * (n + 1) * d2 + 4.0 * delta2)
+    lam = 1.0 / (81.0 * (n - 1) * d0)
+    x = Polynomial([0.0, 1.0])
+    u0, u1, u2 = x ** (n - 1) / 30.0, x ** n / 3.0, x ** (n + 1)
+    u3 = 3.0 * (1.0 - x) * x ** (n + 1)
+    implicit = InterfaceSpec(1.0 / 9.0, lam)
+    first, second = InterfaceSpec(1.0 / 3.0), InterfaceSpec(2.0 / 3.0)
+    wall = [(d0, 0.0, 0.0, u0), (d1, delta1, 10.0, u1), (d2, delta2, 1.0, u2), (d3, delta3, 0.1, u3)]
+    return {
+        1: ((implicit,), [wall[0], (d1, delta1, 0.0, u1)]),
+        2: ((first, second), wall[1:]),
+        3: ((implicit, first, second), wall),
+    }
+
+
+@pytest.mark.parametrize("pid", [1, 2, 3])
+def test_the_catalog_files_equal_the_wall_model(pid):
+    """Every field that catalog/<pid>.json gives has the bits of the formulas' rebuild."""
+    problem = catalog_problem(pid).problem
+    interfaces, layers = _wall_model()[pid]
+    assert problem.domain == (0.0, 1.0)
+    assert problem.interfaces == interfaces
+    assert len(problem.exact) == len(layers)
+    for i, (d, delta, w, value) in enumerate(layers):
+        d, delta, w = (Polynomial([c]) for c in (d, delta, w))
+        for got, want in ((problem.diffusivity[i], d), (problem.conv_delta[i], delta),
+                          (problem.reaction[i], w), (problem.exact[i][0], value),
+                          (problem.exact[i][1], value.deriv()),
+                          (problem.source[i], _operator_source(value, d, delta, w))):
+            assert got.coef.tobytes() == want.coef.tobytes(), i
+    assert problem.bc_left == BoundaryCondition.neumann(0.0)
+    right = BoundaryCondition.dirichlet(float(layers[-1][3](1.0)))
+    assert problem.bc_right == right and problem.bc_right.value.hex() == right.value.hex()
 
 
 def _layer_value(problem, layer, x):

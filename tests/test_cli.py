@@ -256,6 +256,7 @@ _DIP = [(35 / 68) ** 2 - 1e-6, -2 * 35 / 68, 1.0]
     ({"layers": [_layers_with_d(1.35)[0], {"D": "x", "delta_conv": [0.0], "w": [0.0], "f": [0.0]}]},
      "field 'layers[1].D': expected a list of numbers"),
     ({"domain": ["0", True]}, "field 'domain[0]': expected a number"),
+    ({"domain": [0.0, 10**400]}, "field 'domain[1]': expected a finite number"),
     ({"layers": [{"D": [True], "delta_conv": [0.0], "w": [0.0], "f": "manufactured"},
                  _layers_with_d(1.35)[1]]},
      "field 'layers[0].D[0]': expected a number"),
@@ -280,7 +281,7 @@ _DIP = [(35 / 68) ** 2 - 1e-6, -2 * 35 / 68, 1.0]
     "no-alpha", "interfaces-not-list", "bc-not-object", "layer-string", "alpha-string",
     "lambda-string", "lambda-negative", "implicit-equal-d", "implicit-negative-d",
     "interface-not-object", "exact-not-list", "coefficients-not-numbers",
-    "domain-not-numbers", "coefficient-boolean", "bc-value-boolean", "bc-value-nan",
+    "domain-not-numbers", "domain-beyond-float", "coefficient-boolean", "bc-value-boolean", "bc-value-nan",
     "coefficient-infinite", "lambda-infinite", "neumann-nonzero", "lambda-on-continuous",
     "diffusivity-dips-below-zero", "reaction-dips-below-zero",
 ])
@@ -313,6 +314,13 @@ def test_main_usage_errors(capsys):
     (["--h0", "2/7"], "h0=2/7 does not tile the domain"),
     (["--h0", "0"], "h0=0 does not tile the domain"),
     (["--h0=-1/8"], "h0=-1/8 does not tile the domain"),
+    pytest.param(["--h0", "1e-400"], f"h0=1/{10**400} is outside the range of a float",
+                 id="h0-underflows"),
+    pytest.param(["--h0", "1e400"], f"h0={10**400} is outside the range of a float",
+                 id="h0-overflows"),
+    pytest.param(["--h0", "1e-20"],
+                 f"h0=1/{10**20} gives 1e+20 elements, more than an array can index",
+                 id="h0-beyond-an-index"),
 ])
 def test_out_of_range_arguments_exit_1(capsys, argv, message):
     assert main(["--problem", "1", "--levels", "1"] + argv) == 1

@@ -1,5 +1,7 @@
 import importlib
+import importlib.resources
 import importlib.util
+import json
 import math
 import re
 import subprocess
@@ -13,6 +15,7 @@ import enrfem
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 README = PYPROJECT.parent / "README.md"
 SPANS = PYPROJECT.parent / "perfbench" / "spans.py"
+SWEEP_117 = PYPROJECT.parent / "tests" / "fixtures" / "sweep-117.json"
 
 
 def test_version_is_written_once():
@@ -24,6 +27,23 @@ def test_version_is_written_once():
     module, name = doc["tool"]["setuptools"]["dynamic"]["version"]["attr"].rsplit(".", 1)
     version = getattr(importlib.import_module(module), name)
     assert isinstance(version, str) and version == enrfem.__version__
+
+
+def test_the_catalog_ships_as_package_data():
+    """pyproject.toml declares catalog/*.json, and the package holds the three problem files.
+
+    Every layer's source is "manufactured", so it is derived from the
+    exact branches and never transcribed.
+    """
+    tomllib = pytest.importorskip("tomllib")
+    doc = tomllib.loads(PYPROJECT.read_text())
+    assert doc["tool"]["setuptools"]["package-data"]["enrfem"] == ["catalog/*.json"]
+    catalog = importlib.resources.files("enrfem") / "catalog"
+    names = sorted(entry.name for entry in catalog.iterdir() if entry.name.endswith(".json"))
+    assert names == ["1.json", "2.json", "3.json"]
+    for name in names:
+        layers = json.loads((catalog / name).read_text(encoding="utf-8"))["layers"]
+        assert [layer["f"] for layer in layers] == ["manufactured"] * len(layers), name
 
 
 def test_import_leaves_scipy_sparse_out():
@@ -67,6 +87,19 @@ def _benchmark_spans():
     return module
 
 
+def _traced_study(cli, spans, *args):
+    """The spans of ``cli.run_convergence(*args)`` run under the benchmark's tracer."""
+    tracer = spans.Tracer()
+    tracer.study = "0"
+    tracer.install(cli)
+    try:
+        with tracer.span(spans.STUDY):
+            cli.run_convergence(*args)
+    finally:
+        tracer.uninstall(cli)
+    return tracer.spans
+
+
 def test_the_benchmark_trace_finds_what_it_wraps():
     """Each function the benchmark's tracer wraps is in enrfem.cli, and is called per stack or level.
 
@@ -74,27 +107,26 @@ def test_the_benchmark_trace_finds_what_it_wraps():
     stacks (levels 0-1, then level 2), so it makes 2 spans each of
     space_for_problem, assemble_system and compute_errors, and 3 of
     solve_system, one per level.  The stacks' spans count every level's
-    elements, cuts and free DOFs once.
+    elements, cuts and free DOFs once.  A study loads its problem once:
+    a catalog id through catalog_problem, whose file load is not the
+    wrapped name, and a problem file through load_problem_file.
     """
     import enrfem.cli as cli
 
     spans = _benchmark_spans()
     for attr in spans.WRAPPED.values():
         assert callable(getattr(cli, attr)), attr
-    tracer = spans.Tracer()
-    tracer.study = "0"
-    tracer.install(cli)
-    try:
-        with tracer.span(spans.STUDY):
-            cli.run_convergence(3, None, "1/8", 3)
-    finally:
-        tracer.uninstall(cli)
-    names = [span["name"] for span in tracer.spans]
+    study = _traced_study(cli, spans, 3, None, "1/8", 3)
+    names = [span["name"] for span in study]
+    assert names.count("bench.catalog_problem") == 1 and "cli.load_problem_file" not in names
     for name in ("femspace.space_for_problem", "assembly.assemble_system",
                  "analysis.compute_errors"):
         assert names.count(name) == 2, name
     assert names.count("assembly.solve_system") == 3
-    metrics = spans.layer_metrics(tracer.spans)
+    metrics = spans.layer_metrics(study)
     assert metrics["mesh.elements"] == 8 + 16 + 32
     assert metrics["femspace.cut_elements"] == 3 * 3
     assert metrics["assembly.free_dofs"] == sum(8 * 2**level + 3 * 2 for level in range(3))
+
+    names = [span["name"] for span in _traced_study(cli, spans, str(SWEEP_117), 2, "1/8", 1)]
+    assert names.count("cli.load_problem_file") == 1 and "bench.catalog_problem" not in names
