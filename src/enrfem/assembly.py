@@ -20,11 +20,14 @@ Interface elements are integrated as two Gauss sub-rules split at alpha.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import Polynomial
 from numpy.polynomial import polynomial as P
@@ -45,6 +48,41 @@ from .mesh import Mesh1D
 
 SOLVER_RESIDUAL_RTOL = 1e-10
 SINGULAR_PIVOT_RTOL = 1e-14
+
+
+def _load_flapack():
+    """scipy's LAPACK extension module, loaded without importing scipy.linalg.
+
+    ``import scipy.linalg`` is more than half of the program's start-up,
+    and the solver calls only dgbtrf, dgbtrs and dpbtrf.  The file is
+    found beside scipy's package without importing it, and registered
+    under its own name, so a later ``import scipy.linalg`` (``--cond``'s
+    eigsh, or a user's) reuses this instance.  An extension that cannot be
+    found or loaded falls back to scipy.linalg's own import.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    package = importlib.util.find_spec("scipy")
+    for directory in package.submodule_search_locations if package else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(directory, "linalg", "_flapack" + suffix)
+            if not os.path.isfile(path):
+                continue
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            spec = importlib.util.spec_from_loader(name, loader)
+            try:
+                module = importlib.util.module_from_spec(spec)
+                sys.modules[name] = module
+                loader.exec_module(module)
+                return module
+            except (ImportError, OSError):
+                sys.modules.pop(name, None)
+    from scipy.linalg import _flapack
+    return _flapack
+
+
+_flapack = _load_flapack()
 
 
 @dataclass(frozen=True)
@@ -484,7 +522,7 @@ def _scaled_lu(band: np.ndarray):
     factor_storage = np.zeros((3 * q + 1, n), order="F")  # q extra rows for pivoting fill
     factor_storage[q:] = band * s_rows * s
     largest = np.max(np.abs(factor_storage), initial=np.finfo(float).tiny)
-    lu, piv, _ = scipy.linalg.lapack.dgbtrf(factor_storage, q, q, overwrite_ab=1)
+    lu, piv, _ = _flapack.dgbtrf(factor_storage, q, q, overwrite_ab=1)
     return s, lu, piv, largest
 
 
@@ -507,7 +545,7 @@ def solve_system(system: BandSystem) -> np.ndarray:
         raise np.linalg.LinAlgError(
             f"numerically singular system: zero pivot at free DOF {int(bad[0])}"
         )
-    y, _ = scipy.linalg.lapack.dgbtrs(lu, q, q, s * b, piv)
+    y, _ = _flapack.dgbtrs(lu, q, q, s * b, piv)
     x = s * y
 
     ax = np.zeros(len(b))
@@ -544,8 +582,8 @@ def condition_number(system: BandSystem) -> float:
 
     def inverse_gram(v):
         # A^-1 A^-T v = s S^-1 (s^2 S^-T (s v))
-        w, _ = scipy.linalg.lapack.dgbtrs(lu, q, q, s * np.ravel(v), piv, trans=1)
-        w, _ = scipy.linalg.lapack.dgbtrs(lu, q, q, s * s * w, piv)
+        w, _ = _flapack.dgbtrs(lu, q, q, s * np.ravel(v), piv, trans=1)
+        w, _ = _flapack.dgbtrs(lu, q, q, s * s * w, piv)
         return s * w
 
     operator = LinearOperator((n, n), matvec=inverse_gram, dtype=float)
@@ -580,7 +618,7 @@ def _gram_norm(band: np.ndarray) -> float:
     while low < (mid := 0.5 * (low + high)) < high:
         shifted = -gram
         shifted[kd] += mid
-        _, info = scipy.linalg.lapack.dpbtrf(shifted, overwrite_ab=1)
+        _, info = _flapack.dpbtrf(shifted, overwrite_ab=1)
         if info == 0:
             high = mid
         else:

@@ -272,7 +272,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # the input asks for more memory than the machine has
         print(f"enrfem: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
-    except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (ValueError, ArithmeticError) as exc:  # np.linalg.LinAlgError is a ValueError
         print(f"enrfem: numerical failure: {exc}", file=sys.stderr)
         return 2
 

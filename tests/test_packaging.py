@@ -1,4 +1,5 @@
 import importlib
+import importlib.machinery
 import importlib.resources
 import importlib.util
 import json
@@ -46,37 +47,113 @@ def test_the_catalog_ships_as_package_data():
         assert [layer["f"] for layer in layers] == ["manufactured"] * len(layers), name
 
 
+def _python(code: str, *flags: str) -> str:
+    """The stdout of ``python *flags -c code``, with this checkout's enrfem first on the path."""
+    src = str(Path(enrfem.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r})\n" + code
+    out = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True,
+                         check=True)
+    return out.stdout
+
+
 def test_import_leaves_scipy_sparse_out():
     """Only --cond imports scipy.sparse.linalg, so startup does not pay for it."""
-    src = str(Path(enrfem.__file__).resolve().parents[1])
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import enrfem, enrfem.cli; "
+    out = _python(
+        "import enrfem, enrfem.cli\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
     )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.strip() == "[]"
+
+
+def test_startup_leaves_scipy_linalg_out():
+    """A study without --cond loads scipy's LAPACK extension and no other scipy module."""
+    out = _python(
+        "import enrfem, enrfem.cli as cli\n"
+        "assert cli.main(['--problem', '1', '--levels', '2']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    assert out.splitlines()[-1] == "['scipy.linalg._flapack']"
+
+
+def test_one_lapack_extension_instance():
+    """scipy.linalg, imported after enrfem or before it, shares enrfem's LAPACK module.
+
+    A --cond study imports scipy.linalg through eigsh, whose lapack.py
+    finds the module the loader registered; and a loader that runs after
+    scipy.linalg takes the module already in sys.modules without looking
+    for the file.
+    """
+    out = _python(
+        "import enrfem.cli as cli\n"
+        "from enrfem import assembly\n"
+        "assert cli.main(['--problem', '2', '--levels', '3', '--cond']) == 0\n"
+        "import scipy.linalg\n"
+        "print(sys.modules['scipy.linalg._flapack'] is assembly._flapack,"
+        " scipy.linalg.lapack.dgbtrf is assembly._flapack.dgbtrf)",
+        "-W", "error",
+    )
+    assert out.splitlines()[-1] == "True True"
+    out = _python(
+        "import importlib.util, scipy.linalg\n"
+        "loaded = sys.modules['scipy.linalg._flapack']\n"
+        "searched, find_spec = [], importlib.util.find_spec\n"
+        "importlib.util.find_spec = lambda name, *rest: searched.append(name) or find_spec(name, *rest)\n"
+        "from enrfem import assembly\n"
+        "print(assembly._flapack is loaded, 'scipy' in searched)",
+        "-W", "error",
+    )
+    assert out.strip() == "True False"
+
+
+@pytest.mark.parametrize("extension", ["missing", "unloadable"])
+def test_the_lapack_fallback_gives_the_same_rows(tmp_path, extension):
+    """With the extension file hidden or broken, assembly takes scipy.linalg's and reports the same bytes.
+
+    ``importlib.util.find_spec("scipy")`` is pointed at a directory with
+    no ``linalg/_flapack`` file, or with one that is not a library.
+    """
+    if extension == "unloadable":
+        (tmp_path / "linalg").mkdir()
+        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+        (tmp_path / "linalg" / f"_flapack{suffix}").write_bytes(b"not a shared library")
+    study = (
+        "import enrfem.cli as cli\n"
+        "assert cli.main(['--problem', '4', '--levels', '3', '--cond', '--format', 'csv']) == 0\n"
+    )
+    hide = (
+        "import importlib.util, types\n"
+        "find_spec = importlib.util.find_spec\n"
+        "importlib.util.find_spec = lambda name, package=None: (\n"
+        f"    types.SimpleNamespace(submodule_search_locations=[{str(tmp_path)!r}])\n"
+        "    if name == 'scipy' else find_spec(name, package))\n"
+    )
+    check = (
+        "import scipy.linalg\n"
+        "from enrfem import assembly\n"
+        "assert assembly._flapack is scipy.linalg.lapack._flapack\n"
+        "assert sys.modules['scipy.linalg._flapack'] is assembly._flapack\n"
+    )
+    fallback = _python(hide + "import enrfem\nassert 'scipy.linalg' in sys.modules\n" + study + check,
+                       "-W", "error")
+    assert fallback == _python(study, "-W", "error")
 
 
 def test_import_enrfem_alone_leaves_the_cli_out():
     """``import enrfem`` loads neither enrfem.cli nor any scipy.sparse module."""
-    src = str(Path(enrfem.__file__).resolve().parents[1])
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import enrfem; "
+    out = _python(
+        "import enrfem\n"
         "print(sorted(m for m in sys.modules if m == 'enrfem.cli' or m.startswith('scipy.sparse')))"
     )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.strip() == "[]"
 
 
 def test_readme_library_example_runs():
     """The one python block under README's "## Library" prints three positive finite errors."""
     section = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
     (example,) = re.findall(r"```python\n(.*?)```", section, flags=re.S)
-    src = str(Path(enrfem.__file__).resolve().parents[1])
-    code = f"import sys; sys.path.insert(0, {src!r})\n" + example
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    values = [float(word) for word in out.stdout.split()]
-    assert len(values) == 3 and all(0 < v < math.inf for v in values), out.stdout
+    out = _python(example)
+    values = [float(word) for word in out.split()]
+    assert len(values) == 3 and all(0 < v < math.inf for v in values), out
 
 
 def _benchmark_spans():
