@@ -2,9 +2,13 @@
 
 Solves two-point boundary value problems whose solution jumps across
 interior interface points, including implicit (Robin-type) jump
-conditions of the form [u] = gamma * [u'].  Standard P1/P2 Lagrange
-spaces are enriched with a compactly supported, piecewise-linear
-function per interface whose slopes encode the jump parameter.
+conditions [u] = lambda * (D u')(alpha-) with continuous flux
+-D u' + 2 delta u.  Where delta = 0 beside alpha these are
+[u] = gamma * [u'] with gamma = -lambda D- D+ / (D+ - D-); with equal
+convection delta on both sides, gamma = -lambda D- D+ / (D+ - D- (1 +
+2 delta lambda)) instead.  Standard P1/P2 Lagrange spaces are enriched
+with a compactly supported, piecewise-linear function per interface
+whose slopes encode the delta = 0 gamma.
 """
 
 from ._version import __version__
@@ -36,6 +40,5 @@ from .analysis import (
     coefficient_contrast,
     compute_errors,
     observed_orders,
-    polynomial_branches,
 )
 from .bench import BenchmarkProblem, catalog_problem, manufactured_rhs

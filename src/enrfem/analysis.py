@@ -31,22 +31,6 @@ from .femspace import (
 )
 
 
-def polynomial_branches(polys: Sequence) -> tuple[tuple[Polynomial, Polynomial], ...]:
-    """One (value, derivative) pair per layer from numpy Polynomials.
-
-    Derivatives are taken symbolically, as ``Polynomial.deriv`` takes
-    them; for a Polynomial on the default domain and window, whose
-    derivative needs no mapping, by ``_derivative`` on its coefficients,
-    with the same bits.  A polynomial branch is its own extension, so it
-    can be evaluated on the whole domain.
-    """
-    return tuple(
-        (p, Polynomial(_derivative(p.coef), symbol=p.symbol)
-            if p.domain.tolist() == p.window.tolist() == [-1.0, 1.0] else p.deriv())
-        for p in polys
-    )
-
-
 @dataclass(frozen=True)
 class ErrorReport:
     """L2, broken-H1 seminorm, and interior nodal errors for one run."""
@@ -60,32 +44,33 @@ class ErrorReport:
             raise ValueError("error measures must be finite and nonnegative")
 
 
-def error_rule_size(exact: Sequence[tuple[Polynomial, Polynomial]], degree: int) -> int:
+def error_rule_size(exact: Sequence[Polynomial], degree: int) -> int:
     """``exact_rule_size`` of (u - u_h)^2, u_h of degree ``degree`` + 1 on a cut piece."""
     return exact_rule_size(
         (f"exact on layer {i}", len(u.coef) - 1, 2 * max(len(u.coef) - 1, degree + 1))
-        for i, (u, _) in enumerate(exact)
+        for i, u in enumerate(exact)
     )
 
 
 def compute_errors(
-    exact: Sequence[tuple[Polynomial, Polynomial]],
+    exact: Sequence[Polynomial],
     space: EnrichedSpace,
     coeffs,
 ) -> list[ErrorReport]:
     """L2 / broken-H1 / nodal errors of the discrete function vs ``exact``, one report per level.
 
     ``coeffs`` are the free DOFs; the constrained ones take the space's
-    Dirichlet values.  Branch j of ``exact``, a (value, derivative) pair
-    of Polynomials in x, is integrated over layer j of each level by
+    Dirichlet values.  Branch j of ``exact``, a Polynomial in x, and its
+    derivative are integrated over layer j of each level by
     ``error_rule_size``'s Gauss rule.  Raises ValueError unless ``exact``
     has one branch per layer and every level's errors are finite.
     """
     cuts = np.diff(space.cut_starts)  # each level's
     if np.any(cuts != len(exact) - 1):
         raise ValueError(f"{len(exact)} exact branches for the space's {cuts.max() + 1} layers")
-    exact = [[_as_polynomial(f, f"exact on layer {i}") for f in fs] for i, fs in enumerate(exact)]
-    values, derivatives = (_coefficient_table(fs) for fs in zip(*exact))
+    exact = [_as_polynomial(u, f"exact on layer {i}") for i, u in enumerate(exact)]
+    values = _coefficient_table([u.coef for u in exact])
+    derivatives = _coefficient_table([_derivative(u.coef) for u in exact])
     full = full_coefficients(space, coeffs)
 
     quad = quadrature_pieces(space, error_rule_size(exact, space.degree))

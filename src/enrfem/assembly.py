@@ -151,11 +151,11 @@ def _derivative(c: np.ndarray) -> np.ndarray:
     return np.arange(1, len(c)) * c[1:] if len(c) > 1 else c[:1] * 0
 
 
-def _coefficient_table(polys) -> np.ndarray:
-    """(m, L) table of L Polynomials: row i holds each one's x^i coefficient, 0 above its degree."""
-    table = np.zeros((max(len(p.coef) for p in polys), len(polys)))
-    for column, p in zip(table.T, polys):
-        column[:len(p.coef)] = p.coef
+def _coefficient_table(coefs) -> np.ndarray:
+    """(m, L) table of L coefficient arrays: row i holds each one's x^i coefficient, 0 above it."""
+    table = np.zeros((max(len(c) for c in coefs), len(coefs)))
+    for column, c in zip(table.T, coefs):
+        column[:len(c)] = c
     return table
 
 
@@ -183,7 +183,7 @@ def _layer_ranges(polys, breaks) -> tuple[np.ndarray, np.ndarray]:
     inside it.  Every root's real part, clipped to the layer, is a point
     of the layer, so the other roots add only values taken there.
     """
-    table = _coefficient_table(polys)
+    table = _coefficient_table([p.coef for p in polys])
     xs = np.repeat(breaks[:-1, None], len(table) + 1, axis=1).astype(float)  # deg - 1 roots fit
     xs[:, 1] = breaks[1:]
     for row, p in zip(xs, polys):
@@ -201,9 +201,10 @@ class ProblemSpec:
     Layers are the subintervals between consecutive interfaces (and the
     domain endpoints); every coefficient tuple has one numpy Polynomial in
     x per layer, a float given in its place becoming a degree-0 one.
-    ``exact``, when known, is one (value, derivative) pair of such
-    Polynomials per layer, each evaluable on the whole domain.  Anything
-    else, a Polynomial with a mapped domain included, is rejected.
+    ``exact``, when known, is one such Polynomial per layer, the branch
+    on that layer, evaluable on the whole domain; its derivative is
+    taken where it is used.  Anything else, a Polynomial with a mapped
+    domain or a (value, derivative) pair included, is rejected.
     """
 
     domain: tuple[float, float]
@@ -214,10 +215,12 @@ class ProblemSpec:
     interfaces: tuple[InterfaceSpec, ...] = ()
     bc_left: BoundaryCondition = field(default_factory=lambda: BoundaryCondition.neumann())
     bc_right: BoundaryCondition = field(default_factory=lambda: BoundaryCondition.dirichlet(0.0))
-    exact: tuple[tuple[Polynomial, Polynomial], ...] | None = None
+    exact: tuple[Polynomial, ...] | None = None
 
     def __post_init__(self):
         a, b = self.domain
+        if not (np.isfinite(a) and np.isfinite(b)):
+            raise ValueError(f"domain ends must be finite, got ({a}, {b})")
         if not a < b:
             raise ValueError("domain requires a < b")
         alphas = [spec.alpha for spec in self.interfaces]
@@ -228,17 +231,12 @@ class ProblemSpec:
         n_layers = len(alphas) + 1
         for name in (*_COEFFICIENTS, "exact"):
             entries = getattr(self, name)
-            if entries is not None and len(entries) != n_layers:
+            if name == "exact" and entries is None:
+                continue
+            if len(entries) != n_layers:
                 raise ValueError(f"{name} needs one entry per layer ({n_layers})")
-        for name in _COEFFICIENTS:
-            polys = tuple(
-                _as_polynomial(c, f"{name} on layer {i}") for i, c in enumerate(getattr(self, name))
-            )
-            object.__setattr__(self, name, polys)
-        if self.exact is not None:
-            object.__setattr__(self, "exact", tuple(
-                tuple(_as_polynomial(f, f"exact on layer {i}") for f in branch)
-                for i, branch in enumerate(self.exact)
+            object.__setattr__(self, name, tuple(
+                _as_polynomial(c, f"{name} on layer {i}") for i, c in enumerate(entries)
             ))
         self.gammas  # an implicit interface needs D- != D+, both positive
         breaks = np.array([a, *alphas, b])
@@ -258,7 +256,8 @@ class ProblemSpec:
     @cached_property
     def tables(self) -> dict[str, np.ndarray]:
         """Each coefficient's ``_coefficient_table``, by field name."""
-        return {name: _coefficient_table(getattr(self, name)) for name in _COEFFICIENTS}
+        return {name: _coefficient_table([p.coef for p in getattr(self, name)])
+                for name in _COEFFICIENTS}
 
     @cached_property
     def gammas(self) -> tuple[float, ...]:
@@ -350,7 +349,7 @@ def space_for_problem(problem: ProblemSpec, mesh: Mesh1D, degree: int) -> Enrich
 
     Every level of ``mesh`` must carry the problem's interfaces.
     """
-    mesh_alphas = tuple(hit.alpha for hit in mesh.interface_hits)
+    mesh_alphas = tuple(mesh.alphas.tolist())
     if mesh_alphas != problem.breakpoints * mesh.n_levels:
         raise ValueError(
             f"mesh interfaces {mesh_alphas} are not the problem's {problem.breakpoints}"
@@ -384,7 +383,7 @@ def assemble_system(problem: ProblemSpec, space: EnrichedSpace) -> AssembledSyst
     assembly of its level.  Each level's lift is its own product, so its
     rhs has the bits of a space of that level alone.
     """
-    if tuple(psi.alpha for psi in space.enrichments) != problem.breakpoints * space.mesh.n_levels:
+    if tuple(space.mesh.alphas.tolist()) != problem.breakpoints * space.mesh.n_levels:
         raise ValueError("space was not built from this problem's mesh and interfaces")
     layout = space.layout
     (std_dofs, std_local, std_load), (cut_dofs, cut_local, cut_load) = _piece_integrals(

@@ -29,7 +29,6 @@ from pathlib import Path
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .analysis import polynomial_branches
 from .assembly import InterfaceSpec, ProblemSpec, _as_polynomial, _derivative, _product, _sum
 from .femspace import BoundaryCondition
 
@@ -50,15 +49,15 @@ def manufactured_rhs(exact, diffusivity, conv_delta, reaction) -> list[Polynomia
     """Per-layer source f = (-D u' + 2 delta u)' + w u by polynomial arithmetic.
 
     For constant D and delta this is -D u'' + 2 delta u' + w u.  ``exact``
-    holds one (value, derivative) pair per layer; the value callables must
-    be numpy Polynomials (no numerical differentiation), and every
-    Polynomial must be in powers of x (default domain and window).  The
+    holds one branch per layer, a numpy Polynomial (no numerical
+    differentiation), and every Polynomial must be in powers of x
+    (default domain and window).  The
     arithmetic runs on coefficient arrays with the operations of the
     functions that Polynomial's operators call (``assembly._product``,
     ``_sum`` and ``_derivative``), so the result has the operators' bits.
     """
     out = []
-    for i, (value, _) in enumerate(exact):
+    for i, value in enumerate(exact):
         if not isinstance(value, Polynomial) or value.domain.tolist() != value.window.tolist():
             raise ValueError(
                 f"layer {i} is not a polynomial in x; manufactured sources need "
@@ -199,8 +198,7 @@ def _parse_problem(doc) -> ProblemSpec:
         branches = doc["exact"]
         if not isinstance(branches, list) or len(branches) != len(layers):
             raise ProblemFileError("field 'exact': need one branch per layer")
-        polys = [_coeff_list_to_poly(c, f"exact[{i}]") for i, c in enumerate(branches)]
-        exact = polynomial_branches(polys)
+        exact = tuple(_coeff_list_to_poly(c, f"exact[{i}]") for i, c in enumerate(branches))
 
     source = []
     manufactured = None

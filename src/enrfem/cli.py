@@ -252,8 +252,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.levels < 1:
             parser.error("argument --levels: must be at least 1")
-        h0 = Fraction(args.h0)
-    except (ProblemFileError, ValueError, ZeroDivisionError) as exc:
+        try:
+            h0 = Fraction(args.h0)
+        except (ValueError, ZeroDivisionError):
+            parser.error(f"argument --h0: invalid fraction value: {args.h0!r}")
+    except ProblemFileError as exc:
         print(f"enrfem: error: {exc}", file=sys.stderr)
         return 1
 

@@ -30,21 +30,32 @@ M2_DEGENERACY_RTOL = 1e-10    # |alpha - x_{k+1} - gamma| too small: m2 blows up
 
 @dataclass(frozen=True)
 class EnrichmentFunction:
-    """Piecewise-linear enrichment attached to one interface element."""
+    """Piecewise-linear enrichments, one per cut element: each field holds one value per cut.
 
-    element: int
-    x_left: float    # x_k
-    x_right: float   # x_{k+1}
-    alpha: float
-    m1: float
-    m2: float
+    A single psi, as ``build_enrichment`` makes from scalars, has scalar fields.
+    """
+
+    x_left: np.ndarray    # x_k
+    x_right: np.ndarray   # x_{k+1}
+    alpha: np.ndarray
+    m1: np.ndarray
+    m2: np.ndarray
+
+    def __len__(self) -> int:
+        return np.size(self.alpha)
+
+    def __getitem__(self, j) -> EnrichmentFunction:
+        """Every column indexed by ``j``: cut j's psi, or (c, 1) columns for ``[:, None]``."""
+        return EnrichmentFunction(*(column[j] for column in vars(self).values()))
 
 
 def gamma_from_lambda(lam: float, beta_minus: float, beta_plus: float) -> float:
     """Jump parameter gamma = -lam * beta- * beta+ / (beta+ - beta-).
 
     Converts the implicit condition [u] = lam * (beta u')(alpha-) together
-    with flux continuity into the explicit Robin form [u] = gamma * [u'].
+    with continuity of the flux into the explicit Robin form
+    [u] = gamma * [u'] where the convection delta is 0 beside alpha, so
+    that the flux is -beta u'.
     """
     if beta_minus <= 0 or beta_plus <= 0:
         raise ValueError("diffusivity limits must be positive")
@@ -57,22 +68,27 @@ def gamma_from_lambda(lam: float, beta_minus: float, beta_plus: float) -> float:
     return -lam * beta_minus * beta_plus / denom
 
 
-def build_enrichment(
-    x_k: float, x_k1: float, alpha: float, gamma: float, element: int = 0
-) -> EnrichmentFunction:
-    """Construct psi on [x_k, x_k1] breaking at alpha with parameter gamma."""
-    if not x_k < alpha < x_k1:
-        raise ValueError(f"alpha={alpha} not strictly inside ({x_k}, {x_k1})")
+def build_enrichment(x_k, x_k1, alpha, gamma) -> EnrichmentFunction:
+    """Construct psi on [x_k, x_k1] breaking at alpha with parameter gamma, elementwise.
+
+    Scalars give one psi, and arrays of one shape one psi per entry.
+    Raises ValueError at the first entry that cannot be built.
+    """
+    x_k, x_k1, alpha, gamma = (np.asarray(v, dtype=float) for v in (x_k, x_k1, alpha, gamma))
     h = x_k1 - x_k
     denom = alpha - x_k1 - gamma
-    if abs(denom) < M2_DEGENERACY_RTOL * h:
+    outside = ~((x_k < alpha) & (alpha < x_k1))
+    bad = np.flatnonzero(outside | (np.abs(denom) < M2_DEGENERACY_RTOL * h))
+    if bad.size:
+        j = bad[0]
+        if outside.flat[j]:
+            raise ValueError(
+                f"alpha={alpha.flat[j]} not strictly inside ({x_k.flat[j]}, {x_k1.flat[j]})"
+            )
         raise ValueError("degenerate enrichment denominator; change mesh size")
     m1 = (alpha - x_k1) / h
     m2 = (alpha - x_k - gamma) * (alpha - x_k1) / (h * denom)
-    return EnrichmentFunction(
-        element=element, x_left=x_k, x_right=x_k1,
-        alpha=alpha, m1=m1, m2=m2,
-    )
+    return EnrichmentFunction(*(v[()] for v in (x_k, x_k1, alpha, m1, m2)))  # 0-d to scalars
 
 
 def eval_enrichment(psi: EnrichmentFunction, xs, side: str) -> tuple[np.ndarray, np.ndarray]:

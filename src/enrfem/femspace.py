@@ -9,10 +9,11 @@ numbered in mesh order instead: each cut's enrichment group follows the
 left node of its element, so every element's DOFs lie within 2p + 1
 free positions of each other and the free matrix is one band.
 
-Each interface cuts exactly one element, and the space's enrichment list
-is the one table of cuts: cut j, in position order, is interface j, lies
-between layers j and j + 1, and owns the degree + 1 enrichment DOFs that
-``_with_enrichment`` numbers.
+Each interface cuts exactly one element.  The mesh's cut columns
+(``cut_elements``, ``alphas``) and the space's psi columns
+(``enrichments``) are the one table of cuts: cut j, in position order,
+is interface j, lies between layers j and j + 1, and owns the degree + 1
+enrichment DOFs that ``_with_enrichment`` numbers.
 
 A space on a stacked mesh (``mesh.stack_meshes``) is the direct sum of
 one space per level, built as one: each level numbers its own standard
@@ -24,7 +25,7 @@ one level is a stack of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -62,9 +63,9 @@ class BoundaryCondition:
 class EnrichedSpace:
     """Standard Lagrange DOFs plus enrichment DOFs per interface.
 
-    ``enrichments`` is the cut table, one psi per cut in level, then
-    position order, ``cut_starts`` (L + 1,) each level's first cut, then
-    c, and ``cut_of[k]`` the cut on element k (-1 if uncut).
+    ``enrichments`` holds the psi of every cut as (c,) columns, in the
+    order of ``mesh.cut_elements``, and ``cut_starts`` (L + 1,) each
+    level's first cut, then c.
     The n_std = degree * n_elements + L standard DOFs of the L levels run
     left to right, level after level: element k of level l has
     degree * k + l + (0 .. degree).  ``constrained`` lists the global
@@ -81,9 +82,8 @@ class EnrichedSpace:
 
     mesh: Mesh1D
     degree: int
-    enrichments: tuple[EnrichmentFunction, ...]
+    enrichments: EnrichmentFunction
     cut_starts: np.ndarray
-    cut_of: np.ndarray
     constrained: tuple[int, ...]
     dirichlet_values: np.ndarray
     free_index: np.ndarray
@@ -111,7 +111,7 @@ def build_space(
     """Enumerate DOFs and build the cut table for the enriched space on ``mesh``.
 
     ``gammas`` holds one jump parameter per mesh cut, in the order of
-    ``mesh.interface_hits``; psi is built on each cut element.  On every
+    ``mesh.cut_elements``; psi is built on each cut element.  On every
     level, a Dirichlet end fixes the boundary standard DOF to its value;
     a Neumann end is natural (free).  Raises ValueError where a cut's psi
     cannot be built.
@@ -119,19 +119,13 @@ def build_space(
     if degree not in (1, 2):
         raise ValueError("degree must be 1 or 2")
     gammas = tuple(gammas)
-    if len(gammas) != len(mesh.interface_hits):
+    cut_elements = mesh.cut_elements
+    if len(gammas) != len(cut_elements):
         raise ValueError(
-            f"{len(gammas)} gammas given for the mesh's {len(mesh.interface_hits)} "
-            "interface elements"
+            f"{len(gammas)} gammas given for the mesh's {len(cut_elements)} interface elements"
         )
-
-    enrichments = [
-        build_enrichment(*mesh.element_bounds(hit.element), hit.alpha, gamma, element=hit.element)
-        for hit, gamma in zip(mesh.interface_hits, gammas)
-    ]
-    cut_elements = np.array([hit.element for hit in mesh.interface_hits], dtype=int)
-    cut_of = np.full(mesh.n_elements, -1, dtype=int)
-    cut_of[cut_elements] = np.arange(len(cut_elements))
+    left = cut_elements + mesh.element_level[cut_elements]  # each cut element's left node
+    enrichments = build_enrichment(mesh.nodes[left], mesh.nodes[left + 1], mesh.alphas, gammas)
 
     levels = mesh.n_levels
     first = degree * mesh.starts + np.arange(levels + 1)  # each level's first standard DOF, then n_std
@@ -142,7 +136,7 @@ def build_space(
     values = [bc.value for bc in (bc_left, bc_right) if bc.kind == "dirichlet"]
     cut_starts = np.searchsorted(cut_elements, mesh.starts)
 
-    n_dofs = n_std + (degree + 1) * len(enrichments)
+    n_dofs = n_std + (degree + 1) * len(cut_elements)
     mesh_order = np.insert(
         np.arange(n_std),
         np.repeat(degree * cut_elements + mesh.element_level[cut_elements] + 1, degree + 1),
@@ -157,9 +151,8 @@ def build_space(
     space = EnrichedSpace(
         mesh=mesh,
         degree=degree,
-        enrichments=tuple(enrichments),
+        enrichments=enrichments,
         cut_starts=cut_starts,
-        cut_of=cut_of,
         constrained=tuple(constrained),
         dirichlet_values=np.array(values * levels, dtype=float),
         free_index=free_index,
@@ -168,8 +161,8 @@ def build_space(
         n_dofs=n_dofs,
         n_free=len(free_dofs),
     )
-    for table in (space.cut_starts, space.cut_of, space.dirichlet_values, space.free_index,
-                  space.free_starts):
+    for table in (*vars(enrichments).values(), space.cut_starts, space.dirichlet_values,
+                  space.free_index, space.free_starts):
         table.flags.writeable = False
     return space
 
@@ -224,8 +217,9 @@ def element_basis(space: EnrichedSpace, k: int, xs: np.ndarray, side: str = "lef
         raise ValueError("side must be 'left' or 'right'")
     xs = np.asarray(xs, dtype=float)
     rows = Basis(*standard_basis(space, np.array([k]), xs[None]))
-    j = space.cut_of[k]
-    if j >= 0:
+    cuts = space.mesh.cut_elements
+    j = int(np.searchsorted(cuts, k))
+    if j < len(cuts) and cuts[j] == k:
         psi = eval_enrichment(space.enrichments[j], xs, side)
         rows = _with_enrichment(space, np.array([j]), rows, *(a[None, None] for a in psi))
     return tuple(a[0] for a in rows)
@@ -292,8 +286,8 @@ class CutLayout(NamedTuple):
     ``node_elements`` (n - L,) is the element left of each interior node,
     level by level, and ``node_layer`` each interior node's layer (the
     left one at a cut).  ``cut_pieces`` (2c,) are each cut's left, then
-    right piece, ``piece_cuts`` their cuts, and ``psi`` every cut's psi as
-    one EnrichmentFunction of (c, 1) columns.  ``load_order`` and
+    right piece, ``piece_cuts`` their cuts, and ``psi`` the space's
+    ``enrichments`` as (c, 1) columns.  ``load_order`` and
     ``block_order`` index the standard batch's entries followed by the cut
     batch's, loads and local matrices respectively, and list them in the
     order of a per-element assembly: piece by piece, a cut piece's entries
@@ -314,17 +308,13 @@ class CutLayout(NamedTuple):
 
 
 def _cut_layout(space: EnrichedSpace) -> CutLayout:
-    names = [field.name for field in fields(EnrichmentFunction)]
-    columns = np.array([[getattr(psi, name) for name in names] for psi in space.enrichments])
-    psi = EnrichmentFunction(*columns.reshape(-1, len(names)).T[:, :, None])
     mesh = space.mesh
     n, levels = mesh.n_elements, mesh.n_levels
-    cut_elements = np.array([psi.element for psi in space.enrichments], dtype=int)
-    cut_starts = space.cut_starts
+    cut_elements, cut_starts = mesh.cut_elements, space.cut_starts
     left_pieces = cut_elements + np.arange(len(cut_elements))
     # each level's nodes with its alphas inserted, each after its element's left node;
     # the pieces lie between consecutive ends, except where one level's ends meet the next's
-    ends = np.insert(mesh.nodes, cut_elements + mesh.element_level[cut_elements] + 1, psi.alpha[:, 0])
+    ends = np.insert(mesh.nodes, cut_elements + mesh.element_level[cut_elements] + 1, mesh.alphas)
     joins = (mesh.starts + cut_starts)[1:-1] + np.arange(levels - 1)
     lower, upper = np.delete(ends[:-1], joins), np.delete(ends[1:], joins)
     elements = np.sort(np.concatenate([np.arange(n), cut_elements]))
@@ -342,7 +332,7 @@ def _cut_layout(space: EnrichedSpace) -> CutLayout:
         node_layer=node_layer - cut_starts[mesh.element_level[node_elements]],
         cut_pieces=cut_pieces,
         piece_cuts=np.repeat(np.arange(len(cut_elements)), 2),
-        psi=psi,
+        psi=space.enrichments[:, None],
         load_order=_element_order(len(elements), cut_pieces, per, 2 * per),
         block_order=_element_order(len(elements), cut_pieces, per * per, 4 * per * per),
     )

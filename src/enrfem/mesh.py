@@ -9,6 +9,7 @@ disjoint union, so that each later layer handles them in one batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -21,14 +22,6 @@ NODE_COINCIDENCE_RTOL = 1e-14
 
 
 @dataclass(frozen=True)
-class InterfaceHit:
-    """Location of one interface point inside the mesh."""
-
-    element: int  # element k with x_k < alpha < x_{k+1}
-    alpha: float
-
-
-@dataclass(frozen=True)
 class Mesh1D:
     """Partitions of [a, b] with located interface elements, one per level.
 
@@ -38,13 +31,20 @@ class Mesh1D:
     the elements are numbered through the levels in order, so that
     element k of level l lies between its nodes k + l and k + l + 1.
     ``starts`` (L + 1,) holds each level's first element, then n_elements.
-    ``interface_hits`` is ordered by level, then by position.  Instances
-    are immutable and safe to share between workers.
+    The cuts, ordered by level, then by position, are two columns:
+    ``cut_elements`` (c,), the element x_k < alpha < x_{k+1} of each, and
+    ``alphas`` (c,).  Every array is read-only, so instances are safe to
+    share between workers.
     """
 
     nodes: np.ndarray
-    interface_hits: tuple[InterfaceHit, ...]
+    cut_elements: np.ndarray
+    alphas: np.ndarray
     starts: np.ndarray
+
+    def __post_init__(self):
+        for table in (self.nodes, self.cut_elements, self.alphas, self.starts):
+            table.flags.writeable = False
 
     @property
     def a(self) -> float:
@@ -67,75 +67,67 @@ class Mesh1D:
         """(n_elements,) the level of each element."""
         return np.repeat(np.arange(self.n_levels), np.diff(self.starts))
 
-    def element_bounds(self, k: int) -> tuple[float, float]:
-        node = k + int(self.element_level[k])
-        return float(self.nodes[node]), float(self.nodes[node + 1])
-
 
 def mesh_from_nodes(nodes, interfaces=()) -> Mesh1D:
     """Build a (possibly non-uniform) mesh from explicit node coordinates.
 
-    Each interface must lie strictly inside an element; an interface within
-    ``NODE_COINCIDENCE_RTOL * (b - a)`` of a node is rejected, as are two
-    interfaces sharing one element.
+    The nodes must be finite.  Each interface must lie strictly inside an
+    element; an interface within ``NODE_COINCIDENCE_RTOL * (b - a)`` of a
+    node is rejected, as are two interfaces sharing one element.
     """
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 1 or nodes.size < 3:
         raise ValueError("mesh needs at least 3 nodes (2 elements)")
+    if not np.isfinite(nodes).all():
+        k = int(np.argmin(np.isfinite(nodes)))
+        raise ValueError(f"mesh nodes must be finite; node {k} is {nodes[k]}")
     if not np.all(np.diff(nodes) > 0):
         raise ValueError("mesh nodes must be strictly increasing")
 
     a, b = float(nodes[0]), float(nodes[-1])
     tol = NODE_COINCIDENCE_RTOL * (b - a)
-    alphas = [float(al) for al in interfaces]
+    alphas = sorted(float(al) for al in interfaces)
     if len(set(alphas)) != len(alphas):
         raise ValueError("interface points must be pairwise distinct")
 
-    hits = []
-    for alpha in alphas:
-        if not (a < alpha < b):
+    elements = np.searchsorted(nodes, alphas) - 1  # x_k < alpha <= x_{k+1} inside (a, b)
+    ks = elements.tolist()
+    for alpha, k in zip(alphas, ks):
+        if not a < alpha < b:
             raise ValueError(f"interface {alpha} not strictly inside ({a}, {b})")
-        if np.min(np.abs(nodes - alpha)) <= tol:
+        if min(alpha - nodes[k], nodes[k + 1] - alpha) <= tol:  # the nearest nodes
             raise ValueError(
                 f"interface {alpha} coincides with a mesh node; choose a "
                 "different number of elements so the interface falls inside one"
             )
-        k = int(np.searchsorted(nodes, alpha) - 1)
-        hits.append(InterfaceHit(element=k, alpha=alpha))
-
-    by_element: dict[int, float] = {}
-    for hit in hits:
-        if hit.element in by_element:
+    for j in range(1, len(ks)):
+        if ks[j] == ks[j - 1]:
             raise ValueError(
-                f"interfaces {by_element[hit.element]} and {hit.alpha} fall in "
-                f"the same element {hit.element}; refine the mesh"
+                f"interfaces {alphas[j - 1]} and {alphas[j]} fall in "
+                f"the same element {ks[j]}; refine the mesh"
             )
-        by_element[hit.element] = hit.alpha
-
-    hits.sort(key=lambda h: h.alpha)
-    mesh = Mesh1D(nodes=nodes, interface_hits=tuple(hits), starts=np.array([0, len(nodes) - 1]))
-    mesh.nodes.flags.writeable = False
-    return mesh
+    return Mesh1D(nodes=nodes, cut_elements=elements, alphas=np.array(alphas),
+                  starts=np.array([0, len(nodes) - 1]))
 
 
 def stack_meshes(meshes) -> Mesh1D:
     """The disjoint union of ``meshes``, their levels in order, as one mesh."""
     offsets = list(accumulate((mesh.n_elements for mesh in meshes), initial=0))
-    mesh = Mesh1D(
+    return Mesh1D(
         nodes=np.concatenate([mesh.nodes for mesh in meshes]),
-        interface_hits=tuple(
-            InterfaceHit(element=hit.element + offset, alpha=hit.alpha)
-            for mesh, offset in zip(meshes, offsets) for hit in mesh.interface_hits
+        cut_elements=np.concatenate(
+            [mesh.cut_elements + offset for mesh, offset in zip(meshes, offsets)]
         ),
+        alphas=np.concatenate([mesh.alphas for mesh in meshes]),
         starts=np.array([start + offset for mesh, offset in zip(meshes, offsets)
                          for start in mesh.starts[:-1].tolist()] + offsets[-1:]),
     )
-    mesh.nodes.flags.writeable = False
-    return mesh
 
 
 def build_mesh(a: float, b: float, n: int, interfaces=()) -> Mesh1D:
     """Uniform partition of [a, b] into n elements with located interfaces."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"domain ends must be finite, got ({a}, {b})")
     if not a < b:
         raise ValueError("domain requires a < b")
     if n < 2:

@@ -8,7 +8,7 @@ import numpy as np
 import scipy.linalg
 from numpy.polynomial import Polynomial
 
-from enrfem.analysis import ErrorReport, compute_errors, observed_orders, polynomial_branches
+from enrfem.analysis import ErrorReport, compute_errors, observed_orders
 from enrfem.assembly import (
     BoundaryCondition,
     assemble_system,
@@ -88,7 +88,7 @@ def constant_patch_problem(pid, c=0.7):
     n_layers = len(problem.diffusivity)
     zero = Polynomial([0.0])
     const = Polynomial([float(c)])
-    exact = polynomial_branches([const] * n_layers)
+    exact = (const,) * n_layers
 
     def with_value(bc):
         if bc.kind == "dirichlet":
@@ -131,25 +131,28 @@ def interpolate_enriched(exact, space):
     (the left one at a cut).  The two enrichment DOFs of cut j, n_std + 2j
     and n_std + 2j + 1, receive (d2 - d1)(x_k) + delta and
     (d2 - d1)(x_{k+1}) + delta, where d1, d2 are the extended derivatives
-    of branches j and j + 1 and delta = -[u]_alpha / (alpha - x_{k+1})
-    kills the solution jump.  Raises unless the space has degree 1 and
-    ``exact`` one branch per layer.
+    (``Polynomial.deriv``) of branches j and j + 1 and
+    delta = -[u]_alpha / (alpha - x_{k+1}) kills the solution jump.
+    Raises unless the space has degree 1 and ``exact`` one branch per
+    layer.
     """
     if space.degree != 1:
         raise ValueError("the interpolation operator is defined for degree 1 only")
     n_layers = len(space.enrichments) + 1
     if len(exact) != n_layers:
         raise ValueError(f"{len(exact)} exact branches for the space's {n_layers} layers")
-    alphas = [psi.alpha for psi in space.enrichments]
+    psi = space.enrichments
+    alphas = psi.alpha.tolist()
     full = np.zeros(space.n_dofs)
     for i, x in enumerate(space.mesh.nodes):
-        value, _ = exact[bisect.bisect_left(alphas, x)]
-        full[i] = value(x)
-    for j, psi in enumerate(space.enrichments):
-        (v_left, d_left), (v_right, d_right) = exact[j], exact[j + 1]
-        jump = float(v_right(psi.alpha)) - float(v_left(psi.alpha))
-        delta = -jump / (psi.alpha - psi.x_right)
-        for dof, x in zip((space.n_std + 2 * j, space.n_std + 2 * j + 1), (psi.x_left, psi.x_right)):
+        full[i] = exact[bisect.bisect_left(alphas, x)](x)
+    for j, alpha in enumerate(alphas):
+        v_left, v_right = exact[j], exact[j + 1]
+        d_left, d_right = v_left.deriv(), v_right.deriv()
+        jump = float(v_right(alpha)) - float(v_left(alpha))
+        ends = (float(psi.x_left[j]), float(psi.x_right[j]))
+        delta = -jump / (alpha - ends[1])
+        for dof, x in zip((space.n_std + 2 * j, space.n_std + 2 * j + 1), ends):
             full[dof] = float(d_right(x)) - float(d_left(x)) + delta
 
     free = space.free_index >= 0
@@ -225,12 +228,14 @@ def reference_basis(space, k, xs, side):
     """(dofs, values, derivatives) of all DOFs on element k at points xs, written out.
 
     The standard rows come from ``standard_basis``.  On the element of cut
-    j, the enrichment rows follow: each standard function times psi, its
-    derivative by the product rule, with DOFs n_std + (p + 1) j + (0 .. p).
+    j, the j-th entry of ``mesh.cut_elements``, the enrichment rows follow:
+    each standard function times psi, its derivative by the product rule,
+    with DOFs n_std + (p + 1) j + (0 .. p).
     """
     dofs, vals, ders = (a[0] for a in standard_basis(space, np.array([k]), xs[None]))
-    j = space.cut_of[k]
-    if j >= 0:
+    cuts = space.mesh.cut_elements.tolist()
+    if k in cuts:
+        j = cuts.index(k)
         per = space.degree + 1
         psi_values, psi_derivatives = eval_enrichment(space.enrichments[j], xs, side)
         dofs = np.concatenate([dofs, space.n_std + per * j + np.arange(per)])
@@ -242,17 +247,21 @@ def reference_basis(space, k, xs, side):
 
 
 def reference_pieces(space, q):
-    """(layer, xs, weights, dofs, values, derivatives) per piece, element by element."""
+    """(layer, xs, weights, dofs, values, derivatives) per piece, element by element.
+
+    The space is one of a mesh of one level, so element k lies between
+    nodes k and k + 1.
+    """
     ref_x, ref_w = quadrature_rule(q)
-    alphas = [psi.alpha for psi in space.enrichments]
+    alphas = space.mesh.alphas.tolist()
+    cuts = space.mesh.cut_elements.tolist()
     for k in range(space.mesh.n_elements):
-        xl, xr = space.mesh.element_bounds(k)
+        xl, xr = space.mesh.nodes[k:k + 2].tolist()
         layer = bisect.bisect_left(alphas, xl)
-        j = space.cut_of[k]
-        if j < 0:
+        if k not in cuts:
             pieces = ((xl, xr, layer, "left"),)
         else:
-            alpha = space.enrichments[j].alpha
+            alpha = alphas[cuts.index(k)]
             pieces = ((xl, alpha, layer, "left"), (alpha, xr, layer + 1, "right"))
         for a, b, piece_layer, side in pieces:
             half = 0.5 * (b - a)
@@ -281,15 +290,16 @@ def reference_assembly(problem, space, q):
             local += (vals * (wq * w_c)) @ vals.T
         a_full[np.ix_(dofs, dofs)] += local
         b_full[dofs] += (vals * (wq * f_c)).sum(axis=1)
-    for j, (spec, psi) in enumerate(zip(problem.interfaces, space.enrichments)):
+    cuts = zip(problem.interfaces, space.mesh.cut_elements.tolist(), space.mesh.alphas.tolist())
+    for j, (spec, k, alpha) in enumerate(cuts):
         if spec.lam > 0:
-            x = np.array([psi.alpha])
-            dofs, v_left, _ = reference_basis(space, psi.element, x, "left")
-            _, v_right, _ = reference_basis(space, psi.element, x, "right")
+            x = np.array([alpha])
+            dofs, v_left, _ = reference_basis(space, k, x, "left")
+            _, v_right, _ = reference_basis(space, k, x, "right")
             jump = v_right[:, 0] - v_left[:, 0]
             a_full[np.ix_(dofs, dofs)] += np.outer(jump, jump) / spec.lam
             # -F(alpha-)[q] with F(alpha-) = -[u]/lam + 2 delta- u-(alpha)
-            delta_minus = problem.conv_delta[j](psi.alpha)
+            delta_minus = problem.conv_delta[j](alpha)
             if delta_minus != 0.0:
                 a_full[np.ix_(dofs, dofs)] += -2.0 * delta_minus * np.outer(jump, v_left[:, 0])
 
@@ -321,16 +331,15 @@ def reference_errors(exact, space, coeffs, q):
     l2_sq = 0.0
     h1_sq = 0.0
     for layer, xs, wq, dofs, vals, ders in reference_pieces(space, q):
-        value, deriv = exact[layer]
-        e = value(xs) - full[dofs] @ vals
-        de = deriv(xs) - full[dofs] @ ders
+        e = exact[layer](xs) - full[dofs] @ vals
+        de = exact[layer].deriv()(xs) - full[dofs] @ ders
         l2_sq += float(wq @ (e * e))
         h1_sq += float(wq @ (de * de))
-    alphas = [psi.alpha for psi in space.enrichments]
+    alphas = space.mesh.alphas.tolist()
     nodal = 0.0
     for i in range(1, space.mesh.n_elements):
         x = float(space.mesh.nodes[i])
-        value, _ = exact[bisect.bisect_left(alphas, x)]  # the left branch at a cut
+        value = exact[bisect.bisect_left(alphas, x)]  # the left branch at a cut
         dofs, vals, _ = reference_basis(space, i - 1, np.array([x]), "left")
         nodal = max(nodal, abs(float(value(x)) - float(full[dofs] @ vals[:, 0])))
     return ErrorReport(l2=np.sqrt(l2_sq), h1_broken=np.sqrt(h1_sq), nodal_max=nodal)

@@ -12,7 +12,6 @@ from enrfem.analysis import (
     coefficient_contrast,
     compute_errors,
     observed_orders,
-    polynomial_branches,
 )
 from enrfem.assembly import InterfaceSpec, assemble_system, solve_system, space_for_problem
 from enrfem.bench import catalog_problem
@@ -41,7 +40,7 @@ def _space_with_right_value(pid, n, value):
 def test_interpolation_reproduces_global_linear():
     line = Polynomial([0.4, -2.0])
     space = _space_with_right_value(1, 8, line(1.0))
-    exact = polynomial_branches([line, line])
+    exact = (line, line)
     coeffs = interpolate_enriched(exact, space)
     (report,) = compute_errors(exact, space, coeffs)
     assert report.l2 <= 1e-14
@@ -60,7 +59,7 @@ def test_exact_branch_count_must_be_the_space_layers():
     _, space = _p1_space(1, 8)
     line = Polynomial([0.4, -2.0])
     for count in (1, 3):
-        exact = polynomial_branches([line] * count)
+        exact = (line,) * count
         message = f"{count} exact branches for the space's 2 layers"
         with pytest.raises(ValueError, match=message):
             interpolate_enriched(exact, space)
@@ -101,7 +100,7 @@ def test_interpolation_error_halves_in_h1():
 def test_errors_vanish_for_space_member():
     line = Polynomial([0.25, 0.5])
     space = _space_with_right_value(1, 8, line(1.0))
-    exact = polynomial_branches([line, line])
+    exact = (line, line)
     coeffs = interpolate_enriched(exact, space)
     (report,) = compute_errors(exact, space, coeffs)
     assert max(report.l2, report.h1_broken, report.nodal_max) <= 1e-12
@@ -112,7 +111,7 @@ def test_error_norms_of_linear_difference():
     mesh = build_mesh(0.0, 1.0, 8)
     space = build_space(mesh, 1, [], BoundaryCondition.neumann(), BoundaryCondition.neumann())
     coeffs = np.array(space.mesh.nodes, dtype=float)
-    exact = polynomial_branches([Polynomial([0.0])])
+    exact = (Polynomial([0.0]),)
     (report,) = compute_errors(exact, space, coeffs)
     assert report.l2 == pytest.approx(1 / math.sqrt(3), rel=1e-14)
     assert report.h1_broken == pytest.approx(1.0, rel=1e-14)
@@ -225,6 +224,6 @@ def test_exact_solution_validation():
     """The problem owns its exact solution: one branch per layer, or it is rejected."""
     problem = catalog_problem(1).problem  # two layers
     for count in (1, 3):
-        exact = polynomial_branches([Polynomial([1.0])] * count)
+        exact = (Polynomial([1.0]),) * count
         with pytest.raises(ValueError, match=r"exact needs one entry per layer \(2\)"):
             dataclasses.replace(problem, exact=exact)

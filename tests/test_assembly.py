@@ -105,7 +105,7 @@ def test_derived_rule_is_the_smallest_exact_one(degree, power):
     q = assembly_rule_size(problem, degree)
     assert q == (power + degree + 2) // 2
     moments = np.zeros(space.n_dofs)  # int x^m v over each element, v its Lagrange functions
-    for k, (xl, xr) in enumerate(map(space.mesh.element_bounds, range(2))):
+    for k, (xl, xr) in enumerate(zip(space.mesh.nodes, space.mesh.nodes[1:])):
         nodes = np.linspace(xl, xr, degree + 1)
         for j, node in enumerate(nodes):
             others = np.delete(nodes, j)
@@ -504,7 +504,7 @@ def test_edge_layouts_match_per_element_reference(case, degree):
     problem, space = _edge_case(case, degree)
     layouts = EDGE_LAYOUTS | DIRICHLET_BESIDE_CUT
     if case in layouts:
-        assert [psi.element for psi in space.enrichments] == layouts[case][1]
+        assert space.mesh.cut_elements.tolist() == layouts[case][1]
     system = _assert_bits_match_reference(problem, space)
     if space.enrichments:
         assert system.bandwidth == 2 * degree + 1
@@ -648,7 +648,7 @@ def test_constant_callables_match_polynomials(pid):
     ("reaction", Polynomial([0.0, 1.0], domain=[0.0, 1.0])),
     ("source", Polynomial([1.0], window=[0.0, 1.0])),
     ("conv_delta", "0.5"),
-    ("exact", (Polynomial([0.0, 1.0], domain=[0.0, 2.0]), Polynomial([1.0]))),
+    ("exact", Polynomial([0.0, 1.0], domain=[0.0, 2.0])),
 ])
 def test_problem_rejects_what_is_not_a_polynomial_in_x(name, value):
     """A callable, a mapped Polynomial or a string on layer 1 is rejected, naming field and layer."""
@@ -658,6 +658,15 @@ def test_problem_rejects_what_is_not_a_polynomial_in_x(name, value):
     message = rf"^{name} on layer 1: expected a float or a numpy Polynomial in x$"
     with pytest.raises(ValueError, match=message):
         dataclasses.replace(problem, **{name: tuple(entries)})
+
+
+def test_exact_branch_is_one_polynomial():
+    """A (value, derivative) pair in place of a branch is rejected where the problem is built."""
+    problem = catalog_problem(1).problem
+    value = problem.exact[0]
+    message = r"^exact on layer 0: expected a float or a numpy Polynomial in x$"
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(problem, exact=((value, value.deriv()), problem.exact[1]))
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -681,7 +690,7 @@ def test_layer_values_have_polyval_bits(layers, points):
     polys = [Polynomial(c) for c in layers]
     x = np.array(points)
     with np.errstate(all="ignore"):  # both sides overflow alike on large inputs
-        got = _layer_values(_coefficient_table(polys), np.arange(len(polys))[:, None], x)
+        got = _layer_values(_coefficient_table(layers), np.arange(len(polys))[:, None], x)
         wants = [p(x) for p in polys]
     got = np.broadcast_to(got, (len(polys), len(x)))
     for values, want, p in zip(got, wants, polys):
@@ -790,6 +799,9 @@ def test_condition_number_on_a_deep_p2_mesh():
 
 def test_problem_validation():
     good = _poisson_problem()
+    for domain in ((0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan)):
+        with pytest.raises(ValueError, match=r"^domain ends must be finite, got \("):
+            dataclasses.replace(good, domain=domain)
     with pytest.raises(ValueError, match="positive"):
         dataclasses.replace(good, diffusivity=(_const(-1.0),))
     with pytest.raises(ValueError, match="nonnegative"):

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 from numpy.polynomial import polynomial as P
 
-from enrfem.analysis import polynomial_branches
-from enrfem.assembly import InterfaceSpec
+import enrfem.analysis
+from enrfem.analysis import compute_errors
+from enrfem.assembly import InterfaceSpec, space_for_problem
 from enrfem.bench import catalog_problem, load_problem_file, manufactured_rhs
-from enrfem.femspace import BoundaryCondition
+from enrfem.femspace import BoundaryCondition, build_space
+from enrfem.mesh import build_mesh
 
 
 def _wall_model(n=4):
@@ -53,8 +55,7 @@ def test_the_catalog_files_equal_the_wall_model(pid):
     for i, (d, delta, w, value) in enumerate(layers):
         d, delta, w = (Polynomial([c]) for c in (d, delta, w))
         for got, want in ((problem.diffusivity[i], d), (problem.conv_delta[i], delta),
-                          (problem.reaction[i], w), (problem.exact[i][0], value),
-                          (problem.exact[i][1], value.deriv()),
+                          (problem.reaction[i], w), (problem.exact[i], value),
                           (problem.source[i], _operator_source(value, d, delta, w))):
             assert got.coef.tobytes() == want.coef.tobytes(), i
     assert problem.bc_left == BoundaryCondition.neumann(0.0)
@@ -113,7 +114,7 @@ def test_quadratic_problems_share_specs():
 
 def test_exact_continuity_at_continuous_interfaces():
     exact = catalog_problem(2).problem.exact
-    (v1, _), (v2, _), (v3, _) = exact
+    v1, v2, v3 = exact
     assert abs(float(v1(1 / 3)) - float(v2(1 / 3))) <= 1e-15
     assert float(v1(1 / 3)) == pytest.approx(1 / 243, rel=1e-14)
     assert abs(float(v2(2 / 3)) - float(v3(2 / 3))) <= 1e-15
@@ -123,7 +124,8 @@ def test_exact_continuity_at_continuous_interfaces():
 def test_implicit_jump_identity():
     """[u] = 1/19683 - 1/21870 = 1/196830 = lam * D0 * u'(alpha-)."""
     entry = catalog_problem(1)
-    (v0, d0), (v1, _) = entry.problem.exact
+    v0, v1 = entry.problem.exact
+    d0 = v0.deriv()
     alpha = 1 / 9
     jump = float(v1(alpha)) - float(v0(alpha))
     assert jump == pytest.approx(1 / 19683 - 1 / 21870, rel=1e-14)
@@ -137,8 +139,8 @@ def test_flux_continuity_at_interfaces(pid):
     entry = catalog_problem(pid)
     problem, exact = entry.problem, entry.problem.exact
     for j, spec in enumerate(problem.interfaces):
-        vl, dl = exact[j]
-        vr, dr = exact[j + 1]
+        vl, vr = exact[j], exact[j + 1]
+        dl, dr = vl.deriv(), vr.deriv()
         a = spec.alpha
         flux_left = -float(problem.diffusivity[j](a)) * float(dl(a)) \
             + 2 * float(problem.conv_delta[j](a)) * float(vl(a))
@@ -159,18 +161,18 @@ def test_manufactured_source_examples():
 
 
 def test_manufactured_constant_solution():
-    const = polynomial_branches([Polynomial([2.5])])
+    const = (Polynomial([2.5]),)
     (f,) = manufactured_rhs(const, [Polynomial([3.0])], [Polynomial([1.7])], [Polynomial([4.0])])
     xs = np.linspace(0.0, 1.0, 7)
     assert np.allclose(f(xs), 4.0 * 2.5, atol=1e-14)
 
 
 def test_manufactured_requires_polynomials():
-    exact = ((np.cos, np.sin),)
+    exact = (np.cos,)
     with pytest.raises(ValueError, match="not a polynomial"):
         manufactured_rhs(exact, [Polynomial([1.0])], [Polynomial([0.0])], [Polynomial([0.0])])
     # a Polynomial on another domain is not in powers of x
-    shifted = polynomial_branches([Polynomial([0.0, 1.0], domain=[0.0, 1.0])])
+    shifted = (Polynomial([0.0, 1.0], domain=[0.0, 1.0]),)
     with pytest.raises(ValueError, match="not a polynomial in x"):
         manufactured_rhs(shifted, [Polynomial([1.0])], [Polynomial([0.0])], [Polynomial([0.0])])
 
@@ -189,7 +191,7 @@ def test_manufactured_rhs_has_the_operators_bits(pid):
         problem = catalog_problem(pid).problem
     layers = (problem.diffusivity, problem.conv_delta, problem.reaction)
     sources = manufactured_rhs(problem.exact, *layers)
-    for i, ((value, _), source) in enumerate(zip(problem.exact, sources)):
+    for i, (value, source) in enumerate(zip(problem.exact, sources)):
         want = _operator_source(value, *(coefficient[i] for coefficient in layers))
         assert source.coef.tobytes() == want.coef.tobytes(), i
         assert source.coef.tobytes() == problem.source[i].coef.tobytes(), i
@@ -202,14 +204,33 @@ def _numpy_polynomial_source(value, d, delta, w):
     return Polynomial(P.polyadd(P.polyder(flux), P.polymul(w, u)))
 
 
-def _assert_numpy_polynomial_bits(exact, diffusivity, conv_delta, reaction):
-    """Each manufactured source and each branch's derivative has numpy.polynomial's bytes."""
+def _error_derivative_table(exact, space):
+    """The table of exact derivatives that ``compute_errors`` evaluates on its pieces."""
+    tables = []
+    evaluate = enrfem.analysis._layer_values
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(enrfem.analysis, "_layer_values",
+                      lambda table, *args: tables.append(table) or evaluate(table, *args))
+        compute_errors(exact, space, np.zeros(space.n_free))
+    _, derivatives, _ = tables  # values and derivatives on the pieces, values at the nodes
+    return derivatives
+
+
+def _assert_numpy_polynomial_bits(exact, diffusivity, conv_delta, reaction, space):
+    """Each manufactured source, and compute_errors' exact derivatives, have numpy.polynomial's bytes.
+
+    Column j of the derivative table holds branch j's ``Polynomial.deriv``
+    coefficients, zero above its degree.
+    """
     sources = manufactured_rhs(exact, diffusivity, conv_delta, reaction)
-    for i, ((value, derivative), source) in enumerate(zip(exact, sources)):
+    for i, (value, source) in enumerate(zip(exact, sources)):
         want = _numpy_polynomial_source(value, diffusivity[i], conv_delta[i], reaction[i])
         assert source.coef.tobytes() == want.coef.tobytes(), i
-        assert derivative == value.deriv(), i
-        assert derivative.coef.tobytes() == value.deriv().coef.tobytes(), i
+    derivatives = _error_derivative_table(exact, space)
+    want = np.zeros_like(derivatives)
+    for column, value in zip(want.T, exact):
+        column[:len(value.deriv().coef)] = value.deriv().coef
+    assert derivatives.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("pid", [1, 2, 3, "sweep-117"])
@@ -222,8 +243,9 @@ def test_loading_has_numpy_polynomials_bits(pid):
         problem = load_problem_file(Path(__file__).parent / "fixtures" / "sweep-117.json")
     else:
         problem = catalog_problem(pid).problem
+    space = space_for_problem(problem, build_mesh(*problem.domain, 8, problem.breakpoints), 1)
     _assert_numpy_polynomial_bits(
-        problem.exact, problem.diffusivity, problem.conv_delta, problem.reaction
+        problem.exact, problem.diffusivity, problem.conv_delta, problem.reaction, space
     )
 
 
@@ -236,6 +258,9 @@ def _coefficients(max_degree):
 
 
 _ZERO_OR = st.sampled_from([[0.0], [-0.0], [0.0, 0.0]])
+_ONE_LAYER = build_space(
+    build_mesh(0.0, 1.0, 2), 1, [], BoundaryCondition.neumann(), BoundaryCondition.neumann()
+)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -249,8 +274,8 @@ _ZERO_OR = st.sampled_from([[0.0], [-0.0], [0.0, 0.0]])
 @example(u=[-2.0, 0.0, 0.0], d=[1.0, 0.0], delta=[-0.0], w=[0.0, 0.0])
 def test_drawn_layers_have_numpy_polynomials_bits(u, d, delta, w):
     """Any layer of degree 0-6, trailing zeros and zero delta or w included."""
-    exact = polynomial_branches([Polynomial(u)])
-    _assert_numpy_polynomial_bits(exact, *([Polynomial(c)] for c in (d, delta, w)))
+    exact = (Polynomial(u),)
+    _assert_numpy_polynomial_bits(exact, *([Polynomial(c)] for c in (d, delta, w)), _ONE_LAYER)
 
 
 @pytest.mark.parametrize("pid", [1, 2, 3])
@@ -259,7 +284,8 @@ def test_source_satisfies_strong_equation(pid):
     entry = catalog_problem(pid)
     problem, exact = entry.problem, entry.problem.exact
     breaks = [0.0] + list(problem.breakpoints) + [1.0]
-    for i, (value, deriv) in enumerate(exact):
+    for i, value in enumerate(exact):
+        deriv = value.deriv()
         xs = np.linspace(breaks[i], breaks[i + 1], 52)[1:-1]
         d = problem.diffusivity[i](xs)
         delta = problem.conv_delta[i](xs)
@@ -277,7 +303,7 @@ def test_source_against_finite_difference_oracle(pid):
     problem, exact = entry.problem, entry.problem.exact
     eps = 1e-4
     breaks = [0.0] + list(problem.breakpoints) + [1.0]
-    for i, (value, _) in enumerate(exact):
+    for i, value in enumerate(exact):
         lo, hi = breaks[i], breaks[i + 1]
         xs = np.linspace(lo + 10 * eps, hi - 10 * eps, 23)
         d = problem.diffusivity[i](xs)

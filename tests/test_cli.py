@@ -314,6 +314,8 @@ def test_main_usage_errors(capsys):
     (["--h0", "2/7"], "h0=2/7 does not tile the domain"),
     (["--h0", "0"], "h0=0 does not tile the domain"),
     (["--h0=-1/8"], "h0=-1/8 does not tile the domain"),
+    (["--h0", "1/0"], "argument --h0: invalid fraction value: '1/0'"),
+    (["--h0", "abc"], "argument --h0: invalid fraction value: 'abc'"),
     pytest.param(["--h0", "1e-400"], f"h0=1/{10**400} is outside the range of a float",
                  id="h0-underflows"),
     pytest.param(["--h0", "1e400"], f"h0={10**400} is outside the range of a float",

@@ -127,3 +127,25 @@ def test_gamma_zero_recovers_continuous_enrichment():
             else:
                 expected = (alpha - x_k) * (x - x_k1) / h
             assert abs(value - expected) <= 1e-14 * max(1.0, abs(expected))
+
+
+def test_elementwise_build_equals_scalar_builds():
+    """One call on arrays gives, bit for bit, the psi of one scalar call per entry."""
+    configs = _random_configs(200, seed=7)
+    psi = build_enrichment(*np.array(configs).T)
+    assert len(psi) == len(configs)
+    for j, config in enumerate(configs):
+        one = build_enrichment(*config)
+        for name in ("x_left", "x_right", "alpha", "m1", "m2"):
+            column, scalar = getattr(psi, name), getattr(one, name)
+            assert column[j].tobytes() == np.float64(scalar).tobytes(), name
+        assert psi[j] == one
+
+
+def test_elementwise_build_names_the_first_bad_entry():
+    """The scalar calls' messages, for the first entry that cannot be built."""
+    ends = np.array([0.0, 0.0, 0.0]), np.array([1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match=r"^alpha=1\.0 not strictly inside \(0\.0, 1\.0\)$"):
+        build_enrichment(*ends, np.array([0.5, 1.0, 0.5]), np.array([0.25, 0.1, -0.5]))
+    with pytest.raises(ValueError, match="^degenerate enrichment denominator; change mesh size$"):
+        build_enrichment(*ends, np.array([0.5, 0.5, 1.0]), np.array([0.25, -0.5, 0.1]))

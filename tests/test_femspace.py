@@ -21,7 +21,7 @@ DIRICHLET = BoundaryCondition.dirichlet(0.0)
 
 def _space(n=8, degree=1, interfaces=(1 / 9,), bc=(NEUMANN, DIRICHLET), gamma=0.0):
     mesh = build_mesh(0.0, 1.0, n, list(interfaces))
-    return build_space(mesh, degree, [gamma] * len(mesh.interface_hits), *bc)
+    return build_space(mesh, degree, [gamma] * len(mesh.alphas), *bc)
 
 
 def _basis_at(space, x, side="left"):
@@ -48,25 +48,28 @@ def _seeded_cut_spaces():
 
 
 def test_cut_table_matches_brute_force():
-    """cut_of and each element's enrichment DOFs agree with their definitions.
+    """The cut columns and each element's enrichment DOFs agree with their definitions.
 
-    Cut j's enrichment DOFs are n_std + (degree + 1) * j + (0 .. degree).
+    Cut j's element holds alpha j, psi j spans that element, and its
+    enrichment DOFs are n_std + (degree + 1) * j + (0 .. degree).
     """
     for nodes, alphas, space in _seeded_cut_spaces():
         n_elements = len(nodes) - 1
         per = space.degree + 1
+        psi = space.enrichments
+        assert len(psi) == len(alphas) and space.mesh.alphas.tolist() == alphas
         for k in range(n_elements):
             xl, xr = nodes[k], nodes[k + 1]
             inside = [j for j, alpha in enumerate(alphas) if xl < alpha < xr]
             enriched = element_basis(space, k, np.array([0.5 * (xl + xr)]))[0][per:].tolist()
             if inside:
                 (j,) = inside
-                assert space.cut_of[k] == j
-                assert space.enrichments[j].element == k
+                assert space.mesh.cut_elements[j] == k
+                assert (psi.x_left[j], psi.x_right[j], psi.alpha[j]) == (xl, xr, alphas[j])
                 base = space.n_std + per * j
                 assert enriched == list(range(base, base + per))
             else:
-                assert space.cut_of[k] == -1
+                assert k not in space.mesh.cut_elements
                 assert enriched == []
 
 
@@ -104,7 +107,7 @@ def test_quadrature_batches_cover_the_mesh():
         assert sum(isinstance(field, Basis) for field in quad) == 2
         assert quad.standard.dofs.tolist() == [list(range(p * k, p * (k + 1) + 1)) for k in elements]
         assert quad.standard.values.shape == quad.standard.derivatives.shape == (len(xs), p + 1, 4)
-        cuts = [psi.element for psi in space.enrichments]
+        cuts = space.mesh.cut_elements
         assert elements[quad.cut_pieces].tolist() == np.repeat(cuts, 2).tolist()
         assert quad.cut.values.shape == quad.cut.derivatives.shape == (2 * len(cuts), 2 * p + 2, 4)
         for row, piece in enumerate(quad.cut_pieces):
@@ -151,7 +154,7 @@ def test_dof_ordering_standard_then_enrichment():
     assert space.n_std == 9
     assert [psi.alpha for psi in space.enrichments] == [1 / 9, 1 / 3]
     for k, enriched in ((0, [9, 10]), (2, [11, 12])):  # interface 1/9 group first
-        midpoint = np.array([np.mean(space.mesh.element_bounds(k))])
+        midpoint = np.array([np.mean(space.mesh.nodes[k:k + 2])])
         assert element_basis(space, k, midpoint)[0][2:].tolist() == enriched
 
 
@@ -176,8 +179,8 @@ def test_standard_lagrange_delta_property():
 
 def test_enriched_dof_vanishes_at_element_endpoints():
     space = _space(gamma=-1 / 63)
-    k = space.enrichments[0].element
-    xl, xr = space.mesh.element_bounds(k)
+    (k,) = space.mesh.cut_elements
+    xl, xr = space.mesh.nodes[k:k + 2].tolist()
     for x in (xl, xr):
         side = "right" if x == xl else "left"
         for i, v, _ in _basis_at(space, x, side):
@@ -237,7 +240,8 @@ def test_member_jump_is_enrichment_combination():
         right, _ = eval_function(space, coeffs, psi.alpha, "right")
         mult = {i: v for i, v, _ in _basis_at(space, psi.alpha, "left") if i < space.n_std}
         enr_dofs = range(space.n_std, space.n_std + degree + 1)  # cut 0's
-        std_dofs = range(degree * psi.element, degree * (psi.element + 1) + 1)
+        (k,) = space.mesh.cut_elements
+        std_dofs = range(degree * k, degree * (k + 1) + 1)
         q_alpha = sum(
             coeffs[space.free_index[dof]] * mult[std]
             for std, dof in zip(std_dofs, enr_dofs)

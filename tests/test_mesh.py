@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from enrfem.mesh import build_mesh, locate_element, mesh_from_nodes
+from enrfem.mesh import build_mesh, locate_element, mesh_from_nodes, stack_meshes
 
 
 def test_single_interface_element_located():
     mesh = build_mesh(0.0, 1.0, 8, [1 / 9])
     assert mesh.n_elements == 8
-    hit = mesh.interface_hits[0]
-    assert hit.element == 0
-    assert mesh.nodes[hit.element] < hit.alpha < mesh.nodes[hit.element + 1]
+    (k,), (alpha,) = mesh.cut_elements, mesh.alphas
+    assert k == 0
+    assert mesh.nodes[k] < alpha < mesh.nodes[k + 1]
 
 
 def test_interface_on_node_rejected():
@@ -19,7 +19,7 @@ def test_interface_on_node_rejected():
 
 def test_three_interfaces_located():
     mesh = build_mesh(0.0, 1.0, 8, [1 / 9, 1 / 3, 2 / 3])
-    assert tuple(h.element for h in mesh.interface_hits) == (0, 2, 5)
+    assert mesh.cut_elements.tolist() == [0, 2, 5]
 
 
 def test_two_interfaces_in_one_element_rejected():
@@ -44,6 +44,10 @@ def test_bad_domain_and_count_rejected():
         build_mesh(1.0, 0.0, 8)
     with pytest.raises(ValueError):
         build_mesh(0.0, 1.0, 1)
+    # a non-finite end is named before numpy spreads it over the nodes
+    for a, b in ((0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0)):
+        with pytest.raises(ValueError, match=r"domain ends must be finite, got \("):
+            build_mesh(a, b, 4)
 
 
 def test_locate_element_conventions():
@@ -60,7 +64,7 @@ def test_locate_element_conventions():
 
 def test_interface_located_on_irregular_mesh():
     irregular = mesh_from_nodes([0.0, 0.1, 0.35, 0.5, 1.0], [0.2])
-    assert tuple(h.element for h in irregular.interface_hits) == (1,)
+    assert irregular.cut_elements.tolist() == [1]
 
 
 def test_locate_random_containment():
@@ -74,5 +78,30 @@ def test_locate_random_containment():
 def test_permuted_interfaces_give_same_elements():
     a = build_mesh(0.0, 1.0, 8, [1 / 9, 1 / 3, 2 / 3])
     b = build_mesh(0.0, 1.0, 8, [2 / 3, 1 / 9, 1 / 3])
-    assert [h.alpha for h in a.interface_hits] == [h.alpha for h in b.interface_hits]
-    assert [h.element for h in a.interface_hits] == [h.element for h in b.interface_hits]
+    assert a.alphas.tolist() == b.alphas.tolist() == [1 / 9, 1 / 3, 2 / 3]
+    assert a.cut_elements.tolist() == b.cut_elements.tolist()
+
+
+def test_cut_columns_are_read_only():
+    """The cut table is the mesh's two columns, and neither can be written, on a stack too."""
+    mesh = build_mesh(0.0, 1.0, 8, [1 / 9, 2 / 3])
+    stack = stack_meshes([mesh, build_mesh(0.0, 1.0, 16, [1 / 9, 2 / 3])])
+    assert stack.cut_elements.tolist() == [0, 5, 8 + 1, 8 + 10]
+    assert stack.alphas.tolist() == [1 / 9, 2 / 3] * 2
+    for m in (mesh, stack):
+        assert m.cut_elements.dtype.kind == "i" and m.alphas.dtype == float
+        for column in (m.cut_elements, m.alphas):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+
+
+@pytest.mark.parametrize("nodes, where", [
+    ([0.0, 0.5, np.inf], "node 2 is inf"),
+    ([-np.inf, 0.5, 1.0], "node 0 is -inf"),
+    ([0.0, np.nan, 1.0], "node 1 is nan"),
+])
+def test_non_finite_nodes_rejected(nodes, where):
+    """A non-finite node is named; with an interface, its tolerance is not 1e-14 * inf."""
+    for interfaces in ((), (0.25,)):
+        with pytest.raises(ValueError, match=f"mesh nodes must be finite; {where}"):
+            mesh_from_nodes(nodes, interfaces)

@@ -184,9 +184,12 @@ def test_the_benchmark_trace_finds_what_it_wraps():
     stacks (levels 0-1, then level 2), so it makes 2 spans each of
     space_for_problem, assemble_system and compute_errors, and 3 of
     solve_system, one per level.  The stacks' spans count every level's
-    elements, cuts and free DOFs once.  A study loads its problem once:
-    a catalog id through catalog_problem, whose file load is not the
-    wrapped name, and a problem file through load_problem_file.
+    elements, cuts and free DOFs once, the cuts as ``len`` of the
+    space's ``enrichments``: on catalog problem 3 at P1 and on the P2 file
+    sweep-117.json, two interfaces and both ends Dirichlet.  A study
+    loads its problem once: a catalog id through catalog_problem, whose
+    file load is not the wrapped name, and a problem file through
+    load_problem_file.
     """
     import enrfem.cli as cli
 
@@ -205,5 +208,11 @@ def test_the_benchmark_trace_finds_what_it_wraps():
     assert metrics["femspace.cut_elements"] == 3 * 3
     assert metrics["assembly.free_dofs"] == sum(8 * 2**level + 3 * 2 for level in range(3))
 
-    names = [span["name"] for span in _traced_study(cli, spans, str(SWEEP_117), 2, "1/8", 1)]
+    study = _traced_study(cli, spans, str(SWEEP_117), 2, "1/8", 3)
+    names = [span["name"] for span in study]
     assert names.count("cli.load_problem_file") == 1 and "bench.catalog_problem" not in names
+    assert names.count("femspace.space_for_problem") == 2
+    metrics = spans.layer_metrics(study)
+    assert metrics["mesh.elements"] == 8 + 16 + 32
+    assert metrics["femspace.cut_elements"] == 2 * 3
+    assert metrics["assembly.free_dofs"] == sum(2 * 8 * 2**level - 1 + 3 * 2 for level in range(3))
