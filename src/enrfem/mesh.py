@@ -75,7 +75,7 @@ def mesh_from_nodes(nodes, interfaces=()) -> Mesh1D:
     element; an interface within ``NODE_COINCIDENCE_RTOL * (b - a)`` of a
     node is rejected, as are two interfaces sharing one element.
     """
-    nodes = np.asarray(nodes, dtype=float)
+    nodes = np.array(nodes, dtype=float)  # a copy: the mesh freezes its nodes, not the caller's
     if nodes.ndim != 1 or nodes.size < 3:
         raise ValueError("mesh needs at least 3 nodes (2 elements)")
     if not np.isfinite(nodes).all():

@@ -29,6 +29,7 @@ from enrfem import assembly as assembly_module
 from enrfem import femspace as femspace_module
 from enrfem.analysis import compute_errors, error_rule_size
 from enrfem.assembly import (
+    BandSystem,
     BoundaryCondition,
     InterfaceSpec,
     ProblemSpec,
@@ -565,21 +566,27 @@ def test_a_levels_calls_do_not_grow_with_its_cuts(monkeypatch, degree):
 
 @pytest.mark.parametrize("degree", [1, 2])
 def test_a_studys_calls_do_not_grow_with_its_levels(monkeypatch, degree):
-    """A study runs two stacks, its coarse levels and its finest, whatever its number of levels.
+    """A small study runs as one stack, whatever its number of levels.
 
-    Problem 3 at 3 and at 7 levels makes the same calls: loading it
-    evaluates D once at the implicit alpha (gammas) and D and w once each
-    for their bounds (3 evaluator calls), and each stack makes a level's
-    calls of test_a_levels_calls_do_not_grow_with_its_cuts.
+    Problem 3 at 3 and at 7 levels (56 and 1,016 elements, at most
+    ONE_STACK_ELEMENTS) makes the same calls: loading it evaluates D once
+    at the implicit alpha (gammas) and D and w once each for their bounds
+    (3 evaluator calls), and the one stack makes a level's calls of
+    test_a_levels_calls_do_not_grow_with_its_cuts.  At 9 levels (4,088
+    elements) the study runs two stacks, its coarse levels and its
+    finest, and makes those calls twice.
     """
     counts = _count_calls(monkeypatch)
     per_study = []
-    for levels in (3, 7):
+    for levels in (3, 7, 9):
         counts.clear()
         run_convergence(3, degree, "1/8", levels)
         per_study.append(dict(counts))
     assert per_study[0] == per_study[1]
     assert per_study[0] == {
+        "_layer_values": 3 + 5 + 3, "eval_enrichment": 4 + 2, "standard_basis": 2 + 2
+    }
+    assert per_study[2] == {
         "_layer_values": 3 + 2 * (5 + 3), "eval_enrichment": 2 * (4 + 2), "standard_basis": 2 * (2 + 2)
     }
 
@@ -589,7 +596,8 @@ def test_a_stack_is_its_levels_side_by_side(case):
     """A space on stacked meshes of n = 8, 16, 32 is the three one-mesh spaces, bit for bit.
 
     Its band holds each level's band in that level's columns, its rhs
-    each level's rhs, and compute_errors gives each level's report.
+    each level's rhs, one solve_system of the stack gives each level's
+    solution, and compute_errors gives each level's report.
     """
     if case == "sweep-117":
         problem, degree = load_problem_file(FIXTURES / "sweep-117.json"), 2
@@ -604,12 +612,94 @@ def test_a_stack_is_its_levels_side_by_side(case):
     assert stack.n_free == sum(len(level.rhs) for level in levels)
     assert system.band.tobytes() == np.hstack([level.band for level in levels]).tobytes()
     assert system.rhs.tobytes() == np.concatenate([level.rhs for level in levels]).tobytes()
-    coeffs = [solve_system(level) for level in system.levels()]
-    for got, level in zip(coeffs, levels):
-        assert got.tobytes() == solve_system(level).tobytes()
-    assert compute_errors(problem.exact, stack, np.concatenate(coeffs)) == [
+    coeffs = [solve_system(level) for level in levels]
+    for got, want in zip(system.levels(), levels):
+        assert got.band.tobytes() == want.band.tobytes()
+    stacked = solve_system(system)
+    assert stacked.tobytes() == np.concatenate(coeffs).tobytes()
+    assert compute_errors(problem.exact, stack, stacked) == [
         compute_errors(problem.exact, level.space, x)[0] for level, x in zip(levels, coeffs)
     ]
+
+
+def _p3_stack():
+    """The assembled system of catalog problem 3 on stacked meshes of n = 8, 16, 32."""
+    problem = catalog_problem(3).problem
+    meshes = [build_mesh(*problem.domain, n, problem.breakpoints) for n in (8, 16, 32)]
+    return assemble_system(problem, space_for_problem(problem, stack_meshes(meshes), 1))
+
+
+def _with_level(system, level, change):
+    """``system`` with ``change`` applied to level ``level``'s part of a copy of its band and rhs."""
+    band, rhs = system.band.copy(), system.rhs.copy()
+    i, j = system.starts[level:level + 2].tolist()
+    change(band[:, i:j], rhs[i:j])
+    return dataclasses.replace(system, band=band, rhs=rhs)
+
+
+def _alone(system):
+    """Each level of ``system`` as a system of its own, on copies of its band and rhs."""
+    return [BandSystem(level.band.copy(), level.rhs.copy()) for level in system.levels()]
+
+
+def test_a_stack_with_a_singular_level_raises_that_levels_error():
+    """Level 1 of a stack has a zero column: the stack raises the text of level 1 alone.
+
+    Levels 0 and 2 solve alone, and the zero pivot is numbered within
+    its level, as a level solved alone numbers it.
+    """
+    def zero_column(band, rhs):
+        band[:, 5] = 0.0
+    stack = _with_level(_p3_stack(), 1, zero_column)
+    alone = _alone(stack)
+    for level in (0, 2):
+        solve_system(alone[level])
+    with pytest.raises(np.linalg.LinAlgError) as want:
+        solve_system(alone[1])
+    with pytest.raises(np.linalg.LinAlgError) as got:
+        solve_system(stack)
+    assert "zero pivot" in str(want.value)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("scaled", [0, 1, 2])
+def test_a_stacks_checks_are_its_levels(monkeypatch, scaled):
+    """One level of a stack times 1e12: each level's pivot floor and residual bound are its own.
+
+    The band and rhs of level ``scaled`` are multiplied by 1e12, so the
+    levels differ in scale by about 1e12.  The stack's solution has each
+    level's bits; the max|S| of each level, which sets its pivot floor,
+    is that of the level alone; and with SOLVER_RESIDUAL_RTOL at 1e-300,
+    where a level's residual fails its bound, the stack raises the first
+    failing level's message, residual and bound as that level alone
+    does.  A bound from the whole stack's norms would be 1e12 times
+    larger on a level beside the scaled one.
+    """
+    def times_1e12(band, rhs):
+        band *= 1e12
+        rhs *= 1e12
+    stack = _with_level(_p3_stack(), scaled, times_1e12)
+    alone = _alone(stack)
+    original, largest = assembly_module._scaled_lu, []
+
+    def recording(*args):
+        factors = original(*args)
+        largest.append(factors[3])
+        return factors
+    monkeypatch.setattr(assembly_module, "_scaled_lu", recording)
+    x = solve_system(stack)
+    assert x.tobytes() == np.concatenate([solve_system(level) for level in alone]).tobytes()
+    assert largest[0].tobytes() == np.concatenate(largest[1:]).tobytes()
+
+    monkeypatch.setattr(assembly_module, "SOLVER_RESIDUAL_RTOL", 1e-300)
+
+    def message(system):
+        try:
+            solve_system(system)
+        except ArithmeticError as exc:
+            return str(exc)
+        return None
+    assert message(stack) == next(filter(None, map(message, alone)))
 
 
 @pytest.mark.parametrize("pid", [1, 2, 3, 4, 5, 6])
@@ -720,14 +810,12 @@ def test_assemble_and_solve_stay_linear_in_memory():
 
 def _fake_system(matrix, rhs):
     """System holding the dense ``matrix`` as a full band."""
-    from enrfem.assembly import AssembledSystem
-
     n = len(rhs)
     band = np.zeros((2 * n - 1, n))
     for i in range(n):
         for j in range(n):
             band[n - 1 + i - j, j] = matrix[i, j]
-    return AssembledSystem(band=band, rhs=rhs, space=None)
+    return BandSystem(band=band, rhs=rhs)
 
 
 # --------------------------------------------------------- condition numbers

@@ -160,12 +160,15 @@ def test_reports_are_deterministic():
 @pytest.mark.parametrize("problem, degree, h0, levels, with_cond", [
     *((pid, None, "1/8", 7, pid <= 3) for pid in range(1, 7)),
     *(("sweep-117", degree, h0, 4, False) for degree in (1, 2) for h0 in ("1/8", "1/12")),
+    (2, None, "1/8", 9, True),
 ], ids=lambda value: str(value))
 def test_stacked_levels_equal_the_per_level_loop(problem, degree, h0, levels, with_cond):
     """run_convergence's rows equal, with ==, those of one space per level (_helpers.per_level_rows).
 
-    The study runs its coarse levels as one stacked space and its finest
-    alone; every value of every row keeps its bits.
+    A study of at most ONE_STACK_ELEMENTS elements runs as one stacked
+    space; problem 2 over 9 levels (4,088 elements) runs its coarse
+    levels as one and its finest alone.  Every value of every row keeps
+    its bits.
     """
     if problem == "sweep-117":
         problem, spec = str(FIXTURES / "sweep-117.json"), load_problem_file(FIXTURES / "sweep-117.json")
@@ -434,12 +437,14 @@ def _degenerate_file(tmp_path, alpha, lam):
 
 @pytest.mark.parametrize("alpha, lam, levels, message, stacks", [
     (0.07, 0.015, 4, "level 1 (n=10): degenerate enrichment denominator; change mesh size",
-     [3, 1, 1]),
+     [4, 1, 1]),
     (0.12, 0.015, 3, "level 2 (n=20): degenerate enrichment denominator; change mesh size",
-     [2, 1]),
-    (0.11, 0.02, 4, "level 2 (n=20): degenerate enrichment denominator; change mesh size",
      [3, 1, 1, 1]),
-], ids=["inside-the-coarse-stack", "finest-level-only", "top-of-the-coarse-stack"])
+    (0.11, 0.02, 4, "level 2 (n=20): degenerate enrichment denominator; change mesh size",
+     [4, 1, 1, 1]),
+    (0.50058125, 0.0001, 9,
+     "level 8 (n=1280): degenerate enrichment denominator; change mesh size", [8, 1]),
+], ids=["second-level", "finest-level-only", "third-level", "finest-level-alone"])
 def test_a_failing_level_is_the_per_level_loops(tmp_path, capsys, monkeypatch,
                                                 alpha, lam, levels, message, stacks):
     """The exit code and stderr line are those of one space per level: the lowest failing level's.
@@ -447,10 +452,13 @@ def test_a_failing_level_is_the_per_level_loops(tmp_path, capsys, monkeypatch,
     With h0 = 1/5, alpha = 0.07 has its cut element end at 0.1 on levels
     1 and 2, after level 0 has solved; alpha = 0.12 has it end at 0.15 on
     level 2, the finest, alone; alpha = 0.11 has it end at 0.15 on level
-    2, the top of the coarse stack, after levels 0 and 1 have solved.
-    ``stacks`` is the number of levels of each space built: a failing
-    stack runs again one level at a time up to its failing level, and
-    the finest level runs no more than once.
+    2 after levels 0 and 1 have solved.  These studies have at most
+    ONE_STACK_ELEMENTS elements and run as one stack.  Over 9 levels
+    (2,555 elements) the coarse levels run as one stack and the finest
+    alone; alpha = 0.50058125 has its cut element end at 641/1280 on
+    level 8, the finest, alone.  ``stacks`` is the number of levels of
+    each space built: a failing stack runs again one level at a time up
+    to its failing level.
     """
     path = _degenerate_file(tmp_path, alpha, lam)
     with pytest.raises(ValueError) as oracle:

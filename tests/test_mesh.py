@@ -12,6 +12,16 @@ def test_single_interface_element_located():
     assert mesh.nodes[k] < alpha < mesh.nodes[k + 1]
 
 
+def test_mesh_from_nodes_leaves_the_callers_nodes_writeable():
+    """The mesh freezes a copy of the nodes: the caller's array stays writeable."""
+    x = np.linspace(0.0, 1.0, 5)
+    mesh = mesh_from_nodes(x, [0.3])
+    x[0] = -1.0
+    assert mesh.nodes[0] == 0.0 and not mesh.nodes.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        mesh.nodes[0] = -1.0
+
+
 def test_interface_on_node_rejected():
     with pytest.raises(ValueError, match="coincides with a mesh node"):
         build_mesh(0.0, 1.0, 3, [1 / 3])
