@@ -3,12 +3,12 @@
 Solves two-point boundary value problems whose solution jumps across
 interior interface points, including implicit (Robin-type) jump
 conditions [u] = lambda * (D u')(alpha-) with continuous flux
--D u' + 2 delta u.  Where delta = 0 beside alpha these are
-[u] = gamma * [u'] with gamma = -lambda D- D+ / (D+ - D-); with equal
-convection delta on both sides, gamma = -lambda D- D+ / (D+ - D- (1 +
-2 delta lambda)) instead.  Standard P1/P2 Lagrange spaces are enriched
-with a compactly supported, piecewise-linear function per interface
-whose slopes encode the delta = 0 gamma.
+-D u' + 2 delta u.  With the same convection delta- on both sides of
+alpha (0 included) these are [u] = gamma * [u'] with
+gamma = -lambda D- D+ / (D+ - D- (1 + 2 delta- lambda)), which is
+-lambda D- D+ / (D+ - D-) where delta- = 0.  Standard P1/P2 Lagrange
+spaces are enriched with a compactly supported, piecewise-linear
+function per interface whose slopes encode that gamma.
 """
 
 from ._version import __version__

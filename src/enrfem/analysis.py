@@ -27,7 +27,6 @@ from .femspace import (
     exact_rule_size,
     full_coefficients,
     quadrature_pieces,
-    standard_basis,
 )
 
 
@@ -65,7 +64,8 @@ def compute_errors(
     ``error_rule_size``'s Gauss rule.  Raises ValueError unless ``exact``
     has one branch per layer and every level's errors are finite.
     """
-    cuts = np.diff(space.cut_starts)  # each level's
+    mesh, layout = space.mesh, space.layout
+    cuts = np.diff(mesh.cut_starts)  # each level's
     if np.any(cuts != len(exact) - 1):
         raise ValueError(f"{len(exact)} exact branches for the space's {cuts.max() + 1} layers")
     exact = [_as_polynomial(u, f"exact on layer {i}") for i, u in enumerate(exact)]
@@ -76,29 +76,27 @@ def compute_errors(
     quad = quadrature_pieces(space, error_rule_size(exact, space.degree))
     # e = u_h - u in place: its square has the bits of (u - u_h)^2
     e, de = np.empty_like(quad.xs), np.empty_like(quad.xs)
-    for basis, pieces in ((quad.standard, slice(None)), (quad.cut, quad.cut_pieces)):
+    for basis, pieces in ((quad.standard, slice(None)), (quad.cut, layout.cut_pieces)):
         coef = full[basis.dofs][:, None]
         e[pieces] = (coef @ basis.values)[:, 0]
         de[pieces] = (coef @ basis.derivatives)[:, 0]
-    e -= _layer_values(values, quad.layer, quad.xs)
-    de -= _layer_values(derivatives, quad.layer, quad.xs)
+    e -= _layer_values(values, layout.layer, quad.xs)
+    de -= _layer_values(derivatives, layout.layer, quad.xs)
     e *= e
     de *= de
     wq = quad.weights[:, None]
     l2_terms = (wq @ e[..., None])[:, 0, 0]
     h1_terms = (wq @ de[..., None])[:, 0, 0]
 
-    # psi vanishes at element endpoints, so a node's value is the standard
-    # part of the element to its left
-    mesh, layout = space.mesh, space.layout
+    # psi vanishes at element endpoints, so a node's value is its DOF: the
+    # last standard DOF of the element to its left
     elements = layout.node_elements
-    nodes = mesh.nodes[elements + mesh.element_level[elements] + 1]
-    u_nodes = _layer_values(values, layout.node_layer, nodes)
-    dofs, vals, _ = standard_basis(space, elements, nodes[:, None])
-    node_errors = np.abs(u_nodes - (full[dofs][:, None] @ vals)[:, 0, 0])
+    level = mesh.element_level[elements]
+    u_nodes = _layer_values(values, layout.node_layer, mesh.nodes[elements + level + 1])
+    node_errors = np.abs(u_nodes - full[space.degree * (elements + 1) + level])
 
     reports = []
-    pieces = (mesh.starts + space.cut_starts).tolist()
+    pieces = (mesh.starts + mesh.cut_starts).tolist()
     interior = (mesh.starts - np.arange(mesh.n_levels + 1)).tolist()
     for level in range(mesh.n_levels):
         # np.cumsum adds a level's terms one after another in element order;

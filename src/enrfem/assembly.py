@@ -36,6 +36,7 @@ from .enrichment import eval_enrichment, gamma_from_lambda
 from .femspace import (
     Basis,
     BoundaryCondition,
+    CutLayout,
     EnrichedSpace,
     Quadrature,
     _with_enrichment,
@@ -90,7 +91,7 @@ class InterfaceSpec:
     """One interface point: continuous for lam = 0, implicit for lam > 0.
 
     An implicit interface has [u] = lam * (D u')(alpha-).  The
-    enrichment's Robin parameter depends on the diffusivities beside the
+    enrichment's Robin parameter depends on the coefficients beside the
     interface as well, so it is derived by ``ProblemSpec.gammas``.
     """
 
@@ -238,7 +239,7 @@ class ProblemSpec:
             object.__setattr__(self, name, tuple(
                 _as_polynomial(c, f"{name} on layer {i}") for i, c in enumerate(entries)
             ))
-        self.gammas  # an implicit interface needs D- != D+, both positive
+        self.gammas  # an implicit interface needs a gamma: D-, D+ > 0 and a nonzero denominator
         breaks = np.array([a, *alphas, b])
         d_min, w_min = (
             _layer_ranges(getattr(self, name), breaks)[0] for name in ("diffusivity", "reaction")
@@ -260,22 +261,36 @@ class ProblemSpec:
                 for name in _COEFFICIENTS}
 
     @cached_property
+    def implicit_interfaces(self) -> dict[str, np.ndarray]:
+        """The implicit interfaces' lam, and D-, D+ and delta- at alpha, evaluated once.
+
+        Column ``implicit`` (I,) marks them among the interfaces; each of the
+        others has one entry per implicit interface, in position order.
+        """
+        lam = np.array([spec.lam for spec in self.interfaces], dtype=float)
+        implicit = lam != 0
+        layer = np.flatnonzero(implicit)  # the layer left of each implicit interface
+        alphas = np.array([spec.alpha for spec in self.interfaces], dtype=float)[implicit]
+        d_minus, d_plus = _layer_values(self.tables["diffusivity"], layer + [[0], [1]], alphas)
+        table = {"implicit": implicit, "lam": lam[implicit], "d_minus": d_minus, "d_plus": d_plus,
+                 "delta_minus": _layer_values(self.tables["conv_delta"], layer, alphas)}
+        for column in table.values():
+            column.flags.writeable = False
+        return table
+
+    @cached_property
     def gammas(self) -> tuple[float, ...]:
         """Robin parameter of each interface's enrichment, in position order.
 
-        Zero at a continuous interface; at an implicit one
-        -lam*D-*D+/(D+ - D-) with D- and D+ the diffusivities of the two
-        adjacent layers evaluated at alpha.
+        Zero at a continuous interface; at an implicit one ``gamma_from_lambda``
+        of its lam, D-, D+ and delta- (``implicit_interfaces``).
         """
-        implicit = np.array(
-            [j for j, spec in enumerate(self.interfaces) if spec.lam != 0], dtype=int
-        )
-        alphas = np.array([self.interfaces[j].alpha for j in implicit.tolist()])
-        sides = _layer_values(self.tables["diffusivity"], implicit + np.array([[0], [1]]), alphas)
+        table = self.implicit_interfaces
         out = [0.0] * len(self.interfaces)
-        for j, d_minus, d_plus in zip(implicit.tolist(), *sides.tolist()):
+        columns = (table[name].tolist() for name in ("lam", "d_minus", "d_plus", "delta_minus"))
+        for j, *values in zip(np.flatnonzero(table["implicit"]).tolist(), *columns):
             try:
-                out[j] = gamma_from_lambda(self.interfaces[j].lam, d_minus, d_plus)
+                out[j] = gamma_from_lambda(*values)
             except ValueError as exc:
                 raise ValueError(f"interfaces[{j}]: {exc}") from exc
         return tuple(out)
@@ -302,15 +317,8 @@ class BandSystem:
         return np.array([0, len(self.rhs)])
 
     def levels(self) -> list[BandSystem]:
-        """Each level's system: its columns of ``band`` and its rows of ``rhs``.
-
-        A system of one level is its own level, so that its dense
-        ``matrix`` is built once.  Outside its block, a level's columns of
-        the band hold zeros, as a band of its own does.
-        """
+        """Each level's system: its band columns (zero outside its block) and its rhs rows."""
         starts = self.starts.tolist()
-        if len(starts) == 2:
-            return [self]
         return [BandSystem(self.band[:, i:j], self.rhs[i:j]) for i, j in zip(starts, starts[1:])]
 
     @cached_property
@@ -388,25 +396,27 @@ def assemble_system(problem: ProblemSpec, space: EnrichedSpace) -> AssembledSyst
     of the space has the problem's interfaces.
 
     The pieces' loads and element matrices go to ``np.add.at`` in element
-    order (``CutLayout.load_order`` and ``block_order``), then the
+    order (``_element_order``, built here for each system), then the
     interface blocks: every entry is summed in the order of a per-element
     assembly of its level.  Each level's lift is its own product, so its
     rhs has the bits of a space of that level alone.
     """
     if tuple(space.mesh.alphas.tolist()) != problem.breakpoints * space.mesh.n_levels:
         raise ValueError("space was not built from this problem's mesh and interfaces")
-    layout = space.layout
+    layout, per = space.layout, space.degree + 1
     (std_dofs, std_local, std_load), (cut_dofs, cut_local, cut_load) = _piece_integrals(
-        problem, quadrature_pieces(space, assembly_rule_size(problem, space.degree))
+        problem, layout, quadrature_pieces(space, assembly_rule_size(problem, space.degree))
     )
-    dofs = np.concatenate([std_dofs.ravel(), cut_dofs.ravel()])[layout.load_order]
-    f_local = np.concatenate([std_load.ravel(), cut_load.ravel()])[layout.load_order]
+    load_order = _element_order(len(layout.elements), layout.cut_pieces, per, 2 * per)
+    block_order = _element_order(len(layout.elements), layout.cut_pieces, per * per, 4 * per * per)
+    dofs = np.concatenate([std_dofs.ravel(), cut_dofs.ravel()])[load_order]
+    f_local = np.concatenate([std_load.ravel(), cut_load.ravel()])[load_order]
     fi = space.free_index[dofs]
     rhs = np.zeros(space.n_free)
     np.add.at(rhs, fi[fi >= 0], f_local[fi >= 0])
 
     band, lift = _scatter(space, *(
-        np.concatenate([np.concatenate([s, c])[layout.block_order], i])
+        np.concatenate([np.concatenate([s, c])[block_order], i])
         for s, c, i in zip(
             _triplets(std_dofs, std_local),
             _triplets(cut_dofs, cut_local),
@@ -420,16 +430,26 @@ def assemble_system(problem: ProblemSpec, space: EnrichedSpace) -> AssembledSyst
     return AssembledSystem(band=band, rhs=rhs, space=space)
 
 
-def _piece_integrals(problem: ProblemSpec, quad: Quadrature):
+def _element_order(n_pieces: int, cut_pieces: np.ndarray, per_standard: int, per_cut: int):
+    """Index into [P * per_standard standard entries, 2c * per_cut cut entries] in element order."""
+    start = np.arange(n_pieces) * per_standard
+    start[cut_pieces] = n_pieces * per_standard + np.arange(len(cut_pieces)) * per_cut
+    size = np.full(n_pieces, per_standard)
+    size[cut_pieces] = per_cut
+    stop = np.cumsum(size)
+    return np.repeat(start + size - stop, size) + np.arange(stop[-1])
+
+
+def _piece_integrals(problem: ProblemSpec, layout: CutLayout, quad: Quadrature):
     """(dofs, local matrices, local loads) of the standard batch, then of the cut batch.
 
     Each coefficient is evaluated once, on all of the level's points.
     """
     d_c, conv, w_c, f_c = (
-        _layer_values(problem.tables[name], quad.layer, quad.xs) for name in _COEFFICIENTS
+        _layer_values(problem.tables[name], layout.layer, quad.xs) for name in _COEFFICIENTS
     )
     integrals = []
-    for basis, pieces in ((quad.standard, slice(None)), (quad.cut, quad.cut_pieces)):
+    for basis, pieces in ((quad.standard, slice(None)), (quad.cut, layout.cut_pieces)):
         wq, vals, ders = quad.weights[pieces], basis.values, basis.derivatives
         vals_t = vals.transpose(0, 2, 1)
         local = (ders * (wq * d_c[pieces])[:, None]) @ ders.transpose(0, 2, 1)
@@ -456,17 +476,13 @@ def _interface_blocks(problem: ProblemSpec, space: EnrichedSpace):
     psi = (np.concatenate(pair, axis=1).reshape(-1, 1, 1) for pair in zip(left, right))
     both = _with_enrichment(space, layout.piece_cuts, Basis(*rows), *psi)
     levels = space.mesh.n_levels  # each with the problem's interfaces, in order
-    interface = np.tile(np.arange(len(problem.interfaces)), levels)
-    lam = np.tile([spec.lam for spec in problem.interfaces], levels)
-    implicit = lam > 0
+    implicit, lam, delta_minus = (np.tile(problem.implicit_interfaces[name], levels)
+                                  for name in ("implicit", "lam", "delta_minus"))
     v_left, v_right = (both.values[side::2, :, 0][implicit] for side in (0, 1))
     jump = v_right - v_left
-    delta_minus = _layer_values(
-        problem.tables["conv_delta"], interface[implicit], alpha[implicit, 0]
-    )
     k = jump.shape[1]
     blocks = np.empty((len(jump), 2, k, k))
-    np.divide(jump[:, :, None] * jump[:, None, :], lam[implicit][:, None, None], out=blocks[:, 0])
+    np.divide(jump[:, :, None] * jump[:, None, :], lam[:, None, None], out=blocks[:, 0])
     np.multiply((-2.0 * delta_minus)[:, None, None], jump[:, :, None] * v_left[:, None, :],
                 out=blocks[:, 1])
     keep = np.ones((len(jump), 2), dtype=bool)

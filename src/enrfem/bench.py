@@ -75,7 +75,7 @@ def manufactured_rhs(exact, diffusivity, conv_delta, reaction) -> list[Polynomia
 def catalog_problem(pid: int) -> BenchmarkProblem:
     """Benchmark problem by id; 1-3 are degree 1, 4-6 the same BVPs at degree 2."""
     if pid not in (1, 2, 3, 4, 5, 6):
-        raise ValueError(f"unknown benchmark problem id {pid}; valid ids are 1..6")
+        raise ProblemFileError(f"unknown benchmark problem id {pid}; valid ids are 1..6")
     path = Path(__file__).with_name("catalog") / f"{(pid - 1) % 3 + 1}.json"
     return BenchmarkProblem(problem=load_problem_file(path), degree=1 if pid <= 3 else 2)
 

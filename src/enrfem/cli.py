@@ -71,10 +71,7 @@ def _resolve_problem(problem) -> tuple[ProblemSpec, str, int]:
     """(spec, label, default degree) from a catalog id or a file path."""
     text = str(problem)
     if text.isdigit():
-        try:
-            entry = catalog_problem(int(text))
-        except ValueError as exc:
-            raise ProblemFileError(str(exc)) from exc
+        entry = catalog_problem(int(text))
         return entry.problem, text, entry.degree
     return load_problem_file(text), text, 1
 
@@ -262,11 +259,6 @@ def main(argv=None) -> int:
             h0 = Fraction(args.h0)
         except (ValueError, ZeroDivisionError):
             parser.error(f"argument --h0: invalid fraction value: {args.h0!r}")
-    except ProblemFileError as exc:
-        print(f"enrfem: error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
         # overflow ends in a non-finite value that solve_system or ErrorReport
         # rejects; np.errstate would slow every small array operation instead
         with warnings.catch_warnings():

@@ -49,18 +49,26 @@ class EnrichmentFunction:
         return EnrichmentFunction(*(column[j] for column in vars(self).values()))
 
 
-def gamma_from_lambda(lam: float, beta_minus: float, beta_plus: float) -> float:
-    """Jump parameter gamma = -lam * beta- * beta+ / (beta+ - beta-).
+def gamma_from_lambda(lam: float, beta_minus: float, beta_plus: float,
+                      delta_minus: float = 0.0) -> float:
+    """Jump parameter gamma = -lam * beta- * beta+ / (beta+ - beta- * (1 + 2 delta- lam)).
 
     Converts the implicit condition [u] = lam * (beta u')(alpha-) together
-    with continuity of the flux into the explicit Robin form
-    [u] = gamma * [u'] where the convection delta is 0 beside alpha, so
-    that the flux is -beta u'.
+    with continuity of the flux -beta u' + 2 delta u into the explicit
+    Robin form [u] = gamma * [u'], where the convection is the same delta-
+    on both sides of alpha: the flux then gives
+    beta+ u'(alpha+) = beta- u'(alpha-) (1 + 2 delta- lam).  With
+    delta- = 0 this is -lam * beta- * beta+ / (beta+ - beta-).
     """
     if beta_minus <= 0 or beta_plus <= 0:
         raise ValueError("diffusivity limits must be positive")
-    denom = beta_plus - beta_minus
-    if abs(denom) < GAMMA_BETA_RTOL * max(beta_minus, beta_plus):
+    scaled_minus = beta_minus * (1.0 + 2.0 * delta_minus * lam)
+    denom = beta_plus - scaled_minus
+    if abs(denom) < GAMMA_BETA_RTOL * max(abs(scaled_minus), beta_plus):
+        if delta_minus != 0:
+            raise ValueError(
+                "D+ equals D- * (1 + 2 delta- lambda) at the interface; gamma is undefined"
+            )
         raise ValueError(
             "diffusivity is continuous across the interface; gamma is "
             "undefined (use gamma=0 with lambda=0 for a continuous interface)"

@@ -64,8 +64,7 @@ class EnrichedSpace:
     """Standard Lagrange DOFs plus enrichment DOFs per interface.
 
     ``enrichments`` holds the psi of every cut as (c,) columns, in the
-    order of ``mesh.cut_elements``, and ``cut_starts`` (L + 1,) each
-    level's first cut, then c.
+    order of ``mesh.cut_elements`` (each level's first at ``mesh.cut_starts``).
     The n_std = degree * n_elements + L standard DOFs of the L levels run
     left to right, level after level: element k of level l has
     degree * k + l + (0 .. degree).  ``constrained`` lists the global
@@ -83,7 +82,6 @@ class EnrichedSpace:
     mesh: Mesh1D
     degree: int
     enrichments: EnrichmentFunction
-    cut_starts: np.ndarray
     constrained: tuple[int, ...]
     dirichlet_values: np.ndarray
     free_index: np.ndarray
@@ -134,7 +132,6 @@ def build_space(
     constrained = [dof for i, j in zip(firsts, firsts[1:])
                    for dof, bc in ((i, bc_left), (j - 1, bc_right)) if bc.kind == "dirichlet"]
     values = [bc.value for bc in (bc_left, bc_right) if bc.kind == "dirichlet"]
-    cut_starts = np.searchsorted(cut_elements, mesh.starts)
 
     n_dofs = n_std + (degree + 1) * len(cut_elements)
     mesh_order = np.insert(
@@ -152,16 +149,15 @@ def build_space(
         mesh=mesh,
         degree=degree,
         enrichments=enrichments,
-        cut_starts=cut_starts,
         constrained=tuple(constrained),
         dirichlet_values=np.array(values * levels, dtype=float),
         free_index=free_index,
         # a level's free DOFs follow the earlier levels' DOFs, less their constrained ones
-        free_starts=first + (degree + 1) * cut_starts - len(values) * np.arange(levels + 1),
+        free_starts=first + (degree + 1) * mesh.cut_starts - len(values) * np.arange(levels + 1),
         n_dofs=n_dofs,
         n_free=len(free_dofs),
     )
-    for table in (*vars(enrichments).values(), space.cut_starts, space.dirichlet_values,
+    for table in (*vars(enrichments).values(), space.dirichlet_values,
                   space.free_index, space.free_starts):
         table.flags.writeable = False
     return space
@@ -215,6 +211,8 @@ def element_basis(space: EnrichedSpace, k: int, xs: np.ndarray, side: str = "lef
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
+    if not 0 <= k < space.mesh.n_elements:
+        raise ValueError(f"element {k} outside 0..{space.mesh.n_elements - 1}")
     xs = np.asarray(xs, dtype=float)
     rows = Basis(*standard_basis(space, np.array([k]), xs[None]))
     cuts = space.mesh.cut_elements
@@ -280,18 +278,14 @@ class CutLayout(NamedTuple):
 
     Pieces run in element order, one per uncut element and two per cut
     element (split at alpha), so level l's pieces start at piece
-    mesh.starts[l] + space.cut_starts[l].  ``lower`` and ``half`` (P, 1) are the
+    mesh.starts[l] + mesh.cut_starts[l].  ``lower`` and ``half`` (P, 1) are the
     pieces' left ends and half-lengths; ``elements`` (P,) and ``layer``
     (P, 1) give each piece's element and its layer within its level.
     ``node_elements`` (n - L,) is the element left of each interior node,
     level by level, and ``node_layer`` each interior node's layer (the
     left one at a cut).  ``cut_pieces`` (2c,) are each cut's left, then
     right piece, ``piece_cuts`` their cuts, and ``psi`` the space's
-    ``enrichments`` as (c, 1) columns.  ``load_order`` and
-    ``block_order`` index the standard batch's entries followed by the cut
-    batch's, loads and local matrices respectively, and list them in the
-    order of a per-element assembly: piece by piece, a cut piece's entries
-    in place of its standard ones.
+    ``enrichments`` as (c, 1) columns.
     """
 
     lower: np.ndarray
@@ -303,14 +297,12 @@ class CutLayout(NamedTuple):
     cut_pieces: np.ndarray
     piece_cuts: np.ndarray
     psi: EnrichmentFunction
-    load_order: np.ndarray
-    block_order: np.ndarray
 
 
 def _cut_layout(space: EnrichedSpace) -> CutLayout:
     mesh = space.mesh
     n, levels = mesh.n_elements, mesh.n_levels
-    cut_elements, cut_starts = mesh.cut_elements, space.cut_starts
+    cut_elements, cut_starts = mesh.cut_elements, mesh.cut_starts
     left_pieces = cut_elements + np.arange(len(cut_elements))
     # each level's nodes with its alphas inserted, each after its element's left node;
     # the pieces lie between consecutive ends, except where one level's ends meet the next's
@@ -322,7 +314,6 @@ def _cut_layout(space: EnrichedSpace) -> CutLayout:
     node_elements = np.delete(np.arange(n), mesh.starts[1:] - 1)
     node_layer = np.searchsorted(cut_elements, node_elements, side="right")
     cut_pieces = np.repeat(left_pieces, 2) + np.tile([0, 1], len(left_pieces))
-    per = space.degree + 1
     layout = CutLayout(
         lower=lower[:, None],
         half=0.5 * (upper - lower)[:, None],
@@ -333,8 +324,6 @@ def _cut_layout(space: EnrichedSpace) -> CutLayout:
         cut_pieces=cut_pieces,
         piece_cuts=np.repeat(np.arange(len(cut_elements)), 2),
         psi=space.enrichments[:, None],
-        load_order=_element_order(len(elements), cut_pieces, per, 2 * per),
-        block_order=_element_order(len(elements), cut_pieces, per * per, 4 * per * per),
     )
     for table in layout:
         if isinstance(table, np.ndarray):
@@ -342,21 +331,11 @@ def _cut_layout(space: EnrichedSpace) -> CutLayout:
     return layout
 
 
-def _element_order(n_pieces: int, cut_pieces: np.ndarray, per_standard: int, per_cut: int):
-    """Index into [P * per_standard standard entries, 2c * per_cut cut entries] in element order."""
-    start = np.arange(n_pieces) * per_standard
-    start[cut_pieces] = n_pieces * per_standard + np.arange(len(cut_pieces)) * per_cut
-    size = np.full(n_pieces, per_standard)
-    size[cut_pieces] = per_cut
-    stop = np.cumsum(size)
-    return np.repeat(start + size - stop, size) + np.arange(stop[-1])
-
-
 class Quadrature(NamedTuple):
     """The P = n + c Gauss pieces of a mesh with c cuts, in element order.
 
     ``xs`` and ``weights`` (P, q) map the rule to each uncut element and to
-    both sides of each cut; ``layer`` (P, 1) is each piece's layer.
+    both sides of each cut.  The pieces' geometry is ``space.layout``'s.
     ``standard`` has the standard DOFs of every piece, ``cut`` all DOFs of
     the pieces ``cut_pieces`` (each cut's left, then right piece, psi
     one-sided towards it).  A cut piece's ``cut`` row supersedes its
@@ -365,10 +344,8 @@ class Quadrature(NamedTuple):
 
     xs: np.ndarray
     weights: np.ndarray
-    layer: np.ndarray
     standard: Basis
     cut: Basis
-    cut_pieces: np.ndarray
 
 
 def quadrature_pieces(space: EnrichedSpace, q: int) -> Quadrature:
@@ -392,7 +369,7 @@ def quadrature_pieces(space: EnrichedSpace, q: int) -> Quadrature:
     )
     cut_rows = Basis(*(a[layout.cut_pieces] for a in standard))
     cut = _with_enrichment(space, layout.piece_cuts, cut_rows, *psi)
-    return Quadrature(xs, layout.half * ref_w, layout.layer, standard, cut, layout.cut_pieces)
+    return Quadrature(xs, layout.half * ref_w, standard, cut)
 
 
 def full_coefficients(space: EnrichedSpace, coeffs) -> np.ndarray:

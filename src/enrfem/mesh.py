@@ -33,8 +33,9 @@ class Mesh1D:
     ``starts`` (L + 1,) holds each level's first element, then n_elements.
     The cuts, ordered by level, then by position, are two columns:
     ``cut_elements`` (c,), the element x_k < alpha < x_{k+1} of each, and
-    ``alphas`` (c,).  Every array is read-only, so instances are safe to
-    share between workers.
+    ``alphas`` (c,), and ``cut_starts`` (L + 1,) each level's first cut, then c.
+    Every array is read-only, so instances are safe to share between
+    workers.
     """
 
     nodes: np.ndarray
@@ -65,7 +66,16 @@ class Mesh1D:
     @cached_property
     def element_level(self) -> np.ndarray:
         """(n_elements,) the level of each element."""
-        return np.repeat(np.arange(self.n_levels), np.diff(self.starts))
+        level = np.repeat(np.arange(self.n_levels), np.diff(self.starts))
+        level.flags.writeable = False
+        return level
+
+    @cached_property
+    def cut_starts(self) -> np.ndarray:
+        """(L + 1,) each level's first cut, then the number of cuts."""
+        starts = np.searchsorted(self.cut_elements, self.starts)
+        starts.flags.writeable = False
+        return starts
 
 
 def mesh_from_nodes(nodes, interfaces=()) -> Mesh1D:
@@ -144,7 +154,7 @@ def locate_element(mesh: Mesh1D, x: float) -> int:
     """
     if mesh.n_levels != 1:
         raise ValueError("locate_element needs a mesh of one level")
-    if x < mesh.a or x > mesh.b:
+    if not mesh.a <= x <= mesh.b:  # NaN included
         raise ValueError(f"x={x} outside [{mesh.a}, {mesh.b}]")
     k = int(np.searchsorted(mesh.nodes, x, side="right")) - 1
     return min(max(k, 0), mesh.n_elements - 1)

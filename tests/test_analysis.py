@@ -227,3 +227,23 @@ def test_exact_solution_validation():
         exact = (Polynomial([1.0]),) * count
         with pytest.raises(ValueError, match=r"exact needs one entry per layer \(2\)"):
             dataclasses.replace(problem, exact=exact)
+
+
+@pytest.mark.parametrize("n", [12, 768])
+def test_a_quadratic_in_the_space_has_no_nodal_error(n):
+    """u_h at a node is the node's DOF, so a P2 member equal to u there reads a nodal error of 0.
+
+    Evaluating the P2 basis at a node would round its right-end function
+    to 1 only up to about ulp(x) / h.
+    """
+    u = Polynomial([0.3, -1.1, 2.7])
+    mesh = build_mesh(0.0, 1.0, n)
+    neumann = BoundaryCondition.neumann()
+    space = build_space(mesh, 2, (), neumann, neumann)
+    points = np.empty(space.n_std)
+    points[::2] = mesh.nodes
+    points[1::2] = 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])
+    coeffs = np.empty(space.n_free)
+    coeffs[space.free_index] = u(points)
+    (report,) = compute_errors((u,), space, coeffs)
+    assert report.nodal_max == 0.0

@@ -515,7 +515,7 @@ def test_edge_layouts_match_per_element_reference(case, degree):
 _COUNTED = {
     "_layer_values": (assembly_module, analysis_module),
     "eval_enrichment": (femspace_module, assembly_module),
-    "standard_basis": (femspace_module, assembly_module, analysis_module),
+    "standard_basis": (femspace_module, assembly_module),
     "element_basis": (femspace_module,),
 }
 
@@ -540,11 +540,11 @@ def test_a_levels_calls_do_not_grow_with_its_cuts(monkeypatch, degree):
     """Problems 1, 2 and 3 have 1, 2 and 3 cuts, and each level makes the same calls.
 
     assemble_system evaluates D, delta, w and f once each on all of the
-    level's points and delta- once at every implicit alpha (5 evaluator
-    calls); compute_errors evaluates the exact values and derivatives on
-    the points and the values on the interior nodes (3).  psi and the
-    standard basis are evaluated in batches, and assemble_system makes no
-    element_basis call.
+    level's points (4 evaluator calls), and reads delta- at the implicit
+    alphas from the problem; compute_errors evaluates the exact values and
+    derivatives on the points and the values on the interior nodes (3),
+    and reads u_h at a node from its DOF.  psi and the standard basis are
+    evaluated in batches, and assemble_system makes no element_basis call.
     """
     counts = _count_calls(monkeypatch)
     per_problem = []
@@ -560,8 +560,8 @@ def test_a_levels_calls_do_not_grow_with_its_cuts(monkeypatch, degree):
         per_problem.append((len(space.enrichments), assembled, dict(counts)))
     assert [cuts for cuts, _, _ in per_problem] == [1, 2, 3]
     for _, assembled, errors in per_problem:
-        assert assembled == {"_layer_values": 5, "eval_enrichment": 4, "standard_basis": 2}
-        assert errors == {"_layer_values": 3, "eval_enrichment": 2, "standard_basis": 2}
+        assert assembled == {"_layer_values": 4, "eval_enrichment": 4, "standard_basis": 2}
+        assert errors == {"_layer_values": 3, "eval_enrichment": 2, "standard_basis": 1}
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -569,9 +569,10 @@ def test_a_studys_calls_do_not_grow_with_its_levels(monkeypatch, degree):
     """A small study runs as one stack, whatever its number of levels.
 
     Problem 3 at 3 and at 7 levels (56 and 1,016 elements, at most
-    ONE_STACK_ELEMENTS) makes the same calls: loading it evaluates D once
-    at the implicit alpha (gammas) and D and w once each for their bounds
-    (3 evaluator calls), and the one stack makes a level's calls of
+    ONE_STACK_ELEMENTS) makes the same calls: loading it evaluates D and
+    delta once each at the implicit alpha (``implicit_interfaces``) and D
+    and w once each for their bounds (4 evaluator calls), and the one
+    stack makes a level's calls of
     test_a_levels_calls_do_not_grow_with_its_cuts.  At 9 levels (4,088
     elements) the study runs two stacks, its coarse levels and its
     finest, and makes those calls twice.
@@ -584,10 +585,10 @@ def test_a_studys_calls_do_not_grow_with_its_levels(monkeypatch, degree):
         per_study.append(dict(counts))
     assert per_study[0] == per_study[1]
     assert per_study[0] == {
-        "_layer_values": 3 + 5 + 3, "eval_enrichment": 4 + 2, "standard_basis": 2 + 2
+        "_layer_values": 4 + 4 + 3, "eval_enrichment": 4 + 2, "standard_basis": 2 + 1
     }
     assert per_study[2] == {
-        "_layer_values": 3 + 2 * (5 + 3), "eval_enrichment": 2 * (4 + 2), "standard_basis": 2 * (2 + 2)
+        "_layer_values": 4 + 2 * (4 + 3), "eval_enrichment": 2 * (4 + 2), "standard_basis": 2 * (2 + 1)
     }
 
 
@@ -924,6 +925,36 @@ def test_gammas_derived_from_the_problems_diffusivities():
         assert getattr(systems[0], name).tobytes() == getattr(systems[1], name).tobytes()
     assert _poisson_problem().gammas == ()
     assert catalog_problem(2).problem.gammas == (0.0, 0.0)
+
+
+def test_implicit_interfaces_are_evaluated_once_at_their_alphas():
+    """Problem 3's one implicit interface: lam, D-, D+ and delta- at alpha, read-only."""
+    problem = catalog_problem(3).problem
+    table = problem.implicit_interfaces
+    assert table["implicit"].tolist() == [True, False, False]
+    (alpha,) = [spec.alpha for spec in problem.interfaces if spec.lam]
+    assert table["lam"].tolist() == [1 / 243]
+    for name, coefficient in (("d_minus", problem.diffusivity[0]),
+                              ("d_plus", problem.diffusivity[1]),
+                              ("delta_minus", problem.conv_delta[0])):
+        assert table[name].tolist() == [coefficient(alpha)]
+    for column in table.values():
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0
+    assert problem.implicit_interfaces is table
+
+
+def test_equal_diffusivities_with_equal_convection_have_a_gamma():
+    """D- = D+ = D with delta- = 3 beside an implicit interface: gamma = D / (2 delta-)."""
+    problem = ProblemSpec(
+        domain=(0.0, 1.0),
+        diffusivity=(_const(2.0),) * 2,
+        conv_delta=(_const(3.0),) * 2,
+        reaction=(_const(0.0),) * 2,
+        source=(_const(0.0),) * 2,
+        interfaces=(InterfaceSpec(0.5, 0.1),),
+    )
+    assert problem.gammas == pytest.approx((2.0 / 6.0,), rel=1e-12)
 
 
 @pytest.mark.parametrize("d_plus, message", [

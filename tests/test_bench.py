@@ -10,7 +10,7 @@ from numpy.polynomial import polynomial as P
 import enrfem.analysis
 from enrfem.analysis import compute_errors
 from enrfem.assembly import InterfaceSpec, space_for_problem
-from enrfem.bench import catalog_problem, load_problem_file, manufactured_rhs
+from enrfem.bench import ProblemFileError, catalog_problem, load_problem_file, manufactured_rhs
 from enrfem.femspace import BoundaryCondition, build_space
 from enrfem.mesh import build_mesh
 
@@ -95,7 +95,7 @@ def test_problem3_unions_the_layers():
 
 def test_invalid_id_rejected():
     for pid in (0, 7, -1):
-        with pytest.raises(ValueError, match="1..6"):
+        with pytest.raises(ProblemFileError, match="1..6"):
             catalog_problem(pid)
 
 

@@ -133,6 +133,8 @@ def test_empty_table_rejected():
     ("sweep-117-p2-levels4", [
         "--problem", "fixtures/sweep-117.json", "--degree", "2", "--h0", "1/8", "--levels", "4",
     ]),
+    ("p3-levels3-cond", ["--problem", "3", "--levels", "3", "--cond"]),
+    ("p6-levels3", ["--problem", "6", "--levels", "3"]),
 ])
 @pytest.mark.parametrize("fmt, ext", [("csv", "csv"), ("markdown", "md"), ("json", "json")])
 def test_report_bytes_match_golden(capsys, monkeypatch, name, argv, fmt, ext):
@@ -621,28 +623,54 @@ def test_variable_coefficients_exact_in_quadratic_space(tmp_path):
         assert row["h1_broken"] <= 1e-11
 
 
-def test_convection_left_of_implicit_interface_converges(tmp_path):
-    """delta- != 0 at an implicit interface: the weak form carries -2 delta- u-(alpha)[q].
+def _equal_convection_file(tmp_path, left, d_plus):
+    """Problem 1's interface with D = 1 | d_plus, delta = 3 | 3 and Dirichlet ends.
 
-    u- = 1/4 + x^3/30; u+ is the quadratic with [u] = lam (D u')(alpha-),
-    the flux -D u' + 2 delta u continuous at alpha, and u+'' = 1.
+    u- has the coefficients ``left``; u+ is the quadratic with
+    [u] = lam (D u')(alpha-), the flux -D u' + 2 delta u continuous at
+    alpha, and u+'' = 1.
     """
-    alpha, lam, d_minus, d_plus, delta = 1 / 9, 1 / 243, 1.0, 1.35, 3.0
-    value, slope = 0.25 + alpha**3 / 30, alpha**2 / 10
+    alpha, lam, d_minus, delta = 1 / 9, 1 / 243, 1.0, 3.0
+    u_minus = np.polynomial.Polynomial(left)
+    value, slope = u_minus(alpha), u_minus.deriv()(alpha)
     v_plus = value + lam * d_minus * slope
     s = (d_minus * slope - 2 * delta * value + 2 * delta * v_plus) / d_plus
     right = [v_plus - s * alpha + alpha**2 / 2, s - alpha, 0.5]
     layer = {"delta_conv": [delta], "w": [0.0], "f": "manufactured"}
-    path = _problem1_file(
+    return _problem1_file(
         tmp_path,
         layers=[dict(layer, D=[d_minus]), dict(layer, D=[d_plus])],
-        bc={"left": {"dirichlet": 0.25}, "right": {"dirichlet": sum(right)}},
-        exact=[[0.25, 0, 0, 1 / 30], right],
+        bc={"left": {"dirichlet": left[0]}, "right": {"dirichlet": sum(right)}},
+        exact=[left, right],
     )
+
+
+def test_convection_left_of_implicit_interface_converges(tmp_path):
+    """delta- != 0 at an implicit interface: the weak form carries -2 delta- u-(alpha)[q].
+
+    u- = 1/4 + x^3/30, so [u] is about 5e-6.
+    """
+    path = _equal_convection_file(tmp_path, [0.25, 0, 0, 1 / 30], 1.35)
     table = run_convergence(str(path), 1, "1/8", 5)
     assert table.rows[-1]["h"] == 1 / 128
     assert table.rows[-1]["order_l2"] == pytest.approx(2.0, abs=0.15)
     assert table.rows[-1]["order_h1"] == pytest.approx(1.0, abs=0.15)
+
+
+@pytest.mark.parametrize("d_plus, levels", [(1.35, 9), (1.0, 7)])
+def test_equal_convection_beside_implicit_interface_keeps_its_order(tmp_path, d_plus, levels):
+    """With delta- = delta+ = delta the enrichment's gamma carries the factor 1 + 2 delta lam.
+
+    u- = 1 + x + x^2, so [u] is about 5e-3: the delta = 0 gamma lost the
+    order from h = 1/1024 on (L2 1.62 and 1.43 at D = 1 | 1.35), and
+    D = 1 | 1 has no delta = 0 gamma at all; here gamma = D / (2 delta).
+    """
+    path = _equal_convection_file(tmp_path, [1.0, 1.0, 1.0], d_plus)
+    table = run_convergence(str(path), 1, "1/8", levels)
+    assert table.rows[-1]["h"] == 2.0 ** -(levels + 2)
+    for row in table.rows[-2:]:
+        assert row["order_l2"] == pytest.approx(2.0, abs=0.15)
+        assert row["order_h1"] == pytest.approx(1.0, abs=0.15)
 
 
 def test_levels_solve_identically_under_threads():

@@ -27,6 +27,21 @@ def test_gamma_equal_diffusivities_rejected():
         gamma_from_lambda(1.0, 2.0, 2.0)
 
 
+def test_gamma_with_equal_convection():
+    """delta- scales D- in the denominator by 1 + 2 delta- lam; equal D gives D / (2 delta)."""
+    lam, delta = 1 / 243, 3.0
+    assert gamma_from_lambda(lam, 1.0, 1.35, 0.0) == gamma_from_lambda(lam, 1.0, 1.35)
+    assert gamma_from_lambda(lam, 1.0, 1.35, delta) == pytest.approx(
+        -lam * 1.35 / (1.35 - (1 + 2 * delta * lam)), rel=1e-14
+    )
+    assert gamma_from_lambda(lam, 2.0, 2.0, delta) == pytest.approx(2.0 / (2 * delta), rel=1e-12)
+
+
+def test_gamma_zero_denominator_with_convection_named():
+    with pytest.raises(ValueError, match=r"D\+ equals D- \* \(1 \+ 2 delta- lambda\)"):
+        gamma_from_lambda(0.25, 1.0, 1.5, 1.0)
+
+
 def test_gamma_nonpositive_diffusivity_rejected():
     with pytest.raises(ValueError, match="positive"):
         gamma_from_lambda(1.0, -1.0, 2.0)

@@ -98,19 +98,20 @@ def test_quadrature_batches_cover_the_mesh():
         per_element = np.zeros(len(nodes) - 1)
         np.add.at(per_element, elements, lengths)
         assert per_element == pytest.approx(np.diff(nodes), rel=1e-13)
-        assert quad.layer.shape == (len(xs), 1)
-        assert quad.layer[:, 0].tolist() == np.searchsorted(alphas, mids).tolist()
+        layout = space.layout
+        assert layout.layer.shape == (len(xs), 1)
+        assert layout.layer[:, 0].tolist() == np.searchsorted(alphas, mids).tolist()
         interior = nodes[1:-1]
-        assert space.layout.node_layer.tolist() == np.searchsorted(alphas, interior).tolist()
+        assert layout.node_layer.tolist() == np.searchsorted(alphas, interior).tolist()
 
         p = space.degree
         assert sum(isinstance(field, Basis) for field in quad) == 2
         assert quad.standard.dofs.tolist() == [list(range(p * k, p * (k + 1) + 1)) for k in elements]
         assert quad.standard.values.shape == quad.standard.derivatives.shape == (len(xs), p + 1, 4)
         cuts = space.mesh.cut_elements
-        assert elements[quad.cut_pieces].tolist() == np.repeat(cuts, 2).tolist()
+        assert elements[layout.cut_pieces].tolist() == np.repeat(cuts, 2).tolist()
         assert quad.cut.values.shape == quad.cut.derivatives.shape == (2 * len(cuts), 2 * p + 2, 4)
-        for row, piece in enumerate(quad.cut_pieces):
+        for row, piece in enumerate(layout.cut_pieces):
             side = ("left", "right")[row % 2]
             dofs, vals, ders = reference_basis(space, elements[piece], xs[piece], side)
             batch = (quad.cut.dofs[row], quad.cut.values[row], quad.cut.derivatives[row])
@@ -292,6 +293,16 @@ def test_eval_function_rejects_unknown_side():
     for x in (1 / 9, 0.5):  # on the cut element and off it
         with pytest.raises(ValueError, match="side"):
             eval_function(space, coeffs, x, "middle")
+
+
+def test_an_element_or_point_outside_the_mesh_is_rejected():
+    """element_basis takes k in 0..n - 1 only, and eval_function a finite x in [a, b]."""
+    space = _space(gamma=-1 / 63)
+    for k in (-1, space.mesh.n_elements):
+        with pytest.raises(ValueError, match=f"element {k} outside 0..7"):
+            element_basis(space, k, np.array([0.5]))
+    with pytest.raises(ValueError, match="x=nan outside"):
+        eval_function(space, np.ones(space.n_free), float("nan"))
 
 
 def test_coefficient_length_mismatch_rejected():

@@ -70,6 +70,8 @@ def test_locate_element_conventions():
         locate_element(mesh, 1.5)
     with pytest.raises(ValueError, match="outside"):
         locate_element(mesh, -0.1)
+    with pytest.raises(ValueError, match=r"x=nan outside \[0.0, 1.0\]"):
+        locate_element(mesh, float("nan"))
 
 
 def test_interface_located_on_irregular_mesh():
@@ -93,14 +95,18 @@ def test_permuted_interfaces_give_same_elements():
 
 
 def test_cut_columns_are_read_only():
-    """The cut table is the mesh's two columns, and neither can be written, on a stack too."""
+    """The cut table is the mesh's two columns, and neither can be written, on a stack too.
+
+    Nor can the cached tables: each element's level and each level's first cut.
+    """
     mesh = build_mesh(0.0, 1.0, 8, [1 / 9, 2 / 3])
     stack = stack_meshes([mesh, build_mesh(0.0, 1.0, 16, [1 / 9, 2 / 3])])
     assert stack.cut_elements.tolist() == [0, 5, 8 + 1, 8 + 10]
     assert stack.alphas.tolist() == [1 / 9, 2 / 3] * 2
+    assert stack.cut_starts.tolist() == [0, 2, 4] and mesh.cut_starts.tolist() == [0, 2]
     for m in (mesh, stack):
         assert m.cut_elements.dtype.kind == "i" and m.alphas.dtype == float
-        for column in (m.cut_elements, m.alphas):
+        for column in (m.cut_elements, m.alphas, m.element_level, m.cut_starts):
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = 0
 
