@@ -27,7 +27,7 @@ from .femspace import (
     quadrature_rule,
 )
 from .assembly import (
-    AssembledSystem,
+    BandSystem,
     InterfaceSpec,
     ProblemSpec,
     assemble_system,

@@ -32,14 +32,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import Polynomial
 from numpy.polynomial import polynomial as P
 
-from .enrichment import eval_enrichment, gamma_from_lambda
+from .enrichment import gamma_from_lambda
 from .femspace import (
     Basis,
     BoundaryCondition,
     CutLayout,
     EnrichedSpace,
     Quadrature,
-    _with_enrichment,
+    _cut_rows,
     build_space,
     exact_rule_size,
     quadrature_pieces,
@@ -256,9 +256,12 @@ class ProblemSpec:
 
     @cached_property
     def tables(self) -> dict[str, np.ndarray]:
-        """Each coefficient's ``_coefficient_table``, by field name."""
-        return {name: _coefficient_table([p.coef for p in getattr(self, name)])
-                for name in _COEFFICIENTS}
+        """Each coefficient's ``_coefficient_table``, by field name, read-only."""
+        tables = {name: _coefficient_table([p.coef for p in getattr(self, name)])
+                  for name in _COEFFICIENTS}
+        for table in tables.values():
+            table.flags.writeable = False
+        return tables
 
     @cached_property
     def implicit_interfaces(self) -> dict[str, np.ndarray]:
@@ -298,14 +301,23 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class BandSystem:
-    """A linear system A x = rhs whose matrix A is one band.
+    """A linear system A x = rhs whose matrix A is one band, or one band per level.
 
     ``band`` holds A in LAPACK band storage, band[q + i - j, j] = A[i, j],
-    shape (2q + 1, n).  Storage is O(n).
+    shape (2q + 1, n).  Storage is O(n).  ``assemble_system`` gives the
+    free-DOF system of its ``space``, the Dirichlet lift folded into the
+    rhs.  Free DOFs run in mesh order (``EnrichedSpace.free_index``), so
+    the free matrix A of each level is one band, and that of a stacked
+    space is block diagonal, its levels' bands side by side in ``band``.
+    The half-width q is a rule of the layout, not a measurement: 2p + 1
+    for a space with cuts and p for one without, p the element degree.
+    Where a Dirichlet end sits beside the only cut, the outermost
+    diagonals are zero.
     """
 
     band: np.ndarray
     rhs: np.ndarray
+    space: EnrichedSpace | None = None
 
     @property
     def bandwidth(self) -> int:
@@ -313,8 +325,8 @@ class BandSystem:
 
     @property
     def starts(self) -> np.ndarray:
-        """Each level's first row, then n: a system of its own is one level."""
-        return np.array([0, len(self.rhs)])
+        """Each level's first row, then n: the space's ``free_starts``, or one level."""
+        return np.array([0, len(self.rhs)]) if self.space is None else self.space.free_starts
 
     def levels(self) -> list[BandSystem]:
         """Each level's system: its band columns (zero outside its block) and its rhs rows."""
@@ -331,27 +343,6 @@ class BandSystem:
         for row, i, j in _band_diagonals(self.bandwidth, len(self.rhs)):
             np.fill_diagonal(dense[i, j], self.band[row, j])
         return dense
-
-
-@dataclass(frozen=True)
-class AssembledSystem(BandSystem):
-    """Free-DOF linear system with the Dirichlet lift folded into the rhs.
-
-    Free DOFs run in mesh order (``EnrichedSpace.free_index``), so the
-    free matrix A of each level is one band, and that of a stacked space
-    is block diagonal, its levels' bands side by side in ``band``.  The
-    half-width q is a rule of the layout, not a measurement: 2p + 1 for a
-    space with cuts and p for one without, p the element degree.  Where a
-    Dirichlet end sits beside the only cut, the outermost diagonals are
-    zero.
-    """
-
-    space: EnrichedSpace
-
-    @property
-    def starts(self) -> np.ndarray:
-        """Each level's first free DOF, then n (``EnrichedSpace.free_starts``)."""
-        return self.space.free_starts
 
 
 def _band_diagonals(q: int, n: int):
@@ -386,7 +377,7 @@ def assembly_rule_size(problem: ProblemSpec, degree: int) -> int:
     )
 
 
-def assemble_system(problem: ProblemSpec, space: EnrichedSpace) -> AssembledSystem:
+def assemble_system(problem: ProblemSpec, space: EnrichedSpace) -> BandSystem:
     """Assemble the free-DOF matrix and load vector on ``space``.
 
     A_ij = int (D u_j' - 2 delta u_j) u_i' + int w u_j u_i
@@ -427,7 +418,7 @@ def assemble_system(problem: ProblemSpec, space: EnrichedSpace) -> AssembledSyst
     starts = space.free_starts.tolist()
     for i, j in zip(starts, starts[1:]):
         rhs[i:j] -= lift[i:j] @ values
-    return AssembledSystem(band=band, rhs=rhs, space=space)
+    return BandSystem(band, rhs, space)
 
 
 def _element_order(n_pieces: int, cut_pieces: np.ndarray, per_standard: int, per_cut: int):
@@ -466,15 +457,13 @@ def _interface_blocks(problem: ProblemSpec, space: EnrichedSpace):
 
     Each implicit cut gives its jump block [u_j][u_i]/lam, then, where
     delta-(alpha) != 0, its convection block -2 delta- u_j(alpha-) [u_i].
-    The rows of every cut at alpha come in one batch: each cut's left,
-    then right limit.
+    The rows of every cut at alpha come in one batch from ``_cut_rows``:
+    each cut's left, then right limit.
     """
     layout = space.layout
-    alpha = layout.psi.alpha  # (c, 1)
-    rows = standard_basis(space, layout.elements[layout.cut_pieces], np.repeat(alpha, 2, axis=0))
-    left, right = (eval_enrichment(layout.psi, alpha, side) for side in ("left", "right"))
-    psi = (np.concatenate(pair, axis=1).reshape(-1, 1, 1) for pair in zip(left, right))
-    both = _with_enrichment(space, layout.piece_cuts, Basis(*rows), *psi)
+    alpha = np.repeat(layout.psi.alpha, 2, axis=0)  # (2c, 1)
+    rows = Basis(*standard_basis(space, layout.elements[layout.cut_pieces], alpha))
+    both = _cut_rows(space, rows, alpha)
     levels = space.mesh.n_levels  # each with the problem's interfaces, in order
     implicit, lam, delta_minus = (np.tile(problem.implicit_interfaces[name], levels)
                                   for name in ("implicit", "lam", "delta_minus"))
@@ -501,7 +490,7 @@ def _triplets(dofs, local):
 def _scatter(space: EnrichedSpace, rows, cols, vals):
     """Sum (row, col, value) triplets of the full-DOF matrix into the free band and the lift.
 
-    Returns ``band`` as laid out in AssembledSystem and ``lift``, the
+    Returns ``band`` as laid out in BandSystem and ``lift``, the
     free rows of the constrained columns, a level's columns side by side:
     lift[i, k] holds the row's entry in its level's k-th constrained
     column.  np.add.at adds the triplets in the order given.

@@ -75,8 +75,8 @@ class EnrichedSpace:
     (-1 if constrained); free positions run in mesh order, a cut's
     enrichment DOFs right after the left node of its element, and
     ``free_starts`` (L + 1,) holds each level's first free position, then
-    n_free.  ``layout``, the geometry of the quadrature pieces, is built
-    once.
+    n_free.  The sizes n_std, n_dofs and n_free are read from these tables.
+    ``layout``, the geometry of the quadrature pieces, is built once.
     """
 
     mesh: Mesh1D
@@ -86,12 +86,18 @@ class EnrichedSpace:
     dirichlet_values: np.ndarray
     free_index: np.ndarray
     free_starts: np.ndarray
-    n_dofs: int
-    n_free: int
 
     @property
     def n_std(self) -> int:
         return self.degree * self.mesh.n_elements + self.mesh.n_levels
+
+    @property
+    def n_dofs(self) -> int:
+        return len(self.free_index)
+
+    @property
+    def n_free(self) -> int:
+        return int(self.free_starts[-1])
 
     @cached_property
     def layout(self) -> "CutLayout":
@@ -154,8 +160,6 @@ def build_space(
         free_index=free_index,
         # a level's free DOFs follow the earlier levels' DOFs, less their constrained ones
         free_starts=first + (degree + 1) * mesh.cut_starts - len(values) * np.arange(levels + 1),
-        n_dofs=n_dofs,
-        n_free=len(free_dofs),
     )
     for table in (*vars(enrichments).values(), space.dirichlet_values,
                   space.free_index, space.free_starts):
@@ -284,8 +288,7 @@ class CutLayout(NamedTuple):
     ``node_elements`` (n - L,) is the element left of each interior node,
     level by level, and ``node_layer`` each interior node's layer (the
     left one at a cut).  ``cut_pieces`` (2c,) are each cut's left, then
-    right piece, ``piece_cuts`` their cuts, and ``psi`` the space's
-    ``enrichments`` as (c, 1) columns.
+    right piece, and ``psi`` the space's ``enrichments`` as (c, 1) columns.
     """
 
     lower: np.ndarray
@@ -295,7 +298,6 @@ class CutLayout(NamedTuple):
     node_elements: np.ndarray
     node_layer: np.ndarray
     cut_pieces: np.ndarray
-    piece_cuts: np.ndarray
     psi: EnrichmentFunction
 
 
@@ -322,7 +324,6 @@ def _cut_layout(space: EnrichedSpace) -> CutLayout:
         node_elements=node_elements,
         node_layer=node_layer - cut_starts[mesh.element_level[node_elements]],
         cut_pieces=cut_pieces,
-        piece_cuts=np.repeat(np.arange(len(cut_elements)), 2),
         psi=space.enrichments[:, None],
     )
     for table in layout:
@@ -353,23 +354,27 @@ def quadrature_pieces(space: EnrichedSpace, q: int) -> Quadrature:
 
     The pieces come from ``space.layout``.  The basis comes in two
     batches: the standard basis of all pieces, and the cut pieces' rows
-    from ``_with_enrichment``, psi evaluated by one ``eval_enrichment``
-    call for the left pieces and one for the right.
+    from ``_cut_rows``.
     """
     ref_x, ref_w = quadrature_rule(q)
     layout = space.layout
     xs = layout.lower + layout.half * (ref_x + 1.0)
     standard = Basis(*standard_basis(space, layout.elements, xs))
-    left, right = (
-        eval_enrichment(layout.psi, xs[pieces], side)
-        for pieces, side in ((layout.cut_pieces[::2], "left"), (layout.cut_pieces[1::2], "right"))
-    )
-    psi = (  # row 2j: cut j's left piece, 2j + 1: its right
-        np.concatenate(pair, axis=1).reshape(-1, 1, q) for pair in zip(left, right)
-    )
-    cut_rows = Basis(*(a[layout.cut_pieces] for a in standard))
-    cut = _with_enrichment(space, layout.piece_cuts, cut_rows, *psi)
+    cut = _cut_rows(space, Basis(*(a[layout.cut_pieces] for a in standard)), xs[layout.cut_pieces])
     return Quadrature(xs, layout.half * ref_w, standard, cut)
+
+
+def _cut_rows(space: EnrichedSpace, rows: Basis, xs: np.ndarray) -> Basis:
+    """The full rows of the 2c cut pieces from their standard ``rows``, at points xs (2c, q).
+
+    Row 2j is cut j's left piece and row 2j + 1 its right piece, psi
+    one-sided towards it: one ``eval_enrichment`` call for the left
+    pieces and one for the right, interleaved for ``_with_enrichment``.
+    """
+    psi, q = space.layout.psi, xs.shape[1]
+    left, right = (eval_enrichment(psi, xs[i::2], side) for i, side in enumerate(("left", "right")))
+    psi_rows = (np.concatenate(pair, axis=1).reshape(-1, 1, q) for pair in zip(left, right))
+    return _with_enrichment(space, np.arange(len(xs)) // 2, rows, *psi_rows)
 
 
 def full_coefficients(space: EnrichedSpace, coeffs) -> np.ndarray:

@@ -274,7 +274,7 @@ def reference_assembly(problem, space, q):
     """(band, rhs) in free order from a dense per-element assembly with a q-point rule.
 
     The half-width is 2p + 1 with cuts and p without, as documented for
-    AssembledSystem, and every entry outside it must vanish.
+    BandSystem, and every entry outside it must vanish.
     """
     a_full = np.zeros((space.n_dofs, space.n_dofs))
     b_full = np.zeros(space.n_dofs)

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
+import _tables
 from _helpers import (
     FIXTURES,
     constant_coefficient_vector,
@@ -514,7 +515,7 @@ def test_edge_layouts_match_per_element_reference(case, degree):
 # the functions a level's cost is counted in, by the modules that call them
 _COUNTED = {
     "_layer_values": (assembly_module, analysis_module),
-    "eval_enrichment": (femspace_module, assembly_module),
+    "eval_enrichment": (femspace_module,),
     "standard_basis": (femspace_module, assembly_module),
     "element_basis": (femspace_module,),
 }
@@ -857,6 +858,17 @@ def test_condition_number_beats_the_dense_svd_on_problem4():
     assert condition_number(system) == pytest.approx(reference, rel=1e-12)
 
 
+def test_the_papers_cond_column_is_the_1_norm_condition_number():
+    """Problem 2 at h = 1/8 ... 1/512: kappa_1 of the free matrix is the cond column.
+
+    The column has six digits on a mantissa of at least 0.1, so it is
+    rounded to rel 5e-6.
+    """
+    for h, want in zip(_tables.H_SEQUENCE, _tables.COND[2]):
+        _, _, _, system, _ = solve_benchmark(2, round(1 / h))
+        assert np.linalg.cond(system.matrix, 1) == pytest.approx(want, rel=5e-6)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_condition_number_of_one_and_two_free_dofs(n):
     """Poisson with Dirichlet ends on n = 2 and 3 elements: 1 and 2 free DOFs."""
@@ -942,6 +954,15 @@ def test_implicit_interfaces_are_evaluated_once_at_their_alphas():
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 0
     assert problem.implicit_interfaces is table
+
+
+def test_coefficient_tables_are_read_only():
+    """A write to a cached table would change later assemblies but not the Polynomials."""
+    tables = catalog_problem(3).problem.tables
+    assert sorted(tables) == sorted(("diffusivity", "conv_delta", "reaction", "source"))
+    for table in tables.values():
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] += 1.0
 
 
 def test_equal_diffusivities_with_equal_convection_have_a_gamma():
