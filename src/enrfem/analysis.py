@@ -95,18 +95,21 @@ def compute_errors(
     u_nodes = _layer_values(values, layout.node_layer, mesh.nodes[elements + level + 1])
     node_errors = np.abs(u_nodes - full[space.degree * (elements + 1) + level])
 
-    reports = []
-    pieces = (mesh.starts + mesh.cut_starts).tolist()
-    interior = (mesh.starts - np.arange(mesh.n_levels + 1)).tolist()
-    for level in range(mesh.n_levels):
-        # np.cumsum adds a level's terms one after another in element order;
-        # np.sum would add them pairwise and move the last digits
-        l2_sq, h1_sq = (np.cumsum(terms[pieces[level]:pieces[level + 1]])[-1]
-                        for terms in (l2_terms, h1_terms))
-        nodal = np.max(node_errors[interior[level]:interior[level + 1]], initial=0.0)
-        reports.append(ErrorReport(l2=np.sqrt(l2_sq), h1_broken=np.sqrt(h1_sq),
-                                   nodal_max=float(nodal)))
-    return reports
+    # each level's terms in element order, one row per level, padded with
+    # zeros: np.cumsum adds a row's terms one after another, where np.sum
+    # would add them pairwise and move the last digits, and adding a zero
+    # to a sum of squares keeps its bits
+    pieces = mesh.starts + mesh.cut_starts
+    counts = np.diff(pieces)
+    rows = np.repeat(np.arange(mesh.n_levels), counts)
+    columns = np.arange(pieces[-1]) - np.repeat(pieces[:-1], counts)
+    table = np.zeros((2, mesh.n_levels, counts.max()))
+    table[0, rows, columns] = l2_terms
+    table[1, rows, columns] = h1_terms
+    l2, h1 = np.sqrt(np.cumsum(table, axis=2)[:, :, -1])
+    nodal = np.maximum.reduceat(node_errors, mesh.starts[:-1] - np.arange(mesh.n_levels))
+    return [ErrorReport(l2=l2_level, h1_broken=h1_level, nodal_max=nodal_level)
+            for l2_level, h1_level, nodal_level in zip(l2.tolist(), h1.tolist(), nodal.tolist())]
 
 
 def observed_orders(h_list, e_list) -> list[float]:

@@ -579,15 +579,21 @@ def solve_system(system: BandSystem) -> np.ndarray:
     ax = np.zeros(len(b))
     for row, i, j in _band_diagonals(q, len(b)):
         ax[i] += band[row, j] * x[j]
-    for level, i, j in zip(system.levels(), starts.tolist(), starts[1:].tolist()):
-        residual = np.linalg.norm(ax[i:j] - b[i:j])
-        bound = SOLVER_RESIDUAL_RTOL * (
-            np.linalg.norm(level.band) * np.linalg.norm(x[i:j]) + np.linalg.norm(level.rhs)
+    # squares of the entries of A (summed down each column), x, b and Ax - b,
+    # then summed over each level
+    squares = np.empty((4, len(b)))
+    np.einsum("ij,ij->j", band, band, out=squares[0])
+    np.multiply(x, x, out=squares[1])
+    np.multiply(b, b, out=squares[2])
+    np.subtract(ax, b, out=squares[3])
+    squares[3] *= squares[3]
+    norm_a, norm_x, norm_b, residual = np.sqrt(np.add.reduceat(squares, starts[:-1], axis=1))
+    bound = SOLVER_RESIDUAL_RTOL * (norm_a * norm_x + norm_b)
+    bad = np.flatnonzero(~(residual <= bound))
+    if bad.size:
+        raise ArithmeticError(
+            f"solver residual {residual[bad[0]]:.3e} exceeds tolerance {bound[bad[0]]:.3e}"
         )
-        if not residual <= bound:
-            raise ArithmeticError(
-                f"solver residual {residual:.3e} exceeds tolerance {bound:.3e}"
-            )
     return x
 
 

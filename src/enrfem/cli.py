@@ -32,7 +32,7 @@ from .assembly import (
     space_for_problem,
 )
 from .bench import ProblemFileError, catalog_problem, load_problem_file
-from .mesh import build_mesh, stack_meshes
+from .mesh import Mesh1D, build_mesh
 
 REPORT_FORMATS = ("csv", "markdown", "json")
 _HEADER = ["h", "l2", "h1_broken", "nodal", "cond", "order_l2", "order_h1", "order_nodal"]
@@ -70,7 +70,7 @@ class ConvergenceTable:
 def _resolve_problem(problem) -> tuple[ProblemSpec, str, int]:
     """(spec, label, default degree) from a catalog id or a file path."""
     text = str(problem)
-    if text.isdigit():
+    if text.isascii() and text.isdigit():  # str.isdigit takes '²' and '٣' too
         entry = catalog_problem(int(text))
         return entry.problem, text, entry.degree
     return load_problem_file(text), text, 1
@@ -99,8 +99,9 @@ def _at_level(level: int, n: int, exc: Exception) -> Exception:
     return type(exc)(f"level {level} (n={n}): {exc}")
 
 
-def _run_levels(spec: ProblemSpec, degree: int, first: int, meshes, with_cond: bool) -> list[dict]:
-    """The rows of levels first, first + 1, ... on ``meshes``, run as one stacked space.
+def _run_levels(spec: ProblemSpec, degree: int, first: int, mesh: Mesh1D,
+                with_cond: bool) -> list[dict]:
+    """The rows of levels first, first + 1, ... of the stacked ``mesh``, run as one space.
 
     The stack runs straight through: space, assembly, one solve of the
     whole stack, errors, and cond per level with ``with_cond``.  If a
@@ -110,21 +111,41 @@ def _run_levels(spec: ProblemSpec, degree: int, first: int, meshes, with_cond: b
     failing level's at its first failing stage.
     """
     try:
-        space = space_for_problem(spec, stack_meshes(meshes), degree)
+        space = space_for_problem(spec, mesh, degree)
         system = assemble_system(spec, space)
         reports = compute_errors(spec.exact, space, solve_system(system))
-        conds = [condition_number(level) if with_cond else None for level in system.levels()]
+        conds = ([condition_number(level) for level in system.levels()] if with_cond
+                 else [None] * mesh.n_levels)
     except (ValueError, ArithmeticError) as exc:
-        if len(meshes) == 1:
-            raise _at_level(first, meshes[0].n_elements, exc) from exc
-        return [row for level, mesh in enumerate(meshes)
-                for row in _run_levels(spec, degree, first + level, [mesh], with_cond)]
+        if mesh.n_levels == 1:
+            raise _at_level(first, mesh.n_elements, exc) from exc
+        return [row for level in range(mesh.n_levels)
+                for row in _run_levels(spec, degree, first + level, mesh.level(level), with_cond)]
     a, b = spec.domain
+    starts = mesh.starts.tolist()
     return [
-        {"h": (b - a) / mesh.n_elements, "l2": report.l2, "h1_broken": report.h1_broken,
+        {"h": (b - a) / (j - i), "l2": report.l2, "h1_broken": report.h1_broken,
          "nodal": report.nodal_max, "cond": cond}
-        for mesh, report, cond in zip(meshes, reports, conds)
+        for i, j, report, cond in zip(starts, starts[1:], reports, conds)
     ]
+
+
+def _stacked_mesh(a: float, b: float, first: int, counts: list[int], alphas) -> Mesh1D:
+    """``build_mesh`` of levels first, first + 1, ... with ``counts`` elements, as one stack.
+
+    If the stack fails, its levels are built one at a time, in order, so
+    that the failure raised is the lowest failing level's, as "level i
+    (n=...): ...".
+    """
+    try:
+        return build_mesh(a, b, counts, alphas)
+    except ValueError:
+        for level, n in enumerate(counts, first):
+            try:
+                build_mesh(a, b, n, alphas)
+            except ValueError as exc:
+                raise _at_level(level, n, exc) from exc
+        raise
 
 
 def run_convergence(
@@ -142,9 +163,10 @@ def run_convergence(
     other than 1 or 2.  Data whose degrees need a larger Gauss rule than
     there is, and every mesh, are checked up front: an interface-node
     collision is reported with its level before any solve.  The levels
-    then run as one stack (``_run_levels``), or, above
-    ONE_STACK_ELEMENTS elements in all, as two: the coarse levels, then
-    the finest alone.  A numerical failure (ValueError or
+    run as one stack, or, above ONE_STACK_ELEMENTS elements in all, as
+    two: the coarse levels, then the finest alone.  Each stack's mesh is
+    one ``build_mesh`` call (``_stacked_mesh``), and each stack runs as
+    one space (``_run_levels``).  A numerical failure (ValueError or
     ArithmeticError, LinAlgError included) is raised as "level i (n=...):
     ...", the one that running the levels one by one would raise.
     """
@@ -168,18 +190,12 @@ def run_convergence(
     n0 = _elements_for(h0, a, b)
     alphas = [s.alpha for s in spec.interfaces]
 
-    meshes = []
-    for level in range(levels):
-        try:
-            meshes.append(build_mesh(a, b, n0 * 2**level, alphas))
-        except ValueError as exc:
-            raise _at_level(level, n0 * 2**level, exc) from exc
-
-    split = levels if sum(mesh.n_elements for mesh in meshes) <= ONE_STACK_ELEMENTS else levels - 1
-    rows = []
-    for first, stack in ((0, meshes[:split]), (split, meshes[split:])):
-        if stack:
-            rows += _run_levels(spec, degree, first, stack, with_cond)
+    counts = [n0 * 2**level for level in range(levels)]
+    split = levels if sum(counts) <= ONE_STACK_ELEMENTS else levels - 1
+    stacks = [(first, _stacked_mesh(a, b, first, stack, alphas))
+              for first, stack in ((0, counts[:split]), (split, counts[split:])) if stack]
+    rows = [row for first, mesh in stacks
+            for row in _run_levels(spec, degree, first, mesh, with_cond)]
 
     hs = [row["h"] for row in rows]
     for key, name in _ORDER_OF.items():

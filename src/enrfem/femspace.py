@@ -15,11 +15,12 @@ Each interface cuts exactly one element.  The mesh's cut columns
 is interface j, lies between layers j and j + 1, and owns the degree + 1
 enrichment DOFs that ``_with_enrichment`` numbers.
 
-A space on a stacked mesh (``mesh.stack_meshes``) is the direct sum of
-one space per level, built as one: each level numbers its own standard
-DOFs after the levels before it, the cut table runs level by level, and
-each level's free DOFs follow those of the level before, so that the
-free matrix is block diagonal, one band per level.  A space on a mesh of
+A space on a stacked mesh (``mesh.build_mesh`` of several counts, or
+``mesh.stack_meshes``) is the direct sum of one space per level, built
+as one: each level numbers its own standard DOFs after the levels
+before it, the cut table runs level by level, and each level's free
+DOFs follow those of the level before, so that the free matrix is
+block diagonal, one band per level.  A space on a mesh of
 one level is a stack of one.
 """
 

@@ -27,6 +27,7 @@ from _helpers import (
 )
 from enrfem import analysis as analysis_module
 from enrfem import assembly as assembly_module
+from enrfem import cli as cli_module
 from enrfem import femspace as femspace_module
 from enrfem.analysis import compute_errors, error_rule_size
 from enrfem.assembly import (
@@ -521,18 +522,21 @@ _COUNTED = {
 }
 
 
-def _count_calls(monkeypatch):
-    """Wrap the counted functions where they are called; returns the counter they add to."""
+def _count_calls(monkeypatch, counted_too=None):
+    """Wrap the counted functions where they are called; returns the counter they add to.
+
+    ``counted_too`` maps more names to the modules or classes that hold them.
+    """
     counts = Counter()
-    for name, modules in _COUNTED.items():
-        function = getattr(femspace_module, name, None) or getattr(assembly_module, name)
+    for name, owners in (_COUNTED | (counted_too or {})).items():
+        function = getattr(owners[0], name)
 
         def counted(*args, _name=name, _function=function, **kwargs):
             counts[_name] += 1
             return _function(*args, **kwargs)
 
-        for module in modules:
-            monkeypatch.setattr(module, name, counted)
+        for owner in owners:
+            monkeypatch.setattr(owner, name, counted)
     return counts
 
 
@@ -576,9 +580,11 @@ def test_a_studys_calls_do_not_grow_with_its_levels(monkeypatch, degree):
     stack makes a level's calls of
     test_a_levels_calls_do_not_grow_with_its_cuts.  At 9 levels (4,088
     elements) the study runs two stacks, its coarse levels and its
-    finest, and makes those calls twice.
+    finest, and makes those calls twice.  Each stack's mesh is one
+    build_mesh call, and no stack is split into per-level systems
+    (``BandSystem.levels``) but for --cond.
     """
-    counts = _count_calls(monkeypatch)
+    counts = _count_calls(monkeypatch, {"build_mesh": (cli_module,), "levels": (BandSystem,)})
     per_study = []
     for levels in (3, 7, 9):
         counts.clear()
@@ -586,11 +592,16 @@ def test_a_studys_calls_do_not_grow_with_its_levels(monkeypatch, degree):
         per_study.append(dict(counts))
     assert per_study[0] == per_study[1]
     assert per_study[0] == {
-        "_layer_values": 4 + 4 + 3, "eval_enrichment": 4 + 2, "standard_basis": 2 + 1
+        "_layer_values": 4 + 4 + 3, "eval_enrichment": 4 + 2, "standard_basis": 2 + 1,
+        "build_mesh": 1,
     }
     assert per_study[2] == {
-        "_layer_values": 4 + 2 * (4 + 3), "eval_enrichment": 2 * (4 + 2), "standard_basis": 2 * (2 + 1)
+        "_layer_values": 4 + 2 * (4 + 3), "eval_enrichment": 2 * (4 + 2), "standard_basis": 2 * (2 + 1),
+        "build_mesh": 2,
     }
+    counts.clear()
+    run_convergence(3, degree, "1/8", 3, with_cond=True)
+    assert counts["build_mesh"] == counts["levels"] == 1
 
 
 @pytest.mark.parametrize("case", ["p1", "p2", "p3", "p4", "p5", "p6", "sweep-117"])

@@ -375,6 +375,16 @@ def test_unreadable_problem_file_exits_1(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("problem", ["\u00b2", "\u0663"], ids=["superscript-two", "arabic-indic-three"])
+def test_only_ascii_digits_name_a_catalog_problem(tmp_path, monkeypatch, capsys, problem):
+    """'²' and '٣' pass str.isdigit but are no catalog id: each is a path, and a missing one exits 1."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["--problem", problem, "--levels", "1"]) == 1
+    assert capsys.readouterr().err == (
+        f"enrfem: error: {problem}: cannot read: No such file or directory\n"
+    )
+
+
 def test_unwritable_output_exits_1(tmp_path, capsys):
     out = tmp_path / "missing-dir" / "table.csv"
     assert main(["--problem", "1", "--levels", "1", "--out", str(out)]) == 1
@@ -396,6 +406,13 @@ def test_a_mesh_beyond_memory_exits_1(capsys, monkeypatch, exc, line):
     monkeypatch.setattr(enrfem.cli, "build_mesh", build_mesh)
     assert main(["--problem", "1", "--h0", "1/1000000000000", "--levels", "1"]) == 1
     assert capsys.readouterr().err == f"enrfem: error: {line}\n"
+
+
+def test_a_stack_beyond_an_arrays_reach_exits_1(capsys):
+    """64 levels from h0 = 1/8 ask for about 2**66 nodes: one line, exit 1, nothing allocated."""
+    assert main(["--problem", "1", "--levels", "64"]) == 1
+    assert re.fullmatch(r"enrfem: error: \d+ mesh nodes are more than an array can index\n",
+                        capsys.readouterr().err)
 
 
 def test_interface_on_a_node_is_a_numerical_failure(capsys):

@@ -1,6 +1,13 @@
+import json
+import re
+
 import numpy as np
 import pytest
+from _helpers import FIXTURES
 
+import enrfem.cli
+from enrfem.bench import catalog_problem, load_problem_file
+from enrfem.cli import run_convergence
 from enrfem.mesh import build_mesh, locate_element, mesh_from_nodes, stack_meshes
 
 
@@ -121,3 +128,60 @@ def test_non_finite_nodes_rejected(nodes, where):
     for interfaces in ((), (0.25,)):
         with pytest.raises(ValueError, match=f"mesh nodes must be finite; {where}"):
             mesh_from_nodes(nodes, interfaces)
+
+
+_INTERFACES = {f"p{k}": catalog_problem(k).problem.breakpoints for k in range(1, 7)}
+_INTERFACES["sweep-117"] = load_problem_file(FIXTURES / "sweep-117.json").breakpoints
+
+
+@pytest.mark.parametrize("case", sorted(_INTERFACES))
+def test_a_stacked_build_is_its_levels_stacked(case):
+    """build_mesh of a study's counts is stack_meshes of its levels' meshes, bit for bit.
+
+    On (0, 1) and on (-0.3, 2.7), the interfaces mapped onto it, from
+    h0 = 1/5, 1/8 and 1/12 over 1 to 9 levels; each level's nodes are
+    np.linspace's.  Where a level fails alone, the stack raises the
+    lowest failing level's message.
+    """
+    for a, b in ((0.0, 1.0), (-0.3, 2.7)):
+        alphas = [a + (b - a) * alpha for alpha in _INTERFACES[case]]
+        for h0 in (5, 8, 12):
+            n0 = round((b - a) * h0)
+            for levels in range(1, 10):
+                counts = [n0 * 2**level for level in range(levels)]
+                try:
+                    meshes = [build_mesh(a, b, n, alphas) for n in counts]
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=re.escape(str(exc))):
+                        build_mesh(a, b, counts, alphas)
+                    continue
+                got, want = build_mesh(a, b, counts, alphas), stack_meshes(meshes)
+                for name in ("nodes", "cut_elements", "alphas", "starts"):
+                    column, oracle = getattr(got, name), getattr(want, name)
+                    assert column.dtype == oracle.dtype, name
+                    assert column.tobytes() == oracle.tobytes(), name
+                for mesh, n in zip(meshes, counts):
+                    assert mesh.nodes.tobytes() == np.linspace(a, b, n + 1).tobytes()
+                assert [got.level(level).nodes.tobytes() for level in range(levels)] == [
+                    mesh.nodes.tobytes() for mesh in meshes]
+
+
+def test_an_interface_on_a_node_of_level_2_only_fails_before_any_solve(tmp_path, monkeypatch):
+    """alpha = 3/32 from h0 = 1/8 is inside an element at levels 0 and 1 and on a node at level 2.
+
+    The study names level 2, before it builds any space.
+    """
+    doc = json.loads((FIXTURES / "sweep-117.json").read_text())
+    doc["interfaces"] = doc["interfaces"][:1]
+    doc["interfaces"][0]["alpha"] = 3 / 32
+    doc["layers"], doc["exact"] = doc["layers"][:2], doc["exact"][:2]
+    path = tmp_path / "node.json"
+    path.write_text(json.dumps(doc))
+    run_convergence(str(path), 1, "1/8", 2)  # levels 0 and 1 solve
+
+    def no_space(*args):
+        raise AssertionError("a space was built")
+    monkeypatch.setattr(enrfem.cli, "space_for_problem", no_space)
+    with pytest.raises(ValueError, match=r"^level 2 \(n=32\): interface 0\.09375 coincides "
+                                         r"with a mesh node; choose"):
+        run_convergence(str(path), 1, "1/8", 3)

@@ -181,15 +181,15 @@ def test_the_benchmark_trace_finds_what_it_wraps():
     """Each function the benchmark's tracer wraps is in enrfem.cli, and is called once per stack.
 
     The tracer reads ``WRAPPED`` by name; a study of 3 levels from h0 =
-    1/8 runs as one stack, so it makes 1 span each of space_for_problem,
-    assemble_system, solve_system and compute_errors.  The stack's spans
-    count every level's elements, cuts and free DOFs once, the cuts as
-    ``len`` of the space's ``enrichments``: on catalog problem 3 at P1 and
-    on the P2 file sweep-117.json, two interfaces and both ends
-    Dirichlet.  A study
-    loads its problem once: a catalog id through catalog_problem, whose
-    file load is not the wrapped name, and a problem file through
-    load_problem_file.
+    1/8 runs as one stack, so it makes 1 span each of build_mesh,
+    space_for_problem, assemble_system, solve_system and compute_errors;
+    one of 9 levels runs two stacks, and makes 2 build_mesh spans.  The
+    stack's spans count every level's elements, cuts and free DOFs once,
+    the cuts as ``len`` of the space's ``enrichments``: on catalog
+    problem 3 at P1 and on the P2 file sweep-117.json, two interfaces and
+    both ends Dirichlet.  A study loads its problem once: a catalog id
+    through catalog_problem, whose file load is not the wrapped name, and
+    a problem file through load_problem_file.
     """
     import enrfem.cli as cli
 
@@ -199,7 +199,7 @@ def test_the_benchmark_trace_finds_what_it_wraps():
     study = _traced_study(cli, spans, 3, None, "1/8", 3)
     names = [span["name"] for span in study]
     assert names.count("bench.catalog_problem") == 1 and "cli.load_problem_file" not in names
-    for name in ("femspace.space_for_problem", "assembly.assemble_system",
+    for name in ("mesh.build_mesh", "femspace.space_for_problem", "assembly.assemble_system",
                  "assembly.solve_system", "analysis.compute_errors"):
         assert names.count(name) == 1, name
     metrics = spans.layer_metrics(study)
@@ -207,10 +207,15 @@ def test_the_benchmark_trace_finds_what_it_wraps():
     assert metrics["femspace.cut_elements"] == 3 * 3
     assert metrics["assembly.free_dofs"] == sum(8 * 2**level + 3 * 2 for level in range(3))
 
+    study = _traced_study(cli, spans, 3, 1, "1/8", 9)
+    names = [span["name"] for span in study]
+    assert names.count("mesh.build_mesh") == names.count("femspace.space_for_problem") == 2
+    assert spans.layer_metrics(study)["mesh.elements"] == 8 * (2**9 - 1)
+
     study = _traced_study(cli, spans, str(SWEEP_117), 2, "1/8", 3)
     names = [span["name"] for span in study]
     assert names.count("cli.load_problem_file") == 1 and "bench.catalog_problem" not in names
-    assert names.count("femspace.space_for_problem") == 1
+    assert names.count("mesh.build_mesh") == names.count("femspace.space_for_problem") == 1
     metrics = spans.layer_metrics(study)
     assert metrics["mesh.elements"] == 8 + 16 + 32
     assert metrics["femspace.cut_elements"] == 2 * 3
