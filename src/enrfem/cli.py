@@ -40,11 +40,11 @@ _ORDER_OF = {"l2": "order_l2", "h1_broken": "order_h1", "nodal": "order_nodal"}
 _NUM = "{:.5e}"       # 6 significant digits
 
 # A study of at most this many elements over all its levels runs as one
-# stack; a larger one runs its coarse levels, then its finest alone.
-# Under halving the coarse levels together have fewer elements than the
-# finest, so the split keeps a deep study's peak memory that of its
-# finest level: in a fresh process, one stack of problem 6 over 10
-# levels (8,184 elements) peaks at 47.7 MB against 42.4 MB split, while
+# stack; a larger one runs its coarse levels, then its finest alone.  The
+# split is for memory: under halving the coarse levels together have
+# fewer elements than the finest, so two stacks keep a deep study's peak
+# that of its finest level.  In a fresh process, problem 6 over 10 levels
+# (8,184 elements) peaks at 45.2 MB as one stack against 40.8 MB split;
 # at 2,040 elements (8 levels) one stack costs 1 MB more and saves a
 # stack's fixed cost.
 ONE_STACK_ELEMENTS = 2048
@@ -76,8 +76,8 @@ def _resolve_problem(problem) -> tuple[ProblemSpec, str, int]:
     return load_problem_file(text), text, 1
 
 
-def _elements_for(h0: Fraction, a: float, b: float) -> int:
-    """The coarsest level's element count, (b - a) / h0, checked before any array exists."""
+def _elements_for(h0: Fraction, a: float, b: float, levels: int) -> int:
+    """The coarsest level's element count, (b - a) / h0; all levels' are checked before any array."""
     try:
         width = float(h0)
     except OverflowError:
@@ -85,8 +85,12 @@ def _elements_for(h0: Fraction, a: float, b: float) -> int:
     if h0 > 0 and not 0 < width < math.inf:
         raise ProblemFileError(f"h0={h0} is outside the range of a float")
     n = (b - a) / width if h0 > 0 else 0.0
-    if n + 1 > sys.maxsize // 8:  # numpy cannot index a float64 node array that long
-        raise ProblemFileError(f"h0={h0} gives {n:.3g} elements, more than an array can index")
+    # numpy cannot index a float64 node array of the finest level's length;
+    # 64 doublings put any n >= 2 over the limit, and a power of two keeps
+    # the float product exact (or inf)
+    if n * 2.0 ** (min(levels, 65) - 1) + 1 > sys.maxsize // 8:
+        raise ProblemFileError(f"h0={h0} gives {n:.3g} * 2**{levels - 1} elements on level "
+                               f"{levels - 1}, more than an array can index")
     if abs(n - round(n)) > 1e-9 * max(n, 1.0) or round(n) < 2:
         raise ProblemFileError(
             f"h0={h0} does not tile the domain ({a}, {b}) into >= 2 elements"
@@ -94,33 +98,17 @@ def _elements_for(h0: Fraction, a: float, b: float) -> int:
     return int(round(n))
 
 
-def _at_level(level: int, n: int, exc: Exception) -> Exception:
-    """``exc`` again, its message prefixed with the level and its element count."""
-    return type(exc)(f"level {level} (n={n}): {exc}")
+def _stack_rows(spec: ProblemSpec, degree: int, mesh: Mesh1D, with_cond: bool) -> list[dict]:
+    """The rows of the stacked ``mesh``'s levels, run as one space.
 
-
-def _run_levels(spec: ProblemSpec, degree: int, first: int, mesh: Mesh1D,
-                with_cond: bool) -> list[dict]:
-    """The rows of levels first, first + 1, ... of the stacked ``mesh``, run as one space.
-
-    The stack runs straight through: space, assembly, one solve of the
-    whole stack, errors, and cond per level with ``with_cond``.  If a
-    stage fails, a stack of one raises it as "level i (n=...): ..."; a
-    larger stack runs again one level at a time, in order, so the failure
-    raised is the one that the level-by-level loop raises: the lowest
-    failing level's at its first failing stage.
+    Space, assembly, one solve of the whole stack, errors, and cond per
+    level with ``with_cond``.  A failure is raised as it comes.
     """
-    try:
-        space = space_for_problem(spec, mesh, degree)
-        system = assemble_system(spec, space)
-        reports = compute_errors(spec.exact, space, solve_system(system))
-        conds = ([condition_number(level) for level in system.levels()] if with_cond
-                 else [None] * mesh.n_levels)
-    except (ValueError, ArithmeticError) as exc:
-        if mesh.n_levels == 1:
-            raise _at_level(first, mesh.n_elements, exc) from exc
-        return [row for level in range(mesh.n_levels)
-                for row in _run_levels(spec, degree, first + level, mesh.level(level), with_cond)]
+    space = space_for_problem(spec, mesh, degree)
+    system = assemble_system(spec, space)
+    reports = compute_errors(spec.exact, space, solve_system(system))
+    conds = ([condition_number(level) for level in system.levels()] if with_cond
+             else [None] * mesh.n_levels)
     a, b = spec.domain
     starts = mesh.starts.tolist()
     return [
@@ -130,22 +118,25 @@ def _run_levels(spec: ProblemSpec, degree: int, first: int, mesh: Mesh1D,
     ]
 
 
-def _stacked_mesh(a: float, b: float, first: int, counts: list[int], alphas) -> Mesh1D:
-    """``build_mesh`` of levels first, first + 1, ... with ``counts`` elements, as one stack.
+def _level_by_level(spec: ProblemSpec, degree: int, counts: list[int], alphas,
+                    with_cond: bool) -> list[dict]:
+    """The rows of the levels with ``counts`` elements, run one at a time: the contract.
 
-    If the stack fails, its levels are built one at a time, in order, so
-    that the failure raised is the lowest failing level's, as "level i
-    (n=...): ...".
+    Every level's mesh is built first; then each level runs as a stack
+    of one, in order.  The first failure, the lowest failing level's at
+    its first failing stage, is raised as "level i (n=...): ...".
     """
+    a, b = spec.domain
     try:
-        return build_mesh(a, b, counts, alphas)
-    except ValueError:
-        for level, n in enumerate(counts, first):
-            try:
-                build_mesh(a, b, n, alphas)
-            except ValueError as exc:
-                raise _at_level(level, n, exc) from exc
-        raise
+        meshes = []
+        for level, n in enumerate(counts):
+            meshes.append(build_mesh(a, b, n, alphas))
+        rows = []
+        for level, mesh in enumerate(meshes):
+            rows += _stack_rows(spec, degree, mesh, with_cond)
+    except (ValueError, ArithmeticError) as exc:
+        raise type(exc)(f"level {level} (n={counts[level]}): {exc}") from exc
+    return rows
 
 
 def run_convergence(
@@ -161,14 +152,16 @@ def run_convergence(
     must carry an exact solution.  ``degree`` None takes the catalog
     entry's degree, or 1 for a problem file; ``build_space`` rejects any
     other than 1 or 2.  Data whose degrees need a larger Gauss rule than
-    there is, and every mesh, are checked up front: an interface-node
-    collision is reported with its level before any solve.  The levels
-    run as one stack, or, above ONE_STACK_ELEMENTS elements in all, as
-    two: the coarse levels, then the finest alone.  Each stack's mesh is
-    one ``build_mesh`` call (``_stacked_mesh``), and each stack runs as
-    one space (``_run_levels``).  A numerical failure (ValueError or
-    ArithmeticError, LinAlgError included) is raised as "level i (n=...):
-    ...", the one that running the levels one by one would raise.
+    there is, and a finest level beyond an array's reach, exit before any
+    mesh is built.  The levels run as one stack, or, above
+    ONE_STACK_ELEMENTS elements in all, as two: the coarse levels, then
+    the finest alone; each stack is one ``build_mesh`` call and one space
+    (``_stack_rows``).  If a stack fails (ValueError or ArithmeticError,
+    LinAlgError included), the study runs again level by level
+    (``_level_by_level``): every level's mesh first, then each level
+    alone, so the failure raised is the level-by-level loop's, "level i
+    (n=...): ...", and an interface-node collision outranks a numerical
+    failure of an earlier level.
     """
     if levels < 1:
         raise ValueError("need at least one refinement level")
@@ -187,15 +180,16 @@ def run_convergence(
         raise ProblemFileError(str(exc)) from exc
     h0 = Fraction(str(h0)) if not isinstance(h0, Fraction) else h0
     a, b = spec.domain
-    n0 = _elements_for(h0, a, b)
+    n0 = _elements_for(h0, a, b, levels)
     alphas = [s.alpha for s in spec.interfaces]
 
     counts = [n0 * 2**level for level in range(levels)]
     split = levels if sum(counts) <= ONE_STACK_ELEMENTS else levels - 1
-    stacks = [(first, _stacked_mesh(a, b, first, stack, alphas))
-              for first, stack in ((0, counts[:split]), (split, counts[split:])) if stack]
-    rows = [row for first, mesh in stacks
-            for row in _run_levels(spec, degree, first, mesh, with_cond)]
+    try:
+        rows = [row for stack in (counts[:split], counts[split:]) if stack
+                for row in _stack_rows(spec, degree, build_mesh(a, b, stack, alphas), with_cond)]
+    except (ValueError, ArithmeticError):
+        rows = _level_by_level(spec, degree, counts, alphas, with_cond)
 
     hs = [row["h"] for row in rows]
     for key, name in _ORDER_OF.items():

@@ -207,7 +207,7 @@ def standard_basis(space: EnrichedSpace, ks: np.ndarray, xs: np.ndarray):
 
 
 def element_basis(space: EnrichedSpace, k: int, xs: np.ndarray, side: str = "left"):
-    """All DOFs supported on element k evaluated at points xs.
+    """All DOFs supported on element k evaluated at the points xs, a 1-D array.
 
     Returns (dof_indices, values, derivatives) with values/derivatives of
     shape (n_local, len(xs)); a cut element's rows come from
@@ -219,6 +219,8 @@ def element_basis(space: EnrichedSpace, k: int, xs: np.ndarray, side: str = "lef
     if not 0 <= k < space.mesh.n_elements:
         raise ValueError(f"element {k} outside 0..{space.mesh.n_elements - 1}")
     xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1:
+        raise ValueError(f"xs must be a 1-D array of points, got shape {xs.shape}")
     rows = Basis(*standard_basis(space, np.array([k]), xs[None]))
     cuts = space.mesh.cut_elements
     j = int(np.searchsorted(cuts, k))

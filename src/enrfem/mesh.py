@@ -82,14 +82,6 @@ class Mesh1D:
         starts.flags.writeable = False
         return starts
 
-    def level(self, level: int) -> Mesh1D:
-        """Level ``level`` of a stack, as a mesh of its own."""
-        i, j = self.starts[level:level + 2].tolist()
-        c, d = self.cut_starts[level:level + 2].tolist()
-        return Mesh1D(nodes=self.nodes[i + level:j + level + 1],
-                      cut_elements=self.cut_elements[c:d] - i, alphas=self.alphas[c:d],
-                      starts=np.array([0, j - i]))
-
 
 def _located(nodes: np.ndarray, starts: np.ndarray, interfaces) -> Mesh1D:
     """The mesh of ``nodes`` (each level's in turn, ``Mesh1D``), every level cut by ``interfaces``.
@@ -194,7 +186,8 @@ def build_mesh(a: float, b: float, n, interfaces=()) -> Mesh1D:
         raise ValueError("need at least 2 elements")
     size = sum(counts) + len(counts)
     if size > sys.maxsize // 8:  # numpy cannot index a float64 node array that long
-        raise MemoryError(f"{size} mesh nodes are more than an array can index")
+        raise MemoryError(f"2**{size.bit_length() - 1} or more mesh nodes are more than an "
+                          "array can index")
     starts = np.array([0, *accumulate(counts)])
     sizes = np.array(counts) + 1  # each level's nodes
     first = starts[:-1] + np.arange(len(counts))

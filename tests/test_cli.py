@@ -326,7 +326,8 @@ def test_main_usage_errors(capsys):
     pytest.param(["--h0", "1e400"], f"h0={10**400} is outside the range of a float",
                  id="h0-overflows"),
     pytest.param(["--h0", "1e-20"],
-                 f"h0=1/{10**20} gives 1e+20 elements, more than an array can index",
+                 f"h0=1/{10**20} gives 1e+20 * 2**0 elements on level 0, "
+                 "more than an array can index",
                  id="h0-beyond-an-index"),
 ])
 def test_out_of_range_arguments_exit_1(capsys, argv, message):
@@ -408,11 +409,44 @@ def test_a_mesh_beyond_memory_exits_1(capsys, monkeypatch, exc, line):
     assert capsys.readouterr().err == f"enrfem: error: {line}\n"
 
 
-def test_a_stack_beyond_an_arrays_reach_exits_1(capsys):
-    """64 levels from h0 = 1/8 ask for about 2**66 nodes: one line, exit 1, nothing allocated."""
+def test_a_stack_beyond_an_arrays_reach_exits_1(capsys, monkeypatch):
+    """64 levels from h0 = 1/8 ask for 2**66 elements on the finest: one line, exit 1, no mesh."""
+    monkeypatch.setattr(enrfem.cli, "build_mesh", lambda *args: pytest.fail("a mesh was built"))
     assert main(["--problem", "1", "--levels", "64"]) == 1
-    assert re.fullmatch(r"enrfem: error: \d+ mesh nodes are more than an array can index\n",
-                        capsys.readouterr().err)
+    assert capsys.readouterr().err == (
+        "enrfem: error: h0=1/8 gives 8 * 2**63 elements on level 63, more than an array can index\n"
+    )
+
+
+_NO_MESH = """
+import resource, sys
+import enrfem.cli as cli
+resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+def build_mesh(*args):
+    raise AssertionError("a mesh was built")
+cli.build_mesh = build_mesh
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("levels", [20000, 10**9])
+def test_a_huge_level_count_exits_1_at_once(levels):
+    """A huge --levels exits 1 with one short line, before any level's element count exists.
+
+    Its counts n0 * 2**l would take O(L**2) bits, and the total node count
+    past about 14,300 levels has more digits than int-to-str allows.  The
+    fresh interpreter may map 2 GiB and run 30 s, and builds no mesh.
+    """
+    package_root = str(Path(enrfem.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_MESH, "--problem", "1", "--levels", str(levels)],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": package_root, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (f"enrfem: error: h0=1/8 gives 8 * 2**{levels - 1} elements on level "
+                           f"{levels - 1}, more than an array can index\n")
+    assert len(proc.stderr) < 200
 
 
 def test_interface_on_a_node_is_a_numerical_failure(capsys):
@@ -440,7 +474,7 @@ def test_main_numerical_failure(tmp_path, capsys):
     )
 
 
-def _degenerate_file(tmp_path, alpha, lam):
+def _degenerate_file(tmp_path, alpha, lam, **overrides):
     """D = 1 | 2, so gamma = -2 lam: psi's denominator alpha - x_{k+1} - gamma vanishes
     on every level whose cut element ends at alpha + 2 lam."""
     return _problem1_file(
@@ -451,6 +485,7 @@ def _degenerate_file(tmp_path, alpha, lam):
         ],
         interfaces=[{"alpha": alpha, "kind": "implicit", "lambda": lam}],
         exact=[[0.0, 1.0], [0.0, 1.0]],
+        **overrides,
     )
 
 
@@ -462,7 +497,7 @@ def _degenerate_file(tmp_path, alpha, lam):
     (0.11, 0.02, 4, "level 2 (n=20): degenerate enrichment denominator; change mesh size",
      [4, 1, 1, 1]),
     (0.50058125, 0.0001, 9,
-     "level 8 (n=1280): degenerate enrichment denominator; change mesh size", [8, 1]),
+     "level 8 (n=1280): degenerate enrichment denominator; change mesh size", [8] + [1] * 10),
 ], ids=["second-level", "finest-level-only", "third-level", "finest-level-alone"])
 def test_a_failing_level_is_the_per_level_loops(tmp_path, capsys, monkeypatch,
                                                 alpha, lam, levels, message, stacks):
@@ -476,8 +511,9 @@ def test_a_failing_level_is_the_per_level_loops(tmp_path, capsys, monkeypatch,
     (2,555 elements) the coarse levels run as one stack and the finest
     alone; alpha = 0.50058125 has its cut element end at 641/1280 on
     level 8, the finest, alone.  ``stacks`` is the number of levels of
-    each space built: a failing stack runs again one level at a time up
-    to its failing level.
+    each space built: a failing stack runs the study again one level at a
+    time up to its failing level, the coarse levels of a two-stack study
+    included.
     """
     path = _degenerate_file(tmp_path, alpha, lam)
     with pytest.raises(ValueError) as oracle:
@@ -490,6 +526,30 @@ def test_a_failing_level_is_the_per_level_loops(tmp_path, capsys, monkeypatch,
     assert main(["--problem", str(path), "--h0", "1/5", "--levels", str(levels)]) == 2
     assert capsys.readouterr().err == f"enrfem: numerical failure: {message}\n"
     assert built == stacks
+
+
+@pytest.mark.parametrize("levels, message", [
+    (9, "level 8 (n=2048): interface 0.50048828125 coincides with a mesh node; choose a "
+        "different number of elements so the interface falls inside one"),
+    (8, "level 0 (n=8): degenerate enrichment denominator; change mesh size"),
+])
+def test_a_mesh_failure_outranks_an_earlier_numerical_one_across_stacks(tmp_path, capsys,
+                                                                        levels, message):
+    """alpha = 1025/2048, lam = 255/4096: psi's denominator vanishes on level 0 (n=8), whose
+    cut element ends at alpha + 2 lam = 5/8, and alpha is a node of level 8 (n=2048).
+
+    Over 9 levels (4,088 elements) level 0 runs in the coarse stack and
+    level 8 alone, after it: the level-by-level loop builds every mesh
+    before it solves, so level 8's mesh failure is the one reported.
+    Over 8 levels every mesh builds, and level 0's failure is reported.
+    """
+    path = _degenerate_file(tmp_path, 1025 / 2048, 255 / 4096,
+                            bc={"left": {"neumann": 0.0}, "right": {"dirichlet": 0.0}})
+    with pytest.raises(ValueError) as oracle:
+        per_level_rows(load_problem_file(path), 1, Fraction(1, 8), levels)
+    assert str(oracle.value) == message
+    assert main(["--problem", str(path), "--levels", str(levels)]) == 2
+    assert capsys.readouterr().err == f"enrfem: numerical failure: {message}\n"
 
 
 @pytest.mark.parametrize("degree", ["1", "2"])

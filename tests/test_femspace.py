@@ -305,6 +305,15 @@ def test_an_element_or_point_outside_the_mesh_is_rejected():
         eval_function(space, np.ones(space.n_free), float("nan"))
 
 
+@pytest.mark.parametrize("xs", [0.05, [[0.05, 0.1]]], ids=["scalar", "2-d"])
+def test_element_basis_takes_a_1d_array_of_points(xs):
+    """A scalar or a 2-D xs is a ValueError naming its shape, not an IndexError from inside."""
+    space = _space(gamma=-1 / 63)
+    for k in (0, 1):  # off the cut element and on it
+        with pytest.raises(ValueError, match=r"xs must be a 1-D array of points, got shape \("):
+            element_basis(space, k, xs)
+
+
 def test_coefficient_length_mismatch_rejected():
     space = _space()
     with pytest.raises(ValueError, match="free coefficients"):

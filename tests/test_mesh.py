@@ -162,8 +162,17 @@ def test_a_stacked_build_is_its_levels_stacked(case):
                     assert column.tobytes() == oracle.tobytes(), name
                 for mesh, n in zip(meshes, counts):
                     assert mesh.nodes.tobytes() == np.linspace(a, b, n + 1).tobytes()
-                assert [got.level(level).nodes.tobytes() for level in range(levels)] == [
-                    mesh.nodes.tobytes() for mesh in meshes]
+
+
+@pytest.mark.parametrize("counts, power", [
+    ([2**61], 61), ([8 * 2**level for level in range(61)], 64), ([2**20000], 20000),
+], ids=["one-level", "61-levels", "20000-bit-count"])
+def test_a_build_beyond_an_arrays_reach_names_a_power_of_two(counts, power):
+    """A stack too long for an array is a MemoryError of one short line, allocating nothing:
+    its node count, which may have more digits than int-to-str allows, is given as 2**k."""
+    with pytest.raises(MemoryError) as info:
+        build_mesh(0.0, 1.0, counts)
+    assert str(info.value) == f"2**{power} or more mesh nodes are more than an array can index"
 
 
 def test_an_interface_on_a_node_of_level_2_only_fails_before_any_solve(tmp_path, monkeypatch):

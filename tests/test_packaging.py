@@ -1,3 +1,4 @@
+import contextlib
 import importlib
 import importlib.machinery
 import importlib.resources
@@ -164,20 +165,24 @@ def _benchmark_spans():
     return module
 
 
-def _traced_study(cli, spans, *args):
-    """The spans of ``cli.run_convergence(*args)`` run under the benchmark's tracer."""
+def _traced_study(cli, spans, *args, raises=None):
+    """The spans of ``cli.run_convergence(*args)`` run under the benchmark's tracer.
+
+    With ``raises``, the study must fail with a ValueError whose message matches it.
+    """
     tracer = spans.Tracer()
     tracer.study = "0"
     tracer.install(cli)
     try:
         with tracer.span(spans.STUDY):
-            cli.run_convergence(*args)
+            with pytest.raises(ValueError, match=raises) if raises else contextlib.nullcontext():
+                cli.run_convergence(*args)
     finally:
         tracer.uninstall(cli)
     return tracer.spans
 
 
-def test_the_benchmark_trace_finds_what_it_wraps():
+def test_the_benchmark_trace_finds_what_it_wraps(tmp_path):
     """Each function the benchmark's tracer wraps is in enrfem.cli, and is called once per stack.
 
     The tracer reads ``WRAPPED`` by name; a study of 3 levels from h0 =
@@ -190,6 +195,12 @@ def test_the_benchmark_trace_finds_what_it_wraps():
     both ends Dirichlet.  A study loads its problem once: a catalog id
     through catalog_problem, whose file load is not the wrapped name, and
     a problem file through load_problem_file.
+
+    A failing study's level-by-level rerun is traced too: with D = 1 | 2,
+    alpha = 0.07 and lambda = 0.015 from h0 = 1/5, level 1's enrichment
+    denominator vanishes, so the stack of 4 levels fails in its space,
+    and the rerun builds all 4 levels' meshes, then runs level 0 and
+    fails at level 1's space.
     """
     import enrfem.cli as cli
 
@@ -220,3 +231,20 @@ def test_the_benchmark_trace_finds_what_it_wraps():
     assert metrics["mesh.elements"] == 8 + 16 + 32
     assert metrics["femspace.cut_elements"] == 2 * 3
     assert metrics["assembly.free_dofs"] == sum(2 * 8 * 2**level - 1 + 3 * 2 for level in range(3))
+
+    degenerate = tmp_path / "degenerate.json"
+    degenerate.write_text(json.dumps({
+        "domain": [0.0, 1.0],
+        "layers": [{"D": [d], "delta_conv": [0.0], "w": [0.0], "f": [1.0]} for d in (1.0, 2.0)],
+        "interfaces": [{"alpha": 0.07, "kind": "implicit", "lambda": 0.015}],
+        "bc": {"left": {"neumann": 0.0}, "right": {"dirichlet": 1.0}},
+        "exact": [[0.0, 1.0], [0.0, 1.0]],
+    }))
+    study = _traced_study(cli, spans, str(degenerate), 1, "1/5", 4,
+                          raises=r"^level 1 \(n=10\): degenerate enrichment denominator")
+    elements = [span["attrs"]["elements"] for span in study if span["name"] == "mesh.build_mesh"]
+    assert elements == [5 + 10 + 20 + 40, 5, 10, 20, 40]
+    names = [span["name"] for span in study]
+    assert names.count("femspace.space_for_problem") == 3
+    for name in ("assembly.assemble_system", "assembly.solve_system", "analysis.compute_errors"):
+        assert names.count(name) == 1, name
