@@ -46,7 +46,7 @@ class ErrorReport:
 def error_rule_size(exact: Sequence[Polynomial], degree: int) -> int:
     """``exact_rule_size`` of (u - u_h)^2, u_h of degree ``degree`` + 1 on a cut piece."""
     return exact_rule_size(
-        (f"exact on layer {i}", len(u.coef) - 1, 2 * max(len(u.coef) - 1, degree + 1))
+        ("exact", i, len(u.coef) - 1, 2 * max(len(u.coef) - 1, degree + 1))
         for i, u in enumerate(exact)
     )
 
@@ -131,7 +131,9 @@ def observed_orders(h_list, e_list) -> list[float]:
 def coefficient_contrast(problem: ProblemSpec) -> float:
     """max(D) / min(D) over the layers (diagnostic)."""
     a, b = problem.domain
-    d_min, d_max = _layer_ranges(problem.diffusivity, np.array([a, *problem.breakpoints, b]))
+    breaks = np.array([a, *problem.breakpoints, b])
+    table = _coefficient_table([d.coef for d in problem.diffusivity])
+    d_min, d_max = _layer_ranges(table, breaks)
     if np.min(d_min) <= 0:
         raise ValueError("diffusivity must be positive to define the contrast")
     return float(np.max(d_max)) / float(np.min(d_min))

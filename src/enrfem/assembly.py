@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 from numpy.polynomial import Polynomial
 from numpy.polynomial import polynomial as P
 
@@ -119,6 +119,21 @@ def _as_polynomial(value, where: str) -> Polynomial:
     return value
 
 
+_DEFAULT_POLYNOMIAL = vars(Polynomial([0.0]))
+
+
+def _polynomial(coef: np.ndarray) -> Polynomial:
+    """Polynomial(coef) for a 1-d float64 array, which it takes, without the argument checks.
+
+    Polynomial's constructor copies ``coef`` through as_series, which costs
+    most of the call; this is a default Polynomial with ``coef`` in place
+    of its coefficients, equal to what the constructor would give.
+    """
+    poly = Polynomial.__new__(Polynomial)
+    vars(poly).update(_DEFAULT_POLYNOMIAL, coef=coef)
+    return poly
+
+
 # Arithmetic on coefficient arrays in powers of x, with the bits of
 # numpy.polynomial.polynomial's polymul, polyadd and polyder but without
 # their argument checks and type promotion (as_series, common_type), which
@@ -177,21 +192,25 @@ def _layer_values(table: np.ndarray, layer: np.ndarray, x) -> np.ndarray:
     return out
 
 
-def _layer_ranges(polys, breaks) -> tuple[np.ndarray, np.ndarray]:
-    """Each layer's min and max of its Polynomial in ``polys``, on [breaks[i], breaks[i + 1]].
+def _layer_ranges(table: np.ndarray, breaks) -> tuple[np.ndarray, np.ndarray]:
+    """Each layer's min and max of its polynomial in ``table``, on [breaks[i], breaks[i + 1]].
 
-    Both lie at an end of the layer or at a real root of the derivative
+    ``table`` is a ``_coefficient_table``, one column per layer.  Both
+    lie at an end of the layer or at a real root of the derivative
     inside it.  Every root's real part, clipped to the layer, is a point
-    of the layer, so the other roots add only values taken there.
+    of the layer, so the other roots add only values taken there.  A
+    one-row table, every layer's polynomial a constant, is its own min
+    and max.
     """
-    table = _coefficient_table([p.coef for p in polys])
+    if len(table) == 1:
+        return table[0], table[0]
     xs = np.repeat(breaks[:-1, None], len(table) + 1, axis=1).astype(float)  # deg - 1 roots fit
     xs[:, 1] = breaks[1:]
-    for row, p in zip(xs, polys):
-        if len(p.coef) > 2:
-            roots = P.polyroots(_derivative(p.coef)).real
+    for row, coef in zip(xs, table.T):
+        if coef[2:].any():  # polyroots trims the zeros that pad a column
+            roots = P.polyroots(_derivative(coef)).real
             row[2:len(roots) + 2] = np.clip(roots, row[0], row[1])
-    values = _layer_values(table, np.arange(len(polys))[:, None], xs)
+    values = _layer_values(table, np.arange(len(xs))[:, None], xs)
     return np.min(values, axis=1), np.max(values, axis=1)
 
 
@@ -242,7 +261,7 @@ class ProblemSpec:
         self.gammas  # an implicit interface needs a gamma: D-, D+ > 0 and a nonzero denominator
         breaks = np.array([a, *alphas, b])
         d_min, w_min = (
-            _layer_ranges(getattr(self, name), breaks)[0] for name in ("diffusivity", "reaction")
+            _layer_ranges(self.tables[name], breaks)[0] for name in ("diffusivity", "reaction")
         )
         bad = np.flatnonzero((d_min <= 0) | (w_min < 0))
         if bad.size and d_min[bad[0]] <= 0:
@@ -371,7 +390,7 @@ def assembly_rule_size(problem: ProblemSpec, degree: int) -> int:
     """``exact_rule_size`` of D u'v', delta u v', w u v and f v; cut, u and v have degree p + 1."""
     p = degree
     return exact_rule_size(
-        (f"{name} on layer {i}", len(c.coef) - 1, len(c.coef) - 1 + extra)
+        (name, i, len(c.coef) - 1, len(c.coef) - 1 + extra)
         for name, extra in zip(_COEFFICIENTS, (2 * p, 2 * p + 1, 2 * p + 2, p + 1))
         for i, c in enumerate(getattr(problem, name))
     )
@@ -403,8 +422,9 @@ def assemble_system(problem: ProblemSpec, space: EnrichedSpace) -> BandSystem:
     dofs = np.concatenate([std_dofs.ravel(), cut_dofs.ravel()])[load_order]
     f_local = np.concatenate([std_load.ravel(), cut_load.ravel()])[load_order]
     fi = space.free_index[dofs]
+    free = fi >= 0
     rhs = np.zeros(space.n_free)
-    np.add.at(rhs, fi[fi >= 0], f_local[fi >= 0])
+    np.add.at(rhs, fi[free], f_local[free])
 
     band, lift = _scatter(space, *(
         np.concatenate([np.concatenate([s, c])[block_order], i])
@@ -439,14 +459,15 @@ def _piece_integrals(problem: ProblemSpec, layout: CutLayout, quad: Quadrature):
     d_c, conv, w_c, f_c = (
         _layer_values(problem.tables[name], layout.layer, quad.xs) for name in _COEFFICIENTS
     )
+    has_conv, has_w = (conv != 0.0).any(), (w_c != 0.0).any()
     integrals = []
     for basis, pieces in ((quad.standard, slice(None)), (quad.cut, layout.cut_pieces)):
         wq, vals, ders = quad.weights[pieces], basis.values, basis.derivatives
         vals_t = vals.transpose(0, 2, 1)
         local = (ders * (wq * d_c[pieces])[:, None]) @ ders.transpose(0, 2, 1)
-        if np.any(conv != 0.0):
+        if has_conv:
             local += (ders * (wq * (-2.0) * conv[pieces])[:, None]) @ vals_t
-        if np.any(w_c != 0.0):
+        if has_w:
             local += (vals * (wq * w_c[pieces])[:, None]) @ vals_t
         integrals.append((basis.dofs, local, (vals * (wq * f_c[pieces])[:, None]).sum(axis=2)))
     return integrals
@@ -458,18 +479,21 @@ def _interface_blocks(problem: ProblemSpec, space: EnrichedSpace):
     Each implicit cut gives its jump block [u_j][u_i]/lam, then, where
     delta-(alpha) != 0, its convection block -2 delta- u_j(alpha-) [u_i].
     The rows of every cut at alpha come in one batch from ``_cut_rows``:
-    each cut's left, then right limit.
+    each cut's left, then right limit.  Without an implicit interface
+    there are no terms, and no rows are built.
     """
+    k = 2 * (space.degree + 1)
+    if not problem.implicit_interfaces["implicit"].any():
+        return np.empty((0, k), dtype=int), np.empty((0, k, k))
     layout = space.layout
     alpha = np.repeat(layout.psi.alpha, 2, axis=0)  # (2c, 1)
     rows = Basis(*standard_basis(space, layout.elements[layout.cut_pieces], alpha))
     both = _cut_rows(space, rows, alpha)
     levels = space.mesh.n_levels  # each with the problem's interfaces, in order
-    implicit, lam, delta_minus = (np.tile(problem.implicit_interfaces[name], levels)
+    implicit, lam, delta_minus = (np.concatenate([problem.implicit_interfaces[name]] * levels)
                                   for name in ("implicit", "lam", "delta_minus"))
     v_left, v_right = (both.values[side::2, :, 0][implicit] for side in (0, 1))
     jump = v_right - v_left
-    k = jump.shape[1]
     blocks = np.empty((len(jump), 2, k, k))
     np.divide(jump[:, :, None] * jump[:, None, :], lam[:, None, None], out=blocks[:, 0])
     np.multiply((-2.0 * delta_minus)[:, None, None], jump[:, :, None] * v_left[:, None, :],
@@ -496,14 +520,15 @@ def _scatter(space: EnrichedSpace, rows, cols, vals):
     column.  np.add.at adds the triplets in the order given.
     """
     fi, fj = space.free_index[rows], space.free_index[cols]
-    free = (fi >= 0) & (fj >= 0)
+    free_row, free_column = fi >= 0, fj >= 0
+    free = free_row & free_column
     fi_f, fj_f = fi[free], fj[free]
     q = 2 * space.degree + 1 if space.enrichments else space.degree
     band = np.zeros((2 * q + 1, space.n_free))
     np.add.at(band, (q + fi_f - fj_f, fj_f), vals[free])
     per_level = len(space.constrained) // space.mesh.n_levels
     lift = np.zeros((space.n_free, per_level))
-    sel = (fi >= 0) & (fj < 0)
+    sel = free_row & ~free_column
     column = np.searchsorted(space.constrained, cols[sel]) % max(per_level, 1)
     np.add.at(lift, (fi[sel], column), vals[sel])
     return band, lift
@@ -519,7 +544,7 @@ def _scaled_lu(band: np.ndarray, starts=(0,)):
     matrix by default.  Row 2q of ``lu`` holds U's diagonal.  Raises on
     non-finite entries.
     """
-    if not np.all(np.isfinite(band)):
+    if not np.isfinite(band).all():
         raise ValueError("matrix has non-finite entries")
     q, n = band.shape[0] // 2, band.shape[1]
     # The enrichment DOFs scale with psi, so a cut near a node or a deep
@@ -531,10 +556,12 @@ def _scaled_lu(band: np.ndarray, starts=(0,)):
     diagonal = np.abs(band[q])
     s = np.ones(n)
     np.divide(1.0, np.sqrt(diagonal), out=s, where=diagonal > 0)
-    # row q + i - j of column j holds A[i, j]: gather s_i along each band row
+    # row q + i - j of column j holds A[i, j]: s_i along each band row is a
+    # window of the padded s, row r starting at r (a view, as every row and
+    # column steps one entry)
     padded = np.ones(n + 2 * q)
     padded[q:q + n] = s
-    s_rows = sliding_window_view(padded, n)
+    s_rows = as_strided(padded, (2 * q + 1, n), padded.strides * 2, writeable=False)
     scaled = band * s_rows * s
     # reduced in C order: the same reduction of the F-order factor storage is ten times slower
     column_max = np.maximum(scaled.max(axis=0), -scaled.min(axis=0))
@@ -562,7 +589,7 @@ def solve_system(system: BandSystem) -> np.ndarray:
     earlier check's.
     """
     band, b, q = system.band, system.rhs, system.bandwidth
-    if not np.all(np.isfinite(b)):
+    if not np.isfinite(b).all():
         raise ValueError("load vector has non-finite entries")
     starts = system.starts
     s, lu, piv, largest = _scaled_lu(band, starts[:-1])

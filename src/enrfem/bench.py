@@ -29,7 +29,15 @@ from pathlib import Path
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .assembly import InterfaceSpec, ProblemSpec, _as_polynomial, _derivative, _product, _sum
+from .assembly import (
+    InterfaceSpec,
+    ProblemSpec,
+    _as_polynomial,
+    _derivative,
+    _polynomial,
+    _product,
+    _sum,
+)
 from .femspace import BoundaryCondition
 
 
@@ -68,7 +76,7 @@ def manufactured_rhs(exact, diffusivity, conv_delta, reaction) -> list[Polynomia
             _as_polynomial(c[i], f"layer {i}").coef for c in (diffusivity, conv_delta, reaction)
         )
         flux = _sum(_product(-d, _derivative(u)), _product(_product(np.array([2.0]), delta), u))
-        out.append(Polynomial(_sum(_derivative(flux), _product(w, u))))
+        out.append(_polynomial(_sum(_derivative(flux), _product(w, u))))
     return out
 
 
@@ -83,6 +91,8 @@ def catalog_problem(pid: int) -> BenchmarkProblem:
 def _coeff_list_to_poly(values, where: str) -> Polynomial:
     if not isinstance(values, list):
         raise ProblemFileError(f"field '{where}': expected a list of numbers")
+    if values and all(type(v) is float and abs(v) < math.inf for v in values):
+        return _polynomial(np.array(values))  # finite floats, as _number would give them
     coeffs = [_number(v, f"{where}[{i}]") for i, v in enumerate(values)]
     if not coeffs:
         raise ProblemFileError(f"field '{where}': empty coefficient list")

@@ -14,6 +14,7 @@ import argparse
 import datetime
 import json
 import math
+import re
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -76,24 +77,70 @@ def _resolve_problem(problem) -> tuple[ProblemSpec, str, int]:
     return load_problem_file(text), text, 1
 
 
+# A decimal exponent of this many digits puts a nonzero h0 far outside the
+# float range: its mantissa has at most 4,300 digits on each side of the
+# point, Python's limit for int parsing.
+_FAR_EXPONENT_DIGITS = 5
+_EXPONENT = re.compile(r"e(?P<exponent>[-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def _h0_fraction(text: str) -> Fraction:
+    """``text``, a fraction or a decimal, as a Fraction, its exponent checked first.
+
+    Fraction expands a decimal exponent into a power of ten, in time that
+    grows faster than the exponent (seconds for 1e-10000000).  So a
+    nonzero decimal with an exponent of _FAR_EXPONENT_DIGITS digits or
+    more is refused before that, as ``_elements_for`` refuses any h0
+    outside the range of a float, and a zero one is zero.  Raises
+    ValueError where Fraction would.
+    """
+    match = _EXPONENT.search(text)
+    if match is None or "/" in text:
+        return Fraction(text)
+    digits = match["exponent"].lstrip("+-").replace("_", "").lstrip("0")
+    if len(digits) < _FAR_EXPONENT_DIGITS:
+        return Fraction(text)
+    mantissa = Fraction(text[:match.start()])
+    if not mantissa:
+        return mantissa
+    if len(digits) > 18:
+        raise ProblemFileError(f"h0 with a {len(digits)}-digit decimal exponent is outside "
+                               "the range of a float")
+    raise ProblemFileError(f"{_about(mantissa, int(match['exponent']))} is outside the range "
+                           "of a float")
+
+
+def _about(value: Fraction, exponent: int = 0) -> str:
+    """The words "h0 of about [-]1eK" for value * 10**exponent; math.log10 takes any int."""
+    decades = round(math.log10(abs(value.numerator)) - math.log10(value.denominator))
+    return f"h0 of about {'-' if value < 0 else ''}1e{exponent + decades}"
+
+
+def _h0_text(h0: Fraction) -> str:
+    """The words "h0=<h0>" for messages, or h0's order of magnitude where the fraction is long."""
+    if max(abs(h0.numerator), h0.denominator).bit_length() <= 128:
+        return f"h0={h0}"
+    return _about(h0)
+
+
 def _elements_for(h0: Fraction, a: float, b: float, levels: int) -> int:
     """The coarsest level's element count, (b - a) / h0; all levels' are checked before any array."""
     try:
         width = float(h0)
     except OverflowError:
         width = math.inf
-    if h0 > 0 and not 0 < width < math.inf:
-        raise ProblemFileError(f"h0={h0} is outside the range of a float")
+    if h0 and not 0 < abs(width) < math.inf:
+        raise ProblemFileError(f"{_h0_text(h0)} is outside the range of a float")
     n = (b - a) / width if h0 > 0 else 0.0
     # numpy cannot index a float64 node array of the finest level's length;
     # 64 doublings put any n >= 2 over the limit, and a power of two keeps
     # the float product exact (or inf)
     if n * 2.0 ** (min(levels, 65) - 1) + 1 > sys.maxsize // 8:
-        raise ProblemFileError(f"h0={h0} gives {n:.3g} * 2**{levels - 1} elements on level "
+        raise ProblemFileError(f"{_h0_text(h0)} gives {n:.3g} * 2**{levels - 1} elements on level "
                                f"{levels - 1}, more than an array can index")
     if abs(n - round(n)) > 1e-9 * max(n, 1.0) or round(n) < 2:
         raise ProblemFileError(
-            f"h0={h0} does not tile the domain ({a}, {b}) into >= 2 elements"
+            f"{_h0_text(h0)} does not tile the domain ({a}, {b}) into >= 2 elements"
         )
     return int(round(n))
 
@@ -178,7 +225,7 @@ def run_convergence(
         error_rule_size(spec.exact, degree)
     except ValueError as exc:
         raise ProblemFileError(str(exc)) from exc
-    h0 = Fraction(str(h0)) if not isinstance(h0, Fraction) else h0
+    h0 = _h0_fraction(str(h0)) if not isinstance(h0, Fraction) else h0
     a, b = spec.domain
     n0 = _elements_for(h0, a, b, levels)
     alphas = [s.alpha for s in spec.interfaces]
@@ -266,7 +313,9 @@ def main(argv=None) -> int:
         if args.levels < 1:
             parser.error("argument --levels: must be at least 1")
         try:
-            h0 = Fraction(args.h0)
+            h0 = _h0_fraction(args.h0)
+        except ProblemFileError:  # a decimal far outside the float range
+            raise
         except (ValueError, ZeroDivisionError):
             parser.error(f"argument --h0: invalid fraction value: {args.h0!r}")
         # overflow ends in a non-finite value that solve_system or ErrorReport

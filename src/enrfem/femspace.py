@@ -140,12 +140,17 @@ def build_space(
                    for dof, bc in ((i, bc_left), (j - 1, bc_right)) if bc.kind == "dirichlet"]
     values = [bc.value for bc in (bc_left, bc_right) if bc.kind == "dirichlet"]
 
-    n_dofs = n_std + (degree + 1) * len(cut_elements)
-    mesh_order = np.insert(
-        np.arange(n_std),
-        np.repeat(degree * cut_elements + mesh.element_level[cut_elements] + 1, degree + 1),
-        np.arange(n_std, n_dofs),
-    )
+    # the DOFs in mesh order: cut j's group follows its element's left node,
+    # after the j groups and the standard DOFs before it
+    per = degree + 1
+    n_dofs = n_std + per * len(cut_elements)
+    after_left = degree * cut_elements + mesh.element_level[cut_elements] + 1
+    is_enrichment = np.zeros(n_dofs, dtype=bool)
+    is_enrichment[((after_left + per * np.arange(len(cut_elements)))[:, None]
+                   + np.arange(per)).ravel()] = True
+    mesh_order = np.empty(n_dofs, dtype=int)
+    mesh_order[~is_enrichment] = np.arange(n_std)
+    mesh_order[is_enrichment] = np.arange(n_std, n_dofs)
     is_free = np.ones(n_dofs, dtype=bool)
     is_free[constrained] = False
     free_dofs = mesh_order[is_free[mesh_order]]
@@ -183,12 +188,13 @@ def _lagrange_local(degree: int, xl: np.ndarray, xr: np.ndarray, xs: np.ndarray)
     else:
         xm = 0.5 * (xl + xr)
         h2 = h * h
-        vals[:, 0] = 2.0 * (xs - xm) * (xs - xr) / h2
-        vals[:, 1] = -4.0 * (xs - xl) * (xs - xr) / h2
-        vals[:, 2] = 2.0 * (xs - xl) * (xs - xm) / h2
-        ders[:, 0] = 2.0 * (2.0 * xs - xm - xr) / h2
-        ders[:, 1] = -4.0 * (2.0 * xs - xl - xr) / h2
-        ders[:, 2] = 2.0 * (2.0 * xs - xl - xm) / h2
+        dl, dm, dr, x2 = xs - xl, xs - xm, xs - xr, 2.0 * xs
+        vals[:, 0] = 2.0 * dm * dr / h2
+        vals[:, 1] = -4.0 * dl * dr / h2
+        vals[:, 2] = 2.0 * dl * dm / h2
+        ders[:, 0] = 2.0 * (x2 - xm - xr) / h2
+        ders[:, 1] = -4.0 * (x2 - xl - xr) / h2
+        ders[:, 2] = 2.0 * (x2 - xl - xm) / h2
     return vals, ders
 
 
@@ -245,14 +251,16 @@ def quadrature_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def exact_rule_size(integrands) -> int:
-    """Fewest ``quadrature_rule`` points exact for each (data, its degree, integrand degree).
+    """Fewest ``quadrature_rule`` points exact for each (data, layer, its degree, integrand degree).
 
-    Raises, naming the data and its degree, where MAX_QUAD_NPTS points are too few.
+    Raises, naming the data on its layer and its degree, where
+    MAX_QUAD_NPTS points are too few.
     """
-    data, data_degree, degree = max(integrands, key=lambda integrand: integrand[2])
+    data, layer, data_degree, degree = max(integrands, key=lambda integrand: integrand[3])
     if degree // 2 + 1 > MAX_QUAD_NPTS:
-        raise ValueError(f"{data} has degree {data_degree}: integrating it exactly needs "
-                         f"{degree // 2 + 1} Gauss points, more than the {MAX_QUAD_NPTS} available")
+        raise ValueError(f"{data} on layer {layer} has degree {data_degree}: integrating it "
+                         f"exactly needs {degree // 2 + 1} Gauss points, more than the "
+                         f"{MAX_QUAD_NPTS} available")
     return degree // 2 + 1
 
 
@@ -311,14 +319,21 @@ def _cut_layout(space: EnrichedSpace) -> CutLayout:
     left_pieces = cut_elements + np.arange(len(cut_elements))
     # each level's nodes with its alphas inserted, each after its element's left node;
     # the pieces lie between consecutive ends, except where one level's ends meet the next's
-    ends = np.insert(mesh.nodes, cut_elements + mesh.element_level[cut_elements] + 1, mesh.alphas)
-    joins = (mesh.starts + cut_starts)[1:-1] + np.arange(levels - 1)
-    lower, upper = np.delete(ends[:-1], joins), np.delete(ends[1:], joins)
+    is_alpha = np.zeros(len(mesh.nodes) + len(cut_elements), dtype=bool)
+    is_alpha[left_pieces + mesh.element_level[cut_elements] + 1] = True
+    ends = np.empty(len(is_alpha))
+    ends[is_alpha] = mesh.alphas
+    ends[~is_alpha] = mesh.nodes
+    is_piece = np.ones(len(ends) - 1, dtype=bool)
+    is_piece[(mesh.starts + cut_starts)[1:-1] + np.arange(levels - 1)] = False
+    lower, upper = ends[:-1][is_piece], ends[1:][is_piece]
     elements = np.sort(np.concatenate([np.arange(n), cut_elements]))
     layer = np.searchsorted(left_pieces + 1, np.arange(len(elements)), side="right")
-    node_elements = np.delete(np.arange(n), mesh.starts[1:] - 1)
+    has_right_node = np.ones(n, dtype=bool)  # every element but each level's last
+    has_right_node[mesh.starts[1:] - 1] = False
+    node_elements = np.flatnonzero(has_right_node)
     node_layer = np.searchsorted(cut_elements, node_elements, side="right")
-    cut_pieces = np.repeat(left_pieces, 2) + np.tile([0, 1], len(left_pieces))
+    cut_pieces = (left_pieces[:, None] + np.arange(2)).ravel()
     layout = CutLayout(
         lower=lower[:, None],
         half=0.5 * (upper - lower)[:, None],

@@ -1,0 +1,91 @@
+"""Digests of the command line's output on a fixed set of 314 studies.
+
+    python3 tests/byte_runs.py > runs.txt
+
+Run it in two checkouts and diff the files: a change that keeps every
+output bit, message and exit code prints the same lines.  Each line is
+one study: its argv, its exit code, and the SHA-256 digests of its
+standard output (the JSON report's timestamp removed) and of its
+standard error, tab-separated.  The studies run in this process through
+``enrfem.cli.main``, with one BLAS thread:
+
+- ``--problem k --levels 8 --format json`` for k = 1..6, with and
+  without ``--cond``;
+- ``--problem 2 --levels 9 --cond`` and ``--problem 6 --levels 10``,
+  each with ``--format json``;
+- the 150 files of ``perfbench/sweep.py`` at seeds 1 and 3, each with
+  its manifest entry's degree, h0 and levels (``degenerate-gamma.json``
+  exits 2).
+
+The sweep files are written to a temporary directory, which is the
+working directory of the studies, so the paths in argv and in the
+messages are the same in every checkout.  perfbench/ is only read.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SWEEP_SEEDS = (1, 3)
+_TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
+
+
+def catalog_runs() -> list[list[str]]:
+    runs = []
+    for pid in range(1, 7):
+        argv = ["--problem", str(pid), "--levels", "8", "--format", "json"]
+        runs += [argv, argv[:4] + ["--cond"] + argv[4:]]
+    runs.append(["--problem", "2", "--levels", "9", "--cond", "--format", "json"])
+    runs.append(["--problem", "6", "--levels", "10", "--format", "json"])
+    return runs
+
+
+def sweep_runs(sweep, seed: int) -> list[list[str]]:
+    """Write the seed's sweep into ./sweep-<seed> and return its studies' argv."""
+    directory = f"sweep-{seed}"
+    return [
+        ["--problem", f"{directory}/{entry['file']}", "--degree", str(entry["degree"]),
+         "--h0", entry["h0"], "--levels", str(entry["levels"]), "--format", "json"]
+        for entry in sweep.generate(seed, directory)
+    ]
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def run(main, argv: list[str]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    stdout = _TIMESTAMP.sub('"timestamp": ""', out.getvalue())
+    return "\t".join([" ".join(argv), str(code), digest(stdout), digest(err.getvalue())])
+
+
+def main() -> int:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import sweep
+    from enrfem.cli import main as enrfem_main
+
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        runs = catalog_runs()
+        for seed in SWEEP_SEEDS:
+            runs += sweep_runs(sweep, seed)
+        for argv in runs:
+            print(run(enrfem_main, argv), flush=True)
+        os.chdir(ROOT)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -550,6 +550,9 @@ def test_a_levels_calls_do_not_grow_with_its_cuts(monkeypatch, degree):
     derivatives on the points and the values on the interior nodes (3),
     and reads u_h at a node from its DOF.  psi and the standard basis are
     evaluated in batches, and assemble_system makes no element_basis call.
+    The rows at alpha (one standard_basis and two eval_enrichment calls)
+    are built only where an interface is implicit: problems 1 and 3, not
+    problem 2, whose two interfaces are continuous.
     """
     counts = _count_calls(monkeypatch)
     per_problem = []
@@ -564,8 +567,10 @@ def test_a_levels_calls_do_not_grow_with_its_cuts(monkeypatch, degree):
         compute_errors(problem.exact, space, coeffs)
         per_problem.append((len(space.enrichments), assembled, dict(counts)))
     assert [cuts for cuts, _, _ in per_problem] == [1, 2, 3]
-    for _, assembled, errors in per_problem:
-        assert assembled == {"_layer_values": 4, "eval_enrichment": 4, "standard_basis": 2}
+    for pid, (_, assembled, errors) in zip((1, 2, 3), per_problem):
+        rows_at_alpha = 0 if pid == 2 else 1
+        assert assembled == {"_layer_values": 4, "eval_enrichment": 2 + 2 * rows_at_alpha,
+                             "standard_basis": 1 + rows_at_alpha}
         assert errors == {"_layer_values": 3, "eval_enrichment": 2, "standard_basis": 1}
 
 
@@ -575,9 +580,9 @@ def test_a_studys_calls_do_not_grow_with_its_levels(monkeypatch, degree):
 
     Problem 3 at 3 and at 7 levels (56 and 1,016 elements, at most
     ONE_STACK_ELEMENTS) makes the same calls: loading it evaluates D and
-    delta once each at the implicit alpha (``implicit_interfaces``) and D
-    and w once each for their bounds (4 evaluator calls), and the one
-    stack makes a level's calls of
+    delta once each at the implicit alpha (``implicit_interfaces``; 2
+    evaluator calls), D and w being constant, so that their bounds need
+    no evaluation, and the one stack makes a level's calls of
     test_a_levels_calls_do_not_grow_with_its_cuts.  At 9 levels (4,088
     elements) the study runs two stacks, its coarse levels and its
     finest, and makes those calls twice.  Each stack's mesh is one
@@ -592,11 +597,11 @@ def test_a_studys_calls_do_not_grow_with_its_levels(monkeypatch, degree):
         per_study.append(dict(counts))
     assert per_study[0] == per_study[1]
     assert per_study[0] == {
-        "_layer_values": 4 + 4 + 3, "eval_enrichment": 4 + 2, "standard_basis": 2 + 1,
+        "_layer_values": 2 + 4 + 3, "eval_enrichment": 4 + 2, "standard_basis": 2 + 1,
         "build_mesh": 1,
     }
     assert per_study[2] == {
-        "_layer_values": 4 + 2 * (4 + 3), "eval_enrichment": 2 * (4 + 2), "standard_basis": 2 * (2 + 1),
+        "_layer_values": 2 + 2 * (4 + 3), "eval_enrichment": 2 * (4 + 2), "standard_basis": 2 * (2 + 1),
         "build_mesh": 2,
     }
     counts.clear()

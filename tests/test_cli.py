@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -245,6 +246,18 @@ def _layers_with_d(d_right):
 # (x - 35/68)^2 - 1e-6: below zero only within 1e-3 of 35/68
 _DIP = [(35 / 68) ** 2 - 1e-6, -2 * 35 / 68, 1.0]
 
+# entries a list of floats must not take, and the loader's message for each
+_BAD_ENTRIES = [
+    (math.nan, "expected a finite number"),
+    (-math.inf, "expected a finite number"),
+    (10**400, "expected a finite number"),
+    ("0.5", "expected a number"),
+    (True, "expected a number"),
+]
+
+# only continuous interfaces, so that no gamma needs D > 0 before the bounds are checked
+_CONTINUOUS = [{"alpha": 1 / 9, "kind": "continuous"}]
+
 
 @pytest.mark.parametrize("overrides, message", [
     ({"interfaces": [{"kind": "continuous"}]}, "interfaces[0]: needs 'alpha' and 'kind'"),
@@ -282,6 +295,15 @@ _DIP = [(35 / 68) ** 2 - 1e-6, -2 * 35 / 68, 1.0]
      "diffusivity must be positive on layer 1"),
     ({"layers": [_layers_with_d(1.0)[0], _layers_with_d(1.35)[1] | {"w": _DIP}]},
      "reaction coefficient must be nonnegative on layer 1"),
+    *(({"layers": [_layers_with_d(1.0)[0], _layers_with_d(1.35)[1] | {"w": [0.0, 0.0, bad]}]},
+       f"field 'layers[1].w[2]': {message}") for bad, message in _BAD_ENTRIES),
+    *(({"exact": [[0.0, 0.0, 0.0, bad], [0.0, 0.0, 0.0, 0.0, 1 / 3]]},
+       f"field 'exact[0][3]': {message}") for bad, message in _BAD_ENTRIES),
+    ({"layers": _layers_with_d(0.0), "interfaces": _CONTINUOUS},
+     "diffusivity must be positive on layer 1"),
+    ({"layers": [_layers_with_d(1.0)[0], _layers_with_d(1.35)[1] | {"w": [-0.5]}],
+      "interfaces": _CONTINUOUS},
+     "reaction coefficient must be nonnegative on layer 1"),
 ], ids=[
     "no-alpha", "interfaces-not-list", "bc-not-object", "layer-string", "alpha-string",
     "lambda-string", "lambda-negative", "implicit-equal-d", "implicit-negative-d",
@@ -289,6 +311,9 @@ _DIP = [(35 / 68) ** 2 - 1e-6, -2 * 35 / 68, 1.0]
     "domain-not-numbers", "domain-beyond-float", "coefficient-boolean", "bc-value-boolean", "bc-value-nan",
     "coefficient-infinite", "lambda-infinite", "neumann-nonzero", "lambda-on-continuous",
     "diffusivity-dips-below-zero", "reaction-dips-below-zero",
+    *(f"{field}-{name}" for field in ("coefficient-third", "exact-fourth")
+      for name in ("nan", "minus-infinity", "beyond-float", "string", "true")),
+    "constant-diffusivity-zero", "constant-reaction-negative",
 ])
 def test_problem_file_type_and_value_errors_exit_1(tmp_path, capsys, overrides, message):
     path = _problem1_file(tmp_path, **overrides)
@@ -321,10 +346,18 @@ def test_main_usage_errors(capsys):
     (["--h0=-1/8"], "h0=-1/8 does not tile the domain"),
     (["--h0", "1/0"], "argument --h0: invalid fraction value: '1/0'"),
     (["--h0", "abc"], "argument --h0: invalid fraction value: 'abc'"),
-    pytest.param(["--h0", "1e-400"], f"h0=1/{10**400} is outside the range of a float",
+    pytest.param(["--h0", "1e-400"], "h0 of about 1e-400 is outside the range of a float",
                  id="h0-underflows"),
-    pytest.param(["--h0", "1e400"], f"h0={10**400} is outside the range of a float",
+    pytest.param(["--h0", "1e400"], "h0 of about 1e400 is outside the range of a float",
                  id="h0-overflows"),
+    pytest.param(["--h0=-3e-400"], "h0 of about -1e-400 is outside the range of a float",
+                 id="h0-negative-underflows"),
+    pytest.param(["--h0", f"1/{3 * 10**50}"],
+                 "h0 of about 1e-50 gives 3e+50 * 2**0 elements on level 0, "
+                 "more than an array can index",
+                 id="h0-a-long-fraction"),
+    pytest.param(["--h0", "0e-10000000"], "h0=0 does not tile the domain",
+                 id="h0-zero-far-exponent"),
     pytest.param(["--h0", "1e-20"],
                  f"h0=1/{10**20} gives 1e+20 * 2**0 elements on level 0, "
                  "more than an array can index",
@@ -335,6 +368,23 @@ def test_out_of_range_arguments_exit_1(capsys, argv, message):
     err = capsys.readouterr().err
     assert err.startswith(f"enrfem: error: {message}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("h0, message", [
+    ("1e-5000", "h0 of about 1e-5000"),
+    ("1e5000", "h0 of about 1e5000"),
+    ("1e-10000000", "h0 of about 1e-10000000"),
+    ("-2.5E+1_000_000", "h0 of about -1e1000000"),
+    ("1e-" + "1" * 30, "h0 with a 30-digit decimal exponent"),
+])
+def test_an_h0_far_outside_the_float_range_exits_1_at_once(capsys, h0, message):
+    """Neither Fraction's power of ten nor an int of thousands of digits is built or printed."""
+    start = time.perf_counter()
+    assert main(["--problem", "1", "--levels", "1", f"--h0={h0}"]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err == f"enrfem: error: {message} is outside the range of a float\n"
+    assert len(err) < 200
 
 
 @pytest.mark.parametrize("overrides, message", [
