@@ -9,9 +9,20 @@ gamma = -lambda D- D+ / (D+ - D- (1 + 2 delta- lambda)), which is
 -lambda D- D+ / (D+ - D-) where delta- = 0.  Standard P1/P2 Lagrange
 spaces are enriched with a compactly supported, piecewise-linear
 function per interface whose slopes encode that gamma.
+
+``problem`` holds the data, its file format and the catalog;
+``enrfem.cli``, which ``import enrfem`` does not load, runs a study.
 """
 
 from ._version import __version__
+from .problem import (
+    BenchmarkProblem,
+    BoundaryCondition,
+    InterfaceSpec,
+    ProblemSpec,
+    catalog_problem,
+    manufactured_rhs,
+)
 from .mesh import Mesh1D, build_mesh, locate_element, mesh_from_nodes, stack_meshes
 from .enrichment import (
     EnrichmentFunction,
@@ -20,7 +31,6 @@ from .enrichment import (
     gamma_from_lambda,
 )
 from .femspace import (
-    BoundaryCondition,
     EnrichedSpace,
     build_space,
     eval_function,
@@ -28,8 +38,6 @@ from .femspace import (
 )
 from .assembly import (
     BandSystem,
-    InterfaceSpec,
-    ProblemSpec,
     assemble_system,
     condition_number,
     solve_system,
@@ -41,4 +49,3 @@ from .analysis import (
     compute_errors,
     observed_orders,
 )
-from .bench import BenchmarkProblem, catalog_problem, manufactured_rhs

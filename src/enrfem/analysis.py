@@ -14,19 +14,19 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .assembly import (
-    ProblemSpec,
-    _as_polynomial,
-    _coefficient_table,
-    _derivative,
-    _layer_ranges,
-    _layer_values,
-)
 from .femspace import (
     EnrichedSpace,
     exact_rule_size,
     full_coefficients,
     quadrature_pieces,
+)
+from .problem import (
+    ProblemSpec,
+    as_polynomial,
+    coefficient_table,
+    derivative,
+    layer_ranges,
+    layer_values,
 )
 
 
@@ -68,9 +68,9 @@ def compute_errors(
     cuts = np.diff(mesh.cut_starts)  # each level's
     if np.any(cuts != len(exact) - 1):
         raise ValueError(f"{len(exact)} exact branches for the space's {cuts.max() + 1} layers")
-    exact = [_as_polynomial(u, f"exact on layer {i}") for i, u in enumerate(exact)]
-    values = _coefficient_table([u.coef for u in exact])
-    derivatives = _coefficient_table([_derivative(u.coef) for u in exact])
+    exact = [as_polynomial(u, f"exact on layer {i}") for i, u in enumerate(exact)]
+    values = coefficient_table([u.coef for u in exact])
+    derivatives = coefficient_table([derivative(u.coef) for u in exact])
     full = full_coefficients(space, coeffs)
 
     quad = quadrature_pieces(space, error_rule_size(exact, space.degree))
@@ -80,8 +80,8 @@ def compute_errors(
         coef = full[basis.dofs][:, None]
         e[pieces] = (coef @ basis.values)[:, 0]
         de[pieces] = (coef @ basis.derivatives)[:, 0]
-    e -= _layer_values(values, layout.layer, quad.xs)
-    de -= _layer_values(derivatives, layout.layer, quad.xs)
+    e -= layer_values(values, layout.layer, quad.xs)
+    de -= layer_values(derivatives, layout.layer, quad.xs)
     e *= e
     de *= de
     wq = quad.weights[:, None]
@@ -92,7 +92,7 @@ def compute_errors(
     # last standard DOF of the element to its left
     elements = layout.node_elements
     level = mesh.element_level[elements]
-    u_nodes = _layer_values(values, layout.node_layer, mesh.nodes[elements + level + 1])
+    u_nodes = layer_values(values, layout.node_layer, mesh.nodes[elements + level + 1])
     node_errors = np.abs(u_nodes - full[space.degree * (elements + 1) + level])
 
     # each level's terms in element order, one row per level, padded with
@@ -132,8 +132,5 @@ def coefficient_contrast(problem: ProblemSpec) -> float:
     """max(D) / min(D) over the layers (diagnostic)."""
     a, b = problem.domain
     breaks = np.array([a, *problem.breakpoints, b])
-    table = _coefficient_table([d.coef for d in problem.diffusivity])
-    d_min, d_max = _layer_ranges(table, breaks)
-    if np.min(d_min) <= 0:
-        raise ValueError("diffusivity must be positive to define the contrast")
+    d_min, d_max = layer_ranges(problem.tables["diffusivity"], breaks)
     return float(np.max(d_max)) / float(np.min(d_min))

@@ -24,28 +24,25 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from numpy.polynomial import Polynomial
-from numpy.polynomial import polynomial as P
 
-from .enrichment import gamma_from_lambda
 from .femspace import (
     Basis,
-    BoundaryCondition,
     CutLayout,
     EnrichedSpace,
     Quadrature,
-    _cut_rows,
     build_space,
+    cut_rows,
     exact_rule_size,
     quadrature_pieces,
     standard_basis,
 )
 from .mesh import Mesh1D
+from .problem import COEFFICIENTS, ProblemSpec, layer_values
 
 SOLVER_RESIDUAL_RTOL = 1e-10
 SINGULAR_PIVOT_RTOL = 1e-14
@@ -84,238 +81,6 @@ def _load_flapack():
 
 
 _flapack = _load_flapack()
-
-
-@dataclass(frozen=True)
-class InterfaceSpec:
-    """One interface point: continuous for lam = 0, implicit for lam > 0.
-
-    An implicit interface has [u] = lam * (D u')(alpha-).  The
-    enrichment's Robin parameter depends on the coefficients beside the
-    interface as well, so it is derived by ``ProblemSpec.gammas``.
-    """
-
-    alpha: float
-    lam: float = 0.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"interface lam must be finite and >= 0, got {self.lam}")
-
-
-_COEFFICIENTS = ("diffusivity", "conv_delta", "reaction", "source")
-
-
-def _as_polynomial(value, where: str) -> Polynomial:
-    """``value`` as a numpy Polynomial in powers of x; a float becomes degree 0.
-
-    Raises for anything else, including a Polynomial whose domain and
-    window differ: ``_layer_values`` reads coefficients in x only.
-    """
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return Polynomial([float(value)])
-    if not isinstance(value, Polynomial) or value.domain.tolist() != value.window.tolist():
-        raise ValueError(f"{where}: expected a float or a numpy Polynomial in x")
-    return value
-
-
-_DEFAULT_POLYNOMIAL = vars(Polynomial([0.0]))
-
-
-def _polynomial(coef: np.ndarray) -> Polynomial:
-    """Polynomial(coef) for a 1-d float64 array, which it takes, without the argument checks.
-
-    Polynomial's constructor copies ``coef`` through as_series, which costs
-    most of the call; this is a default Polynomial with ``coef`` in place
-    of its coefficients, equal to what the constructor would give.
-    """
-    poly = Polynomial.__new__(Polynomial)
-    vars(poly).update(_DEFAULT_POLYNOMIAL, coef=coef)
-    return poly
-
-
-# Arithmetic on coefficient arrays in powers of x, with the bits of
-# numpy.polynomial.polynomial's polymul, polyadd and polyder but without
-# their argument checks and type promotion (as_series, common_type), which
-# cost most of each call.
-
-def _trimmed(c: np.ndarray) -> np.ndarray:
-    """``c`` less its trailing zeros, keeping one coefficient, as numpy.polynomial trims."""
-    n = len(c)
-    while n > 1 and c[n - 1] == 0:
-        n -= 1
-    return c[:n]
-
-
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """polymul(a, b): the trimmed convolution of the trimmed factors."""
-    return _trimmed(np.convolve(_trimmed(a), _trimmed(b)))
-
-
-def _sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """polyadd(a, b): the shorter trimmed term added into a copy of the longer, trimmed."""
-    a, b = _trimmed(a), _trimmed(b)
-    if len(a) < len(b):
-        a, b = b, a
-    out = a.copy()
-    out[:len(b)] += b
-    return _trimmed(out)
-
-
-def _derivative(c: np.ndarray) -> np.ndarray:
-    """polyder(c): j * c[j] for j >= 1, untrimmed, and c[0] * 0 for a constant."""
-    return np.arange(1, len(c)) * c[1:] if len(c) > 1 else c[:1] * 0
-
-
-def _coefficient_table(coefs) -> np.ndarray:
-    """(m, L) table of L coefficient arrays: row i holds each one's x^i coefficient, 0 above it."""
-    table = np.zeros((max(len(c) for c in coefs), len(coefs)))
-    for column, c in zip(table.T, coefs):
-        column[:len(c)] = c
-    return table
-
-
-def _layer_values(table: np.ndarray, layer: np.ndarray, x) -> np.ndarray:
-    """Each point's layer polynomial from ``table`` (``_coefficient_table``), at points x.
-
-    ``layer`` holds the points' layers and broadcasts against x, and so
-    does the result.  One Horner pass serves every layer: each step is
-    polyval's c + out * x, so the values have Polynomial.__call__'s bits,
-    up to the sign of an exact zero.  A constant table is only a gather.
-    """
-    if len(table) == 1:
-        return table[0][layer]
-    out = table[-1][layer] + x * 0
-    for coefficients in table[-2::-1]:
-        out *= x
-        out += coefficients[layer]
-    return out
-
-
-def _layer_ranges(table: np.ndarray, breaks) -> tuple[np.ndarray, np.ndarray]:
-    """Each layer's min and max of its polynomial in ``table``, on [breaks[i], breaks[i + 1]].
-
-    ``table`` is a ``_coefficient_table``, one column per layer.  Both
-    lie at an end of the layer or at a real root of the derivative
-    inside it.  Every root's real part, clipped to the layer, is a point
-    of the layer, so the other roots add only values taken there.  A
-    one-row table, every layer's polynomial a constant, is its own min
-    and max.
-    """
-    if len(table) == 1:
-        return table[0], table[0]
-    xs = np.repeat(breaks[:-1, None], len(table) + 1, axis=1).astype(float)  # deg - 1 roots fit
-    xs[:, 1] = breaks[1:]
-    for row, coef in zip(xs, table.T):
-        if coef[2:].any():  # polyroots trims the zeros that pad a column
-            roots = P.polyroots(_derivative(coef)).real
-            row[2:len(roots) + 2] = np.clip(roots, row[0], row[1])
-    values = _layer_values(table, np.arange(len(xs))[:, None], xs)
-    return np.min(values, axis=1), np.max(values, axis=1)
-
-
-@dataclass(frozen=True)
-class ProblemSpec:
-    """Full BVP description with per-layer polynomial coefficients.
-
-    Layers are the subintervals between consecutive interfaces (and the
-    domain endpoints); every coefficient tuple has one numpy Polynomial in
-    x per layer, a float given in its place becoming a degree-0 one.
-    ``exact``, when known, is one such Polynomial per layer, the branch
-    on that layer, evaluable on the whole domain; its derivative is
-    taken where it is used.  Anything else, a Polynomial with a mapped
-    domain or a (value, derivative) pair included, is rejected.
-    """
-
-    domain: tuple[float, float]
-    diffusivity: tuple[Polynomial, ...]
-    conv_delta: tuple[Polynomial, ...]
-    reaction: tuple[Polynomial, ...]
-    source: tuple[Polynomial, ...]
-    interfaces: tuple[InterfaceSpec, ...] = ()
-    bc_left: BoundaryCondition = field(default_factory=lambda: BoundaryCondition.neumann())
-    bc_right: BoundaryCondition = field(default_factory=lambda: BoundaryCondition.dirichlet(0.0))
-    exact: tuple[Polynomial, ...] | None = None
-
-    def __post_init__(self):
-        a, b = self.domain
-        if not (np.isfinite(a) and np.isfinite(b)):
-            raise ValueError(f"domain ends must be finite, got ({a}, {b})")
-        if not a < b:
-            raise ValueError("domain requires a < b")
-        alphas = [spec.alpha for spec in self.interfaces]
-        if any(not a < al < b for al in alphas):
-            raise ValueError("interfaces must lie strictly inside the domain")
-        if any(x >= y for x, y in zip(alphas, alphas[1:])):
-            raise ValueError("interfaces must be strictly increasing")
-        n_layers = len(alphas) + 1
-        for name in (*_COEFFICIENTS, "exact"):
-            entries = getattr(self, name)
-            if name == "exact" and entries is None:
-                continue
-            if len(entries) != n_layers:
-                raise ValueError(f"{name} needs one entry per layer ({n_layers})")
-            object.__setattr__(self, name, tuple(
-                _as_polynomial(c, f"{name} on layer {i}") for i, c in enumerate(entries)
-            ))
-        self.gammas  # an implicit interface needs a gamma: D-, D+ > 0 and a nonzero denominator
-        breaks = np.array([a, *alphas, b])
-        d_min, w_min = (
-            _layer_ranges(self.tables[name], breaks)[0] for name in ("diffusivity", "reaction")
-        )
-        bad = np.flatnonzero((d_min <= 0) | (w_min < 0))
-        if bad.size and d_min[bad[0]] <= 0:
-            raise ValueError(f"diffusivity must be positive on layer {bad[0]}")
-        if bad.size:
-            raise ValueError(f"reaction coefficient must be nonnegative on layer {bad[0]}")
-
-    @property
-    def breakpoints(self) -> tuple[float, ...]:
-        return tuple(spec.alpha for spec in self.interfaces)
-
-    @cached_property
-    def tables(self) -> dict[str, np.ndarray]:
-        """Each coefficient's ``_coefficient_table``, by field name, read-only."""
-        tables = {name: _coefficient_table([p.coef for p in getattr(self, name)])
-                  for name in _COEFFICIENTS}
-        for table in tables.values():
-            table.flags.writeable = False
-        return tables
-
-    @cached_property
-    def implicit_interfaces(self) -> dict[str, np.ndarray]:
-        """The implicit interfaces' lam, and D-, D+ and delta- at alpha, evaluated once.
-
-        Column ``implicit`` (I,) marks them among the interfaces; each of the
-        others has one entry per implicit interface, in position order.
-        """
-        lam = np.array([spec.lam for spec in self.interfaces], dtype=float)
-        implicit = lam != 0
-        layer = np.flatnonzero(implicit)  # the layer left of each implicit interface
-        alphas = np.array([spec.alpha for spec in self.interfaces], dtype=float)[implicit]
-        d_minus, d_plus = _layer_values(self.tables["diffusivity"], layer + [[0], [1]], alphas)
-        table = {"implicit": implicit, "lam": lam[implicit], "d_minus": d_minus, "d_plus": d_plus,
-                 "delta_minus": _layer_values(self.tables["conv_delta"], layer, alphas)}
-        for column in table.values():
-            column.flags.writeable = False
-        return table
-
-    @cached_property
-    def gammas(self) -> tuple[float, ...]:
-        """Robin parameter of each interface's enrichment, in position order.
-
-        Zero at a continuous interface; at an implicit one ``gamma_from_lambda``
-        of its lam, D-, D+ and delta- (``implicit_interfaces``).
-        """
-        table = self.implicit_interfaces
-        out = [0.0] * len(self.interfaces)
-        columns = (table[name].tolist() for name in ("lam", "d_minus", "d_plus", "delta_minus"))
-        for j, *values in zip(np.flatnonzero(table["implicit"]).tolist(), *columns):
-            try:
-                out[j] = gamma_from_lambda(*values)
-            except ValueError as exc:
-                raise ValueError(f"interfaces[{j}]: {exc}") from exc
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -391,7 +156,7 @@ def assembly_rule_size(problem: ProblemSpec, degree: int) -> int:
     p = degree
     return exact_rule_size(
         (name, i, len(c.coef) - 1, len(c.coef) - 1 + extra)
-        for name, extra in zip(_COEFFICIENTS, (2 * p, 2 * p + 1, 2 * p + 2, p + 1))
+        for name, extra in zip(COEFFICIENTS, (2 * p, 2 * p + 1, 2 * p + 2, p + 1))
         for i, c in enumerate(getattr(problem, name))
     )
 
@@ -457,7 +222,7 @@ def _piece_integrals(problem: ProblemSpec, layout: CutLayout, quad: Quadrature):
     Each coefficient is evaluated once, on all of the level's points.
     """
     d_c, conv, w_c, f_c = (
-        _layer_values(problem.tables[name], layout.layer, quad.xs) for name in _COEFFICIENTS
+        layer_values(problem.tables[name], layout.layer, quad.xs) for name in COEFFICIENTS
     )
     has_conv, has_w = (conv != 0.0).any(), (w_c != 0.0).any()
     integrals = []
@@ -478,7 +243,7 @@ def _interface_blocks(problem: ProblemSpec, space: EnrichedSpace):
 
     Each implicit cut gives its jump block [u_j][u_i]/lam, then, where
     delta-(alpha) != 0, its convection block -2 delta- u_j(alpha-) [u_i].
-    The rows of every cut at alpha come in one batch from ``_cut_rows``:
+    The rows of every cut at alpha come in one batch from ``cut_rows``:
     each cut's left, then right limit.  Without an implicit interface
     there are no terms, and no rows are built.
     """
@@ -488,7 +253,7 @@ def _interface_blocks(problem: ProblemSpec, space: EnrichedSpace):
     layout = space.layout
     alpha = np.repeat(layout.psi.alpha, 2, axis=0)  # (2c, 1)
     rows = Basis(*standard_basis(space, layout.elements[layout.cut_pieces], alpha))
-    both = _cut_rows(space, rows, alpha)
+    both = cut_rows(space, rows, alpha)
     levels = space.mesh.n_levels  # each with the problem's interfaces, in order
     implicit, lam, delta_minus = (np.concatenate([problem.implicit_interfaces[name]] * levels)
                                   for name in ("implicit", "lam", "delta_minus"))

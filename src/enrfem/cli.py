@@ -25,15 +25,14 @@ from pathlib import Path
 from ._version import __version__
 from .analysis import compute_errors, error_rule_size, observed_orders
 from .assembly import (
-    ProblemSpec,
     assemble_system,
     assembly_rule_size,
     condition_number,
     solve_system,
     space_for_problem,
 )
-from .bench import ProblemFileError, catalog_problem, load_problem_file
 from .mesh import Mesh1D, build_mesh
+from .problem import ProblemFileError, ProblemSpec, catalog_problem, load_problem_file
 
 REPORT_FORMATS = ("csv", "markdown", "json")
 _HEADER = ["h", "l2", "h1_broken", "nodal", "cond", "order_l2", "order_h1", "order_nodal"]
@@ -228,7 +227,7 @@ def run_convergence(
     h0 = _h0_fraction(str(h0)) if not isinstance(h0, Fraction) else h0
     a, b = spec.domain
     n0 = _elements_for(h0, a, b, levels)
-    alphas = [s.alpha for s in spec.interfaces]
+    alphas = spec.breakpoints
 
     counts = [n0 * 2**level for level in range(levels)]
     split = levels if sum(counts) <= ONE_STACK_ELEMENTS else levels - 1

@@ -34,30 +34,9 @@ import numpy as np
 
 from .enrichment import EnrichmentFunction, build_enrichment, eval_enrichment
 from .mesh import Mesh1D, locate_element
+from .problem import BoundaryCondition
 
 MAX_QUAD_NPTS = 16
-
-
-@dataclass(frozen=True)
-class BoundaryCondition:
-    """Dirichlet(value) or Neumann(flux value; only zero flux is implemented)."""
-
-    kind: str
-    value: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("dirichlet", "neumann"):
-            raise ValueError("boundary condition kind must be 'dirichlet' or 'neumann'")
-        if self.kind == "neumann" and self.value != 0.0:
-            raise ValueError("nonzero Neumann flux is not implemented")
-
-    @staticmethod
-    def dirichlet(value: float) -> "BoundaryCondition":
-        return BoundaryCondition("dirichlet", float(value))
-
-    @staticmethod
-    def neumann(value: float = 0.0) -> "BoundaryCondition":
-        return BoundaryCondition("neumann", float(value))
 
 
 @dataclass(frozen=True)
@@ -372,17 +351,17 @@ def quadrature_pieces(space: EnrichedSpace, q: int) -> Quadrature:
 
     The pieces come from ``space.layout``.  The basis comes in two
     batches: the standard basis of all pieces, and the cut pieces' rows
-    from ``_cut_rows``.
+    from ``cut_rows``.
     """
     ref_x, ref_w = quadrature_rule(q)
     layout = space.layout
     xs = layout.lower + layout.half * (ref_x + 1.0)
     standard = Basis(*standard_basis(space, layout.elements, xs))
-    cut = _cut_rows(space, Basis(*(a[layout.cut_pieces] for a in standard)), xs[layout.cut_pieces])
+    cut = cut_rows(space, Basis(*(a[layout.cut_pieces] for a in standard)), xs[layout.cut_pieces])
     return Quadrature(xs, layout.half * ref_w, standard, cut)
 
 
-def _cut_rows(space: EnrichedSpace, rows: Basis, xs: np.ndarray) -> Basis:
+def cut_rows(space: EnrichedSpace, rows: Basis, xs: np.ndarray) -> Basis:
     """The full rows of the 2c cut pieces from their standard ``rows``, at points xs (2c, q).
 
     Row 2j is cut j's left piece and row 2j + 1 its right piece, psi

@@ -10,17 +10,16 @@ from numpy.polynomial import Polynomial
 
 from enrfem.analysis import ErrorReport, compute_errors, observed_orders
 from enrfem.assembly import (
-    BoundaryCondition,
     assemble_system,
     condition_number,
     solve_system,
     space_for_problem,
 )
-from enrfem.bench import catalog_problem
 from enrfem.cli import load_problem_file
 from enrfem.enrichment import eval_enrichment
 from enrfem.femspace import full_coefficients, quadrature_rule, standard_basis
 from enrfem.mesh import build_mesh
+from enrfem.problem import BoundaryCondition, catalog_problem
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

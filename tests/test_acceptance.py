@@ -26,9 +26,9 @@ from enrfem.assembly import (
     solve_system,
     space_for_problem,
 )
-from enrfem.bench import catalog_problem
 from enrfem.enrichment import build_enrichment, eval_enrichment
 from enrfem.mesh import build_mesh
+from enrfem.problem import catalog_problem
 
 LEVELS = 7
 

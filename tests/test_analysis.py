@@ -1,6 +1,5 @@
 import dataclasses
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,11 +12,11 @@ from enrfem.analysis import (
     compute_errors,
     observed_orders,
 )
-from enrfem.assembly import InterfaceSpec, assemble_system, solve_system, space_for_problem
-from enrfem.bench import catalog_problem
+from enrfem.assembly import assemble_system, solve_system, space_for_problem
 from enrfem.cli import run_convergence
-from enrfem.femspace import BoundaryCondition, build_space
+from enrfem.femspace import build_space
 from enrfem.mesh import build_mesh
+from enrfem.problem import BoundaryCondition, InterfaceSpec, ProblemSpec, catalog_problem
 
 
 def _p1_space(pid, n, degree=1):
@@ -210,12 +209,17 @@ def test_contrast_benchmarks():
 
 
 def test_contrast_rejects_nonpositive():
-    """Negative on part of the layer: past x = 1/2, and within 1e-3 of 35/68 only."""
+    """No problem with a D negative on part of a layer reaches coefficient_contrast.
+
+    ProblemSpec bounds D on every layer from the same table that the
+    contrast reads, so a D negative past x = 1/2, or within 1e-3 of
+    35/68 only, is rejected when the problem is built.
+    """
     dip = Polynomial([(35 / 68) ** 2 - 1e-6, -2 * 35 / 68, 1.0])
     for diffusivity in (Polynomial([0.5, -1.0]), dip):
-        fake = SimpleNamespace(domain=(0.0, 1.0), breakpoints=(), diffusivity=(diffusivity,))
-        with pytest.raises(ValueError, match="positive"):
-            coefficient_contrast(fake)
+        with pytest.raises(ValueError, match="diffusivity must be positive on layer 0"):
+            ProblemSpec(domain=(0.0, 1.0), diffusivity=(diffusivity,), conv_delta=(0.0,),
+                        reaction=(0.0,), source=(0.0,))
 
 
 # ------------------------------------------------------------ exact solution

@@ -29,24 +29,28 @@ from enrfem import analysis as analysis_module
 from enrfem import assembly as assembly_module
 from enrfem import cli as cli_module
 from enrfem import femspace as femspace_module
+from enrfem import problem as problem_module
 from enrfem.analysis import compute_errors, error_rule_size
 from enrfem.assembly import (
     BandSystem,
-    BoundaryCondition,
-    InterfaceSpec,
-    ProblemSpec,
-    _coefficient_table,
-    _layer_values,
     assemble_system,
     assembly_rule_size,
     condition_number,
     solve_system,
     space_for_problem,
 )
-from enrfem.bench import catalog_problem, manufactured_rhs
 from enrfem.cli import load_problem_file, run_convergence
 from enrfem.femspace import quadrature_rule
 from enrfem.mesh import build_mesh, mesh_from_nodes, stack_meshes
+from enrfem.problem import (
+    BoundaryCondition,
+    InterfaceSpec,
+    ProblemSpec,
+    catalog_problem,
+    coefficient_table,
+    layer_values,
+    manufactured_rhs,
+)
 
 
 def _const(c):
@@ -515,7 +519,7 @@ def test_edge_layouts_match_per_element_reference(case, degree):
 
 # the functions a level's cost is counted in, by the modules that call them
 _COUNTED = {
-    "_layer_values": (assembly_module, analysis_module),
+    "layer_values": (problem_module, assembly_module, analysis_module),
     "eval_enrichment": (femspace_module,),
     "standard_basis": (femspace_module, assembly_module),
     "element_basis": (femspace_module,),
@@ -569,9 +573,9 @@ def test_a_levels_calls_do_not_grow_with_its_cuts(monkeypatch, degree):
     assert [cuts for cuts, _, _ in per_problem] == [1, 2, 3]
     for pid, (_, assembled, errors) in zip((1, 2, 3), per_problem):
         rows_at_alpha = 0 if pid == 2 else 1
-        assert assembled == {"_layer_values": 4, "eval_enrichment": 2 + 2 * rows_at_alpha,
+        assert assembled == {"layer_values": 4, "eval_enrichment": 2 + 2 * rows_at_alpha,
                              "standard_basis": 1 + rows_at_alpha}
-        assert errors == {"_layer_values": 3, "eval_enrichment": 2, "standard_basis": 1}
+        assert errors == {"layer_values": 3, "eval_enrichment": 2, "standard_basis": 1}
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -597,11 +601,11 @@ def test_a_studys_calls_do_not_grow_with_its_levels(monkeypatch, degree):
         per_study.append(dict(counts))
     assert per_study[0] == per_study[1]
     assert per_study[0] == {
-        "_layer_values": 2 + 4 + 3, "eval_enrichment": 4 + 2, "standard_basis": 2 + 1,
+        "layer_values": 2 + 4 + 3, "eval_enrichment": 4 + 2, "standard_basis": 2 + 1,
         "build_mesh": 1,
     }
     assert per_study[2] == {
-        "_layer_values": 2 + 2 * (4 + 3), "eval_enrichment": 2 * (4 + 2), "standard_basis": 2 * (2 + 1),
+        "layer_values": 2 + 2 * (4 + 3), "eval_enrichment": 2 * (4 + 2), "standard_basis": 2 * (2 + 1),
         "build_mesh": 2,
     }
     counts.clear()
@@ -798,7 +802,7 @@ def test_layer_values_have_polyval_bits(layers, points):
     polys = [Polynomial(c) for c in layers]
     x = np.array(points)
     with np.errstate(all="ignore"):  # both sides overflow alike on large inputs
-        got = _layer_values(_coefficient_table(layers), np.arange(len(polys))[:, None], x)
+        got = layer_values(coefficient_table(layers), np.arange(len(polys))[:, None], x)
         wants = [p(x) for p in polys]
     got = np.broadcast_to(got, (len(polys), len(x)))
     for values, want, p in zip(got, wants, polys):

@@ -9,10 +9,17 @@ from numpy.polynomial import polynomial as P
 
 import enrfem.analysis
 from enrfem.analysis import compute_errors
-from enrfem.assembly import InterfaceSpec, space_for_problem
-from enrfem.bench import ProblemFileError, catalog_problem, load_problem_file, manufactured_rhs
-from enrfem.femspace import BoundaryCondition, build_space
+from enrfem.assembly import space_for_problem
+from enrfem.femspace import build_space
 from enrfem.mesh import build_mesh
+from enrfem.problem import (
+    BoundaryCondition,
+    InterfaceSpec,
+    ProblemFileError,
+    catalog_problem,
+    load_problem_file,
+    manufactured_rhs,
+)
 
 
 def _wall_model(n=4):
@@ -207,9 +214,9 @@ def _numpy_polynomial_source(value, d, delta, w):
 def _error_derivative_table(exact, space):
     """The table of exact derivatives that ``compute_errors`` evaluates on its pieces."""
     tables = []
-    evaluate = enrfem.analysis._layer_values
+    evaluate = enrfem.analysis.layer_values
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(enrfem.analysis, "_layer_values",
+        patch.setattr(enrfem.analysis, "layer_values",
                       lambda table, *args: tables.append(table) or evaluate(table, *args))
         compute_errors(exact, space, np.zeros(space.n_free))
     _, derivatives, _ = tables  # values and derivatives on the pieces, values at the nodes

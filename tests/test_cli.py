@@ -13,7 +13,6 @@ import pytest
 from _helpers import FIXTURES, per_level_rows
 
 import enrfem
-from enrfem.bench import catalog_problem
 from enrfem.cli import (
     ConvergenceTable,
     ProblemFileError,
@@ -22,6 +21,7 @@ from enrfem.cli import (
     main,
     run_convergence,
 )
+from enrfem.problem import catalog_problem
 
 CSV_HEADER = "h,l2,h1_broken,nodal,cond,order_l2,order_h1,order_nodal"
 GOLDEN = Path(__file__).parent / "golden"

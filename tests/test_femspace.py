@@ -5,7 +5,6 @@ from _helpers import psi_jumps, reference_basis
 from enrfem.enrichment import gamma_from_lambda
 from enrfem.femspace import (
     Basis,
-    BoundaryCondition,
     build_space,
     element_basis,
     eval_function,
@@ -13,6 +12,7 @@ from enrfem.femspace import (
     quadrature_pieces,
 )
 from enrfem.mesh import build_mesh, locate_element, mesh_from_nodes
+from enrfem.problem import BoundaryCondition
 
 
 NEUMANN = BoundaryCondition.neumann()

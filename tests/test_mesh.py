@@ -6,9 +6,9 @@ import pytest
 from _helpers import FIXTURES
 
 import enrfem.cli
-from enrfem.bench import catalog_problem, load_problem_file
 from enrfem.cli import run_convergence
 from enrfem.mesh import build_mesh, locate_element, mesh_from_nodes, stack_meshes
+from enrfem.problem import catalog_problem, load_problem_file
 
 
 def test_single_interface_element_located():

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import importlib
 import importlib.machinery
@@ -18,6 +19,7 @@ PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 README = PYPROJECT.parent / "README.md"
 SPANS = PYPROJECT.parent / "perfbench" / "spans.py"
 SWEEP_117 = PYPROJECT.parent / "tests" / "fixtures" / "sweep-117.json"
+SRC = Path(enrfem.__file__).resolve().parent
 
 
 def test_version_is_written_once():
@@ -46,6 +48,62 @@ def test_the_catalog_ships_as_package_data():
     for name in names:
         layers = json.loads((catalog / name).read_text(encoding="utf-8"))["layers"]
         assert [layer["f"] for layer in layers] == ["manufactured"] * len(layers), name
+
+
+def _private_reads(source: str) -> list[str]:
+    """Each private name of an enrfem module that ``source``, another enrfem module, uses.
+
+    A private name has a leading underscore and is not a dunder.  It is
+    used by ``from .x import _y`` (or ``from enrfem.x import _y``), and by
+    reading ``x._y`` after ``from . import x``, ``import enrfem.x as x``
+    or ``from enrfem import x``.
+    """
+    def private(name):
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    def ours(node):
+        return node.level > 0 or (node.module or "").split(".")[0] == "enrfem"
+
+    tree = ast.parse(source)
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and ours(node):
+            package = node.module in (None, "enrfem")  # from . import x: x is a module
+            for alias in node.names:
+                if package:
+                    modules.add(alias.asname or alias.name)
+                elif private(alias.name):
+                    found.append(f"from {'.' * node.level}{node.module or ''} import {alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("enrfem.") and alias.asname:
+                    modules.add(alias.asname)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and private(node.attr)):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_uses_another_modules_private_names():
+    """No module of src/enrfem imports or reads a private name of another enrfem module.
+
+    What one module needs of another is public there.  The checker itself
+    finds both forms of use, and passes over dunders and other packages.
+    """
+    assert _private_reads("from .assembly import _scaled_lu, solve_system") == [
+        "from .assembly import _scaled_lu"]
+    assert _private_reads("from enrfem.problem import _number") == [
+        "from enrfem.problem import _number"]
+    assert _private_reads("from . import femspace\nfemspace._cut_layout(space)") == [
+        "femspace._cut_layout"]
+    assert _private_reads("import enrfem.mesh as m\nm._located") == ["m._located"]
+    assert _private_reads("from ._version import __version__\n"
+                          "from scipy.linalg import _flapack\nself._x, _flapack.dgbtrf") == []
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) >= 9
+    found = {path.name: _private_reads(path.read_text(encoding="utf-8")) for path in modules}
+    assert {name: uses for name, uses in found.items() if uses} == {}
 
 
 def _python(code: str, *flags: str) -> str:
