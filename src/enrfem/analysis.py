@@ -9,10 +9,8 @@ nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .femspace import (
     EnrichedSpace,
@@ -20,14 +18,7 @@ from .femspace import (
     full_coefficients,
     quadrature_pieces,
 )
-from .problem import (
-    ProblemSpec,
-    as_polynomial,
-    coefficient_table,
-    derivative,
-    layer_ranges,
-    layer_values,
-)
+from .problem import ProblemSpec, layer_ranges, layer_values
 
 
 @dataclass(frozen=True)
@@ -43,37 +34,34 @@ class ErrorReport:
             raise ValueError("error measures must be finite and nonnegative")
 
 
-def error_rule_size(exact: Sequence[Polynomial], degree: int) -> int:
-    """``exact_rule_size`` of (u - u_h)^2, u_h of degree ``degree`` + 1 on a cut piece."""
+def error_rule_size(problem: ProblemSpec, degree: int) -> int:
+    """``exact_rule_size`` of (u - u_h)^2, u_h of degree ``degree`` + 1 on a cut piece.
+
+    Raises ValueError for a problem without an exact solution u.
+    """
+    if problem.exact is None:
+        raise ValueError("the problem has no exact solution to measure errors against")
     return exact_rule_size(
         ("exact", i, len(u.coef) - 1, 2 * max(len(u.coef) - 1, degree + 1))
-        for i, u in enumerate(exact)
+        for i, u in enumerate(problem.exact)
     )
 
 
-def compute_errors(
-    exact: Sequence[Polynomial],
-    space: EnrichedSpace,
-    coeffs,
-) -> list[ErrorReport]:
-    """L2 / broken-H1 / nodal errors of the discrete function vs ``exact``, one report per level.
+def compute_errors(problem: ProblemSpec, space: EnrichedSpace, coeffs) -> list[ErrorReport]:
+    """L2 / broken-H1 / nodal errors of the discrete function vs the exact solution, per level.
 
     ``coeffs`` are the free DOFs; the constrained ones take the space's
-    Dirichlet values.  Branch j of ``exact``, a Polynomial in x, and its
-    derivative are integrated over layer j of each level by
-    ``error_rule_size``'s Gauss rule.  Raises ValueError unless ``exact``
-    has one branch per layer and every level's errors are finite.
+    Dirichlet values.  The problem's exact branch j and its derivative
+    (``ProblemSpec.tables``) are integrated over layer j of each level by
+    ``error_rule_size``'s Gauss rule.  Raises ValueError unless the
+    problem has an exact solution, every level of the space has the
+    problem's interfaces, and every level's errors are finite.
     """
     mesh, layout = space.mesh, space.layout
-    cuts = np.diff(mesh.cut_starts)  # each level's
-    if np.any(cuts != len(exact) - 1):
-        raise ValueError(f"{len(exact)} exact branches for the space's {cuts.max() + 1} layers")
-    exact = [as_polynomial(u, f"exact on layer {i}") for i, u in enumerate(exact)]
-    values = coefficient_table([u.coef for u in exact])
-    derivatives = coefficient_table([derivative(u.coef) for u in exact])
+    problem.check_mesh(mesh)
+    quad = quadrature_pieces(space, error_rule_size(problem, space.degree))
+    values, derivatives = problem.tables["exact"], problem.tables["exact_derivative"]
     full = full_coefficients(space, coeffs)
-
-    quad = quadrature_pieces(space, error_rule_size(exact, space.degree))
     # e = u_h - u in place: its square has the bits of (u - u_h)^2
     e, de = np.empty_like(quad.xs), np.empty_like(quad.xs)
     for basis, pieces in ((quad.standard, slice(None)), (quad.cut, layout.cut_pieces)):

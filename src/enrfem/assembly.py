@@ -142,11 +142,7 @@ def space_for_problem(problem: ProblemSpec, mesh: Mesh1D, degree: int) -> Enrich
 
     Every level of ``mesh`` must carry the problem's interfaces.
     """
-    mesh_alphas = tuple(mesh.alphas.tolist())
-    if mesh_alphas != problem.breakpoints * mesh.n_levels:
-        raise ValueError(
-            f"mesh interfaces {mesh_alphas} are not the problem's {problem.breakpoints}"
-        )
+    problem.check_mesh(mesh)
     return build_space(mesh, degree, problem.gammas * mesh.n_levels, problem.bc_left,
                        problem.bc_right)
 
@@ -176,8 +172,7 @@ def assemble_system(problem: ProblemSpec, space: EnrichedSpace) -> BandSystem:
     assembly of its level.  Each level's lift is its own product, so its
     rhs has the bits of a space of that level alone.
     """
-    if tuple(space.mesh.alphas.tolist()) != problem.breakpoints * space.mesh.n_levels:
-        raise ValueError("space was not built from this problem's mesh and interfaces")
+    problem.check_mesh(space.mesh)
     layout, per = space.layout, space.degree + 1
     (std_dofs, std_local, std_load), (cut_dofs, cut_local, cut_load) = _piece_integrals(
         problem, layout, quadrature_pieces(space, assembly_rule_size(problem, space.degree))

@@ -105,21 +105,21 @@ def _h0_fraction(text: str) -> Fraction:
     if len(digits) > 18:
         raise ProblemFileError(f"h0 with a {len(digits)}-digit decimal exponent is outside "
                                "the range of a float")
-    raise ProblemFileError(f"{_about(mantissa, int(match['exponent']))} is outside the range "
-                           "of a float")
+    raise ProblemFileError(f"h0 of {_about(mantissa, int(match['exponent']))} is outside the "
+                           "range of a float")
 
 
 def _about(value: Fraction, exponent: int = 0) -> str:
-    """The words "h0 of about [-]1eK" for value * 10**exponent; math.log10 takes any int."""
+    """The words "about [-]1eK" for value * 10**exponent; math.log10 takes any int."""
     decades = round(math.log10(abs(value.numerator)) - math.log10(value.denominator))
-    return f"h0 of about {'-' if value < 0 else ''}1e{exponent + decades}"
+    return f"about {'-' if value < 0 else ''}1e{exponent + decades}"
 
 
 def _h0_text(h0: Fraction) -> str:
     """The words "h0=<h0>" for messages, or h0's order of magnitude where the fraction is long."""
     if max(abs(h0.numerator), h0.denominator).bit_length() <= 128:
         return f"h0={h0}"
-    return _about(h0)
+    return f"h0 of {_about(h0)}"
 
 
 def _elements_for(h0: Fraction, a: float, b: float, levels: int) -> int:
@@ -135,8 +135,10 @@ def _elements_for(h0: Fraction, a: float, b: float, levels: int) -> int:
     # 64 doublings put any n >= 2 over the limit, and a power of two keeps
     # the float product exact (or inf)
     if n * 2.0 ** (min(levels, 65) - 1) + 1 > sys.maxsize // 8:
-        raise ProblemFileError(f"{_h0_text(h0)} gives {n:.3g} * 2**{levels - 1} elements on level "
-                               f"{levels - 1}, more than an array can index")
+        # a subnormal h0 overflows n: the exact quotient names its order of magnitude
+        count = f"{n:.3g}" if n < math.inf else _about((Fraction(b) - Fraction(a)) / h0)
+        raise ProblemFileError(f"{_h0_text(h0)} gives {count} * 2**{levels - 1} elements on "
+                               f"level {levels - 1}, more than an array can index")
     if abs(n - round(n)) > 1e-9 * max(n, 1.0) or round(n) < 2:
         raise ProblemFileError(
             f"{_h0_text(h0)} does not tile the domain ({a}, {b}) into >= 2 elements"
@@ -152,7 +154,7 @@ def _stack_rows(spec: ProblemSpec, degree: int, mesh: Mesh1D, with_cond: bool) -
     """
     space = space_for_problem(spec, mesh, degree)
     system = assemble_system(spec, space)
-    reports = compute_errors(spec.exact, space, solve_system(system))
+    reports = compute_errors(spec, space, solve_system(system))
     conds = ([condition_number(level) for level in system.levels()] if with_cond
              else [None] * mesh.n_levels)
     a, b = spec.domain
@@ -221,7 +223,7 @@ def run_convergence(
         )
     try:
         assembly_rule_size(spec, degree)
-        error_rule_size(spec.exact, degree)
+        error_rule_size(spec, degree)
     except ValueError as exc:
         raise ProblemFileError(str(exc)) from exc
     h0 = _h0_fraction(str(h0)) if not isinstance(h0, Fraction) else h0

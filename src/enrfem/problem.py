@@ -82,7 +82,7 @@ class BoundaryCondition:
 COEFFICIENTS = ("diffusivity", "conv_delta", "reaction", "source")
 
 
-def as_polynomial(value, where: str) -> Polynomial:
+def _as_polynomial(value, where: str) -> Polynomial:
     """``value`` as a numpy Polynomial in powers of x; a float becomes degree 0.
 
     Raises for anything else, including a Polynomial whose domain and
@@ -138,7 +138,7 @@ def poly_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _trimmed(out)
 
 
-def derivative(c: np.ndarray) -> np.ndarray:
+def _derivative(c: np.ndarray) -> np.ndarray:
     """polyder(c): j * c[j] for j >= 1, untrimmed, and c[0] * 0 for a constant."""
     return np.arange(1, len(c)) * c[1:] if len(c) > 1 else c[:1] * 0
 
@@ -184,7 +184,7 @@ def layer_ranges(table: np.ndarray, breaks) -> tuple[np.ndarray, np.ndarray]:
     xs[:, 1] = breaks[1:]
     for row, coef in zip(xs, table.T):
         if coef[2:].any():  # polyroots trims the zeros that pad a column
-            roots = P.polyroots(derivative(coef)).real
+            roots = P.polyroots(_derivative(coef)).real
             row[2:len(roots) + 2] = np.clip(roots, row[0], row[1])
     values = layer_values(table, np.arange(len(xs))[:, None], xs)
     return np.min(values, axis=1), np.max(values, axis=1)
@@ -198,8 +198,8 @@ class ProblemSpec:
     domain endpoints); every coefficient tuple has one numpy Polynomial in
     x per layer, a float given in its place becoming a degree-0 one.
     ``exact``, when known, is one such Polynomial per layer, the branch
-    on that layer, evaluable on the whole domain; its derivative is
-    taken where it is used.  Anything else, a Polynomial with a mapped
+    on that layer, evaluable on the whole domain; ``tables`` holds its
+    values and derivatives.  Anything else, a Polynomial with a mapped
     domain or a (value, derivative) pair included, is rejected.
     """
 
@@ -232,7 +232,7 @@ class ProblemSpec:
             if len(entries) != n_layers:
                 raise ValueError(f"{name} needs one entry per layer ({n_layers})")
             object.__setattr__(self, name, tuple(
-                as_polynomial(c, f"{name} on layer {i}") for i, c in enumerate(entries)
+                _as_polynomial(c, f"{name} on layer {i}") for i, c in enumerate(entries)
             ))
         self.gammas  # an implicit interface needs a gamma: D-, D+ > 0 and a nonzero denominator
         breaks = np.array([a, *alphas, b])
@@ -249,11 +249,22 @@ class ProblemSpec:
     def breakpoints(self) -> tuple[float, ...]:
         return tuple(spec.alpha for spec in self.interfaces)
 
+    def check_mesh(self, mesh) -> None:
+        """Raise ValueError unless every level of ``mesh`` is cut at the interfaces, in order."""
+        if (alphas := tuple(mesh.alphas.tolist())) != self.breakpoints * mesh.n_levels:
+            raise ValueError(f"mesh interfaces {alphas} are not the problem's {self.breakpoints}")
+
     @cached_property
     def tables(self) -> dict[str, np.ndarray]:
-        """Each coefficient's ``coefficient_table``, by field name, read-only."""
-        tables = {name: coefficient_table([p.coef for p in getattr(self, name)])
-                  for name in COEFFICIENTS}
+        """Each field's ``coefficient_table``, by name, read-only.
+
+        With ``exact`` there is ``exact_derivative`` too, its branches' derivatives.
+        """
+        coefs = {name: [p.coef for p in getattr(self, name)] for name in COEFFICIENTS}
+        if self.exact is not None:
+            coefs["exact"] = [u.coef for u in self.exact]
+            coefs["exact_derivative"] = [_derivative(u.coef) for u in self.exact]
+        tables = {name: coefficient_table(c) for name, c in coefs.items()}
         for table in tables.values():
             table.flags.writeable = False
         return tables
@@ -313,7 +324,7 @@ def manufactured_rhs(exact, diffusivity, conv_delta, reaction) -> list[Polynomia
     differentiation), and every Polynomial must be in powers of x
     (default domain and window).  The arithmetic runs on coefficient
     arrays with the operations of the functions that Polynomial's
-    operators call (``product``, ``poly_sum`` and ``derivative``), so the
+    operators call (``product``, ``poly_sum`` and ``_derivative``), so the
     result has the operators' bits.
     """
     out = []
@@ -325,10 +336,10 @@ def manufactured_rhs(exact, diffusivity, conv_delta, reaction) -> list[Polynomia
             )
         u = value.coef
         d, delta, w = (
-            as_polynomial(c[i], f"layer {i}").coef for c in (diffusivity, conv_delta, reaction)
+            _as_polynomial(c[i], f"layer {i}").coef for c in (diffusivity, conv_delta, reaction)
         )
-        flux = poly_sum(product(-d, derivative(u)), product(product(np.array([2.0]), delta), u))
-        out.append(polynomial(poly_sum(derivative(flux), product(w, u))))
+        flux = poly_sum(product(-d, _derivative(u)), product(product(np.array([2.0]), delta), u))
+        out.append(polynomial(poly_sum(_derivative(flux), product(w, u))))
     return out
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from enrfem.analysis import (
     ErrorReport,
     coefficient_contrast,
     compute_errors,
+    error_rule_size,
     observed_orders,
 )
 from enrfem.assembly import assemble_system, solve_system, space_for_problem
@@ -25,23 +27,29 @@ def _p1_space(pid, n, degree=1):
     return entry, space_for_problem(entry.problem, mesh, degree)
 
 
-def _space_with_right_value(pid, n, value):
-    """The catalog problem's P1 space with Dirichlet value ``value`` at the right end."""
+def _with_exact(pid, n, exact):
+    """Catalog problem ``pid`` with ``exact`` and its value at the right end, and its P1 space."""
     problem = dataclasses.replace(
-        catalog_problem(pid).problem, bc_right=BoundaryCondition.dirichlet(value)
+        catalog_problem(pid).problem, exact=exact,
+        bc_right=BoundaryCondition.dirichlet(exact[-1](1.0)),
     )
     mesh = build_mesh(0.0, 1.0, n, [s.alpha for s in problem.interfaces])
-    return space_for_problem(problem, mesh, 1)
+    return problem, space_for_problem(problem, mesh, 1)
+
+
+def _one_layer(exact):
+    """A one-layer problem on (0, 1) whose exact solution is ``exact``."""
+    return ProblemSpec(domain=(0.0, 1.0), diffusivity=(1.0,), conv_delta=(0.0,), reaction=(0.0,),
+                       source=(0.0,), exact=(exact,))
 
 
 # -------------------------------------------------------------- interpolant
 
 def test_interpolation_reproduces_global_linear():
     line = Polynomial([0.4, -2.0])
-    space = _space_with_right_value(1, 8, line(1.0))
-    exact = (line, line)
-    coeffs = interpolate_enriched(exact, space)
-    (report,) = compute_errors(exact, space, coeffs)
+    problem, space = _with_exact(1, 8, (line, line))
+    coeffs = interpolate_enriched(problem.exact, space)
+    (report,) = compute_errors(problem, space, coeffs)
     assert report.l2 <= 1e-14
     assert report.h1_broken <= 1e-13
     assert report.nodal_max <= 1e-14
@@ -54,16 +62,35 @@ def test_interpolation_rejected_on_quadratic_space():
 
 
 def test_exact_branch_count_must_be_the_space_layers():
-    """Branch j owns layer j, so there is one branch per layer of the space."""
-    _, space = _p1_space(1, 8)
+    """Branch j owns layer j: the problem has one branch per layer, and its errors need its mesh.
+
+    A space on another problem's mesh is rejected, even one with as many
+    layers as the problem.
+    """
+    entry, space = _p1_space(1, 8)
     line = Polynomial([0.4, -2.0])
     for count in (1, 3):
         exact = (line,) * count
-        message = f"{count} exact branches for the space's 2 layers"
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=r"^exact needs one entry per layer \(2\)$"):
+            dataclasses.replace(entry.problem, exact=exact)
+        with pytest.raises(ValueError, match=f"{count} exact branches for the space's 2 layers"):
             interpolate_enriched(exact, space)
-        with pytest.raises(ValueError, match=message):
-            compute_errors(exact, space, np.zeros(space.n_free))
+    lam = entry.problem.interfaces[0].lam
+    moved = dataclasses.replace(entry.problem, interfaces=(InterfaceSpec(0.3, lam),))
+    space = space_for_problem(moved, build_mesh(0.0, 1.0, 8, moved.breakpoints), 1)
+    message = f"mesh interfaces (0.3,) are not the problem's {entry.problem.breakpoints}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        compute_errors(entry.problem, space, np.zeros(space.n_free))
+
+
+def test_errors_need_an_exact_solution():
+    """Without ``exact`` there is nothing to measure against: a ValueError that says so."""
+    entry, space = _p1_space(1, 8)
+    problem = dataclasses.replace(entry.problem, exact=None)
+    with pytest.raises(ValueError, match="the problem has no exact solution"):
+        error_rule_size(problem, 1)
+    with pytest.raises(ValueError, match="the problem has no exact solution"):
+        compute_errors(problem, space, np.zeros(space.n_free))
 
 
 def test_interpolation_jump_correction_value():
@@ -89,7 +116,7 @@ def test_interpolation_error_halves_in_h1():
     for n in (64, 128):
         _, space = _p1_space(1, n)
         coeffs = interpolate_enriched(entry.problem.exact, space)
-        (report,) = compute_errors(entry.problem.exact, space, coeffs)
+        (report,) = compute_errors(entry.problem, space, coeffs)
         errors.append(report.h1_broken)
     assert errors[0] / errors[1] == pytest.approx(2.0, abs=0.2)
 
@@ -98,10 +125,9 @@ def test_interpolation_error_halves_in_h1():
 
 def test_errors_vanish_for_space_member():
     line = Polynomial([0.25, 0.5])
-    space = _space_with_right_value(1, 8, line(1.0))
-    exact = (line, line)
-    coeffs = interpolate_enriched(exact, space)
-    (report,) = compute_errors(exact, space, coeffs)
+    problem, space = _with_exact(1, 8, (line, line))
+    coeffs = interpolate_enriched(problem.exact, space)
+    (report,) = compute_errors(problem, space, coeffs)
     assert max(report.l2, report.h1_broken, report.nodal_max) <= 1e-12
 
 
@@ -110,8 +136,7 @@ def test_error_norms_of_linear_difference():
     mesh = build_mesh(0.0, 1.0, 8)
     space = build_space(mesh, 1, [], BoundaryCondition.neumann(), BoundaryCondition.neumann())
     coeffs = np.array(space.mesh.nodes, dtype=float)
-    exact = (Polynomial([0.0]),)
-    (report,) = compute_errors(exact, space, coeffs)
+    (report,) = compute_errors(_one_layer(Polynomial([0.0])), space, coeffs)
     assert report.l2 == pytest.approx(1 / math.sqrt(3), rel=1e-14)
     assert report.h1_broken == pytest.approx(1.0, rel=1e-14)
     assert report.nodal_max == pytest.approx(7 / 8, rel=1e-14)
@@ -119,7 +144,7 @@ def test_error_norms_of_linear_difference():
 
 def test_problem1_level_two_errors():
     entry, _, space, system, coeffs = solve_benchmark(1, 16)
-    (report,) = compute_errors(entry.problem.exact, space, coeffs)
+    (report,) = compute_errors(entry.problem, space, coeffs)
     assert report.l2 == pytest.approx(3.40683e-04, rel=0.05)
     assert report.h1_broken == pytest.approx(3.24574e-02, rel=0.05)
 
@@ -127,7 +152,7 @@ def test_problem1_level_two_errors():
 def test_errors_take_the_dirichlet_value_from_the_space():
     """With no boundary argument, the errors are the study's: u(1) = 1/3 comes from the space."""
     entry, _, space, _, coeffs = solve_benchmark(1, 64)
-    (report,) = compute_errors(entry.problem.exact, space, coeffs)
+    (report,) = compute_errors(entry.problem, space, coeffs)
     row = run_convergence(1, None, "1/8", 4).rows[3]
     assert row["h"] == 1 / 64
     for name, key in (("l2", "l2"), ("h1_broken", "h1_broken"), ("nodal_max", "nodal")):
@@ -139,7 +164,7 @@ def test_error_quadrature_stability():
     """The derived rule is exact: the errors agree with the oracle at 10, 12 and 16 points."""
     for problem, space in derived_rule_cases():
         coeffs = solve_system(assemble_system(problem, space))
-        (report,) = compute_errors(problem.exact, space, coeffs)
+        (report,) = compute_errors(problem, space, coeffs)
         for q in (10, 12, 16):
             fine = reference_errors(problem.exact, space, coeffs, q)
             assert report.l2 == pytest.approx(fine.l2, rel=1e-10)
@@ -159,9 +184,9 @@ def test_error_report_rejects_non_finite_entries(value):
 
 def test_cea_bound_single_level():
     entry, _, space, system, coeffs = solve_benchmark(1, 32)
-    (fem,) = compute_errors(entry.problem.exact, space, coeffs)
+    (fem,) = compute_errors(entry.problem, space, coeffs)
     (interp,) = compute_errors(
-        entry.problem.exact, space, interpolate_enriched(entry.problem.exact, space)
+        entry.problem, space, interpolate_enriched(entry.problem.exact, space)
     )
     rho = coefficient_contrast(entry.problem)
     assert fem.h1_broken <= 10 * rho * interp.h1_broken
@@ -249,5 +274,5 @@ def test_a_quadratic_in_the_space_has_no_nodal_error(n):
     points[1::2] = 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])
     coeffs = np.empty(space.n_free)
     coeffs[space.free_index] = u(points)
-    (report,) = compute_errors((u,), space, coeffs)
+    (report,) = compute_errors(_one_layer(u), space, coeffs)
     assert report.nodal_max == 0.0

@@ -181,7 +181,7 @@ def test_constant_patch_residual(pid):
 
 def test_problem1_coarse_l2_error():
     entry, _, space, system, coeffs = solve_benchmark(1, 8)
-    (report,) = compute_errors(entry.problem.exact, space, coeffs)
+    (report,) = compute_errors(entry.problem, space, coeffs)
     assert report.l2 == pytest.approx(1.43943e-03, rel=0.10)
 
 
@@ -253,11 +253,16 @@ def test_nonzero_neumann_rejected():
 
 
 def test_space_problem_mismatch_rejected():
-    entry = catalog_problem(1)
-    mesh = build_mesh(0.0, 1.0, 8, [s.alpha for s in entry.problem.interfaces])
-    space = space_for_problem(entry.problem, mesh, 1)
-    with pytest.raises(ValueError, match="mesh and interfaces"):
-        assemble_system(_poisson_problem(), space)
+    """space_for_problem, assemble_system and compute_errors make one check, with one message."""
+    problem, other = catalog_problem(1).problem, catalog_problem(2).problem
+    mesh = build_mesh(0.0, 1.0, 8, other.breakpoints)
+    space = space_for_problem(other, mesh, 1)
+    message = f"mesh interfaces {other.breakpoints} are not the problem's {problem.breakpoints}"
+    for stage in (lambda: space_for_problem(problem, mesh, 1),
+                  lambda: assemble_system(problem, space),
+                  lambda: compute_errors(problem, space, np.zeros(space.n_free))):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            stage()
 
 
 def test_permuted_mesh_interfaces_assemble_identically():
@@ -370,7 +375,7 @@ def test_cut_near_a_node_solves(pid):
             space = space_for_problem(problem, mesh_from_nodes(nodes, problem.breakpoints),
                                       entry.degree)
             coeffs = solve_system(assemble_system(problem, space))
-            (reports[k],) = compute_errors(problem.exact, space, coeffs)
+            (reports[k],) = compute_errors(problem, space, coeffs)
         for k in range(2, 13):
             assert reports[k].l2 == pytest.approx(reports[2].l2, rel=5e-3), (node, k)
             assert reports[k].h1_broken == pytest.approx(reports[2].h1_broken, rel=5e-3), (node, k)
@@ -379,7 +384,7 @@ def test_cut_near_a_node_solves(pid):
 def test_deep_p2_mesh_solves():
     """Problem 6 at n = 32,768: its enrichment pivots once fell below the floor."""
     entry, _, space, _, coeffs = solve_benchmark(6, 32768)
-    (report,) = compute_errors(entry.problem.exact, space, coeffs)
+    (report,) = compute_errors(entry.problem, space, coeffs)
     assert report.l2 <= 1e-8
     assert report.h1_broken <= 1e-7
 
@@ -423,8 +428,8 @@ def _assert_bits_match_reference(problem, space):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
     coeffs = solve_system(system)
-    (report,) = compute_errors(problem.exact, space, coeffs)
-    q = error_rule_size(problem.exact, space.degree)
+    (report,) = compute_errors(problem, space, coeffs)
+    q = error_rule_size(problem, space.degree)
     reference = reference_errors(problem.exact, space, coeffs, q)
     for name in ("l2", "h1_broken", "nodal_max"):
         got, want = np.float64(getattr(report, name)), np.float64(getattr(reference, name))
@@ -523,6 +528,7 @@ _COUNTED = {
     "eval_enrichment": (femspace_module,),
     "standard_basis": (femspace_module, assembly_module),
     "element_basis": (femspace_module,),
+    "coefficient_table": (problem_module,),
 }
 
 
@@ -568,7 +574,7 @@ def test_a_levels_calls_do_not_grow_with_its_cuts(monkeypatch, degree):
         assembled = dict(counts)
         coeffs = solve_system(system)
         counts.clear()
-        compute_errors(problem.exact, space, coeffs)
+        compute_errors(problem, space, coeffs)
         per_problem.append((len(space.enrichments), assembled, dict(counts)))
     assert [cuts for cuts, _, _ in per_problem] == [1, 2, 3]
     for pid, (_, assembled, errors) in zip((1, 2, 3), per_problem):
@@ -583,8 +589,10 @@ def test_a_studys_calls_do_not_grow_with_its_levels(monkeypatch, degree):
     """A small study runs as one stack, whatever its number of levels.
 
     Problem 3 at 3 and at 7 levels (56 and 1,016 elements, at most
-    ONE_STACK_ELEMENTS) makes the same calls: loading it evaluates D and
-    delta once each at the implicit alpha (``implicit_interfaces``; 2
+    ONE_STACK_ELEMENTS) makes the same calls: loading it tabulates the
+    four coefficients and the exact values and derivatives once each (6
+    coefficient_table calls, the only ones of the study), and evaluates D
+    and delta once each at the implicit alpha (``implicit_interfaces``; 2
     evaluator calls), D and w being constant, so that their bounds need
     no evaluation, and the one stack makes a level's calls of
     test_a_levels_calls_do_not_grow_with_its_cuts.  At 9 levels (4,088
@@ -594,6 +602,8 @@ def test_a_studys_calls_do_not_grow_with_its_levels(monkeypatch, degree):
     (``BandSystem.levels``) but for --cond.
     """
     counts = _count_calls(monkeypatch, {"build_mesh": (cli_module,), "levels": (BandSystem,)})
+    catalog_problem(3)
+    assert counts == {"layer_values": 2, "coefficient_table": 6}
     per_study = []
     for levels in (3, 7, 9):
         counts.clear()
@@ -602,11 +612,11 @@ def test_a_studys_calls_do_not_grow_with_its_levels(monkeypatch, degree):
     assert per_study[0] == per_study[1]
     assert per_study[0] == {
         "layer_values": 2 + 4 + 3, "eval_enrichment": 4 + 2, "standard_basis": 2 + 1,
-        "build_mesh": 1,
+        "build_mesh": 1, "coefficient_table": 6,
     }
     assert per_study[2] == {
         "layer_values": 2 + 2 * (4 + 3), "eval_enrichment": 2 * (4 + 2), "standard_basis": 2 * (2 + 1),
-        "build_mesh": 2,
+        "build_mesh": 2, "coefficient_table": 6,
     }
     counts.clear()
     run_convergence(3, degree, "1/8", 3, with_cond=True)
@@ -639,8 +649,8 @@ def test_a_stack_is_its_levels_side_by_side(case):
         assert got.band.tobytes() == want.band.tobytes()
     stacked = solve_system(system)
     assert stacked.tobytes() == np.concatenate(coeffs).tobytes()
-    assert compute_errors(problem.exact, stack, stacked) == [
-        compute_errors(problem.exact, level.space, x)[0] for level, x in zip(levels, coeffs)
+    assert compute_errors(problem, stack, stacked) == [
+        compute_errors(problem, level.space, x)[0] for level, x in zip(levels, coeffs)
     ]
 
 
@@ -751,8 +761,8 @@ def test_constant_callables_match_polynomials(pid):
         for name in ("band", "rhs"):
             assert getattr(system_c, name).tobytes() == getattr(system, name).tobytes(), name
         assert coeffs_c.tobytes() == coeffs.tobytes()
-        (report,) = compute_errors(problem.exact, space, coeffs)
-        assert compute_errors(problem.exact, space_c, coeffs_c) == [report]
+        (report,) = compute_errors(problem, space, coeffs)
+        assert compute_errors(problem, space_c, coeffs_c) == [report]
 
 
 @pytest.mark.parametrize("name, value", [
@@ -821,7 +831,7 @@ def test_assemble_and_solve_stay_linear_in_memory():
     try:
         system = assemble_system(entry.problem, space)
         coeffs = solve_system(system)
-        compute_errors(entry.problem.exact, space, coeffs)
+        compute_errors(entry.problem, space, coeffs)
         condition_number(system)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -977,9 +987,10 @@ def test_implicit_interfaces_are_evaluated_once_at_their_alphas():
 
 
 def test_coefficient_tables_are_read_only():
-    """A write to a cached table would change later assemblies but not the Polynomials."""
+    """A write to a cached table would change later assemblies or errors but not the Polynomials."""
     tables = catalog_problem(3).problem.tables
-    assert sorted(tables) == sorted(("diffusivity", "conv_delta", "reaction", "source"))
+    assert sorted(tables) == sorted(("diffusivity", "conv_delta", "reaction", "source", "exact",
+                                     "exact_derivative"))
     for table in tables.values():
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] += 1.0

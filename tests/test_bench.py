@@ -7,15 +7,11 @@ from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 from numpy.polynomial import polynomial as P
 
-import enrfem.analysis
-from enrfem.analysis import compute_errors
-from enrfem.assembly import space_for_problem
-from enrfem.femspace import build_space
-from enrfem.mesh import build_mesh
 from enrfem.problem import (
     BoundaryCondition,
     InterfaceSpec,
     ProblemFileError,
+    ProblemSpec,
     catalog_problem,
     load_problem_file,
     manufactured_rhs,
@@ -211,29 +207,20 @@ def _numpy_polynomial_source(value, d, delta, w):
     return Polynomial(P.polyadd(P.polyder(flux), P.polymul(w, u)))
 
 
-def _error_derivative_table(exact, space):
-    """The table of exact derivatives that ``compute_errors`` evaluates on its pieces."""
-    tables = []
-    evaluate = enrfem.analysis.layer_values
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(enrfem.analysis, "layer_values",
-                      lambda table, *args: tables.append(table) or evaluate(table, *args))
-        compute_errors(exact, space, np.zeros(space.n_free))
-    _, derivatives, _ = tables  # values and derivatives on the pieces, values at the nodes
-    return derivatives
+def _assert_numpy_polynomial_bits(problem, diffusivity, conv_delta, reaction):
+    """Manufactured sources and the problem's exact-derivative table have numpy.polynomial's bytes.
 
-
-def _assert_numpy_polynomial_bits(exact, diffusivity, conv_delta, reaction, space):
-    """Each manufactured source, and compute_errors' exact derivatives, have numpy.polynomial's bytes.
-
-    Column j of the derivative table holds branch j's ``Polynomial.deriv``
-    coefficients, zero above its degree.
+    The sources are manufactured from ``problem.exact`` and the given
+    coefficients.  Column j of the derivative table, which
+    ``compute_errors`` evaluates on its pieces, holds branch j's
+    ``Polynomial.deriv`` coefficients, zero above its degree.
     """
+    exact = problem.exact
     sources = manufactured_rhs(exact, diffusivity, conv_delta, reaction)
     for i, (value, source) in enumerate(zip(exact, sources)):
         want = _numpy_polynomial_source(value, diffusivity[i], conv_delta[i], reaction[i])
         assert source.coef.tobytes() == want.coef.tobytes(), i
-    derivatives = _error_derivative_table(exact, space)
+    derivatives = problem.tables["exact_derivative"]
     want = np.zeros_like(derivatives)
     for column, value in zip(want.T, exact):
         column[:len(value.deriv().coef)] = value.deriv().coef
@@ -250,9 +237,8 @@ def test_loading_has_numpy_polynomials_bits(pid):
         problem = load_problem_file(Path(__file__).parent / "fixtures" / "sweep-117.json")
     else:
         problem = catalog_problem(pid).problem
-    space = space_for_problem(problem, build_mesh(*problem.domain, 8, problem.breakpoints), 1)
     _assert_numpy_polynomial_bits(
-        problem.exact, problem.diffusivity, problem.conv_delta, problem.reaction, space
+        problem, problem.diffusivity, problem.conv_delta, problem.reaction
     )
 
 
@@ -265,9 +251,6 @@ def _coefficients(max_degree):
 
 
 _ZERO_OR = st.sampled_from([[0.0], [-0.0], [0.0, 0.0]])
-_ONE_LAYER = build_space(
-    build_mesh(0.0, 1.0, 2), 1, [], BoundaryCondition.neumann(), BoundaryCondition.neumann()
-)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -280,9 +263,14 @@ _ONE_LAYER = build_space(
 @example(u=[5.0], d=[1.0], delta=[0.0], w=[0.0])
 @example(u=[-2.0, 0.0, 0.0], d=[1.0, 0.0], delta=[-0.0], w=[0.0, 0.0])
 def test_drawn_layers_have_numpy_polynomials_bits(u, d, delta, w):
-    """Any layer of degree 0-6, trailing zeros and zero delta or w included."""
-    exact = (Polynomial(u),)
-    _assert_numpy_polynomial_bits(exact, *([Polynomial(c)] for c in (d, delta, w)), _ONE_LAYER)
+    """Any layer of degree 0-6, trailing zeros and zero delta or w included.
+
+    The exact derivatives come from a one-layer problem whose exact
+    solution is u; its own coefficients are constants that it accepts.
+    """
+    problem = ProblemSpec(domain=(0.0, 1.0), diffusivity=(1.0,), conv_delta=(0.0,),
+                          reaction=(0.0,), source=(0.0,), exact=(Polynomial(u),))
+    _assert_numpy_polynomial_bits(problem, *([Polynomial(c)] for c in (d, delta, w)))
 
 
 @pytest.mark.parametrize("pid", [1, 2, 3])

@@ -358,6 +358,14 @@ def test_main_usage_errors(capsys):
                  id="h0-a-long-fraction"),
     pytest.param(["--h0", "0e-10000000"], "h0=0 does not tile the domain",
                  id="h0-zero-far-exponent"),
+    pytest.param(["--h0", "1e-310"],
+                 "h0 of about 1e-310 gives about 1e310 * 2**0 elements on level 0, "
+                 "more than an array can index",
+                 id="h0-subnormal"),
+    pytest.param(["--h0", "5e-324"],
+                 "h0 of about 1e-323 gives about 1e323 * 2**0 elements on level 0, "
+                 "more than an array can index",
+                 id="h0-smallest-subnormal"),
     pytest.param(["--h0", "1e-20"],
                  f"h0=1/{10**20} gives 1e+20 * 2**0 elements on level 0, "
                  "more than an array can index",
