@@ -23,7 +23,7 @@ from .problem import (
     catalog_problem,
     manufactured_rhs,
 )
-from .mesh import Mesh1D, build_mesh, locate_element, mesh_from_nodes, stack_meshes
+from .mesh import Mesh1D, build_mesh, mesh_from_nodes, stack_meshes
 from .enrichment import (
     EnrichmentFunction,
     build_enrichment,

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .enrichment import EnrichmentFunction, build_enrichment, eval_enrichment
-from .mesh import Mesh1D, locate_element
+from .mesh import Mesh1D
 from .problem import BoundaryCondition
 
 MAX_QUAD_NPTS = 16
@@ -189,30 +189,6 @@ def standard_basis(space: EnrichedSpace, ks: np.ndarray, xs: np.ndarray):
     left = ks + level  # each element's left node
     vals, ders = _lagrange_local(p, nodes[left], nodes[left + 1], xs)
     return (p * ks + level)[:, None] + np.arange(p + 1), vals, ders
-
-
-def element_basis(space: EnrichedSpace, k: int, xs: np.ndarray, side: str = "left"):
-    """All DOFs supported on element k evaluated at the points xs, a 1-D array.
-
-    Returns (dof_indices, values, derivatives) with values/derivatives of
-    shape (n_local, len(xs)); a cut element's rows come from
-    ``_with_enrichment``.  ``side`` ('left' or 'right') selects psi's
-    limit at alpha.
-    """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    if not 0 <= k < space.mesh.n_elements:
-        raise ValueError(f"element {k} outside 0..{space.mesh.n_elements - 1}")
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 1:
-        raise ValueError(f"xs must be a 1-D array of points, got shape {xs.shape}")
-    rows = Basis(*standard_basis(space, np.array([k]), xs[None]))
-    cuts = space.mesh.cut_elements
-    j = int(np.searchsorted(cuts, k))
-    if j < len(cuts) and cuts[j] == k:
-        psi = eval_enrichment(space.enrichments[j], xs, side)
-        rows = _with_enrichment(space, np.array([j]), rows, *(a[None, None] for a in psi))
-    return tuple(a[0] for a in rows)
 
 
 @lru_cache(maxsize=None)
@@ -386,11 +362,45 @@ def full_coefficients(space: EnrichedSpace, coeffs) -> np.ndarray:
 
 
 def eval_function(
-    space: EnrichedSpace, coeffs, x: float, side: str = "left"
-) -> tuple[float, float]:
-    """Value and derivative at x of the function with the given free DOFs."""
+    space: EnrichedSpace, coeffs, xs, side: str = "left"
+) -> tuple[np.ndarray, np.ndarray]:
+    """Values and derivatives at the points xs of the function with the given free DOFs.
+
+    ``xs`` is a 1-D array of points in [a, b].  Returns two arrays of
+    shape (L, len(xs)), one row per level.  A point on a node is read on
+    the element to its right, and b on the last element; ``side`` ('left'
+    or 'right') selects psi's limit at alpha.  The rows come in two
+    batches, as in ``quadrature_pieces``: the standard basis of every
+    point, then all DOFs of the points on cut elements, which supersede
+    their standard rows.
+    """
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1:
+        raise ValueError(f"xs must be a 1-D array of points, got shape {xs.shape}")
     full = full_coefficients(space, coeffs)
-    k = locate_element(space.mesh, x)
-    idx, vals, ders = element_basis(space, k, np.array([x]), side)
-    c = full[idx]
-    return float(c @ vals[:, 0]), float(c @ ders[:, 0])
+    mesh = space.mesh
+    first = mesh.starts + np.arange(mesh.n_levels + 1)  # each level's first node, then len(nodes)
+    ks = np.empty((mesh.n_levels, len(xs)), dtype=int)
+    for level in range(mesh.n_levels):
+        nodes = mesh.nodes[first[level]:first[level + 1]]
+        outside = ~((nodes[0] <= xs) & (xs <= nodes[-1]))  # NaN included
+        if outside.any():
+            raise ValueError(f"x={float(xs[np.argmax(outside)])} outside "
+                             f"[{float(nodes[0])}, {float(nodes[-1])}]")
+        right = np.minimum(np.searchsorted(nodes, xs, side="right"), len(nodes) - 1)
+        ks[level] = mesh.starts[level] + right - 1
+    ks, points = ks.ravel(), np.tile(xs, mesh.n_levels)[:, None]
+    rows = Basis(*standard_basis(space, ks, points))
+    on_cut = np.flatnonzero(np.isin(ks, mesh.cut_elements))
+    cuts = np.searchsorted(mesh.cut_elements, ks[on_cut])
+    psi = eval_enrichment(space.enrichments[cuts], points[on_cut, 0], side)
+    cut = _with_enrichment(space, cuts, Basis(*(a[on_cut] for a in rows)),
+                           *(a[:, None, None] for a in psi))
+    values, derivatives = np.empty(len(ks)), np.empty(len(ks))
+    for basis, pieces in ((rows, slice(None)), (cut, on_cut)):
+        coef = full[basis.dofs][:, None]
+        values[pieces] = (coef @ basis.values)[:, 0, 0]
+        derivatives[pieces] = (coef @ basis.derivatives)[:, 0, 0]
+    return values.reshape(mesh.n_levels, -1), derivatives.reshape(mesh.n_levels, -1)

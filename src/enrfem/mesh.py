@@ -53,14 +53,6 @@ class Mesh1D:
             table.flags.writeable = False
 
     @property
-    def a(self) -> float:
-        return float(self.nodes[0])
-
-    @property
-    def b(self) -> float:
-        return float(self.nodes[-1])
-
-    @property
     def n_levels(self) -> int:
         return len(self.starts) - 1
 
@@ -198,17 +190,3 @@ def build_mesh(a: float, b: float, n, interfaces=()) -> Mesh1D:
     nodes[first + sizes - 1] = b
     return _located(nodes, starts, interfaces)
 
-
-def locate_element(mesh: Mesh1D, x: float) -> int:
-    """Index i of the element with x_i <= x <= x_{i+1}.
-
-    At a shared node x_i the element [x_i, x_{i+1}] is returned (the node is
-    its left endpoint); at x_n the last element.  Raises for a stack of
-    several levels, where x lies in an element of each.
-    """
-    if mesh.n_levels != 1:
-        raise ValueError("locate_element needs a mesh of one level")
-    if not mesh.a <= x <= mesh.b:  # NaN included
-        raise ValueError(f"x={x} outside [{mesh.a}, {mesh.b}]")
-    k = int(np.searchsorted(mesh.nodes, x, side="right")) - 1
-    return min(max(k, 0), mesh.n_elements - 1)

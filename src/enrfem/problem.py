@@ -405,6 +405,10 @@ def load_problem_file(path) -> ProblemSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ProblemFileError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ProblemFileError(f"{path}: invalid JSON: nested too deeply") from exc
+    except ValueError as exc:  # an integer literal longer than int() converts
+        raise ProblemFileError(f"{path}: invalid JSON: {exc}") from exc
     try:
         return _parse_problem(doc)
     except ValueError as exc:

@@ -40,7 +40,7 @@ from enrfem.assembly import (
     space_for_problem,
 )
 from enrfem.cli import load_problem_file, run_convergence
-from enrfem.femspace import quadrature_rule
+from enrfem.femspace import eval_function, quadrature_rule
 from enrfem.mesh import build_mesh, mesh_from_nodes, stack_meshes
 from enrfem.problem import (
     BoundaryCondition,
@@ -527,7 +527,6 @@ _COUNTED = {
     "layer_values": (problem_module, assembly_module, analysis_module),
     "eval_enrichment": (femspace_module,),
     "standard_basis": (femspace_module, assembly_module),
-    "element_basis": (femspace_module,),
     "coefficient_table": (problem_module,),
 }
 
@@ -559,7 +558,7 @@ def test_a_levels_calls_do_not_grow_with_its_cuts(monkeypatch, degree):
     alphas from the problem; compute_errors evaluates the exact values and
     derivatives on the points and the values on the interior nodes (3),
     and reads u_h at a node from its DOF.  psi and the standard basis are
-    evaluated in batches, and assemble_system makes no element_basis call.
+    evaluated in batches.
     The rows at alpha (one standard_basis and two eval_enrichment calls)
     are built only where an interface is implicit: problems 1 and 3, not
     problem 2, whose two interfaces are continuous.
@@ -621,6 +620,27 @@ def test_a_studys_calls_do_not_grow_with_its_levels(monkeypatch, degree):
     counts.clear()
     run_convergence(3, degree, "1/8", 3, with_cond=True)
     assert counts["build_mesh"] == counts["levels"] == 1
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_eval_functions_calls_do_not_grow_with_its_points_or_levels(monkeypatch, degree):
+    """eval_function makes one standard_basis call and at most one eval_enrichment call.
+
+    Problem 3 (3 cuts) on a mesh of 1 level and a stack of 3, at 5 and at
+    500 points, u_h read on both sides.
+    """
+    counts = _count_calls(monkeypatch)
+    problem = catalog_problem(3).problem
+    rng = np.random.default_rng(4)
+    for n in (16, (16, 32, 64)):
+        space = space_for_problem(problem, build_mesh(*problem.domain, n, problem.breakpoints), degree)
+        coeffs = rng.standard_normal(space.n_free)
+        for points in (5, 500):
+            for side in ("left", "right"):
+                counts.clear()
+                eval_function(space, coeffs, rng.uniform(*problem.domain, points), side)
+                assert counts["standard_basis"] == 1 and counts["eval_enrichment"] <= 1
+                assert set(counts) <= {"standard_basis", "eval_enrichment"}
 
 
 @pytest.mark.parametrize("case", ["p1", "p2", "p3", "p4", "p5", "p6", "sweep-117"])

@@ -198,6 +198,22 @@ def test_problem_file_syntax_error(tmp_path):
         load_problem_file(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[" * 1000, "invalid JSON: nested too deeply"),
+    ('{"domain": [0, ' + "1" * 5000 + "]}", r"invalid JSON: Exceeds the limit \(4300 digits\)"),
+], ids=["deep-nesting", "long-integer"])
+def test_json_beyond_the_parsers_limits_exits_1(tmp_path, capsys, text, message):
+    """A 1,000-deep nesting and a 5,000-digit integer are file errors naming the file."""
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    with pytest.raises(ProblemFileError, match=f"^{re.escape(str(path))}: {message}"):
+        load_problem_file(path)
+    assert main(["--problem", str(path), "--levels", "1"]) == 1
+    err = capsys.readouterr().err
+    assert re.match(f"enrfem: error: {re.escape(str(path))}: {message}", err)
+    assert "Traceback" not in err
+
+
 def test_problem_file_schema_errors(tmp_path):
     path = _problem1_file(tmp_path)
     doc = json.loads(path.read_text())

@@ -1,3 +1,5 @@
+import bisect
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,11 @@ from enrfem.enrichment import gamma_from_lambda
 from enrfem.femspace import (
     Basis,
     build_space,
-    element_basis,
     eval_function,
     full_coefficients,
     quadrature_pieces,
 )
-from enrfem.mesh import build_mesh, locate_element, mesh_from_nodes
+from enrfem.mesh import build_mesh, mesh_from_nodes
 from enrfem.problem import BoundaryCondition
 
 
@@ -24,10 +25,29 @@ def _space(n=8, degree=1, interfaces=(1 / 9,), bc=(NEUMANN, DIRICHLET), gamma=0.
     return build_space(mesh, degree, [gamma] * len(mesh.alphas), *bc)
 
 
+def _unit_functions(space, dofs, xs, side="left"):
+    """(values, derivatives) (len(dofs), len(xs)) of the functions of free global DOFs ``dofs``.
+
+    Each is ``eval_function`` of the unit coefficient vector of its DOF,
+    on the space's one level.
+    """
+    values, derivatives = np.empty((2, len(dofs), len(xs)))
+    for row, dof in enumerate(dofs):
+        coeffs = np.zeros(space.n_free)
+        coeffs[space.free_index[dof]] = 1.0
+        (values[row],), (derivatives[row],) = eval_function(space, coeffs, xs, side)
+    return values, derivatives
+
+
 def _basis_at(space, x, side="left"):
-    """(dof, value, derivative) of every DOF supported at x, from ``element_basis``."""
-    dofs, vals, ders = element_basis(space, locate_element(space.mesh, x), np.array([x]), side)
-    return [(int(i), float(v[0]), float(d[0])) for i, v, d in zip(dofs, vals, ders)]
+    """(dof, value, derivative) of every DOF at x.
+
+    Every DOF must be free, as on an all-Neumann space: a constrained
+    one would hide its function.
+    """
+    assert not space.constrained
+    vals, ders = _unit_functions(space, range(space.n_dofs), [x], side)
+    return [(i, float(v[0]), float(d[0])) for i, (v, d) in enumerate(zip(vals, ders))]
 
 
 def _seeded_cut_spaces():
@@ -51,17 +71,21 @@ def test_cut_table_matches_brute_force():
     """The cut columns and each element's enrichment DOFs agree with their definitions.
 
     Cut j's element holds alpha j, psi j spans that element, and its
-    enrichment DOFs are n_std + (degree + 1) * j + (0 .. degree).
+    enrichment DOFs are n_std + (degree + 1) * j + (0 .. degree): the
+    functions of those DOFs, and no other enrichment DOF's, are nonzero a
+    third of the way into it, off the P2 nodes.
     """
     for nodes, alphas, space in _seeded_cut_spaces():
         n_elements = len(nodes) - 1
         per = space.degree + 1
         psi = space.enrichments
         assert len(psi) == len(alphas) and space.mesh.alphas.tolist() == alphas
+        thirds = nodes[:-1] + np.diff(nodes) / 3
+        values, _ = _unit_functions(space, range(space.n_std, space.n_dofs), thirds)
         for k in range(n_elements):
             xl, xr = nodes[k], nodes[k + 1]
             inside = [j for j, alpha in enumerate(alphas) if xl < alpha < xr]
-            enriched = element_basis(space, k, np.array([0.5 * (xl + xr)]))[0][per:].tolist()
+            enriched = (space.n_std + np.flatnonzero(values[:, k])).tolist()
             if inside:
                 (j,) = inside
                 assert space.mesh.cut_elements[j] == k
@@ -80,9 +104,8 @@ def test_quadrature_batches_cover_the_mesh():
     interior node carries the layer it lies in, each piece the DOFs of its
     element, and
     the basis comes in at most two batches: the standard DOFs of every
-    piece, and all DOFs of the cut pieces.  The cut rows, and
-    ``element_basis`` on each cut piece, equal the test's own
-    ``reference_basis`` on the piece's side of alpha.
+    piece, and all DOFs of the cut pieces.  The cut rows equal the test's
+    own ``reference_basis`` on the piece's side of alpha.
     """
     adjacent_cuts = 0
     for nodes, alphas, space in _seeded_cut_spaces():
@@ -114,13 +137,55 @@ def test_quadrature_batches_cover_the_mesh():
         for row, piece in enumerate(layout.cut_pieces):
             side = ("left", "right")[row % 2]
             dofs, vals, ders = reference_basis(space, elements[piece], xs[piece], side)
-            batch = (quad.cut.dofs[row], quad.cut.values[row], quad.cut.derivatives[row])
-            for rows in (batch, element_basis(space, elements[piece], xs[piece], side)):
-                assert rows[0].tolist() == dofs.tolist()
-                assert rows[1].tobytes() == vals.tobytes()
-                assert rows[2].tobytes() == ders.tobytes()
+            assert quad.cut.dofs[row].tolist() == dofs.tolist()
+            assert quad.cut.values[row].tobytes() == vals.tobytes()
+            assert quad.cut.derivatives[row].tobytes() == ders.tobytes()
         adjacent_cuts += int(np.any(np.diff(cuts) == 1))
     assert adjacent_cuts > 0
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_each_row_of_a_stack_is_its_levels_function(degree):
+    """On a stack of 3 levels, row l of eval_function is eval_function on level l's own space.
+
+    Bit for bit, at random points, every level's nodes and each alpha, on both sides.
+    """
+    rng = np.random.default_rng(33)
+    counts, interfaces = (8, 16, 32), (1 / 9, 2 / 3)
+    bc = (BoundaryCondition.dirichlet(0.25), NEUMANN)
+    mesh = build_mesh(0.0, 1.0, counts, interfaces)
+    gammas = rng.uniform(-0.1, 0.1, len(interfaces))
+    stack = build_space(mesh, degree, np.tile(gammas, len(counts)), *bc)
+    coeffs = rng.standard_normal(stack.n_free)
+    xs = np.concatenate([rng.uniform(0.0, 1.0, 50), mesh.nodes, interfaces])
+    for side in ("left", "right"):
+        values, derivatives = eval_function(stack, coeffs, xs, side)
+        assert values.shape == derivatives.shape == (3, len(xs))
+        for level, n in enumerate(counts):
+            space = build_space(build_mesh(0.0, 1.0, n, interfaces), degree, gammas, *bc)
+            own = coeffs[stack.free_starts[level]:stack.free_starts[level + 1]]
+            (value,), (derivative,) = eval_function(space, own, xs, side)
+            assert values[level].tobytes() == value.tobytes()
+            assert derivatives[level].tobytes() == derivative.tobytes()
+
+
+def test_eval_function_matches_the_reference_basis():
+    """u_h at random points, every node and each alpha is full[dofs] @ ``reference_basis``'s values.
+
+    On the seeded non-uniform cut spaces, P1 and P2, on both sides: a
+    point on a node is read on the element to its right, and b on the last.
+    """
+    rng = np.random.default_rng(12)
+    for nodes, alphas, space in _seeded_cut_spaces():
+        coeffs = rng.standard_normal(space.n_free)
+        full = full_coefficients(space, coeffs)
+        xs = np.concatenate([rng.uniform(nodes[0], nodes[-1], 20), nodes, alphas])
+        for side in ("left", "right"):
+            (values,), (derivatives,) = eval_function(space, coeffs, xs, side)
+            for x, value, derivative in zip(xs, values, derivatives):
+                k = min(bisect.bisect_right(nodes, x), len(nodes) - 1) - 1
+                dofs, vals, ders = reference_basis(space, k, np.array([x]), side)
+                assert (value, derivative) == (full[dofs] @ vals[:, 0], full[dofs] @ ders[:, 0])
 
 
 def test_free_dof_counts():
@@ -154,15 +219,16 @@ def test_dof_ordering_standard_then_enrichment():
     space = _space(degree=1, interfaces=(1 / 3, 1 / 9))
     assert space.n_std == 9
     assert [psi.alpha for psi in space.enrichments] == [1 / 9, 1 / 3]
-    for k, enriched in ((0, [9, 10]), (2, [11, 12])):  # interface 1/9 group first
-        midpoint = np.array([np.mean(space.mesh.nodes[k:k + 2])])
-        assert element_basis(space, k, midpoint)[0][2:].tolist() == enriched
+    midpoints = 0.5 * (space.mesh.nodes[:-1] + space.mesh.nodes[1:])
+    values, _ = _unit_functions(space, range(9, 13), midpoints)
+    # DOFs 9 and 10 on element 0, 11 and 12 on element 2: interface 1/9's group first
+    assert [np.flatnonzero(row).tolist() for row in values] == [[0], [0], [2], [2]]
 
 
 def test_partition_of_unity():
     rng = np.random.default_rng(3)
     for degree in (1, 2):
-        space = _space(degree=degree, gamma=-0.01)
+        space = _space(degree=degree, bc=(NEUMANN, NEUMANN), gamma=-0.01)
         for x in rng.uniform(0.0, 1.0, 40):
             entries = [v for i, v, _ in _basis_at(space, x) if i < space.n_std]
             assert abs(sum(entries) - 1.0) <= 1e-14
@@ -170,7 +236,7 @@ def test_partition_of_unity():
 
 def test_standard_lagrange_delta_property():
     for degree in (1, 2):
-        space = _space(degree=degree)
+        space = _space(degree=degree, bc=(NEUMANN, NEUMANN))
         for j, xj in enumerate(np.linspace(0.0, 1.0, space.n_std)):
             entries = {i: v for i, v, _ in _basis_at(space, float(xj))}
             for i, v in entries.items():
@@ -179,7 +245,7 @@ def test_standard_lagrange_delta_property():
 
 
 def test_enriched_dof_vanishes_at_element_endpoints():
-    space = _space(gamma=-1 / 63)
+    space = _space(bc=(NEUMANN, NEUMANN), gamma=-1 / 63)
     (k,) = space.mesh.cut_elements
     xl, xr = space.mesh.nodes[k:k + 2].tolist()
     for x in (xl, xr):
@@ -196,16 +262,16 @@ def test_polynomial_reproduction():
         space = _space(degree=degree, bc=(NEUMANN, NEUMANN), gamma=-0.02)
         coeffs = np.zeros(space.n_free)  # all DOFs free, enrichment absent
         coeffs[space.free_index[: space.n_std]] = poly(np.linspace(0.0, 1.0, space.n_std))
-        for x in rng.uniform(0.0, 1.0, 50):
-            value, deriv = eval_function(space, coeffs, float(x))
-            assert value == pytest.approx(float(poly(x)), abs=1e-14)
-            assert deriv == pytest.approx(float(poly.deriv()(x)), abs=5e-13)
+        xs = rng.uniform(0.0, 1.0, 50)
+        (values,), (derivs,) = eval_function(space, coeffs, xs)
+        assert values == pytest.approx(poly(xs), abs=1e-14)
+        assert derivs == pytest.approx(poly.deriv()(xs), abs=5e-13)
 
 
 def test_zero_coefficients_give_zero_function():
     space = _space()
-    value, deriv = eval_function(space, np.zeros(space.n_free), 0.37)
-    assert (value, deriv) == (0.0, 0.0)
+    values, derivs = eval_function(space, np.zeros(space.n_free), [0.37])
+    assert (values.tolist(), derivs.tolist()) == ([[0.0]], [[0.0]])
 
 
 def test_single_enrichment_dof_jump():
@@ -225,8 +291,8 @@ def test_single_enrichment_dof_jump():
     for local, expected in ((0, 1 / 81), (1, 8 / 81)):
         coeffs = np.zeros(space.n_free)
         coeffs[space.free_index[space.n_std + local]] = 1.0
-        left, _ = eval_function(space, coeffs, 1 / 9, "left")
-        right, _ = eval_function(space, coeffs, 1 / 9, "right")
+        left = eval_function(space, coeffs, [1 / 9], "left")[0][0, 0]
+        right = eval_function(space, coeffs, [1 / 9], "right")[0][0, 0]
         assert right - left == pytest.approx(expected, rel=1e-12)
 
 
@@ -234,11 +300,11 @@ def test_member_jump_is_enrichment_combination():
     """[v] at alpha equals (sum of multiplier values at alpha) * [psi]."""
     rng = np.random.default_rng(21)
     for degree in (1, 2):
-        space = _space(degree=degree, gamma=-1 / 63)
+        space = _space(degree=degree, bc=(NEUMANN, NEUMANN), gamma=-1 / 63)
         psi = space.enrichments[0]
         coeffs = rng.standard_normal(space.n_free)
-        left, _ = eval_function(space, coeffs, psi.alpha, "left")
-        right, _ = eval_function(space, coeffs, psi.alpha, "right")
+        left = eval_function(space, coeffs, [psi.alpha], "left")[0][0, 0]
+        right = eval_function(space, coeffs, [psi.alpha], "right")[0][0, 0]
         mult = {i: v for i, v, _ in _basis_at(space, psi.alpha, "left") if i < space.n_std}
         enr_dofs = range(space.n_std, space.n_std + degree + 1)  # cut 0's
         (k,) = space.mesh.cut_elements
@@ -254,7 +320,7 @@ def test_basis_derivatives_match_finite_differences():
     rng = np.random.default_rng(5)
     step = 1e-6
     for degree in (1, 2):
-        space = _space(degree=degree, gamma=-0.02)
+        space = _space(degree=degree, bc=(NEUMANN, NEUMANN), gamma=-0.02)
         for _ in range(25):
             x = rng.uniform(0.05, 0.95)
             if min(abs(x - n) for n in space.mesh.nodes) < 10 * step:
@@ -292,29 +358,30 @@ def test_eval_function_rejects_unknown_side():
     coeffs = np.ones(space.n_free)
     for x in (1 / 9, 0.5):  # on the cut element and off it
         with pytest.raises(ValueError, match="side"):
-            eval_function(space, coeffs, x, "middle")
+            eval_function(space, coeffs, [x], "middle")
 
 
-def test_an_element_or_point_outside_the_mesh_is_rejected():
-    """element_basis takes k in 0..n - 1 only, and eval_function a finite x in [a, b]."""
+def test_a_point_outside_the_mesh_is_rejected():
+    """eval_function takes finite points in [a, b] only, on every level of a stack."""
     space = _space(gamma=-1 / 63)
-    for k in (-1, space.mesh.n_elements):
-        with pytest.raises(ValueError, match=f"element {k} outside 0..7"):
-            element_basis(space, k, np.array([0.5]))
-    with pytest.raises(ValueError, match="x=nan outside"):
-        eval_function(space, np.ones(space.n_free), float("nan"))
+    for xs, x in (([0.5, -0.1], "-0.1"), ([1.5], "1.5"), ([0.5, float("nan")], "nan")):
+        with pytest.raises(ValueError, match=rf"x={x} outside \[0.0, 1.0\]"):
+            eval_function(space, np.ones(space.n_free), xs)
+    mesh = build_mesh(0.0, 1.0, [4, 8])
+    stack = build_space(mesh, 1, [], NEUMANN, NEUMANN)
+    with pytest.raises(ValueError, match=r"x=1.5 outside \[0.0, 1.0\]"):
+        eval_function(stack, np.ones(stack.n_free), [0.5, 1.5])
 
 
 @pytest.mark.parametrize("xs", [0.05, [[0.05, 0.1]]], ids=["scalar", "2-d"])
-def test_element_basis_takes_a_1d_array_of_points(xs):
+def test_eval_function_takes_a_1d_array_of_points(xs):
     """A scalar or a 2-D xs is a ValueError naming its shape, not an IndexError from inside."""
     space = _space(gamma=-1 / 63)
-    for k in (0, 1):  # off the cut element and on it
-        with pytest.raises(ValueError, match=r"xs must be a 1-D array of points, got shape \("):
-            element_basis(space, k, xs)
+    with pytest.raises(ValueError, match=r"xs must be a 1-D array of points, got shape \("):
+        eval_function(space, np.ones(space.n_free), xs)
 
 
 def test_coefficient_length_mismatch_rejected():
     space = _space()
     with pytest.raises(ValueError, match="free coefficients"):
-        eval_function(space, np.zeros(space.n_free + 1), 0.5)
+        eval_function(space, np.zeros(space.n_free + 1), [0.5])

@@ -7,8 +7,11 @@ from _helpers import FIXTURES
 
 import enrfem.cli
 from enrfem.cli import run_convergence
-from enrfem.mesh import build_mesh, locate_element, mesh_from_nodes, stack_meshes
-from enrfem.problem import catalog_problem, load_problem_file
+from enrfem.femspace import build_space, eval_function
+from enrfem.mesh import build_mesh, mesh_from_nodes, stack_meshes
+from enrfem.problem import BoundaryCondition, catalog_problem, load_problem_file
+
+NEUMANN = BoundaryCondition.neumann()
 
 
 def test_single_interface_element_located():
@@ -67,18 +70,16 @@ def test_bad_domain_and_count_rejected():
             build_mesh(a, b, 4)
 
 
-def test_locate_element_conventions():
-    mesh = build_mesh(0.0, 1.0, 8)
-    assert locate_element(mesh, 0.5) == 4   # left element at a shared node
-    assert locate_element(mesh, 0.13) == 1  # 1/8 < 0.13 < 2/8
-    assert locate_element(mesh, 0.0) == 0
-    assert locate_element(mesh, 1.0) == 7
-    with pytest.raises(ValueError, match="outside"):
-        locate_element(mesh, 1.5)
-    with pytest.raises(ValueError, match="outside"):
-        locate_element(mesh, -0.1)
-    with pytest.raises(ValueError, match=r"x=nan outside \[0.0, 1.0\]"):
-        locate_element(mesh, float("nan"))
+def test_eval_function_node_rule():
+    """A P1 function's derivative at a node is its slope on the element to the right; at b, the last.
+
+    The nodal values 0, 1, 4, ..., 64 give element k the slope 8 (2k + 1).
+    """
+    space = build_space(build_mesh(0.0, 1.0, 8), 1, [], NEUMANN, NEUMANN)
+    coeffs = np.zeros(space.n_free)
+    coeffs[space.free_index] = np.arange(9.0) ** 2
+    _, (derivatives,) = eval_function(space, coeffs, [0.5, 0.13, 0.0, 1.0])
+    assert derivatives.tolist() == [8 * (2 * k + 1) for k in (4, 1, 0, 7)]
 
 
 def test_interface_located_on_irregular_mesh():
@@ -86,12 +87,17 @@ def test_interface_located_on_irregular_mesh():
     assert irregular.cut_elements.tolist() == [1]
 
 
-def test_locate_random_containment():
+def test_p1_values_interpolate_the_nodal_dofs():
+    """On an irregular mesh a P1 function is np.interp of its nodal DOFs, so each x finds its element."""
     rng = np.random.default_rng(7)
     mesh = mesh_from_nodes(np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0, 1, 30)])))
-    for x in rng.uniform(0.0, 1.0, 500):
-        k = locate_element(mesh, x)
-        assert mesh.nodes[k] <= x <= mesh.nodes[k + 1]
+    space = build_space(mesh, 1, [], NEUMANN, NEUMANN)
+    nodal = rng.standard_normal(len(mesh.nodes))
+    coeffs = np.zeros(space.n_free)
+    coeffs[space.free_index] = nodal
+    xs = rng.uniform(0.0, 1.0, 500)
+    (values,), _ = eval_function(space, coeffs, xs)
+    assert values == pytest.approx(np.interp(xs, mesh.nodes, nodal), abs=1e-14)
 
 
 def test_permuted_interfaces_give_same_elements():
