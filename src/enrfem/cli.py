@@ -44,7 +44,7 @@ _NUM = "{:.5e}"       # 6 significant digits
 # split is for memory: under halving the coarse levels together have
 # fewer elements than the finest, so two stacks keep a deep study's peak
 # that of its finest level.  In a fresh process, problem 6 over 10 levels
-# (8,184 elements) peaks at 45.2 MB as one stack against 40.8 MB split;
+# (8,184 elements) peaks at 45.2 MB as one stack against 41.2 MB split;
 # at 2,040 elements (8 levels) one stack costs 1 MB more and saves a
 # stack's fixed cost.
 ONE_STACK_ELEMENTS = 2048
@@ -83,66 +83,40 @@ _FAR_EXPONENT_DIGITS = 5
 _EXPONENT = re.compile(r"e(?P<exponent>[-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
-def _h0_fraction(text: str) -> Fraction:
-    """``text``, a fraction or a decimal, as a Fraction, its exponent checked first.
+def _elements_for(h0: str, a: float, b: float, levels: int) -> int:
+    """The coarsest level's element count, (b - a) / h0; all levels' are checked before any array.
 
+    ``h0`` is a fraction or a decimal, named as typed in every message.
     Fraction expands a decimal exponent into a power of ten, in time that
-    grows faster than the exponent (seconds for 1e-10000000).  So a
-    nonzero decimal with an exponent of _FAR_EXPONENT_DIGITS digits or
-    more is refused before that, as ``_elements_for`` refuses any h0
-    outside the range of a float, and a zero one is zero.  Raises
-    ValueError where Fraction would.
+    grows faster than the exponent (seconds for 1e-10000000); so a
+    decimal with an exponent of _FAR_EXPONENT_DIGITS digits or more is
+    parsed with exponent 0, and refused as outside the range of a float
+    unless it is zero.
     """
-    match = _EXPONENT.search(text)
-    if match is None or "/" in text:
-        return Fraction(text)
-    digits = match["exponent"].lstrip("+-").replace("_", "").lstrip("0")
-    if len(digits) < _FAR_EXPONENT_DIGITS:
-        return Fraction(text)
-    mantissa = Fraction(text[:match.start()])
-    if not mantissa:
-        return mantissa
-    if len(digits) > 18:
-        raise ProblemFileError(f"h0 with a {len(digits)}-digit decimal exponent is outside "
-                               "the range of a float")
-    raise ProblemFileError(f"h0 of {_about(mantissa, int(match['exponent']))} is outside the "
-                           "range of a float")
-
-
-def _about(value: Fraction, exponent: int = 0) -> str:
-    """The words "about [-]1eK" for value * 10**exponent; math.log10 takes any int."""
-    decades = round(math.log10(abs(value.numerator)) - math.log10(value.denominator))
-    return f"about {'-' if value < 0 else ''}1e{exponent + decades}"
-
-
-def _h0_text(h0: Fraction) -> str:
-    """The words "h0=<h0>" for messages, or h0's order of magnitude where the fraction is long."""
-    if max(abs(h0.numerator), h0.denominator).bit_length() <= 128:
-        return f"h0={h0}"
-    return f"h0 of {_about(h0)}"
-
-
-def _elements_for(h0: Fraction, a: float, b: float, levels: int) -> int:
-    """The coarsest level's element count, (b - a) / h0; all levels' are checked before any array."""
+    match = _EXPONENT.search(h0)
+    exponent = match["exponent"].lstrip("+-").replace("_", "").lstrip("0") if match else ""
+    far = len(exponent) >= _FAR_EXPONENT_DIGITS and "/" not in h0
     try:
-        width = float(h0)
+        value = Fraction(h0[:match.start()] + "e0" if far else h0)
+    except (ValueError, ZeroDivisionError):
+        raise ProblemFileError(f"argument --h0: invalid fraction value: {h0!r}") from None
+    h0 = h0.strip()  # Fraction takes whitespace only at the ends; each message is one line
+    try:
+        width = math.inf if far else float(value)
     except OverflowError:
         width = math.inf
-    if h0 and not 0 < abs(width) < math.inf:
-        raise ProblemFileError(f"{_h0_text(h0)} is outside the range of a float")
-    n = (b - a) / width if h0 > 0 else 0.0
+    if value and not 0 < abs(width) < math.inf:
+        raise ProblemFileError(f"h0={h0} is outside the range of a float")
+    n = (b - a) / width if value > 0 else 0.0
     # numpy cannot index a float64 node array of the finest level's length;
     # 64 doublings put any n >= 2 over the limit, and a power of two keeps
-    # the float product exact (or inf)
+    # the float product exact (or inf, which a subnormal h0 gives n)
     if n * 2.0 ** (min(levels, 65) - 1) + 1 > sys.maxsize // 8:
-        # a subnormal h0 overflows n: the exact quotient names its order of magnitude
-        count = f"{n:.3g}" if n < math.inf else _about((Fraction(b) - Fraction(a)) / h0)
-        raise ProblemFileError(f"{_h0_text(h0)} gives {count} * 2**{levels - 1} elements on "
+        count = f"{n:.3g}" if n < math.inf else "over 1e308"
+        raise ProblemFileError(f"h0={h0} gives {count} * 2**{levels - 1} elements on "
                                f"level {levels - 1}, more than an array can index")
     if abs(n - round(n)) > 1e-9 * max(n, 1.0) or round(n) < 2:
-        raise ProblemFileError(
-            f"{_h0_text(h0)} does not tile the domain ({a}, {b}) into >= 2 elements"
-        )
+        raise ProblemFileError(f"h0={h0} does not tile the domain ({a}, {b}) into >= 2 elements")
     return int(round(n))
 
 
@@ -190,7 +164,7 @@ def _level_by_level(spec: ProblemSpec, degree: int, counts: list[int], alphas,
 def run_convergence(
     problem,
     degree: int | None,
-    h0,
+    h0: str,
     levels: int,
     with_cond: bool = False,
 ) -> ConvergenceTable:
@@ -199,20 +173,21 @@ def run_convergence(
     ``problem`` is a catalog id (1..6) or a problem-file path; the problem
     must carry an exact solution.  ``degree`` None takes the catalog
     entry's degree, or 1 for a problem file; ``build_space`` rejects any
-    other than 1 or 2.  Data whose degrees need a larger Gauss rule than
-    there is, and a finest level beyond an array's reach, exit before any
-    mesh is built.  The levels run as one stack, or, above
-    ONE_STACK_ELEMENTS elements in all, as two: the coarse levels, then
-    the finest alone; each stack is one ``build_mesh`` call and one space
-    (``_stack_rows``).  If a stack fails (ValueError or ArithmeticError,
-    LinAlgError included), the study runs again level by level
-    (``_level_by_level``): every level's mesh first, then each level
-    alone, so the failure raised is the level-by-level loop's, "level i
-    (n=...): ...", and an interface-node collision outranks a numerical
-    failure of an earlier level.
+    other than 1 or 2.  ``h0`` is text, a fraction or a decimal.  Every
+    argument is checked here before any mesh is built: a ``levels`` below
+    1, data whose degrees need a larger Gauss rule than there is, and a
+    bad h0 (``_elements_for``) raise ProblemFileError.  The levels run as
+    one stack, or, above ONE_STACK_ELEMENTS elements in all, as two: the
+    coarse levels, then the finest alone; each stack is one
+    ``build_mesh`` call and one space (``_stack_rows``).  If a stack fails
+    (ValueError or ArithmeticError, LinAlgError included), the study runs
+    again level by level (``_level_by_level``): every level's mesh first,
+    then each level alone, so the failure raised is the level-by-level
+    loop's, "level i (n=...): ...", and an interface-node collision
+    outranks a numerical failure of an earlier level.
     """
     if levels < 1:
-        raise ValueError("need at least one refinement level")
+        raise ProblemFileError("argument --levels: must be at least 1")
     spec, label, default_degree = _resolve_problem(problem)
     if degree is None:
         degree = default_degree
@@ -226,9 +201,8 @@ def run_convergence(
         error_rule_size(spec, degree)
     except ValueError as exc:
         raise ProblemFileError(str(exc)) from exc
-    h0 = _h0_fraction(str(h0)) if not isinstance(h0, Fraction) else h0
     a, b = spec.domain
-    n0 = _elements_for(h0, a, b, levels)
+    n0 = _elements_for(str(h0), a, b, levels)
     alphas = spec.breakpoints
 
     counts = [n0 * 2**level for level in range(levels)]
@@ -311,21 +285,14 @@ def main(argv=None) -> int:
     parser = _parser()
     try:
         args = parser.parse_args(argv)
-        if args.levels < 1:
-            parser.error("argument --levels: must be at least 1")
-        try:
-            h0 = _h0_fraction(args.h0)
-        except ProblemFileError:  # a decimal far outside the float range
-            raise
-        except (ValueError, ZeroDivisionError):
-            parser.error(f"argument --h0: invalid fraction value: {args.h0!r}")
         # overflow ends in a non-finite value that solve_system or ErrorReport
         # rejects; np.errstate would slow every small array operation instead
         with warnings.catch_warnings():
             warnings.filterwarnings(
                 "ignore", "(overflow|invalid value|divide by zero) encountered", RuntimeWarning
             )
-            table = run_convergence(args.problem, args.degree, h0, args.levels, with_cond=args.cond)
+            table = run_convergence(args.problem, args.degree, args.h0, args.levels,
+                                    with_cond=args.cond)
             text = emit_report(table, args.format)
     except ProblemFileError as exc:
         print(f"enrfem: error: {exc}", file=sys.stderr)

@@ -67,6 +67,8 @@ class BoundaryCondition:
     def __post_init__(self):
         if self.kind not in ("dirichlet", "neumann"):
             raise ValueError("boundary condition kind must be 'dirichlet' or 'neumann'")
+        if not math.isfinite(self.value):
+            raise ValueError(f"boundary condition value must be finite, got {self.value}")
         if self.kind == "neumann" and self.value != 0.0:
             raise ValueError("nonzero Neumann flux is not implemented")
 

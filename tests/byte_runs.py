@@ -1,13 +1,13 @@
-"""Digests of the command line's output on a fixed set of 314 studies.
+"""Digests of the command line's output on a fixed set of 314 studies and 26 usage errors.
 
     python3 tests/byte_runs.py > runs.txt
 
 Run it in two checkouts and diff the files: a change that keeps every
 output bit, message and exit code prints the same lines.  Each line is
-one study: its argv, its exit code, and the SHA-256 digests of its
+one run: its argv, its exit code, and the SHA-256 digests of its
 standard output (the JSON report's timestamp removed) and of its
-standard error, tab-separated.  The studies run in this process through
-``enrfem.cli.main``, with one BLAS thread:
+standard error, tab-separated.  The runs go through ``enrfem.cli.main``
+in this process, with one BLAS thread; the studies come first:
 
 - ``--problem k --levels 8 --format json`` for k = 1..6, with and
   without ``--cond``;
@@ -16,6 +16,10 @@ standard error, tab-separated.  The studies run in this process through
 - the 150 files of ``perfbench/sweep.py`` at seeds 1 and 3, each with
   its manifest entry's degree, h0 and levels (``degenerate-gamma.json``
   exits 2).
+
+Then come the usage errors, which exit 1: each ``--h0`` and ``--levels``
+case of ``tests/test_cli.py`` that needs no stand-in, an unknown catalog
+id, and a missing problem file.
 
 The sweep files are written to a temporary directory, which is the
 working directory of the studies, so the paths in argv and in the
@@ -58,6 +62,17 @@ def sweep_runs(sweep, seed: int) -> list[list[str]]:
     ]
 
 
+def usage_error_runs() -> list[list[str]]:
+    h0s = ["2/7", "0", "-1/8", "1/0", "abc", "not-a-number", "1e-400", "1e400", "-3e-400",
+           f"1/{3 * 10**50}", "0e-10000000", "1e-310", "5e-324", "1e-20", "1e-5000", "1e5000",
+           "1e-10000000", "-2.5E+1_000_000", "1e-" + "1" * 30]
+    runs = [["--problem", "1", "--levels", "1", f"--h0={h0}"] for h0 in h0s]
+    runs += [["--problem", "1", "--levels", str(levels)] for levels in (0, -1, 64, 20000, 10**9)]
+    runs.append(["--problem", "9", "--levels", "1"])
+    runs.append(["--problem", "missing.json", "--levels", "1"])
+    return runs
+
+
 def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -81,6 +96,7 @@ def main() -> int:
         runs = catalog_runs()
         for seed in SWEEP_SEEDS:
             runs += sweep_runs(sweep, seed)
+        runs += usage_error_runs()
         for argv in runs:
             print(run(enrfem_main, argv), flush=True)
         os.chdir(ROOT)

@@ -252,6 +252,14 @@ def test_nonzero_neumann_rejected():
     assert BoundaryCondition.neumann(0.0).value == 0.0
 
 
+def test_non_finite_boundary_value_rejected():
+    """Named as such when built, not as a nonzero flux or a failed solve."""
+    with pytest.raises(ValueError, match="boundary condition value must be finite, got inf"):
+        BoundaryCondition.dirichlet(np.inf)
+    with pytest.raises(ValueError, match="boundary condition value must be finite, got nan"):
+        BoundaryCondition("neumann", np.nan)
+
+
 def test_space_problem_mismatch_rejected():
     """space_for_problem, assemble_system and compute_errors make one check, with one message."""
     problem, other = catalog_problem(1).problem, catalog_problem(2).problem

@@ -11,10 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from _helpers import FIXTURES, per_level_rows
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import enrfem
 from enrfem.cli import (
     ConvergenceTable,
+    _elements_for,
     ProblemFileError,
     emit_report,
     load_problem_file,
@@ -298,6 +301,8 @@ _CONTINUOUS = [{"alpha": 1 / 9, "kind": "continuous"}]
      "field 'bc.right.dirichlet': expected a number"),
     ({"bc": {"left": {"neumann": 0.0}, "right": {"dirichlet": math.nan}}},
      "field 'bc.right.dirichlet': expected a finite number"),
+    ({"bc": {"left": {"neumann": 0.0}, "right": {"dirichlet": math.inf}}},
+     "field 'bc.right.dirichlet': expected a finite number"),
     ({"layers": [{"D": [math.inf], "delta_conv": [0.0], "w": [0.0], "f": "manufactured"},
                  _layers_with_d(1.35)[1]]},
      "field 'layers[0].D[0]': expected a finite number"),
@@ -325,8 +330,8 @@ _CONTINUOUS = [{"alpha": 1 / 9, "kind": "continuous"}]
     "lambda-string", "lambda-negative", "implicit-equal-d", "implicit-negative-d",
     "interface-not-object", "exact-not-list", "coefficients-not-numbers",
     "domain-not-numbers", "domain-beyond-float", "coefficient-boolean", "bc-value-boolean", "bc-value-nan",
-    "coefficient-infinite", "lambda-infinite", "neumann-nonzero", "lambda-on-continuous",
-    "diffusivity-dips-below-zero", "reaction-dips-below-zero",
+    "bc-value-infinity", "coefficient-infinite", "lambda-infinite", "neumann-nonzero",
+    "lambda-on-continuous", "diffusivity-dips-below-zero", "reaction-dips-below-zero",
     *(f"{field}-{name}" for field in ("coefficient-third", "exact-fourth")
       for name in ("nan", "minus-infinity", "beyond-float", "string", "true")),
     "constant-diffusivity-zero", "constant-reaction-negative",
@@ -362,28 +367,28 @@ def test_main_usage_errors(capsys):
     (["--h0=-1/8"], "h0=-1/8 does not tile the domain"),
     (["--h0", "1/0"], "argument --h0: invalid fraction value: '1/0'"),
     (["--h0", "abc"], "argument --h0: invalid fraction value: 'abc'"),
-    pytest.param(["--h0", "1e-400"], "h0 of about 1e-400 is outside the range of a float",
+    pytest.param(["--h0", "1e-400"], "h0=1e-400 is outside the range of a float",
                  id="h0-underflows"),
-    pytest.param(["--h0", "1e400"], "h0 of about 1e400 is outside the range of a float",
+    pytest.param(["--h0", "1e400"], "h0=1e400 is outside the range of a float",
                  id="h0-overflows"),
-    pytest.param(["--h0=-3e-400"], "h0 of about -1e-400 is outside the range of a float",
+    pytest.param(["--h0=-3e-400"], "h0=-3e-400 is outside the range of a float",
                  id="h0-negative-underflows"),
     pytest.param(["--h0", f"1/{3 * 10**50}"],
-                 "h0 of about 1e-50 gives 3e+50 * 2**0 elements on level 0, "
+                 f"h0=1/{3 * 10**50} gives 3e+50 * 2**0 elements on level 0, "
                  "more than an array can index",
                  id="h0-a-long-fraction"),
-    pytest.param(["--h0", "0e-10000000"], "h0=0 does not tile the domain",
+    pytest.param(["--h0", "0e-10000000"], "h0=0e-10000000 does not tile the domain",
                  id="h0-zero-far-exponent"),
     pytest.param(["--h0", "1e-310"],
-                 "h0 of about 1e-310 gives about 1e310 * 2**0 elements on level 0, "
+                 "h0=1e-310 gives over 1e308 * 2**0 elements on level 0, "
                  "more than an array can index",
                  id="h0-subnormal"),
     pytest.param(["--h0", "5e-324"],
-                 "h0 of about 1e-323 gives about 1e323 * 2**0 elements on level 0, "
+                 "h0=5e-324 gives over 1e308 * 2**0 elements on level 0, "
                  "more than an array can index",
                  id="h0-smallest-subnormal"),
     pytest.param(["--h0", "1e-20"],
-                 f"h0=1/{10**20} gives 1e+20 * 2**0 elements on level 0, "
+                 "h0=1e-20 gives 1e+20 * 2**0 elements on level 0, "
                  "more than an array can index",
                  id="h0-beyond-an-index"),
 ])
@@ -394,21 +399,47 @@ def test_out_of_range_arguments_exit_1(capsys, argv, message):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("h0, message", [
-    ("1e-5000", "h0 of about 1e-5000"),
-    ("1e5000", "h0 of about 1e5000"),
-    ("1e-10000000", "h0 of about 1e-10000000"),
-    ("-2.5E+1_000_000", "h0 of about -1e1000000"),
-    ("1e-" + "1" * 30, "h0 with a 30-digit decimal exponent"),
-])
-def test_an_h0_far_outside_the_float_range_exits_1_at_once(capsys, h0, message):
+@pytest.mark.parametrize("h0", ["1e-5000", "1e5000", "1e-10000000", "-2.5E+1_000_000",
+                                "1e-" + "1" * 30],
+                         ids=["1e-5000", "1e5000", "1e-10000000", "-2.5E+1_000_000",
+                              "a-30-digit-exponent"])
+def test_an_h0_far_outside_the_float_range_exits_1_at_once(capsys, h0):
     """Neither Fraction's power of ten nor an int of thousands of digits is built or printed."""
     start = time.perf_counter()
     assert main(["--problem", "1", "--levels", "1", f"--h0={h0}"]) == 1
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
-    assert err == f"enrfem: error: {message} is outside the range of a float\n"
+    assert err == f"enrfem: error: h0={h0} is outside the range of a float\n"
     assert len(err) < 200
+
+
+# Texts that look like numbers: fractions p/q, and decimals with signs,
+# underscores, surrounding blanks, far exponents and non-ASCII digits.
+_H0_LIKE = st.one_of(
+    st.from_regex(r"\A[-+]?\d{1,25}/\d{1,25}\Z"),
+    st.from_regex(r"\A\s?[-+]?\d{0,5}(_\d)?(\.\d{0,5})?([eE][-+]?0?\d{1,12}(_\d)?)?\s?\Z"),
+    st.floats().map(repr),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(h0=st.one_of(st.text(), _H0_LIKE),
+       domain=st.sampled_from([(0.0, 1.0), (-1.0, 1.0), (0.1, 0.7), (0.0, 1e-3)]),
+       levels=st.sampled_from([1, 4, 64, 10**9]))
+@example(h0=" 1e-99999 ", domain=(0.0, 1.0), levels=1)
+@example(h0="\t0.3\n", domain=(0.0, 1.0), levels=1)
+def test_any_h0_text_gives_an_element_count_or_one_usage_line(h0, domain, levels):
+    try:
+        n0 = _elements_for(h0, *domain, levels)
+    except ProblemFileError as exc:
+        assert len(str(exc).splitlines()) == 1
+    else:
+        assert type(n0) is int and n0 >= 2
+
+
+def test_run_convergence_checks_its_levels():
+    with pytest.raises(ProblemFileError, match="^argument --levels: must be at least 1$"):
+        run_convergence(1, 1, "1/8", 0)
 
 
 @pytest.mark.parametrize("overrides, message", [
