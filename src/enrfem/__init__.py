@@ -10,7 +10,7 @@ gamma = -lambda D- D+ / (D+ - D- (1 + 2 delta- lambda)), which is
 spaces are enriched with a compactly supported, piecewise-linear
 function per interface whose slopes encode that gamma.
 
-``problem`` holds the data, its file format and the catalog;
+``problem`` holds the data, the jump law, the file format and the catalog;
 ``enrfem.cli``, which ``import enrfem`` does not load, runs a study.
 """
 
@@ -21,6 +21,7 @@ from .problem import (
     InterfaceSpec,
     ProblemSpec,
     catalog_problem,
+    gamma_from_lambda,
     manufactured_rhs,
 )
 from .mesh import Mesh1D, build_mesh, mesh_from_nodes, stack_meshes
@@ -28,7 +29,6 @@ from .enrichment import (
     EnrichmentFunction,
     build_enrichment,
     eval_enrichment,
-    gamma_from_lambda,
 )
 from .femspace import (
     EnrichedSpace,

@@ -102,14 +102,15 @@ def compute_errors(problem: ProblemSpec, space: EnrichedSpace, coeffs) -> list[E
 
 def observed_orders(h_list, e_list) -> list[float]:
     """Pairwise convergence orders log(e_i/e_{i+1}) / log(h_i/h_{i+1})."""
-    h_list = [float(h) for h in h_list]
-    e_list = [float(e) for e in e_list]
+    h_list, e_list = [float(h) for h in h_list], [float(e) for e in e_list]
     if len(h_list) != len(e_list):
         raise ValueError("mesh size and error lists must have equal length")
     if len(h_list) < 2:
         raise ValueError("need at least two refinement levels")
-    if any(e <= 0 for e in e_list):
-        raise ValueError("orders are undefined for zero or negative errors")
+    if not all(0 < h < np.inf for h in h_list) or len(set(h_list)) < len(h_list):
+        raise ValueError(f"mesh sizes must be finite, positive and none repeated, got {h_list}")
+    if not all(0 < e < np.inf for e in e_list):
+        raise ValueError("orders are undefined for zero, negative or non-finite errors")
     return [
         np.log(e0 / e1) / np.log(h0 / h1)
         for (h0, h1, e0, e1) in zip(h_list, h_list[1:], e_list, e_list[1:])

@@ -143,8 +143,8 @@ def space_for_problem(problem: ProblemSpec, mesh: Mesh1D, degree: int) -> Enrich
     Every level of ``mesh`` must carry the problem's interfaces.
     """
     problem.check_mesh(mesh)
-    return build_space(mesh, degree, problem.gammas * mesh.n_levels, problem.bc_left,
-                       problem.bc_right)
+    return build_space(mesh, degree, np.tile(problem.interface_table["gamma"], mesh.n_levels),
+                       problem.bc_left, problem.bc_right)
 
 
 def assembly_rule_size(problem: ProblemSpec, degree: int) -> int:
@@ -242,16 +242,16 @@ def _interface_blocks(problem: ProblemSpec, space: EnrichedSpace):
     each cut's left, then right limit.  Without an implicit interface
     there are no terms, and no rows are built.
     """
-    k = 2 * (space.degree + 1)
-    if not problem.implicit_interfaces["implicit"].any():
+    k, table = 2 * (space.degree + 1), problem.interface_table
+    if not table["implicit"].any():
         return np.empty((0, k), dtype=int), np.empty((0, k, k))
     layout = space.layout
     alpha = np.repeat(layout.psi.alpha, 2, axis=0)  # (2c, 1)
     rows = Basis(*standard_basis(space, layout.elements[layout.cut_pieces], alpha))
     both = cut_rows(space, rows, alpha)
     levels = space.mesh.n_levels  # each with the problem's interfaces, in order
-    implicit, lam, delta_minus = (np.concatenate([problem.implicit_interfaces[name]] * levels)
-                                  for name in ("implicit", "lam", "delta_minus"))
+    implicit = np.tile(table["implicit"], levels)
+    lam, delta_minus = (np.tile(table[name], levels)[implicit] for name in ("lam", "delta_minus"))
     v_left, v_right = (both.values[side::2, :, 0][implicit] for side in (0, 1))
     jump = v_right - v_left
     blocks = np.empty((len(jump), 2, k, k))

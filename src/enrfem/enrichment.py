@@ -14,7 +14,7 @@ with slopes
 
 vanishes at both element endpoints and satisfies the Robin-type identity
 [psi] = gamma * [psi'] at alpha.  gamma = 0 gives the classical continuous
-(kink-only) enrichment with [psi'] = 1.
+(kink-only) enrichment with [psi'] = 1; ``problem`` derives every other gamma.
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Relative tolerances for the two rejection guards below.
-GAMMA_BETA_RTOL = 1e-12       # |beta+ - beta-| too small: gamma undefined
-M2_DEGENERACY_RTOL = 1e-10    # |alpha - x_{k+1} - gamma| too small: m2 blows up
+M2_DEGENERACY_RTOL = 1e-10  # |alpha - x_{k+1} - gamma| too small: m2 blows up
 
 
 @dataclass(frozen=True)
@@ -47,33 +45,6 @@ class EnrichmentFunction:
     def __getitem__(self, j) -> EnrichmentFunction:
         """Every column indexed by ``j``: cut j's psi, or (c, 1) columns for ``[:, None]``."""
         return EnrichmentFunction(*(column[j] for column in vars(self).values()))
-
-
-def gamma_from_lambda(lam: float, beta_minus: float, beta_plus: float,
-                      delta_minus: float = 0.0) -> float:
-    """Jump parameter gamma = -lam * beta- * beta+ / (beta+ - beta- * (1 + 2 delta- lam)).
-
-    Converts the implicit condition [u] = lam * (beta u')(alpha-) together
-    with continuity of the flux -beta u' + 2 delta u into the explicit
-    Robin form [u] = gamma * [u'], where the convection is the same delta-
-    on both sides of alpha: the flux then gives
-    beta+ u'(alpha+) = beta- u'(alpha-) (1 + 2 delta- lam).  With
-    delta- = 0 this is -lam * beta- * beta+ / (beta+ - beta-).
-    """
-    if beta_minus <= 0 or beta_plus <= 0:
-        raise ValueError("diffusivity limits must be positive")
-    scaled_minus = beta_minus * (1.0 + 2.0 * delta_minus * lam)
-    denom = beta_plus - scaled_minus
-    if abs(denom) < GAMMA_BETA_RTOL * max(abs(scaled_minus), beta_plus):
-        if delta_minus != 0:
-            raise ValueError(
-                "D+ equals D- * (1 + 2 delta- lambda) at the interface; gamma is undefined"
-            )
-        raise ValueError(
-            "diffusivity is continuous across the interface; gamma is "
-            "undefined (use gamma=0 with lambda=0 for a continuous interface)"
-        )
-    return -lam * beta_minus * beta_plus / denom
 
 
 def build_enrichment(x_k, x_k1, alpha, gamma) -> EnrichmentFunction:

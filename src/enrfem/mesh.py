@@ -146,6 +146,8 @@ def mesh_from_nodes(nodes, interfaces=()) -> Mesh1D:
 
 def stack_meshes(meshes) -> Mesh1D:
     """The disjoint union of ``meshes``, their levels in order, as one mesh."""
+    if not meshes:
+        raise ValueError("no mesh to stack")
     offsets = list(accumulate((mesh.n_elements for mesh in meshes), initial=0))
     return Mesh1D(
         nodes=np.concatenate([mesh.nodes for mesh in meshes]),
@@ -174,8 +176,8 @@ def build_mesh(a: float, b: float, n, interfaces=()) -> Mesh1D:
         counts = [operator.index(n)]
     except TypeError:
         counts = [operator.index(count) for count in n]
-    if min(counts) < 2:
-        raise ValueError("need at least 2 elements")
+    if not counts or min(counts) < 2:
+        raise ValueError("need at least 2 elements" if counts else "no element count given")
     size = sum(counts) + len(counts)
     if size > sys.maxsize // 8:  # numpy cannot index a float64 node array that long
         raise MemoryError(f"2**{size.bit_length() - 1} or more mesh nodes are more than an "

@@ -3,10 +3,10 @@
 A problem is a two-point BVP on a multi-layer wall (a, b).  Each layer
 carries polynomial coefficients D, delta, w and f in x; each interface
 is continuous (lam = 0) or implicit (lam > 0, [u] = lam * (D u')(alpha-));
-the flux -D u' + 2 delta u is continuous at every interface.  Each end
-is Dirichlet or zero-flux Neumann.  ``ProblemSpec`` holds it all, with
-each coefficient's table for the arithmetic below, which works on
-coefficient arrays in powers of x.
+the flux -D u' + 2 delta u is continuous at every interface; together
+they fix the enrichment's jump law (``gamma_from_lambda``).  Each end is
+Dirichlet or zero-flux Neumann.  ``ProblemSpec`` holds it all, with each
+coefficient's table and one table of the interfaces (``interface_table``).
 
 The catalog is a multi-layer porous-wall model of drug release: six
 problems on (0, 1).  A drug concentration is injected at an interface
@@ -37,7 +37,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial import polynomial as P
 
-from .enrichment import gamma_from_lambda
+GAMMA_BETA_RTOL = 1e-12  # |beta+ - beta-| too small: gamma undefined
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class InterfaceSpec:
 
     An implicit interface has [u] = lam * (D u')(alpha-).  The
     enrichment's Robin parameter depends on the coefficients beside the
-    interface as well, so it is derived by ``ProblemSpec.gammas``.
+    interface as well, so it is derived in ``ProblemSpec.interface_table``.
     """
 
     alpha: float
@@ -79,6 +79,33 @@ class BoundaryCondition:
     @staticmethod
     def neumann(value: float = 0.0) -> "BoundaryCondition":
         return BoundaryCondition("neumann", float(value))
+
+
+def gamma_from_lambda(lam: float, beta_minus: float, beta_plus: float,
+                      delta_minus: float = 0.0) -> float:
+    """Jump parameter gamma = -lam * beta- * beta+ / (beta+ - beta- * (1 + 2 delta- lam)).
+
+    Converts the implicit condition [u] = lam * (beta u')(alpha-) together
+    with continuity of the flux -beta u' + 2 delta u into the explicit
+    Robin form [u] = gamma * [u'], where the convection is the same delta-
+    on both sides of alpha: the flux then gives
+    beta+ u'(alpha+) = beta- u'(alpha-) (1 + 2 delta- lam).  With
+    delta- = 0 this is -lam * beta- * beta+ / (beta+ - beta-).
+    """
+    if beta_minus <= 0 or beta_plus <= 0:
+        raise ValueError("diffusivity limits must be positive")
+    scaled_minus = beta_minus * (1.0 + 2.0 * delta_minus * lam)
+    denom = beta_plus - scaled_minus
+    if abs(denom) < GAMMA_BETA_RTOL * max(abs(scaled_minus), beta_plus):
+        if delta_minus != 0:
+            raise ValueError(
+                "D+ equals D- * (1 + 2 delta- lambda) at the interface; gamma is undefined"
+            )
+        raise ValueError(
+            "diffusivity is continuous across the interface; gamma is "
+            "undefined (use gamma=0 with lambda=0 for a continuous interface)"
+        )
+    return -lam * beta_minus * beta_plus / denom
 
 
 COEFFICIENTS = ("diffusivity", "conv_delta", "reaction", "source")
@@ -236,7 +263,7 @@ class ProblemSpec:
             object.__setattr__(self, name, tuple(
                 _as_polynomial(c, f"{name} on layer {i}") for i, c in enumerate(entries)
             ))
-        self.gammas  # an implicit interface needs a gamma: D-, D+ > 0 and a nonzero denominator
+        self.interface_table  # an implicit gamma needs D-, D+ > 0 and a nonzero denominator
         breaks = np.array([a, *alphas, b])
         d_min, w_min = (
             layer_ranges(self.tables[name], breaks)[0] for name in ("diffusivity", "reaction")
@@ -272,39 +299,29 @@ class ProblemSpec:
         return tables
 
     @cached_property
-    def implicit_interfaces(self) -> dict[str, np.ndarray]:
-        """The implicit interfaces' lam, and D-, D+ and delta- at alpha, evaluated once.
+    def interface_table(self) -> dict[str, np.ndarray]:
+        """Each interface's facts as (I,) columns in position order, read-only.
 
-        Column ``implicit`` (I,) marks them among the interfaces; each of the
-        others has one entry per implicit interface, in position order.
+        ``implicit`` (lam > 0), ``lam``, ``delta_minus`` (delta- at alpha) and
+        ``gamma``, its enrichment's Robin parameter: 0 if continuous, else
+        ``gamma_from_lambda`` of lam, D-, D+ and delta-.  Interface i is layer i's right end.
         """
         lam = np.array([spec.lam for spec in self.interfaces], dtype=float)
-        implicit = lam != 0
-        layer = np.flatnonzero(implicit)  # the layer left of each implicit interface
-        alphas = np.array(self.breakpoints, dtype=float)[implicit]
-        d_minus, d_plus = layer_values(self.tables["diffusivity"], layer + [[0], [1]], alphas)
-        table = {"implicit": implicit, "lam": lam[implicit], "d_minus": d_minus, "d_plus": d_plus,
+        alphas, layer = np.array(self.breakpoints, dtype=float), np.arange(len(lam))
+        table = {"implicit": lam != 0, "lam": lam, "gamma": np.zeros(len(lam)),
                  "delta_minus": layer_values(self.tables["conv_delta"], layer, alphas)}
+        at = np.flatnonzero(table["implicit"])
+        d_minus, d_plus = layer_values(self.tables["diffusivity"], at + [[0], [1]], alphas[at])
+        columns = (lam[at], d_minus, d_plus, table["delta_minus"][at])
+        for j, *values in zip(at.tolist(), *(column.tolist() for column in columns)):
+            try:
+                table["gamma"][j] = gamma_from_lambda(*values)
+            except ValueError as exc:
+                raise ValueError(f"interfaces[{j}]: {exc}") from exc
         for column in table.values():
             column.flags.writeable = False
         return table
 
-    @cached_property
-    def gammas(self) -> tuple[float, ...]:
-        """Robin parameter of each interface's enrichment, in position order.
-
-        Zero at a continuous interface; at an implicit one ``gamma_from_lambda``
-        of its lam, D-, D+ and delta- (``implicit_interfaces``).
-        """
-        table = self.implicit_interfaces
-        out = [0.0] * len(self.interfaces)
-        columns = (table[name].tolist() for name in ("lam", "d_minus", "d_plus", "delta_minus"))
-        for j, *values in zip(np.flatnonzero(table["implicit"]).tolist(), *columns):
-            try:
-                out[j] = gamma_from_lambda(*values)
-            except ValueError as exc:
-                raise ValueError(f"interfaces[{j}]: {exc}") from exc
-        return tuple(out)
 
 class ProblemFileError(ValueError):
     """Usage error (exit 1): a bad problem file, or a study the input cannot set up."""

@@ -8,7 +8,7 @@ import numpy as np
 import scipy.linalg
 from numpy.polynomial import Polynomial
 
-from enrfem.analysis import ErrorReport, compute_errors, observed_orders
+from enrfem.analysis import ErrorReport, compute_errors, error_rule_size, observed_orders
 from enrfem.assembly import (
     assemble_system,
     condition_number,
@@ -17,9 +17,15 @@ from enrfem.assembly import (
 )
 from enrfem.cli import load_problem_file
 from enrfem.enrichment import eval_enrichment
-from enrfem.femspace import full_coefficients, quadrature_rule, standard_basis
+from enrfem.femspace import (
+    Basis,
+    full_coefficients,
+    quadrature_pieces,
+    quadrature_rule,
+    standard_basis,
+)
 from enrfem.mesh import build_mesh
-from enrfem.problem import BoundaryCondition, catalog_problem
+from enrfem.problem import BoundaryCondition, catalog_problem, layer_values
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -158,6 +164,37 @@ def interpolate_enriched(exact, space):
     coeffs = np.empty(space.n_free)
     coeffs[space.free_index[free]] = full[free]
     return coeffs
+
+
+def h1_projection(problem, space):
+    """Free coefficients of the H1 best approximation of ``problem.exact`` in ``space``.
+
+    The oracle for Galerkin's error: u_h minimizes the sum over the pieces
+    of int (u - u_h)'^2 + (u - u_h)^2, with the Dirichlet DOFs fixed at
+    their values.  The integrals take the pieces and the Gauss rule of
+    ``compute_errors`` (``error_rule_size``); the normal equations are
+    one dense solve.
+    """
+    layout = space.layout
+    quad = quadrature_pieces(space, error_rule_size(problem, space.degree))
+    u, du = (layer_values(problem.tables[name], layout.layer, quad.xs)
+             for name in ("exact", "exact_derivative"))
+    uncut = np.ones(len(quad.xs), dtype=bool)
+    uncut[layout.cut_pieces] = False
+    gram, load = np.zeros((space.n_dofs, space.n_dofs)), np.zeros(space.n_dofs)
+    for (dofs, vals, ders), pieces in ((Basis(*(a[uncut] for a in quad.standard)), uncut),
+                                       (quad.cut, layout.cut_pieces)):
+        wq = quad.weights[pieces][:, None, :]
+        local = (ders * wq) @ ders.transpose(0, 2, 1) + (vals * wq) @ vals.transpose(0, 2, 1)
+        np.add.at(gram, (dofs[:, :, None], dofs[:, None, :]), local)
+        np.add.at(load, dofs, ((ders * wq) @ du[pieces][..., None]
+                               + (vals * wq) @ u[pieces][..., None])[..., 0])
+    is_free = space.free_index >= 0
+    free = np.empty(space.n_free, dtype=int)  # the full DOF at each free position
+    free[space.free_index[is_free]] = np.flatnonzero(is_free)
+    fixed = list(space.constrained)
+    rhs = load[free] - gram[np.ix_(free, fixed)] @ space.dirichlet_values
+    return scipy.linalg.solve(gram[np.ix_(free, free)], rhs, assume_a="sym")
 
 
 def constant_coefficient_vector(space, c):

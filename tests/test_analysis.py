@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
-from _helpers import derived_rule_cases, interpolate_enriched, reference_errors, solve_benchmark
+from _helpers import (
+    derived_rule_cases,
+    h1_projection,
+    interpolate_enriched,
+    reference_errors,
+    solve_benchmark,
+)
 from enrfem.analysis import (
     ErrorReport,
     coefficient_contrast,
@@ -192,6 +198,24 @@ def test_cea_bound_single_level():
     assert fem.h1_broken <= 10 * rho * interp.h1_broken
 
 
+@pytest.mark.parametrize("pid", [1, 2, 3, 4, 5, 6])
+def test_galerkin_is_near_the_h1_best_approximation(pid):
+    """Galerkin's broken-H1 error over the H1 projection's lies in [0.999, 1.06], n = 8..512.
+
+    The projection (``h1_projection``) does not share enrfem's assembly or
+    solve, only its space and error rule.  It minimizes the full H1 norm,
+    so its seminorm error may lie a little above Galerkin's.
+    """
+    entry = catalog_problem(pid)
+    mesh = build_mesh(0.0, 1.0, [8 * 2**level for level in range(7)], entry.problem.breakpoints)
+    space = space_for_problem(entry.problem, mesh, entry.degree)
+    galerkin, best = (compute_errors(entry.problem, space, coeffs) for coeffs in (
+        solve_system(assemble_system(entry.problem, space)), h1_projection(entry.problem, space)))
+    ratios = [fem.h1_broken / projected.h1_broken for fem, projected in zip(galerkin, best)]
+    assert len(ratios) == 7
+    assert all(0.999 <= ratio <= 1.06 for ratio in ratios), ratios
+
+
 # ------------------------------------------------------------------- orders
 
 def test_observed_orders_exact_ratios():
@@ -206,12 +230,24 @@ def test_observed_orders_reference_pair():
 
 
 def test_observed_orders_rejects_bad_input():
-    with pytest.raises(ValueError, match="zero or negative"):
-        observed_orders([1 / 8, 1 / 16], [1e-2, 0.0])
+    for error in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="zero, negative or non-finite"):
+            observed_orders([1 / 8, 1 / 16], [1e-2, error])
     with pytest.raises(ValueError, match="equal length"):
         observed_orders([1 / 8, 1 / 16], [1e-2])
     with pytest.raises(ValueError, match="two refinement"):
         observed_orders([1 / 8], [1e-2])
+
+
+@pytest.mark.parametrize("h_list, e_list", [
+    ([0.5, 0.5], [1e-3, 2e-3]), ([0.5, 0.5], [1e-3, 1e-3]), ([0.5, 0.0], [1e-3, 1e-4]),
+    ([-0.5, 0.25], [1e-3, 1e-4]), ([0.5, 0.25, 0.5], [1e-3, 1e-4, 1e-5]),
+    ([math.nan, 0.25], [1e-3, 1e-4]), ([math.inf, 0.25], [1e-3, 1e-4]),
+], ids=["repeated", "repeated-equal-errors", "zero", "negative", "repeated-apart", "nan", "inf"])
+def test_observed_orders_need_distinct_positive_mesh_sizes(h_list, e_list):
+    """A repeated, non-positive or non-finite h is named; the orders were -inf, nan or 0."""
+    with pytest.raises(ValueError, match=r"mesh sizes must be finite, positive and none repeated"):
+        observed_orders(h_list, e_list)
 
 
 # ----------------------------------------------------------------- contrast

@@ -48,6 +48,7 @@ from enrfem.problem import (
     ProblemSpec,
     catalog_problem,
     coefficient_table,
+    gamma_from_lambda,
     layer_values,
     manufactured_rhs,
 )
@@ -599,9 +600,9 @@ def test_a_studys_calls_do_not_grow_with_its_levels(monkeypatch, degree):
     ONE_STACK_ELEMENTS) makes the same calls: loading it tabulates the
     four coefficients and the exact values and derivatives once each (6
     coefficient_table calls, the only ones of the study), and evaluates D
-    and delta once each at the implicit alpha (``implicit_interfaces``; 2
-    evaluator calls), D and w being constant, so that their bounds need
-    no evaluation, and the one stack makes a level's calls of
+    at the implicit alpha and delta at every alpha, once each
+    (``interface_table``; 2 evaluator calls), D and w being constant, so
+    that their bounds need no evaluation, and the one stack makes a level's calls of
     test_a_levels_calls_do_not_grow_with_its_cuts.  At 9 levels (4,088
     elements) the study runs two stacks, its coarse levels and its
     finest, and makes those calls twice.  Each stack's mesh is one
@@ -987,31 +988,39 @@ def test_gammas_derived_from_the_problems_diffusivities():
     rebuilt = dataclasses.replace(
         entry.problem, interfaces=(InterfaceSpec(alpha=1 / 9, lam=1 / 243),)
     )
-    assert rebuilt.gammas == entry.problem.gammas
-    assert rebuilt.gammas[0] == pytest.approx(-1 / 63, rel=1e-12)
+    gamma = rebuilt.interface_table["gamma"]
+    assert gamma.tobytes() == entry.problem.interface_table["gamma"].tobytes()
+    assert gamma[0] == pytest.approx(-1 / 63, rel=1e-12)
     mesh = build_mesh(0.0, 1.0, 16, [1 / 9])
     systems = [assemble_system(p, space_for_problem(p, mesh, 1)) for p in (entry.problem, rebuilt)]
     for name in ("band", "rhs"):
         assert getattr(systems[0], name).tobytes() == getattr(systems[1], name).tobytes()
-    assert _poisson_problem().gammas == ()
-    assert catalog_problem(2).problem.gammas == (0.0, 0.0)
+    assert _poisson_problem().interface_table["gamma"].tolist() == []
+    assert catalog_problem(2).problem.interface_table["gamma"].tolist() == [0.0, 0.0]
 
 
 def test_implicit_interfaces_are_evaluated_once_at_their_alphas():
-    """Problem 3's one implicit interface: lam, D-, D+ and delta- at alpha, read-only."""
+    """Problem 3's interface table: lam, delta- and gamma at each alpha, read-only, cached.
+
+    gamma at the implicit interface is ``gamma_from_lambda`` of D- and D+
+    from Polynomial.__call__, bit for bit, and 0 at a continuous one.
+    """
     problem = catalog_problem(3).problem
-    table = problem.implicit_interfaces
+    table = problem.interface_table
+    assert sorted(table) == ["delta_minus", "gamma", "implicit", "lam"]
     assert table["implicit"].tolist() == [True, False, False]
-    (alpha,) = [spec.alpha for spec in problem.interfaces if spec.lam]
-    assert table["lam"].tolist() == [1 / 243]
-    for name, coefficient in (("d_minus", problem.diffusivity[0]),
-                              ("d_plus", problem.diffusivity[1]),
-                              ("delta_minus", problem.conv_delta[0])):
-        assert table[name].tolist() == [coefficient(alpha)]
+    alphas = [spec.alpha for spec in problem.interfaces]
+    assert table["lam"].tolist() == [1 / 243, 0.0, 0.0]
+    delta_minus = [float(problem.conv_delta[j](alpha)) for j, alpha in enumerate(alphas)]
+    assert table["delta_minus"].tobytes() == np.array(delta_minus).tobytes()
+    d_minus, d_plus = (float(problem.diffusivity[j](alphas[0])) for j in (0, 1))
+    gamma = gamma_from_lambda(1 / 243, d_minus, d_plus, delta_minus[0])
+    assert table["gamma"].tobytes() == np.array([gamma, 0.0, 0.0]).tobytes()
     for column in table.values():
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 0
-    assert problem.implicit_interfaces is table
+    assert problem.interface_table is table
+    assert catalog_problem(2).problem.interface_table["gamma"].tolist() == [0.0, 0.0]
 
 
 def test_coefficient_tables_are_read_only():
@@ -1034,7 +1043,7 @@ def test_equal_diffusivities_with_equal_convection_have_a_gamma():
         source=(_const(0.0),) * 2,
         interfaces=(InterfaceSpec(0.5, 0.1),),
     )
-    assert problem.gammas == pytest.approx((2.0 / 6.0,), rel=1e-12)
+    assert problem.interface_table["gamma"].tolist() == pytest.approx([2.0 / 6.0], rel=1e-12)
 
 
 @pytest.mark.parametrize("d_plus, message", [

@@ -76,7 +76,7 @@ def test_wall_constants_problem1():
     assert d1 == pytest.approx(1.35, rel=1e-14)
     assert delta1 == pytest.approx(12.15, rel=1e-14)
     assert entry.problem.interfaces[0].lam == pytest.approx(1 / 243, rel=1e-14)
-    assert entry.problem.gammas[0] == pytest.approx(-1 / 63, rel=1e-12)
+    assert entry.problem.interface_table["gamma"][0] == pytest.approx(-1 / 63, rel=1e-12)
     assert entry.problem.bc_right.value == pytest.approx(1 / 3, rel=1e-15)
 
 

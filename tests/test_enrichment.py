@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from _helpers import psi_jumps
-from enrfem.enrichment import build_enrichment, eval_enrichment, gamma_from_lambda
+from enrfem.enrichment import build_enrichment, eval_enrichment
+from enrfem.problem import gamma_from_lambda
 
 
 def _at(psi, x, side):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from _helpers import psi_jumps, reference_basis
-from enrfem.enrichment import gamma_from_lambda
 from enrfem.femspace import (
     Basis,
     build_space,
@@ -13,7 +12,7 @@ from enrfem.femspace import (
     quadrature_pieces,
 )
 from enrfem.mesh import build_mesh, mesh_from_nodes
-from enrfem.problem import BoundaryCondition
+from enrfem.problem import BoundaryCondition, gamma_from_lambda
 
 
 NEUMANN = BoundaryCondition.neumann()

@@ -70,6 +70,18 @@ def test_bad_domain_and_count_rejected():
             build_mesh(a, b, 4)
 
 
+def test_a_build_without_an_element_count_names_it():
+    """build_mesh(a, b, []) was min()'s "arg is an empty sequence"."""
+    with pytest.raises(ValueError, match="^no element count given$"):
+        build_mesh(0.0, 1.0, [])
+
+
+def test_a_stack_of_no_mesh_names_it():
+    """stack_meshes([]) was np.concatenate's "need at least one array to concatenate"."""
+    with pytest.raises(ValueError, match="^no mesh to stack$"):
+        stack_meshes([])
+
+
 def test_eval_function_node_rule():
     """A P1 function's derivative at a node is its slope on the element to the right; at b, the last.
 

@@ -106,6 +106,54 @@ def test_no_module_uses_another_modules_private_names():
     assert {name: uses for name, uses in found.items() if uses} == {}
 
 
+def _unread_private_names(source: str) -> list[str]:
+    """Each module-level private function, class or constant of ``source`` that it never reads.
+
+    A private name has a leading underscore and is not a dunder; it is
+    read where it is loaded anywhere in the module, its own body included.
+    """
+    tree = ast.parse(source)
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [name.id for target in targets for name in ast.walk(target)
+                        if isinstance(name, ast.Name)]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in defined
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
+def test_every_private_name_is_read_in_its_module():
+    """No module of src/enrfem keeps a private helper, class or constant that nothing reads.
+
+    Other modules may not read it (test_no_module_uses_another_modules_private_names),
+    so an unread one is dead.  The checker finds each kind and passes over
+    public names, dunders and private names that are read.
+    """
+    snippet = ("_LIMIT = 3\n_A, _B = 1, 2\n_C: int = 0\nclass _Row: pass\n"
+               "def _dead(x):\n    return x\n"
+               "def _used():\n    return _A + _LIMIT\n"
+               "def public():\n    return _used()\n__all__ = ['public']\n")
+    assert _unread_private_names(snippet) == ["_B", "_C", "_Row", "_dead"]
+    found = {path.name: _unread_private_names(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: unread for name, unread in found.items() if unread} == {}
+
+
+def test_problem_imports_no_enrfem_module():
+    """``problem`` holds the data and its laws and reads no other enrfem module."""
+    tree = ast.parse((SRC / "problem.py").read_text(encoding="utf-8"))
+    ours = [ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("enrfem"))
+            or isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "enrfem" for alias in node.names)]
+    assert ours == []
+
+
 def _python(code: str, *flags: str) -> str:
     """The stdout of ``python *flags -c code``, with this checkout's enrfem first on the path."""
     src = str(Path(enrfem.__file__).resolve().parents[1])
