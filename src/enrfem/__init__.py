@@ -24,15 +24,13 @@ from .problem import (
     gamma_from_lambda,
     manufactured_rhs,
 )
-from .mesh import Mesh1D, build_mesh, mesh_from_nodes, stack_meshes
-from .enrichment import (
-    EnrichmentFunction,
-    build_enrichment,
-    eval_enrichment,
-)
+from .mesh import Mesh1D, build_mesh, mesh_from_nodes
 from .femspace import (
     EnrichedSpace,
+    EnrichmentFunction,
+    build_enrichment,
     build_space,
+    eval_enrichment,
     eval_function,
     quadrature_rule,
 )

@@ -31,15 +31,13 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .femspace import (
-    Basis,
     CutLayout,
     EnrichedSpace,
     Quadrature,
     build_space,
-    cut_rows,
     exact_rule_size,
+    interface_traces,
     quadrature_pieces,
-    standard_basis,
 )
 from .mesh import Mesh1D
 from .problem import COEFFICIENTS, ProblemSpec, layer_values
@@ -237,22 +235,17 @@ def _interface_blocks(problem: ProblemSpec, space: EnrichedSpace):
     """(dofs, local) of the implicit interfaces' terms, in position order.
 
     Each implicit cut gives its jump block [u_j][u_i]/lam, then, where
-    delta-(alpha) != 0, its convection block -2 delta- u_j(alpha-) [u_i].
-    The rows of every cut at alpha come in one batch from ``cut_rows``:
-    each cut's left, then right limit.  Without an implicit interface
-    there are no terms, and no rows are built.
+    delta-(alpha) != 0, its convection block -2 delta- u_j(alpha-) [u_i],
+    from the cut's limits at alpha (``interface_traces``).  Without an
+    implicit interface there are no terms, and no traces are built.
     """
     k, table = 2 * (space.degree + 1), problem.interface_table
     if not table["implicit"].any():
         return np.empty((0, k), dtype=int), np.empty((0, k, k))
-    layout = space.layout
-    alpha = np.repeat(layout.psi.alpha, 2, axis=0)  # (2c, 1)
-    rows = Basis(*standard_basis(space, layout.elements[layout.cut_pieces], alpha))
-    both = cut_rows(space, rows, alpha)
     levels = space.mesh.n_levels  # each with the problem's interfaces, in order
     implicit = np.tile(table["implicit"], levels)
     lam, delta_minus = (np.tile(table[name], levels)[implicit] for name in ("lam", "delta_minus"))
-    v_left, v_right = (both.values[side::2, :, 0][implicit] for side in (0, 1))
+    dofs, v_left, v_right = (a[implicit] for a in interface_traces(space))
     jump = v_right - v_left
     blocks = np.empty((len(jump), 2, k, k))
     np.divide(jump[:, :, None] * jump[:, None, :], lam[:, None, None], out=blocks[:, 0])
@@ -260,7 +253,6 @@ def _interface_blocks(problem: ProblemSpec, space: EnrichedSpace):
                 out=blocks[:, 1])
     keep = np.ones((len(jump), 2), dtype=bool)
     keep[:, 1] = delta_minus != 0.0
-    dofs = both.dofs[::2][implicit]
     return np.repeat(dofs, 2, axis=0)[keep.ravel()], blocks.reshape(-1, k, k)[keep.ravel()]
 
 

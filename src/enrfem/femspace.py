@@ -1,13 +1,30 @@
-"""Enriched conforming P1/P2 spaces: DOF bookkeeping and basis evaluation.
+"""Enriched conforming P1/P2 spaces: the enrichment, DOF bookkeeping and basis evaluation.
 
 The space is span{standard Lagrange basis} + span{phi * psi} where psi is
 the interface enrichment and phi runs over the Lagrange nodal functions of
 the interface element (two hats for degree 1, the three quadratic nodal
-functions for degree 2).  Global DOFs are ordered standard-first, then
-one enrichment group per interface in position order.  Free DOFs are
-numbered in mesh order instead: each cut's enrichment group follows the
-left node of its element, so every element's DOFs lie within 2p + 1
-free positions of each other and the free matrix is one band.
+functions for degree 2).  On the interface element [x_k, x_{k+1}]
+containing alpha, the enrichment
+
+    psi(x) = m1 * (x - x_k)      on [x_k, alpha)
+           = m2 * (x - x_{k+1})  on (alpha, x_{k+1}]
+           = 0                   elsewhere
+
+with slopes
+
+    m1 = (alpha - x_{k+1}) / (x_{k+1} - x_k)
+    m2 = (alpha - x_k - gamma) * (alpha - x_{k+1})
+         / ((x_{k+1} - x_k) * (alpha - x_{k+1} - gamma))
+
+vanishes at both element endpoints and satisfies the Robin-type identity
+[psi] = gamma * [psi'] at alpha.  gamma = 0 gives the classical continuous
+(kink-only) enrichment with [psi'] = 1; ``problem`` derives every other gamma.
+
+Global DOFs are ordered standard-first, then one enrichment group per
+interface in position order.  Free DOFs are numbered in mesh order
+instead: each cut's enrichment group follows the left node of its
+element, so every element's DOFs lie within 2p + 1 free positions of
+each other and the free matrix is one band.
 
 Each interface cuts exactly one element.  The mesh's cut columns
 (``cut_elements``, ``alphas``) and the space's psi columns
@@ -15,13 +32,12 @@ Each interface cuts exactly one element.  The mesh's cut columns
 is interface j, lies between layers j and j + 1, and owns the degree + 1
 enrichment DOFs that ``_with_enrichment`` numbers.
 
-A space on a stacked mesh (``mesh.build_mesh`` of several counts, or
-``mesh.stack_meshes``) is the direct sum of one space per level, built
-as one: each level numbers its own standard DOFs after the levels
-before it, the cut table runs level by level, and each level's free
-DOFs follow those of the level before, so that the free matrix is
-block diagonal, one band per level.  A space on a mesh of
-one level is a stack of one.
+A space on a stacked mesh (``mesh.build_mesh`` of several counts) is
+the direct sum of one space per level, built as one: each level numbers
+its own standard DOFs after the levels before it, the cut table runs
+level by level, and each level's free DOFs follow those of the level
+before, so that the free matrix is block diagonal, one band per level.
+A space on a mesh of one level is a stack of one.
 """
 
 from __future__ import annotations
@@ -32,11 +48,72 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .enrichment import EnrichmentFunction, build_enrichment, eval_enrichment
 from .mesh import Mesh1D
 from .problem import BoundaryCondition
 
 MAX_QUAD_NPTS = 16
+M2_DEGENERACY_RTOL = 1e-10  # |alpha - x_{k+1} - gamma| too small: m2 blows up
+
+
+@dataclass(frozen=True)
+class EnrichmentFunction:
+    """Piecewise-linear enrichments, one per cut element: each field holds one value per cut.
+
+    A single psi, as ``build_enrichment`` makes from scalars, has scalar fields.
+    """
+
+    x_left: np.ndarray    # x_k
+    x_right: np.ndarray   # x_{k+1}
+    alpha: np.ndarray
+    m1: np.ndarray
+    m2: np.ndarray
+
+    def __len__(self) -> int:
+        return np.size(self.alpha)
+
+    def __getitem__(self, j) -> EnrichmentFunction:
+        """Every column indexed by ``j``: cut j's psi, or (c, 1) columns for ``[:, None]``."""
+        return EnrichmentFunction(*(column[j] for column in vars(self).values()))
+
+
+def build_enrichment(x_k, x_k1, alpha, gamma) -> EnrichmentFunction:
+    """Construct psi on [x_k, x_k1] breaking at alpha with parameter gamma, elementwise.
+
+    Scalars give one psi, and arrays of one shape one psi per entry.
+    Raises ValueError at the first entry that cannot be built.
+    """
+    x_k, x_k1, alpha, gamma = (np.asarray(v, dtype=float) for v in (x_k, x_k1, alpha, gamma))
+    h = x_k1 - x_k
+    denom = alpha - x_k1 - gamma
+    outside = ~((x_k < alpha) & (alpha < x_k1))
+    bad = np.flatnonzero(outside | (np.abs(denom) < M2_DEGENERACY_RTOL * h))
+    if bad.size:
+        j = bad[0]
+        if outside.flat[j]:
+            raise ValueError(
+                f"alpha={alpha.flat[j]} not strictly inside ({x_k.flat[j]}, {x_k1.flat[j]})"
+            )
+        raise ValueError("degenerate enrichment denominator; change mesh size")
+    m1 = (alpha - x_k1) / h
+    m2 = (alpha - x_k - gamma) * (alpha - x_k1) / (h * denom)
+    return EnrichmentFunction(*(v[()] for v in (x_k, x_k1, alpha, m1, m2)))  # 0-d to scalars
+
+
+def eval_enrichment(psi: EnrichmentFunction, xs, side: str) -> tuple[np.ndarray, np.ndarray]:
+    """Values and derivatives of psi at points xs; one-sided at x = alpha.
+
+    ``side`` ('left' or 'right') selects the limit where a point equals
+    alpha and is ignored elsewhere.  Total function: (0, 0) outside the
+    support, and exactly 0 at the element endpoints.
+    """
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    xs = np.asarray(xs, dtype=float)
+    inside = (xs >= psi.x_left) & (xs <= psi.x_right)
+    on_left = xs <= psi.alpha if side == "left" else xs < psi.alpha
+    vals = np.where(on_left, psi.m1 * (xs - psi.x_left), psi.m2 * (xs - psi.x_right))
+    ders = np.where(on_left, psi.m1, psi.m2)
+    return np.where(inside, vals, 0.0), np.where(inside, ders, 0.0)
 
 
 @dataclass(frozen=True)
@@ -254,7 +331,7 @@ class CutLayout(NamedTuple):
     ``node_elements`` (n - L,) is the element left of each interior node,
     level by level, and ``node_layer`` each interior node's layer (the
     left one at a cut).  ``cut_pieces`` (2c,) are each cut's left, then
-    right piece, and ``psi`` the space's ``enrichments`` as (c, 1) columns.
+    right piece.
     """
 
     lower: np.ndarray
@@ -264,7 +341,6 @@ class CutLayout(NamedTuple):
     node_elements: np.ndarray
     node_layer: np.ndarray
     cut_pieces: np.ndarray
-    psi: EnrichmentFunction
 
 
 def _cut_layout(space: EnrichedSpace) -> CutLayout:
@@ -297,11 +373,9 @@ def _cut_layout(space: EnrichedSpace) -> CutLayout:
         node_elements=node_elements,
         node_layer=node_layer - cut_starts[mesh.element_level[node_elements]],
         cut_pieces=cut_pieces,
-        psi=space.enrichments[:, None],
     )
     for table in layout:
-        if isinstance(table, np.ndarray):
-            table.flags.writeable = False
+        table.flags.writeable = False
     return layout
 
 
@@ -344,10 +418,24 @@ def cut_rows(space: EnrichedSpace, rows: Basis, xs: np.ndarray) -> Basis:
     one-sided towards it: one ``eval_enrichment`` call for the left
     pieces and one for the right, interleaved for ``_with_enrichment``.
     """
-    psi, q = space.layout.psi, xs.shape[1]
+    psi, q = space.enrichments[:, None], xs.shape[1]
     left, right = (eval_enrichment(psi, xs[i::2], side) for i, side in enumerate(("left", "right")))
     psi_rows = (np.concatenate(pair, axis=1).reshape(-1, 1, q) for pair in zip(left, right))
     return _with_enrichment(space, np.arange(len(xs)) // 2, rows, *psi_rows)
+
+
+def interface_traces(space: EnrichedSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dofs, left, right), each (c, 2(degree + 1)): every cut's DOFs and their limits at alpha.
+
+    ``left`` and ``right`` hold the values of the cut's functions at its
+    alpha from either side, in the order of ``dofs``.  All cuts come in
+    one batch: one ``standard_basis`` and one ``cut_rows`` call at the alphas.
+    """
+    layout = space.layout
+    alpha = np.repeat(space.enrichments.alpha, 2)[:, None]  # (2c, 1)
+    rows = Basis(*standard_basis(space, layout.elements[layout.cut_pieces], alpha))
+    both = cut_rows(space, rows, alpha)
+    return both.dofs[::2], both.values[::2, :, 0], both.values[1::2, :, 0]
 
 
 def full_coefficients(space: EnrichedSpace, coeffs) -> np.ndarray:

@@ -5,8 +5,7 @@ points are required to fall strictly inside elements (never on a node),
 and each element may contain at most one interface.  A stack of
 meshes is one mesh, their disjoint union, so that each later layer
 handles a convergence study's levels in one batch: ``build_mesh``
-builds a stack of uniform levels in one pass, and ``stack_meshes``
-stacks any meshes.
+builds a stack of uniform levels in one pass.
 """
 
 from __future__ import annotations
@@ -30,11 +29,11 @@ class Mesh1D:
     """Partitions of [a, b] with located interface elements, one per level.
 
     A mesh of one level is a partition: ``nodes`` is strictly increasing.
-    A stack (``build_mesh`` of several counts, or ``stack_meshes``) is
-    the disjoint union of its levels' partitions: ``nodes`` holds each
-    level's nodes, level after level, and the elements are numbered
-    through the levels in order, so that
-    element k of level l lies between its nodes k + l and k + l + 1.
+    A stack (``build_mesh`` of several counts) is the disjoint union of
+    its levels' partitions: ``nodes`` holds each level's nodes, level
+    after level, and the elements are numbered through the levels in
+    order, so that element k of level l lies between its nodes k + l and
+    k + l + 1.
     ``starts`` (L + 1,) holds each level's first element, then n_elements.
     The cuts, ordered by level, then by position, are two columns:
     ``cut_elements`` (c,), the element x_k < alpha < x_{k+1} of each, and
@@ -144,27 +143,11 @@ def mesh_from_nodes(nodes, interfaces=()) -> Mesh1D:
     return _located(nodes, np.array([0, len(nodes) - 1]), interfaces)
 
 
-def stack_meshes(meshes) -> Mesh1D:
-    """The disjoint union of ``meshes``, their levels in order, as one mesh."""
-    if not meshes:
-        raise ValueError("no mesh to stack")
-    offsets = list(accumulate((mesh.n_elements for mesh in meshes), initial=0))
-    return Mesh1D(
-        nodes=np.concatenate([mesh.nodes for mesh in meshes]),
-        cut_elements=np.concatenate(
-            [mesh.cut_elements + offset for mesh, offset in zip(meshes, offsets)]
-        ),
-        alphas=np.concatenate([mesh.alphas for mesh in meshes]),
-        starts=np.array([start + offset for mesh, offset in zip(meshes, offsets)
-                         for start in mesh.starts[:-1].tolist()] + offsets[-1:]),
-    )
-
-
 def build_mesh(a: float, b: float, n, interfaces=()) -> Mesh1D:
     """Uniform partition of [a, b] into n elements with located interfaces.
 
     ``n`` is an element count, or a sequence of them: then the result is
-    the stack of each count's mesh (``stack_meshes``), built in one pass.
+    the stack of each count's mesh, built in one pass.
     Each level's nodes are ``np.linspace(a, b, n + 1)``'s, bit for bit:
     node i is i * ((b - a) / n) + a, and the last is b.
     """

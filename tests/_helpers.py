@@ -2,12 +2,14 @@
 
 import bisect
 import dataclasses
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 from numpy.polynomial import Polynomial
 
+from enrfem import eval_enrichment
 from enrfem.analysis import ErrorReport, compute_errors, error_rule_size, observed_orders
 from enrfem.assembly import (
     assemble_system,
@@ -16,7 +18,6 @@ from enrfem.assembly import (
     space_for_problem,
 )
 from enrfem.cli import load_problem_file
-from enrfem.enrichment import eval_enrichment
 from enrfem.femspace import (
     Basis,
     full_coefficients,
@@ -24,10 +25,31 @@ from enrfem.femspace import (
     quadrature_rule,
     standard_basis,
 )
-from enrfem.mesh import build_mesh
+from enrfem.mesh import Mesh1D, build_mesh
 from enrfem.problem import BoundaryCondition, catalog_problem, layer_values
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def stack_meshes(meshes) -> Mesh1D:
+    """The disjoint union of ``meshes`` (any iterable), their levels in order, as one mesh.
+
+    ``build_mesh`` of several counts builds the same stack in one pass;
+    this is its oracle.
+    """
+    meshes = list(meshes)
+    if not meshes:
+        raise ValueError("no mesh to stack")
+    offsets = list(accumulate((mesh.n_elements for mesh in meshes), initial=0))
+    return Mesh1D(
+        nodes=np.concatenate([mesh.nodes for mesh in meshes]),
+        cut_elements=np.concatenate(
+            [mesh.cut_elements + offset for mesh, offset in zip(meshes, offsets)]
+        ),
+        alphas=np.concatenate([mesh.alphas for mesh in meshes]),
+        starts=np.array([start + offset for mesh, offset in zip(meshes, offsets)
+                         for start in mesh.starts[:-1].tolist()] + offsets[-1:]),
+    )
 
 
 def solve_benchmark(pid, n, degree=None):

@@ -3,11 +3,14 @@
     python3 tests/byte_runs.py > runs.txt
 
 Run it in two checkouts and diff the files: a change that keeps every
-output bit, message and exit code prints the same lines.  Each line is
-one run: its argv, its exit code, and the SHA-256 digests of its
-standard output (the JSON report's timestamp removed) and of its
-standard error, tab-separated.  The runs go through ``enrfem.cli.main``
-in this process, with one BLAS thread; the studies come first:
+output bit, message and exit code prints the same lines.  A header of
+``#`` lines names the machine (``machine``): the digests of the studies
+depend on the platform and on the numpy and scipy builds and their BLAS.
+Each further line is one run: its argv, its exit code, and the SHA-256
+digests of its standard output (the JSON report's timestamp removed) and
+of its standard error, tab-separated.  The runs go through
+``enrfem.cli.main`` in this process, with one BLAS thread; the studies
+come first:
 
 - ``--problem k --levels 8 --format json`` for k = 1..6, with and
   without ``--cond``;
@@ -24,14 +27,19 @@ id, and a missing problem file.
 The sweep files are written to a temporary directory, which is the
 working directory of the studies, so the paths in argv and in the
 messages are the same in every checkout.  perfbench/ is only read.
+``tests/golden/byte_runs.txt`` holds this output, and
+``tests/test_byte_runs.py`` compares every run with it; a change that
+alters output on purpose writes the file anew.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import os
+import platform
 import re
 import sys
 import tempfile
@@ -40,6 +48,27 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SWEEP_SEEDS = (1, 3)
 _TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
+
+
+def machine() -> list[str]:
+    """The header: the platform, then numpy's and scipy's versions and the BLAS of each."""
+    import numpy
+    import scipy
+
+    lines = [f"# platform: {platform.platform()}, python {platform.python_version()}"]
+    for module in (numpy, scipy):
+        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        lines.append(f"# {module.__name__} {module.__version__}: BLAS {blas['name']} "
+                     f"{blas['version']}")
+    return lines
+
+
+def load_sweep():
+    """perfbench/sweep.py, loaded from its file (it imports only the standard library)."""
+    spec = importlib.util.spec_from_file_location("byte_runs_sweep", ROOT / "perfbench" / "sweep.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def catalog_runs() -> list[list[str]]:
@@ -85,19 +114,23 @@ def run(main, argv: list[str]) -> str:
     return "\t".join([" ".join(argv), str(code), digest(stdout), digest(err.getvalue())])
 
 
+def all_runs(sweep) -> list[list[str]]:
+    """Every run's argv, in order; the sweep files are written to the working directory."""
+    runs = catalog_runs()
+    for seed in SWEEP_SEEDS:
+        runs += sweep_runs(sweep, seed)
+    return runs + usage_error_runs()
+
+
 def main() -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    import sweep
+    sys.path.insert(0, str(ROOT / "src"))
     from enrfem.cli import main as enrfem_main
 
+    print("\n".join(machine()))
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
-        runs = catalog_runs()
-        for seed in SWEEP_SEEDS:
-            runs += sweep_runs(sweep, seed)
-        runs += usage_error_runs()
-        for argv in runs:
+        for argv in all_runs(load_sweep()):
             print(run(enrfem_main, argv), flush=True)
         os.chdir(ROOT)
     return 0

@@ -19,6 +19,7 @@ from _helpers import (
     psi_jumps,
     reference_assembly,
 )
+from enrfem import build_enrichment, eval_enrichment
 from enrfem.analysis import coefficient_contrast, compute_errors, observed_orders
 from enrfem.assembly import (
     assemble_system,
@@ -26,7 +27,6 @@ from enrfem.assembly import (
     solve_system,
     space_for_problem,
 )
-from enrfem.enrichment import build_enrichment, eval_enrichment
 from enrfem.mesh import build_mesh
 from enrfem.problem import catalog_problem
 
@@ -163,11 +163,11 @@ def test_criterion_04_quadratic_elements(studies):
 def test_criterion_05_nodal_superconvergence_with_exclusions(studies):
     """Nodal order on problem 1, excluding the anomalous reference rows.
 
-    The reference nodal column for problem 1 is non-monotone at h=1/64 and
-    inconsistent at h=1/512; the computed column is clean second order and
-    matches the reference mantissas everywhere (the h=1/64 and h=1/128
-    reference entries sit exactly one power of ten above the computed
-    values).  The order check drops rows 1/64 and 1/512.
+    The reference nodal column for problem 1 is misprinted at h=1/64 and
+    h=1/128: each entry sits exactly one power of ten above the computed
+    value, whose mantissa it matches.  The computed column is clean second
+    order and agrees with every other reference row, 1/512 included.  The
+    order check drops rows 1/64 and 1/128.
     """
     rows = studies[1]["rows"]
     keep = [i for i in range(LEVELS) if i not in _tables.NODAL_ANOMALOUS_ROWS[1]]

@@ -24,6 +24,7 @@ from _helpers import (
     refined_condition_number,
     refined_solve,
     solve_benchmark,
+    stack_meshes,
 )
 from enrfem import analysis as analysis_module
 from enrfem import assembly as assembly_module
@@ -41,7 +42,7 @@ from enrfem.assembly import (
 )
 from enrfem.cli import load_problem_file, run_convergence
 from enrfem.femspace import eval_function, quadrature_rule
-from enrfem.mesh import build_mesh, mesh_from_nodes, stack_meshes
+from enrfem.mesh import build_mesh, mesh_from_nodes
 from enrfem.problem import (
     BoundaryCondition,
     InterfaceSpec,
@@ -535,7 +536,7 @@ def test_edge_layouts_match_per_element_reference(case, degree):
 _COUNTED = {
     "layer_values": (problem_module, assembly_module, analysis_module),
     "eval_enrichment": (femspace_module,),
-    "standard_basis": (femspace_module, assembly_module),
+    "standard_basis": (femspace_module,),
     "coefficient_table": (problem_module,),
 }
 
@@ -568,9 +569,9 @@ def test_a_levels_calls_do_not_grow_with_its_cuts(monkeypatch, degree):
     derivatives on the points and the values on the interior nodes (3),
     and reads u_h at a node from its DOF.  psi and the standard basis are
     evaluated in batches.
-    The rows at alpha (one standard_basis and two eval_enrichment calls)
-    are built only where an interface is implicit: problems 1 and 3, not
-    problem 2, whose two interfaces are continuous.
+    The traces at alpha (``interface_traces``: one standard_basis and two
+    eval_enrichment calls) are built only where an interface is implicit:
+    problems 1 and 3, not problem 2, whose two interfaces are continuous.
     """
     counts = _count_calls(monkeypatch)
     per_problem = []

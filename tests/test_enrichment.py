@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from _helpers import psi_jumps
-from enrfem.enrichment import build_enrichment, eval_enrichment
+from enrfem import build_enrichment, eval_enrichment
 from enrfem.problem import gamma_from_lambda
 
 

@@ -3,12 +3,12 @@ import re
 
 import numpy as np
 import pytest
-from _helpers import FIXTURES
+from _helpers import FIXTURES, stack_meshes
 
 import enrfem.cli
 from enrfem.cli import run_convergence
 from enrfem.femspace import build_space, eval_function
-from enrfem.mesh import build_mesh, mesh_from_nodes, stack_meshes
+from enrfem.mesh import build_mesh, mesh_from_nodes
 from enrfem.problem import BoundaryCondition, catalog_problem, load_problem_file
 
 NEUMANN = BoundaryCondition.neumann()
@@ -80,6 +80,17 @@ def test_a_stack_of_no_mesh_names_it():
     """stack_meshes([]) was np.concatenate's "need at least one array to concatenate"."""
     with pytest.raises(ValueError, match="^no mesh to stack$"):
         stack_meshes([])
+
+
+def test_an_iterator_of_meshes_stacks_every_level():
+    """stack_meshes(iter([m, m])) was np.concatenate's "need at least one array to concatenate".
+
+    The generator of n_elements consumed the iterator before the nodes were read.
+    """
+    mesh = build_mesh(0.0, 1.0, 8, [1 / 9])
+    stack = stack_meshes(iter([mesh, mesh]))
+    assert stack.n_levels == 2 and stack.starts.tolist() == [0, 8, 16]
+    assert stack.cut_elements.tolist() == [0, 8] and len(stack.nodes) == 18
 
 
 def test_eval_function_node_rule():

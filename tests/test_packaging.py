@@ -101,7 +101,7 @@ def test_no_module_uses_another_modules_private_names():
     assert _private_reads("from ._version import __version__\n"
                           "from scipy.linalg import _flapack\nself._x, _flapack.dgbtrf") == []
     modules = sorted(SRC.glob("*.py"))
-    assert len(modules) >= 9
+    assert len(modules) >= 8
     found = {path.name: _private_reads(path.read_text(encoding="utf-8")) for path in modules}
     assert {name: uses for name, uses in found.items() if uses} == {}
 
@@ -152,6 +152,45 @@ def test_problem_imports_no_enrfem_module():
             or isinstance(node, ast.Import)
             and any(alias.name.split(".")[0] == "enrfem" for alias in node.names)]
     assert ours == []
+
+
+_CUT_ELEMENT_NAMES = {"Basis", "cut_rows", "standard_basis", "eval_enrichment", "build_enrichment"}
+
+
+def _cut_element_reads(source: str) -> list[str]:
+    """Each name of ``_CUT_ELEMENT_NAMES`` that ``source`` imports from enrfem or reads off a module.
+
+    ``from .femspace import cut_rows`` and ``femspace.cut_rows`` are both found.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "enrfem"):
+            found += [alias.name for alias in node.names if alias.name in _CUT_ELEMENT_NAMES]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.attr in _CUT_ELEMENT_NAMES):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_only_femspace_forms_the_cut_elements_basis():
+    """No module but ``femspace`` imports or reads psi or the rows of a piece.
+
+    Assembly and the errors read a cut element only through femspace's
+    ``quadrature_pieces``, ``interface_traces`` and ``eval_function``;
+    ``__init__`` re-exports psi's names and is passed over.  The checker
+    finds both forms of use, and passes over other packages and names.
+    """
+    assert _cut_element_reads("from .femspace import Basis, cut_rows, build_space") == [
+        "Basis", "cut_rows"]
+    assert _cut_element_reads("from enrfem import eval_enrichment") == ["eval_enrichment"]
+    assert _cut_element_reads("from . import femspace\nfemspace.standard_basis(s, k, x)") == [
+        "femspace.standard_basis"]
+    assert _cut_element_reads("from numpy import Basis\nfrom .femspace import interface_traces\n"
+                              "space.layout.cut_pieces") == []
+    found = {path.name: _cut_element_reads(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))
+             if path.name not in ("femspace.py", "__init__.py")}
+    assert {name: reads for name, reads in found.items() if reads} == {}
 
 
 def _python(code: str, *flags: str) -> str:
