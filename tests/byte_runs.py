@@ -63,14 +63,6 @@ def machine() -> list[str]:
     return lines
 
 
-def load_sweep():
-    """perfbench/sweep.py, loaded from its file (it imports only the standard library)."""
-    spec = importlib.util.spec_from_file_location("byte_runs_sweep", ROOT / "perfbench" / "sweep.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def catalog_runs() -> list[list[str]]:
     runs = []
     for pid in range(1, 7):
@@ -114,8 +106,14 @@ def run(main, argv: list[str]) -> str:
     return "\t".join([" ".join(argv), str(code), digest(stdout), digest(err.getvalue())])
 
 
-def all_runs(sweep) -> list[list[str]]:
-    """Every run's argv, in order; the sweep files are written to the working directory."""
+def all_runs() -> list[list[str]]:
+    """Every run's argv, in order; the sweep files are written to the working directory.
+
+    perfbench/sweep.py is loaded from its file; it imports only the standard library.
+    """
+    spec = importlib.util.spec_from_file_location("byte_runs_sweep", ROOT / "perfbench" / "sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
     runs = catalog_runs()
     for seed in SWEEP_SEEDS:
         runs += sweep_runs(sweep, seed)
@@ -130,7 +128,7 @@ def main() -> int:
     print("\n".join(machine()))
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
-        for argv in all_runs(load_sweep()):
+        for argv in all_runs():
             print(run(enrfem_main, argv), flush=True)
         os.chdir(ROOT)
     return 0

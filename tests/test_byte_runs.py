@@ -25,7 +25,7 @@ def test_every_run_prints_its_committed_digests(monkeypatch, tmp_path):
     header = [line for line in lines if line.startswith("#")]
     golden = [line for line in lines if not line.startswith("#")]
     monkeypatch.chdir(tmp_path)
-    runs = byte_runs.all_runs(byte_runs.load_sweep())
+    runs = byte_runs.all_runs()
     assert [" ".join(argv) for argv in runs] == [line.split("\t")[0] for line in golden]
     changed = [argv for argv, line in zip(runs, golden) if byte_runs.run(main, argv) != line]
     if not changed:
