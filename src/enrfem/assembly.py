@@ -44,17 +44,17 @@ from .problem import COEFFICIENTS, ProblemSpec, layer_values
 
 SOLVER_RESIDUAL_RTOL = 1e-10
 SINGULAR_PIVOT_RTOL = 1e-14
+LANCZOS_MAX_STEPS = 100
 
 
 def _load_flapack():
     """scipy's LAPACK extension module, loaded without importing scipy.linalg.
 
-    ``import scipy.linalg`` is more than half of the program's start-up,
-    and the solver calls only dgbtrf, dgbtrs and dpbtrf.  The file is
-    found beside scipy's package without importing it, and registered
-    under its own name, so a later ``import scipy.linalg`` (``--cond``'s
-    eigsh, or a user's) reuses this instance.  An extension that cannot be
-    found or loaded falls back to scipy.linalg's own import.
+    ``import scipy.linalg`` is more than half of the program's start-up, and
+    the program calls only dgbtrf, dgbtrs, dpbtrf and dpbtrs.  The file is
+    found beside scipy's package without importing it and registered under
+    its own name, so that a later ``import scipy.linalg`` (a user's) reuses
+    this instance; one that cannot be found or loaded falls back to its import.
     """
     name = "scipy.linalg._flapack"
     if name in sys.modules:
@@ -109,11 +109,6 @@ class BandSystem:
     def starts(self) -> np.ndarray:
         """Each level's first row, then n: the space's ``free_starts``, or one level."""
         return np.array([0, len(self.rhs)]) if self.space is None else self.space.free_starts
-
-    def levels(self) -> list[BandSystem]:
-        """Each level's system: its band columns (zero outside its block) and its rhs rows."""
-        starts = self.starts.tolist()
-        return [BandSystem(self.band[:, i:j], self.rhs[i:j]) for i, j in zip(starts, starts[1:])]
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -286,15 +281,14 @@ def _scatter(space: EnrichedSpace, rows, cols, vals):
     return band, lift
 
 
-def _scaled_lu(band: np.ndarray, starts=(0,)):
-    """Banded LU of the Jacobi-scaled free matrix, for solves with A and A^T.
+def _scaled_lu(band: np.ndarray, starts: np.ndarray):
+    """Banded LU of the Jacobi-scaled matrix A of ``band``.
 
     With s_i = 1/sqrt|A_ii| (1 where A_ii = 0), factors S = diag(s) A diag(s)
-    by banded LU with partial pivoting (dgbtrf), so that
-    A^-1 = diag(s) S^-1 diag(s).  Returns (s, lu, piv, largest): largest[l]
-    is max|S| over the columns from starts[l] to the next start, the whole
-    matrix by default.  Row 2q of ``lu`` holds U's diagonal.  Raises on
-    non-finite entries.
+    by banded LU with partial pivoting (dgbtrf), so that A^-1 = diag(s) S^-1
+    diag(s).  Returns (s, lu, piv, largest): largest[l] is max|S| over the
+    columns from starts[l] to the next start.  Row 2q of ``lu`` holds U's
+    diagonal.  Raises on non-finite entries.
     """
     if not np.isfinite(band).all():
         raise ValueError("matrix has non-finite entries")
@@ -376,67 +370,104 @@ def solve_system(system: BandSystem) -> np.ndarray:
     return x
 
 
-def condition_number(system: BandSystem) -> float:
-    """2-norm condition number sigma_max / sigma_min of the free matrix, from its band.
+def condition_number(system: BandSystem) -> np.ndarray:
+    """2-norm condition number sigma_max / sigma_min of each level's free matrix, in level order.
 
-    sigma_max^2 is the largest eigenvalue of A^T A (``_gram_norm``).
-    sigma_min^-2 is the largest eigenvalue of A^-1 A^-T, found by Lanczos
-    (ARPACK's eigsh) with every product taken through the Jacobi-scaled
-    banded LU of ``solve_system``.  Time and memory are O(n) for a fixed
-    bandwidth; the dense matrix is never built.  Returns inf when A is
-    exactly singular (a zero pivot).
+    sigma_min^-2 is the largest eigenvalue of A^-1 A^-T (``_lanczos``), through the
+    scaled LUs of A and of A^T: dgbtrs's transposed solve adds the next level's
+    zeros to a level's sums, which can change their last bit.  sigma_max^2 is
+    ``_gram_norm``'s.  All levels run at once, each from its own default_rng(0) start
+    vector, so that each keeps the bits of its level alone.  A zero pivot gives inf.
     """
-    from scipy.sparse.linalg import LinearOperator, eigsh  # imported by --cond only
+    band, q, starts = system.band, system.bandwidth, system.starts
+    flipped = np.array([np.roll(row, r - q) for r, row in enumerate(band)])[::-1]  # A^T's band
+    (s, lu, piv, _), (_, lu_t, piv_t, _) = (_scaled_lu(b, starts[:-1]) for b in (band, flipped))
+    zero = (lu[2 * q] == 0.0) | (lu_t[2 * q] == 0.0)
+    singular = np.logical_or.reduceat(zero, starts[:-1])
+    lu[2 * q, zero] = lu_t[2 * q, zero] = 1.0  # so that 0/0 cannot reach a neighbouring level
 
-    band, q = system.band, system.bandwidth
-    n = band.shape[1]
-    s, lu, piv, _ = _scaled_lu(band)
-    if np.any(lu[2 * q] == 0.0):
-        return float("inf")
-    if n == 1:
-        return 1.0
+    def inverse_gram(v):  # A^-1 A^-T v = s S^-1 (s^2 (S^T)^-1 (s v))
+        w = _flapack.dgbtrs(lu_t, q, q, s * v, piv_t)[0]
+        return s * _flapack.dgbtrs(lu, q, q, s * s * w, piv)[0]
 
-    def inverse_gram(v):
-        # A^-1 A^-T v = s S^-1 (s^2 S^-T (s v))
-        w, _ = _flapack.dgbtrs(lu, q, q, s * np.ravel(v), piv, trans=1)
-        w, _ = _flapack.dgbtrs(lu, q, q, s * s * w, piv)
-        return s * w
-
-    operator = LinearOperator((n, n), matvec=inverse_gram, dtype=float)
-    # a fixed start vector keeps the last digits, and so the reports, reproducible
-    start = np.random.default_rng(0).standard_normal(n)
-    (inverse_sigma_min_sq,) = eigsh(operator, k=1, v0=start, return_eigenvectors=False)
-    return float(np.sqrt(_gram_norm(band) * inverse_sigma_min_sq))
+    start = np.concatenate([np.random.default_rng(0).standard_normal(n) for n in np.diff(starts)])
+    inverse_sigma_min_sq = _lanczos(inverse_gram, start, starts, singular, LANCZOS_MAX_STEPS)
+    if np.isnan(inverse_sigma_min_sq[~singular]).any():
+        raise ArithmeticError(f"Lanczos found no sigma_min in {LANCZOS_MAX_STEPS} steps")
+    sigma_max_sq = _gram_norm(band, starts, start, singular)
+    return np.where(singular, np.inf, np.sqrt(sigma_max_sq * inverse_sigma_min_sq))
 
 
-def _gram_norm(band: np.ndarray) -> float:
-    """Largest eigenvalue of A^T A (sigma_max^2) by bisection on banded Cholesky.
+def _lanczos(apply, start: np.ndarray, starts: np.ndarray, skip: np.ndarray, steps: int):
+    """Largest eigenvalue of each diagonal block of a block-diagonal SPD operator, or nan.
 
-    A^T A is a symmetric band of half-width 2q, formed in O(n q^2).  Its
-    largest eigenvalue lies between its largest diagonal entry and its
-    largest absolute row sum, and sigma I - A^T A has a Cholesky factor
-    (dpbtrf) exactly when sigma lies above it.  Bisection runs until the
-    bracket is two adjacent floats, so the value is exact to a few ulps.
+    Lanczos with full reorthogonalization, all blocks at once.  A block is done,
+    its vectors zero, when its residual |beta_k s_k| is at most 1e-14 theta or
+    its Krylov space is the block; nan if skipped or not done in ``steps``.
     """
-    q, n = band.shape[0] // 2, band.shape[1]
-    kd = min(2 * q, n - 1)
-    # upper band storage: gram[kd - d, j] = (A^T A)[j - d, j]
-    #   = sum_k A[k, j - d] A[k, j], with A[k, i] = band[q + k - i, i]
-    gram = np.zeros((kd + 1, n), order="F")  # so that -gram goes to dpbtrf uncopied
+    heads, sizes = starts[:-1], np.diff(starts)
+
+    def dots(a, b):
+        return np.add.reduceat(a * b, heads, axis=-1)
+
+    active, diagonals, theta = ~skip, [], np.full(len(sizes), np.nan)
+    w, beta, basis = start, np.sqrt(dots(start, start)), np.empty((0, len(start)))
+    for step in range(1, steps + 1):
+        v = w / np.repeat(np.where(active, beta, np.inf), sizes)
+        basis = np.concatenate([basis, v[None]])
+        alpha = dots(v, w := apply(v))
+        for _ in range(2):  # classical Gram-Schmidt against the whole basis, twice
+            w -= (np.repeat(dots(basis, w), sizes, axis=1) * basis).sum(axis=0)
+        beta = np.sqrt(dots(w, w))
+        diagonals.append((alpha, beta))
+        a, b = np.array(diagonals)[:, :, active].transpose(1, 2, 0)[:, :, None]
+        # eigh reads T's lower triangle; the last column of eye(step, k=-1) drops the newest beta
+        ritz, vectors = np.linalg.eigh(a * np.eye(step) + b * np.eye(step, k=-1))
+        theta[active] = ritz[:, -1]
+        done = np.abs(beta[active] * vectors[:, -1, -1]) <= 1e-14 * ritz[:, -1]
+        active[np.flatnonzero(active)[done | (sizes[active] <= step)]] = False
+        if not active.any():
+            break
+    return np.where(active, np.nan, theta)
+
+
+def _gram_norm(band: np.ndarray, starts: np.ndarray, start: np.ndarray, skip: np.ndarray):
+    """Largest eigenvalue of each level's A^T A (sigma_max^2), A^T A a band formed in O(n q^2).
+
+    It lies between the largest diagonal entry and absolute row sum, and sigma I - A^T A
+    has a Cholesky factor (dpbtrf) exactly when sigma lies above it.  With sigma the
+    last of ten bisection midpoints that factored (else the row sum * (1 + 2^-20)),
+    sigma_max^2 = sigma - 1/theta, theta the largest eigenvalue of (sigma I - A^T A)^-1
+    by at most 20 ``_lanczos`` steps; a level not done by then bisects to adjacent floats.
+    """
+    n, kd = band.shape[1], min(band.shape) - 1  # kd = 2q, or n - 1 if that is less
+    # upper band storage: gram[kd - d, j] = (A^T A)[j - d, j] = sum_k A[k, j - d] A[k, j]
+    gram = np.zeros((kd + 1, n), order="F")  # so that a shifted slice goes to dpbtrf uncopied
     row_sums = np.zeros(n)
     for d in range(kd + 1):
-        for r in range(d, 2 * q + 1):
+        for r in range(d, len(band)):
             gram[kd - d, d:] += band[r, : n - d] * band[r - d, d:]
         row_sums[: n - d] += np.abs(gram[kd - d, d:])
         if d:
             row_sums[d:] += np.abs(gram[kd - d, d:])
-    low, high = float(np.max(gram[kd])), float(np.max(row_sums))
-    while low < (mid := 0.5 * (low + high)) < high:
-        shifted = -gram
-        shifted[kd] += mid
-        _, info = _flapack.dpbtrf(shifted, overwrite_ab=1)
-        if info == 0:
-            high = mid
-        else:
-            low = mid
-    return high
+    lows, highs = (np.maximum.reduceat(x, starts[:-1]) for x in (gram[kd], row_sums))
+    shift = np.where(highs > 0.0, highs * (1.0 + 2.0**-20), 1.0)  # 1 for a zero matrix
+    unit = np.eye(kd + 1)[:, -1:]  # sigma * unit - gram: sigma I - A^T A in gram's storage
+
+    def bisect(levels, steps):
+        for level in np.repeat(levels, steps):
+            if not lows[level] < (mid := 0.5 * (lows[level] + highs[level])) < highs[level]:
+                continue
+            shifted = mid * unit - gram[:, starts[level]:starts[level + 1]]
+            if _flapack.dpbtrf(shifted, overwrite_ab=1)[1] == 0:
+                highs[level] = shift[level] = mid
+            else:
+                lows[level] = mid
+
+    bisect(np.arange(len(shift)), 10)
+    cholesky, info = _flapack.dpbtrf(np.repeat(shift, np.diff(starts)) * unit - gram)
+    if info:
+        raise ArithmeticError(f"sigma I - A^T A has no Cholesky factor at row {info - 1}")
+    theta = _lanczos(lambda v: _flapack.dpbtrs(cholesky, v)[0], start, starts, skip, 20)
+    bisect(np.flatnonzero(np.isnan(theta) & ~skip), 64)  # a factor 2 kd + 1 <= 21 bisects in <= 58
+    return np.where(np.isnan(theta), highs, shift - 1.0 / theta)

@@ -123,14 +123,13 @@ def _elements_for(h0: str, a: float, b: float, levels: int) -> int:
 def _stack_rows(spec: ProblemSpec, degree: int, mesh: Mesh1D, with_cond: bool) -> list[dict]:
     """The rows of the stacked ``mesh``'s levels, run as one space.
 
-    Space, assembly, one solve of the whole stack, errors, and cond per
-    level with ``with_cond``.  A failure is raised as it comes.
+    Space, assembly, errors from one solve of the whole stack, and with
+    ``with_cond`` one condition_number of it.  A failure is raised as it comes.
     """
     space = space_for_problem(spec, mesh, degree)
     system = assemble_system(spec, space)
     reports = compute_errors(spec, space, solve_system(system))
-    conds = ([condition_number(level) for level in system.levels()] if with_cond
-             else [None] * mesh.n_levels)
+    conds = condition_number(system).tolist() if with_cond else [None] * mesh.n_levels
     a, b = spec.domain
     starts = mesh.starts.tolist()
     return [

@@ -12,6 +12,7 @@ from numpy.polynomial import Polynomial
 from enrfem import eval_enrichment
 from enrfem.analysis import ErrorReport, compute_errors, error_rule_size, observed_orders
 from enrfem.assembly import (
+    BandSystem,
     assemble_system,
     condition_number,
     solve_system,
@@ -50,6 +51,12 @@ def stack_meshes(meshes) -> Mesh1D:
         starts=np.array([start + offset for mesh, offset in zip(meshes, offsets)
                          for start in mesh.starts[:-1].tolist()] + offsets[-1:]),
     )
+
+
+def split_levels(system):
+    """Each level's system of a stacked ``system``: its band columns and its rhs rows (views)."""
+    starts = system.starts.tolist()
+    return [BandSystem(system.band[:, i:j], system.rhs[i:j]) for i, j in zip(starts, starts[1:])]
 
 
 def solve_benchmark(pid, n, degree=None):
@@ -92,7 +99,7 @@ def per_level_rows(problem, degree, h0, levels, with_cond=False):
                 "l2": report.l2,
                 "h1_broken": report.h1_broken,
                 "nodal": report.nodal_max,
-                "cond": condition_number(system) if with_cond else None,
+                "cond": condition_number(system).item() if with_cond else None,
             })
         except (ValueError, ArithmeticError) as exc:
             raise type(exc)(f"level {level} (n={mesh.n_elements}): {exc}") from exc

@@ -3,6 +3,7 @@ import re
 import tracemalloc
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from _helpers import (
     refined_condition_number,
     refined_solve,
     solve_benchmark,
+    split_levels,
     stack_meshes,
 )
 from enrfem import analysis as analysis_module
@@ -607,10 +609,11 @@ def test_a_studys_calls_do_not_grow_with_its_levels(monkeypatch, degree):
     test_a_levels_calls_do_not_grow_with_its_cuts.  At 9 levels (4,088
     elements) the study runs two stacks, its coarse levels and its
     finest, and makes those calls twice.  Each stack's mesh is one
-    build_mesh call, and no stack is split into per-level systems
-    (``BandSystem.levels``) but for --cond.
+    build_mesh call, and with --cond each stack is one condition_number
+    call: 1 at 3 and at 7 levels, 2 at 9.
     """
-    counts = _count_calls(monkeypatch, {"build_mesh": (cli_module,), "levels": (BandSystem,)})
+    counts = _count_calls(monkeypatch, {"build_mesh": (cli_module,),
+                                        "condition_number": (cli_module,)})
     catalog_problem(3)
     assert counts == {"layer_values": 2, "coefficient_table": 6}
     per_study = []
@@ -627,9 +630,10 @@ def test_a_studys_calls_do_not_grow_with_its_levels(monkeypatch, degree):
         "layer_values": 2 + 2 * (4 + 3), "eval_enrichment": 2 * (4 + 2), "standard_basis": 2 * (2 + 1),
         "build_mesh": 2, "coefficient_table": 6,
     }
-    counts.clear()
-    run_convergence(3, degree, "1/8", 3, with_cond=True)
-    assert counts["build_mesh"] == counts["levels"] == 1
+    for levels, stacks in ((3, 1), (7, 1), (9, 2)):
+        counts.clear()
+        run_convergence(3, degree, "1/8", levels, with_cond=True)
+        assert counts["build_mesh"] == counts["condition_number"] == stacks
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -675,7 +679,7 @@ def test_a_stack_is_its_levels_side_by_side(case):
     assert system.band.tobytes() == np.hstack([level.band for level in levels]).tobytes()
     assert system.rhs.tobytes() == np.concatenate([level.rhs for level in levels]).tobytes()
     coeffs = [solve_system(level) for level in levels]
-    for got, want in zip(system.levels(), levels):
+    for got, want in zip(split_levels(system), levels):
         assert got.band.tobytes() == want.band.tobytes()
     stacked = solve_system(system)
     assert stacked.tobytes() == np.concatenate(coeffs).tobytes()
@@ -701,7 +705,7 @@ def _with_level(system, level, change):
 
 def _alone(system):
     """Each level of ``system`` as a system of its own, on copies of its band and rhs."""
-    return [BandSystem(level.band.copy(), level.rhs.copy()) for level in system.levels()]
+    return [BandSystem(level.band.copy(), level.rhs.copy()) for level in split_levels(system)]
 
 
 def test_a_stack_with_a_singular_level_raises_that_levels_error():
@@ -852,8 +856,6 @@ def test_layer_values_have_polyval_bits(layers, points):
 
 def test_assemble_and_solve_stay_linear_in_memory():
     """P1 at n = 2048 with errors and --cond: the dense free matrix alone would take 33.6 MB."""
-    import scipy.sparse.linalg  # noqa: F401  (measure condition_number, not the import it makes)
-
     entry = catalog_problem(2)
     mesh = build_mesh(0.0, 1.0, 2048, [s.alpha for s in entry.problem.interfaces])
     space = space_for_problem(entry.problem, mesh, entry.degree)
@@ -883,21 +885,22 @@ def _fake_system(matrix, rhs):
 # --------------------------------------------------------- condition numbers
 
 def test_condition_number_identity():
-    assert condition_number(_fake_system(np.eye(4), np.ones(4))) == pytest.approx(1.0, rel=1e-14)
+    (cond,) = condition_number(_fake_system(np.eye(4), np.ones(4)))
+    assert cond == pytest.approx(1.0, rel=1e-14)
 
 
 def test_condition_number_diagonal():
-    system = _fake_system(np.diag([1.0, 100.0]), np.ones(2))
-    assert condition_number(system) == pytest.approx(100.0, rel=1e-12)
+    (cond,) = condition_number(_fake_system(np.diag([1.0, 100.0]), np.ones(2)))
+    assert cond == pytest.approx(100.0, rel=1e-12)
 
 
 def test_condition_number_singular_is_infinite():
-    assert condition_number(_fake_system(np.zeros((2, 2)), np.ones(2))) == float("inf")
+    assert condition_number(_fake_system(np.zeros((2, 2)), np.ones(2))).tolist() == [float("inf")]
 
 
 def test_condition_number_problem2_magnitude():
     _, _, _, system, _ = solve_benchmark(2, 8)
-    cond = condition_number(system)
+    (cond,) = condition_number(system)
     assert 1.27626e4 / 10 <= cond <= 1.27626e4 * 10
 
 
@@ -906,7 +909,7 @@ def test_condition_number_problem2_magnitude():
 def test_condition_number_matches_the_dense_svd(pid, n):
     """Within 10 eps kappa: the dense SVD's sigma_min is itself only good to about eps kappa."""
     _, _, _, system, _ = solve_benchmark(pid, n)
-    cond = condition_number(system)
+    (cond,) = condition_number(system)
     reference = dense_condition_number(system.matrix)
     assert abs(cond - reference) <= 10 * np.finfo(float).eps * reference**2
 
@@ -915,7 +918,8 @@ def test_condition_number_beats_the_dense_svd_on_problem4():
     """p4 at n = 512 (kappa 5.8e9): the dense SVD is off by 7e-7, the band by 1e-14."""
     _, _, _, system, _ = solve_benchmark(4, 512)
     reference = refined_condition_number(system.matrix)
-    assert condition_number(system) == pytest.approx(reference, rel=1e-12)
+    (cond,) = condition_number(system)
+    assert cond == pytest.approx(reference, rel=1e-12)
 
 
 def test_the_papers_cond_column_is_the_1_norm_condition_number():
@@ -935,7 +939,7 @@ def test_condition_number_of_one_and_two_free_dofs(n):
     problem = _poisson_problem()
     system = assemble_system(problem, space_for_problem(problem, build_mesh(0.0, 1.0, n, []), 1))
     assert len(system.rhs) == n - 1
-    cond = condition_number(system)
+    (cond,) = condition_number(system)
     assert cond == pytest.approx(dense_condition_number(system.matrix), rel=1e-14)
 
 
@@ -944,16 +948,131 @@ def test_condition_number_of_a_nonsymmetric_band():
     rng = np.random.default_rng(7)
     matrix = np.diag(rng.uniform(1.0, 2.0, 12)) + np.diag(rng.uniform(-3.0, 3.0, 11), 1)
     matrix += np.diag(rng.uniform(-1.0, 1.0, 10), -2)
-    cond = condition_number(_fake_system(matrix, np.ones(12)))
+    (cond,) = condition_number(_fake_system(matrix, np.ones(12)))
     assert cond == pytest.approx(dense_condition_number(matrix), rel=1e-12)
 
 
 def test_condition_number_on_a_deep_p2_mesh():
     """p6 at n = 16,384 (32,777 free DOFs) gives a finite kappa without the dense view."""
     _, _, _, system, _ = solve_benchmark(6, 16384)
-    cond = condition_number(system)
+    (cond,) = condition_number(system)
     assert np.isfinite(cond) and cond > 1.0
     assert "matrix" not in vars(system)
+
+
+def _stack_of(matrices, q):
+    """A system of the square ``matrices``, each of half-width at most q, stacked as levels in one band."""
+    dense = scipy.linalg.block_diag(*matrices)
+    n = len(dense)
+    band = np.zeros((2 * q + 1, n))
+    for i, j in zip(*np.nonzero(np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= q)):
+        band[q + i - j, j] = dense[i, j]
+    starts = np.cumsum([0] + [len(matrix) for matrix in matrices])
+    return BandSystem(band, np.ones(n), SimpleNamespace(free_starts=starts))
+
+
+def _random_band(rng, n, q):
+    """A nonsymmetric n x n band of half-width q: diagonally dominant rows, rows and columns scaled by 2^k."""
+    matrix = np.triu(np.tril(rng.uniform(-1.0, 1.0, (n, n)), q), -q)
+    margin = rng.uniform(0.1, 1.0, n) * rng.choice([-1.0, 1.0], n)
+    np.fill_diagonal(matrix, np.abs(matrix).sum(axis=1) * np.sign(margin) + margin)
+    return matrix * 2.0 ** rng.integers(-4, 5, n)[:, None] * 2.0 ** rng.integers(-4, 5, n)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(sizes=st.lists(st.integers(1, 40), min_size=1, max_size=4), q=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_condition_number_of_random_stacks(sizes, q, seed, data):
+    """Stacks of 1-4 random nonsymmetric bands of 1-40 DOFs, one level with a zero column.
+
+    Each level's kappa is the dense SVD's within 10 eps kappa^2, as in
+    test_condition_number_matches_the_dense_svd; the level with the zero
+    column, whose LU has an exact zero pivot, gives inf; and the stack's
+    values have the bits of each level run alone.
+    """
+    rng = np.random.default_rng(seed)
+    singular = data.draw(st.integers(0, len(sizes) - 1), label="singular")
+    matrices = [_random_band(rng, n, q) for n in sizes]
+    matrices[singular][:, rng.integers(sizes[singular])] = 0.0
+    stack = _stack_of(matrices, q)
+    cond = condition_number(stack)
+    assert cond.tobytes() == np.concatenate([condition_number(s) for s in split_levels(stack)]).tobytes()
+    for level, (matrix, kappa) in enumerate(zip(matrices, cond)):
+        if level == singular:
+            assert kappa == np.inf
+        else:
+            reference = dense_condition_number(matrix)
+            assert abs(kappa - reference) <= 10 * np.finfo(float).eps * reference**2
+
+
+@pytest.mark.parametrize("case", ["p3", "p4", "p6", "sweep-117"])
+def test_a_stacks_condition_numbers_have_the_bits_of_its_levels_alone(case):
+    """One condition_number of stacked meshes of n = 8, 16, 32 gives each one-mesh system's, bit for bit."""
+    if case == "sweep-117":
+        problem, degree = load_problem_file(FIXTURES / "sweep-117.json"), 2
+    else:
+        entry = catalog_problem(int(case[1:]))
+        problem, degree = entry.problem, entry.degree
+    meshes = [build_mesh(*problem.domain, n, problem.breakpoints) for n in (8, 16, 32)]
+    stack = assemble_system(problem, space_for_problem(problem, stack_meshes(meshes), degree))
+    alone = [condition_number(assemble_system(problem, space_for_problem(problem, mesh, degree)))
+             for mesh in meshes]
+    assert condition_number(stack).tobytes() == np.concatenate(alone).tobytes()
+
+
+def _record_lanczos_runs(monkeypatch):
+    """A list that collects each ``_lanczos`` result: sigma_min's run, then sigma_max's, per call."""
+    original, runs = assembly_module._lanczos, []
+
+    def recording(*args):
+        runs.append(original(*args))
+        return runs[-1]
+    monkeypatch.setattr(assembly_module, "_lanczos", recording)
+    return runs
+
+
+def test_condition_number_of_a_convection_dominated_p2_file(monkeypatch):
+    """D = 0.001 | 0.002, delta = -3 | 5, P2 (fixtures/convection-p2.json): dense SVD at 256, done at 4,096.
+
+    The flow leaves the interface on both sides.  At 4,096 elements
+    both Lanczos runs finish without the bisection that follows a slow
+    sigma_max run, so its ten bisection steps gave a close enough shift.
+    (With delta = 5 | -3 the flow meets at the interface, and the problem
+    itself is near singular: kappa is above 1e16 at 256 elements.)
+    """
+    problem = load_problem_file(FIXTURES / "convection-p2.json")
+    runs = _record_lanczos_runs(monkeypatch)
+    for n in (256, 4096):
+        system = assemble_system(problem, space_for_problem(problem, build_mesh(0.0, 1.0, n, [0.3]), 2))
+        (cond,) = condition_number(system)
+        if n == 256:
+            reference = dense_condition_number(system.matrix)
+            assert abs(cond - reference) <= 10 * np.finfo(float).eps * reference**2
+    assert np.isfinite(cond) and not np.isnan(np.concatenate(runs)).any()
+
+
+def test_a_slow_sigma_max_bisects_to_adjacent_floats(monkeypatch):
+    """A = I + 1e-3 S (S skew tridiagonal, A_00 = 0.5), n = 100: its top singular values crowd.
+
+    sigma_max's Lanczos run on the shifted inverse is not done in 20
+    steps, so the level bisects on, and kappa is still the dense SVD's.
+    """
+    n = 100
+    matrix = np.eye(n) + 1e-3 * (np.eye(n, k=1) - np.eye(n, k=-1))
+    matrix[0, 0] = 0.5
+    runs = _record_lanczos_runs(monkeypatch)
+    (cond,) = condition_number(_fake_system(matrix, np.ones(n)))
+    assert np.isfinite(runs[0]).all() and np.isnan(runs[1]).all()
+    assert cond == pytest.approx(dense_condition_number(matrix), rel=1e-14)
+
+
+def test_the_lanczos_step_cap_raises(monkeypatch):
+    """With LANCZOS_MAX_STEPS at 1, sigma_min's run is not done: ArithmeticError, reported by level."""
+    monkeypatch.setattr(assembly_module, "LANCZOS_MAX_STEPS", 1)
+    with pytest.raises(ArithmeticError, match="^Lanczos found no sigma_min in 1 steps$"):
+        condition_number(_p3_stack())
+    with pytest.raises(ArithmeticError, match=r"^level 0 \(n=8\): Lanczos found no sigma_min in 1 steps$"):
+        run_convergence(3, None, "1/8", 3, with_cond=True)
 
 
 # ----------------------------------------------------------- problem checks

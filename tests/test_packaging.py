@@ -203,7 +203,7 @@ def _python(code: str, *flags: str) -> str:
 
 
 def test_import_leaves_scipy_sparse_out():
-    """Only --cond imports scipy.sparse.linalg, so startup does not pay for it."""
+    """Importing enrfem and its CLI loads no scipy.sparse module: nothing in enrfem imports one."""
     out = _python(
         "import enrfem, enrfem.cli\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
@@ -221,13 +221,23 @@ def test_startup_leaves_scipy_linalg_out():
     assert out.splitlines()[-1] == "['scipy.linalg._flapack']"
 
 
+def test_a_cond_study_leaves_scipy_linalg_out():
+    """A --cond study, too, loads scipy's LAPACK extension and no other scipy module."""
+    out = _python(
+        "import enrfem, enrfem.cli as cli\n"
+        "assert cli.main(['--problem', '2', '--levels', '3', '--cond']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    assert out.splitlines()[-1] == "['scipy.linalg._flapack']"
+
+
 def test_one_lapack_extension_instance():
     """scipy.linalg, imported after enrfem or before it, shares enrfem's LAPACK module.
 
-    A --cond study imports scipy.linalg through eigsh, whose lapack.py
-    finds the module the loader registered; and a loader that runs after
-    scipy.linalg takes the module already in sys.modules without looking
-    for the file.
+    A user's scipy.linalg imported after a --cond study finds, through its
+    lapack.py, the module the loader registered; and a loader that runs
+    after scipy.linalg takes the module already in sys.modules without
+    looking for the file.
     """
     out = _python(
         "import enrfem.cli as cli\n"
