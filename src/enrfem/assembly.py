@@ -44,7 +44,8 @@ from .problem import COEFFICIENTS, ProblemSpec, layer_values
 
 SOLVER_RESIDUAL_RTOL = 1e-10
 SINGULAR_PIVOT_RTOL = 1e-14
-LANCZOS_MAX_STEPS = 100
+LANCZOS_STEPS_PER_DOF = 100
+LANCZOS_BASIS = 30
 
 
 def _load_flapack():
@@ -373,62 +374,74 @@ def solve_system(system: BandSystem) -> np.ndarray:
 def condition_number(system: BandSystem) -> np.ndarray:
     """2-norm condition number sigma_max / sigma_min of each level's free matrix, in level order.
 
-    sigma_min^-2 is the largest eigenvalue of A^-1 A^-T (``_lanczos``), through the
-    scaled LUs of A and of A^T: dgbtrs's transposed solve adds the next level's
-    zeros to a level's sums, which can change their last bit.  sigma_max^2 is
-    ``_gram_norm``'s.  All levels run at once, each from its own default_rng(0) start
-    vector, so that each keeps the bits of its level alone.  A zero pivot gives inf.
+    sigma_min^-2 is the largest eigenvalue of A^-1 A^-T (``_lanczos``) through the stack's
+    scaled LU, solved with S^T level by level, and sigma_max^2 is ``_gram_norm``'s.  Each
+    level starts from its own default_rng(0) vector and keeps the bits of the level alone
+    (a transposed solve of the stack would add the next level's zeros to a level's sums,
+    which can change their last bit).  A zero pivot gives inf.
     """
     band, q, starts = system.band, system.bandwidth, system.starts
-    flipped = np.array([np.roll(row, r - q) for r, row in enumerate(band)])[::-1]  # A^T's band
-    (s, lu, piv, _), (_, lu_t, piv_t, _) = (_scaled_lu(b, starts[:-1]) for b in (band, flipped))
-    zero = (lu[2 * q] == 0.0) | (lu_t[2 * q] == 0.0)
-    singular = np.logical_or.reduceat(zero, starts[:-1])
-    lu[2 * q, zero] = lu_t[2 * q, zero] = 1.0  # so that 0/0 cannot reach a neighbouring level
+    s, lu, piv, _ = _scaled_lu(band, starts[:-1])
+    singular = np.logical_or.reduceat(lu[2 * q] == 0.0, starts[:-1])
+    lu[2 * q, lu[2 * q] == 0.0] = 1.0  # so that 0/0 cannot reach a neighbouring level
+    blocks = [(i, j, piv[i:j] - i) for i, j in zip(starts[:-1].tolist(), starts[1:].tolist())]
 
-    def inverse_gram(v):  # A^-1 A^-T v = s S^-1 (s^2 (S^T)^-1 (s v))
-        w = _flapack.dgbtrs(lu_t, q, q, s * v, piv_t)[0]
+    def inverse_gram(v):  # A^-1 A^-T v = s S^-1 (s^2 S^-T (s v))
+        w = np.concatenate([_flapack.dgbtrs(lu[:, i:j], q, q, s[i:j] * v[i:j], p, trans=1)[0]
+                            for i, j, p in blocks])
         return s * _flapack.dgbtrs(lu, q, q, s * s * w, piv)[0]
 
     start = np.concatenate([np.random.default_rng(0).standard_normal(n) for n in np.diff(starts)])
-    inverse_sigma_min_sq = _lanczos(inverse_gram, start, starts, singular, LANCZOS_MAX_STEPS)
-    if np.isnan(inverse_sigma_min_sq[~singular]).any():
-        raise ArithmeticError(f"Lanczos found no sigma_min in {LANCZOS_MAX_STEPS} steps")
+    inverse_sigma_min_sq = _lanczos(inverse_gram, start, starts, singular,
+                                    cap := LANCZOS_STEPS_PER_DOF * np.diff(starts))
+    if (failed := np.isnan(inverse_sigma_min_sq) & ~singular).any():
+        raise ArithmeticError(f"Lanczos found no sigma_min in {cap[failed][0]} steps")
+    del lu  # before the Gram band and its factor
     sigma_max_sq = _gram_norm(band, starts, start, singular)
     return np.where(singular, np.inf, np.sqrt(sigma_max_sq * inverse_sigma_min_sq))
 
 
-def _lanczos(apply, start: np.ndarray, starts: np.ndarray, skip: np.ndarray, steps: int):
+def _lanczos(apply, start: np.ndarray, starts: np.ndarray, skip: np.ndarray, steps):
     """Largest eigenvalue of each diagonal block of a block-diagonal SPD operator, or nan.
 
-    Lanczos with full reorthogonalization, all blocks at once.  A block is done,
-    its vectors zero, when its residual |beta_k s_k| is at most 1e-14 theta or
-    its Krylov space is the block; nan if skipped or not done in ``steps``.
+    Lanczos with full reorthogonalization, all blocks at once, on at most
+    LANCZOS_BASIS vectors a block: a full basis restarts from its top half of Ritz
+    vectors (thick restart, Wu and Simon 2000).  A block is done, its vectors zero,
+    when its residual |beta s_k| is at most 1e-14 theta or its basis spans it; nan
+    if skipped or not done in ``steps`` products (one number, or one per block).
     """
-    heads, sizes = starts[:-1], np.diff(starts)
-
-    def dots(a, b):
-        return np.add.reduceat(a * b, heads, axis=-1)
-
-    active, diagonals, theta = ~skip, [], np.full(len(sizes), np.nan)
-    w, beta, basis = start, np.sqrt(dots(start, start)), np.empty((0, len(start)))
-    for step in range(1, steps + 1):
-        v = w / np.repeat(np.where(active, beta, np.inf), sizes)
-        basis = np.concatenate([basis, v[None]])
-        alpha = dots(v, w := apply(v))
-        for _ in range(2):  # classical Gram-Schmidt against the whole basis, twice
-            w -= (np.repeat(dots(basis, w), sizes, axis=1) * basis).sum(axis=0)
-        beta = np.sqrt(dots(w, w))
-        diagonals.append((alpha, beta))
-        a, b = np.array(diagonals)[:, :, active].transpose(1, 2, 0)[:, :, None]
-        # eigh reads T's lower triangle; the last column of eye(step, k=-1) drops the newest beta
-        ritz, vectors = np.linalg.eigh(a * np.eye(step) + b * np.eye(step, k=-1))
-        theta[active] = ritz[:, -1]
-        done = np.abs(beta[active] * vectors[:, -1, -1]) <= 1e-14 * ritz[:, -1]
-        active[np.flatnonzero(active)[done | (sizes[active] <= step)]] = False
+    heads, sizes, keep = starts[:-1], np.diff(starts), LANCZOS_BASIS // 2
+    basis = np.empty((LANCZOS_BASIS, len(start)))
+    t = np.zeros((len(sizes), LANCZOS_BASIS, LANCZOS_BASIS))  # lower triangles, arrows after a restart
+    active, done, theta = ~skip, np.zeros(len(sizes), bool), np.zeros(len(sizes))
+    w, beta, j = start, np.sqrt(np.add.reduceat(start * start, heads)), 0
+    for step in range(1, int(np.max(steps)) + 1):
+        np.divide(w, np.repeat(np.where(active, beta, np.inf), sizes), out=basis[j])
+        w = apply(basis[j])
+        t[:, j, j] = np.add.reduceat(basis[j] * w, heads)
+        for l in np.flatnonzero(active):  # classical Gram-Schmidt against the level's basis, twice
+            rows, part = basis[:j + 1, starts[l]:starts[l + 1]], w[starts[l]:starts[l + 1]]
+            part -= (rows @ part) @ rows
+            part -= (rows @ part) @ rows
+        beta = np.sqrt(np.add.reduceat(w * w, heads))
+        levels, (ritz, vectors) = np.flatnonzero(active), np.linalg.eigh(t[active, :j + 1, :j + 1])
+        theta[levels] = ritz[:, -1]
+        converged = np.abs(beta[levels] * vectors[:, -1, -1]) <= 1e-14 * ritz[:, -1]
+        done[levels[converged | (sizes[levels] <= j + 1)]] = True
+        active &= ~done & (step < steps)
         if not active.any():
             break
-    return np.where(active, np.nan, theta)
+        if j + 1 < LANCZOS_BASIS:
+            j += 1
+            t[:, j, j - 1] = beta
+        else:  # restart from the top Ritz vectors, coupled to w / beta by beta s_k
+            for l, top in zip(levels, vectors[:, :, -keep:]):
+                basis[:keep, starts[l]:starts[l + 1]] = top.T @ basis[:, starts[l]:starts[l + 1]]
+            t[:] = 0.0
+            t[levels[:, None], np.arange(keep), np.arange(keep)] = ritz[:, -keep:]
+            t[levels, keep, :keep] = beta[levels, None] * vectors[:, -1, -keep:]
+            j = keep
+    return np.where(done, theta, np.nan)
 
 
 def _gram_norm(band: np.ndarray, starts: np.ndarray, start: np.ndarray, skip: np.ndarray):

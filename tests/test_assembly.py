@@ -1066,13 +1066,69 @@ def test_a_slow_sigma_max_bisects_to_adjacent_floats(monkeypatch):
     assert cond == pytest.approx(dense_condition_number(matrix), rel=1e-14)
 
 
+def _reaction_system(n, degree):
+    """fixtures/reaction.json (D = 1e-6, w = 1, no interface) on n elements."""
+    problem = load_problem_file(FIXTURES / "reaction.json")
+    return assemble_system(problem, space_for_problem(problem, build_mesh(0.0, 1.0, n, []), degree))
+
+
+@pytest.mark.parametrize("degree, arpack", [(1, 1.3819007711917284), (2, 6.216818318280079)])
+def test_condition_number_of_a_reaction_dominated_file(monkeypatch, degree, arpack):
+    """D = 1e-6, w = 1 at n = 512: the smallest singular values crowd, so sigma_min's run restarts.
+
+    Its hundreds of products run on a basis of LANCZOS_BASIS vectors, and
+    kappa is ARPACK's (eigsh, which --cond used before) within 1e-12 and
+    the dense SVD's within 1e-14: the residual test |beta s_k| <= 1e-14
+    theta bounds the relative error of sigma_min^-2 by 1e-14, which at
+    kappa = 1.38 is more than 10 eps kappa^2 (ARPACK's value is 6e-15 off).
+    A stack of n = 256 and 512, both restarting, has the bits of each
+    level alone.
+    """
+    products = []
+    original = assembly_module._lanczos
+
+    def counting(apply, *args):
+        products.append(0)
+
+        def counted(v):
+            products[-1] += 1
+            return apply(v)
+        return original(counted, *args)
+    monkeypatch.setattr(assembly_module, "_lanczos", counting)
+    system = _reaction_system(512, degree)
+    (cond,) = condition_number(system)
+    assert products[0] > 10 * assembly_module.LANCZOS_BASIS
+    assert cond == pytest.approx(arpack, rel=1e-12)
+    assert cond == pytest.approx(dense_condition_number(system.matrix), rel=1e-14)
+    problem = load_problem_file(FIXTURES / "reaction.json")
+    stack = assemble_system(problem, space_for_problem(
+        problem, stack_meshes([build_mesh(0.0, 1.0, n, []) for n in (256, 512)]), degree))
+    alone = np.concatenate([condition_number(_reaction_system(256, degree)), [cond]])
+    assert condition_number(stack).tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("pid", [1, 2, 3, 4, 5, 6])
+def test_a_restarted_lanczos_still_matches_the_dense_svd(monkeypatch, pid):
+    """With a basis of 4 vectors, every run past 4 steps restarts from 2 Ritz vectors: n = 64."""
+    monkeypatch.setattr(assembly_module, "LANCZOS_BASIS", 4)
+    _, _, _, system, _ = solve_benchmark(pid, 64)
+    (cond,) = condition_number(system)
+    reference = dense_condition_number(system.matrix)
+    assert abs(cond - reference) <= 10 * np.finfo(float).eps * reference**2
+
+
 def test_the_lanczos_step_cap_raises(monkeypatch):
-    """With LANCZOS_MAX_STEPS at 1, sigma_min's run is not done: ArithmeticError, reported by level."""
-    monkeypatch.setattr(assembly_module, "LANCZOS_MAX_STEPS", 1)
-    with pytest.raises(ArithmeticError, match="^Lanczos found no sigma_min in 1 steps$"):
-        condition_number(_p3_stack())
-    with pytest.raises(ArithmeticError, match=r"^level 0 \(n=8\): Lanczos found no sigma_min in 1 steps$"):
-        run_convergence(3, None, "1/8", 3, with_cond=True)
+    """With one product per DOF, sigma_min's run on the reaction file at n = 512 is not done.
+
+    It needs about 700 (test_condition_number_of_a_reaction_dominated_file):
+    ArithmeticError, and a study reports it by level.
+    """
+    monkeypatch.setattr(assembly_module, "LANCZOS_STEPS_PER_DOF", 1)
+    with pytest.raises(ArithmeticError, match="^Lanczos found no sigma_min in 511 steps$"):
+        condition_number(_reaction_system(512, 1))
+    with pytest.raises(ArithmeticError,
+                       match=r"^level 0 \(n=512\): Lanczos found no sigma_min in 511 steps$"):
+        run_convergence(str(FIXTURES / "reaction.json"), 1, "1/512", 1, with_cond=True)
 
 
 # ----------------------------------------------------------- problem checks
